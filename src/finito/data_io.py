@@ -362,10 +362,16 @@ def checkpoint_load(source, problem):
     if not saw_end:
         raise CheckpointFormatError("truncated checkpoint: missing END marker")
 
-    def _need(key: str) -> str:
-        if key not in kv:
-            raise CheckpointFormatError(f"missing {key!r} entry")
-        return kv[key]
+    def _need(key: str, entries: dict = kv, kind: str = "entry"):
+        if key not in entries:
+            raise CheckpointFormatError(f"missing {key!r} {kind}")
+        return entries[key]
+
+    def _vec(name: str) -> np.ndarray:
+        return _need(name, vectors, "vec")
+
+    def _table(name: str) -> np.ndarray:
+        return _need(name, tables, "table")
 
     solver = _need("solver")
     d = int(_need("d"))
@@ -378,21 +384,21 @@ def checkpoint_load(source, problem):
     if solver in ("finito", "prox-finito", "miso"):
         state = FinitoState(
             alpha=float(_need("alpha")), k=int(_need("k")),
-            seen=int(_need("seen")), w=vectors["w"],
-            p_table=tables["p"], p_sum=vectors["p_sum"],
+            seen=int(_need("seen")), w=_vec("w"),
+            p_table=_table("p"), p_sum=_vec("p_sum"),
             proximal=bool(int(_need("proximal"))), solver_tag=solver,
         )
         if bool(int(_need("audit"))):
-            state.phi_table = tables["phi"]
-            state.grad_table = tables["grad"]
-            state.phi_sum = vectors["phi_sum"]
-            state.grad_sum = vectors["grad_sum"]
+            state.phi_table = _table("phi")
+            state.grad_table = _table("grad")
+            state.phi_sum = _vec("phi_sum")
+            state.grad_sum = _vec("grad_sum")
     elif solver == "sag":
         state = SagState(step=float(_need("step")), k=int(_need("k")),
-                         seen=int(_need("seen")), w=vectors["w"],
-                         grad_table=tables["grad"], grad_sum=vectors["grad_sum"])
+                         seen=int(_need("seen")), w=_vec("w"),
+                         grad_table=_table("grad"), grad_sum=_vec("grad_sum"))
     elif solver == "full-gradient":
-        state = FullGradientState(w=vectors["w"], k=int(_need("k")))
+        state = FullGradientState(w=_vec("w"), k=int(_need("k")))
     else:
         raise CheckpointFormatError(f"unknown solver tag {solver!r}")
     sampler = None

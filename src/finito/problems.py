@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 LOGISTIC = "logistic"
 SQUARED = "squared"
@@ -42,8 +41,12 @@ class BigDataReport:
 class ReferenceSolution:
     """High-accuracy minimizer used as the suboptimality reference.
 
-    For smooth problems grad_norm_at_solution is the gradient norm at w_star;
-    for composite problems it is the proximal fixed-point residual.
+    grad_norm_at_solution is the stopping certificate measured at w_star
+    itself: for smooth problems the gradient norm ||f'(w_star)||; for
+    composite problems the proximal fixed-point residual
+    ||prox(w_star - f'(w_star)/L, 1/L) - w_star||.  method_tag names the
+    algorithm that produced it ("accelerated-proximal-gradient" for
+    reference_solve).
     """
 
     w_star: np.ndarray
@@ -205,7 +208,8 @@ class FiniteSumProblem(_ProblemBase):
     def _loss_dmargin(self, margins: np.ndarray, targets: np.ndarray) -> np.ndarray:
         if self.loss == SQUARED:
             return margins - targets
-        return -targets * expit(-targets * margins)
+        # sigmoid(-y m) in tanh form, which cannot overflow for any margin
+        return -targets * (0.5 - 0.5 * np.tanh(0.5 * targets * margins))
 
     # -- component interface -------------------------------------------------
 

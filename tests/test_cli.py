@@ -224,3 +224,16 @@ def test_cli_save_and_resume_stitches_exactly(tmp_path):
     assert code == 0
     stitched = rows_without_wall(part1.read_text()) + rows_without_wall(tail)
     assert stitched == rows_without_wall(full)
+
+
+def test_resume_from_checkpoint_without_w_exits_one(tmp_path):
+    ck = tmp_path / "state.ckpt"
+    base = ["--synth", SYNTH, "--solver", "finito", "--sampling", "permuted",
+            "--seed", "5"]
+    code, _, _ = call(["run", *base, "--epochs", "3", "--save-state", str(ck)])
+    assert code == 0
+    lines = ck.read_text().splitlines()
+    ck.write_text("\n".join(l for l in lines if not l.startswith("vec w ")) + "\n")
+    code, _, err = call(["run", *base, "--epochs", "6", "--resume", str(ck)])
+    assert code == 1
+    assert "missing 'w'" in err

@@ -125,7 +125,7 @@ def test_synth_l1_passthrough():
     problem, ref = synth_problem(SynthSpec(n=25, d=3, loss=SQUARED, seed=2,
                                            l1_weight=0.3))
     assert problem.l1_weight == 0.3
-    assert ref.method_tag == "proximal-gradient"
+    assert ref.method_tag == "accelerated-proximal-gradient"
 
 
 # -- trace round-trip --------------------------------------------------------------
@@ -230,6 +230,21 @@ def test_checkpoint_corruption_detected(synth_tiny, tmp_path):
 
     with pytest.raises(CheckpointFormatError):
         checkpoint_load(io.StringIO("not a checkpoint\n"), problem)
+
+
+@pytest.mark.parametrize("solver,prefix", [("finito", "vec w "),
+                                           ("finito", "vec p_sum "),
+                                           ("finito", "table p "),
+                                           ("prox-finito", "table phi "),
+                                           ("sag", "vec grad_sum ")])
+def test_checkpoint_missing_entry_is_format_error(synth_tiny, tmp_path,
+                                                  solver, prefix):
+    problem, ref = synth_tiny
+    path, _ = run_and_checkpoint(problem, ref, solver, tmp_path)
+    kept = [line for line in path.read_text().splitlines()
+            if not line.startswith(prefix)]
+    with pytest.raises(CheckpointFormatError, match="missing"):
+        checkpoint_load(io.StringIO("\n".join(kept) + "\n"), problem)
 
 
 def test_checkpoint_problem_shape_guard(synth_tiny, tmp_path):

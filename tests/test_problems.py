@@ -1,7 +1,15 @@
 """Problem containers: exact desk values, gradient oracles, validation."""
 
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import finito
 
 from finito import (
     LOGISTIC,
@@ -112,6 +120,30 @@ def test_logistic_stable_at_extreme_margins():
     g = p.component_gradient(0, np.array([-1000.0]))
     assert g[0] == pytest.approx(-1.0, abs=1e-12)
     assert p.component_gradient(0, np.array([1000.0]))[0] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_logistic_gradients_quiet_at_extreme_margins():
+    p = FiniteSumProblem([[1.0], [1.0]], [1.0, -1.0], LOGISTIC, s=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for m in (-1000.0, 1000.0):
+            w = np.array([m])
+            grads = [p.component_gradient(0, w), p.component_gradient(1, w),
+                     p.table_gradients(np.full((2, 1), m)), p.full_gradient(w)]
+            assert all(np.all(np.isfinite(g)) for g in grads)
+
+
+def test_import_and_synth_do_not_load_scipy():
+    script = ("import sys, finito\n"
+              "finito.synth_problem(finito.SynthSpec(n=20, d=3, loss='logistic'))\n"
+              "print('scipy' in sys.modules)\n")
+    src = str(Path(finito.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "False"
 
 
 # -- batch helpers agree with the scalar paths --------------------------------

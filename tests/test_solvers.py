@@ -181,7 +181,7 @@ def test_lasso_toy_collapses_to_zero(rng):
     lam = 2.0 * np.max(np.abs(feats.T @ targets)) / 4 + 1.0
     problem = FiniteSumProblem(feats, targets, SQUARED, s=0.5, l1_weight=lam)
     ref = reference_solve(problem)
-    assert ref.method_tag == "proximal-gradient"
+    assert ref.method_tag == "accelerated-proximal-gradient"
     assert np.allclose(ref.w_star, 0.0, atol=1e-10)
     config = SolverConfig(solver="prox-finito", alpha=2.0, w0=np.ones(2))
     _, state, _ = run_with_state(problem, config,
@@ -280,7 +280,7 @@ def test_resume_matches_uninterrupted(synth_tiny):
 
 def test_reference_solve_desk(desk):
     ref = reference_solve(desk)
-    assert ref.method_tag == "full-gradient-backtracking"
+    assert ref.method_tag == "accelerated-proximal-gradient"
     assert abs(ref.w_star[0]) <= 1e-9
     assert ref.f_star == pytest.approx(0.5, abs=1e-12)
     assert ref.grad_norm_at_solution <= 1e-12
@@ -290,3 +290,19 @@ def test_reference_solve_synth_tolerance(synth_small):
     problem, ref = synth_small
     assert ref.grad_norm_at_solution <= 1e-12
     assert np.linalg.norm(problem.full_gradient(ref.w_star)) <= 1e-11
+
+
+def test_reference_solve_l1_certificate_holds_at_w_star():
+    problem, ref = synth_problem(SynthSpec(n=40, d=5, seed=0, l1_weight=0.01))
+    step = 1.0 / problem.lipschitz_constant()
+    w = ref.w_star
+    resid = np.linalg.norm(
+        problem.prox(w - step * problem.full_gradient(w), step) - w)
+    assert resid <= 1e-12
+    assert ref.f_star == problem.full_objective(w)
+
+
+def test_reference_solve_raises_when_iterations_run_out(synth_small):
+    problem, _ = synth_small
+    with pytest.raises(RuntimeError):
+        reference_solve(problem, max_iter=3)
