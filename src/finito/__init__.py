@@ -15,8 +15,7 @@ from .samplers import (CYCLIC, IndexSampler, PERMUTED, SAMPLING_NAMES,
 from .solvers import (DivergenceError, FinitoState, FullGradientState,
                       SagState, SolverConfig, SOLVER_TAGS, TraceRecord,
                       finito_first_pass_step, finito_init, finito_step,
-                      miso_init, miso_step, prox_finito_step, reference_solve,
-                      run, run_with_state, sag_default_step,
+                      reference_solve, run, run_with_state, sag_default_step,
                       sag_first_pass_step, sag_init, sag_step)
 from .data_io import (CheckpointFormatError, LibsvmFormatError, SynthSpec,
                       TRACE_HEADER, TraceFormatError, checkpoint_load,
@@ -47,8 +46,7 @@ __all__ = [
     "UNIFORM",
     "DivergenceError", "FinitoState", "FullGradientState", "SagState",
     "SolverConfig", "SOLVER_TAGS", "TraceRecord", "finito_first_pass_step",
-    "finito_init", "finito_step", "miso_init", "miso_step",
-    "prox_finito_step", "reference_solve", "run", "run_with_state",
+    "finito_init", "finito_step", "reference_solve", "run", "run_with_state",
     "sag_default_step", "sag_first_pass_step", "sag_init", "sag_step",
     "CheckpointFormatError", "LibsvmFormatError", "SynthSpec", "TRACE_HEADER",
     "TraceFormatError", "checkpoint_load", "checkpoint_save", "parse_libsvm",

@@ -16,22 +16,14 @@ import numpy as np
 
 from .data_io import (SynthSpec, checkpoint_load, checkpoint_save,
                       parse_libsvm, synth_problem, write_trace)
-from .lower_bounds import floor_check, simulate_unseen
+from .lower_bounds import simulate_unseen, suite_lowerbound
 from .problems import (FiniteSumProblem, LOGISTIC, LOSS_KINDS,
                        ReferenceSolution)
-from .samplers import (IndexSampler, SAMPLING_NAMES, SamplingScheme,
-                       UNIFORM)
-from .solvers import (DivergenceError, SOLVER_TAGS, SolverConfig,
-                      finito_init, finito_step, reference_solve, run,
-                      run_with_state)
-from .theory import (CheckReport, big_data_lb_check, bound_gap_check,
-                     convexity_suite, expected_decrease_check,
-                     expected_step_gap, expected_term_shifts,
-                     initial_lyapunov, lyapunov_evaluate, random_audit_state,
-                     random_ball_point, rate_certificate, rate_curve,
-                     strong_lb_check, t3_shift_closed_form,
-                     t4_shift_closed_form, table_mean_descent_check,
-                     update_displacement_gap, variance_decomposition_gap)
+from .samplers import SAMPLING_NAMES, SamplingScheme
+from .solvers import (DivergenceError, MONITORS, SOLVER_TAGS, SolverConfig,
+                      reference_solve, run, run_with_state)
+from .theory import (CheckReport, suite_inequalities, suite_lyapunov,
+                     suite_rate)
 
 SUITES = ("inequalities", "lyapunov", "rate", "lowerbound", "all")
 
@@ -240,126 +232,6 @@ def cmd_compare(args) -> int:
 # verify
 
 
-def _eq_report(name: str, lhs: float, rhs: float, tol: float, scale: float,
-               context: str = "") -> CheckReport:
-    bound = tol * (1.0 + abs(scale))
-    return CheckReport(name=name, lhs=lhs, rhs=rhs,
-                       satisfied=bool(abs(rhs - lhs) <= bound),
-                       slack=rhs - lhs, context=context)
-
-
-def _suite_inequalities(n: int, d: int, beta: float, draws: int, seed: int,
-                        alpha: float) -> list[CheckReport]:
-    problem, reference = synth_problem(
-        SynthSpec(n=n, d=d, loss=LOGISTIC, target_beta=beta, seed=seed))
-    reports = convexity_suite(problem, draws=draws, alpha=alpha, seed=seed,
-                              reference=reference)
-    rng = np.random.default_rng([seed, 1])
-    for t in range(draws):
-        i = int(rng.integers(problem.n))
-        x = random_ball_point(rng, reference.w_star, 2.0)
-        y = random_ball_point(rng, reference.w_star, 2.0)
-        report = strong_lb_check(problem, i, x, y)
-        report.context = f"draw={t} {report.context}"
-        reports.append(report)
-    for t in range(draws):
-        phi, _ = random_audit_state(problem, reference.w_star, alpha, rng)
-        x = random_ball_point(rng, reference.w_star, 2.0)
-        report = big_data_lb_check(problem, phi, x, beta)
-        report.context = f"draw={t} {report.context}"
-        reports.append(report)
-    return reports
-
-
-def _suite_lyapunov(n: int, d: int, beta: float, states: int, seed: int,
-                    alpha: float) -> list[CheckReport]:
-    problem, reference = synth_problem(
-        SynthSpec(n=n, d=d, loss=LOGISTIC, target_beta=beta, seed=seed))
-    w0 = np.zeros(d)
-    state = finito_init(problem, alpha, w0=w0, audit=True)
-    sampler = IndexSampler(SamplingScheme(UNIFORM, seed), problem.n)
-    terms0 = lyapunov_evaluate(problem, state.phi_table, state.w)
-    closed = initial_lyapunov(problem, w0, alpha)
-    reports = [_eq_report("initial-potential", terms0.total, closed,
-                          1e-12, closed, "all rows at w0")]
-    for t in range(states):
-        phi = state.phi_table.copy()
-        w = state.w.copy()
-        ctx = f"step={t}"
-        for report in (
-            expected_decrease_check(problem, phi, w, alpha, beta),
-            bound_gap_check(problem, phi, w, alpha, reference),
-            table_mean_descent_check(problem, phi, w),
-        ):
-            report.context = f"{ctx} {report.context}"
-            reports.append(report)
-        scale = float(np.linalg.norm(w))
-        reports.append(_eq_report(
-            "expected-step-identity",
-            expected_step_gap(problem, phi, w, alpha), 0.0, 1e-12, scale, ctx))
-        reports.append(_eq_report(
-            "update-displacement-identity",
-            update_displacement_gap(problem, phi, w, alpha), 0.0, 1e-12,
-            scale, ctx))
-        reports.append(_eq_report(
-            "variance-decomposition",
-            variance_decomposition_gap(phi, w), 0.0, 1e-12,
-            float(np.einsum("ij,ij->", phi, phi)), ctx))
-        shifts = expected_term_shifts(problem, phi, w, alpha)
-        total = lyapunov_evaluate(problem, phi, w).total
-        reports.append(_eq_report(
-            "t3-shift-closed-form", shifts.t3,
-            t3_shift_closed_form(problem, phi, w, alpha), 1e-12, total, ctx))
-        reports.append(_eq_report(
-            "t4-shift-closed-form", shifts.t4,
-            t4_shift_closed_form(problem, phi, w), 1e-12, total, ctx))
-        finito_step(state, problem, sampler.next_index())
-    return reports
-
-
-def _suite_rate(n: int, seed: int, alpha: float, seeds: int = 5,
-                epochs: int = 10) -> list[CheckReport]:
-    problem, reference = synth_problem(
-        SynthSpec(n=n, d=10, loss=LOGISTIC, target_beta=2.0, seed=seed))
-    w0 = np.zeros(problem.d)
-    config = SolverConfig(solver="finito", alpha=alpha, audit=True,
-                          first_pass=False, monitor="table-mean", w0=w0)
-    traces = [run(problem, config, SamplingScheme(UNIFORM, seed=s), epochs,
-                  reference=reference) for s in range(seeds)]
-    rows = rate_curve(traces, problem, alpha, w0)
-    reports = []
-    for k, mean, bound in rows:
-        reports.append(CheckReport(
-            name=f"rate-k-{k}", lhs=mean, rhs=bound,
-            satisfied=bool(mean <= bound + 1e-9 * (1.0 + abs(bound))),
-            slack=bound - mean, context=f"seeds={seeds}"))
-    reports.append(rate_certificate(traces, problem, alpha, w0))
-    return reports
-
-
-def _suite_lowerbound(seed: int, n: int = 10,
-                      trials: int = 100_000) -> list[CheckReport]:
-    summary = simulate_unseen(n, [1, 5, 10, 20], trials=trials, seed=seed)
-    reports = []
-    for p in summary.points:
-        reports.append(CheckReport(
-            name=f"unseen-mean-k{p.k}",
-            lhs=abs(p.mc_mean - p.expected), rhs=4.0 * p.mc_stderr,
-            satisfied=bool(abs(p.mc_mean - p.expected) <= 4.0 * p.mc_stderr),
-            slack=4.0 * p.mc_stderr - abs(p.mc_mean - p.expected),
-            context=f"trials={summary.trials}"))
-        reports.append(CheckReport(
-            name=f"martingale-mean-k{p.k}",
-            lhs=abs(p.martingale_mean - n), rhs=4.0 * p.martingale_stderr,
-            satisfied=bool(abs(p.martingale_mean - n)
-                           <= 4.0 * p.martingale_stderr),
-            slack=4.0 * p.martingale_stderr - abs(p.martingale_mean - n),
-            context=f"trials={summary.trials}"))
-    reports.append(floor_check(n, "finito"))
-    reports.append(floor_check(n, "sag"))
-    return reports
-
-
 def _reports_csv(reports: list[CheckReport]) -> str:
     lines = ["name,lhs,rhs,slack,satisfied"]
     for r in reports:
@@ -373,22 +245,20 @@ def cmd_verify(args) -> int:
     def pick(value, fallback):
         return fallback if value is None else value
 
-    seed = pick(args.seed, 0)
-    alpha = args.alpha
-    beta = pick(args.beta, 2.0)
     reports: list[CheckReport] = []
     if args.suite in ("inequalities", "all"):
-        reports += _suite_inequalities(
-            n=pick(args.n, 40), d=pick(args.d, 5), beta=beta,
-            draws=pick(args.draws, 100), seed=seed, alpha=alpha)
+        reports += suite_inequalities(
+            n=pick(args.n, 40), d=pick(args.d, 5), beta=args.beta,
+            draws=pick(args.draws, 100), seed=args.seed, alpha=args.alpha)
     if args.suite in ("lyapunov", "all"):
-        reports += _suite_lyapunov(
-            n=pick(args.n, 40), d=pick(args.d, 5), beta=beta,
-            states=pick(args.draws, 200), seed=seed, alpha=alpha)
+        reports += suite_lyapunov(
+            n=pick(args.n, 40), d=pick(args.d, 5), beta=args.beta,
+            states=pick(args.draws, 200), seed=args.seed, alpha=args.alpha)
     if args.suite in ("rate", "all"):
-        reports += _suite_rate(n=pick(args.n, 200), seed=seed, alpha=alpha)
+        reports += suite_rate(n=pick(args.n, 200), seed=args.seed,
+                              alpha=args.alpha)
     if args.suite in ("lowerbound", "all"):
-        reports += _suite_lowerbound(seed=seed, n=pick(args.n, 10))
+        reports += suite_lowerbound(seed=args.seed, n=pick(args.n, 10))
     _write_text(args.out, _reports_csv(reports))
     return 0 if all(r.satisfied for r in reports) else 3
 
@@ -435,8 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="record interval in passes (default 1)")
     p_run.add_argument("--audit", action="store_true",
                        help="keep explicit phi / gradient tables")
-    p_run.add_argument("--monitor", choices=("iterate", "table-mean"),
-                       default="iterate")
+    p_run.add_argument("--monitor", choices=MONITORS, default="iterate")
     p_run.add_argument("--no-first-pass", action="store_true",
                        help="initialize every table row at w0 instead of "
                             "running the first-pass rule")
@@ -466,9 +335,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--suite", choices=SUITES, required=True)
     p_ver.add_argument("--n", type=int, default=None)
     p_ver.add_argument("--d", type=int, default=None)
-    p_ver.add_argument("--beta", type=float, default=None)
+    p_ver.add_argument("--beta", type=float, default=2.0)
     p_ver.add_argument("--draws", type=int, default=None)
-    p_ver.add_argument("--seed", type=int, default=None)
+    p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--alpha", type=float, default=2.0)
     p_ver.add_argument("--out", default="-")
     p_ver.set_defaults(func=cmd_verify)

@@ -16,8 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .problems import (FiniteSumProblem, ReferenceSolution, LOGISTIC, SQUARED,
-                       _MARGIN_CURVATURE)
+from .problems import FiniteSumProblem, ReferenceSolution, LOGISTIC, _MARGIN_CURVATURE
 from .samplers import IndexSampler, SamplingScheme
 from .solvers import (FinitoState, FullGradientState, SagState, TraceRecord,
                       reference_solve)
@@ -313,7 +312,11 @@ def checkpoint_save(state, sink, sampler: IndexSampler | None = None) -> None:
 
 
 def checkpoint_load(source, problem):
-    """Rebuild (state, sampler) from a checkpoint, verifying problem shape."""
+    """Rebuild (state, sampler) from a checkpoint, verifying problem shape.
+
+    CheckpointFormatError covers missing entries, vectors not of length d,
+    tables not n x d and counters other than seen == n or 0 <= seen == k < n.
+    """
     with _open_text(source, "r") as handle:
         text = handle.read()
     lines = text.splitlines()
@@ -339,7 +342,7 @@ def checkpoint_load(source, problem):
         if key == "vec":
             name, _, payload = rest.partition(" ")
             vectors[name] = _parse_hex_vector(payload, line_no,
-                                              len(payload.split()))
+                                              int(kv.get("d", problem.d)))
         elif key == "table":
             name, _, count_text = rest.partition(" ")
             try:
@@ -347,6 +350,10 @@ def checkpoint_load(source, problem):
             except ValueError:
                 raise CheckpointFormatError(
                     f"line {line_no}: bad table row count {count_text!r}") from None
+            n = int(kv.get("n", problem.n))
+            if count != n:
+                raise CheckpointFormatError(
+                    f"line {line_no}: table {name!r} has {count} rows, expected n={n}")
             d = int(kv.get("d", problem.d))
             rows = np.empty((count, d))
             for r in range(count):
@@ -401,6 +408,10 @@ def checkpoint_load(source, problem):
         state = FullGradientState(w=_vec("w"), k=int(_need("k")))
     else:
         raise CheckpointFormatError(f"unknown solver tag {solver!r}")
+    if not isinstance(state, FullGradientState) and not (
+            state.seen == problem.n or 0 <= state.seen == state.k < problem.n):
+        raise CheckpointFormatError(f"counters k={state.k} seen={state.seen}: "
+                                    f"need seen == n={problem.n} or 0 <= seen == k < n")
     sampler = None
     sampling = _need("sampling")
     if sampling != "none":

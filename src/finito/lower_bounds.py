@@ -22,7 +22,7 @@ import numpy as np
 from .problems import FiniteSumProblem, ReferenceSolution, SQUARED
 from .solvers import (finito_first_pass_step, finito_init,
                       sag_first_pass_step, sag_init)
-from .theory import CheckReport
+from .theory import CheckReport, _le_report
 
 
 @dataclass
@@ -218,3 +218,23 @@ def floor_check(n: int, solver: str = "finito", alpha: float = 2.0,
         name="oracle-floor", lhs=floor, rhs=measured,
         satisfied=bool(ok), slack=measured - floor,
         context=f"solver={solver} n={n} worst_k={k}")
+
+
+def suite_lowerbound(seed: int, n: int = 10,
+                     trials: int = 100_000) -> list[CheckReport]:
+    """Unseen-count means and their martingale lifts at k = 1, 5, 10, 20,
+    each within four standard errors of the law, then floor_check for finito
+    and sag."""
+    summary = simulate_unseen(n, [1, 5, 10, 20], trials=trials, seed=seed)
+    ctx = f"trials={summary.trials}"
+    reports = []
+    for p in summary.points:
+        reports.append(_le_report(f"unseen-mean-k{p.k}",
+                                  abs(p.mc_mean - p.expected),
+                                  4.0 * p.mc_stderr, 0.0, ctx))
+        reports.append(_le_report(f"martingale-mean-k{p.k}",
+                                  abs(p.martingale_mean - n),
+                                  4.0 * p.martingale_stderr, 0.0, ctx))
+    reports.append(floor_check(n, "finito"))
+    reports.append(floor_check(n, "sag"))
+    return reports

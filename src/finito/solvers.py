@@ -1,27 +1,31 @@
 """Incremental solvers over gradient tables, plus the shared run driver.
 
-The central update keeps a table row per component and moves the iterate to
+Every table solver steps through one kernel: replace table row j with the
+data at the current w, update the running sums, then refresh w.  For finito
 
-    w = phi_bar - (1/(alpha * s * n)) * sum_i f_i'(phi_i)
+    w = phi_bar - (1/(alpha * s * n)) * sum_i f_i'(phi_i),
 
-after replacing one table row per step.  Compact storage keeps only
-p_i = f_i'(phi_i) - alpha*s*phi_i, which halves memory and recovers w as
--(1/(alpha*s*n)) * sum_i p_i.  Audit mode keeps the explicit phi/gradient
-tables as well, which the verification suites and the proximal variant need.
+soft-thresholded on a proximal state (prox-finito); miso is finito at
+alpha = L/s, and SAG moves w along the stored gradient sum instead.
+
+Compact storage keeps only p_i = f_i'(phi_i) - alpha*s*phi_i, which halves
+memory and recovers w as -(1/(alpha*s*n)) * sum_i p_i.  Audit mode keeps the
+explicit phi/gradient tables as well, which the verification suites and the
+proximal variant need.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import prox_operator, StrongConvexityRequired
+from .problems import ReferenceSolution, StrongConvexityRequired, prox_operator
 from .samplers import IndexSampler, SamplingScheme
-from .problems import ReferenceSolution
 
 SOLVER_TAGS = ("finito", "prox-finito", "sag", "miso", "full-gradient")
+MONITORS = ("iterate", "table-mean")
 
 # run() aborts when suboptimality exceeds this multiple of its start value
 DIVERGENCE_RATIO = 1e6
@@ -130,23 +134,22 @@ def _guarded_gradient(problem, j: int, w: np.ndarray, k: int) -> np.ndarray:
     return g
 
 
-def _check_component(problem, j: int) -> int:
-    j = int(j)
-    if not 0 <= j < problem.n:
-        raise IndexError(f"component index {j} out of range [0, {problem.n})")
-    return j
-
-
-def _recompute_sums(state: FinitoState) -> None:
+def _recompute_sums(state: FinitoState | SagState) -> None:
     # periodic full recompute bounds incremental-sum drift
-    state.p_sum = state.p_table.sum(axis=0)
-    if state.audit:
-        state.phi_sum = state.phi_table.sum(axis=0)
+    if isinstance(state, FinitoState):
+        state.p_sum = state.p_table.sum(axis=0)
+        if state.audit:
+            state.phi_sum = state.phi_table.sum(axis=0)
+    if state.grad_table is not None:
         state.grad_sum = state.grad_table.sum(axis=0)
 
 
-def _refresh_w(state: FinitoState, problem) -> None:
-    if state.seen == 0:
+def _refresh_w(state: FinitoState | SagState, problem,
+               first_pass: bool = False) -> None:
+    if isinstance(state, SagState):
+        # every first-pass step, the last one included, scales by n/seen
+        step = state.step * problem.n / state.seen if first_pass else state.step
+        state.w = state.w - step * state.grad_sum
         return
     denom = state.alpha * problem.s * state.seen
     if state.audit:
@@ -158,6 +161,45 @@ def _refresh_w(state: FinitoState, problem) -> None:
     state.w = z
 
 
+def _fold(state: FinitoState | SagState, problem, j: int, first_pass: bool):
+    # the first pass folds in the next unseen row, still all +0.0, so
+    # sum + (new - row) is exactly sum + new
+    n = problem.n
+    if first_pass:
+        if state.seen >= n:
+            raise ValueError(f"first pass is over (k >= n = {n})")
+        j = int(j)
+        if j != state.seen:
+            raise ValueError("first pass visits components in index order; "
+                             f"expected k={state.seen}, got {j}")
+    elif state.seen < n:
+        kind = "sag" if isinstance(state, SagState) else "finito"
+        raise ValueError(f"first pass incomplete; step with {kind}_first_pass_step")
+    else:
+        j = problem._check_index(j)
+    w = state.w
+    g = _guarded_gradient(problem, j, w, state.k)
+    if isinstance(state, FinitoState):
+        p_new = g - state.alpha * problem.s * w
+        state.p_sum = state.p_sum + (p_new - state.p_table[j])
+        state.p_table[j] = p_new
+        if state.audit:
+            state.phi_sum = state.phi_sum + (w - state.phi_table[j])
+            state.phi_table[j] = w
+    if state.grad_table is not None:
+        state.grad_sum = state.grad_sum + (g - state.grad_table[j])
+        state.grad_table[j] = g
+    if first_pass:
+        state.seen += 1
+    state.k += 1
+    if state.k % n == 0:
+        _recompute_sums(state)
+    _refresh_w(state, problem, first_pass)
+    if not np.all(np.isfinite(state.w)):
+        raise DivergenceError(f"iterate diverged at step {state.k}", j=j, k=state.k)
+    return state
+
+
 def finito_init(problem, alpha: float, w0=None, audit: bool = False,
                 first_pass: bool = False, proximal: bool = False,
                 solver_tag: str = "finito") -> FinitoState:
@@ -167,13 +209,16 @@ def finito_init(problem, alpha: float, w0=None, audit: bool = False,
     first_pass=True the tables start empty and rows are admitted one at a
     time in index order by finito_first_pass_step, so a pass costs exactly n
     gradient evaluations.
+
+    proximal=True (prox-finito) passes each refreshed w through the L1 prox
+    with step 1/(alpha*s), and forces audit storage so that phi_bar and the
+    gradient sum stay recoverable explicitly.
     """
     if alpha <= 0:
         raise ValueError(f"alpha must be > 0, got {alpha}")
     if problem.s == 0.0:
         raise StrongConvexityRequired("the table update divides by alpha*s*n")
-    if proximal:
-        audit = True
+    audit = audit or proximal
     n, d = problem.n, problem.d
     if w0 is None:
         w0 = np.zeros(d)
@@ -202,27 +247,11 @@ def finito_init(problem, alpha: float, w0=None, audit: bool = False,
 
 
 def finito_step(state: FinitoState, problem, j: int) -> FinitoState:
-    """Fold the current w into table row j, then recompute w from the tables."""
-    if state.seen < problem.n:
-        raise ValueError("first pass incomplete; step with finito_first_pass_step")
-    j = _check_component(problem, j)
-    g = _guarded_gradient(problem, j, state.w, state.k)
-    asw = state.alpha * problem.s * state.w
-    p_new = g - asw
-    state.p_sum = state.p_sum + (p_new - state.p_table[j])
-    state.p_table[j] = p_new
-    if state.audit:
-        state.phi_sum = state.phi_sum + (state.w - state.phi_table[j])
-        state.grad_sum = state.grad_sum + (g - state.grad_table[j])
-        state.phi_table[j] = state.w
-        state.grad_table[j] = g
-    state.k += 1
-    if state.k % problem.n == 0:
-        _recompute_sums(state)
-    _refresh_w(state, problem)
-    if not np.all(np.isfinite(state.w)):
-        raise DivergenceError(f"iterate diverged at step {state.k}", j=j, k=state.k)
-    return state
+    """Fold the current w into table row j, then recompute w from the tables.
+
+    The same step runs prox-finito (a proximal state) and miso (alpha = L/s).
+    """
+    return _fold(state, problem, j, first_pass=False)
 
 
 def finito_first_pass_step(state: FinitoState, problem, k: int) -> FinitoState:
@@ -235,56 +264,7 @@ def finito_first_pass_step(state: FinitoState, problem, k: int) -> FinitoState:
 
     so no unseen gradient is ever touched.
     """
-    if state.seen >= problem.n:
-        raise ValueError(f"first pass is over (k >= n = {problem.n})")
-    k = int(k)
-    if k != state.seen:
-        raise ValueError(
-            f"first pass visits components in index order; expected k={state.seen}, got {k}"
-        )
-    g = _guarded_gradient(problem, k, state.w, state.k)
-    p_new = g - state.alpha * problem.s * state.w
-    state.p_sum = state.p_sum + p_new
-    state.p_table[k] = p_new
-    if state.audit:
-        state.phi_sum = state.phi_sum + state.w
-        state.grad_sum = state.grad_sum + g
-        state.phi_table[k] = state.w
-        state.grad_table[k] = g
-    state.seen += 1
-    state.k += 1
-    if state.k % problem.n == 0:
-        _recompute_sums(state)
-    _refresh_w(state, problem)
-    if not np.all(np.isfinite(state.w)):
-        raise DivergenceError(f"iterate diverged at step {state.k}", j=k, k=state.k)
-    return state
-
-
-def prox_finito_step(state: FinitoState, problem, j: int) -> FinitoState:
-    """Table step whose w passes through the L1 prox with step 1/(alpha*s).
-
-    Needs audit storage: once the iterate is no longer a linear image of the
-    p rows, phi_bar and the gradient sum must stay recoverable explicitly.
-    """
-    if not state.proximal:
-        raise ValueError("state was not built for the proximal variant")
-    if not state.audit:
-        raise ValueError("the proximal variant requires audit-mode tables")
-    return finito_step(state, problem, j)
-
-
-def miso_init(problem, w0=None, audit: bool = False,
-              first_pass: bool = False) -> FinitoState:
-    """Same tables with alpha pinned to L/s, so the divisor becomes L*n."""
-    alpha = problem.lipschitz_constant() / problem.s
-    return finito_init(problem, alpha, w0=w0, audit=audit,
-                       first_pass=first_pass, solver_tag="miso")
-
-
-def miso_step(state: FinitoState, problem, j: int) -> FinitoState:
-    """Parameter aliasing only: identical to finito_step at alpha = L/s."""
-    return finito_step(state, problem, j)
+    return _fold(state, problem, k, first_pass=True)
 
 
 def sag_default_step(problem, practical: bool = False) -> float:
@@ -307,48 +287,19 @@ def sag_init(problem, w0=None, step: float | None = None,
                      grad_table=np.zeros((n, d)), grad_sum=np.zeros(d))
     if not first_pass:
         state.grad_table = problem.table_gradients(np.broadcast_to(w0, (n, d)))
-        state.grad_sum = state.grad_table.sum(axis=0)
         state.seen = n
+        _recompute_sums(state)
     return state
 
 
 def sag_step(state: SagState, problem, j: int) -> SagState:
     """Refresh stored row j at the current w, then move along the table sum."""
-    if state.seen < problem.n:
-        raise ValueError("first pass incomplete; step with sag_first_pass_step")
-    j = _check_component(problem, j)
-    g = _guarded_gradient(problem, j, state.w, state.k)
-    state.grad_sum = state.grad_sum + (g - state.grad_table[j])
-    state.grad_table[j] = g
-    state.k += 1
-    if state.k % problem.n == 0:
-        state.grad_sum = state.grad_table.sum(axis=0)
-    state.w = state.w - state.step * state.grad_sum
-    if not np.all(np.isfinite(state.w)):
-        raise DivergenceError(f"iterate diverged at step {state.k}", j=j, k=state.k)
-    return state
+    return _fold(state, problem, j, first_pass=False)
 
 
 def sag_first_pass_step(state: SagState, problem, k: int) -> SagState:
     """Admit component k; the sum is divided by the number seen, not n."""
-    if state.seen >= problem.n:
-        raise ValueError(f"first pass is over (k >= n = {problem.n})")
-    k = int(k)
-    if k != state.seen:
-        raise ValueError(
-            f"first pass visits components in index order; expected k={state.seen}, got {k}"
-        )
-    g = _guarded_gradient(problem, k, state.w, state.k)
-    state.grad_sum = state.grad_sum + g
-    state.grad_table[k] = g
-    state.seen += 1
-    state.k += 1
-    if state.k % problem.n == 0:
-        state.grad_sum = state.grad_table.sum(axis=0)
-    state.w = state.w - (state.step * problem.n / state.seen) * state.grad_sum
-    if not np.all(np.isfinite(state.w)):
-        raise DivergenceError(f"iterate diverged at step {state.k}", j=k, k=state.k)
-    return state
+    return _fold(state, problem, k, first_pass=True)
 
 
 # ---------------------------------------------------------------------------
@@ -369,24 +320,20 @@ def _build_state(problem, config: SolverConfig):
     w0 = config.w0
     audit = config.audit or config.monitor == "table-mean"
     solver = config.solver
-    if solver == "finito":
-        return finito_init(problem, config.alpha, w0=w0, audit=audit,
-                           first_pass=config.first_pass)
-    if solver == "prox-finito":
-        return finito_init(problem, config.alpha, w0=w0, audit=True,
-                           first_pass=config.first_pass, proximal=True,
-                           solver_tag="prox-finito")
-    if solver == "miso":
-        return miso_init(problem, w0=w0, audit=audit,
-                         first_pass=config.first_pass)
+    if solver in ("finito", "prox-finito", "miso"):
+        alpha = config.alpha
+        if solver == "miso" and problem.s > 0:  # finito_init refuses s == 0
+            alpha = problem.lipschitz_constant() / problem.s
+        return finito_init(problem, alpha, w0=w0, audit=audit,
+                           first_pass=config.first_pass,
+                           proximal=solver == "prox-finito", solver_tag=solver)
     if solver == "sag":
         return sag_init(problem, w0=w0, step=config.step,
                         practical=config.sag_practical,
                         first_pass=config.first_pass)
-    if solver == "full-gradient":
-        w0 = np.zeros(problem.d) if w0 is None else problem._check_point(w0)
-        return FullGradientState(w=w0.copy(), k=0)
-    raise ValueError(f"unknown solver {solver!r}")
+    # full-gradient, the one tag left once run_with_state has checked it
+    w0 = np.zeros(problem.d) if w0 is None else problem._check_point(w0)
+    return FullGradientState(w=w0.copy(), k=0)
 
 
 def run_with_state(problem, config: SolverConfig, scheme: SamplingScheme,
@@ -396,6 +343,8 @@ def run_with_state(problem, config: SolverConfig, scheme: SamplingScheme,
     checkpoint where the run stopped."""
     if config.solver not in SOLVER_TAGS:
         raise ValueError(f"unknown solver {config.solver!r}")
+    if config.monitor not in MONITORS:
+        raise ValueError(f"unknown monitor {config.monitor!r}")
     if epochs < 0:
         raise ValueError(f"epochs must be >= 0, got {epochs}")
     if record_every <= 0:
@@ -457,16 +406,13 @@ def run_with_state(problem, config: SolverConfig, scheme: SamplingScheme,
                 state.k += 1
                 if not np.all(np.isfinite(state.w)):
                     raise DivergenceError("iterate diverged", k=state.k)
-            elif isinstance(state, SagState):
-                if state.seen < n:
-                    sag_first_pass_step(state, problem, state.seen)
-                else:
-                    sag_step(state, problem, sampler.next_index())
+            elif state.seen < n:
+                first = (sag_first_pass_step if isinstance(state, SagState)
+                         else finito_first_pass_step)
+                first(state, problem, state.seen)
             else:
-                if state.seen < n:
-                    finito_first_pass_step(state, problem, state.seen)
-                else:
-                    finito_step(state, problem, sampler.next_index())
+                step = sag_step if isinstance(state, SagState) else finito_step
+                step(state, problem, sampler.next_index())
         except DivergenceError as err:
             err.records = records
             raise

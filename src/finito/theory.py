@@ -25,8 +25,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problems import ReferenceSolution, StrongConvexityRequired
-from .solvers import TraceRecord, reference_solve
+from .data_io import SynthSpec, synth_problem
+from .problems import LOGISTIC, ReferenceSolution, StrongConvexityRequired
+from .samplers import IndexSampler, SamplingScheme, UNIFORM
+from .solvers import (SolverConfig, TraceRecord, finito_init, finito_step,
+                      reference_solve, run)
 
 
 @dataclass
@@ -67,6 +70,14 @@ def _require_strongly_convex(problem) -> None:
     if problem.s <= 0:
         raise StrongConvexityRequired(
             "the potential and map need s > 0")
+
+
+def _require_big_data(problem, beta: float) -> None:
+    report = problem.big_data_check(beta)
+    if not report.verdict:
+        raise ValueError(
+            f"big-data condition fails at beta={beta}: "
+            f"n*s = {report.n * report.s:g} < beta*L = {beta * report.L:g}")
 
 
 def _objective_at(problem, point: np.ndarray) -> float:
@@ -172,11 +183,7 @@ def expected_decrease_check(problem, phi_table: np.ndarray, w: np.ndarray,
     if not admissible_parameters(alpha, beta):
         raise ValueError(
             f"(alpha={alpha}, beta={beta}) is outside the admissible region")
-    report = problem.big_data_check(beta)
-    if not report.verdict:
-        raise ValueError(
-            f"big-data condition fails at beta={beta}: "
-            f"n*s = {report.n * report.s:g} < beta*L = {beta * report.L:g}")
+    _require_big_data(problem, beta)
     base = lyapunov_evaluate(problem, phi_table, w)
     totals = [lyapunov_evaluate(problem, phi_j, w_j).total
               for phi_j, w_j in _branch_maps(problem, phi_table, w, alpha)]
@@ -504,11 +511,7 @@ def big_data_lb_check(problem, phi_table: np.ndarray, x: np.ndarray,
     """
     _require_smooth(problem)
     _require_strongly_convex(problem)
-    report = problem.big_data_check(beta)
-    if not report.verdict:
-        raise ValueError(
-            f"big-data condition fails at beta={beta}: "
-            f"n*s = {report.n * report.s:g} < beta*L = {beta * report.L:g}")
+    _require_big_data(problem, beta)
     phi_table = problem._check_table(phi_table)
     x = problem._check_point(x)
     n = problem.n
@@ -601,3 +604,106 @@ def rate_certificate(traces: list[list[TraceRecord]], problem, alpha: float,
         name="rate-bound", lhs=mean, rhs=bound, satisfied=bool(ok),
         slack=bound - mean,
         context=f"checkpoints={len(rows)} seeds={len(traces)} worst_k={k}")
+
+
+# ---------------------------------------------------------------------------
+# verification suites: the report lists `finito verify` prints
+
+
+def _eq_report(name: str, lhs: float, rhs: float, tol: float, scale: float,
+               context: str = "") -> CheckReport:
+    bound = tol * (1.0 + abs(scale))
+    return CheckReport(name=name, lhs=lhs, rhs=rhs,
+                       satisfied=bool(abs(rhs - lhs) <= bound),
+                       slack=rhs - lhs, context=context)
+
+
+def suite_inequalities(n: int, d: int, beta: float, draws: int, seed: int,
+                       alpha: float) -> list[CheckReport]:
+    """convexity_suite on a generated logistic problem, then `draws` rows
+    each of strong_lb_check and big_data_lb_check at random points."""
+    problem, reference = synth_problem(
+        SynthSpec(n=n, d=d, loss=LOGISTIC, target_beta=beta, seed=seed))
+    reports = convexity_suite(problem, draws=draws, alpha=alpha, seed=seed,
+                              reference=reference)
+    rng = np.random.default_rng([seed, 1])
+    for t in range(draws):
+        i = int(rng.integers(problem.n))
+        x = random_ball_point(rng, reference.w_star, 2.0)
+        y = random_ball_point(rng, reference.w_star, 2.0)
+        report = strong_lb_check(problem, i, x, y)
+        report.context = f"draw={t} {report.context}"
+        reports.append(report)
+    for t in range(draws):
+        phi, _ = random_audit_state(problem, reference.w_star, alpha, rng)
+        x = random_ball_point(rng, reference.w_star, 2.0)
+        report = big_data_lb_check(problem, phi, x, beta)
+        report.context = f"draw={t} {report.context}"
+        reports.append(report)
+    return reports
+
+
+def suite_lyapunov(n: int, d: int, beta: float, states: int, seed: int,
+                   alpha: float) -> list[CheckReport]:
+    """The closed-form initial potential, then at each of `states` states of
+    a uniform finito run the expected decrease, bound gap, table-mean
+    descent and five exact identities (step, displacement, variance, T3, T4)."""
+    problem, reference = synth_problem(
+        SynthSpec(n=n, d=d, loss=LOGISTIC, target_beta=beta, seed=seed))
+    w0 = np.zeros(d)
+    state = finito_init(problem, alpha, w0=w0, audit=True)
+    sampler = IndexSampler(SamplingScheme(UNIFORM, seed), problem.n)
+    terms0 = lyapunov_evaluate(problem, state.phi_table, state.w)
+    closed = initial_lyapunov(problem, w0, alpha)
+    reports = [_eq_report("initial-potential", terms0.total, closed,
+                          1e-12, closed, "all rows at w0")]
+    for t in range(states):
+        phi = state.phi_table.copy()
+        w = state.w.copy()
+        ctx = f"step={t}"
+        for report in (
+            expected_decrease_check(problem, phi, w, alpha, beta),
+            bound_gap_check(problem, phi, w, alpha, reference),
+            table_mean_descent_check(problem, phi, w),
+        ):
+            report.context = f"{ctx} {report.context}"
+            reports.append(report)
+        scale = float(np.linalg.norm(w))
+        reports.append(_eq_report(
+            "expected-step-identity",
+            expected_step_gap(problem, phi, w, alpha), 0.0, 1e-12, scale, ctx))
+        reports.append(_eq_report(
+            "update-displacement-identity",
+            update_displacement_gap(problem, phi, w, alpha), 0.0, 1e-12,
+            scale, ctx))
+        reports.append(_eq_report(
+            "variance-decomposition",
+            variance_decomposition_gap(phi, w), 0.0, 1e-12,
+            float(np.einsum("ij,ij->", phi, phi)), ctx))
+        shifts = expected_term_shifts(problem, phi, w, alpha)
+        total = lyapunov_evaluate(problem, phi, w).total
+        reports.append(_eq_report(
+            "t3-shift-closed-form", shifts.t3,
+            t3_shift_closed_form(problem, phi, w, alpha), 1e-12, total, ctx))
+        reports.append(_eq_report(
+            "t4-shift-closed-form", shifts.t4,
+            t4_shift_closed_form(problem, phi, w), 1e-12, total, ctx))
+        finito_step(state, problem, sampler.next_index())
+    return reports
+
+
+def suite_rate(n: int, seed: int, alpha: float, seeds: int = 5,
+               epochs: int = 10) -> list[CheckReport]:
+    """Seed-averaged table-mean suboptimality of `seeds` uniform finito runs
+    against rate_bound, one row per epoch, then the rate_certificate row."""
+    problem, reference = synth_problem(
+        SynthSpec(n=n, d=10, loss=LOGISTIC, target_beta=2.0, seed=seed))
+    w0 = np.zeros(problem.d)
+    config = SolverConfig(solver="finito", alpha=alpha, audit=True,
+                          first_pass=False, monitor="table-mean", w0=w0)
+    traces = [run(problem, config, SamplingScheme(UNIFORM, seed=s), epochs,
+                  reference=reference) for s in range(seeds)]
+    reports = [_le_report(f"rate-k-{k}", mean, bound, 1e-9, f"seeds={seeds}")
+               for k, mean, bound in rate_curve(traces, problem, alpha, w0)]
+    reports.append(rate_certificate(traces, problem, alpha, w0))
+    return reports

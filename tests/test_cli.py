@@ -106,6 +106,16 @@ def test_usage_errors_exit_one():
     assert call(["run"])[0] == 1  # needs --data or --synth
 
 
+def test_miso_without_strong_convexity_exits_one(tmp_path):
+    data = tmp_path / "toy.libsvm"
+    data.write_text("1 1:0.4 2:-0.2\n-1 1:-0.3 2:0.9\n1 2:0.7\n")
+    for solver in ("finito", "miso"):
+        code, _, err = call(["run", "--data", str(data), "--s", "0",
+                             "--solver", solver, "--fstar", "none"])
+        assert code == 1
+        assert "divides by alpha*s*n" in err
+
+
 def test_divergence_exits_two_with_partial_trace():
     code, out, err = call(["run", "--synth", SYNTH, "--solver",
                            "full-gradient", "--step", "1e9", "--epochs", "4"])
@@ -117,7 +127,7 @@ def test_divergence_exits_two_with_partial_trace():
 
 def test_verification_failure_exits_three(monkeypatch):
     monkeypatch.setattr(
-        cli, "_suite_lowerbound",
+        cli, "suite_lowerbound",
         lambda **kw: [CheckReport("forced", 1.0, 0.0, False, -1.0)])
     code, out, _ = call(["verify", "--suite", "lowerbound"])
     assert code == 3
@@ -222,6 +232,22 @@ def test_cli_save_and_resume_stitches_exactly(tmp_path):
     assert code == 0
     code, tail, _ = call(["run", *base, "--epochs", "6", "--resume", str(ck)])
     assert code == 0
+    stitched = rows_without_wall(part1.read_text()) + rows_without_wall(tail)
+    assert stitched == rows_without_wall(full)
+
+
+def test_resume_without_first_pass_from_epoch_zero(tmp_path):
+    # a no-first-pass checkpoint at k = 0 < n already has seen == n
+    ck = tmp_path / "state.ckpt"
+    part1 = tmp_path / "part1.csv"
+    base = ["--synth", SYNTH, "--solver", "finito", "--no-first-pass",
+            "--sampling", "permuted", "--seed", "5"]
+    _, full, _ = call(["run", *base, "--epochs", "2"])
+    code, _, _ = call(["run", *base, "--epochs", "0",
+                       "--save-state", str(ck), "--out", str(part1)])
+    assert code == 0
+    code, tail, err = call(["run", *base, "--epochs", "2", "--resume", str(ck)])
+    assert code == 0, err
     stitched = rows_without_wall(part1.read_text()) + rows_without_wall(tail)
     assert stitched == rows_without_wall(full)
 

@@ -19,9 +19,15 @@ from finito import (
     TRACE_HEADER,
     checkpoint_load,
     checkpoint_save,
+    finito_first_pass_step,
+    finito_init,
+    finito_step,
     parse_libsvm,
     read_trace,
     run_with_state,
+    sag_first_pass_step,
+    sag_init,
+    sag_step,
     synth_problem,
     write_trace,
 )
@@ -232,19 +238,100 @@ def test_checkpoint_corruption_detected(synth_tiny, tmp_path):
         checkpoint_load(io.StringIO("not a checkpoint\n"), problem)
 
 
-@pytest.mark.parametrize("solver,prefix", [("finito", "vec w "),
-                                           ("finito", "vec p_sum "),
-                                           ("finito", "table p "),
-                                           ("prox-finito", "table phi "),
-                                           ("sag", "vec grad_sum ")])
+# lines starting with `prefix` are dropped (edit None) or rewritten by `edit`
+@pytest.mark.parametrize("solver,prefix,edit,match", [
+    pytest.param("finito", "vec w ", None, "missing", id="finito-vec w "),
+    pytest.param("finito", "vec p_sum ", None, "missing",
+                 id="finito-vec p_sum "),
+    pytest.param("finito", "table p ", None, "missing", id="finito-table p "),
+    pytest.param("prox-finito", "table phi ", None, "missing",
+                 id="prox-finito-table phi "),
+    pytest.param("sag", "vec grad_sum ", None, "missing",
+                 id="sag-vec grad_sum "),
+    pytest.param("finito", "vec w ", lambda line: line.rsplit(" ", 1)[0],
+                 "expected 3 entries, found 2", id="finito-vec w with 2 entries"),
+    pytest.param("sag", "vec grad_sum ", lambda line: line + " 0x0.0p+0",
+                 "expected 3 entries, found 4", id="sag-vec grad_sum with 4"),
+    pytest.param("finito", "table p ", lambda line: "table p 10",
+                 "10 rows, expected n=20", id="finito-table p 10"),
+    pytest.param("finito", "seen ", lambda line: "seen 999",
+                 "k=40 seen=999: need", id="finito-seen 999"),
+    pytest.param("sag", "seen ", lambda line: "seen -1",
+                 "k=40 seen=-1: need", id="sag-seen -1"),
+    # seen < n only happens mid first pass, where seen == k
+    pytest.param("finito", "seen ", lambda line: "seen 5",
+                 "k=40 seen=5: need", id="finito-seen 5 below k"),
+])
 def test_checkpoint_missing_entry_is_format_error(synth_tiny, tmp_path,
-                                                  solver, prefix):
+                                                  solver, prefix, edit, match):
     problem, ref = synth_tiny
     path, _ = run_and_checkpoint(problem, ref, solver, tmp_path)
-    kept = [line for line in path.read_text().splitlines()
-            if not line.startswith(prefix)]
-    with pytest.raises(CheckpointFormatError, match="missing"):
+    kept = []
+    for line in path.read_text().splitlines():
+        if line.startswith(prefix):
+            if edit is None:
+                continue
+            line = edit(line)
+        kept.append(line)
+    with pytest.raises(CheckpointFormatError, match=match):
         checkpoint_load(io.StringIO("\n".join(kept) + "\n"), problem)
+
+
+@pytest.mark.parametrize("kind", ["finito", "finito-audit", "prox-finito",
+                                  "sag"])
+def test_checkpoint_mid_first_pass_finishes_bit_exact(kind):
+    # the step kernel subtracts an unseen row as if it were +0.0, so those
+    # rows must load back as exactly +0.0
+    problem, _ = synth_problem(SynthSpec(n=20, d=3, seed=2, l1_weight=0.01))
+    w0 = np.full(problem.d, 0.25)
+
+    def fresh():
+        if kind == "sag":
+            return sag_init(problem, w0=w0, first_pass=True), sag_first_pass_step
+        state = finito_init(problem, 2.0, w0=w0, first_pass=True,
+                            audit=kind != "finito",
+                            proximal=kind == "prox-finito",
+                            solver_tag=kind.removesuffix("-audit"))
+        return state, finito_first_pass_step
+
+    def saved(state):
+        sink = io.StringIO()
+        checkpoint_save(state, sink)
+        return sink.getvalue()
+
+    whole, step = fresh()
+    for k in range(problem.n):
+        step(whole, problem, k)
+    part, _ = fresh()
+    for k in range(7):
+        step(part, problem, k)
+    part, _ = checkpoint_load(io.StringIO(saved(part)), problem)
+    assert part.k == part.seen == 7
+    unseen = part.grad_table[7:] if kind == "sag" else part.p_table[7:]
+    assert not unseen.any() and not np.signbit(unseen).any()
+    for k in range(7, problem.n):
+        step(part, problem, k)
+    assert part.seen == problem.n
+    assert saved(part) == saved(whole)
+
+
+@pytest.mark.parametrize("solver", ["finito", "sag"])
+def test_checkpoint_without_first_pass_before_n_round_trips(solver):
+    # without a first pass every row is filled at init: seen == n while k < n
+    problem, _ = synth_problem(SynthSpec(n=20, d=3, seed=2))
+    if solver == "sag":
+        state, step = sag_init(problem, first_pass=False), sag_step
+    else:
+        state, step = finito_init(problem, 2.0, first_pass=False), finito_step
+    for j in (3, 0, 7):
+        step(state, problem, j)
+    sink = io.StringIO()
+    checkpoint_save(state, sink)
+    loaded, _ = checkpoint_load(io.StringIO(sink.getvalue()), problem)
+    assert (loaded.k, loaded.seen) == (3, problem.n)
+    again = io.StringIO()
+    checkpoint_save(loaded, again)
+    assert again.getvalue() == sink.getvalue()
 
 
 def test_checkpoint_problem_shape_guard(synth_tiny, tmp_path):

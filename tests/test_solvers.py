@@ -20,9 +20,6 @@ from finito import (
     finito_first_pass_step,
     finito_init,
     finito_step,
-    miso_init,
-    miso_step,
-    prox_finito_step,
     reference_solve,
     run,
     run_with_state,
@@ -80,20 +77,29 @@ def test_sag_default_steps(desk):
     assert sag_default_step(desk, practical=True) == 0.5
 
 
+def miso_state(problem, w0):
+    """The state run() builds for solver="miso" (eager init, no steps)."""
+    config = SolverConfig(solver="miso", alpha=5.0, first_pass=False, w0=w0)
+    _, state, _ = run_with_state(problem, config, SamplingScheme(UNIFORM),
+                                 epochs=0)
+    return state
+
+
 def test_miso_init_hand_value(desk):
     # L = s here, so the effective alpha is 1 and the init lands on the mean
-    st = miso_init(desk, w0=np.ones(1))
-    assert st.alpha == 1.0
+    st = miso_state(desk, np.ones(1))
+    assert st.alpha == 1.0 and st.solver_tag == "miso"
     assert st.w[0] == 0.0
 
 
 def test_miso_matches_finito_at_matching_alpha(synth_tiny):
     problem, _ = synth_tiny
     alpha = problem.lipschitz_constant() / problem.s
-    a = miso_init(problem, w0=np.zeros(problem.d))
+    a = miso_state(problem, np.zeros(problem.d))
+    assert a.alpha == alpha and a.solver_tag == "miso"
     b = finito_init(problem, alpha=alpha, w0=np.zeros(problem.d))
     for j in [3, 0, 7, 3, 11]:
-        miso_step(a, problem, j)
+        finito_step(a, problem, j)
         finito_step(b, problem, j)
     assert np.array_equal(a.w, b.w)
 
@@ -160,7 +166,7 @@ def test_prox_step_with_zero_weight_is_plain_finito(synth_tiny, rng):
                     proximal=True, solver_tag="prox-finito")
     b = finito_init(problem, alpha=2.0, w0=np.zeros(problem.d), audit=True)
     for j in rng.integers(problem.n, size=40):
-        prox_finito_step(a, problem, int(j))
+        finito_step(a, problem, int(j))
         finito_step(b, problem, int(j))
     assert np.array_equal(a.w, b.w)
 
@@ -247,6 +253,14 @@ def test_unknown_solver_rejected(synth_tiny):
     with pytest.raises(ValueError):
         run(problem, SolverConfig(solver="sparkle", w0=np.zeros(problem.d)),
             SamplingScheme(UNIFORM), epochs=1)
+
+
+def test_unknown_monitor_rejected(synth_tiny):
+    problem, _ = synth_tiny
+    config = SolverConfig(solver="finito", monitor="table_mean",
+                          w0=np.zeros(problem.d))
+    with pytest.raises(ValueError, match="unknown monitor 'table_mean'"):
+        run(problem, config, SamplingScheme(UNIFORM), epochs=1)
 
 
 def test_table_mean_monitor_reports_phi_mean(synth_tiny):
