@@ -241,7 +241,7 @@ def read_trace(source) -> list[TraceRecord]:
 
 
 def _hex_vector(v: np.ndarray) -> str:
-    return " ".join(float(x).hex() for x in v)
+    return " ".join(map(float.hex, v.tolist()))
 
 
 def _parse_hex_vector(line: str, line_no: int, d: int) -> np.ndarray:
@@ -249,14 +249,14 @@ def _parse_hex_vector(line: str, line_no: int, d: int) -> np.ndarray:
     if len(tokens) != d:
         raise CheckpointFormatError(
             f"line {line_no}: expected {d} entries, found {len(tokens)}")
-    out = np.empty(d)
-    for i, tok in enumerate(tokens):
+    values = []
+    for tok in tokens:
         try:
-            out[i] = float.fromhex(tok)
+            values.append(float.fromhex(tok))
         except ValueError:
             raise CheckpointFormatError(
                 f"line {line_no}: bad float literal {tok!r}") from None
-    return out
+    return np.array(values, dtype=float)
 
 
 def checkpoint_save(state, sink, sampler: IndexSampler | None = None) -> None:
@@ -264,7 +264,8 @@ def checkpoint_save(state, sink, sampler: IndexSampler | None = None) -> None:
 
     Table rows and vectors are written as hexadecimal float literals, so
     save -> load -> save is byte-identical and resumed runs replay the exact
-    arithmetic of an uninterrupted one.
+    arithmetic of an uninterrupted one.  Lines are written one at a time, so
+    no copy of the whole file is built in memory.
     """
     lines = [CHECKPOINT_MAGIC, f"solver {state.solver_tag}"]
     vectors: list[tuple[str, np.ndarray]] = []
@@ -301,14 +302,16 @@ def checkpoint_save(state, sink, sampler: IndexSampler | None = None) -> None:
                   f"draws {sampler.draws}"]
     else:
         lines.append("sampling none")
-    for name, vec in vectors:
-        lines.append(f"vec {name} {_hex_vector(vec)}")
-    for name, table in tables:
-        lines.append(f"table {name} {table.shape[0]}")
-        lines.extend(_hex_vector(row) for row in table)
-    lines.append("END")
     with _open_text(sink, "w") as handle:
-        handle.write("\n".join(lines) + "\n")
+        for line in lines:
+            handle.write(line + "\n")
+        for name, vec in vectors:
+            handle.write(f"vec {name} {_hex_vector(vec)}\n")
+        for name, table in tables:
+            handle.write(f"table {name} {table.shape[0]}\n")
+            for row in table:
+                handle.write(_hex_vector(row) + "\n")
+        handle.write("END\n")
 
 
 def checkpoint_load(source, problem):
@@ -317,55 +320,53 @@ def checkpoint_load(source, problem):
     CheckpointFormatError covers missing entries, vectors not of length d,
     tables not n x d and counters other than seen == n or 0 <= seen == k < n.
     """
-    with _open_text(source, "r") as handle:
-        text = handle.read()
-    lines = text.splitlines()
-    if not lines or lines[0] != CHECKPOINT_MAGIC:
-        found = lines[0] if lines else ""
-        raise CheckpointFormatError(
-            f"unsupported checkpoint header {found!r} (expected {CHECKPOINT_MAGIC!r})")
     kv: dict[str, str] = {}
     vectors: dict[str, np.ndarray] = {}
     tables: dict[str, np.ndarray] = {}
     saw_end = False
-    pos = 1
-    while pos < len(lines):
-        line = lines[pos]
-        line_no = pos + 1
-        pos += 1
-        if not line.strip():
-            continue
-        if line == "END":
-            saw_end = True
-            break
-        key, _, rest = line.partition(" ")
-        if key == "vec":
-            name, _, payload = rest.partition(" ")
-            vectors[name] = _parse_hex_vector(payload, line_no,
-                                              int(kv.get("d", problem.d)))
-        elif key == "table":
-            name, _, count_text = rest.partition(" ")
-            try:
-                count = int(count_text)
-            except ValueError:
-                raise CheckpointFormatError(
-                    f"line {line_no}: bad table row count {count_text!r}") from None
-            n = int(kv.get("n", problem.n))
-            if count != n:
-                raise CheckpointFormatError(
-                    f"line {line_no}: table {name!r} has {count} rows, expected n={n}")
-            d = int(kv.get("d", problem.d))
-            rows = np.empty((count, d))
-            for r in range(count):
-                if pos >= len(lines) or lines[pos] == "END":
+    with _open_text(source, "r") as handle:
+        # read line by line; splitting each read line again gives exactly the
+        # lines str.splitlines() gives for the whole text
+        lines = enumerate((part for raw in handle for part in raw.splitlines()),
+                          start=1)
+        _, found = next(lines, (1, ""))
+        if found != CHECKPOINT_MAGIC:
+            raise CheckpointFormatError(
+                f"unsupported checkpoint header {found!r} (expected {CHECKPOINT_MAGIC!r})")
+        for line_no, line in lines:
+            if not line.strip():
+                continue
+            if line == "END":
+                saw_end = True
+                break
+            key, _, rest = line.partition(" ")
+            if key == "vec":
+                name, _, payload = rest.partition(" ")
+                vectors[name] = _parse_hex_vector(payload, line_no,
+                                                  int(kv.get("d", problem.d)))
+            elif key == "table":
+                name, _, count_text = rest.partition(" ")
+                try:
+                    count = int(count_text)
+                except ValueError:
                     raise CheckpointFormatError(
-                        f"truncated checkpoint: table {name!r} needs {count} rows, "
-                        f"got {r} (line {pos + 1})")
-                rows[r] = _parse_hex_vector(lines[pos], pos + 1, d)
-                pos += 1
-            tables[name] = rows
-        else:
-            kv[key] = rest
+                        f"line {line_no}: bad table row count {count_text!r}") from None
+                n = int(kv.get("n", problem.n))
+                if count != n:
+                    raise CheckpointFormatError(
+                        f"line {line_no}: table {name!r} has {count} rows, expected n={n}")
+                d = int(kv.get("d", problem.d))
+                rows = np.empty((count, d))
+                for r in range(count):
+                    line_no, row = next(lines, (line_no + 1, None))
+                    if row is None or row == "END":
+                        raise CheckpointFormatError(
+                            f"truncated checkpoint: table {name!r} needs {count} rows, "
+                            f"got {r} (line {line_no})")
+                    rows[r] = _parse_hex_vector(row, line_no, d)
+                tables[name] = rows
+            else:
+                kv[key] = rest
     if not saw_end:
         raise CheckpointFormatError("truncated checkpoint: missing END marker")
 

@@ -9,6 +9,7 @@ the big-data condition report.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,7 +69,10 @@ def prox_operator(l1_weight: float, z: np.ndarray, step: float) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     if l1_weight == 0.0:
         return z.copy()
-    t = l1_weight * step
+    return _soft_threshold(z, l1_weight * step)
+
+
+def _soft_threshold(z: np.ndarray, t: float) -> np.ndarray:
     return np.sign(z) * np.maximum(np.abs(z) - t, 0.0)
 
 
@@ -92,10 +96,14 @@ class _ProblemBase:
             raise IndexError(f"component index {i} out of range [0, {self.n})")
         return i
 
-    def _check_point(self, w: np.ndarray) -> np.ndarray:
+    def _as_point(self, w: np.ndarray) -> np.ndarray:
         w = np.asarray(w, dtype=float)
         if w.shape != (self.d,):
             raise ValueError(f"point must have shape ({self.d},), got {w.shape}")
+        return w
+
+    def _check_point(self, w: np.ndarray) -> np.ndarray:
+        w = self._as_point(w)
         if not np.all(np.isfinite(w)):
             raise ValueError("point contains non-finite entries")
         return w
@@ -205,7 +213,8 @@ class FiniteSumProblem(_ProblemBase):
         # log(1 + exp(-y m)) evaluated stably for large |m|
         return np.logaddexp(0.0, -targets * margins)
 
-    def _loss_dmargin(self, margins: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    def _loss_dmargin(self, margins, targets):
+        # arrays for the table ops, Python floats for component_gradient
         if self.loss == SQUARED:
             return margins - targets
         # sigmoid(-y m) in tanh form, which cannot overflow for any margin
@@ -222,10 +231,14 @@ class FiniteSumProblem(_ProblemBase):
 
     def component_gradient(self, i: int, w: np.ndarray) -> np.ndarray:
         i = self._check_index(i)
-        w = self._check_point(w)
-        m = float(self.features[i] @ w)
-        dm = float(self._loss_dmargin(np.array(m), np.array(self.targets[i])))
-        return dm * self.features[i] + self.s * w
+        w = self._as_point(w)
+        x = self.features[i]
+        m = float(x.dot(w))  # x @ w's BLAS dot without the matmul dispatch
+        if not math.isfinite(m):
+            # the features are finite, so any NaN or inf in w reaches m
+            self._check_point(w)
+        dm = float(self._loss_dmargin(m, self.targets.item(i)))
+        return dm * x + self.s * w
 
     def table_values(self, points: np.ndarray) -> np.ndarray:
         """f_i evaluated at row i of `points`, for all i at once."""

@@ -70,23 +70,24 @@ class IndexSampler:
         self._pos = 0
         self._block = self._make_block(0)
 
-    def _make_block(self, pass_index: int) -> np.ndarray:
+    def _make_block(self, pass_index: int) -> list[int]:
+        # a list of Python ints: indexing it is far cheaper than a numpy read
         kind = self.scheme.kind
         if kind == CYCLIC:
-            return np.arange(self.n)
+            return list(range(self.n))
         if kind == PERMUTED and not self.scheme.refresh:
             pass_index = 0
         rng = np.random.default_rng([self.scheme.seed, pass_index])
         if kind == UNIFORM:
-            return rng.integers(0, self.n, size=self.n)
-        return rng.permutation(self.n)
+            return rng.integers(0, self.n, size=self.n).tolist()
+        return rng.permutation(self.n).tolist()
 
     def next_index(self) -> int:
         if self._pos == self.n:
             self._pass += 1
             self._pos = 0
             self._block = self._make_block(self._pass)
-        j = int(self._block[self._pos])
+        j = self._block[self._pos]
         self._pos += 1
         self.draws += 1
         return j

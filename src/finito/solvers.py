@@ -16,12 +16,14 @@ proximal variant need.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import ReferenceSolution, StrongConvexityRequired, prox_operator
+from .problems import (ReferenceSolution, StrongConvexityRequired, _soft_threshold,
+                       prox_operator)
 from .samplers import IndexSampler, SamplingScheme
 
 SOLVER_TAGS = ("finito", "prox-finito", "sag", "miso", "full-gradient")
@@ -122,43 +124,43 @@ class SolverConfig:
     w0: np.ndarray | None = None
 
 
-def _guarded_gradient(problem, j: int, w: np.ndarray, k: int) -> np.ndarray:
+def _gradient(problem, j: int, w: np.ndarray, k: int) -> np.ndarray:
     try:
-        g = problem.component_gradient(j, w)
+        return problem.component_gradient(j, w)
     except ValueError as exc:
         raise DivergenceError(f"iterate no longer finite at step {k}: {exc}",
                               j=j, k=k) from exc
-    if not np.all(np.isfinite(g)):
-        raise DivergenceError(f"non-finite gradient for component {j} at step {k}",
-                              j=j, k=k)
-    return g
 
 
-def _recompute_sums(state: FinitoState | SagState) -> None:
-    # periodic full recompute bounds incremental-sum drift
+def _recompute_sums(state: FinitoState | SagState) -> tuple:
+    # periodic full recompute bounds incremental-sum drift; returns the sums
+    # in the order _next_w takes them
+    p_sum = phi_sum = grad_sum = None
     if isinstance(state, FinitoState):
-        state.p_sum = state.p_table.sum(axis=0)
+        state.p_sum = p_sum = state.p_table.sum(axis=0)
         if state.audit:
-            state.phi_sum = state.phi_table.sum(axis=0)
+            state.phi_sum = phi_sum = state.phi_table.sum(axis=0)
     if state.grad_table is not None:
-        state.grad_sum = state.grad_table.sum(axis=0)
+        state.grad_sum = grad_sum = state.grad_table.sum(axis=0)
+    return p_sum, phi_sum, grad_sum
 
 
-def _refresh_w(state: FinitoState | SagState, problem,
-               first_pass: bool = False) -> None:
+def _next_w(state: FinitoState | SagState, problem, first_pass: bool,
+            seen: int, p_sum, phi_sum, grad_sum) -> np.ndarray:
+    """The iterate given these running sums over `seen` rows."""
     if isinstance(state, SagState):
         # every first-pass step, the last one included, scales by n/seen
-        step = state.step * problem.n / state.seen if first_pass else state.step
-        state.w = state.w - step * state.grad_sum
-        return
-    denom = state.alpha * problem.s * state.seen
-    if state.audit:
-        z = state.phi_sum / state.seen - state.grad_sum / denom
+        step = state.step * problem.n / seen if first_pass else state.step
+        return state.w - step * grad_sum
+    denom = state.alpha * problem.s * seen
+    if phi_sum is not None:
+        z = phi_sum / seen - grad_sum / denom
     else:
-        z = -state.p_sum / denom
-    if state.proximal:
-        z = prox_operator(problem.l1_weight, z, 1.0 / (state.alpha * problem.s))
-    state.w = z
+        z = p_sum / -denom  # negation is exact, so this is -p_sum / denom
+    if state.proximal and problem.l1_weight > 0.0:
+        # prox_operator without its argument checks; l1 = 0 is the identity
+        z = _soft_threshold(z, problem.l1_weight * (1.0 / (state.alpha * problem.s)))
+    return z
 
 
 def _fold(state: FinitoState | SagState, problem, j: int, first_pass: bool):
@@ -176,26 +178,45 @@ def _fold(state: FinitoState | SagState, problem, j: int, first_pass: bool):
         kind = "sag" if isinstance(state, SagState) else "finito"
         raise ValueError(f"first pass incomplete; step with {kind}_first_pass_step")
     else:
-        j = problem._check_index(j)
+        j = int(j)  # component_gradient checks the range
+    k = state.k
     w = state.w
-    g = _guarded_gradient(problem, j, w, state.k)
-    if isinstance(state, FinitoState):
+    g = _gradient(problem, j, w, k)
+    # stage the step in locals; the state changes only once it is checked
+    finito = isinstance(state, FinitoState)
+    p_sum = phi_sum = grad_sum = None
+    if finito:
         p_new = g - state.alpha * problem.s * w
-        state.p_sum = state.p_sum + (p_new - state.p_table[j])
-        state.p_table[j] = p_new
+        p_sum = state.p_sum + (p_new - state.p_table[j])
         if state.audit:
-            state.phi_sum = state.phi_sum + (w - state.phi_table[j])
-            state.phi_table[j] = w
+            phi_sum = state.phi_sum + (w - state.phi_table[j])
     if state.grad_table is not None:
-        state.grad_sum = state.grad_sum + (g - state.grad_table[j])
+        grad_sum = state.grad_sum + (g - state.grad_table[j])
+    seen = state.seen + 1 if first_pass else state.seen
+    z = _next_w(state, problem, first_pass, seen, p_sum, phi_sum, grad_sum)
+    recompute = (k + 1) % n == 0
+    # NaN and inf in g always reach z and then its sum, so a finite sum means
+    # a finite step.  Otherwise (and on a recompute) replay the exact checks
+    # in order; finite entries whose sum overflows pass them.
+    exact = recompute or not math.isfinite(z.sum())
+    if exact and not np.all(np.isfinite(g)):
+        raise DivergenceError(f"non-finite gradient for component {j} at step {k}",
+                              j=j, k=k)
+    if finito:
+        state.p_table[j] = p_new
+        state.p_sum = p_sum
+        if phi_sum is not None:
+            state.phi_table[j] = w
+            state.phi_sum = phi_sum
+    if grad_sum is not None:
         state.grad_table[j] = g
-    if first_pass:
-        state.seen += 1
-    state.k += 1
-    if state.k % n == 0:
-        _recompute_sums(state)
-    _refresh_w(state, problem, first_pass)
-    if not np.all(np.isfinite(state.w)):
+        state.grad_sum = grad_sum
+    state.seen = seen
+    state.k = k + 1
+    if recompute:
+        z = _next_w(state, problem, first_pass, seen, *_recompute_sums(state))
+    state.w = z
+    if exact and not np.all(np.isfinite(state.w)):
         raise DivergenceError(f"iterate diverged at step {state.k}", j=j, k=state.k)
     return state
 
@@ -241,8 +262,7 @@ def finito_init(problem, alpha: float, w0=None, audit: bool = False,
         state.phi_table = np.tile(w0, (n, 1))
         state.grad_table = grads.copy()
     state.seen = n
-    _recompute_sums(state)
-    _refresh_w(state, problem)
+    state.w = _next_w(state, problem, False, n, *_recompute_sums(state))
     return state
 
 

@@ -546,17 +546,24 @@ def rate_bound(problem, alpha: float, phi0: np.ndarray, k: int) -> float:
 
     At alpha = 2 this is (3/(4s)) (1 - 1/(2n))^k ||f'(phi0)||^2.
     """
+    return _rate_bounds(problem, alpha, phi0, [k])[0]
+
+
+def _rate_bounds(problem, alpha: float, phi0: np.ndarray, ks) -> list[float]:
+    # rate_bound at each k, evaluating f'(phi0) once
     if alpha <= 0:
         raise ValueError(f"alpha must be > 0, got {alpha}")
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
+    for k in ks:
+        if k < 0:
+            raise ValueError(f"k must be >= 0, got {k}")
     _require_smooth(problem)
     _require_strongly_convex(problem)
     phi0 = problem._check_point(phi0)
     g = problem.full_gradient(phi0)
     c = 1.0 - 0.5 / alpha
-    decay = (1.0 - 1.0 / (alpha * problem.n)) ** k
-    return (c / problem.s) * decay * float(g @ g)
+    gg = float(g @ g)
+    return [(c / problem.s) * (1.0 - 1.0 / (alpha * problem.n)) ** k * gg
+            for k in ks]
 
 
 def _mean_curve(traces: list[list[TraceRecord]]):
@@ -585,25 +592,25 @@ def rate_curve(traces: list[list[TraceRecord]], problem, alpha: float,
     phi0; epochs convert to update counts via k = epoch * n.
     """
     epochs, means = _mean_curve(traces)
-    rows = []
-    for epoch, mean in zip(epochs, means):
-        k = round(epoch * problem.n)
-        rows.append((k, mean, rate_bound(problem, alpha, phi0, k)))
-    return rows
+    ks = [round(epoch * problem.n) for epoch in epochs]
+    return list(zip(ks, means, _rate_bounds(problem, alpha, phi0, ks)))
 
 
 def rate_certificate(traces: list[list[TraceRecord]], problem, alpha: float,
                      phi0: np.ndarray, tol: float = 1e-9) -> CheckReport:
     """Seed-averaged measured curve lies under the certified bound at every
     recorded k."""
-    rows = rate_curve(traces, problem, alpha, phi0)
+    return _certificate(rate_curve(traces, problem, alpha, phi0), len(traces), tol)
+
+
+def _certificate(rows, seeds: int, tol: float) -> CheckReport:
     worst = min(rows, key=lambda row: row[2] - row[1])
     k, mean, bound = worst
     ok = all(m <= b + tol * (1.0 + abs(b)) for _, m, b in rows)
     return CheckReport(
         name="rate-bound", lhs=mean, rhs=bound, satisfied=bool(ok),
         slack=bound - mean,
-        context=f"checkpoints={len(rows)} seeds={len(traces)} worst_k={k}")
+        context=f"checkpoints={len(rows)} seeds={seeds} worst_k={k}")
 
 
 # ---------------------------------------------------------------------------
@@ -703,7 +710,8 @@ def suite_rate(n: int, seed: int, alpha: float, seeds: int = 5,
                           first_pass=False, monitor="table-mean", w0=w0)
     traces = [run(problem, config, SamplingScheme(UNIFORM, seed=s), epochs,
                   reference=reference) for s in range(seeds)]
+    rows = rate_curve(traces, problem, alpha, w0)
     reports = [_le_report(f"rate-k-{k}", mean, bound, 1e-9, f"seeds={seeds}")
-               for k, mean, bound in rate_curve(traces, problem, alpha, w0)]
-    reports.append(rate_certificate(traces, problem, alpha, w0))
+               for k, mean, bound in rows]
+    reports.append(_certificate(rows, len(traces), tol=1e-9))
     return reports

@@ -285,3 +285,34 @@ def test_quadratic_minimizer_closed_form():
     m = p.minimizer()
     assert np.allclose(m, [0.25, 1.5], atol=1e-15)
     assert np.linalg.norm(p.full_gradient(m)) <= 1e-14
+
+
+@pytest.mark.parametrize("loss", [SQUARED, LOGISTIC])
+def test_component_gradient_error_texts(loss):
+    # a zero feature column turns an inf in w into a NaN margin
+    x = np.array([[1.0, 0.0, 2.0], [0.5, 0.0, -1.0]])
+    p = FiniteSumProblem(x, [1.0, -1.0], loss, s=0.1)
+    w = np.array([0.5, 0.25, -1.0])
+    for i in (2, -1):
+        with pytest.raises(IndexError, match=rf"^component index {i} out of range \[0, 2\)$"):
+            p.component_gradient(i, w)
+    with pytest.raises(ValueError, match=r"^point must have shape \(3,\), got \(4,\)$"):
+        p.component_gradient(0, np.zeros(4))
+    for bad in ([np.nan, 0.0, 0.0], [0.0, np.inf, 0.0], [0.0, 0.0, -np.inf]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # 0 * inf in x @ w
+            with pytest.raises(ValueError, match="^point contains non-finite entries$"):
+                p.component_gradient(1, np.array(bad))
+    # a list and an integer array are still accepted as points
+    expected = p.component_gradient(1, np.zeros(3))
+    assert np.array_equal(p.component_gradient(1, [0, 0, 0]), expected)
+    assert np.array_equal(p.component_gradient(1, np.zeros(3, dtype=int)), expected)
+
+
+def test_component_gradient_overflowing_margin_is_not_a_bad_point():
+    # finite w whose margin overflows: the point is valid, the gradient is not
+    p = FiniteSumProblem([[1.0, 1.0]], [0.0], SQUARED)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        g = p.component_gradient(0, np.array([1e308, 1e308]))
+    assert not np.all(np.isfinite(g))

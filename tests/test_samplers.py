@@ -115,3 +115,44 @@ def test_scheme_validation_and_names():
 def test_empty_problem_rejected():
     with pytest.raises(ValueError):
         IndexSampler(SamplingScheme(UNIFORM), 0)
+
+
+def _numpy_stream(scheme, n, passes):
+    """The per-pass blocks straight from numpy's generator."""
+    out = []
+    for p in range(passes):
+        if scheme.kind == CYCLIC:
+            block = np.arange(n)
+        else:
+            rng = np.random.default_rng([scheme.seed, p if scheme.refresh else 0])
+            block = (rng.integers(0, n, size=n) if scheme.kind == UNIFORM
+                     else rng.permutation(n))
+        out.extend(int(j) for j in block)
+    return out
+
+
+@pytest.mark.parametrize("name", SAMPLING_NAMES)
+def test_stream_is_python_ints_from_numpy_blocks(name):
+    scheme = SamplingScheme.from_name(name, seed=9)
+    n = 7
+    expected = _numpy_stream(scheme, n, 4)
+    s = IndexSampler(scheme, n)
+    got = [s.next_index() for _ in range(4 * n)]
+    assert got == expected
+    assert all(type(j) is int for j in got)
+    for start in (0, 3, n, 2 * n + 5):
+        resumed = IndexSampler(scheme, n).skip_to(start)
+        tail = [resumed.next_index() for _ in range(4 * n - start)]
+        assert tail == expected[start:]
+        assert all(type(j) is int for j in tail)
+
+
+def test_draws_counts_consumed_indices():
+    s = IndexSampler(SamplingScheme(UNIFORM, seed=1), 5)
+    for m in range(1, 13):
+        s.next_index()
+        assert s.draws == m
+    resumed = IndexSampler(SamplingScheme(UNIFORM, seed=1), 5).skip_to(8)
+    for m in range(1, 9):
+        resumed.next_index()
+        assert resumed.draws == 8 + m

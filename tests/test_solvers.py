@@ -5,6 +5,8 @@ Hand values all live on the n=2 desk quadratic (see conftest): components
 rational that floats represent exactly.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from finito import (
     SamplingScheme,
     SolverConfig,
     SQUARED,
+    SagState,
     finito_first_pass_step,
     finito_init,
     finito_step,
@@ -24,6 +27,7 @@ from finito import (
     run,
     run_with_state,
     sag_default_step,
+    sag_first_pass_step,
     sag_init,
     sag_step,
     synth_problem,
@@ -320,3 +324,78 @@ def test_reference_solve_raises_when_iterations_run_out(synth_small):
     problem, _ = synth_small
     with pytest.raises(RuntimeError):
         reference_solve(problem, max_iter=3)
+
+
+# -- the step kernel's finiteness guard -----------------------------------------
+
+_TABLES = ("w", "p_table", "p_sum", "phi_table", "phi_sum", "grad_table",
+           "grad_sum")
+
+
+def _snapshot(state):
+    arrays = {name: getattr(state, name, None) for name in _TABLES}
+    return ({name: a.tobytes() for name, a in arrays.items() if a is not None},
+            state.k, state.seen)
+
+
+@pytest.mark.parametrize("first_pass", [False, True])
+@pytest.mark.parametrize("kind", ["finito", "finito-audit", "sag"])
+@pytest.mark.parametrize("loss", ["quadratic", "squared"])
+def test_non_finite_gradient_leaves_state_untouched(loss, kind, first_pass):
+    if loss == "quadratic":
+        # weight 2 doubles w - c = 1.5e308 past the largest double
+        problem = QuadraticProblem(centers=np.zeros((4, 3)), weights=np.full(4, 2.0))
+    else:
+        # a finite point whose margin overflows, and the loss keeps it infinite
+        problem = FiniteSumProblem(np.ones((4, 3)), np.zeros(4), SQUARED, s=0.5)
+    if kind == "sag":
+        state = sag_init(problem, step=0.1, first_pass=first_pass)
+        step = sag_first_pass_step if first_pass else sag_step
+    else:
+        state = finito_init(problem, 2.0, audit=kind == "finito-audit",
+                            first_pass=first_pass)
+        step = finito_first_pass_step if first_pass else finito_step
+    state.w = np.full(problem.d, 1.5e308)
+    before = _snapshot(state)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(DivergenceError) as info:
+            step(state, problem, 0)
+    assert str(info.value) == "non-finite gradient for component 0 at step 0"
+    assert (info.value.j, info.value.k) == (0, 0)
+    assert _snapshot(state) == before
+
+
+def _scaled_desk(exponent):
+    # every step on this problem is exact when all data scale by 2**exponent
+    centers = np.ldexp(np.array([[0.75] * 16, [1.0] * 16]), exponent)
+    return QuadraticProblem(centers=centers)
+
+
+@pytest.mark.parametrize("exponent", [530, 1021])
+@pytest.mark.parametrize("solver", ["finito", "sag"])
+def test_huge_finite_iterate_is_no_divergence(exponent, solver):
+    # entries near 2**530 (~3.5e159), or near 2**1021 where the sum of 16 of
+    # them passes the largest double: neither is a divergence, and every
+    # step, the recompute at k = n included, stays exact
+    runs = []
+    for e in (0, exponent):
+        problem = _scaled_desk(e)
+        w0 = np.ldexp(np.ones(16), e)
+        if solver == "sag":
+            state = sag_init(problem, w0=w0, step=0.125)
+        else:
+            state = finito_init(problem, 0.5, w0=w0)
+        step = sag_step if solver == "sag" else finito_step
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the sum overflows
+            for j in (1, 0, 1):
+                step(state, problem, j)
+        runs.append(state)
+    unit, big = runs
+    assert np.all(np.isfinite(big.w))
+    if exponent == 1021:
+        with np.errstate(over="ignore"):
+            assert np.isinf(big.w.sum())
+    assert np.array_equal(big.w, np.ldexp(unit.w, exponent))
+    assert big.k == 3
