@@ -14,8 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data_io import (SynthSpec, checkpoint_load, checkpoint_save,
-                      parse_libsvm, synth_problem, write_trace)
+from .data_io import (SynthSpec, _format_float as _fmt, checkpoint_load,
+                      checkpoint_save, parse_libsvm, synth_problem, write_trace)
 from .lower_bounds import simulate_unseen, suite_lowerbound
 from .problems import (FiniteSumProblem, LOGISTIC, LOSS_KINDS,
                        ReferenceSolution)
@@ -34,10 +34,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def _sink(path: str):
@@ -369,3 +365,7 @@ def main(argv=None) -> int:
 
 def console_entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_entry()

@@ -18,8 +18,8 @@ import numpy as np
 
 from .problems import FiniteSumProblem, ReferenceSolution, LOGISTIC, _MARGIN_CURVATURE
 from .samplers import IndexSampler, SamplingScheme
-from .solvers import (FinitoState, FullGradientState, SagState, TraceRecord,
-                      reference_solve)
+from .solvers import (FINITO_TAGS, FinitoState, FullGradientState, SagState,
+                      TraceRecord, reference_solve)
 
 TRACE_HEADER = "epoch,objective,suboptimality,grad_norm,wall_ms,solver,sampling,seed"
 CHECKPOINT_MAGIC = "FINITOCKPT 1"
@@ -149,8 +149,9 @@ class SynthSpec:
     l1_weight: float = 0.0
 
 
-def synth_problem(spec: SynthSpec, reference_tol: float = 1e-12):
-    """Generate (FiniteSumProblem, ReferenceSolution) from a SynthSpec."""
+def synth_problem(spec: SynthSpec):
+    """Generate (FiniteSumProblem, ReferenceSolution) from a SynthSpec; the
+    reference is reference_solve at its default tolerance 1e-12."""
     if spec.n < 2 or spec.d < 1:
         raise ValueError(f"need n >= 2 and d >= 1, got n={spec.n}, d={spec.d}")
     if spec.s <= 0:
@@ -182,7 +183,7 @@ def synth_problem(spec: SynthSpec, reference_tol: float = 1e-12):
         scale2 *= 1.0 - 1e-9  # shave another ulp-scale sliver off L
     else:
         raise RuntimeError("feature rescaling failed to reach the target beta")
-    return problem, reference_solve(problem, tol=reference_tol)
+    return problem, reference_solve(problem)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +298,7 @@ def checkpoint_save(state, sink, sampler: IndexSampler | None = None) -> None:
     else:
         raise TypeError(f"cannot checkpoint {type(state).__name__}")
     if sampler is not None:
-        lines += [f"sampling {sampler.scheme.tag}",
+        lines += [f"sampling {sampler.scheme.kind}",
                   f"sampling_seed {sampler.scheme.seed}",
                   f"draws {sampler.draws}"]
     else:
@@ -318,7 +319,9 @@ def checkpoint_load(source, problem):
     """Rebuild (state, sampler) from a checkpoint, verifying problem shape.
 
     CheckpointFormatError covers missing entries, vectors not of length d,
-    tables not n x d and counters other than seen == n or 0 <= seen == k < n.
+    tables not n x d, counters other than seen == n or 0 <= seen == k < n,
+    and the lines the solver tag implies: `proximal` must be 1 exactly for
+    prox-finito, which must also say `audit 1`.
     """
     kv: dict[str, str] = {}
     vectors: dict[str, np.ndarray] = {}
@@ -389,14 +392,17 @@ def checkpoint_load(source, problem):
     if "n" in kv and int(kv["n"]) != problem.n:
         raise CheckpointFormatError(
             f"dimension mismatch: checkpoint n={kv['n']}, problem n={problem.n}")
-    if solver in ("finito", "prox-finito", "miso"):
+    if solver in FINITO_TAGS:
         state = FinitoState(
             alpha=float(_need("alpha")), k=int(_need("k")),
             seen=int(_need("seen")), w=_vec("w"),
-            p_table=_table("p"), p_sum=_vec("p_sum"),
-            proximal=bool(int(_need("proximal"))), solver_tag=solver,
-        )
-        if bool(int(_need("audit"))):
+            p_table=_table("p"), p_sum=_vec("p_sum"), solver_tag=solver)
+        # the tag implies these lines; a file that disagrees was edited
+        proximal, audit = int(_need("proximal")), int(_need("audit"))
+        if proximal != state.proximal or (state.proximal and not audit):
+            raise CheckpointFormatError(f"proximal {proximal}, audit {audit} contradict "
+                                        f"solver {solver!r}")
+        if audit:
             state.phi_table = _table("phi")
             state.grad_table = _table("grad")
             state.phi_sum = _vec("phi_sum")

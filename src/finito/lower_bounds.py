@@ -24,6 +24,9 @@ from .solvers import (finito_first_pass_step, finito_init,
                       sag_first_pass_step, sag_init)
 from .theory import CheckReport, _le_report
 
+# simulate_unseen draws this many trials' sequences per batch
+_TRIAL_CHUNK = 16_384
+
 
 @dataclass
 class CoupledWorstCase:
@@ -123,8 +126,8 @@ class UnseenSummary:
     points: list[UnseenPoint]
 
 
-def simulate_unseen(n: int, k, trials: int = 100_000, seed: int = 0,
-                    chunk: int = 16_384) -> UnseenSummary:
+def simulate_unseen(n: int, k, trials: int = 100_000,
+                    seed: int = 0) -> UnseenSummary:
     """Monte-Carlo check of the unseen-count law under uniform sampling.
 
     `k` may be a single draw count or a list; all requested counts share
@@ -149,7 +152,7 @@ def simulate_unseen(n: int, k, trials: int = 100_000, seed: int = 0,
     sq_sums = dict.fromkeys(ks, 0.0)
     done = 0
     while done < trials:
-        m = min(chunk, trials - done)
+        m = min(_TRIAL_CHUNK, trials - done)
         draws = rng.integers(0, n, size=(m, k_max)) if k_max else \
             np.empty((m, 0), dtype=np.int64)
         for kk in ks:

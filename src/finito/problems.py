@@ -10,6 +10,7 @@ the big-data condition report.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,6 +77,14 @@ def _soft_threshold(z: np.ndarray, t: float) -> np.ndarray:
     return np.sign(z) * np.maximum(np.abs(z) - t, 0.0)
 
 
+def _as_index(i) -> int:
+    # integers only (operator.index): a float, str or bool is a TypeError,
+    # never truncated or read as 0/1
+    if type(i) is not int and isinstance(i, (bool, np.bool_)):
+        raise TypeError(f"component index must be an integer, not {type(i).__name__}")
+    return operator.index(i)
+
+
 class _ProblemBase:
     """Shared aggregate operations; subclasses provide the component ops.
 
@@ -91,7 +100,7 @@ class _ProblemBase:
     # -- validation helpers -------------------------------------------------
 
     def _check_index(self, i: int) -> int:
-        i = int(i)
+        i = _as_index(i)
         if not 0 <= i < self.n:
             raise IndexError(f"component index {i} out of range [0, {self.n})")
         return i

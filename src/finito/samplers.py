@@ -14,47 +14,37 @@ import numpy as np
 
 UNIFORM = "uniform"
 PERMUTED = "permuted"
+PERMUTED_FROZEN = "permuted-frozen"
 CYCLIC = "cyclic"
 
-_KINDS = (UNIFORM, PERMUTED, CYCLIC)
-
-# config-facing names, including the frozen-permutation alias
-SAMPLING_NAMES = (UNIFORM, PERMUTED, "permuted-frozen", CYCLIC)
+SAMPLING_NAMES = (UNIFORM, PERMUTED, PERMUTED_FROZEN, CYCLIC)
 
 
 @dataclass(frozen=True)
 class SamplingScheme:
     """How the next component index is chosen.
 
-    kind:    "uniform" (i.i.d. with replacement), "permuted" (a fresh
-             permutation each pass), or "cyclic" (k mod n, no randomness).
-    seed:    nonnegative generator seed; ignored by cyclic.
-    refresh: permuted only.  False freezes the first permutation and replays
-             it every pass, reproducing the pre-permuted variant.
+    kind: "uniform" (i.i.d. with replacement), "permuted" (a fresh
+          permutation each pass), "permuted-frozen" (the first permutation
+          replayed every pass, the pre-permuted variant) or "cyclic"
+          (k mod n, no randomness).  The kind is also the tag traces and
+          checkpoints record.
+    seed: nonnegative generator seed; ignored by cyclic.
     """
 
     kind: str
     seed: int = 0
-    refresh: bool = True
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in SAMPLING_NAMES:
             raise ValueError(f"unknown sampling kind {self.kind!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @staticmethod
     def from_name(name: str, seed: int = 0) -> "SamplingScheme":
-        """Build from a config tag, accepting the "permuted-frozen" alias."""
-        if name == "permuted-frozen":
-            return SamplingScheme(PERMUTED, seed, refresh=False)
+        """Build from a config tag (one of SAMPLING_NAMES)."""
         return SamplingScheme(name, seed)
-
-    @property
-    def tag(self) -> str:
-        if self.kind == PERMUTED and not self.refresh:
-            return "permuted-frozen"
-        return self.kind
 
 
 class IndexSampler:
@@ -75,7 +65,7 @@ class IndexSampler:
         kind = self.scheme.kind
         if kind == CYCLIC:
             return list(range(self.n))
-        if kind == PERMUTED and not self.scheme.refresh:
+        if kind == PERMUTED_FROZEN:
             pass_index = 0
         rng = np.random.default_rng([self.scheme.seed, pass_index])
         if kind == UNIFORM:

@@ -19,14 +19,16 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from .problems import (ReferenceSolution, StrongConvexityRequired, _soft_threshold,
-                       prox_operator)
+from .problems import (ReferenceSolution, StrongConvexityRequired, _as_index,
+                       _soft_threshold, prox_operator)
 from .samplers import IndexSampler, SamplingScheme
 
 SOLVER_TAGS = ("finito", "prox-finito", "sag", "miso", "full-gradient")
+FINITO_TAGS = ("finito", "prox-finito", "miso")  # the FinitoState tags
 MONITORS = ("iterate", "table-mean")
 
 # run() aborts when suboptimality exceeds this multiple of its start value
@@ -67,7 +69,8 @@ class FinitoState:
 
     Compact mode stores p_table/p_sum only.  Audit mode additionally keeps
     phi_table/grad_table (with running sums) and still maintains p_table so
-    the two storage forms can be cross-checked.
+    the two storage forms can be cross-checked.  `proximal` is not settable:
+    it is derived from the tag, true exactly for "prox-finito".
     """
 
     alpha: float
@@ -80,8 +83,11 @@ class FinitoState:
     grad_table: np.ndarray | None = None
     phi_sum: np.ndarray | None = None
     grad_sum: np.ndarray | None = None
-    proximal: bool = False
     solver_tag: str = "finito"
+
+    def __post_init__(self):
+        # a plain attribute, not a property: _next_w reads it every step
+        self.proximal = self.solver_tag == "prox-finito"
 
     @property
     def audit(self) -> bool:
@@ -98,7 +104,7 @@ class SagState:
     w: np.ndarray
     grad_table: np.ndarray
     grad_sum: np.ndarray
-    solver_tag: str = "sag"
+    solver_tag: ClassVar[str] = "sag"
 
 
 @dataclass
@@ -107,7 +113,7 @@ class FullGradientState:
 
     w: np.ndarray
     k: int = 0
-    solver_tag: str = "full-gradient"
+    solver_tag: ClassVar[str] = "full-gradient"
 
 
 @dataclass
@@ -170,7 +176,7 @@ def _fold(state: FinitoState | SagState, problem, j: int, first_pass: bool):
     if first_pass:
         if state.seen >= n:
             raise ValueError(f"first pass is over (k >= n = {n})")
-        j = int(j)
+        j = _as_index(j)
         if j != state.seen:
             raise ValueError("first pass visits components in index order; "
                              f"expected k={state.seen}, got {j}")
@@ -178,7 +184,7 @@ def _fold(state: FinitoState | SagState, problem, j: int, first_pass: bool):
         kind = "sag" if isinstance(state, SagState) else "finito"
         raise ValueError(f"first pass incomplete; step with {kind}_first_pass_step")
     else:
-        j = int(j)  # component_gradient checks the range
+        j = _as_index(j)  # component_gradient checks the range
     k = state.k
     w = state.w
     g = _gradient(problem, j, w, k)
@@ -222,7 +228,7 @@ def _fold(state: FinitoState | SagState, problem, j: int, first_pass: bool):
 
 
 def finito_init(problem, alpha: float, w0=None, audit: bool = False,
-                first_pass: bool = False, proximal: bool = False,
+                first_pass: bool = False,
                 solver_tag: str = "finito") -> FinitoState:
     """Build the table state.
 
@@ -231,24 +237,25 @@ def finito_init(problem, alpha: float, w0=None, audit: bool = False,
     time in index order by finito_first_pass_step, so a pass costs exactly n
     gradient evaluations.
 
-    proximal=True (prox-finito) passes each refreshed w through the L1 prox
-    with step 1/(alpha*s), and forces audit storage so that phi_bar and the
-    gradient sum stay recoverable explicitly.
+    solver_tag is one of FINITO_TAGS.  "prox-finito" makes the state proximal
+    (each refreshed w goes through the L1 prox with step 1/(alpha*s)) and
+    forces audit storage, so phi_bar and the gradient sum stay explicit.
     """
+    if solver_tag not in FINITO_TAGS:
+        raise ValueError(f"finito_init builds {', '.join(FINITO_TAGS)} states, "
+                         f"not {solver_tag!r}")
     if alpha <= 0:
         raise ValueError(f"alpha must be > 0, got {alpha}")
     if problem.s == 0.0:
         raise StrongConvexityRequired("the table update divides by alpha*s*n")
-    audit = audit or proximal
     n, d = problem.n, problem.d
     if w0 is None:
         w0 = np.zeros(d)
     w0 = problem._check_point(w0)
-    state = FinitoState(
-        alpha=float(alpha), k=0, seen=0, w=w0.copy(),
-        p_table=np.zeros((n, d)), p_sum=np.zeros(d),
-        proximal=proximal, solver_tag=solver_tag,
-    )
+    state = FinitoState(alpha=float(alpha), k=0, seen=0, w=w0.copy(),
+                        p_table=np.zeros((n, d)), p_sum=np.zeros(d),
+                        solver_tag=solver_tag)
+    audit = audit or state.proximal
     if audit:
         state.phi_table = np.zeros((n, d))
         state.grad_table = np.zeros((n, d))
@@ -340,13 +347,12 @@ def _build_state(problem, config: SolverConfig):
     w0 = config.w0
     audit = config.audit or config.monitor == "table-mean"
     solver = config.solver
-    if solver in ("finito", "prox-finito", "miso"):
+    if solver in FINITO_TAGS:
         alpha = config.alpha
         if solver == "miso" and problem.s > 0:  # finito_init refuses s == 0
             alpha = problem.lipschitz_constant() / problem.s
         return finito_init(problem, alpha, w0=w0, audit=audit,
-                           first_pass=config.first_pass,
-                           proximal=solver == "prox-finito", solver_tag=solver)
+                           first_pass=config.first_pass, solver_tag=solver)
     if solver == "sag":
         return sag_init(problem, w0=w0, step=config.step,
                         practical=config.sag_practical,
@@ -404,7 +410,7 @@ def run_with_state(problem, config: SolverConfig, scheme: SamplingScheme,
             epoch=state.k / steps_per_epoch, objective=objective,
             suboptimality=sub, grad_norm=gnorm,
             wall_ms=(time.perf_counter() - t0) * 1e3,
-            solver=config.solver, sampling=active.tag, seed=active.seed,
+            solver=config.solver, sampling=active.kind, seed=active.seed,
         ))
         return sub
 

@@ -31,6 +31,10 @@ from .samplers import IndexSampler, SamplingScheme, UNIFORM
 from .solvers import (SolverConfig, TraceRecord, finito_init, finito_step,
                       reference_solve, run)
 
+# random points and table rows are drawn from the ball of this radius
+# around the reference minimizer
+BALL_RADIUS = 2.0
+
 
 @dataclass
 class LyapunovTerms:
@@ -46,7 +50,9 @@ class LyapunovTerms:
 
 @dataclass
 class CheckReport:
-    """One verified inequality: satisfied iff lhs <= rhs + tol.
+    """One verified check.  An inequality is satisfied iff
+    lhs <= rhs + tol * (1 + |scale|), the scale being rhs unless the check
+    names another; an identity iff |rhs - lhs| <= tol * (1 + |scale|).
 
     slack = rhs - lhs, so negative slack beyond tolerance means violation.
     """
@@ -90,15 +96,13 @@ def _gradients_at_point(problem, point: np.ndarray) -> np.ndarray:
     return problem.table_gradients(table)
 
 
-def finito_map(problem, phi_table: np.ndarray, alpha: float,
-               grads: np.ndarray | None = None) -> np.ndarray:
+def finito_map(problem, phi_table: np.ndarray, alpha: float) -> np.ndarray:
     """w(phi) = mean(phi) - (1/(alpha*s*n)) * sum of table gradients."""
     if alpha <= 0:
         raise ValueError(f"alpha must be > 0, got {alpha}")
     _require_strongly_convex(problem)
     phi_table = problem._check_table(phi_table)
-    if grads is None:
-        grads = problem.table_gradients(phi_table)
+    grads = problem.table_gradients(phi_table)
     denom = alpha * problem.s * problem.n
     return phi_table.mean(axis=0) - grads.sum(axis=0) / denom
 
@@ -189,11 +193,10 @@ def expected_decrease_check(problem, phi_table: np.ndarray, w: np.ndarray,
               for phi_j, w_j in _branch_maps(problem, phi_table, w, alpha)]
     lhs = float(np.mean(totals))
     rhs = (1.0 - 1.0 / (alpha * problem.n)) * base.total
-    scaled = tol * (1.0 + abs(base.total))
-    return CheckReport(
-        name="expected-decrease", lhs=lhs, rhs=rhs,
-        satisfied=bool(lhs <= rhs + scaled), slack=rhs - lhs,
-        context=f"alpha={alpha:g} beta={beta:g} n={problem.n} T={base.total:.6g}")
+    return _le_report(
+        "expected-decrease", lhs, rhs, tol,
+        f"alpha={alpha:g} beta={beta:g} n={problem.n} T={base.total:.6g}",
+        scale=base.total)
 
 
 def bound_gap_check(problem, phi_table: np.ndarray, w: np.ndarray,
@@ -211,11 +214,8 @@ def bound_gap_check(problem, phi_table: np.ndarray, w: np.ndarray,
     terms = lyapunov_evaluate(problem, phi_table, w)
     phi_bar = phi_table.mean(axis=0)
     lhs = _objective_at(problem, phi_bar) - reference.f_star
-    rhs = alpha * terms.total
-    return CheckReport(
-        name="suboptimality-bound", lhs=lhs, rhs=rhs,
-        satisfied=bool(lhs <= rhs + tol), slack=rhs - lhs,
-        context=f"alpha={alpha:g} n={problem.n}")
+    return _le_report("suboptimality-bound", lhs, alpha * terms.total, tol,
+                      f"alpha={alpha:g} n={problem.n}", scale=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -338,11 +338,7 @@ def table_mean_descent_check(problem, phi_table: np.ndarray, w: np.ndarray,
     L = problem.lipschitz_constant()
     rhs = (float(problem.full_gradient(phi_bar) @ (w - phi_bar)) / n
            + 0.5 * L * float(np.einsum("ij,ij->", gaps, gaps)) / n**3)
-    scaled = tol * (1.0 + abs(t1))
-    return CheckReport(
-        name="table-mean-descent", lhs=lhs, rhs=rhs,
-        satisfied=bool(lhs <= rhs + scaled), slack=rhs - lhs,
-        context=f"n={n}")
+    return _le_report("table-mean-descent", lhs, rhs, tol, f"n={n}", scale=t1)
 
 
 # ---------------------------------------------------------------------------
@@ -360,16 +356,19 @@ def random_ball_point(rng: np.random.Generator, center: np.ndarray,
 
 
 def random_audit_state(problem, w_star: np.ndarray, alpha: float,
-                       rng: np.random.Generator, radius: float = 2.0):
-    """Random table with rows in a ball around w_star, w set to the map."""
-    phi = np.stack([random_ball_point(rng, w_star, radius)
+                       rng: np.random.Generator):
+    """Random table with rows in the BALL_RADIUS ball around w_star, w set to
+    the map."""
+    phi = np.stack([random_ball_point(rng, w_star, BALL_RADIUS)
                     for _ in range(problem.n)])
     return phi, finito_map(problem, phi, alpha)
 
 
-def _le_report(name: str, lhs: float, rhs: float, tol: float,
-               ctx: str) -> CheckReport:
-    scaled = tol * (1.0 + abs(rhs))
+def _le_report(name: str, lhs: float, rhs: float, tol: float, ctx: str,
+               scale: float | None = None) -> CheckReport:
+    """The one verdict rule for lhs <= rhs: satisfied iff
+    lhs <= rhs + tol * (1 + |scale|), where scale defaults to rhs."""
+    scaled = tol * (1.0 + abs(rhs if scale is None else scale))
     return CheckReport(name=name, lhs=lhs, rhs=rhs,
                        satisfied=bool(lhs <= rhs + scaled),
                        slack=rhs - lhs, context=ctx)
@@ -435,8 +434,7 @@ def table_checks(problem, phi_table: np.ndarray, w: np.ndarray,
 
 def convexity_suite(problem, draws: int = 100, tol: float = 1e-9,
                     alpha: float = 2.0, seed: int = 0,
-                    reference: ReferenceSolution | None = None,
-                    radius: float = 2.0) -> list[CheckReport]:
+                    reference: ReferenceSolution | None = None) -> list[CheckReport]:
     """Pointwise checks of the smooth/strongly-convex inequalities the
     analysis consumes: per draw, the five pair_checks at a random (x, y)
     and the two table_checks at a random map-consistent table state, seven
@@ -452,10 +450,10 @@ def convexity_suite(problem, draws: int = 100, tol: float = 1e-9,
     reports: list[CheckReport] = []
     for t in range(draws):
         ctx = f"draw={t}"
-        x = random_ball_point(rng, w_star, radius)
-        y = random_ball_point(rng, w_star, radius)
+        x = random_ball_point(rng, w_star, BALL_RADIUS)
+        y = random_ball_point(rng, w_star, BALL_RADIUS)
         reports.extend(pair_checks(problem, x, y, tol, ctx))
-        phi, w = random_audit_state(problem, w_star, alpha, rng, radius)
+        phi, w = random_audit_state(problem, w_star, alpha, rng)
         reports.extend(table_checks(problem, phi, w, tol, ctx))
     return reports
 
@@ -491,11 +489,7 @@ def strong_lb_check(problem, i: int, x: np.ndarray, y: np.ndarray,
            + 0.5 * float(dg @ dg) / gap
            + 0.5 * s * L * float(dyx @ dyx) / gap
            + s * float(dg @ dyx) / gap)
-    scaled = tol * (1.0 + abs(fx))
-    return CheckReport(
-        name="strong-smooth-lower", lhs=lhs, rhs=fx,
-        satisfied=bool(lhs <= fx + scaled), slack=fx - lhs,
-        context=f"i={i}")
+    return _le_report("strong-smooth-lower", lhs, fx, tol, f"i={i}")
 
 
 def big_data_lb_check(problem, phi_table: np.ndarray, x: np.ndarray,
@@ -528,11 +522,8 @@ def big_data_lb_check(problem, phi_table: np.ndarray, x: np.ndarray,
            + 0.5 * beta * float(np.einsum("ij,ij->", dg, dg)) / (s * n**2)
            + 0.5 * beta * L * float(np.einsum("ij,ij->", dx, dx)) / n**2
            - beta * float(np.einsum("ij,ij->", dg, dx)) / n**2)
-    scaled = tol * (1.0 + abs(fx))
-    return CheckReport(
-        name="averaged-strong-smooth-lower", lhs=lhs, rhs=fx,
-        satisfied=bool(lhs <= fx + scaled), slack=fx - lhs,
-        context=f"beta={beta:g} n={n}")
+    return _le_report("averaged-strong-smooth-lower", lhs, fx, tol,
+                      f"beta={beta:g} n={n}")
 
 
 # ---------------------------------------------------------------------------
@@ -636,14 +627,14 @@ def suite_inequalities(n: int, d: int, beta: float, draws: int, seed: int,
     rng = np.random.default_rng([seed, 1])
     for t in range(draws):
         i = int(rng.integers(problem.n))
-        x = random_ball_point(rng, reference.w_star, 2.0)
-        y = random_ball_point(rng, reference.w_star, 2.0)
+        x = random_ball_point(rng, reference.w_star, BALL_RADIUS)
+        y = random_ball_point(rng, reference.w_star, BALL_RADIUS)
         report = strong_lb_check(problem, i, x, y)
         report.context = f"draw={t} {report.context}"
         reports.append(report)
     for t in range(draws):
         phi, _ = random_audit_state(problem, reference.w_star, alpha, rng)
-        x = random_ball_point(rng, reference.w_star, 2.0)
+        x = random_ball_point(rng, reference.w_star, BALL_RADIUS)
         report = big_data_lb_check(problem, phi, x, beta)
         report.context = f"draw={t} {report.context}"
         reports.append(report)

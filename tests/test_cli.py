@@ -2,10 +2,15 @@
 
 import contextlib
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import finito
 import finito.cli as cli
 from finito import CheckReport, TRACE_HEADER
 
@@ -263,3 +268,40 @@ def test_resume_from_checkpoint_without_w_exits_one(tmp_path):
     code, _, err = call(["run", *base, "--epochs", "6", "--resume", str(ck)])
     assert code == 1
     assert "missing 'w'" in err
+
+
+@pytest.mark.parametrize("solver,line,edited", [
+    ("finito", "proximal 0", "proximal 1"),
+    ("prox-finito", "proximal 1", "proximal 0"),
+    ("prox-finito", "audit 1", "audit 0"),
+])
+def test_resume_from_checkpoint_contradicting_its_tag_exits_one(
+        tmp_path, solver, line, edited):
+    ck = tmp_path / "state.ckpt"
+    base = ["--synth", SYNTH, "--solver", solver, "--seed", "5"]
+    code, _, _ = call(["run", *base, "--epochs", "2", "--save-state", str(ck)])
+    assert code == 0
+    text = ck.read_text()
+    assert f"\n{line}\n" in text
+    ck.write_text(text.replace(f"\n{line}\n", f"\n{edited}\n"))
+    code, out, err = call(["run", *base, "--epochs", "4", "--resume", str(ck)])
+    assert (code, out) == (1, "")
+    assert f"contradict solver '{solver}'" in err
+
+
+@pytest.mark.parametrize("module", ["finito", "finito.cli"])
+def test_module_execution_runs_the_cli(module):
+    src = str(Path(finito.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+
+    def python_m(*args):
+        return subprocess.run([sys.executable, "-m", module, *args], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    argv = ["lowerbound", "--n", "4", "--k-list", "1,3", "--trials", "200"]
+    done = python_m(*argv)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == call(argv)[1]
+    assert python_m("verify").returncode == 1  # --suite is required

@@ -261,6 +261,19 @@ def test_checkpoint_corruption_detected(synth_tiny, tmp_path):
     # seen < n only happens mid first pass, where seen == k
     pytest.param("finito", "seen ", lambda line: "seen 5",
                  "k=40 seen=5: need", id="finito-seen 5 below k"),
+    # the tag implies the proximal and (for prox-finito) the audit line
+    pytest.param("finito", "proximal ", lambda line: "proximal 1",
+                 "proximal 1, audit 0 contradict solver 'finito'",
+                 id="finito-proximal 1"),
+    pytest.param("miso", "proximal ", lambda line: "proximal 1",
+                 "proximal 1, audit 0 contradict solver 'miso'",
+                 id="miso-proximal 1"),
+    pytest.param("prox-finito", "proximal ", lambda line: "proximal 0",
+                 "proximal 0, audit 1 contradict solver 'prox-finito'",
+                 id="prox-finito-proximal 0"),
+    pytest.param("prox-finito", "audit ", lambda line: "audit 0",
+                 "proximal 1, audit 0 contradict solver 'prox-finito'",
+                 id="prox-finito-audit 0"),
 ])
 def test_checkpoint_missing_entry_is_format_error(synth_tiny, tmp_path,
                                                   solver, prefix, edit, match):
@@ -290,8 +303,8 @@ def test_checkpoint_mid_first_pass_finishes_bit_exact(kind):
             return sag_init(problem, w0=w0, first_pass=True), sag_first_pass_step
         state = finito_init(problem, 2.0, w0=w0, first_pass=True,
                             audit=kind != "finito",
-                            proximal=kind == "prox-finito",
                             solver_tag=kind.removesuffix("-audit"))
+        assert state.proximal == (kind == "prox-finito")
         return state, finito_first_pass_step
 
     def saved(state):

@@ -280,6 +280,28 @@ def test_index_and_point_validation(desk):
         desk.component_value(0, np.array([np.nan]))
 
 
+# values int() used to truncate or read as 0/1; an index must be an integer
+NON_INTEGRAL = [0.0, 1.0, 1.7, np.float64(1.0), "1", True, False, np.True_, None]
+
+
+@pytest.mark.parametrize("i", NON_INTEGRAL, ids=repr)
+def test_non_integral_component_index_is_type_error(i):
+    problems = [QuadraticProblem([[1.0], [-1.0]]),
+                FiniteSumProblem([[1.0], [2.0]], [1.0, -1.0], LOGISTIC, s=0.1)]
+    for p in problems:
+        for op in (p.component_value, p.component_gradient):
+            with pytest.raises(TypeError):
+                op(i, np.zeros(1))
+
+
+def test_numpy_integer_component_index_accepted(desk):
+    w = np.array([0.5])
+    for i in (np.int64(1), np.int32(1), np.uint8(1)):
+        assert np.array_equal(desk.component_gradient(i, w),
+                              desk.component_gradient(1, w))
+        assert desk.component_value(i, w) == desk.component_value(1, w)
+
+
 def test_quadratic_minimizer_closed_form():
     p = QuadraticProblem([[1.0, 0.0], [0.0, 2.0]], weights=[1.0, 3.0])
     m = p.minimizer()

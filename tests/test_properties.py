@@ -1,0 +1,244 @@
+"""Property tests for the text formats: trace CSV, LIBSVM and checkpoints."""
+
+import io
+import math
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis.extra import numpy as hnp  # noqa: E402
+
+from finito import (  # noqa: E402
+    SAMPLING_NAMES,
+    SOLVER_TAGS,
+    CheckpointFormatError,
+    FinitoState,
+    IndexSampler,
+    QuadraticProblem,
+    SagState,
+    SamplingScheme,
+    SolverConfig,
+    TraceRecord,
+    checkpoint_load,
+    checkpoint_save,
+    finito_first_pass_step,
+    finito_step,
+    parse_libsvm,
+    read_trace,
+    run_with_state,
+    sag_first_pass_step,
+    sag_step,
+    write_trace,
+)
+
+SETTINGS = settings(max_examples=60, deadline=None)
+
+
+def same_float(a: float, b: float) -> bool:
+    # repr keeps every bit of a non-NaN float, the sign of zero included
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+# -- trace CSV -------------------------------------------------------------------
+
+records = st.builds(
+    TraceRecord, epoch=st.floats(), objective=st.floats(),
+    suboptimality=st.floats(), grad_norm=st.floats(), wall_ms=st.floats(),
+    solver=st.sampled_from(SOLVER_TAGS), sampling=st.sampled_from(SAMPLING_NAMES),
+    seed=st.integers(min_value=0, max_value=2**64))
+
+
+def _trace_text(recs) -> str:
+    sink = io.StringIO()
+    write_trace(recs, sink)
+    return sink.getvalue()
+
+
+@SETTINGS
+@given(st.lists(records, max_size=6))
+def test_trace_write_read_round_trip(recs):
+    text = _trace_text(recs)
+    back = read_trace(io.StringIO(text))
+    assert len(back) == len(recs)
+    for got, want in zip(back, recs):
+        for name in ("epoch", "objective", "suboptimality", "grad_norm", "wall_ms"):
+            assert same_float(getattr(got, name), getattr(want, name))
+        assert (got.solver, got.sampling, got.seed) == (want.solver, want.sampling,
+                                                         want.seed)
+    assert _trace_text(back) == text
+
+
+# -- LIBSVM ----------------------------------------------------------------------
+
+values = st.floats(allow_nan=False)
+
+
+@st.composite
+def libsvm_rows(draw):
+    """(label, [(1-based index, value), ...]) rows with ascending indices."""
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        indices = sorted(draw(st.sets(st.integers(1, 12), max_size=5)))
+        rows.append((draw(values), [(i, draw(values)) for i in indices]))
+    return rows
+
+
+def _format_rows(rows, sep: str, blank: bool) -> str:
+    lines = []
+    for label, entries in rows:
+        lines.append(sep.join([repr(label)] + [f"{i}:{v!r}" for i, v in entries]))
+        if blank:
+            lines.append(sep)
+    return "\n".join(lines) + "\n"
+
+
+@SETTINGS
+@given(libsvm_rows(), libsvm_rows(), st.sampled_from([" ", "\t", "  \t"]),
+       st.booleans(), st.integers(0, 15))
+def test_parse_libsvm_reads_formatted_rows(head, tail, sep, blank, d_hint):
+    # concatenating two valid files gives a valid file with both row sets
+    rows = head + tail
+    features, targets = parse_libsvm(
+        _format_rows(head, sep, blank) + _format_rows(tail, sep, blank),
+        d_hint=d_hint)
+    width = max([d_hint] + [i for _, entries in rows for i, _ in entries])
+    assert features.shape == (len(rows), width)
+    expected = np.zeros((len(rows), width))
+    for r, (label, entries) in enumerate(rows):
+        assert same_float(targets[r], label)
+        for i, v in entries:
+            expected[r, i - 1] = v
+    assert features.tobytes() == expected.tobytes()  # signed zeros too
+
+
+# -- checkpoints -----------------------------------------------------------------
+
+
+@st.composite
+def run_states(draw):
+    """(problem, state, sampler) after a few steps of any solver."""
+    n, d = draw(st.integers(2, 5)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    solver = draw(st.sampled_from(SOLVER_TAGS))
+    problem = QuadraticProblem(rng.standard_normal((n, d)), rng.uniform(1.0, 2.0, n),
+                               l1_weight=draw(st.sampled_from([0.0, 0.05])))
+    config = SolverConfig(solver=solver, audit=draw(st.booleans()),
+                          first_pass=draw(st.booleans()), w0=rng.standard_normal(d))
+    scheme = SamplingScheme(draw(st.sampled_from(SAMPLING_NAMES)),
+                            draw(st.integers(0, 100)))
+    if solver == "full-gradient":
+        _, state, sampler = run_with_state(problem, config, scheme,
+                                           draw(st.integers(0, 3)))
+        return problem, state, sampler
+    _, state, sampler = run_with_state(problem, config, scheme, 0)
+    sag = isinstance(state, SagState)
+    for _ in range(draw(st.integers(0, 3 * n))):
+        if state.seen < n:
+            first = sag_first_pass_step if sag else finito_first_pass_step
+            first(state, problem, state.seen)
+        else:
+            (sag_step if sag else finito_step)(state, problem, sampler.next_index())
+    return problem, state, sampler
+
+
+def _saved(state, sampler) -> str:
+    sink = io.StringIO()
+    checkpoint_save(state, sink, sampler)
+    return sink.getvalue()
+
+
+def _resaved(text: str, problem) -> str:
+    return _saved(*checkpoint_load(io.StringIO(text), problem))
+
+
+@SETTINGS
+@given(run_states())
+def test_checkpoint_save_load_save_is_byte_identical(case):
+    problem, state, sampler = case
+    text = _saved(state, sampler)
+    assert _resaved(text, problem) == text
+
+
+def _arrays(n: int, d: int):
+    elements = st.floats(width=64)  # NaN and infinities included
+    return (hnp.arrays(np.float64, (n, d), elements=elements),
+            hnp.arrays(np.float64, (d,), elements=elements))
+
+
+@st.composite
+def arbitrary_states(draw):
+    """Table states holding arbitrary float64 values, with valid counters."""
+    n, d = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    table, vector = _arrays(n, d)
+    k = draw(st.integers(0, 10**6))
+    seen = n if draw(st.booleans()) or k >= n else k
+    if draw(st.booleans()):
+        state = SagState(step=draw(st.floats(min_value=1e-300)), k=k, seen=seen,
+                         w=draw(vector), grad_table=draw(table),
+                         grad_sum=draw(vector))
+    else:
+        tag = draw(st.sampled_from(["finito", "prox-finito", "miso"]))
+        state = FinitoState(alpha=draw(st.floats(min_value=1e-300)), k=k, seen=seen,
+                            w=draw(vector), p_table=draw(table), p_sum=draw(vector),
+                            solver_tag=tag)
+        if state.proximal or draw(st.booleans()):
+            state.phi_table, state.grad_table = draw(table), draw(table)
+            state.phi_sum, state.grad_sum = draw(vector), draw(vector)
+    sampler = None
+    if draw(st.booleans()):
+        scheme = SamplingScheme(draw(st.sampled_from(SAMPLING_NAMES)),
+                                draw(st.integers(0, 2**32)))
+        sampler = IndexSampler(scheme, n).skip_to(draw(st.integers(0, 10**6)))
+    return QuadraticProblem(np.zeros((n, d))), state, sampler
+
+
+@SETTINGS
+@given(arbitrary_states())
+def test_checkpoint_keeps_every_float_bit(case):
+    problem, state, sampler = case
+    text = _saved(state, sampler)
+    loaded, _ = checkpoint_load(io.StringIO(text), problem)
+    for name in ("w", "p_table", "p_sum", "phi_table", "phi_sum", "grad_table",
+                 "grad_sum"):
+        want = getattr(state, name, None)
+        if want is None:
+            assert getattr(loaded, name, None) is None
+            continue
+        got = getattr(loaded, name)
+        # hex literals keep every bit except a NaN's sign and payload
+        keep = ~np.isnan(want)
+        assert np.array_equal(np.isnan(got), ~keep)
+        assert got[keep].tobytes() == want[keep].tobytes()
+    assert _resaved(text, problem) == text
+
+
+@SETTINGS
+@given(run_states(), st.data())
+def test_truncated_checkpoint_is_format_error(case, data):
+    problem, state, sampler = case
+    text = _saved(state, sampler)
+    # dropping only the final newline still leaves a complete END line
+    cut = data.draw(st.integers(0, len(text) - 2))
+    with pytest.raises(CheckpointFormatError):
+        checkpoint_load(io.StringIO(text[:cut]), problem)
+
+
+@SETTINGS
+@given(run_states(), st.data())
+def test_checkpoint_without_a_line_fails_or_loads_the_same_state(case, data):
+    problem, state, sampler = case
+    text = _saved(state, sampler)
+    lines = text.splitlines(keepends=True)
+    drop = data.draw(st.integers(0, len(lines) - 1))
+    edited = "".join(lines[:drop] + lines[drop + 1:])
+    try:
+        resaved = _resaved(edited, problem)
+    except CheckpointFormatError:
+        return
+    # only a line the loader can rebuild from the problem may go missing
+    assert lines[drop].startswith("n ")
+    assert resaved == text

@@ -11,6 +11,7 @@ from finito import (
     IndexSampler,
     SamplingScheme,
 )
+from finito.samplers import PERMUTED_FROZEN
 
 
 def draw(scheme, n, count):
@@ -36,7 +37,8 @@ def test_permuted_passes_are_permutations():
 def test_frozen_permutation_repeats_every_pass():
     n = 6
     scheme = SamplingScheme.from_name("permuted-frozen", seed=3)
-    assert scheme.kind == PERMUTED and scheme.refresh is False
+    assert scheme == SamplingScheme(PERMUTED_FROZEN, 3)
+    assert scheme.kind == "permuted-frozen" != PERMUTED
     stream = draw(scheme, n, 4 * n)
     first = stream[:n]
     assert sorted(first) == list(range(n))
@@ -109,7 +111,7 @@ def test_scheme_validation_and_names():
         SamplingScheme.from_name("bogus")
     for name in SAMPLING_NAMES:
         scheme = SamplingScheme.from_name(name, seed=2)
-        assert scheme.tag == name
+        assert scheme.kind == name
 
 
 def test_empty_problem_rejected():
@@ -124,7 +126,8 @@ def _numpy_stream(scheme, n, passes):
         if scheme.kind == CYCLIC:
             block = np.arange(n)
         else:
-            rng = np.random.default_rng([scheme.seed, p if scheme.refresh else 0])
+            frozen = scheme.kind == PERMUTED_FROZEN
+            rng = np.random.default_rng([scheme.seed, 0 if frozen else p])
             block = (rng.integers(0, n, size=n) if scheme.kind == UNIFORM
                      else rng.permutation(n))
         out.extend(int(j) for j in block)

@@ -5,6 +5,7 @@ Hand values all live on the n=2 desk quadratic (see conftest): components
 rational that floats represent exactly.
 """
 
+import io
 import warnings
 
 import numpy as np
@@ -20,6 +21,7 @@ from finito import (
     SolverConfig,
     SQUARED,
     SagState,
+    checkpoint_save,
     finito_first_pass_step,
     finito_init,
     finito_step,
@@ -33,6 +35,7 @@ from finito import (
     synth_problem,
     SynthSpec,
 )
+from finito.solvers import FINITO_TAGS
 
 
 # -- exact hand values ---------------------------------------------------------
@@ -167,7 +170,8 @@ def test_first_pass_requires_completion(desk):
 def test_prox_step_with_zero_weight_is_plain_finito(synth_tiny, rng):
     problem, _ = synth_tiny
     a = finito_init(problem, alpha=2.0, w0=np.zeros(problem.d), audit=True,
-                    proximal=True, solver_tag="prox-finito")
+                    solver_tag="prox-finito")
+    assert a.proximal
     b = finito_init(problem, alpha=2.0, w0=np.zeros(problem.d), audit=True)
     for j in rng.integers(problem.n, size=40):
         finito_step(a, problem, int(j))
@@ -265,6 +269,20 @@ def test_unknown_monitor_rejected(synth_tiny):
                           w0=np.zeros(problem.d))
     with pytest.raises(ValueError, match="unknown monitor 'table_mean'"):
         run(problem, config, SamplingScheme(UNIFORM), epochs=1)
+
+
+def test_finito_init_takes_only_finito_tags(synth_tiny):
+    problem, _ = synth_tiny
+    for tag in ("sag", "full-gradient", "prox_finito"):
+        with pytest.raises(ValueError, match="finito_init builds"):
+            finito_init(problem, 2.0, solver_tag=tag)
+    # proximal follows the tag and cannot be set on its own
+    for tag in FINITO_TAGS:
+        state = finito_init(problem, 2.0, solver_tag=tag)
+        assert state.proximal is (tag == "prox-finito")
+        assert state.audit is (tag == "prox-finito")
+    with pytest.raises(TypeError):
+        finito_init(problem, 2.0, proximal=True)
 
 
 def test_table_mean_monitor_reports_phi_mean(synth_tiny):
@@ -399,3 +417,48 @@ def test_huge_finite_iterate_is_no_divergence(exponent, solver):
             assert np.isinf(big.w.sum())
     assert np.array_equal(big.w, np.ldexp(unit.w, exponent))
     assert big.k == 3
+
+
+# -- component indices ---------------------------------------------------------
+
+NON_INTEGRAL = [0.0, 2.0, 2.7, np.float64(0.0), "0", "5", True, False, np.True_,
+                None]
+
+
+def _index_case(problem, solver, first_pass):
+    if solver == "sag":
+        state = sag_init(problem, first_pass=first_pass)
+        return state, sag_first_pass_step if first_pass else sag_step
+    state = finito_init(problem, 2.0, audit=solver == "finito-audit",
+                        first_pass=first_pass)
+    return state, finito_first_pass_step if first_pass else finito_step
+
+
+def _saved(state) -> str:
+    sink = io.StringIO()
+    checkpoint_save(state, sink)
+    return sink.getvalue()
+
+
+@pytest.mark.parametrize("j", NON_INTEGRAL, ids=repr)
+@pytest.mark.parametrize("first_pass", [False, True])
+@pytest.mark.parametrize("solver", ["finito", "finito-audit", "sag"])
+def test_non_integral_index_is_type_error(synth_tiny, solver, first_pass, j):
+    problem, _ = synth_tiny
+    state, step = _index_case(problem, solver, first_pass)
+    before = _saved(state)
+    with pytest.raises(TypeError):
+        step(state, problem, j)
+    assert _saved(state) == before
+
+
+@pytest.mark.parametrize("first_pass", [False, True])
+@pytest.mark.parametrize("solver", ["finito", "finito-audit", "sag"])
+def test_numpy_integer_index_steps_like_int(synth_tiny, solver, first_pass):
+    problem, _ = synth_tiny
+    for j in (np.int64(0), np.int32(0), np.uint8(0)):
+        a, step = _index_case(problem, solver, first_pass)
+        b, _ = _index_case(problem, solver, first_pass)
+        step(a, problem, j)
+        step(b, problem, 0)
+        assert _saved(a) == _saved(b)
