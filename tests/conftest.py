@@ -1,9 +1,12 @@
-"""Shared fixtures: the two-component desk quadratic and cached synthetic problems.
+"""Shared fixtures: the two-component desk quadratic and cached synthetic problems,
+plus the platform guard of the golden-digest tests.
 
 The desk problem f_1(w) = (1/2)(w-1)^2, f_2(w) = (1/2)(w+1)^2 has s = L = 1,
 minimizer 0, and f* = 1/2, so every hand-derived value in the tests is an
 exact dyadic rational.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -30,3 +33,37 @@ def synth_tiny():
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+# ---------------------------------------------------------------------------
+# golden digests
+
+
+def sha_prefix(*parts: bytes) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part)
+        h.update(b"\0")
+    return h.hexdigest()[:16]
+
+
+def arithmetic_digest() -> str:
+    """The numpy/BLAS primitives the recorded numbers rest on."""
+    rng = np.random.default_rng([2024])
+    x = rng.standard_normal((12, 3))
+    w = rng.standard_normal(3)
+    grid = np.linspace(-40.0, 40.0, 801)
+    parts = [x @ w, np.array([float(row @ w) for row in x]), x.T @ (x @ w),
+             np.tanh(grid), np.array([float(np.tanh(t)) for t in grid]),
+             np.logaddexp(0.0, grid), x.sum(axis=0),
+             np.einsum("ij,ij->i", x, x), np.array([np.linalg.norm(w)])]
+    return sha_prefix(*(p.tobytes() for p in parts))
+
+
+def skip_unless_same_arithmetic(recorded: dict) -> dict:
+    """Golden digests are only comparable on a platform whose floating-point
+    primitives round like the recording platform's; skip elsewhere."""
+    if recorded["arithmetic"] != arithmetic_digest():
+        pytest.skip("this platform's numpy/BLAS primitives round differently "
+                    "from the ones the digests were recorded with")
+    return recorded

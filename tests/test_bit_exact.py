@@ -15,7 +15,6 @@ Re-record (only at a commit whose numbers are known good):
     PYTHONPATH=src python tests/test_bit_exact.py --record
 """
 
-import hashlib
 import io
 import json
 import sys
@@ -32,16 +31,10 @@ from finito import (DivergenceError, QuadraticProblem, SamplingScheme,
 from finito.samplers import SAMPLING_NAMES
 from finito.solvers import MONITORS
 
+from conftest import arithmetic_digest, sha_prefix as _sha, skip_unless_same_arithmetic
+
 DIGESTS = Path(__file__).with_name("bit_exact_digests.json")
 SOLVERS = ("finito", "miso", "prox-finito", "sag")
-
-
-def _sha(*parts: bytes) -> str:
-    h = hashlib.sha256()
-    for part in parts:
-        h.update(part)
-        h.update(b"\0")
-    return h.hexdigest()[:16]
 
 
 def _problems():
@@ -55,19 +48,6 @@ def _problems():
         "l1": synth_problem(SynthSpec(n=12, d=3, l1_weight=0.05, seed=7)),
         "quadratic": (quad, reference_solve(quad)),
     }
-
-
-def _arithmetic_digest() -> str:
-    """The numpy/BLAS primitives the solvers' numbers rest on."""
-    rng = np.random.default_rng([2024])
-    x = rng.standard_normal((12, 3))
-    w = rng.standard_normal(3)
-    grid = np.linspace(-40.0, 40.0, 801)
-    parts = [x @ w, np.array([float(row @ w) for row in x]), x.T @ (x @ w),
-             np.tanh(grid), np.array([float(np.tanh(t)) for t in grid]),
-             np.logaddexp(0.0, grid), x.sum(axis=0),
-             np.einsum("ij,ij->i", x, x), np.array([np.linalg.norm(w)])]
-    return _sha(*(p.tobytes() for p in parts))
 
 
 def _trace_bytes(records) -> bytes:
@@ -163,17 +143,13 @@ def compute_digests() -> dict:
                    f"audit={int(audit)} {monitor}")
             cases[key] = _run_case(problem, reference, solver, sampling,
                                    first_pass, audit, monitor)
-    return {"arithmetic": _arithmetic_digest(), "cases": cases,
+    return {"arithmetic": arithmetic_digest(), "cases": cases,
             "divergence": _divergence_cases(problems)}
 
 
 @pytest.fixture(scope="module")
 def golden():
-    recorded = json.loads(DIGESTS.read_text())
-    if recorded["arithmetic"] != _arithmetic_digest():
-        pytest.skip("this platform's numpy/BLAS primitives round differently "
-                    "from the ones the digests were recorded with")
-    return recorded
+    return skip_unless_same_arithmetic(json.loads(DIGESTS.read_text()))
 
 
 @pytest.fixture(scope="module")
