@@ -8,6 +8,7 @@ else here treats str/Path as a filesystem path.
 
 from __future__ import annotations
 
+import math
 import re
 import warnings
 from contextlib import contextmanager
@@ -16,7 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .problems import FiniteSumProblem, ReferenceSolution, LOGISTIC, _MARGIN_CURVATURE
+from .problems import (FiniteSumProblem, ReferenceSolution, LOGISTIC, LOSS_KINDS,
+                       _MARGIN_CURVATURE)
 from .samplers import IndexSampler, SamplingScheme
 from .solvers import (FINITO_TAGS, FinitoState, FullGradientState, SagState,
                       TraceRecord, reference_solve)
@@ -154,6 +156,12 @@ def synth_problem(spec: SynthSpec):
     reference is reference_solve at its default tolerance 1e-12."""
     if spec.n < 2 or spec.d < 1:
         raise ValueError(f"need n >= 2 and d >= 1, got n={spec.n}, d={spec.d}")
+    if spec.loss not in LOSS_KINDS:
+        raise ValueError(f"unknown loss {spec.loss!r} "
+                         f"(known: {', '.join(LOSS_KINDS)})")
+    for name in ("s", "target_beta", "noise", "l1_weight"):
+        if not math.isfinite(getattr(spec, name)):
+            raise ValueError(f"{name} must be finite, got {getattr(spec, name)}")
     if spec.s <= 0:
         raise ValueError("synthetic problems need s > 0")
     if spec.n <= spec.target_beta:
@@ -318,15 +326,34 @@ def checkpoint_save(state, sink, sampler: IndexSampler | None = None) -> None:
 def checkpoint_load(source, problem):
     """Rebuild (state, sampler) from a checkpoint, verifying problem shape.
 
-    CheckpointFormatError covers missing entries, vectors not of length d,
-    tables not n x d, counters other than seen == n or 0 <= seen == k < n,
-    and the lines the solver tag implies: `proximal` must be 1 exactly for
-    prox-finito, which must also say `audit 1`.
+    CheckpointFormatError covers missing entries, scalar values that do not
+    parse (naming the key and the line), vectors not of length d, tables not
+    n x d, counters other than seen == n or 0 <= seen == k < n, and the lines
+    the solver tag implies: `proximal` must be 1 exactly for prox-finito,
+    which must also say `audit 1`.
     """
-    kv: dict[str, str] = {}
+    kv: dict[str, tuple[str, int]] = {}   # key -> (value text, line number)
     vectors: dict[str, np.ndarray] = {}
     tables: dict[str, np.ndarray] = {}
     saw_end = False
+
+    def _need(key: str, entries: dict = kv, kind: str = "entry"):
+        if key not in entries:
+            raise CheckpointFormatError(f"missing {key!r} {kind}")
+        return entries[key]
+
+    def _scalar(key: str, cast=int, default=None):
+        # the one parser of scalar entries; `default` stands in for a
+        # missing key where the problem supplies the value
+        if default is not None and key not in kv:
+            return default
+        text, line_no = _need(key)
+        try:
+            return cast(text)
+        except ValueError:
+            raise CheckpointFormatError(
+                f"line {line_no}: bad {key!r} value {text!r}") from None
+
     with _open_text(source, "r") as handle:
         # read line by line; splitting each read line again gives exactly the
         # lines str.splitlines() gives for the whole text
@@ -345,8 +372,8 @@ def checkpoint_load(source, problem):
             key, _, rest = line.partition(" ")
             if key == "vec":
                 name, _, payload = rest.partition(" ")
-                vectors[name] = _parse_hex_vector(payload, line_no,
-                                                  int(kv.get("d", problem.d)))
+                vectors[name] = _parse_hex_vector(
+                    payload, line_no, _scalar("d", default=problem.d))
             elif key == "table":
                 name, _, count_text = rest.partition(" ")
                 try:
@@ -354,11 +381,11 @@ def checkpoint_load(source, problem):
                 except ValueError:
                     raise CheckpointFormatError(
                         f"line {line_no}: bad table row count {count_text!r}") from None
-                n = int(kv.get("n", problem.n))
+                n = _scalar("n", default=problem.n)
                 if count != n:
                     raise CheckpointFormatError(
                         f"line {line_no}: table {name!r} has {count} rows, expected n={n}")
-                d = int(kv.get("d", problem.d))
+                d = _scalar("d", default=problem.d)
                 rows = np.empty((count, d))
                 for r in range(count):
                     line_no, row = next(lines, (line_no + 1, None))
@@ -369,14 +396,9 @@ def checkpoint_load(source, problem):
                     rows[r] = _parse_hex_vector(row, line_no, d)
                 tables[name] = rows
             else:
-                kv[key] = rest
+                kv[key] = (rest, line_no)
     if not saw_end:
         raise CheckpointFormatError("truncated checkpoint: missing END marker")
-
-    def _need(key: str, entries: dict = kv, kind: str = "entry"):
-        if key not in entries:
-            raise CheckpointFormatError(f"missing {key!r} {kind}")
-        return entries[key]
 
     def _vec(name: str) -> np.ndarray:
         return _need(name, vectors, "vec")
@@ -384,21 +406,22 @@ def checkpoint_load(source, problem):
     def _table(name: str) -> np.ndarray:
         return _need(name, tables, "table")
 
-    solver = _need("solver")
-    d = int(_need("d"))
+    solver = _need("solver")[0]
+    d = _scalar("d")
     if d != problem.d:
         raise CheckpointFormatError(
             f"dimension mismatch: checkpoint d={d}, problem d={problem.d}")
-    if "n" in kv and int(kv["n"]) != problem.n:
+    n = _scalar("n", default=problem.n)
+    if n != problem.n:
         raise CheckpointFormatError(
-            f"dimension mismatch: checkpoint n={kv['n']}, problem n={problem.n}")
+            f"dimension mismatch: checkpoint n={n}, problem n={problem.n}")
     if solver in FINITO_TAGS:
         state = FinitoState(
-            alpha=float(_need("alpha")), k=int(_need("k")),
-            seen=int(_need("seen")), w=_vec("w"),
+            alpha=_scalar("alpha", float), k=_scalar("k"),
+            seen=_scalar("seen"), w=_vec("w"),
             p_table=_table("p"), p_sum=_vec("p_sum"), solver_tag=solver)
         # the tag implies these lines; a file that disagrees was edited
-        proximal, audit = int(_need("proximal")), int(_need("audit"))
+        proximal, audit = _scalar("proximal"), _scalar("audit")
         if proximal != state.proximal or (state.proximal and not audit):
             raise CheckpointFormatError(f"proximal {proximal}, audit {audit} contradict "
                                         f"solver {solver!r}")
@@ -408,11 +431,11 @@ def checkpoint_load(source, problem):
             state.phi_sum = _vec("phi_sum")
             state.grad_sum = _vec("grad_sum")
     elif solver == "sag":
-        state = SagState(step=float(_need("step")), k=int(_need("k")),
-                         seen=int(_need("seen")), w=_vec("w"),
+        state = SagState(step=_scalar("step", float), k=_scalar("k"),
+                         seen=_scalar("seen"), w=_vec("w"),
                          grad_table=_table("grad"), grad_sum=_vec("grad_sum"))
     elif solver == "full-gradient":
-        state = FullGradientState(w=_vec("w"), k=int(_need("k")))
+        state = FullGradientState(w=_vec("w"), k=_scalar("k"))
     else:
         raise CheckpointFormatError(f"unknown solver tag {solver!r}")
     if not isinstance(state, FullGradientState) and not (
@@ -420,8 +443,8 @@ def checkpoint_load(source, problem):
         raise CheckpointFormatError(f"counters k={state.k} seen={state.seen}: "
                                     f"need seen == n={problem.n} or 0 <= seen == k < n")
     sampler = None
-    sampling = _need("sampling")
+    sampling = _need("sampling")[0]
     if sampling != "none":
-        scheme = SamplingScheme.from_name(sampling, int(_need("sampling_seed")))
-        sampler = IndexSampler(scheme, problem.n).skip_to(int(_need("draws")))
+        scheme = SamplingScheme.from_name(sampling, _scalar("sampling_seed"))
+        sampler = IndexSampler(scheme, problem.n).skip_to(_scalar("draws"))
     return state, sampler

@@ -77,11 +77,11 @@ def _soft_threshold(z: np.ndarray, t: float) -> np.ndarray:
     return np.sign(z) * np.maximum(np.abs(z) - t, 0.0)
 
 
-def _as_index(i) -> int:
+def _as_index(i, what: str = "component index") -> int:
     # integers only (operator.index): a float, str or bool is a TypeError,
     # never truncated or read as 0/1
     if type(i) is not int and isinstance(i, (bool, np.bool_)):
-        raise TypeError(f"component index must be an integer, not {type(i).__name__}")
+        raise TypeError(f"{what} must be an integer, not {type(i).__name__}")
     return operator.index(i)
 
 

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .problems import _as_index
+
 UNIFORM = "uniform"
 PERMUTED = "permuted"
 PERMUTED_FROZEN = "permuted-frozen"
@@ -29,7 +31,8 @@ class SamplingScheme:
           replayed every pass, the pre-permuted variant) or "cyclic"
           (k mod n, no randomness).  The kind is also the tag traces and
           checkpoints record.
-    seed: nonnegative generator seed; ignored by cyclic.
+    seed: nonnegative integer generator seed (a bool or float is a
+          TypeError); ignored by cyclic.
     """
 
     kind: str
@@ -38,6 +41,7 @@ class SamplingScheme:
     def __post_init__(self):
         if self.kind not in SAMPLING_NAMES:
             raise ValueError(f"unknown sampling kind {self.kind!r}")
+        object.__setattr__(self, "seed", _as_index(self.seed, "seed"))
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 

@@ -138,6 +138,12 @@ def _gradient(problem, j: int, w: np.ndarray, k: int) -> np.ndarray:
                               j=j, k=k) from exc
 
 
+def _require_positive(name: str, value: float) -> None:
+    # NaN fails both comparisons, so it is rejected along with 0, < 0 and inf
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
+
+
 def _recompute_sums(state: FinitoState | SagState) -> tuple:
     # periodic full recompute bounds incremental-sum drift; returns the sums
     # in the order _next_w takes them
@@ -244,8 +250,7 @@ def finito_init(problem, alpha: float, w0=None, audit: bool = False,
     if solver_tag not in FINITO_TAGS:
         raise ValueError(f"finito_init builds {', '.join(FINITO_TAGS)} states, "
                          f"not {solver_tag!r}")
-    if alpha <= 0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
+    _require_positive("alpha", alpha)
     if problem.s == 0.0:
         raise StrongConvexityRequired("the table update divides by alpha*s*n")
     n, d = problem.n, problem.d
@@ -304,8 +309,7 @@ def sag_init(problem, w0=None, step: float | None = None,
              practical: bool = False, first_pass: bool = False) -> SagState:
     if step is None:
         step = sag_default_step(problem, practical=practical)
-    if step <= 0:
-        raise ValueError(f"step must be > 0, got {step}")
+    _require_positive("step", step)
     n, d = problem.n, problem.d
     if w0 is None:
         w0 = np.zeros(d)
@@ -373,8 +377,7 @@ def run_with_state(problem, config: SolverConfig, scheme: SamplingScheme,
         raise ValueError(f"unknown monitor {config.monitor!r}")
     if epochs < 0:
         raise ValueError(f"epochs must be >= 0, got {epochs}")
-    if record_every <= 0:
-        raise ValueError(f"record_every must be > 0, got {record_every}")
+    _require_positive("record_every", record_every)
     n = problem.n
     f_star = reference.f_star if reference is not None else None
     t0 = time.perf_counter()
@@ -422,6 +425,7 @@ def run_with_state(problem, config: SolverConfig, scheme: SamplingScheme,
     if full_grad:
         L = problem.lipschitz_constant()
         gd_step = config.step if config.step is not None else 1.0 / L
+        _require_positive("step", gd_step)
 
     while state.k < total_steps:
         try:

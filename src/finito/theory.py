@@ -16,12 +16,19 @@ suboptimality of the table mean.  The checks below evaluate both sides of
 each claimed inequality with exact enumeration over the n equally likely
 updates, never with sampled estimates, so a failure is a real
 counterexample and not noise.
+
+Checks that enumerate the updates share one audit per state: it validates
+the state, builds the n successor iterates with running-sum arithmetic and
+evaluates the potential n + 1 times, once at the state and once per branch.
+A branch writes w into one row of a single working copy of the table and
+reuses the base rows' values and gradients for the other n - 1 rows.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,6 +93,16 @@ def _require_big_data(problem, beta: float) -> None:
             f"n*s = {report.n * report.s:g} < beta*L = {beta * report.L:g}")
 
 
+def _checked_state(problem, phi_table: np.ndarray, w: np.ndarray,
+                   strongly_convex: bool = True):
+    """(table, point) validated for the analysis: smooth objective, and
+    s > 0 unless strongly_convex is False."""
+    _require_smooth(problem)
+    if strongly_convex:
+        _require_strongly_convex(problem)
+    return problem._check_table(phi_table), problem._check_point(w)
+
+
 def _objective_at(problem, point: np.ndarray) -> float:
     return float(problem.objective_batch(point[np.newaxis, :])[0])
 
@@ -110,13 +127,15 @@ def finito_map(problem, phi_table: np.ndarray, alpha: float) -> np.ndarray:
 def lyapunov_evaluate(problem, phi_table: np.ndarray,
                       w: np.ndarray) -> LyapunovTerms:
     """Evaluate the four potential terms at an arbitrary (phi, w) pair."""
-    _require_smooth(problem)
-    _require_strongly_convex(problem)
-    phi_table = problem._check_table(phi_table)
-    w = problem._check_point(w)
+    phi_table, w = _checked_state(problem, phi_table, w)
+    return _potential(problem, phi_table, problem.table_values(phi_table),
+                      problem.table_gradients(phi_table), w)
+
+
+def _potential(problem, phi_table: np.ndarray, values: np.ndarray,
+               grads: np.ndarray, w: np.ndarray) -> LyapunovTerms:
+    # the four terms from the table's row values and gradients
     phi_bar = phi_table.mean(axis=0)
-    values = problem.table_values(phi_table)
-    grads = problem.table_gradients(phi_table)
     gaps = w[np.newaxis, :] - phi_table
     t1 = _objective_at(problem, phi_bar)
     t2 = -float(values.mean()) - float(np.einsum("ij,ij->i", grads, gaps).mean())
@@ -131,13 +150,18 @@ def initial_lyapunov(problem, phi0: np.ndarray, alpha: float) -> float:
 
     Closed form: (1 - 1/(2*alpha)) * ||f'(phi0)||^2 / (alpha * s).
     """
+    return ((1.0 - 0.5 / alpha) * _initial_gradient_energy(problem, alpha, phi0)
+            / (alpha * problem.s))
+
+
+def _initial_gradient_energy(problem, alpha: float, phi0: np.ndarray) -> float:
+    # ||f'(phi0)||^2, the scale of both the initial potential and the rate bound
     if alpha <= 0:
         raise ValueError(f"alpha must be > 0, got {alpha}")
     _require_smooth(problem)
     _require_strongly_convex(problem)
-    phi0 = problem._check_point(phi0)
-    g = problem.full_gradient(phi0)
-    return (1.0 - 0.5 / alpha) * float(g @ g) / (alpha * problem.s)
+    g = problem.full_gradient(problem._check_point(phi0))
+    return float(g @ g)
 
 
 def admissible_parameters(alpha: float, beta: float) -> bool:
@@ -151,27 +175,84 @@ def admissible_parameters(alpha: float, beta: float) -> bool:
     return bool(margin <= 0.0 and alpha >= 2.0 and beta >= 2.0)
 
 
-def _branch_maps(problem, phi_table: np.ndarray, w: np.ndarray, alpha: float):
-    """All n successor (phi', w') pairs of one update from (phi, w).
+class _Audit:
+    """One audit state (phi, w) at step constant alpha and its n equally
+    likely successors: branch j overwrites table row j with w and moves w to
+    the new table map, row j of `next_w`.  Every check that enumerates the
+    branches reads them from here.  The caller's arrays are never written."""
 
-    Branch j overwrites table row j with w and recomputes the map; each is
-    equally likely under uniform sampling.  Gradients of f_j at w come from
-    a single batched evaluation.
-    """
-    grads = problem.table_gradients(phi_table)
-    grads_at_w = _gradients_at_point(problem, w)
-    phi_sum = phi_table.sum(axis=0)
-    grad_sum = grads.sum(axis=0)
-    denom = alpha * problem.s * problem.n
-    branches = []
-    for j in range(problem.n):
-        phi_j = phi_table.copy()
-        phi_j[j] = w
-        new_phi_sum = phi_sum + (w - phi_table[j])
-        new_grad_sum = grad_sum + (grads_at_w[j] - grads[j])
-        w_j = new_phi_sum / problem.n - new_grad_sum / denom
-        branches.append((phi_j, w_j))
-    return branches
+    def __init__(self, problem, phi_table: np.ndarray, w: np.ndarray,
+                 alpha: float):
+        if alpha <= 0:
+            raise ValueError(f"alpha must be > 0, got {alpha}")
+        phi, w = _checked_state(problem, phi_table, w)
+        self.problem, self.alpha, self.phi, self.w = problem, alpha, phi, w
+        n = problem.n
+        self.denom = alpha * problem.s * n
+        self.values = problem.table_values(phi)
+        self.grads = grads = problem.table_gradients(phi)
+        self.grads_at_w = _gradients_at_point(problem, w)
+        self.base = _potential(problem, phi, self.values, grads, w)
+        # running-sum form of the map: replace row j's point and gradient
+        self.next_w = ((phi.sum(axis=0) + (w - phi)) / n
+                       - (grads.sum(axis=0) + (self.grads_at_w - grads))
+                       / self.denom)
+
+    @functools.cached_property
+    def branches(self) -> list[LyapunovTerms]:
+        """The potential after each update.  Branch j writes w into row j of
+        one working copy of the table and of its row values and gradients,
+        whose other rows are the base rows, and restores the row after."""
+        problem, phi, w = self.problem, self.phi, self.w
+        values_at_w = problem.table_values(np.broadcast_to(w, phi.shape))
+        table, values, grads = phi.copy(), self.values.copy(), self.grads.copy()
+        terms = []
+        for j, w_j in enumerate(self.next_w):
+            table[j], values[j], grads[j] = w, values_at_w[j], self.grads_at_w[j]
+            terms.append(_potential(problem, table, values, grads, w_j))
+            table[j], values[j], grads[j] = phi[j], self.values[j], self.grads[j]
+        return terms
+
+    def decrease_report(self, beta: float, tol: float = 1e-10) -> CheckReport:
+        if not admissible_parameters(self.alpha, beta):
+            raise ValueError(f"(alpha={self.alpha}, beta={beta}) is outside "
+                             "the admissible region")
+        _require_big_data(self.problem, beta)
+        total = self.base.total
+        lhs = float(np.mean([b.total for b in self.branches]))
+        rhs = (1.0 - 1.0 / (self.alpha * self.problem.n)) * total
+        return _le_report(
+            "expected-decrease", lhs, rhs, tol,
+            f"alpha={self.alpha:g} beta={beta:g} n={self.problem.n} "
+            f"T={total:.6g}", scale=total)
+
+    def bound_report(self, reference: ReferenceSolution,
+                     tol: float = 1e-9) -> CheckReport:
+        mapped = self.phi.mean(axis=0) - self.grads.sum(axis=0) / self.denom
+        scale = 1.0 + float(np.linalg.norm(mapped))
+        if float(np.linalg.norm(self.w - mapped)) > 1e-9 * scale:
+            raise ValueError("w is not the table map; the bound only covers "
+                             "map-consistent states")
+        return _le_report(
+            "suboptimality-bound", self.base.t1 - reference.f_star,
+            self.alpha * self.base.total, tol,
+            f"alpha={self.alpha:g} n={self.problem.n}", scale=0.0)
+
+    def term_shifts(self) -> LyapunovTerms:
+        def shift(term: str) -> float:
+            return (float(np.mean([getattr(b, term) for b in self.branches]))
+                    - getattr(self.base, term))
+        return LyapunovTerms(*map(shift, ("t1", "t2", "t3", "t4")))
+
+    def step_gap(self) -> float:
+        damped = self.w - self.problem.full_gradient(self.w) / self.denom
+        return float(np.linalg.norm(self.next_w.mean(axis=0) - damped))
+
+    def displacement_gap(self) -> float:
+        predicted = ((self.w - self.phi) / self.problem.n
+                     + (self.grads - self.grads_at_w) / self.denom)
+        residuals = (self.next_w - self.w) - predicted
+        return max([0.0] + [float(np.linalg.norm(r)) for r in residuals])
 
 
 def expected_decrease_check(problem, phi_table: np.ndarray, w: np.ndarray,
@@ -184,38 +265,14 @@ def expected_decrease_check(problem, phi_table: np.ndarray, w: np.ndarray,
     beta; both raise ValueError when unmet rather than report a failure,
     because outside them the claim is simply not made.
     """
-    if not admissible_parameters(alpha, beta):
-        raise ValueError(
-            f"(alpha={alpha}, beta={beta}) is outside the admissible region")
-    _require_big_data(problem, beta)
-    base = lyapunov_evaluate(problem, phi_table, w)
-    totals = [lyapunov_evaluate(problem, phi_j, w_j).total
-              for phi_j, w_j in _branch_maps(problem, phi_table, w, alpha)]
-    lhs = float(np.mean(totals))
-    rhs = (1.0 - 1.0 / (alpha * problem.n)) * base.total
-    return _le_report(
-        "expected-decrease", lhs, rhs, tol,
-        f"alpha={alpha:g} beta={beta:g} n={problem.n} T={base.total:.6g}",
-        scale=base.total)
+    return _Audit(problem, phi_table, w, alpha).decrease_report(beta, tol)
 
 
 def bound_gap_check(problem, phi_table: np.ndarray, w: np.ndarray,
                     alpha: float, reference: ReferenceSolution,
                     tol: float = 1e-9) -> CheckReport:
     """f(phi_bar) - f* <= alpha * T, valid when w is the table map."""
-    _require_smooth(problem)
-    phi_table = problem._check_table(phi_table)
-    w = problem._check_point(w)
-    mapped = finito_map(problem, phi_table, alpha)
-    scale = 1.0 + float(np.linalg.norm(mapped))
-    if float(np.linalg.norm(w - mapped)) > 1e-9 * scale:
-        raise ValueError("w is not the table map; the bound only covers "
-                         "map-consistent states")
-    terms = lyapunov_evaluate(problem, phi_table, w)
-    phi_bar = phi_table.mean(axis=0)
-    lhs = _objective_at(problem, phi_bar) - reference.f_star
-    return _le_report("suboptimality-bound", lhs, alpha * terms.total, tol,
-                      f"alpha={alpha:g} n={problem.n}", scale=0.0)
+    return _Audit(problem, phi_table, w, alpha).bound_report(reference, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -225,15 +282,7 @@ def bound_gap_check(problem, phi_table: np.ndarray, w: np.ndarray,
 def expected_term_shifts(problem, phi_table: np.ndarray, w: np.ndarray,
                          alpha: float) -> LyapunovTerms:
     """E[T_m'] - T_m for each potential term, by exact enumeration."""
-    base = lyapunov_evaluate(problem, phi_table, w)
-    branches = [lyapunov_evaluate(problem, phi_j, w_j)
-                for phi_j, w_j in _branch_maps(problem, phi_table, w, alpha)]
-    return LyapunovTerms(
-        t1=float(np.mean([b.t1 for b in branches])) - base.t1,
-        t2=float(np.mean([b.t2 for b in branches])) - base.t2,
-        t3=float(np.mean([b.t3 for b in branches])) - base.t3,
-        t4=float(np.mean([b.t4 for b in branches])) - base.t4,
-    )
+    return _Audit(problem, phi_table, w, alpha).term_shifts()
 
 
 def t3_shift_closed_form(problem, phi_table: np.ndarray, w: np.ndarray,
@@ -243,10 +292,7 @@ def t3_shift_closed_form(problem, phi_table: np.ndarray, w: np.ndarray,
         -(1/n + 1/n^2) T3 + (1/(alpha n)) <f'(w), w - phi_bar>
         - (1/(2 alpha^2 s n^3)) sum_j ||f_j'(phi_j) - f_j'(w)||^2
     """
-    _require_smooth(problem)
-    _require_strongly_convex(problem)
-    phi_table = problem._check_table(phi_table)
-    w = problem._check_point(w)
+    phi_table, w = _checked_state(problem, phi_table, w)
     n, s = problem.n, problem.s
     gaps = w[np.newaxis, :] - phi_table
     t3 = -0.5 * s * float(np.einsum("ij,ij->i", gaps, gaps).mean())
@@ -282,10 +328,7 @@ def expected_step_gap(problem, phi_table: np.ndarray, w: np.ndarray,
                       alpha: float) -> float:
     """|| E[w'] - (w - (1/(alpha s n)) f'(w)) ||: the mean update equals a
     damped gradient step at w.  Zero up to roundoff when w is the map."""
-    branches = _branch_maps(problem, phi_table, w, alpha)
-    mean_next = np.mean([w_j for _, w_j in branches], axis=0)
-    damped = w - problem.full_gradient(w) / (alpha * problem.s * problem.n)
-    return float(np.linalg.norm(mean_next - damped))
+    return _Audit(problem, phi_table, w, alpha).step_gap()
 
 
 def update_displacement_gap(problem, phi_table: np.ndarray, w: np.ndarray,
@@ -295,24 +338,12 @@ def update_displacement_gap(problem, phi_table: np.ndarray, w: np.ndarray,
         w_j' - w = (w - phi_j)/n + (f_j'(phi_j) - f_j'(w)) / (alpha s n),
 
     which holds exactly when w is the table map."""
-    _require_strongly_convex(problem)
-    phi_table = problem._check_table(phi_table)
-    w = problem._check_point(w)
-    grads = problem.table_gradients(phi_table)
-    grads_at_w = _gradients_at_point(problem, w)
-    denom = alpha * problem.s * problem.n
-    worst = 0.0
-    for j, (_, w_j) in enumerate(_branch_maps(problem, phi_table, w, alpha)):
-        predicted = (w - phi_table[j]) / problem.n + \
-            (grads[j] - grads_at_w[j]) / denom
-        worst = max(worst, float(np.linalg.norm((w_j - w) - predicted)))
-    return worst
+    return _Audit(problem, phi_table, w, alpha).displacement_gap()
 
 
 def variance_decomposition_gap(phi_table: np.ndarray, w: np.ndarray) -> float:
     """| mean_i ||w - phi_i||^2 - ||w - phi_bar||^2 - mean_i ||phi_bar - phi_i||^2 |."""
-    phi_table = np.asarray(phi_table, dtype=float)
-    w = np.asarray(w, dtype=float)
+    phi_table, w = np.asarray(phi_table, dtype=float), np.asarray(w, dtype=float)
     phi_bar = phi_table.mean(axis=0)
     gaps = w[np.newaxis, :] - phi_table
     spread = phi_bar[np.newaxis, :] - phi_table
@@ -326,9 +357,7 @@ def table_mean_descent_check(problem, phi_table: np.ndarray, w: np.ndarray,
                              tol: float = 1e-9) -> CheckReport:
     """E[T1'] - T1 <= (1/n) <f'(phi_bar), w - phi_bar>
                       + (L/(2 n^3)) sum_j ||w - phi_j||^2."""
-    _require_smooth(problem)
-    phi_table = problem._check_table(phi_table)
-    w = problem._check_point(w)
+    phi_table, w = _checked_state(problem, phi_table, w, strongly_convex=False)
     n = problem.n
     phi_bar = phi_table.mean(axis=0)
     t1 = _objective_at(problem, phi_bar)
@@ -380,15 +409,11 @@ def pair_checks(problem, x: np.ndarray, y: np.ndarray, tol: float = 1e-9,
     smoothness-upper, smoothness-lower, strong-convexity-lower,
     cocoercivity, strong-monotonicity."""
     _require_smooth(problem)
-    x = problem._check_point(x)
-    y = problem._check_point(y)
-    L = problem.lipschitz_constant()
-    s = problem.s
+    x, y = problem._check_point(x), problem._check_point(y)
+    L, s = problem.lipschitz_constant(), problem.s
     fx, fy = (float(v) for v in problem.objective_batch(np.stack([x, y])))
-    gx = problem.full_gradient(x)
-    gy = problem.full_gradient(y)
-    dxy = x - y
-    dg = gx - gy
+    gx, gy = problem.full_gradient(x), problem.full_gradient(y)
+    dxy, dg = x - y, gx - gy
     linear = fx + float(gx @ (y - x))
     return [
         _le_report("smoothness-upper",
@@ -409,12 +434,8 @@ def table_checks(problem, phi_table: np.ndarray, w: np.ndarray,
     """Summed table forms bounding the T2 term: table-strong-convexity
     (-f(w) - T2 <= -(s/2n) sum ||w - phi_i||^2) and table-smoothness-lower
     (<= -(1/(2Ln)) sum ||f_i'(w) - f_i'(phi_i)||^2)."""
-    _require_smooth(problem)
-    phi_table = problem._check_table(phi_table)
-    w = problem._check_point(w)
-    L = problem.lipschitz_constant()
-    s = problem.s
-    n = problem.n
+    phi_table, w = _checked_state(problem, phi_table, w, strongly_convex=False)
+    L, s, n = problem.lipschitz_constant(), problem.s, problem.n
     values = problem.table_values(phi_table)
     grads = problem.table_gradients(phi_table)
     gaps = w[np.newaxis, :] - phi_table
@@ -471,20 +492,13 @@ def strong_lb_check(problem, i: int, x: np.ndarray, y: np.ndarray,
     bound degenerates); raising keeps that precondition loud.
     """
     _require_smooth(problem)
-    L = problem.lipschitz_constant()
-    s = problem.s
+    L, s = problem.lipschitz_constant(), problem.s
     if L <= s:
-        raise ValueError(
-            f"needs L > s, got L={L:g}, s={s:g}")
-    x = problem._check_point(x)
-    y = problem._check_point(y)
-    fx = problem.component_value(i, x)
-    fy = problem.component_value(i, y)
-    gx = problem.component_gradient(i, x)
-    gy = problem.component_gradient(i, y)
-    dg = gx - gy
-    dyx = y - x
-    gap = L - s
+        raise ValueError(f"needs L > s, got L={L:g}, s={s:g}")
+    x, y = problem._check_point(x), problem._check_point(y)
+    fx, fy = problem.component_value(i, x), problem.component_value(i, y)
+    gx, gy = problem.component_gradient(i, x), problem.component_gradient(i, y)
+    dg, dyx, gap = gx - gy, y - x, L - s
     lhs = (fy + float(gy @ (x - y))
            + 0.5 * float(dg @ dg) / gap
            + 0.5 * s * L * float(dyx @ dyx) / gap
@@ -503,14 +517,9 @@ def big_data_lb_check(problem, phi_table: np.ndarray, x: np.ndarray,
                 + beta L/(2 n^2) sum_i ||x - phi_i||^2
                 + beta/n^2 sum_i <f_i'(x) - f_i'(phi_i), phi_i - x>.
     """
-    _require_smooth(problem)
-    _require_strongly_convex(problem)
     _require_big_data(problem, beta)
-    phi_table = problem._check_table(phi_table)
-    x = problem._check_point(x)
-    n = problem.n
-    L = problem.lipschitz_constant()
-    s = problem.s
+    phi_table, x = _checked_state(problem, phi_table, x)
+    n, L, s = problem.n, problem.lipschitz_constant(), problem.s
     values = problem.table_values(phi_table)
     grads = problem.table_gradients(phi_table)
     grads_at_x = _gradients_at_point(problem, x)
@@ -547,12 +556,8 @@ def _rate_bounds(problem, alpha: float, phi0: np.ndarray, ks) -> list[float]:
     for k in ks:
         if k < 0:
             raise ValueError(f"k must be >= 0, got {k}")
-    _require_smooth(problem)
-    _require_strongly_convex(problem)
-    phi0 = problem._check_point(phi0)
-    g = problem.full_gradient(phi0)
+    gg = _initial_gradient_energy(problem, alpha, phi0)
     c = 1.0 - 0.5 / alpha
-    gg = float(g @ g)
     return [(c / problem.s) * (1.0 - 1.0 / (alpha * problem.n)) ** k * gg
             for k in ks]
 
@@ -565,11 +570,10 @@ def _mean_curve(traces: list[list[TraceRecord]]):
     for t, trace in enumerate(traces):
         if [r.epoch for r in trace] != epochs:
             raise ValueError(f"trace {t} is on a different epoch grid")
-        for r in trace:
-            if not math.isfinite(r.suboptimality):
-                raise ValueError(
-                    "traces must carry a finite suboptimality column "
-                    "(run against a reference solution)")
+        if not all(math.isfinite(r.suboptimality) for r in trace):
+            raise ValueError(
+                "traces must carry a finite suboptimality column "
+                "(run against a reference solution)")
     means = [float(np.mean([trace[i].suboptimality for trace in traces]))
              for i in range(len(epochs))]
     return epochs, means
@@ -656,36 +660,29 @@ def suite_lyapunov(n: int, d: int, beta: float, states: int, seed: int,
     reports = [_eq_report("initial-potential", terms0.total, closed,
                           1e-12, closed, "all rows at w0")]
     for t in range(states):
-        phi = state.phi_table.copy()
-        w = state.w.copy()
+        phi, w = state.phi_table, state.w
         ctx = f"step={t}"
-        for report in (
-            expected_decrease_check(problem, phi, w, alpha, beta),
-            bound_gap_check(problem, phi, w, alpha, reference),
-            table_mean_descent_check(problem, phi, w),
-        ):
+        audit = _Audit(problem, phi, w, alpha)
+        for report in (audit.decrease_report(beta),
+                       audit.bound_report(reference),
+                       table_mean_descent_check(problem, phi, w)):
             report.context = f"{ctx} {report.context}"
             reports.append(report)
         scale = float(np.linalg.norm(w))
-        reports.append(_eq_report(
-            "expected-step-identity",
-            expected_step_gap(problem, phi, w, alpha), 0.0, 1e-12, scale, ctx))
-        reports.append(_eq_report(
-            "update-displacement-identity",
-            update_displacement_gap(problem, phi, w, alpha), 0.0, 1e-12,
-            scale, ctx))
-        reports.append(_eq_report(
-            "variance-decomposition",
-            variance_decomposition_gap(phi, w), 0.0, 1e-12,
-            float(np.einsum("ij,ij->", phi, phi)), ctx))
-        shifts = expected_term_shifts(problem, phi, w, alpha)
-        total = lyapunov_evaluate(problem, phi, w).total
-        reports.append(_eq_report(
-            "t3-shift-closed-form", shifts.t3,
-            t3_shift_closed_form(problem, phi, w, alpha), 1e-12, total, ctx))
-        reports.append(_eq_report(
-            "t4-shift-closed-form", shifts.t4,
-            t4_shift_closed_form(problem, phi, w), 1e-12, total, ctx))
+        shifts = audit.term_shifts()
+        total = audit.base.total
+        for name, lhs, rhs, size in (
+            ("expected-step-identity", audit.step_gap(), 0.0, scale),
+            ("update-displacement-identity", audit.displacement_gap(), 0.0,
+             scale),
+            ("variance-decomposition", variance_decomposition_gap(phi, w), 0.0,
+             float(np.einsum("ij,ij->", phi, phi))),
+            ("t3-shift-closed-form", shifts.t3,
+             t3_shift_closed_form(problem, phi, w, alpha), total),
+            ("t4-shift-closed-form", shifts.t4,
+             t4_shift_closed_form(problem, phi, w), total),
+        ):
+            reports.append(_eq_report(name, lhs, rhs, 1e-12, size, ctx))
         finito_step(state, problem, sampler.next_index())
     return reports
 

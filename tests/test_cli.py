@@ -121,6 +121,22 @@ def test_miso_without_strong_convexity_exits_one(tmp_path):
         assert "divides by alpha*s*n" in err
 
 
+# each of these once escaped cli.main as a traceback or exited 2 ("diverged")
+@pytest.mark.parametrize("argv,message", [
+    pytest.param(["run", "--synth", "n=10,d=2,loss=hinge"],
+                 "unknown loss 'hinge'", id="unknown-synth-loss"),
+    pytest.param(["run", "--synth", "n=10,d=2", "--record-every", "inf"],
+                 "record_every must be finite", id="record-every-inf"),
+    pytest.param(["run", "--synth", "n=10,d=2", "--alpha", "nan"],
+                 "alpha must be finite", id="alpha-nan"),
+])
+def test_invalid_values_exit_one_without_traceback(argv, message):
+    code, _, err = call(argv)
+    assert code == 1
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_divergence_exits_two_with_partial_trace():
     code, out, err = call(["run", "--synth", SYNTH, "--solver",
                            "full-gradient", "--step", "1e9", "--epochs", "4"])

@@ -274,6 +274,15 @@ def test_checkpoint_corruption_detected(synth_tiny, tmp_path):
     pytest.param("prox-finito", "audit ", lambda line: "audit 0",
                  "proximal 1, audit 0 contradict solver 'prox-finito'",
                  id="prox-finito-audit 0"),
+    # scalar values that do not parse name their key and line
+    pytest.param("finito", "k ", lambda line: "k x",
+                 "line 5: bad 'k' value 'x'", id="finito-k x"),
+    pytest.param("finito", "proximal ", lambda line: "proximal yes",
+                 "line 8: bad 'proximal' value 'yes'", id="finito-proximal yes"),
+    pytest.param("finito", "alpha ", lambda line: "alpha two",
+                 "line 7: bad 'alpha' value 'two'", id="finito-alpha two"),
+    pytest.param("sag", "sampling_seed ", lambda line: "sampling_seed True",
+                 "bad 'sampling_seed' value 'True'", id="sag-sampling_seed True"),
 ])
 def test_checkpoint_missing_entry_is_format_error(synth_tiny, tmp_path,
                                                   solver, prefix, edit, match):

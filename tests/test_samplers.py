@@ -159,3 +159,14 @@ def test_draws_counts_consumed_indices():
     for m in range(1, 9):
         resumed.next_index()
         assert resumed.draws == 8 + m
+
+
+def test_scheme_seed_is_an_integer():
+    # a bool seed once drew the seed-1 stream and wrote a checkpoint that
+    # could not be loaded; a float failed only later, inside numpy
+    for bad in (True, False, np.bool_(True), 2.5, "3"):
+        with pytest.raises(TypeError):
+            SamplingScheme(UNIFORM, bad)
+    scheme = SamplingScheme(UNIFORM, np.int64(3))
+    assert type(scheme.seed) is int and scheme.seed == 3
+    assert draw(scheme, 6, 12) == draw(SamplingScheme(UNIFORM, 3), 6, 12)

@@ -3,12 +3,16 @@
 import numpy as np
 import pytest
 
+import finito.theory as theory
 from finito import (
     CheckReport,
+    IndexSampler,
     QuadraticProblem,
     StrongConvexityRequired,
     SamplingScheme,
     SolverConfig,
+    SynthSpec,
+    UNIFORM,
     admissible_parameters,
     big_data_lb_check,
     bound_gap_check,
@@ -29,6 +33,7 @@ from finito import (
     reference_solve,
     run,
     strong_lb_check,
+    synth_problem,
     t3_shift_closed_form,
     t4_shift_closed_form,
     table_checks,
@@ -36,6 +41,7 @@ from finito import (
     update_displacement_gap,
     variance_decomposition_gap,
 )
+from finito.theory import suite_lyapunov
 
 
 def trajectory_states(problem, steps, alpha=2.0, seed=0):
@@ -169,6 +175,104 @@ def test_table_mean_descent_along_trajectory(synth_tiny):
     problem, _ = synth_tiny
     for phi, w in trajectory_states(problem, 20, seed=5):
         assert table_mean_descent_check(problem, phi, w).satisfied
+
+
+# -- one audit per state -----------------------------------------------------------
+
+# suite_lyapunov reports one initial-potential row, then these rows per state
+SUITE_ROWS = ("expected-decrease", "suboptimality-bound", "table-mean-descent",
+              "expected-step-identity", "update-displacement-identity",
+              "variance-decomposition", "t3-shift-closed-form",
+              "t4-shift-closed-form")
+
+
+def suite_states(n, d, beta, states, seed, alpha):
+    """The problem, reference and (phi, w) states suite_lyapunov audits."""
+    problem, reference = synth_problem(
+        SynthSpec(n=n, d=d, loss="logistic", target_beta=beta, seed=seed))
+    st = finito_init(problem, alpha, w0=np.zeros(d), audit=True)
+    sampler = IndexSampler(SamplingScheme(UNIFORM, seed), problem.n)
+    pairs = []
+    for _ in range(states):
+        pairs.append((st.phi_table.copy(), st.w.copy()))
+        finito_step(st, problem, sampler.next_index())
+    return problem, reference, pairs
+
+
+def test_public_checks_equal_suite_rows():
+    n, d, beta, alpha, seed, states = 12, 3, 2.0, 2.0, 4, 4
+    rows = suite_lyapunov(n, d, beta, states, seed, alpha)
+    problem, reference, pairs = suite_states(n, d, beta, states, seed, alpha)
+    for t, (phi, w) in enumerate(pairs):
+        block = rows[1 + len(SUITE_ROWS) * t:1 + len(SUITE_ROWS) * (t + 1)]
+        assert tuple(r.name for r in block) == SUITE_ROWS
+        row = {r.name: r for r in block}
+        for report in (expected_decrease_check(problem, phi, w, alpha, beta),
+                       bound_gap_check(problem, phi, w, alpha, reference)):
+            got = row[report.name]
+            assert (got.lhs.hex(), got.rhs.hex(), got.slack.hex(),
+                    got.satisfied, got.context) == (
+                report.lhs.hex(), report.rhs.hex(), report.slack.hex(),
+                report.satisfied, f"step={t} {report.context}")
+        shifts = expected_term_shifts(problem, phi, w, alpha)
+        gaps = {
+            "expected-step-identity": expected_step_gap(problem, phi, w, alpha),
+            "update-displacement-identity":
+                update_displacement_gap(problem, phi, w, alpha),
+            "t3-shift-closed-form": shifts.t3,
+            "t4-shift-closed-form": shifts.t4,
+        }
+        for name, value in gaps.items():
+            assert row[name].lhs.hex() == value.hex(), name
+
+
+def test_public_checks_leave_inputs_unchanged(synth_tiny):
+    problem, ref = synth_tiny
+    phi, w = trajectory_states(problem, 7)[-1]
+    off_map = w + 0.5
+    calls = [
+        lambda: expected_decrease_check(problem, phi, w, 2.0, 2.0),
+        lambda: bound_gap_check(problem, phi, w, 2.0, ref),
+        lambda: expected_term_shifts(problem, phi, w, 2.0),
+        lambda: expected_step_gap(problem, phi, w, 2.0),
+        lambda: update_displacement_gap(problem, phi, w, 2.0),
+    ]
+    failing = [
+        lambda: expected_decrease_check(problem, phi, w, 1.5, 2.0),
+        lambda: expected_decrease_check(problem, phi, w, 2.0, 50.0),
+        lambda: bound_gap_check(problem, phi, off_map, 2.0, ref),
+    ]
+    before = [a.copy() for a in (phi, w, off_map)]
+    for call in calls:
+        call()
+    for call in failing:
+        with pytest.raises(ValueError):
+            call()
+    for a, b in zip((phi, w, off_map), before):
+        assert np.array_equal(a, b)
+
+
+def test_suite_evaluates_each_branch_potential_once(monkeypatch):
+    calls = []
+    potential = theory._potential
+    audit = theory._Audit
+
+    def counted(*args):
+        calls.append("potential")
+        return potential(*args)
+
+    def counted_audit(*args):
+        calls.append("audit")
+        return audit(*args)
+
+    monkeypatch.setattr(theory, "_potential", counted)
+    monkeypatch.setattr(theory, "_Audit", counted_audit)
+    n, states = 40, 3
+    suite_lyapunov(n, 5, 2.0, states, 0, 2.0)
+    # the initial-potential row, then per state one audit: the base
+    # potential and one per branch
+    assert calls.count("audit") == states
+    assert calls.count("potential") == 1 + states * (n + 1)
 
 
 # -- inequality suites ---------------------------------------------------------------
