@@ -406,7 +406,7 @@ def checkpoint_load(source, problem):
     def _table(name: str) -> np.ndarray:
         return _need(name, tables, "table")
 
-    solver = _need("solver")[0]
+    solver = _scalar("solver", str)
     d = _scalar("d")
     if d != problem.d:
         raise CheckpointFormatError(
@@ -443,7 +443,7 @@ def checkpoint_load(source, problem):
         raise CheckpointFormatError(f"counters k={state.k} seen={state.seen}: "
                                     f"need seen == n={problem.n} or 0 <= seen == k < n")
     sampler = None
-    sampling = _need("sampling")[0]
+    sampling = _scalar("sampling", str)
     if sampling != "none":
         scheme = SamplingScheme.from_name(sampling, _scalar("sampling_seed"))
         sampler = IndexSampler(scheme, problem.n).skip_to(_scalar("draws"))

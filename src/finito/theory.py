@@ -150,18 +150,13 @@ def initial_lyapunov(problem, phi0: np.ndarray, alpha: float) -> float:
 
     Closed form: (1 - 1/(2*alpha)) * ||f'(phi0)||^2 / (alpha * s).
     """
-    return ((1.0 - 0.5 / alpha) * _initial_gradient_energy(problem, alpha, phi0)
-            / (alpha * problem.s))
-
-
-def _initial_gradient_energy(problem, alpha: float, phi0: np.ndarray) -> float:
-    # ||f'(phi0)||^2, the scale of both the initial potential and the rate bound
     if alpha <= 0:
         raise ValueError(f"alpha must be > 0, got {alpha}")
     _require_smooth(problem)
     _require_strongly_convex(problem)
-    g = problem.full_gradient(problem._check_point(phi0))
-    return float(g @ g)
+    phi0 = problem._check_point(phi0)
+    g = problem.full_gradient(phi0)
+    return (1.0 - 0.5 / alpha) * float(g @ g) / (alpha * problem.s)
 
 
 def admissible_parameters(alpha: float, beta: float) -> bool:
@@ -228,7 +223,7 @@ class _Audit:
 
     def bound_report(self, reference: ReferenceSolution,
                      tol: float = 1e-9) -> CheckReport:
-        mapped = self.phi.mean(axis=0) - self.grads.sum(axis=0) / self.denom
+        mapped = finito_map(self.problem, self.phi, self.alpha)
         scale = 1.0 + float(np.linalg.norm(mapped))
         if float(np.linalg.norm(self.w - mapped)) > 1e-9 * scale:
             raise ValueError("w is not the table map; the bound only covers "
@@ -343,7 +338,8 @@ def update_displacement_gap(problem, phi_table: np.ndarray, w: np.ndarray,
 
 def variance_decomposition_gap(phi_table: np.ndarray, w: np.ndarray) -> float:
     """| mean_i ||w - phi_i||^2 - ||w - phi_bar||^2 - mean_i ||phi_bar - phi_i||^2 |."""
-    phi_table, w = np.asarray(phi_table, dtype=float), np.asarray(w, dtype=float)
+    phi_table = np.asarray(phi_table, dtype=float)
+    w = np.asarray(w, dtype=float)
     phi_bar = phi_table.mean(axis=0)
     gaps = w[np.newaxis, :] - phi_table
     spread = phi_bar[np.newaxis, :] - phi_table
@@ -409,11 +405,15 @@ def pair_checks(problem, x: np.ndarray, y: np.ndarray, tol: float = 1e-9,
     smoothness-upper, smoothness-lower, strong-convexity-lower,
     cocoercivity, strong-monotonicity."""
     _require_smooth(problem)
-    x, y = problem._check_point(x), problem._check_point(y)
-    L, s = problem.lipschitz_constant(), problem.s
+    x = problem._check_point(x)
+    y = problem._check_point(y)
+    L = problem.lipschitz_constant()
+    s = problem.s
     fx, fy = (float(v) for v in problem.objective_batch(np.stack([x, y])))
-    gx, gy = problem.full_gradient(x), problem.full_gradient(y)
-    dxy, dg = x - y, gx - gy
+    gx = problem.full_gradient(x)
+    gy = problem.full_gradient(y)
+    dxy = x - y
+    dg = gx - gy
     linear = fx + float(gx @ (y - x))
     return [
         _le_report("smoothness-upper",
@@ -435,7 +435,9 @@ def table_checks(problem, phi_table: np.ndarray, w: np.ndarray,
     (-f(w) - T2 <= -(s/2n) sum ||w - phi_i||^2) and table-smoothness-lower
     (<= -(1/(2Ln)) sum ||f_i'(w) - f_i'(phi_i)||^2)."""
     phi_table, w = _checked_state(problem, phi_table, w, strongly_convex=False)
-    L, s, n = problem.lipschitz_constant(), problem.s, problem.n
+    L = problem.lipschitz_constant()
+    s = problem.s
+    n = problem.n
     values = problem.table_values(phi_table)
     grads = problem.table_gradients(phi_table)
     gaps = w[np.newaxis, :] - phi_table
@@ -492,13 +494,20 @@ def strong_lb_check(problem, i: int, x: np.ndarray, y: np.ndarray,
     bound degenerates); raising keeps that precondition loud.
     """
     _require_smooth(problem)
-    L, s = problem.lipschitz_constant(), problem.s
+    L = problem.lipschitz_constant()
+    s = problem.s
     if L <= s:
-        raise ValueError(f"needs L > s, got L={L:g}, s={s:g}")
-    x, y = problem._check_point(x), problem._check_point(y)
-    fx, fy = problem.component_value(i, x), problem.component_value(i, y)
-    gx, gy = problem.component_gradient(i, x), problem.component_gradient(i, y)
-    dg, dyx, gap = gx - gy, y - x, L - s
+        raise ValueError(
+            f"needs L > s, got L={L:g}, s={s:g}")
+    x = problem._check_point(x)
+    y = problem._check_point(y)
+    fx = problem.component_value(i, x)
+    fy = problem.component_value(i, y)
+    gx = problem.component_gradient(i, x)
+    gy = problem.component_gradient(i, y)
+    dg = gx - gy
+    dyx = y - x
+    gap = L - s
     lhs = (fy + float(gy @ (x - y))
            + 0.5 * float(dg @ dg) / gap
            + 0.5 * s * L * float(dyx @ dyx) / gap
@@ -519,7 +528,9 @@ def big_data_lb_check(problem, phi_table: np.ndarray, x: np.ndarray,
     """
     _require_big_data(problem, beta)
     phi_table, x = _checked_state(problem, phi_table, x)
-    n, L, s = problem.n, problem.lipschitz_constant(), problem.s
+    n = problem.n
+    L = problem.lipschitz_constant()
+    s = problem.s
     values = problem.table_values(phi_table)
     grads = problem.table_gradients(phi_table)
     grads_at_x = _gradients_at_point(problem, x)
@@ -556,8 +567,12 @@ def _rate_bounds(problem, alpha: float, phi0: np.ndarray, ks) -> list[float]:
     for k in ks:
         if k < 0:
             raise ValueError(f"k must be >= 0, got {k}")
-    gg = _initial_gradient_energy(problem, alpha, phi0)
+    _require_smooth(problem)
+    _require_strongly_convex(problem)
+    phi0 = problem._check_point(phi0)
+    g = problem.full_gradient(phi0)
     c = 1.0 - 0.5 / alpha
+    gg = float(g @ g)
     return [(c / problem.s) * (1.0 - 1.0 / (alpha * problem.n)) ** k * gg
             for k in ks]
 
@@ -570,10 +585,11 @@ def _mean_curve(traces: list[list[TraceRecord]]):
     for t, trace in enumerate(traces):
         if [r.epoch for r in trace] != epochs:
             raise ValueError(f"trace {t} is on a different epoch grid")
-        if not all(math.isfinite(r.suboptimality) for r in trace):
-            raise ValueError(
-                "traces must carry a finite suboptimality column "
-                "(run against a reference solution)")
+        for r in trace:
+            if not math.isfinite(r.suboptimality):
+                raise ValueError(
+                    "traces must carry a finite suboptimality column "
+                    "(run against a reference solution)")
     means = [float(np.mean([trace[i].suboptimality for trace in traces]))
              for i in range(len(epochs))]
     return epochs, means
