@@ -252,6 +252,33 @@ def test_public_checks_leave_inputs_unchanged(synth_tiny):
         assert np.array_equal(a, b)
 
 
+def reference_branches(problem, phi, w, alpha):
+    """The enumeration the audit replaced: per branch, a fresh table copy and
+    a full potential evaluation."""
+    grads = problem.table_gradients(phi)
+    grads_at_w = problem.table_gradients(np.broadcast_to(w, phi.shape))
+    phi_sum, grad_sum = phi.sum(axis=0), grads.sum(axis=0)
+    denom = alpha * problem.s * problem.n
+    out = []
+    for j in range(problem.n):
+        phi_j = phi.copy()
+        phi_j[j] = w
+        w_j = ((phi_sum + (w - phi[j])) / problem.n
+               - (grad_sum + (grads_at_w[j] - grads[j])) / denom)
+        out.append((w_j, lyapunov_evaluate(problem, phi_j, w_j)))
+    return out
+
+
+def test_audit_branches_equal_full_reevaluation(synth_tiny):
+    # reusing the base rows must not move a bit of any branch
+    problem, _ = synth_tiny
+    for phi, w in trajectory_states(problem, 12, seed=3)[::3]:
+        audit = theory._Audit(problem, phi, w, 2.0)
+        expected = reference_branches(problem, phi, w, 2.0)
+        assert np.array_equal(audit.next_w, np.stack([w_j for w_j, _ in expected]))
+        assert audit.branches == [terms for _, terms in expected]
+
+
 def test_suite_evaluates_each_branch_potential_once(monkeypatch):
     calls = []
     potential = theory._potential
