@@ -1,9 +1,11 @@
 """Problem ingestion and run persistence: LIBSVM text, synthetic generators,
 trace CSV, and bit-exact solver checkpoints.
 
-Path arguments accept str/Path or open file objects.  parse_libsvm treats a
-plain str as the file *content* (the format is line-oriented text); everything
-else here treats str/Path as a filesystem path.
+Checkpoint layouts come from the state dataclasses in solvers (array fields,
+plus _SCALAR_LINES), and loading goes through the state's constructor and
+its invariant checks.  Path arguments accept str/Path or open file objects.
+parse_libsvm treats a plain str as the file *content* (the format is
+line-oriented text); everything else here treats str/Path as a filesystem path.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import math
 import re
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +27,14 @@ from .solvers import (FINITO_TAGS, FinitoState, FullGradientState, SagState,
 
 TRACE_HEADER = "epoch,objective,suboptimality,grad_norm,wall_ms,solver,sampling,seed"
 CHECKPOINT_MAGIC = "FINITOCKPT 1"
+# the scalar lines of each state class, in file order
+_SCALAR_LINES = {
+    FinitoState: ("n", "d", "k", "seen", "alpha", "proximal", "audit"),
+    SagState: ("n", "d", "k", "seen", "step"),
+    FullGradientState: ("d", "k"),
+}
+_STATE_CLASSES = {**dict.fromkeys(FINITO_TAGS, FinitoState),
+                  **{cls.solver_tag: cls for cls in (SagState, FullGradientState)}}
 
 # dense materialization above this many bytes draws a warning
 DENSE_WARN_BYTES = 1 << 30
@@ -268,57 +278,47 @@ def _parse_hex_vector(line: str, line_no: int, d: int) -> np.ndarray:
     return np.array(values, dtype=float)
 
 
+def _arrays(cls) -> list:
+    # (field, line name, is a table) per array field, in field order; field
+    # x_table is table x, any other array field a vec line
+    return [(f, f.name.removesuffix("_table"), f.name.endswith("_table"))
+            for f in fields(cls) if "ndarray" in str(f.type)]
+
+
 def checkpoint_save(state, sink, sampler: IndexSampler | None = None) -> None:
     """Serialize solver state (and optionally the sampler position).
 
-    Table rows and vectors are written as hexadecimal float literals, so
-    save -> load -> save is byte-identical and resumed runs replay the exact
-    arithmetic of an uninterrupted one.  Lines are written one at a time, so
-    no copy of the whole file is built in memory.
+    The layout follows the state class: its _SCALAR_LINES, then a vec line
+    per vector field and a table per x_table field (optional ones when set),
+    in field order.  Floats are hexadecimal literals, so save -> load -> save
+    is byte-identical and resumed runs replay the exact arithmetic of an
+    uninterrupted one.  Lines are written one at a time, never the whole file.
     """
+    cls = type(state)
+    if cls not in _SCALAR_LINES:
+        raise TypeError(f"cannot checkpoint {cls.__name__}")
+    # the vec lines, then the tables, each in field order (sorted is stable)
+    arrays = sorted(((is_table, name, getattr(state, f.name))
+                     for f, name, is_table in _arrays(cls)
+                     if getattr(state, f.name) is not None), key=lambda a: a[0])
+    sizes = {"n": next((len(a) for is_table, _, a in arrays if is_table), None),
+             "d": len(state.w)}
+    floats = {f.name for f in fields(cls) if "float" in str(f.type)}
     lines = [CHECKPOINT_MAGIC, f"solver {state.solver_tag}"]
-    vectors: list[tuple[str, np.ndarray]] = []
-    tables: list[tuple[str, np.ndarray]] = []
-    if isinstance(state, FinitoState):
-        n, d = state.p_table.shape
-        lines += [f"n {n}", f"d {d}", f"k {state.k}", f"seen {state.seen}",
-                  f"alpha {_format_float(state.alpha)}",
-                  f"proximal {int(state.proximal)}",
-                  f"audit {int(state.audit)}"]
-        vectors.append(("w", state.w))
-        vectors.append(("p_sum", state.p_sum))
-        tables.append(("p", state.p_table))
-        if state.audit:
-            vectors.append(("phi_sum", state.phi_sum))
-            vectors.append(("grad_sum", state.grad_sum))
-            tables.append(("phi", state.phi_table))
-            tables.append(("grad", state.grad_table))
-    elif isinstance(state, SagState):
-        n, d = state.grad_table.shape
-        lines += [f"n {n}", f"d {d}", f"k {state.k}", f"seen {state.seen}",
-                  f"step {_format_float(state.step)}"]
-        vectors.append(("w", state.w))
-        vectors.append(("grad_sum", state.grad_sum))
-        tables.append(("grad", state.grad_table))
-    elif isinstance(state, FullGradientState):
-        lines += [f"d {state.w.shape[0]}", f"k {state.k}"]
-        vectors.append(("w", state.w))
-    else:
-        raise TypeError(f"cannot checkpoint {type(state).__name__}")
-    if sampler is not None:
-        lines += [f"sampling {sampler.scheme.kind}",
-                  f"sampling_seed {sampler.scheme.seed}",
-                  f"draws {sampler.draws}"]
-    else:
-        lines.append("sampling none")
+    for key in _SCALAR_LINES[cls]:
+        value = sizes[key] if key in sizes else getattr(state, key)
+        lines.append(f"{key} {_format_float(value) if key in floats else int(value)}")
+    lines += (["sampling none"] if sampler is None else
+              [f"sampling {sampler.scheme.kind}",
+               f"sampling_seed {sampler.scheme.seed}", f"draws {sampler.draws}"])
     with _open_text(sink, "w") as handle:
-        for line in lines:
-            handle.write(line + "\n")
-        for name, vec in vectors:
-            handle.write(f"vec {name} {_hex_vector(vec)}\n")
-        for name, table in tables:
-            handle.write(f"table {name} {table.shape[0]}\n")
-            for row in table:
+        handle.writelines(line + "\n" for line in lines)
+        for is_table, name, a in arrays:
+            if not is_table:
+                handle.write(f"vec {name} {_hex_vector(a)}\n")
+                continue
+            handle.write(f"table {name} {len(a)}\n")
+            for row in a:
                 handle.write(_hex_vector(row) + "\n")
         handle.write("END\n")
 
@@ -326,11 +326,13 @@ def checkpoint_save(state, sink, sampler: IndexSampler | None = None) -> None:
 def checkpoint_load(source, problem):
     """Rebuild (state, sampler) from a checkpoint, verifying problem shape.
 
-    CheckpointFormatError covers missing entries, scalar values that do not
-    parse (naming the key and the line), vectors not of length d, tables not
-    n x d, counters other than seen == n or 0 <= seen == k < n, and the lines
-    the solver tag implies: `proximal` must be 1 exactly for prox-finito,
-    which must also say `audit 1`.
+    The solver tag picks the state class, whose layout (see checkpoint_save)
+    says what to read; `audit 1` adds the optional arrays.  Missing entries,
+    scalar values that do not parse (naming the key and the line), vectors
+    not of length d, tables not n x d, a `proximal` or `audit` line the tag
+    contradicts (prox-finito needs both 1, others proximal 0) and any
+    ValueError the state or sampler raises at construction (alpha, step,
+    counters, sampling kind, seed, draws) are CheckpointFormatError.
     """
     kv: dict[str, tuple[str, int]] = {}   # key -> (value text, line number)
     vectors: dict[str, np.ndarray] = {}
@@ -400,51 +402,36 @@ def checkpoint_load(source, problem):
     if not saw_end:
         raise CheckpointFormatError("truncated checkpoint: missing END marker")
 
-    def _vec(name: str) -> np.ndarray:
-        return _need(name, vectors, "vec")
-
-    def _table(name: str) -> np.ndarray:
-        return _need(name, tables, "table")
-
     solver = _scalar("solver", str)
-    d = _scalar("d")
-    if d != problem.d:
-        raise CheckpointFormatError(
-            f"dimension mismatch: checkpoint d={d}, problem d={problem.d}")
-    n = _scalar("n", default=problem.n)
-    if n != problem.n:
-        raise CheckpointFormatError(
-            f"dimension mismatch: checkpoint n={n}, problem n={problem.n}")
-    if solver in FINITO_TAGS:
-        state = FinitoState(
-            alpha=_scalar("alpha", float), k=_scalar("k"),
-            seen=_scalar("seen"), w=_vec("w"),
-            p_table=_table("p"), p_sum=_vec("p_sum"), solver_tag=solver)
-        # the tag implies these lines; a file that disagrees was edited
-        proximal, audit = _scalar("proximal"), _scalar("audit")
-        if proximal != state.proximal or (state.proximal and not audit):
-            raise CheckpointFormatError(f"proximal {proximal}, audit {audit} contradict "
-                                        f"solver {solver!r}")
-        if audit:
-            state.phi_table = _table("phi")
-            state.grad_table = _table("grad")
-            state.phi_sum = _vec("phi_sum")
-            state.grad_sum = _vec("grad_sum")
-    elif solver == "sag":
-        state = SagState(step=_scalar("step", float), k=_scalar("k"),
-                         seen=_scalar("seen"), w=_vec("w"),
-                         grad_table=_table("grad"), grad_sum=_vec("grad_sum"))
-    elif solver == "full-gradient":
-        state = FullGradientState(w=_vec("w"), k=_scalar("k"))
-    else:
+    for key, got in (("d", _scalar("d")), ("n", _scalar("n", default=problem.n))):
+        if got != getattr(problem, key):
+            raise CheckpointFormatError(f"dimension mismatch: checkpoint {key}={got},"
+                                        f" problem {key}={getattr(problem, key)}")
+    cls = _STATE_CLASSES.get(solver)
+    if cls is None:
         raise CheckpointFormatError(f"unknown solver tag {solver!r}")
-    if not isinstance(state, FullGradientState) and not (
-            state.seen == problem.n or 0 <= state.seen == state.k < problem.n):
-        raise CheckpointFormatError(f"counters k={state.k} seen={state.seen}: "
-                                    f"need seen == n={problem.n} or 0 <= seen == k < n")
+    scalars = _SCALAR_LINES[cls]
+    audit = "audit" in scalars and _scalar("audit")
+    args = {f.name: _scalar(f.name, float if "float" in str(f.type) else int)
+            for f in fields(cls) if f.name in scalars}
+    if any(f.name == "solver_tag" for f in fields(cls)):
+        args["solver_tag"] = solver
+    for f, name, is_table in _arrays(cls):
+        if f.default is not None or audit:  # the optional arrays need audit 1
+            args[f.name] = (_need(name, tables, "table") if is_table
+                            else _need(name, vectors, "vec"))
     sampler = None
     sampling = _scalar("sampling", str)
-    if sampling != "none":
-        scheme = SamplingScheme.from_name(sampling, _scalar("sampling_seed"))
-        sampler = IndexSampler(scheme, problem.n).skip_to(_scalar("draws"))
+    try:
+        state = cls(**args)
+        if sampling != "none":
+            scheme = SamplingScheme.from_name(sampling, _scalar("sampling_seed"))
+            sampler = IndexSampler(scheme, problem.n).skip_to(_scalar("draws"))
+    except ValueError as exc:
+        raise CheckpointFormatError(str(exc)) from None
+    # the tag implies these lines; a file that disagrees was edited
+    proximal = "proximal" in scalars and _scalar("proximal")
+    if proximal != getattr(state, "proximal", False) or (proximal and not audit):
+        raise CheckpointFormatError(f"proximal {proximal}, audit {audit} contradict "
+                                    f"solver {solver!r}")
     return state, sampler

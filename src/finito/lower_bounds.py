@@ -24,8 +24,9 @@ from .solvers import (finito_first_pass_step, finito_init,
                       sag_first_pass_step, sag_init)
 from .theory import CheckReport, _le_report
 
-# simulate_unseen draws this many trials' sequences per batch
+# trials per simulate_unseen batch, and the most bytes its int64 draws may take
 _TRIAL_CHUNK = 16_384
+_MAX_DRAW_BYTES = 1 << 30
 
 
 @dataclass
@@ -147,6 +148,9 @@ def simulate_unseen(n: int, k, trials: int = 100_000,
     if trials < 2:
         raise ValueError(f"need trials >= 2, got {trials}")
     k_max = ks[-1]
+    if min(_TRIAL_CHUNK, trials) * k_max * 8 > _MAX_DRAW_BYTES:
+        raise ValueError(f"k={k_max} needs over {_MAX_DRAW_BYTES >> 30} GiB of "
+                         "draws per batch")
     rng = np.random.default_rng([seed])
     sums = dict.fromkeys(ks, 0.0)
     sq_sums = dict.fromkeys(ks, 0.0)

@@ -71,6 +71,10 @@ class FinitoState:
     phi_table/grad_table (with running sums) and still maintains p_table so
     the two storage forms can be cross-checked.  `proximal` is not settable:
     it is derived from the tag, true exactly for "prox-finito".
+
+    Construction checks the tag (one of FINITO_TAGS), alpha (finite, > 0)
+    and, with n = len(p_table), seen == n or (mid first pass) 0 <= seen == k
+    < n.  The array fields are the checkpoint's vec and table lines.
     """
 
     alpha: float
@@ -86,6 +90,10 @@ class FinitoState:
     solver_tag: str = "finito"
 
     def __post_init__(self):
+        if self.solver_tag not in FINITO_TAGS:
+            raise ValueError(f"finito_init builds {', '.join(FINITO_TAGS)} states, "
+                             f"not {self.solver_tag!r}")
+        _check_table_state("alpha", self.alpha, self.k, self.seen, self.p_table)
         # a plain attribute, not a property: _next_w reads it every step
         self.proximal = self.solver_tag == "prox-finito"
 
@@ -96,7 +104,8 @@ class FinitoState:
 
 @dataclass
 class SagState:
-    """State for the stored-gradient averaging baseline."""
+    """State for the stored-gradient averaging baseline; construction checks
+    step and the counters as FinitoState checks alpha and its counters."""
 
     step: float
     k: int
@@ -105,6 +114,9 @@ class SagState:
     grad_table: np.ndarray
     grad_sum: np.ndarray
     solver_tag: ClassVar[str] = "sag"
+
+    def __post_init__(self):
+        _check_table_state("step", self.step, self.k, self.seen, self.grad_table)
 
 
 @dataclass
@@ -142,6 +154,14 @@ def _require_positive(name: str, value: float) -> None:
     # NaN fails both comparisons, so it is rejected along with 0, < 0 and inf
     if not 0 < value < math.inf:
         raise ValueError(f"{name} must be finite and > 0, got {value}")
+
+
+def _check_table_state(name: str, value: float, k: int, seen: int, table) -> None:
+    # every row is filled, or the first pass has admitted exactly k rows
+    _require_positive(name, value)
+    if not (seen == len(table) or 0 <= seen == k < len(table)):
+        raise ValueError(f"counters k={k} seen={seen}: "
+                         f"need seen == n={len(table)} or 0 <= seen == k < n")
 
 
 def _recompute_sums(state: FinitoState | SagState) -> tuple:
@@ -247,19 +267,13 @@ def finito_init(problem, alpha: float, w0=None, audit: bool = False,
     (each refreshed w goes through the L1 prox with step 1/(alpha*s)) and
     forces audit storage, so phi_bar and the gradient sum stay explicit.
     """
-    if solver_tag not in FINITO_TAGS:
-        raise ValueError(f"finito_init builds {', '.join(FINITO_TAGS)} states, "
-                         f"not {solver_tag!r}")
-    _require_positive("alpha", alpha)
-    if problem.s == 0.0:
-        raise StrongConvexityRequired("the table update divides by alpha*s*n")
     n, d = problem.n, problem.d
-    if w0 is None:
-        w0 = np.zeros(d)
-    w0 = problem._check_point(w0)
+    w0 = problem._check_point(np.zeros(d) if w0 is None else w0)
     state = FinitoState(alpha=float(alpha), k=0, seen=0, w=w0.copy(),
                         p_table=np.zeros((n, d)), p_sum=np.zeros(d),
                         solver_tag=solver_tag)
+    if problem.s == 0.0:
+        raise StrongConvexityRequired("the table update divides by alpha*s*n")
     audit = audit or state.proximal
     if audit:
         state.phi_table = np.zeros((n, d))
@@ -309,11 +323,8 @@ def sag_init(problem, w0=None, step: float | None = None,
              practical: bool = False, first_pass: bool = False) -> SagState:
     if step is None:
         step = sag_default_step(problem, practical=practical)
-    _require_positive("step", step)
     n, d = problem.n, problem.d
-    if w0 is None:
-        w0 = np.zeros(d)
-    w0 = problem._check_point(w0)
+    w0 = problem._check_point(np.zeros(d) if w0 is None else w0)
     state = SagState(step=float(step), k=0, seen=0, w=w0.copy(),
                      grad_table=np.zeros((n, d)), grad_sum=np.zeros(d))
     if not first_pass:

@@ -35,8 +35,8 @@ import numpy as np
 from .data_io import SynthSpec, synth_problem
 from .problems import LOGISTIC, ReferenceSolution, StrongConvexityRequired
 from .samplers import IndexSampler, SamplingScheme, UNIFORM
-from .solvers import (SolverConfig, TraceRecord, finito_init, finito_step,
-                      reference_solve, run)
+from .solvers import (SolverConfig, TraceRecord, _require_positive, finito_init,
+                      finito_step, reference_solve, run)
 
 # random points and table rows are drawn from the ball of this radius
 # around the reference minimizer
@@ -115,8 +115,7 @@ def _gradients_at_point(problem, point: np.ndarray) -> np.ndarray:
 
 def finito_map(problem, phi_table: np.ndarray, alpha: float) -> np.ndarray:
     """w(phi) = mean(phi) - (1/(alpha*s*n)) * sum of table gradients."""
-    if alpha <= 0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
+    _require_positive("alpha", alpha)
     _require_strongly_convex(problem)
     phi_table = problem._check_table(phi_table)
     grads = problem.table_gradients(phi_table)
@@ -150,8 +149,7 @@ def initial_lyapunov(problem, phi0: np.ndarray, alpha: float) -> float:
 
     Closed form: (1 - 1/(2*alpha)) * ||f'(phi0)||^2 / (alpha * s).
     """
-    if alpha <= 0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
+    _require_positive("alpha", alpha)
     _require_smooth(problem)
     _require_strongly_convex(problem)
     phi0 = problem._check_point(phi0)
@@ -178,8 +176,7 @@ class _Audit:
 
     def __init__(self, problem, phi_table: np.ndarray, w: np.ndarray,
                  alpha: float):
-        if alpha <= 0:
-            raise ValueError(f"alpha must be > 0, got {alpha}")
+        _require_positive("alpha", alpha)
         phi, w = _checked_state(problem, phi_table, w)
         self.problem, self.alpha, self.phi, self.w = problem, alpha, phi, w
         n = problem.n
@@ -562,8 +559,7 @@ def rate_bound(problem, alpha: float, phi0: np.ndarray, k: int) -> float:
 
 def _rate_bounds(problem, alpha: float, phi0: np.ndarray, ks) -> list[float]:
     # rate_bound at each k, evaluating f'(phi0) once
-    if alpha <= 0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
+    _require_positive("alpha", alpha)
     for k in ks:
         if k < 0:
             raise ValueError(f"k must be >= 0, got {k}")

@@ -45,6 +45,9 @@ def test_run_header_and_exit():
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == TRACE_HEADER
+    # the CSV contract itself, not just whatever TRACE_HEADER says
+    assert lines[0] == ("epoch,objective,suboptimality,grad_norm,wall_ms,"
+                        "solver,sampling,seed")
     assert len(lines) == 7  # header + epochs 0..5
     last = lines[-1].split(",")
     assert float(last[0]) == 5.0
@@ -239,6 +242,16 @@ def test_lowerbound_csv_schema():
     assert float(first[1]) == 7.0  # 8 * (7/8)^1
 
 
+def test_lowerbound_refuses_a_draw_batch_beyond_the_limit():
+    # one batch of 2 x 10^12 int64 draws would need ~15 TiB; the request is
+    # refused before anything is allocated
+    code, out, err = call(["lowerbound", "--k-list", "1000000000000",
+                           "--trials", "2"])
+    assert (code, out) == (1, "")
+    assert "GiB of draws per batch" in err
+    assert "Traceback" not in err
+
+
 # -- checkpoint flow ----------------------------------------------------------------
 
 
@@ -303,6 +316,21 @@ def test_resume_from_checkpoint_contradicting_its_tag_exits_one(
     code, out, err = call(["run", *base, "--epochs", "4", "--resume", str(ck)])
     assert (code, out) == (1, "")
     assert f"contradict solver '{solver}'" in err
+
+
+def test_resume_from_checkpoint_with_nan_alpha_exits_one(tmp_path):
+    # such a checkpoint once loaded and then "diverged" (exit 2)
+    ck = tmp_path / "state.ckpt"
+    base = ["--synth", SYNTH, "--solver", "finito", "--seed", "5"]
+    code, _, _ = call(["run", *base, "--epochs", "2", "--save-state", str(ck)])
+    assert code == 0
+    text = ck.read_text()
+    assert "\nalpha 2.0\n" in text
+    ck.write_text(text.replace("\nalpha 2.0\n", "\nalpha nan\n"))
+    code, out, err = call(["run", *base, "--epochs", "4", "--resume", str(ck)])
+    assert (code, out) == (1, "")
+    assert "alpha must be finite and > 0, got nan" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("module", ["finito", "finito.cli"])

@@ -283,6 +283,21 @@ def test_checkpoint_corruption_detected(synth_tiny, tmp_path):
                  "line 7: bad 'alpha' value 'two'", id="finito-alpha two"),
     pytest.param("sag", "sampling_seed ", lambda line: "sampling_seed True",
                  "bad 'sampling_seed' value 'True'", id="sag-sampling_seed True"),
+    # values that parse but that the state or the sampler refuses
+    pytest.param("finito", "alpha ", lambda line: "alpha nan",
+                 "alpha must be finite and > 0, got nan", id="finito-alpha nan"),
+    pytest.param("finito", "alpha ", lambda line: "alpha -3",
+                 "alpha must be finite and > 0, got -3.0", id="finito-alpha -3"),
+    pytest.param("finito", "alpha ", lambda line: "alpha inf",
+                 "alpha must be finite and > 0, got inf", id="finito-alpha inf"),
+    pytest.param("sag", "step ", lambda line: "step nan",
+                 "step must be finite and > 0, got nan", id="sag-step nan"),
+    pytest.param("finito", "sampling_seed ", lambda line: "sampling_seed -1",
+                 "seed must be >= 0", id="finito-sampling_seed -1"),
+    pytest.param("finito", "draws ", lambda line: "draws -5",
+                 "draw count must be >= 0", id="finito-draws -5"),
+    pytest.param("finito", "sampling ", lambda line: "sampling bogus",
+                 "unknown sampling kind 'bogus'", id="finito-sampling bogus"),
 ])
 def test_checkpoint_missing_entry_is_format_error(synth_tiny, tmp_path,
                                                   solver, prefix, edit, match):
@@ -295,8 +310,9 @@ def test_checkpoint_missing_entry_is_format_error(synth_tiny, tmp_path,
                 continue
             line = edit(line)
         kept.append(line)
-    with pytest.raises(CheckpointFormatError, match=match):
+    with pytest.raises(CheckpointFormatError, match=match) as caught:
         checkpoint_load(io.StringIO("\n".join(kept) + "\n"), problem)
+    assert caught.type is CheckpointFormatError
 
 
 @pytest.mark.parametrize("kind", ["finito", "finito-audit", "prox-finito",

@@ -1,5 +1,6 @@
 """Property tests for the text formats: trace CSV, LIBSVM and checkpoints."""
 
+import dataclasses
 import io
 import math
 
@@ -171,18 +172,20 @@ def _arrays(n: int, d: int):
 
 @st.composite
 def arbitrary_states(draw):
-    """Table states holding arbitrary float64 values, with valid counters."""
+    """Table states holding arbitrary float64 values, with valid counters and
+    a finite alpha or step > 0 (the states refuse any other)."""
     n, d = draw(st.integers(1, 4)), draw(st.integers(1, 3))
     table, vector = _arrays(n, d)
+    positive = st.floats(min_value=1e-300, allow_infinity=False)
     k = draw(st.integers(0, 10**6))
     seen = n if draw(st.booleans()) or k >= n else k
     if draw(st.booleans()):
-        state = SagState(step=draw(st.floats(min_value=1e-300)), k=k, seen=seen,
+        state = SagState(step=draw(positive), k=k, seen=seen,
                          w=draw(vector), grad_table=draw(table),
                          grad_sum=draw(vector))
     else:
         tag = draw(st.sampled_from(["finito", "prox-finito", "miso"]))
-        state = FinitoState(alpha=draw(st.floats(min_value=1e-300)), k=k, seen=seen,
+        state = FinitoState(alpha=draw(positive), k=k, seen=seen,
                             w=draw(vector), p_table=draw(table), p_sum=draw(vector),
                             solver_tag=tag)
         if state.proximal or draw(st.booleans()):
@@ -242,3 +245,32 @@ def test_checkpoint_without_a_line_fails_or_loads_the_same_state(case, data):
     # only a line the loader can rebuild from the problem may go missing
     assert lines[drop].startswith("n ")
     assert resaved == text
+
+
+# arbitrary text, plus the values most likely to pass a parser and still be
+# wrong: integers (negative seeds and draw counts), floats (NaN, inf, <= 0)
+# and sampling kinds
+edited_values = st.one_of(st.text(), st.integers().map(str), st.floats().map(repr),
+                          st.sampled_from(SAMPLING_NAMES + ("none",)))
+
+
+@SETTINGS
+@given(run_states(), st.data())
+def test_checkpoint_with_an_edited_value_fails_or_loads_a_valid_state(case, data):
+    problem, state, sampler = case
+    lines = _saved(state, sampler).splitlines(keepends=True)
+    # the scalar lines run from the solver line to the first vec line; each
+    # gets its own drawn value, one edit at a time
+    end = next(i for i, line in enumerate(lines) if line.startswith("vec "))
+    for at in range(1, end):
+        key = lines[at].split(" ", 1)[0]
+        edited = lines[:at] + [f"{key} {data.draw(edited_values)}\n"] + lines[at + 1:]
+        try:
+            loaded, loaded_sampler = checkpoint_load(io.StringIO("".join(edited)),
+                                                     problem)
+        except Exception as exc:
+            assert type(exc) is CheckpointFormatError, (key, repr(exc))
+            continue
+        dataclasses.replace(loaded)  # builds the state anew: its checks pass again
+        once = _saved(loaded, loaded_sampler)
+        assert _resaved(once, problem) == once

@@ -38,6 +38,7 @@ from finito import (
     t4_shift_closed_form,
     table_checks,
     table_mean_descent_check,
+    TraceRecord,
     update_displacement_gap,
     variance_decomposition_gap,
 )
@@ -169,6 +170,37 @@ def test_bound_gap_rejects_non_map(synth_tiny):
     w = finito_map(problem, phi, 2.0) + 0.5
     with pytest.raises(ValueError):
         bound_gap_check(problem, phi, w, 2.0, ref)
+
+
+# NaN passes an `alpha <= 0` guard; every entry point that takes alpha
+# refuses it, and inf, before computing anything
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+def test_alpha_must_be_finite_and_positive(synth_tiny, alpha):
+    problem, ref = synth_tiny
+    phi = np.zeros((problem.n, problem.d))
+    w = finito_map(problem, phi, 2.0)
+    w0 = np.zeros(problem.d)
+    traces = [[TraceRecord(0.0, 1.0, 1.0, 1.0, 0.0, "finito", "uniform", 0)]]
+    calls = {
+        "finito_map": lambda: finito_map(problem, phi, alpha),
+        "initial_lyapunov": lambda: initial_lyapunov(problem, w0, alpha),
+        "rate_bound": lambda: rate_bound(problem, alpha, w0, 3),
+        "rate_curve": lambda: rate_curve(traces, problem, alpha, w0),
+        "rate_certificate": lambda: rate_certificate(traces, problem, alpha, w0),
+        "expected_decrease_check":
+            lambda: expected_decrease_check(problem, phi, w, alpha, 2.0),
+        "bound_gap_check": lambda: bound_gap_check(problem, phi, w, alpha, ref),
+        "expected_term_shifts": lambda: expected_term_shifts(problem, phi, w, alpha),
+        "expected_step_gap": lambda: expected_step_gap(problem, phi, w, alpha),
+        "update_displacement_gap":
+            lambda: update_displacement_gap(problem, phi, w, alpha),
+        "random_audit_state": lambda: random_audit_state(
+            problem, ref.w_star, alpha, np.random.default_rng(0)),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValueError, match="alpha must be finite and > 0"):
+            call()
+            pytest.fail(f"{name} accepted alpha={alpha}")
 
 
 def test_table_mean_descent_along_trajectory(synth_tiny):
