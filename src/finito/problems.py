@@ -264,12 +264,14 @@ class FiniteSumProblem(_ProblemBase):
         return dm[:, None] * self.features + self.s * points
 
     def objective_batch(self, points: np.ndarray) -> np.ndarray:
-        """Smooth objective (1/n) sum_i f_i at each row of `points`."""
+        """Smooth objective (1/n) sum_i f_i at each point along the last axis
+        of `points`, shape (..., d) -> (...).  A (m, 1, d) stack evaluates
+        each point with the single-point matmul kernel, (m, d) with one GEMM."""
         points = np.asarray(points, dtype=float)
-        margins = points @ self.features.T  # (m, n)
-        losses = self._loss_values(margins, self.targets[None, :])
-        ridge = 0.5 * self.s * np.einsum("ij,ij->i", points, points)
-        return losses.mean(axis=1) + ridge
+        margins = points @ self.features.T  # (..., n)
+        losses = self._loss_values(margins, self.targets)
+        ridge = 0.5 * self.s * np.einsum("...j,...j->...", points, points)
+        return losses.mean(axis=-1) + ridge
 
     def full_gradient(self, w: np.ndarray) -> np.ndarray:
         w = self._check_point(w)
@@ -344,11 +346,11 @@ class QuadraticProblem(_ProblemBase):
 
     def objective_batch(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=float)
-        # ||z - c_i||^2 expanded to stay vectorized over both axes
-        znorm = np.einsum("ij,ij->i", points, points)
+        # ||z - c_i||^2 expanded to stay vectorized over every axis
+        znorm = np.einsum("...j,...j->...", points, points)
         cnorm = np.einsum("ij,ij->i", self.centers, self.centers)
         cross = points @ self.centers.T
-        sq = znorm[:, None] - 2.0 * cross + cnorm[None, :]
+        sq = znorm[..., None] - 2.0 * cross + cnorm
         return 0.5 * (sq @ self.weights) / self.n
 
     def minimizer(self) -> np.ndarray:

@@ -73,8 +73,8 @@ class FinitoState:
     it is derived from the tag, true exactly for "prox-finito".
 
     Construction checks the tag (one of FINITO_TAGS), alpha (finite, > 0)
-    and, with n = len(p_table), seen == n or (mid first pass) 0 <= seen == k
-    < n.  The array fields are the checkpoint's vec and table lines.
+    and, with n = len(p_table), k >= 0 and seen == n or (mid first pass)
+    seen == k < n.  The array fields are the checkpoint's vec and table lines.
     """
 
     alpha: float
@@ -157,11 +157,12 @@ def _require_positive(name: str, value: float) -> None:
 
 
 def _check_table_state(name: str, value: float, k: int, seen: int, table) -> None:
-    # every row is filled, or the first pass has admitted exactly k rows
+    # k counts updates from 0; every row is filled, or the first pass has
+    # admitted exactly k rows
     _require_positive(name, value)
-    if not (seen == len(table) or 0 <= seen == k < len(table)):
-        raise ValueError(f"counters k={k} seen={seen}: "
-                         f"need seen == n={len(table)} or 0 <= seen == k < n")
+    if not (k >= 0 and (seen == len(table) or seen == k < len(table))):
+        raise ValueError(f"counters k={k} seen={seen}: need k >= 0 and "
+                         f"seen == n={len(table)} or seen == k < n")
 
 
 def _recompute_sums(state: FinitoState | SagState) -> tuple:

@@ -19,9 +19,16 @@ counterexample and not noise.
 
 Checks that enumerate the updates share one audit per state: it validates
 the state, builds the n successor iterates with running-sum arithmetic and
-evaluates the potential n + 1 times, once at the state and once per branch.
-A branch writes w into one row of a single working copy of the table and
-reuses the base rows' values and gradients for the other n - 1 rows.
+evaluates the potential once at the state and once for all n branches.
+Branch j's table is the state's table with w in row j, and its row values
+and gradients are the base rows' apart from row j.  The branches are
+evaluated as stacked (b, n, d) arrays, b branches at a time, with b chosen so
+that a chunk's stacked arrays hold at most BRANCH_FLOATS floats (or one
+branch, when a single branch is larger).  Every reduction runs per branch
+along the same axis as for a single state, and T1 comes from a stacked
+(b, 1, d) @ (d, n) matmul, which runs the single-point kernel once per branch.
+Each branch therefore carries the bits of its own full evaluation; a plain
+(b, d) @ (d, n) GEMM would not.
 """
 
 from __future__ import annotations
@@ -41,6 +48,10 @@ from .solvers import (SolverConfig, TraceRecord, _require_positive, finito_init,
 # random points and table rows are drawn from the ball of this radius
 # around the reference minimizer
 BALL_RADIUS = 2.0
+
+# cap on the floats held by one chunk of stacked branch arrays (its tables,
+# gradients and gaps, b x n x d each)
+BRANCH_FLOATS = 2**20
 
 
 @dataclass
@@ -118,8 +129,11 @@ def finito_map(problem, phi_table: np.ndarray, alpha: float) -> np.ndarray:
     _require_positive("alpha", alpha)
     _require_strongly_convex(problem)
     phi_table = problem._check_table(phi_table)
-    grads = problem.table_gradients(phi_table)
-    denom = alpha * problem.s * problem.n
+    return _map(phi_table, problem.table_gradients(phi_table),
+                alpha * problem.s * problem.n)
+
+
+def _map(phi_table: np.ndarray, grads: np.ndarray, denom: float) -> np.ndarray:
     return phi_table.mean(axis=0) - grads.sum(axis=0) / denom
 
 
@@ -134,14 +148,27 @@ def lyapunov_evaluate(problem, phi_table: np.ndarray,
 def _potential(problem, phi_table: np.ndarray, values: np.ndarray,
                grads: np.ndarray, w: np.ndarray) -> LyapunovTerms:
     # the four terms from the table's row values and gradients
-    phi_bar = phi_table.mean(axis=0)
-    gaps = w[np.newaxis, :] - phi_table
-    t1 = _objective_at(problem, phi_bar)
-    t2 = -float(values.mean()) - float(np.einsum("ij,ij->i", grads, gaps).mean())
-    t3 = -0.5 * problem.s * float(np.einsum("ij,ij->i", gaps, gaps).mean())
-    spread = phi_bar[np.newaxis, :] - phi_table
-    t4 = 0.5 * problem.s * float(np.einsum("ij,ij->i", spread, spread).mean())
-    return LyapunovTerms(t1, t2, t3, t4)
+    return _potentials(problem, phi_table[np.newaxis], values[np.newaxis],
+                       grads[np.newaxis], w[np.newaxis])[0]
+
+
+def _potentials(problem, tables: np.ndarray, values: np.ndarray,
+                grads: np.ndarray, ws: np.ndarray) -> list[LyapunovTerms]:
+    # _potential for a stack of states: tables and grads (b, n, d), values
+    # (b, n), points (b, d).  Every reduction runs within one state along the
+    # axis a lone (n, d) table would use, so each state's terms have the bits
+    # of evaluating that state by itself
+    phi_bar = tables.mean(axis=1)
+    gaps = ws[:, np.newaxis, :] - tables
+    # f at each phi_bar as a stack of one-point batches: the bits of
+    # _objective_at, which a (b, d) batch's GEMM would not keep
+    t1 = problem.objective_batch(phi_bar[:, np.newaxis, :])[:, 0]
+    t2 = (-values.mean(axis=1)
+          - np.einsum("bij,bij->bi", grads, gaps).mean(axis=1))
+    t3 = -0.5 * problem.s * np.einsum("bij,bij->bi", gaps, gaps).mean(axis=1)
+    spread = np.subtract(phi_bar[:, np.newaxis, :], tables, out=gaps)
+    t4 = 0.5 * problem.s * np.einsum("bij,bij->bi", spread, spread).mean(axis=1)
+    return [LyapunovTerms(*map(float, row)) for row in zip(t1, t2, t3, t4)]
 
 
 def initial_lyapunov(problem, phi0: np.ndarray, alpha: float) -> float:
@@ -162,7 +189,7 @@ def admissible_parameters(alpha: float, beta: float) -> bool:
 
         2/alpha - 1/alpha^2 - beta + beta/alpha <= 0,  alpha >= 2, beta >= 2.
     """
-    if alpha <= 0 or beta <= 0:
+    if not (0 < alpha < math.inf and 0 < beta < math.inf):
         return False
     margin = 2.0 / alpha - 1.0 / alpha**2 - beta + beta / alpha
     return bool(margin <= 0.0 and alpha >= 2.0 and beta >= 2.0)
@@ -192,18 +219,32 @@ class _Audit:
 
     @functools.cached_property
     def branches(self) -> list[LyapunovTerms]:
-        """The potential after each update.  Branch j writes w into row j of
-        one working copy of the table and of its row values and gradients,
-        whose other rows are the base rows, and restores the row after."""
+        """The potential after each update.  A chunk of b branches stacks b
+        copies of the table, its row values and its row gradients, where
+        branch j's copy holds w, f_j(w) and f_j'(w) in row j, and evaluates
+        them at once; b keeps the chunk's tables, gradients and gaps within
+        BRANCH_FLOATS floats, or is 1 when one branch alone is larger."""
         problem, phi, w = self.problem, self.phi, self.w
+        n, d = phi.shape
         values_at_w = problem.table_values(np.broadcast_to(w, phi.shape))
-        table, values, grads = phi.copy(), self.values.copy(), self.grads.copy()
+        size = max(1, BRANCH_FLOATS // (3 * n * d))
         terms = []
-        for j, w_j in enumerate(self.next_w):
-            table[j], values[j], grads[j] = w, values_at_w[j], self.grads_at_w[j]
-            terms.append(_potential(problem, table, values, grads, w_j))
-            table[j], values[j], grads[j] = phi[j], self.values[j], self.grads[j]
+        for start in range(0, n, size):
+            rows = np.arange(start, min(start + size, n))
+            chunk = np.arange(len(rows))
+            tables = np.repeat(phi[np.newaxis], len(rows), axis=0)
+            values = np.repeat(self.values[np.newaxis], len(rows), axis=0)
+            grads = np.repeat(self.grads[np.newaxis], len(rows), axis=0)
+            tables[chunk, rows] = w
+            values[chunk, rows] = values_at_w[rows]
+            grads[chunk, rows] = self.grads_at_w[rows]
+            terms += _potentials(problem, tables, values, grads, self.next_w[rows])
         return terms
+
+    @functools.cached_property
+    def full_grad_at_w(self) -> np.ndarray:
+        """f'(w), shared by step_gap and t3_shift."""
+        return self.problem.full_gradient(self.w)
 
     def decrease_report(self, beta: float, tol: float = 1e-10) -> CheckReport:
         if not admissible_parameters(self.alpha, beta):
@@ -220,7 +261,7 @@ class _Audit:
 
     def bound_report(self, reference: ReferenceSolution,
                      tol: float = 1e-9) -> CheckReport:
-        mapped = finito_map(self.problem, self.phi, self.alpha)
+        mapped = _map(self.phi, self.grads, self.denom)
         scale = 1.0 + float(np.linalg.norm(mapped))
         if float(np.linalg.norm(self.w - mapped)) > 1e-9 * scale:
             raise ValueError("w is not the table map; the bound only covers "
@@ -236,15 +277,28 @@ class _Audit:
                     - getattr(self.base, term))
         return LyapunovTerms(*map(shift, ("t1", "t2", "t3", "t4")))
 
+    def t3_shift(self) -> float:
+        """Closed form of E[T3'] - T3, exact when w is the table map."""
+        n, s, alpha = self.problem.n, self.problem.s, self.alpha
+        phi_bar = self.phi.mean(axis=0)
+        diff = self.grads - self.grads_at_w
+        return (-(1.0 / n + 1.0 / n**2) * self.base.t3
+                + float(self.full_grad_at_w @ (self.w - phi_bar)) / (alpha * n)
+                - float(np.einsum("ij,ij->", diff, diff))
+                / (2.0 * alpha**2 * s * n**3))
+
     def step_gap(self) -> float:
-        damped = self.w - self.problem.full_gradient(self.w) / self.denom
+        damped = self.w - self.full_grad_at_w / self.denom
         return float(np.linalg.norm(self.next_w.mean(axis=0) - damped))
 
     def displacement_gap(self) -> float:
         predicted = ((self.w - self.phi) / self.problem.n
                      + (self.grads - self.grads_at_w) / self.denom)
         residuals = (self.next_w - self.w) - predicted
-        return max([0.0] + [float(np.linalg.norm(r)) for r in residuals])
+        # the n norms at once: a stacked (1, d) @ (d, 1) matmul runs the same
+        # dot as np.linalg.norm of each row
+        norms = np.sqrt(residuals[:, np.newaxis, :] @ residuals[:, :, np.newaxis])
+        return max([0.0] + norms.ravel().tolist())
 
 
 def expected_decrease_check(problem, phi_table: np.ndarray, w: np.ndarray,
@@ -284,17 +338,7 @@ def t3_shift_closed_form(problem, phi_table: np.ndarray, w: np.ndarray,
         -(1/n + 1/n^2) T3 + (1/(alpha n)) <f'(w), w - phi_bar>
         - (1/(2 alpha^2 s n^3)) sum_j ||f_j'(phi_j) - f_j'(w)||^2
     """
-    phi_table, w = _checked_state(problem, phi_table, w)
-    n, s = problem.n, problem.s
-    gaps = w[np.newaxis, :] - phi_table
-    t3 = -0.5 * s * float(np.einsum("ij,ij->i", gaps, gaps).mean())
-    g_w = problem.full_gradient(w)
-    phi_bar = phi_table.mean(axis=0)
-    diff = problem.table_gradients(phi_table) - _gradients_at_point(problem, w)
-    return (-(1.0 / n + 1.0 / n**2) * t3
-            + float(g_w @ (w - phi_bar)) / (alpha * n)
-            - float(np.einsum("ij,ij->", diff, diff))
-            / (2.0 * alpha**2 * s * n**3))
+    return _Audit(problem, phi_table, w, alpha).t3_shift()
 
 
 def t4_shift_closed_form(problem, phi_table: np.ndarray,
@@ -689,8 +733,7 @@ def suite_lyapunov(n: int, d: int, beta: float, states: int, seed: int,
              scale),
             ("variance-decomposition", variance_decomposition_gap(phi, w), 0.0,
              float(np.einsum("ij,ij->", phi, phi))),
-            ("t3-shift-closed-form", shifts.t3,
-             t3_shift_closed_form(problem, phi, w, alpha), total),
+            ("t3-shift-closed-form", shifts.t3, audit.t3_shift(), total),
             ("t4-shift-closed-form", shifts.t4,
              t4_shift_closed_form(problem, phi, w), total),
         ):

@@ -333,6 +333,23 @@ def test_resume_from_checkpoint_with_nan_alpha_exits_one(tmp_path):
     assert "Traceback" not in err
 
 
+def test_resume_from_checkpoint_with_negative_k_exits_one(tmp_path):
+    # a no-first-pass checkpoint has seen == n from k = 0 on; edited to a
+    # negative k it once loaded and resumed at a negative epoch
+    ck = tmp_path / "state.ckpt"
+    base = ["--synth", SYNTH, "--solver", "finito", "--no-first-pass",
+            "--seed", "5"]
+    code, _, _ = call(["run", *base, "--epochs", "0", "--save-state", str(ck)])
+    assert code == 0
+    text = ck.read_text()
+    assert "\nk 0\n" in text
+    ck.write_text(text.replace("\nk 0\n", "\nk -25\n"))
+    code, out, err = call(["run", *base, "--epochs", "1", "--resume", str(ck)])
+    assert (code, out) == (1, "")
+    assert "k=-25 seen=40: need k >= 0" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("module", ["finito", "finito.cli"])
 def test_module_execution_runs_the_cli(module):
     src = str(Path(finito.__file__).resolve().parent.parent)

@@ -258,6 +258,9 @@ def test_checkpoint_corruption_detected(synth_tiny, tmp_path):
                  "k=40 seen=999: need", id="finito-seen 999"),
     pytest.param("sag", "seen ", lambda line: "seen -1",
                  "k=40 seen=-1: need", id="sag-seen -1"),
+    # k counts updates from 0, also once every row is filled
+    pytest.param("finito", "k ", lambda line: "k -25",
+                 "k=-25 seen=20: need k >= 0", id="finito-k -25"),
     # seen < n only happens mid first pass, where seen == k
     pytest.param("finito", "seen ", lambda line: "seen 5",
                  "k=40 seen=5: need", id="finito-seen 5 below k"),

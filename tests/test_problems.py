@@ -167,6 +167,19 @@ def test_objective_batch_matches_full_objective(synth_small, rng):
     assert np.allclose(got, want, atol=1e-13)
 
 
+def test_objective_batch_of_a_stack_repeats_each_single_point(synth_small, rng):
+    # a (m, 1, d) stack runs the one-point kernel per point, bit for bit
+    problem, _ = synth_small
+    quadratic = QuadraticProblem(rng.normal(size=(9, problem.d)),
+                                 weights=rng.uniform(0.5, 2.0, size=9))
+    pts = rng.normal(size=(6, problem.d))
+    for p in (problem, quadratic):
+        stacked = p.objective_batch(pts[:, np.newaxis, :])
+        assert stacked.shape == (6, 1)
+        single = [p.objective_batch(x[np.newaxis, :])[0] for x in pts]
+        assert stacked[:, 0].tolist() == single
+
+
 # -- Lipschitz constant -------------------------------------------------------
 
 

@@ -1,5 +1,7 @@
 """Potential-function machinery: hand values, exact enumeration, inequality suites."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,14 @@ def test_admissible_region():
     assert admissible_parameters(3.0, 2.0)
     assert not admissible_parameters(2.0, 1.0)
     assert not admissible_parameters(1.5, 2.0)
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_admissible_region_is_finite(value):
+    # with alpha = inf the margin is -beta <= 0, so only the guard refuses it
+    assert not admissible_parameters(value, 2.0)
+    assert not admissible_parameters(2.0, value)
+    assert not admissible_parameters(value, value)
 
 
 def test_bound_gap_hand_value(desk):
@@ -194,6 +204,8 @@ def test_alpha_must_be_finite_and_positive(synth_tiny, alpha):
         "expected_step_gap": lambda: expected_step_gap(problem, phi, w, alpha),
         "update_displacement_gap":
             lambda: update_displacement_gap(problem, phi, w, alpha),
+        "t3_shift_closed_form":
+            lambda: t3_shift_closed_form(problem, phi, w, alpha),
         "random_audit_state": lambda: random_audit_state(
             problem, ref.w_star, alpha, np.random.default_rng(0)),
     }
@@ -256,6 +268,8 @@ def test_public_checks_equal_suite_rows():
         }
         for name, value in gaps.items():
             assert row[name].lhs.hex() == value.hex(), name
+        assert (row["t3-shift-closed-form"].rhs.hex()
+                == t3_shift_closed_form(problem, phi, w, alpha).hex())
 
 
 def test_public_checks_leave_inputs_unchanged(synth_tiny):
@@ -284,9 +298,22 @@ def test_public_checks_leave_inputs_unchanged(synth_tiny):
         assert np.array_equal(a, b)
 
 
+def reference_potential(problem, phi, w):
+    """The four terms of one (n, d) state, written out unstacked."""
+    values, grads = problem.table_values(phi), problem.table_gradients(phi)
+    phi_bar = phi.mean(axis=0)
+    gaps = w[np.newaxis, :] - phi
+    spread = phi_bar[np.newaxis, :] - phi
+    return theory.LyapunovTerms(
+        float(problem.objective_batch(phi_bar[np.newaxis, :])[0]),
+        -float(values.mean()) - float(np.einsum("ij,ij->i", grads, gaps).mean()),
+        -0.5 * problem.s * float(np.einsum("ij,ij->i", gaps, gaps).mean()),
+        0.5 * problem.s * float(np.einsum("ij,ij->i", spread, spread).mean()))
+
+
 def reference_branches(problem, phi, w, alpha):
     """The enumeration the audit replaced: per branch, a fresh table copy and
-    a full potential evaluation."""
+    a full unstacked potential evaluation."""
     grads = problem.table_gradients(phi)
     grads_at_w = problem.table_gradients(np.broadcast_to(w, phi.shape))
     phi_sum, grad_sum = phi.sum(axis=0), grads.sum(axis=0)
@@ -297,41 +324,84 @@ def reference_branches(problem, phi, w, alpha):
         phi_j[j] = w
         w_j = ((phi_sum + (w - phi[j])) / problem.n
                - (grad_sum + (grads_at_w[j] - grads[j])) / denom)
-        out.append((w_j, lyapunov_evaluate(problem, phi_j, w_j)))
+        out.append((w_j, reference_potential(problem, phi_j, w_j)))
     return out
 
 
-def test_audit_branches_equal_full_reevaluation(synth_tiny):
-    # reusing the base rows must not move a bit of any branch
-    problem, _ = synth_tiny
-    for phi, w in trajectory_states(problem, 12, seed=3)[::3]:
-        audit = theory._Audit(problem, phi, w, 2.0)
-        expected = reference_branches(problem, phi, w, 2.0)
-        assert np.array_equal(audit.next_w, np.stack([w_j for w_j, _ in expected]))
-        assert audit.branches == [terms for _, terms in expected]
+def test_audit_branches_equal_full_reevaluation(synth_tiny, monkeypatch):
+    # reusing the base rows and stacking the branches in chunks must not move
+    # a bit of any branch, for either loss, for the quadratic family, for
+    # one branch per chunk and for a last chunk shorter than the others
+    rng = np.random.default_rng(7)
+    squared, _ = synth_problem(
+        SynthSpec(n=16, d=3, loss="squared", target_beta=2.0, seed=2))
+    problems = [synth_tiny[0], squared, QuadraticProblem(centers=[[1.0], [-1.0]]),
+                QuadraticProblem(centers=rng.normal(size=(15, 4)),
+                                 weights=rng.uniform(0.5, 2.0, size=15))]
+    for problem in problems:
+        n, d = problem.n, problem.d
+        for size in (n, 3, 1):
+            monkeypatch.setattr(theory, "BRANCH_FLOATS", size * 3 * n * d)
+            for phi, w in trajectory_states(problem, 12, seed=3)[::3]:
+                audit = theory._Audit(problem, phi, w, 2.0)
+                assert audit.base == reference_potential(problem, phi, w)
+                expected = reference_branches(problem, phi, w, 2.0)
+                assert np.array_equal(audit.next_w,
+                                      np.stack([w_j for w_j, _ in expected]))
+                assert audit.branches == [terms for _, terms in expected]
+
+
+def test_audit_branches_span_chunks_at_the_real_cap():
+    problem, _ = synth_problem(SynthSpec(n=300, d=5, target_beta=2.0, seed=3))
+    size = theory.BRANCH_FLOATS // (3 * problem.n * problem.d)
+    assert problem.n > size and problem.n % size
+    phi, w = trajectory_states(problem, 5, seed=1)[-1]
+    audit = theory._Audit(problem, phi, w, 2.0)
+    assert audit.branches == [terms for _, terms in
+                              reference_branches(problem, phi, w, 2.0)]
+
+
+def test_branch_stacks_stay_within_the_cap():
+    # unchunked, the stacked tables, gradients and gaps of all n branches
+    # would hold 3 n^2 d floats, more than twice the cap
+    problem, _ = synth_problem(SynthSpec(n=500, d=5, target_beta=2.0, seed=0))
+    assert 3 * problem.n**2 * problem.d > 2 * theory.BRANCH_FLOATS
+    phi, w = trajectory_states(problem, 3)[-1]
+    audit = theory._Audit(problem, phi, w, 2.0)
+    tracemalloc.start()
+    try:
+        audit.branches
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * theory.BRANCH_FLOATS * 8
 
 
 def test_suite_evaluates_each_branch_potential_once(monkeypatch):
     calls = []
-    potential = theory._potential
-    audit = theory._Audit
+    potential, potentials, audit = (theory._potential, theory._potentials,
+                                    theory._Audit)
 
-    def counted(*args):
+    def counted_potential(*args):
         calls.append("potential")
         return potential(*args)
+
+    def counted_potentials(problem, tables, *rest):
+        calls.append(len(tables))
+        return potentials(problem, tables, *rest)
 
     def counted_audit(*args):
         calls.append("audit")
         return audit(*args)
 
-    monkeypatch.setattr(theory, "_potential", counted)
+    monkeypatch.setattr(theory, "_potential", counted_potential)
+    monkeypatch.setattr(theory, "_potentials", counted_potentials)
     monkeypatch.setattr(theory, "_Audit", counted_audit)
     n, states = 40, 3
     suite_lyapunov(n, 5, 2.0, states, 0, 2.0)
-    # the initial-potential row, then per state one audit: the base
-    # potential and one per branch
-    assert calls.count("audit") == states
-    assert calls.count("potential") == 1 + states * (n + 1)
+    # the initial-potential row, then per state one audit, its base
+    # potential (a stack of one state) and all n branches in one stack
+    assert calls == ["potential", 1] + ["audit", "potential", 1, n] * states
 
 
 # -- inequality suites ---------------------------------------------------------------
