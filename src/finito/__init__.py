@@ -21,15 +21,12 @@ from .data_io import (CheckpointFormatError, LibsvmFormatError, SynthSpec,
                       TRACE_HEADER, TraceFormatError, checkpoint_load,
                       checkpoint_save, parse_libsvm, read_trace, synth_problem,
                       write_trace)
-from .theory import (CheckReport, LyapunovTerms, admissible_parameters,
-                     big_data_lb_check, bound_gap_check, convexity_suite,
-                     expected_decrease_check, expected_step_gap,
-                     expected_term_shifts, finito_map, initial_lyapunov,
+from .theory import (Audit, CheckReport, LyapunovTerms, admissible_parameters,
+                     big_data_lb_check, convexity_suite,
+                     expected_decrease_check, finito_map, initial_lyapunov,
                      lyapunov_evaluate, pair_checks, random_audit_state,
                      rate_bound, rate_certificate, rate_curve, strong_lb_check,
-                     t3_shift_closed_form, t4_shift_closed_form, table_checks,
-                     table_mean_descent_check, update_displacement_gap,
-                     variance_decomposition_gap)
+                     table_checks)
 from .lower_bounds import (CoupledWorstCase, UnseenPoint, UnseenSummary,
                            UnseenTrace, expected_unseen, first_pass_floor_trace,
                            floor_check, make_worst_case,
@@ -51,14 +48,11 @@ __all__ = [
     "CheckpointFormatError", "LibsvmFormatError", "SynthSpec", "TRACE_HEADER",
     "TraceFormatError", "checkpoint_load", "checkpoint_save", "parse_libsvm",
     "read_trace", "synth_problem", "write_trace",
-    "CheckReport", "LyapunovTerms", "admissible_parameters",
-    "big_data_lb_check", "bound_gap_check", "convexity_suite",
-    "expected_decrease_check", "expected_step_gap", "expected_term_shifts",
+    "Audit", "CheckReport", "LyapunovTerms", "admissible_parameters",
+    "big_data_lb_check", "convexity_suite", "expected_decrease_check",
     "finito_map", "initial_lyapunov", "lyapunov_evaluate", "pair_checks",
     "random_audit_state", "rate_bound", "rate_certificate", "rate_curve",
-    "strong_lb_check", "t3_shift_closed_form", "t4_shift_closed_form",
-    "table_checks", "table_mean_descent_check", "update_displacement_gap",
-    "variance_decomposition_gap",
+    "strong_lb_check", "table_checks",
     "CoupledWorstCase", "UnseenPoint", "UnseenSummary", "UnseenTrace",
     "expected_unseen", "first_pass_floor_trace", "floor_check",
     "make_worst_case", "oracle_limited_suboptimality", "simulate_unseen",

@@ -1,9 +1,10 @@
 """Command-line front end: run solvers, compare configurations, verify the
 convergence analysis, and reproduce the sampling lower bound.
 
-Exit codes: 0 success, 1 usage or input errors, 2 divergence, 3 one or more
-verification checks unsatisfied.  Every command is deterministic given its
-flags; the wall_ms trace column is the single exception.
+Exit codes: 0 success, 1 usage or input errors (a request too large to
+allocate included), 2 divergence, 3 one or more verification checks
+unsatisfied.  Every command is deterministic given its flags; the wall_ms
+trace column is the single exception.
 """
 
 from __future__ import annotations
@@ -360,6 +361,11 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 1
+    except MemoryError as err:
+        # no check in the library can know how much memory the machine has
+        print(f"error: out of memory: {err}" if str(err) else
+              "error: out of memory", file=sys.stderr)
         return 1
 
 

@@ -328,12 +328,15 @@ def checkpoint_load(source, problem):
 
     The solver tag picks the state class, whose layout (see checkpoint_save)
     says what to read; `audit 1` adds the optional arrays.  Missing entries,
-    scalar values that do not parse (naming the key and the line), vectors
-    not of length d, tables not n x d, a `proximal` or `audit` line the tag
+    scalar values that do not parse (naming the key and the line), an `n`
+    or `d` line other than the problem's (raised as soon as it is read, since
+    every vec and table is sized from the problem), vectors not of length d,
+    tables not n x d, a `proximal` or `audit` line the tag
     contradicts (prox-finito needs both 1, others proximal 0) and any
     ValueError the state or sampler raises at construction (alpha, step,
     counters, sampling kind, seed, draws) are CheckpointFormatError.
     """
+    n, d = problem.n, problem.d
     kv: dict[str, tuple[str, int]] = {}   # key -> (value text, line number)
     vectors: dict[str, np.ndarray] = {}
     tables: dict[str, np.ndarray] = {}
@@ -344,11 +347,8 @@ def checkpoint_load(source, problem):
             raise CheckpointFormatError(f"missing {key!r} {kind}")
         return entries[key]
 
-    def _scalar(key: str, cast=int, default=None):
-        # the one parser of scalar entries; `default` stands in for a
-        # missing key where the problem supplies the value
-        if default is not None and key not in kv:
-            return default
+    def _scalar(key: str, cast=int):
+        # the one parser of scalar entries
         text, line_no = _need(key)
         try:
             return cast(text)
@@ -374,8 +374,7 @@ def checkpoint_load(source, problem):
             key, _, rest = line.partition(" ")
             if key == "vec":
                 name, _, payload = rest.partition(" ")
-                vectors[name] = _parse_hex_vector(
-                    payload, line_no, _scalar("d", default=problem.d))
+                vectors[name] = _parse_hex_vector(payload, line_no, d)
             elif key == "table":
                 name, _, count_text = rest.partition(" ")
                 try:
@@ -383,13 +382,11 @@ def checkpoint_load(source, problem):
                 except ValueError:
                     raise CheckpointFormatError(
                         f"line {line_no}: bad table row count {count_text!r}") from None
-                n = _scalar("n", default=problem.n)
                 if count != n:
                     raise CheckpointFormatError(
                         f"line {line_no}: table {name!r} has {count} rows, expected n={n}")
-                d = _scalar("d", default=problem.d)
-                rows = np.empty((count, d))
-                for r in range(count):
+                rows = np.empty((n, d))
+                for r in range(n):
                     line_no, row = next(lines, (line_no + 1, None))
                     if row is None or row == "END":
                         raise CheckpointFormatError(
@@ -399,14 +396,16 @@ def checkpoint_load(source, problem):
                 tables[name] = rows
             else:
                 kv[key] = (rest, line_no)
+                # arrays are sized from the problem, so a file's n and d must
+                # match it before any array is read
+                if key in ("n", "d") and (got := _scalar(key)) != getattr(problem, key):
+                    raise CheckpointFormatError(f"dimension mismatch: checkpoint {key}={got},"
+                                                f" problem {key}={getattr(problem, key)}")
     if not saw_end:
         raise CheckpointFormatError("truncated checkpoint: missing END marker")
 
     solver = _scalar("solver", str)
-    for key, got in (("d", _scalar("d")), ("n", _scalar("n", default=problem.n))):
-        if got != getattr(problem, key):
-            raise CheckpointFormatError(f"dimension mismatch: checkpoint {key}={got},"
-                                        f" problem {key}={getattr(problem, key)}")
+    _scalar("d")  # required, and checked against the problem where it was read
     cls = _STATE_CLASSES.get(solver)
     if cls is None:
         raise CheckpointFormatError(f"unknown solver tag {solver!r}")

@@ -392,6 +392,8 @@ def run_with_state(problem, config: SolverConfig, scheme: SamplingScheme,
     _require_positive("record_every", record_every)
     n = problem.n
     f_star = reference.f_star if reference is not None else None
+    if f_star is not None and not math.isfinite(f_star):
+        raise ValueError(f"reference f_star must be finite, got {f_star}")
     t0 = time.perf_counter()
     records: list[TraceRecord] = []
 
@@ -480,7 +482,8 @@ def run(problem, config: SolverConfig, scheme: SamplingScheme, epochs: int,
     Parameters
     ----------
     reference : ReferenceSolution, optional
-        Enables the suboptimality column and the divergence ratio guard.
+        Enables the suboptimality column and the divergence ratio guard;
+        its f_star must be finite (ValueError otherwise).
     record_every : float
         Record interval in passes (default one row per pass).
     resume : (state, sampler), optional

@@ -17,17 +17,16 @@ each claimed inequality with exact enumeration over the n equally likely
 updates, never with sampled estimates, so a failure is a real
 counterexample and not noise.
 
-Checks that enumerate the updates share one audit per state: it validates
-the state, builds the n successor iterates with running-sum arithmetic and
-evaluates the potential once at the state and once for all n branches.
-Branch j's table is the state's table with w in row j, and its row values
-and gradients are the base rows' apart from row j.  The branches are
-evaluated as stacked (b, n, d) arrays, b branches at a time, with b chosen so
-that a chunk's stacked arrays hold at most BRANCH_FLOATS floats (or one
-branch, when a single branch is larger).  Every reduction runs per branch
-along the same axis as for a single state, and T1 comes from a stacked
-(b, 1, d) @ (d, n) matmul, which runs the single-point kernel once per branch.
-Each branch therefore carries the bits of its own full evaluation; a plain
+The per-state API is `Audit(problem, phi, w, alpha)`.  It validates the
+state once, builds the n successor iterates with running-sum arithmetic and
+evaluates the potential once at the state and once for all n branches; each
+check on that state is a method reading those quantities, and
+`expected_decrease_check` is the one-call form of its decrease check.  The
+branches are evaluated as stacked (b, n, d) arrays of at most BRANCH_FLOATS
+floats per chunk (see Audit.branches).  Every reduction runs per branch along
+the same axis as for a single state, and T1 comes from a stacked
+(b, 1, d) @ (d, n) matmul, which runs the single-point kernel once per branch,
+so each branch carries the bits of its own full evaluation; a plain
 (b, d) @ (d, n) GEMM would not.
 """
 
@@ -195,11 +194,13 @@ def admissible_parameters(alpha: float, beta: float) -> bool:
     return bool(margin <= 0.0 and alpha >= 2.0 and beta >= 2.0)
 
 
-class _Audit:
+class Audit:
     """One audit state (phi, w) at step constant alpha and its n equally
     likely successors: branch j overwrites table row j with w and moves w to
-    the new table map, row j of `next_w`.  Every check that enumerates the
-    branches reads them from here.  The caller's arrays are never written."""
+    the new table map, row j of `next_w`.  The state is validated once (s > 0,
+    smooth objective, finite alpha > 0) and its row values, gradients, gaps
+    w - phi_i and potential `base` computed once; every per-state check is a
+    method reading them.  The caller's arrays are never written."""
 
     def __init__(self, problem, phi_table: np.ndarray, w: np.ndarray,
                  alpha: float):
@@ -211,9 +212,10 @@ class _Audit:
         self.values = problem.table_values(phi)
         self.grads = grads = problem.table_gradients(phi)
         self.grads_at_w = _gradients_at_point(problem, w)
+        self.gaps = w - phi
         self.base = _potential(problem, phi, self.values, grads, w)
         # running-sum form of the map: replace row j's point and gradient
-        self.next_w = ((phi.sum(axis=0) + (w - phi)) / n
+        self.next_w = ((phi.sum(axis=0) + self.gaps) / n
                        - (grads.sum(axis=0) + (self.grads_at_w - grads))
                        / self.denom)
 
@@ -242,11 +244,17 @@ class _Audit:
         return terms
 
     @functools.cached_property
+    def phi_bar(self) -> np.ndarray:
+        return self.phi.mean(axis=0)
+
+    @functools.cached_property
     def full_grad_at_w(self) -> np.ndarray:
         """f'(w), shared by step_gap and t3_shift."""
         return self.problem.full_gradient(self.w)
 
     def decrease_report(self, beta: float, tol: float = 1e-10) -> CheckReport:
+        """E[T'] <= (1 - 1/(alpha*n)) T over the n branches; see
+        expected_decrease_check."""
         if not admissible_parameters(self.alpha, beta):
             raise ValueError(f"(alpha={self.alpha}, beta={beta}) is outside "
                              "the admissible region")
@@ -261,6 +269,8 @@ class _Audit:
 
     def bound_report(self, reference: ReferenceSolution,
                      tol: float = 1e-9) -> CheckReport:
+        """f(phi_bar) - f* <= alpha * T, valid when w is the table map
+        (ValueError otherwise)."""
         mapped = _map(self.phi, self.grads, self.denom)
         scale = 1.0 + float(np.linalg.norm(mapped))
         if float(np.linalg.norm(self.w - mapped)) > 1e-9 * scale:
@@ -271,34 +281,75 @@ class _Audit:
             self.alpha * self.base.total, tol,
             f"alpha={self.alpha:g} n={self.problem.n}", scale=0.0)
 
+    def mean_descent_report(self, tol: float = 1e-9) -> CheckReport:
+        """E[T1'] - T1 <= (1/n) <f'(phi_bar), w - phi_bar>
+                          + (L/(2 n^3)) sum_j ||w - phi_j||^2."""
+        problem, phi_bar, t1 = self.problem, self.phi_bar, self.base.t1
+        n = problem.n
+        nxt = phi_bar[np.newaxis, :] + self.gaps / n   # branch-j table means
+        lhs = float(problem.objective_batch(nxt).mean()) - t1
+        L = problem.lipschitz_constant()
+        rhs = (float(problem.full_gradient(phi_bar) @ (self.w - phi_bar)) / n
+               + 0.5 * L * float(np.einsum("ij,ij->", self.gaps, self.gaps)) / n**3)
+        return _le_report("table-mean-descent", lhs, rhs, tol, f"n={n}", scale=t1)
+
     def term_shifts(self) -> LyapunovTerms:
+        """E[T_m'] - T_m for each potential term, by exact enumeration."""
         def shift(term: str) -> float:
             return (float(np.mean([getattr(b, term) for b in self.branches]))
                     - getattr(self.base, term))
         return LyapunovTerms(*map(shift, ("t1", "t2", "t3", "t4")))
 
     def t3_shift(self) -> float:
-        """Closed form of E[T3'] - T3, exact when w is the table map."""
+        """Exact value of E[T3'] - T3 when w is the table map:
+
+            -(1/n + 1/n^2) T3 + (1/(alpha n)) <f'(w), w - phi_bar>
+            - (1/(2 alpha^2 s n^3)) sum_j ||f_j'(phi_j) - f_j'(w)||^2
+        """
         n, s, alpha = self.problem.n, self.problem.s, self.alpha
-        phi_bar = self.phi.mean(axis=0)
         diff = self.grads - self.grads_at_w
         return (-(1.0 / n + 1.0 / n**2) * self.base.t3
-                + float(self.full_grad_at_w @ (self.w - phi_bar)) / (alpha * n)
+                + float(self.full_grad_at_w @ (self.w - self.phi_bar)) / (alpha * n)
                 - float(np.einsum("ij,ij->", diff, diff))
                 / (2.0 * alpha**2 * s * n**3))
 
+    def t4_shift(self) -> float:
+        """Exact value of E[T4'] - T4 (holds for any w, no map needed):
+
+            -(1/n) T4 + (s/(2n)) ||phi_bar - w||^2 - (s/(2n^3)) sum_j ||w - phi_j||^2
+        """
+        n, s = self.problem.n, self.problem.s
+        u = self.phi_bar - self.w
+        return (-self.base.t4 / n + 0.5 * s * float(u @ u) / n
+                - 0.5 * s * float(np.einsum("ij,ij->", self.gaps, self.gaps)) / n**3)
+
     def step_gap(self) -> float:
+        """|| E[w'] - (w - (1/(alpha s n)) f'(w)) ||: the mean update equals a
+        damped gradient step at w.  Zero up to roundoff when w is the map."""
         damped = self.w - self.full_grad_at_w / self.denom
         return float(np.linalg.norm(self.next_w.mean(axis=0) - damped))
 
     def displacement_gap(self) -> float:
-        predicted = ((self.w - self.phi) / self.problem.n
+        """Worst-case residual of the single-update displacement identity
+
+            w_j' - w = (w - phi_j)/n + (f_j'(phi_j) - f_j'(w)) / (alpha s n),
+
+        which holds exactly when w is the table map."""
+        predicted = (self.gaps / self.problem.n
                      + (self.grads - self.grads_at_w) / self.denom)
         residuals = (self.next_w - self.w) - predicted
         # the n norms at once: a stacked (1, d) @ (d, 1) matmul runs the same
         # dot as np.linalg.norm of each row
         norms = np.sqrt(residuals[:, np.newaxis, :] @ residuals[:, :, np.newaxis])
         return max([0.0] + norms.ravel().tolist())
+
+    def variance_gap(self) -> float:
+        """| mean_i ||w - phi_i||^2 - ||w - phi_bar||^2 - mean_i ||phi_bar - phi_i||^2 |."""
+        spread = self.phi_bar[np.newaxis, :] - self.phi
+        lhs = float(np.einsum("ij,ij->i", self.gaps, self.gaps).mean())
+        u = self.w - self.phi_bar
+        rhs = float(u @ u) + float(np.einsum("ij,ij->i", spread, spread).mean())
+        return abs(lhs - rhs)
 
 
 def expected_decrease_check(problem, phi_table: np.ndarray, w: np.ndarray,
@@ -311,100 +362,7 @@ def expected_decrease_check(problem, phi_table: np.ndarray, w: np.ndarray,
     beta; both raise ValueError when unmet rather than report a failure,
     because outside them the claim is simply not made.
     """
-    return _Audit(problem, phi_table, w, alpha).decrease_report(beta, tol)
-
-
-def bound_gap_check(problem, phi_table: np.ndarray, w: np.ndarray,
-                    alpha: float, reference: ReferenceSolution,
-                    tol: float = 1e-9) -> CheckReport:
-    """f(phi_bar) - f* <= alpha * T, valid when w is the table map."""
-    return _Audit(problem, phi_table, w, alpha).bound_report(reference, tol)
-
-
-# ---------------------------------------------------------------------------
-# per-term diagnostics
-
-
-def expected_term_shifts(problem, phi_table: np.ndarray, w: np.ndarray,
-                         alpha: float) -> LyapunovTerms:
-    """E[T_m'] - T_m for each potential term, by exact enumeration."""
-    return _Audit(problem, phi_table, w, alpha).term_shifts()
-
-
-def t3_shift_closed_form(problem, phi_table: np.ndarray, w: np.ndarray,
-                         alpha: float) -> float:
-    """Exact value of E[T3'] - T3 when w is the table map:
-
-        -(1/n + 1/n^2) T3 + (1/(alpha n)) <f'(w), w - phi_bar>
-        - (1/(2 alpha^2 s n^3)) sum_j ||f_j'(phi_j) - f_j'(w)||^2
-    """
-    return _Audit(problem, phi_table, w, alpha).t3_shift()
-
-
-def t4_shift_closed_form(problem, phi_table: np.ndarray,
-                         w: np.ndarray) -> float:
-    """Exact value of E[T4'] - T4 (holds for any w, no map needed):
-
-        -(1/n) T4 + (s/(2n)) ||phi_bar - w||^2 - (s/(2n^3)) sum_j ||w - phi_j||^2
-    """
-    _require_strongly_convex(problem)
-    phi_table = problem._check_table(phi_table)
-    w = problem._check_point(w)
-    n, s = problem.n, problem.s
-    phi_bar = phi_table.mean(axis=0)
-    spread = phi_bar[np.newaxis, :] - phi_table
-    t4 = 0.5 * s * float(np.einsum("ij,ij->i", spread, spread).mean())
-    gaps = w[np.newaxis, :] - phi_table
-    u = phi_bar - w
-    return (-t4 / n + 0.5 * s * float(u @ u) / n
-            - 0.5 * s * float(np.einsum("ij,ij->", gaps, gaps)) / n**3)
-
-
-def expected_step_gap(problem, phi_table: np.ndarray, w: np.ndarray,
-                      alpha: float) -> float:
-    """|| E[w'] - (w - (1/(alpha s n)) f'(w)) ||: the mean update equals a
-    damped gradient step at w.  Zero up to roundoff when w is the map."""
-    return _Audit(problem, phi_table, w, alpha).step_gap()
-
-
-def update_displacement_gap(problem, phi_table: np.ndarray, w: np.ndarray,
-                            alpha: float) -> float:
-    """Worst-case residual of the single-update displacement identity
-
-        w_j' - w = (w - phi_j)/n + (f_j'(phi_j) - f_j'(w)) / (alpha s n),
-
-    which holds exactly when w is the table map."""
-    return _Audit(problem, phi_table, w, alpha).displacement_gap()
-
-
-def variance_decomposition_gap(phi_table: np.ndarray, w: np.ndarray) -> float:
-    """| mean_i ||w - phi_i||^2 - ||w - phi_bar||^2 - mean_i ||phi_bar - phi_i||^2 |."""
-    phi_table = np.asarray(phi_table, dtype=float)
-    w = np.asarray(w, dtype=float)
-    phi_bar = phi_table.mean(axis=0)
-    gaps = w[np.newaxis, :] - phi_table
-    spread = phi_bar[np.newaxis, :] - phi_table
-    lhs = float(np.einsum("ij,ij->i", gaps, gaps).mean())
-    u = w - phi_bar
-    rhs = float(u @ u) + float(np.einsum("ij,ij->i", spread, spread).mean())
-    return abs(lhs - rhs)
-
-
-def table_mean_descent_check(problem, phi_table: np.ndarray, w: np.ndarray,
-                             tol: float = 1e-9) -> CheckReport:
-    """E[T1'] - T1 <= (1/n) <f'(phi_bar), w - phi_bar>
-                      + (L/(2 n^3)) sum_j ||w - phi_j||^2."""
-    phi_table, w = _checked_state(problem, phi_table, w, strongly_convex=False)
-    n = problem.n
-    phi_bar = phi_table.mean(axis=0)
-    t1 = _objective_at(problem, phi_bar)
-    gaps = w[np.newaxis, :] - phi_table
-    nxt = phi_bar[np.newaxis, :] + gaps / n   # branch-j table means
-    lhs = float(problem.objective_batch(nxt).mean()) - t1
-    L = problem.lipschitz_constant()
-    rhs = (float(problem.full_gradient(phi_bar) @ (w - phi_bar)) / n
-           + 0.5 * L * float(np.einsum("ij,ij->", gaps, gaps)) / n**3)
-    return _le_report("table-mean-descent", lhs, rhs, tol, f"n={n}", scale=t1)
+    return Audit(problem, phi_table, w, alpha).decrease_report(beta, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -617,8 +575,13 @@ def _rate_bounds(problem, alpha: float, phi0: np.ndarray, ks) -> list[float]:
             for k in ks]
 
 
-def _mean_curve(traces: list[list[TraceRecord]]):
-    """Common epoch grid and per-epoch mean suboptimality across traces."""
+def rate_curve(traces: list[list[TraceRecord]], problem, alpha: float,
+               phi0: np.ndarray):
+    """Rows (k, mean suboptimality, certified bound) on the traces' grid.
+
+    Traces must monitor the table mean of runs started with every row at
+    phi0; epochs convert to update counts via k = epoch * n.
+    """
     if not traces:
         raise ValueError("need at least one trace")
     epochs = [r.epoch for r in traces[0]]
@@ -632,17 +595,6 @@ def _mean_curve(traces: list[list[TraceRecord]]):
                     "(run against a reference solution)")
     means = [float(np.mean([trace[i].suboptimality for trace in traces]))
              for i in range(len(epochs))]
-    return epochs, means
-
-
-def rate_curve(traces: list[list[TraceRecord]], problem, alpha: float,
-               phi0: np.ndarray):
-    """Rows (k, mean suboptimality, certified bound) on the traces' grid.
-
-    Traces must monitor the table mean of runs started with every row at
-    phi0; epochs convert to update counts via k = epoch * n.
-    """
-    epochs, means = _mean_curve(traces)
     ks = [round(epoch * problem.n) for epoch in epochs]
     return list(zip(ks, means, _rate_bounds(problem, alpha, phi0, ks)))
 
@@ -718,10 +670,10 @@ def suite_lyapunov(n: int, d: int, beta: float, states: int, seed: int,
     for t in range(states):
         phi, w = state.phi_table, state.w
         ctx = f"step={t}"
-        audit = _Audit(problem, phi, w, alpha)
+        audit = Audit(problem, phi, w, alpha)
         for report in (audit.decrease_report(beta),
                        audit.bound_report(reference),
-                       table_mean_descent_check(problem, phi, w)):
+                       audit.mean_descent_report()):
             report.context = f"{ctx} {report.context}"
             reports.append(report)
         scale = float(np.linalg.norm(w))
@@ -731,11 +683,10 @@ def suite_lyapunov(n: int, d: int, beta: float, states: int, seed: int,
             ("expected-step-identity", audit.step_gap(), 0.0, scale),
             ("update-displacement-identity", audit.displacement_gap(), 0.0,
              scale),
-            ("variance-decomposition", variance_decomposition_gap(phi, w), 0.0,
+            ("variance-decomposition", audit.variance_gap(), 0.0,
              float(np.einsum("ij,ij->", phi, phi))),
             ("t3-shift-closed-form", shifts.t3, audit.t3_shift(), total),
-            ("t4-shift-closed-form", shifts.t4,
-             t4_shift_closed_form(problem, phi, w), total),
+            ("t4-shift-closed-form", shifts.t4, audit.t4_shift(), total),
         ):
             reports.append(_eq_report(name, lhs, rhs, 1e-12, size, ctx))
         finito_step(state, problem, sampler.next_index())

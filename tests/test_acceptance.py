@@ -13,18 +13,17 @@ import numpy as np
 import pytest
 
 from finito import (
+    Audit,
     LibsvmFormatError,
     SQUARED,
     SamplingScheme,
     SolverConfig,
     SynthSpec,
-    bound_gap_check,
     big_data_lb_check,
     checkpoint_load,
     checkpoint_save,
     convexity_suite,
     expected_decrease_check,
-    expected_step_gap,
     expected_unseen,
     finito_init,
     finito_step,
@@ -42,8 +41,6 @@ from finito import (
     simulate_unseen,
     strong_lb_check,
     synth_problem,
-    update_displacement_gap,
-    variance_decomposition_gap,
     write_trace,
     QuadraticProblem,
 )
@@ -133,9 +130,9 @@ def test_criterion_4_step_identities_exact():
     for _ in range(100):
         phi, w = random_audit_state(problem, ref.w_star, 2.0, rng)
         scale = 1.0 + abs(lyapunov_evaluate(problem, phi, w).total)
-        gaps = (abs(expected_step_gap(problem, phi, w, 2.0)),
-                abs(update_displacement_gap(problem, phi, w, 2.0)),
-                abs(variance_decomposition_gap(phi, w)))
+        audit = Audit(problem, phi, w, 2.0)
+        gaps = (abs(audit.step_gap()), abs(audit.displacement_gap()),
+                abs(audit.variance_gap()))
         worst = max(worst, max(gaps) / scale)
     ok = worst <= 1e-12
     verdict(4, ok, f"worst scaled identity gap {worst:.3g}")
@@ -170,8 +167,8 @@ def test_criterion_6_certified_gap_and_initial_potential():
     rng = np.random.default_rng(6)
     hits = 0
     for j in rng.integers(problem.n, size=100):
-        hits += bound_gap_check(problem, st.phi_table, st.w, 2.0,
-                                ref).satisfied
+        hits += Audit(problem, st.phi_table, st.w, 2.0).bound_report(
+            ref).satisfied
         finito_step(st, problem, int(j))
     desk = QuadraticProblem([[1.0], [-1.0]])
     hand = initial_lyapunov(desk, np.ones(1), 2.0)

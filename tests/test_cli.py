@@ -350,6 +350,76 @@ def test_resume_from_checkpoint_with_negative_k_exits_one(tmp_path):
     assert "Traceback" not in err
 
 
+def test_resume_from_checkpoint_with_huge_n_exits_one(tmp_path):
+    # such a file once sized a 10^14-row table from its own n line and died
+    # with a MemoryError traceback
+    ck = tmp_path / "state.ckpt"
+    base = ["--synth", "n=20,d=5", "--solver", "finito", "--seed", "5"]
+    code, _, _ = call(["run", *base, "--epochs", "1", "--save-state", str(ck)])
+    assert code == 0
+    text = ck.read_text()
+    assert "\nn 20\n" in text and "\ntable p 20\n" in text
+    ck.write_text(text.replace("\nn 20\n", "\nn 100000000000000\n")
+                  .replace("\ntable p 20\n", "\ntable p 100000000000000\n"))
+    code, out, err = call(["run", *base, "--epochs", "2", "--resume", str(ck)])
+    assert (code, out) == (1, "")
+    assert "dimension mismatch: checkpoint n=100000000000000, problem n=20" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("synth,message", [
+    ("n=41,d=4,beta=2,seed=3", "dimension mismatch: checkpoint n=40, problem n=41"),
+    ("n=40,d=5,beta=2,seed=3", "dimension mismatch: checkpoint d=4, problem d=5"),
+])
+def test_resume_against_a_problem_of_another_shape_exits_one(
+        tmp_path, synth, message):
+    ck = tmp_path / "state.ckpt"
+    code, _, _ = call(["run", "--synth", SYNTH, "--epochs", "1",
+                       "--save-state", str(ck)])
+    assert code == 0
+    code, out, err = call(["run", "--synth", synth, "--epochs", "2",
+                           "--resume", str(ck)])
+    assert (code, out) == (1, "")
+    assert message in err
+
+
+# each request needs more than 2^47 bytes (128 TiB) at once, so the
+# allocation fails under any overcommit policy without touching memory; each
+# once escaped cli.main as a MemoryError traceback
+@pytest.mark.parametrize("argv", [
+    pytest.param(["run", "--data", "{huge.libsvm}", "--fstar", "none"],
+                 id="libsvm-index-1e14"),
+    pytest.param(["compare", "--synth", "n=20,d=3", "--configs", "finito",
+                  "--seeds", "1000000000000000"], id="compare-seeds-1e15"),
+    pytest.param(["run", "--synth", "n=1000000000,d=1000000"],
+                 id="synth-n-1e9-d-1e6"),
+])
+def test_request_too_big_to_allocate_exits_one(tmp_path, argv):
+    data = tmp_path / "huge.libsvm"
+    data.write_text("1 100000000000000:1\n-1 1:0.5\n")
+    argv = [str(data) if a == "{huge.libsvm}" else a for a in argv]
+    code, out, err = call(argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: out of memory")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("fstar", ["inf", "-inf", "nan", "nan-file"])
+def test_non_finite_fstar_exits_one(tmp_path, command, fstar):
+    # --fstar inf once exited 0 with -inf in every suboptimality cell, and
+    # nan gave the NaN column of --fstar none
+    if fstar == "nan-file":
+        fstar = tmp_path / "fstar.txt"
+        fstar.write_text("nan\n")
+    argv = [command, "--synth", SYNTH, "--epochs", "1", f"--fstar={fstar}"]
+    if command == "compare":
+        argv += ["--configs", "finito", "--seeds", "1"]
+    code, out, err = call(argv)
+    assert (code, out) == (1, "")
+    assert "reference f_star must be finite" in err
+
+
 @pytest.mark.parametrize("module", ["finito", "finito.cli"])
 def test_module_execution_runs_the_cli(module):
     src = str(Path(finito.__file__).resolve().parent.parent)

@@ -238,7 +238,8 @@ def test_checkpoint_corruption_detected(synth_tiny, tmp_path):
         checkpoint_load(io.StringIO("not a checkpoint\n"), problem)
 
 
-# lines starting with `prefix` are dropped (edit None) or rewritten by `edit`
+# lines starting with `prefix` (a string or a tuple of them) are dropped
+# (edit None) or rewritten by `edit`
 @pytest.mark.parametrize("solver,prefix,edit,match", [
     pytest.param("finito", "vec w ", None, "missing", id="finito-vec w "),
     pytest.param("finito", "vec p_sum ", None, "missing",
@@ -254,6 +255,12 @@ def test_checkpoint_corruption_detected(synth_tiny, tmp_path):
                  "expected 3 entries, found 4", id="sag-vec grad_sum with 4"),
     pytest.param("finito", "table p ", lambda line: "table p 10",
                  "10 rows, expected n=20", id="finito-table p 10"),
+    # the file's own n never sizes an array: 10^14 rows x 3 floats would be
+    # 2.4e15 bytes, beyond any address space
+    pytest.param("finito", ("n ", "table p "),
+                 lambda line: line.rsplit(" ", 1)[0] + " 100000000000000",
+                 "dimension mismatch: checkpoint n=100000000000000, problem n=20",
+                 id="finito-n and table p 10^14"),
     pytest.param("finito", "seen ", lambda line: "seen 999",
                  "k=40 seen=999: need", id="finito-seen 999"),
     pytest.param("sag", "seen ", lambda line: "seen -1",

@@ -5,6 +5,7 @@ Hand values all live on the n=2 desk quadratic (see conftest): components
 rational that floats represent exactly.
 """
 
+import dataclasses
 import io
 import warnings
 
@@ -254,6 +255,16 @@ def test_divergence_attaches_partial_records(synth_tiny):
         run(problem, config, SamplingScheme(UNIFORM), epochs=10, reference=ref)
     assert len(info.value.records) >= 1
     assert info.value.records[0].epoch == 0.0
+
+
+@pytest.mark.parametrize("f_star", [float("inf"), float("-inf"), float("nan")])
+def test_non_finite_reference_f_star_rejected(synth_tiny, f_star):
+    # inf once gave -inf in every suboptimality cell, nan a silent NaN column
+    problem, ref = synth_tiny
+    config = SolverConfig(solver="finito", w0=np.zeros(problem.d))
+    with pytest.raises(ValueError, match="reference f_star must be finite"):
+        run_with_state(problem, config, SamplingScheme(UNIFORM), 1,
+                       reference=dataclasses.replace(ref, f_star=f_star))
 
 
 def test_unknown_solver_rejected(synth_tiny):

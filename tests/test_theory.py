@@ -5,8 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import finito
 import finito.theory as theory
 from finito import (
+    Audit,
     CheckReport,
     IndexSampler,
     QuadraticProblem,
@@ -17,11 +19,8 @@ from finito import (
     UNIFORM,
     admissible_parameters,
     big_data_lb_check,
-    bound_gap_check,
     convexity_suite,
     expected_decrease_check,
-    expected_step_gap,
-    expected_term_shifts,
     finito_init,
     finito_map,
     finito_step,
@@ -36,13 +35,8 @@ from finito import (
     run,
     strong_lb_check,
     synth_problem,
-    t3_shift_closed_form,
-    t4_shift_closed_form,
     table_checks,
-    table_mean_descent_check,
     TraceRecord,
-    update_displacement_gap,
-    variance_decomposition_gap,
 )
 from finito.theory import suite_lyapunov
 
@@ -56,6 +50,14 @@ def trajectory_states(problem, steps, alpha=2.0, seed=0):
         finito_step(st, problem, int(j))
         out.append((st.phi_table.copy(), st.w.copy()))
     return out
+
+
+def test_package_exports_resolve_once():
+    # a name deleted from a module must leave finito.__all__ with it
+    assert len(finito.__all__) == len(set(finito.__all__))
+    for name in finito.__all__:
+        assert hasattr(finito, name), name
+    assert "Audit" in finito.__all__ and finito.Audit is theory.Audit
 
 
 # -- hand values -----------------------------------------------------------------
@@ -105,7 +107,7 @@ def test_admissible_region_is_finite(value):
 
 def test_bound_gap_hand_value(desk):
     ref = reference_solve(desk)
-    rep = bound_gap_check(desk, np.ones((2, 1)), np.array([0.5]), 2.0, ref)
+    rep = Audit(desk, np.ones((2, 1)), np.array([0.5]), 2.0).bound_report(ref)
     assert rep.satisfied
     assert rep.lhs == pytest.approx(0.5, abs=1e-10)
     assert rep.rhs == pytest.approx(0.75, abs=1e-12)
@@ -150,11 +152,12 @@ def test_term_shifts_match_closed_forms(synth_tiny):
     rng = np.random.default_rng(7)
     for _ in range(25):
         phi, w = random_audit_state(problem, ref.w_star, 2.0, rng)
-        shifts = expected_term_shifts(problem, phi, w, 2.0)
+        audit = Audit(problem, phi, w, 2.0)
+        shifts = audit.term_shifts()
         base = lyapunov_evaluate(problem, phi, w)
         scale = 1 + abs(base.total)
-        assert abs(shifts.t3 - t3_shift_closed_form(problem, phi, w, 2.0)) <= 1e-12 * scale
-        assert abs(shifts.t4 - t4_shift_closed_form(problem, phi, w)) <= 1e-12 * scale
+        assert abs(shifts.t3 - audit.t3_shift()) <= 1e-12 * scale
+        assert abs(shifts.t4 - audit.t4_shift()) <= 1e-12 * scale
 
 
 def test_identity_gaps_vanish(synth_tiny):
@@ -162,9 +165,10 @@ def test_identity_gaps_vanish(synth_tiny):
     rng = np.random.default_rng(11)
     for _ in range(25):
         phi, w = random_audit_state(problem, ref.w_star, 2.0, rng)
-        assert abs(expected_step_gap(problem, phi, w, 2.0)) <= 1e-12
-        assert abs(update_displacement_gap(problem, phi, w, 2.0)) <= 1e-12
-        assert abs(variance_decomposition_gap(phi, w)) <= 1e-12
+        audit = Audit(problem, phi, w, 2.0)
+        assert abs(audit.step_gap()) <= 1e-12
+        assert abs(audit.displacement_gap()) <= 1e-12
+        assert abs(audit.variance_gap()) <= 1e-12
 
 
 def test_random_audit_state_returns_map(synth_tiny, rng):
@@ -179,7 +183,7 @@ def test_bound_gap_rejects_non_map(synth_tiny):
     phi = np.zeros((problem.n, problem.d))
     w = finito_map(problem, phi, 2.0) + 0.5
     with pytest.raises(ValueError):
-        bound_gap_check(problem, phi, w, 2.0, ref)
+        Audit(problem, phi, w, 2.0).bound_report(ref)
 
 
 # NaN passes an `alpha <= 0` guard; every entry point that takes alpha
@@ -199,13 +203,14 @@ def test_alpha_must_be_finite_and_positive(synth_tiny, alpha):
         "rate_certificate": lambda: rate_certificate(traces, problem, alpha, w0),
         "expected_decrease_check":
             lambda: expected_decrease_check(problem, phi, w, alpha, 2.0),
-        "bound_gap_check": lambda: bound_gap_check(problem, phi, w, alpha, ref),
-        "expected_term_shifts": lambda: expected_term_shifts(problem, phi, w, alpha),
-        "expected_step_gap": lambda: expected_step_gap(problem, phi, w, alpha),
-        "update_displacement_gap":
-            lambda: update_displacement_gap(problem, phi, w, alpha),
-        "t3_shift_closed_form":
-            lambda: t3_shift_closed_form(problem, phi, w, alpha),
+        "Audit": lambda: Audit(problem, phi, w, alpha),
+        "Audit.bound_report":
+            lambda: Audit(problem, phi, w, alpha).bound_report(ref),
+        "Audit.term_shifts": lambda: Audit(problem, phi, w, alpha).term_shifts(),
+        "Audit.step_gap": lambda: Audit(problem, phi, w, alpha).step_gap(),
+        "Audit.displacement_gap":
+            lambda: Audit(problem, phi, w, alpha).displacement_gap(),
+        "Audit.t3_shift": lambda: Audit(problem, phi, w, alpha).t3_shift(),
         "random_audit_state": lambda: random_audit_state(
             problem, ref.w_star, alpha, np.random.default_rng(0)),
     }
@@ -218,7 +223,7 @@ def test_alpha_must_be_finite_and_positive(synth_tiny, alpha):
 def test_table_mean_descent_along_trajectory(synth_tiny):
     problem, _ = synth_tiny
     for phi, w in trajectory_states(problem, 20, seed=5):
-        assert table_mean_descent_check(problem, phi, w).satisfied
+        assert Audit(problem, phi, w, 2.0).mean_descent_report().satisfied
 
 
 # -- one audit per state -----------------------------------------------------------
@@ -244,6 +249,8 @@ def suite_states(n, d, beta, states, seed, alpha):
 
 
 def test_public_checks_equal_suite_rows():
+    # every row the suite reads off its one audit per state equals the same
+    # check on a fresh Audit, bit for bit
     n, d, beta, alpha, seed, states = 12, 3, 2.0, 2.0, 4, 4
     rows = suite_lyapunov(n, d, beta, states, seed, alpha)
     problem, reference, pairs = suite_states(n, d, beta, states, seed, alpha)
@@ -251,25 +258,30 @@ def test_public_checks_equal_suite_rows():
         block = rows[1 + len(SUITE_ROWS) * t:1 + len(SUITE_ROWS) * (t + 1)]
         assert tuple(r.name for r in block) == SUITE_ROWS
         row = {r.name: r for r in block}
+
+        def fresh():
+            return Audit(problem, phi, w, alpha)
+
         for report in (expected_decrease_check(problem, phi, w, alpha, beta),
-                       bound_gap_check(problem, phi, w, alpha, reference)):
+                       fresh().bound_report(reference),
+                       fresh().mean_descent_report()):
             got = row[report.name]
             assert (got.lhs.hex(), got.rhs.hex(), got.slack.hex(),
                     got.satisfied, got.context) == (
                 report.lhs.hex(), report.rhs.hex(), report.slack.hex(),
                 report.satisfied, f"step={t} {report.context}")
-        shifts = expected_term_shifts(problem, phi, w, alpha)
+        shifts = fresh().term_shifts()
         gaps = {
-            "expected-step-identity": expected_step_gap(problem, phi, w, alpha),
-            "update-displacement-identity":
-                update_displacement_gap(problem, phi, w, alpha),
+            "expected-step-identity": fresh().step_gap(),
+            "update-displacement-identity": fresh().displacement_gap(),
+            "variance-decomposition": fresh().variance_gap(),
             "t3-shift-closed-form": shifts.t3,
             "t4-shift-closed-form": shifts.t4,
         }
         for name, value in gaps.items():
             assert row[name].lhs.hex() == value.hex(), name
-        assert (row["t3-shift-closed-form"].rhs.hex()
-                == t3_shift_closed_form(problem, phi, w, alpha).hex())
+        assert row["t3-shift-closed-form"].rhs.hex() == fresh().t3_shift().hex()
+        assert row["t4-shift-closed-form"].rhs.hex() == fresh().t4_shift().hex()
 
 
 def test_public_checks_leave_inputs_unchanged(synth_tiny):
@@ -278,15 +290,19 @@ def test_public_checks_leave_inputs_unchanged(synth_tiny):
     off_map = w + 0.5
     calls = [
         lambda: expected_decrease_check(problem, phi, w, 2.0, 2.0),
-        lambda: bound_gap_check(problem, phi, w, 2.0, ref),
-        lambda: expected_term_shifts(problem, phi, w, 2.0),
-        lambda: expected_step_gap(problem, phi, w, 2.0),
-        lambda: update_displacement_gap(problem, phi, w, 2.0),
+        lambda: Audit(problem, phi, w, 2.0).bound_report(ref),
+        lambda: Audit(problem, phi, w, 2.0).term_shifts(),
+        lambda: Audit(problem, phi, w, 2.0).step_gap(),
+        lambda: Audit(problem, phi, w, 2.0).displacement_gap(),
+        lambda: Audit(problem, phi, w, 2.0).mean_descent_report(),
+        lambda: Audit(problem, phi, w, 2.0).t3_shift(),
+        lambda: Audit(problem, phi, w, 2.0).t4_shift(),
+        lambda: Audit(problem, phi, w, 2.0).variance_gap(),
     ]
     failing = [
         lambda: expected_decrease_check(problem, phi, w, 1.5, 2.0),
         lambda: expected_decrease_check(problem, phi, w, 2.0, 50.0),
-        lambda: bound_gap_check(problem, phi, off_map, 2.0, ref),
+        lambda: Audit(problem, phi, off_map, 2.0).bound_report(ref),
     ]
     before = [a.copy() for a in (phi, w, off_map)]
     for call in calls:
@@ -343,7 +359,7 @@ def test_audit_branches_equal_full_reevaluation(synth_tiny, monkeypatch):
         for size in (n, 3, 1):
             monkeypatch.setattr(theory, "BRANCH_FLOATS", size * 3 * n * d)
             for phi, w in trajectory_states(problem, 12, seed=3)[::3]:
-                audit = theory._Audit(problem, phi, w, 2.0)
+                audit = Audit(problem, phi, w, 2.0)
                 assert audit.base == reference_potential(problem, phi, w)
                 expected = reference_branches(problem, phi, w, 2.0)
                 assert np.array_equal(audit.next_w,
@@ -356,7 +372,7 @@ def test_audit_branches_span_chunks_at_the_real_cap():
     size = theory.BRANCH_FLOATS // (3 * problem.n * problem.d)
     assert problem.n > size and problem.n % size
     phi, w = trajectory_states(problem, 5, seed=1)[-1]
-    audit = theory._Audit(problem, phi, w, 2.0)
+    audit = Audit(problem, phi, w, 2.0)
     assert audit.branches == [terms for _, terms in
                               reference_branches(problem, phi, w, 2.0)]
 
@@ -367,7 +383,7 @@ def test_branch_stacks_stay_within_the_cap():
     problem, _ = synth_problem(SynthSpec(n=500, d=5, target_beta=2.0, seed=0))
     assert 3 * problem.n**2 * problem.d > 2 * theory.BRANCH_FLOATS
     phi, w = trajectory_states(problem, 3)[-1]
-    audit = theory._Audit(problem, phi, w, 2.0)
+    audit = Audit(problem, phi, w, 2.0)
     tracemalloc.start()
     try:
         audit.branches
@@ -380,7 +396,7 @@ def test_branch_stacks_stay_within_the_cap():
 def test_suite_evaluates_each_branch_potential_once(monkeypatch):
     calls = []
     potential, potentials, audit = (theory._potential, theory._potentials,
-                                    theory._Audit)
+                                    theory.Audit)
 
     def counted_potential(*args):
         calls.append("potential")
@@ -396,7 +412,7 @@ def test_suite_evaluates_each_branch_potential_once(monkeypatch):
 
     monkeypatch.setattr(theory, "_potential", counted_potential)
     monkeypatch.setattr(theory, "_potentials", counted_potentials)
-    monkeypatch.setattr(theory, "_Audit", counted_audit)
+    monkeypatch.setattr(theory, "Audit", counted_audit)
     n, states = 40, 3
     suite_lyapunov(n, 5, 2.0, states, 0, 2.0)
     # the initial-potential row, then per state one audit, its base
