@@ -22,11 +22,10 @@ from .data_io import (CheckpointFormatError, LibsvmFormatError, SynthSpec,
                       checkpoint_save, parse_libsvm, read_trace, synth_problem,
                       write_trace)
 from .theory import (Audit, CheckReport, LyapunovTerms, admissible_parameters,
-                     big_data_lb_check, convexity_suite,
-                     expected_decrease_check, finito_map, initial_lyapunov,
-                     lyapunov_evaluate, pair_checks, random_audit_state,
-                     rate_bound, rate_certificate, rate_curve, strong_lb_check,
-                     table_checks)
+                     convexity_suite, expected_decrease_check, finito_map,
+                     initial_lyapunov, lyapunov_evaluate, pair_checks,
+                     random_audit_state, rate_bound, rate_certificate,
+                     rate_curve, strong_lb_check)
 from .lower_bounds import (CoupledWorstCase, UnseenPoint, UnseenSummary,
                            UnseenTrace, expected_unseen, first_pass_floor_trace,
                            floor_check, make_worst_case,
@@ -49,10 +48,10 @@ __all__ = [
     "TraceFormatError", "checkpoint_load", "checkpoint_save", "parse_libsvm",
     "read_trace", "synth_problem", "write_trace",
     "Audit", "CheckReport", "LyapunovTerms", "admissible_parameters",
-    "big_data_lb_check", "convexity_suite", "expected_decrease_check",
-    "finito_map", "initial_lyapunov", "lyapunov_evaluate", "pair_checks",
+    "convexity_suite", "expected_decrease_check", "finito_map",
+    "initial_lyapunov", "lyapunov_evaluate", "pair_checks",
     "random_audit_state", "rate_bound", "rate_certificate", "rate_curve",
-    "strong_lb_check", "table_checks",
+    "strong_lb_check",
     "CoupledWorstCase", "UnseenPoint", "UnseenSummary", "UnseenTrace",
     "expected_unseen", "first_pass_floor_trace", "floor_check",
     "make_worst_case", "oracle_limited_suboptimality", "simulate_unseen",

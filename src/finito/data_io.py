@@ -23,7 +23,7 @@ from .problems import (FiniteSumProblem, ReferenceSolution, LOGISTIC, LOSS_KINDS
                        _MARGIN_CURVATURE)
 from .samplers import IndexSampler, SamplingScheme
 from .solvers import (FINITO_TAGS, FinitoState, FullGradientState, SagState,
-                      TraceRecord, reference_solve)
+                      TraceRecord, _require_positive, reference_solve)
 
 TRACE_HEADER = "epoch,objective,suboptimality,grad_norm,wall_ms,solver,sampling,seed"
 CHECKPOINT_MAGIC = "FINITOCKPT 1"
@@ -174,6 +174,7 @@ def synth_problem(spec: SynthSpec):
             raise ValueError(f"{name} must be finite, got {getattr(spec, name)}")
     if spec.s <= 0:
         raise ValueError("synthetic problems need s > 0")
+    _require_positive("target_beta", spec.target_beta)
     if spec.n <= spec.target_beta:
         raise ValueError(
             f"n={spec.n} cannot satisfy the big-data condition at "

@@ -103,24 +103,15 @@ def _require_big_data(problem, beta: float) -> None:
             f"n*s = {report.n * report.s:g} < beta*L = {beta * report.L:g}")
 
 
-def _checked_state(problem, phi_table: np.ndarray, w: np.ndarray,
-                   strongly_convex: bool = True):
-    """(table, point) validated for the analysis: smooth objective, and
-    s > 0 unless strongly_convex is False."""
+def _checked_state(problem, phi_table: np.ndarray, w: np.ndarray):
+    """(table, point) validated for the analysis: smooth objective, s > 0."""
     _require_smooth(problem)
-    if strongly_convex:
-        _require_strongly_convex(problem)
+    _require_strongly_convex(problem)
     return problem._check_table(phi_table), problem._check_point(w)
 
 
 def _objective_at(problem, point: np.ndarray) -> float:
     return float(problem.objective_batch(point[np.newaxis, :])[0])
-
-
-def _gradients_at_point(problem, point: np.ndarray) -> np.ndarray:
-    """All n component gradients evaluated at one point, as rows."""
-    table = np.broadcast_to(point, (problem.n, problem.d))
-    return problem.table_gradients(table)
 
 
 def finito_map(problem, phi_table: np.ndarray, alpha: float) -> np.ndarray:
@@ -194,30 +185,42 @@ def admissible_parameters(alpha: float, beta: float) -> bool:
     return bool(margin <= 0.0 and alpha >= 2.0 and beta >= 2.0)
 
 
+def _require_admissible(alpha: float, beta: float) -> None:
+    if not admissible_parameters(alpha, beta):
+        raise ValueError(f"(alpha={alpha}, beta={beta}) is outside "
+                         "the admissible region")
+
+
 class Audit:
     """One audit state (phi, w) at step constant alpha and its n equally
     likely successors: branch j overwrites table row j with w and moves w to
     the new table map, row j of `next_w`.  The state is validated once (s > 0,
-    smooth objective, finite alpha > 0) and its row values, gradients, gaps
-    w - phi_i and potential `base` computed once; every per-state check is a
-    method reading them.  The caller's arrays are never written."""
+    smooth objective, finite alpha > 0); its row values and gradients, the
+    gradients at w and the gaps w - phi_i and f_i'(w) - f_i'(phi_i) are
+    computed once, `base` and `next_w` on first use, and every per-state
+    check is a method reading them.  The caller's arrays are never written."""
 
     def __init__(self, problem, phi_table: np.ndarray, w: np.ndarray,
                  alpha: float):
         _require_positive("alpha", alpha)
         phi, w = _checked_state(problem, phi_table, w)
         self.problem, self.alpha, self.phi, self.w = problem, alpha, phi, w
-        n = problem.n
-        self.denom = alpha * problem.s * n
+        self.denom = alpha * problem.s * problem.n
         self.values = problem.table_values(phi)
-        self.grads = grads = problem.table_gradients(phi)
-        self.grads_at_w = _gradients_at_point(problem, w)
+        self.grads = problem.table_gradients(phi)
+        self.grads_at_w = problem.table_gradients(np.broadcast_to(w, phi.shape))
         self.gaps = w - phi
-        self.base = _potential(problem, phi, self.values, grads, w)
+        self.grad_gaps = self.grads_at_w - self.grads
+
+    @functools.cached_property
+    def base(self) -> LyapunovTerms:
+        return _potential(self.problem, self.phi, self.values, self.grads, self.w)
+
+    @functools.cached_property
+    def next_w(self) -> np.ndarray:
         # running-sum form of the map: replace row j's point and gradient
-        self.next_w = ((phi.sum(axis=0) + self.gaps) / n
-                       - (grads.sum(axis=0) + (self.grads_at_w - grads))
-                       / self.denom)
+        return ((self.phi.sum(axis=0) + self.gaps) / self.problem.n
+                - (self.grads.sum(axis=0) + self.grad_gaps) / self.denom)
 
     @functools.cached_property
     def branches(self) -> list[LyapunovTerms]:
@@ -255,9 +258,7 @@ class Audit:
     def decrease_report(self, beta: float, tol: float = 1e-10) -> CheckReport:
         """E[T'] <= (1 - 1/(alpha*n)) T over the n branches; see
         expected_decrease_check."""
-        if not admissible_parameters(self.alpha, beta):
-            raise ValueError(f"(alpha={self.alpha}, beta={beta}) is outside "
-                             "the admissible region")
+        _require_admissible(self.alpha, beta)
         _require_big_data(self.problem, beta)
         total = self.base.total
         lhs = float(np.mean([b.total for b in self.branches]))
@@ -307,10 +308,9 @@ class Audit:
             - (1/(2 alpha^2 s n^3)) sum_j ||f_j'(phi_j) - f_j'(w)||^2
         """
         n, s, alpha = self.problem.n, self.problem.s, self.alpha
-        diff = self.grads - self.grads_at_w
         return (-(1.0 / n + 1.0 / n**2) * self.base.t3
                 + float(self.full_grad_at_w @ (self.w - self.phi_bar)) / (alpha * n)
-                - float(np.einsum("ij,ij->", diff, diff))
+                - float(np.einsum("ij,ij->", self.grad_gaps, self.grad_gaps))
                 / (2.0 * alpha**2 * s * n**3))
 
     def t4_shift(self) -> float:
@@ -335,8 +335,7 @@ class Audit:
             w_j' - w = (w - phi_j)/n + (f_j'(phi_j) - f_j'(w)) / (alpha s n),
 
         which holds exactly when w is the table map."""
-        predicted = (self.gaps / self.problem.n
-                     + (self.grads - self.grads_at_w) / self.denom)
+        predicted = self.gaps / self.problem.n - self.grad_gaps / self.denom
         residuals = (self.next_w - self.w) - predicted
         # the n norms at once: a stacked (1, d) @ (d, 1) matmul runs the same
         # dot as np.linalg.norm of each row
@@ -350,6 +349,48 @@ class Audit:
         u = self.w - self.phi_bar
         rhs = float(u @ u) + float(np.einsum("ij,ij->i", spread, spread).mean())
         return abs(lhs - rhs)
+
+    def table_reports(self, tol: float = 1e-9,
+                      context: str = "") -> list[CheckReport]:
+        """Summed table forms bounding the T2 term: table-strong-convexity
+        (-f(w) - T2 <= -(s/2n) sum ||w - phi_i||^2) and table-smoothness-lower
+        (<= -(1/(2Ln)) sum ||f_i'(w) - f_i'(phi_i)||^2).  T2 is formed here:
+        reading it off `base` would evaluate the whole potential."""
+        problem, gaps, diff = self.problem, self.gaps, self.grad_gaps
+        n = problem.n
+        fw = _objective_at(problem, self.w)
+        t2 = -float(self.values.mean()) \
+            - float(np.einsum("ij,ij->i", self.grads, gaps).mean())
+        return [
+            _le_report("table-strong-convexity", -fw - t2,
+                       -0.5 * problem.s * float(np.einsum("ij,ij->", gaps, gaps)) / n,
+                       tol, context),
+            _le_report("table-smoothness-lower", -fw - t2,
+                       -0.5 * float(np.einsum("ij,ij->", diff, diff))
+                       / (problem.lipschitz_constant() * n), tol, context),
+        ]
+
+    def lower_bound_report(self, beta: float, tol: float = 1e-9) -> CheckReport:
+        """Averaged lower bound on f(w) from the table, with constants
+        beta/(2 s n^2), beta L/(2 n^2), beta/n^2; valid under the big-data
+        condition at beta (checked, raises otherwise) and for any w:
+
+            f(w) >= (1/n) sum_i [ f_i(phi_i) + <f_i'(phi_i), w - phi_i> ]
+                    + beta/(2 s n^2) sum_i ||f_i'(w) - f_i'(phi_i)||^2
+                    + beta L/(2 n^2) sum_i ||w - phi_i||^2
+                    + beta/n^2 sum_i <f_i'(w) - f_i'(phi_i), phi_i - w>.
+        """
+        problem, dx, dg = self.problem, self.gaps, self.grad_gaps
+        _require_big_data(problem, beta)
+        n, s, L = problem.n, problem.s, problem.lipschitz_constant()
+        lhs = (float(self.values.mean())
+               + float(np.einsum("ij,ij->i", self.grads, dx).mean())
+               + 0.5 * beta * float(np.einsum("ij,ij->", dg, dg)) / (s * n**2)
+               + 0.5 * beta * L * float(np.einsum("ij,ij->", dx, dx)) / n**2
+               - beta * float(np.einsum("ij,ij->", dg, dx)) / n**2)
+        return _le_report("averaged-strong-smooth-lower", lhs,
+                          _objective_at(problem, self.w), tol,
+                          f"beta={beta:g} n={n}")
 
 
 def expected_decrease_check(problem, phi_table: np.ndarray, w: np.ndarray,
@@ -428,39 +469,13 @@ def pair_checks(problem, x: np.ndarray, y: np.ndarray, tol: float = 1e-9,
     ]
 
 
-def table_checks(problem, phi_table: np.ndarray, w: np.ndarray,
-                 tol: float = 1e-9, context: str = "") -> list[CheckReport]:
-    """Summed table forms bounding the T2 term: table-strong-convexity
-    (-f(w) - T2 <= -(s/2n) sum ||w - phi_i||^2) and table-smoothness-lower
-    (<= -(1/(2Ln)) sum ||f_i'(w) - f_i'(phi_i)||^2)."""
-    phi_table, w = _checked_state(problem, phi_table, w, strongly_convex=False)
-    L = problem.lipschitz_constant()
-    s = problem.s
-    n = problem.n
-    values = problem.table_values(phi_table)
-    grads = problem.table_gradients(phi_table)
-    gaps = w[np.newaxis, :] - phi_table
-    fw = _objective_at(problem, w)
-    t2 = -float(values.mean()) \
-        - float(np.einsum("ij,ij->i", grads, gaps).mean())
-    diff = _gradients_at_point(problem, w) - grads
-    return [
-        _le_report("table-strong-convexity", -fw - t2,
-                   -0.5 * s * float(np.einsum("ij,ij->", gaps, gaps)) / n,
-                   tol, context),
-        _le_report("table-smoothness-lower", -fw - t2,
-                   -0.5 * float(np.einsum("ij,ij->", diff, diff)) / (L * n),
-                   tol, context),
-    ]
-
-
 def convexity_suite(problem, draws: int = 100, tol: float = 1e-9,
                     alpha: float = 2.0, seed: int = 0,
                     reference: ReferenceSolution | None = None) -> list[CheckReport]:
     """Pointwise checks of the smooth/strongly-convex inequalities the
     analysis consumes: per draw, the five pair_checks at a random (x, y)
-    and the two table_checks at a random map-consistent table state, seven
-    reports per draw.
+    and the two Audit.table_reports at a random map-consistent table state,
+    seven reports per draw.
     """
     _require_smooth(problem)
     if draws < 1:
@@ -476,7 +491,7 @@ def convexity_suite(problem, draws: int = 100, tol: float = 1e-9,
         y = random_ball_point(rng, w_star, BALL_RADIUS)
         reports.extend(pair_checks(problem, x, y, tol, ctx))
         phi, w = random_audit_state(problem, w_star, alpha, rng)
-        reports.extend(table_checks(problem, phi, w, tol, ctx))
+        reports.extend(Audit(problem, phi, w, alpha).table_reports(tol, ctx))
     return reports
 
 
@@ -514,37 +529,6 @@ def strong_lb_check(problem, i: int, x: np.ndarray, y: np.ndarray,
     return _le_report("strong-smooth-lower", lhs, fx, tol, f"i={i}")
 
 
-def big_data_lb_check(problem, phi_table: np.ndarray, x: np.ndarray,
-                      beta: float, tol: float = 1e-9) -> CheckReport:
-    """Averaged lower bound on f(x) from a point table, with constants
-    beta/(2 s n^2), beta L/(2 n^2), beta/n^2; valid under the big-data
-    condition at beta (checked, raises otherwise):
-
-        f(x) >= (1/n) sum_i [ f_i(phi_i) + <f_i'(phi_i), x - phi_i> ]
-                + beta/(2 s n^2) sum_i ||f_i'(x) - f_i'(phi_i)||^2
-                + beta L/(2 n^2) sum_i ||x - phi_i||^2
-                + beta/n^2 sum_i <f_i'(x) - f_i'(phi_i), phi_i - x>.
-    """
-    _require_big_data(problem, beta)
-    phi_table, x = _checked_state(problem, phi_table, x)
-    n = problem.n
-    L = problem.lipschitz_constant()
-    s = problem.s
-    values = problem.table_values(phi_table)
-    grads = problem.table_gradients(phi_table)
-    grads_at_x = _gradients_at_point(problem, x)
-    dx = x[np.newaxis, :] - phi_table
-    dg = grads_at_x - grads
-    fx = _objective_at(problem, x)
-    lhs = (float(values.mean())
-           + float(np.einsum("ij,ij->i", grads, dx).mean())
-           + 0.5 * beta * float(np.einsum("ij,ij->", dg, dg)) / (s * n**2)
-           + 0.5 * beta * L * float(np.einsum("ij,ij->", dx, dx)) / n**2
-           - beta * float(np.einsum("ij,ij->", dg, dx)) / n**2)
-    return _le_report("averaged-strong-smooth-lower", lhs, fx, tol,
-                      f"beta={beta:g} n={n}")
-
-
 # ---------------------------------------------------------------------------
 # rate certificates
 
@@ -556,23 +540,15 @@ def rate_bound(problem, alpha: float, phi0: np.ndarray, k: int) -> float:
 
     At alpha = 2 this is (3/(4s)) (1 - 1/(2n))^k ||f'(phi0)||^2.
     """
-    return _rate_bounds(problem, alpha, phi0, [k])[0]
-
-
-def _rate_bounds(problem, alpha: float, phi0: np.ndarray, ks) -> list[float]:
-    # rate_bound at each k, evaluating f'(phi0) once
     _require_positive("alpha", alpha)
-    for k in ks:
-        if k < 0:
-            raise ValueError(f"k must be >= 0, got {k}")
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
     _require_smooth(problem)
     _require_strongly_convex(problem)
     phi0 = problem._check_point(phi0)
     g = problem.full_gradient(phi0)
     c = 1.0 - 0.5 / alpha
-    gg = float(g @ g)
-    return [(c / problem.s) * (1.0 - 1.0 / (alpha * problem.n)) ** k * gg
-            for k in ks]
+    return (c / problem.s) * (1.0 - 1.0 / (alpha * problem.n)) ** k * float(g @ g)
 
 
 def rate_curve(traces: list[list[TraceRecord]], problem, alpha: float,
@@ -596,7 +572,7 @@ def rate_curve(traces: list[list[TraceRecord]], problem, alpha: float,
     means = [float(np.mean([trace[i].suboptimality for trace in traces]))
              for i in range(len(epochs))]
     ks = [round(epoch * problem.n) for epoch in epochs]
-    return list(zip(ks, means, _rate_bounds(problem, alpha, phi0, ks)))
+    return [(k, m, rate_bound(problem, alpha, phi0, k)) for k, m in zip(ks, means)]
 
 
 def rate_certificate(traces: list[list[TraceRecord]], problem, alpha: float,
@@ -631,7 +607,7 @@ def _eq_report(name: str, lhs: float, rhs: float, tol: float, scale: float,
 def suite_inequalities(n: int, d: int, beta: float, draws: int, seed: int,
                        alpha: float) -> list[CheckReport]:
     """convexity_suite on a generated logistic problem, then `draws` rows
-    each of strong_lb_check and big_data_lb_check at random points."""
+    each of strong_lb_check and Audit.lower_bound_report at random points."""
     problem, reference = synth_problem(
         SynthSpec(n=n, d=d, loss=LOGISTIC, target_beta=beta, seed=seed))
     reports = convexity_suite(problem, draws=draws, alpha=alpha, seed=seed,
@@ -647,7 +623,7 @@ def suite_inequalities(n: int, d: int, beta: float, draws: int, seed: int,
     for t in range(draws):
         phi, _ = random_audit_state(problem, reference.w_star, alpha, rng)
         x = random_ball_point(rng, reference.w_star, BALL_RADIUS)
-        report = big_data_lb_check(problem, phi, x, beta)
+        report = Audit(problem, phi, x, alpha).lower_bound_report(beta)
         report.context = f"draw={t} {report.context}"
         reports.append(report)
     return reports
@@ -696,9 +672,12 @@ def suite_lyapunov(n: int, d: int, beta: float, states: int, seed: int,
 def suite_rate(n: int, seed: int, alpha: float, seeds: int = 5,
                epochs: int = 10) -> list[CheckReport]:
     """Seed-averaged table-mean suboptimality of `seeds` uniform finito runs
-    against rate_bound, one row per epoch, then the rate_certificate row."""
+    against rate_bound, one row per epoch, then the rate_certificate row;
+    alpha must be admissible at beta = 2, where the rate is certified."""
+    beta = 2.0
+    _require_admissible(alpha, beta)
     problem, reference = synth_problem(
-        SynthSpec(n=n, d=10, loss=LOGISTIC, target_beta=2.0, seed=seed))
+        SynthSpec(n=n, d=10, loss=LOGISTIC, target_beta=beta, seed=seed))
     w0 = np.zeros(problem.d)
     config = SolverConfig(solver="finito", alpha=alpha, audit=True,
                           first_pass=False, monitor="table-mean", w0=w0)

@@ -19,7 +19,6 @@ from finito import (
     SamplingScheme,
     SolverConfig,
     SynthSpec,
-    big_data_lb_check,
     checkpoint_load,
     checkpoint_save,
     convexity_suite,
@@ -151,8 +150,8 @@ def test_criterion_5_inequality_suites_clean():
     rng2 = np.random.default_rng(51)
     for _ in range(1000):
         phi, _ = random_audit_state(problem, ref.w_star, 2.0, rng2)
-        reports.append(big_data_lb_check(problem, phi,
-                                         rng2.normal(size=problem.d), 2.0))
+        audit = Audit(problem, phi, rng2.normal(size=problem.d), 2.0)
+        reports.append(audit.lower_bound_report(2.0))
     bad = [r for r in reports if not r.satisfied]
     ok = len(reports) == 9000 and not bad
     verdict(5, ok, f"{len(reports)} reports, {len(bad)} violations")

@@ -132,6 +132,18 @@ def test_miso_without_strong_convexity_exits_one(tmp_path):
                  "record_every must be finite", id="record-every-inf"),
     pytest.param(["run", "--synth", "n=10,d=2", "--alpha", "nan"],
                  "alpha must be finite", id="alpha-nan"),
+    pytest.param(["run", "--synth", "n=50,d=5,beta=0"],
+                 "target_beta must be finite and > 0", id="synth-beta-0"),
+    pytest.param(["run", "--synth", "n=50,d=5,beta=-1"],
+                 "target_beta must be finite and > 0", id="synth-beta-negative"),
+    pytest.param(["verify", "--suite", "lyapunov", "--beta", "0"],
+                 "target_beta must be finite and > 0", id="lyapunov-beta-0"),
+    # the rate is certified only inside the admissible region (alpha >= 2 at
+    # the suite's beta = 2); outside it there is no claim to pass or fail
+    pytest.param(["verify", "--suite", "rate", "--alpha", "1"],
+                 "outside the admissible region", id="rate-alpha-1"),
+    pytest.param(["verify", "--suite", "rate", "--alpha", "0.5"],
+                 "outside the admissible region", id="rate-alpha-0.5"),
 ])
 def test_invalid_values_exit_one_without_traceback(argv, message):
     code, _, err = call(argv)

@@ -18,7 +18,6 @@ from finito import (
     SynthSpec,
     UNIFORM,
     admissible_parameters,
-    big_data_lb_check,
     convexity_suite,
     expected_decrease_check,
     finito_init,
@@ -35,7 +34,6 @@ from finito import (
     run,
     strong_lb_check,
     synth_problem,
-    table_checks,
     TraceRecord,
 )
 from finito.theory import suite_lyapunov
@@ -298,10 +296,13 @@ def test_public_checks_leave_inputs_unchanged(synth_tiny):
         lambda: Audit(problem, phi, w, 2.0).t3_shift(),
         lambda: Audit(problem, phi, w, 2.0).t4_shift(),
         lambda: Audit(problem, phi, w, 2.0).variance_gap(),
+        lambda: Audit(problem, phi, w, 2.0).table_reports(),
+        lambda: Audit(problem, phi, off_map, 2.0).lower_bound_report(2.0),
     ]
     failing = [
         lambda: expected_decrease_check(problem, phi, w, 1.5, 2.0),
         lambda: expected_decrease_check(problem, phi, w, 2.0, 50.0),
+        lambda: Audit(problem, phi, w, 2.0).lower_bound_report(50.0),
         lambda: Audit(problem, phi, off_map, 2.0).bound_report(ref),
     ]
     before = [a.copy() for a in (phi, w, off_map)]
@@ -438,7 +439,7 @@ def test_pair_checks_names_and_satisfaction(synth_small, rng):
 def test_table_checks_names_and_satisfaction(synth_small, rng):
     problem, ref = synth_small
     phi, w = random_audit_state(problem, ref.w_star, 2.0, rng)
-    reports = table_checks(problem, phi, w)
+    reports = Audit(problem, phi, w, 2.0).table_reports()
     assert [r.name for r in reports] == ["table-strong-convexity",
                                          "table-smoothness-lower"]
     assert all(r.satisfied for r in reports)
@@ -470,13 +471,110 @@ def test_aggregate_lower_bound_check(synth_small, rng):
     problem, ref = synth_small
     for _ in range(20):
         phi, _ = random_audit_state(problem, ref.w_star, 2.0, rng)
-        rep = big_data_lb_check(problem, phi, rng.normal(size=problem.d), 2.0)
-        assert rep.satisfied
+        audit = Audit(problem, phi, rng.normal(size=problem.d), 2.0)
+        assert audit.lower_bound_report(2.0).satisfied
 
 
 def test_aggregate_lower_bound_needs_size(desk):
-    with pytest.raises(ValueError):
-        big_data_lb_check(desk, np.ones((2, 1)), np.zeros(1), 3.0)
+    audit = Audit(desk, np.ones((2, 1)), np.zeros(1), 2.0)
+    with pytest.raises(ValueError, match="big-data condition fails"):
+        audit.lower_bound_report(3.0)
+
+
+def reference_table_checks(problem, phi, w, tol=1e-9):
+    """The standalone table checks the audit replaced, body kept verbatim
+    apart from validation."""
+    L = problem.lipschitz_constant()
+    s = problem.s
+    n = problem.n
+    values = problem.table_values(phi)
+    grads = problem.table_gradients(phi)
+    gaps = w[np.newaxis, :] - phi
+    fw = float(problem.objective_batch(w[np.newaxis, :])[0])
+    t2 = -float(values.mean()) \
+        - float(np.einsum("ij,ij->i", grads, gaps).mean())
+    diff = problem.table_gradients(np.broadcast_to(w, (n, problem.d))) - grads
+    return [
+        theory._le_report("table-strong-convexity", -fw - t2,
+                          -0.5 * s * float(np.einsum("ij,ij->", gaps, gaps)) / n,
+                          tol, ""),
+        theory._le_report("table-smoothness-lower", -fw - t2,
+                          -0.5 * float(np.einsum("ij,ij->", diff, diff)) / (L * n),
+                          tol, ""),
+    ]
+
+
+def reference_lower_bound(problem, phi, x, beta, tol=1e-9):
+    """The standalone averaged lower bound the audit replaced, body kept
+    verbatim apart from validation."""
+    n = problem.n
+    L = problem.lipschitz_constant()
+    s = problem.s
+    values = problem.table_values(phi)
+    grads = problem.table_gradients(phi)
+    grads_at_x = problem.table_gradients(np.broadcast_to(x, (n, problem.d)))
+    dx = x[np.newaxis, :] - phi
+    dg = grads_at_x - grads
+    fx = float(problem.objective_batch(x[np.newaxis, :])[0])
+    lhs = (float(values.mean())
+           + float(np.einsum("ij,ij->i", grads, dx).mean())
+           + 0.5 * beta * float(np.einsum("ij,ij->", dg, dg)) / (s * n**2)
+           + 0.5 * beta * L * float(np.einsum("ij,ij->", dx, dx)) / n**2
+           - beta * float(np.einsum("ij,ij->", dg, dx)) / n**2)
+    return theory._le_report("averaged-strong-smooth-lower", lhs, fx, tol,
+                             f"beta={beta:g} n={n}")
+
+
+def report_bits(report):
+    return (report.name, report.lhs.hex(), report.rhs.hex(),
+            report.slack.hex(), report.satisfied, report.context)
+
+
+def test_audit_table_checks_equal_standalone_checks(synth_tiny):
+    # the two table-state checks read the audit's rows instead of evaluating
+    # their own; on and off the map, for either loss, not a bit may move
+    squared, squared_ref = synth_problem(
+        SynthSpec(n=16, d=3, loss="squared", target_beta=2.0, seed=2))
+    rng = np.random.default_rng(17)
+    states = 0
+    for problem, ref in (synth_tiny, (squared, squared_ref)):
+        for _ in range(10):
+            phi, at_map = random_audit_state(problem, ref.w_star, 2.0, rng)
+            off_map = theory.random_ball_point(rng, ref.w_star, 2.0)
+            for w in (at_map, off_map):
+                audit = Audit(problem, phi, w, 2.0)
+                assert ([report_bits(r) for r in audit.table_reports()]
+                        == [report_bits(r) for r in
+                            reference_table_checks(problem, phi, w)])
+                assert (report_bits(audit.lower_bound_report(2.0))
+                        == report_bits(reference_lower_bound(problem, phi, w, 2.0)))
+                states += 1
+    assert states == 40
+
+
+def test_inequality_suite_counts_no_more_evaluations(monkeypatch):
+    # its audits read rows and gradients only: no potential is evaluated, and
+    # per draw the suite makes at most six table_gradients calls and three
+    # objective_batch calls
+    counts = {"table_gradients": 0, "objective_batch": 0, "potentials": 0}
+    cls = finito.FiniteSumProblem
+
+    def counted(name, method):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return method(*args, **kwargs)
+        return wrapper
+
+    for name in ("table_gradients", "objective_batch"):
+        monkeypatch.setattr(cls, name, counted(name, getattr(cls, name)))
+    monkeypatch.setattr(theory, "_potentials",
+                        counted("potentials", theory._potentials))
+    draws = 20
+    reports = theory.suite_inequalities(16, 3, 2.0, draws, 0, 2.0)
+    assert len(reports) == 9 * draws
+    assert counts["potentials"] == 0
+    assert counts["table_gradients"] <= 6 * draws
+    assert counts["objective_batch"] <= 3 * draws
 
 
 # -- rate certificates ------------------------------------------------------------------
