@@ -328,29 +328,25 @@ def checkpoint_load(source, problem):
     """Rebuild (state, sampler) from a checkpoint, verifying problem shape.
 
     The solver tag picks the state class, whose layout (see checkpoint_save)
-    says what to read; `audit 1` adds the optional arrays.  Missing entries,
-    scalar values that do not parse (naming the key and the line), an `n`
-    or `d` line other than the problem's (raised as soon as it is read, since
-    every vec and table is sized from the problem), vectors not of length d,
-    tables not n x d, a `proximal` or `audit` line the tag
-    contradicts (prox-finito needs both 1, others proximal 0) and any
-    ValueError the state or sampler raises at construction (alpha, step,
-    counters, sampling kind, seed, draws) are CheckpointFormatError.
+    says what to read; `audit 1` adds the optional arrays.  These are
+    CheckpointFormatError: missing entries, scalar values that do not parse
+    (naming the key and the line), an `n` or `d` line other than the
+    problem's (raised as soon as it is read: arrays are sized from the
+    problem), vectors not of length d, tables not n x d, array lines the
+    layout does not read (an unknown name, optional arrays under `audit 0`),
+    a `proximal` line the tag contradicts (1 exactly for prox-finito) and any
+    ValueError the state or sampler raises (alpha, step, counters, sampling).
     """
     n, d = problem.n, problem.d
     kv: dict[str, tuple[str, int]] = {}   # key -> (value text, line number)
-    vectors: dict[str, np.ndarray] = {}
-    tables: dict[str, np.ndarray] = {}
+    arrays: dict[tuple[str, str], np.ndarray] = {}   # (vec or table, name) -> array
     saw_end = False
-
-    def _need(key: str, entries: dict = kv, kind: str = "entry"):
-        if key not in entries:
-            raise CheckpointFormatError(f"missing {key!r} {kind}")
-        return entries[key]
 
     def _scalar(key: str, cast=int):
         # the one parser of scalar entries
-        text, line_no = _need(key)
+        if key not in kv:
+            raise CheckpointFormatError(f"missing {key!r} entry")
+        text, line_no = kv[key]
         try:
             return cast(text)
         except ValueError:
@@ -375,7 +371,7 @@ def checkpoint_load(source, problem):
             key, _, rest = line.partition(" ")
             if key == "vec":
                 name, _, payload = rest.partition(" ")
-                vectors[name] = _parse_hex_vector(payload, line_no, d)
+                arrays["vec", name] = _parse_hex_vector(payload, line_no, d)
             elif key == "table":
                 name, _, count_text = rest.partition(" ")
                 try:
@@ -394,7 +390,7 @@ def checkpoint_load(source, problem):
                             f"truncated checkpoint: table {name!r} needs {count} rows, "
                             f"got {r} (line {line_no})")
                     rows[r] = _parse_hex_vector(row, line_no, d)
-                tables[name] = rows
+                arrays["table", name] = rows
             else:
                 kv[key] = (rest, line_no)
                 # arrays are sized from the problem, so a file's n and d must
@@ -418,8 +414,14 @@ def checkpoint_load(source, problem):
         args["solver_tag"] = solver
     for f, name, is_table in _arrays(cls):
         if f.default is not None or audit:  # the optional arrays need audit 1
-            args[f.name] = (_need(name, tables, "table") if is_table
-                            else _need(name, vectors, "vec"))
+            kind = "table" if is_table else "vec"
+            if (kind, name) not in arrays:
+                raise CheckpointFormatError(f"missing {name!r} {kind}")
+            args[f.name] = arrays.pop((kind, name))
+    if arrays:  # the layout reads none of what is left: the file was edited
+        kind, name = next(iter(arrays))
+        layout = f"solver {solver!r}" + (f", audit {audit}" if "audit" in scalars else "")
+        raise CheckpointFormatError(f"{kind} {name!r} is not in the layout of {layout}")
     sampler = None
     sampling = _scalar("sampling", str)
     try:
@@ -431,7 +433,7 @@ def checkpoint_load(source, problem):
         raise CheckpointFormatError(str(exc)) from None
     # the tag implies these lines; a file that disagrees was edited
     proximal = "proximal" in scalars and _scalar("proximal")
-    if proximal != getattr(state, "proximal", False) or (proximal and not audit):
+    if proximal != getattr(state, "proximal", False):
         raise CheckpointFormatError(f"proximal {proximal}, audit {audit} contradict "
                                     f"solver {solver!r}")
     return state, sampler

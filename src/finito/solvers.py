@@ -10,8 +10,8 @@ alpha = L/s, and SAG moves w along the stored gradient sum instead.
 
 Compact storage keeps only p_i = f_i'(phi_i) - alpha*s*phi_i, which halves
 memory and recovers w as -(1/(alpha*s*n)) * sum_i p_i.  Audit mode keeps the
-explicit phi/gradient tables as well, which the verification suites and the
-proximal variant need.
+explicit phi/gradient tables as well, for the verification suites and the
+table-mean monitor; either storage runs every finito tag, prox-finito too.
 """
 
 from __future__ import annotations
@@ -264,9 +264,9 @@ def finito_init(problem, alpha: float, w0=None, audit: bool = False,
     time in index order by finito_first_pass_step, so a pass costs exactly n
     gradient evaluations.
 
-    solver_tag is one of FINITO_TAGS.  "prox-finito" makes the state proximal
-    (each refreshed w goes through the L1 prox with step 1/(alpha*s)) and
-    forces audit storage, so phi_bar and the gradient sum stay explicit.
+    solver_tag is one of FINITO_TAGS.  "prox-finito" makes the state proximal:
+    each refreshed w, from p_sum or (audit) from the phi and gradient sums,
+    goes through the L1 prox with step 1/(alpha*s).
     """
     n, d = problem.n, problem.d
     w0 = problem._check_point(np.zeros(d) if w0 is None else w0)
@@ -275,12 +275,9 @@ def finito_init(problem, alpha: float, w0=None, audit: bool = False,
                         solver_tag=solver_tag)
     if problem.s == 0.0:
         raise StrongConvexityRequired("the table update divides by alpha*s*n")
-    audit = audit or state.proximal
     if audit:
-        state.phi_table = np.zeros((n, d))
-        state.grad_table = np.zeros((n, d))
-        state.phi_sum = np.zeros(d)
-        state.grad_sum = np.zeros(d)
+        state.phi_table, state.grad_table = np.zeros((n, d)), np.zeros((n, d))
+        state.phi_sum, state.grad_sum = np.zeros(d), np.zeros(d)
     if first_pass:
         return state
     grads = problem.table_gradients(np.broadcast_to(w0, (n, d)))

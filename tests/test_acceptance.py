@@ -219,7 +219,7 @@ def test_criterion_8_permuted_no_worse_than_uniform():
 def test_criterion_9_proximal_variant():
     # the soft-threshold variant zeroes half the coordinates, lands within
     # 1e-8 of the proximal-gradient reference objective, and with the penalty
-    # off reproduces the smooth solver bit for bit
+    # off reproduces the smooth solver bit for bit, in both storage modes
     spec = SynthSpec(n=50, d=10, loss=SQUARED, s=0.1, noise=0.5, seed=7,
                      l1_weight=0.15)
     problem, ref = synth_problem(spec)
@@ -232,14 +232,17 @@ def test_criterion_9_proximal_variant():
     gap = problem.full_objective(state.w) - ref.f_star
     smooth, _ = synth_problem(SynthSpec(n=50, d=10, loss=SQUARED, s=0.1,
                                         noise=0.5, seed=7))
-    cfg_prox = SolverConfig(solver="prox-finito", alpha=2.0,
-                            w0=np.zeros(smooth.d))
-    cfg_plain = SolverConfig(solver="finito", alpha=2.0, audit=True,
-                             w0=np.zeros(smooth.d))
     scheme = SamplingScheme("permuted", seed=1)
-    _, sa, _ = run_with_state(smooth, cfg_prox, scheme, epochs=5)
-    _, sb, _ = run_with_state(smooth, cfg_plain, scheme, epochs=5)
-    identical = np.array_equal(sa.w, sb.w)
+    identical = True
+    for audit in (False, True):
+        cfg_prox = SolverConfig(solver="prox-finito", alpha=2.0, audit=audit,
+                                w0=np.zeros(smooth.d))
+        cfg_plain = SolverConfig(solver="finito", alpha=2.0, audit=audit,
+                                 w0=np.zeros(smooth.d))
+        _, sa, _ = run_with_state(smooth, cfg_prox, scheme, epochs=5)
+        _, sb, _ = run_with_state(smooth, cfg_plain, scheme, epochs=5)
+        identical = identical and sa.audit is sb.audit is audit
+        identical = identical and np.array_equal(sa.w, sb.w)
     ok = zeros == 5 and abs(gap) <= 1e-8 and identical
     verdict(9, ok, f"{zeros}/10 coordinates zeroed, reference gap {gap:.2g}, "
                    f"penalty-off bit-identity {identical}")

@@ -186,7 +186,8 @@ def run_and_checkpoint(problem, ref, solver, tmp_path, audit=False):
 
 
 @pytest.mark.parametrize("solver,audit", [("finito", False), ("finito", True),
-                                          ("prox-finito", False), ("sag", False),
+                                          ("prox-finito", False), ("prox-finito", True),
+                                          ("sag", False),
                                           ("miso", False), ("full-gradient", False)])
 def test_checkpoint_save_load_save_identity(synth_tiny, tmp_path, solver, audit):
     problem, ref = synth_tiny
@@ -196,6 +197,17 @@ def test_checkpoint_save_load_save_identity(synth_tiny, tmp_path, solver, audit)
     sink = io.StringIO()
     checkpoint_save(state, sink, sampler)
     assert sink.getvalue() == first
+
+
+def test_prox_finito_checkpoint_keeps_one_table(synth_tiny, tmp_path):
+    # prox-finito stores the compact p table only, unless audit asks for more
+    problem, ref = synth_tiny
+    path, state = run_and_checkpoint(problem, ref, "prox-finito", tmp_path)
+    assert state.proximal and state.phi_table is None and state.grad_table is None
+    lines = path.read_text().splitlines()
+    assert [line for line in lines if line.startswith("table ")] == [
+        f"table p {problem.n}"]
+    assert "audit 0" in lines and "proximal 1" in lines
 
 
 def test_checkpoint_full_gradient_has_no_sampler(synth_tiny, tmp_path):
@@ -245,7 +257,7 @@ def test_checkpoint_corruption_detected(synth_tiny, tmp_path):
     pytest.param("finito", "vec p_sum ", None, "missing",
                  id="finito-vec p_sum "),
     pytest.param("finito", "table p ", None, "missing", id="finito-table p "),
-    pytest.param("prox-finito", "table phi ", None, "missing",
+    pytest.param("prox-finito-audit", "table phi ", None, "missing",
                  id="prox-finito-table phi "),
     pytest.param("sag", "vec grad_sum ", None, "missing",
                  id="sag-vec grad_sum "),
@@ -271,7 +283,7 @@ def test_checkpoint_corruption_detected(synth_tiny, tmp_path):
     # seen < n only happens mid first pass, where seen == k
     pytest.param("finito", "seen ", lambda line: "seen 5",
                  "k=40 seen=5: need", id="finito-seen 5 below k"),
-    # the tag implies the proximal and (for prox-finito) the audit line
+    # the tag implies the proximal line
     pytest.param("finito", "proximal ", lambda line: "proximal 1",
                  "proximal 1, audit 0 contradict solver 'finito'",
                  id="finito-proximal 1"),
@@ -279,11 +291,25 @@ def test_checkpoint_corruption_detected(synth_tiny, tmp_path):
                  "proximal 1, audit 0 contradict solver 'miso'",
                  id="miso-proximal 1"),
     pytest.param("prox-finito", "proximal ", lambda line: "proximal 0",
-                 "proximal 0, audit 1 contradict solver 'prox-finito'",
+                 "proximal 0, audit 0 contradict solver 'prox-finito'",
                  id="prox-finito-proximal 0"),
-    pytest.param("prox-finito", "audit ", lambda line: "audit 0",
-                 "proximal 1, audit 0 contradict solver 'prox-finito'",
+    # array lines the layout does not read: the audit arrays of an audit 1
+    # file turned audit 0, or an unknown name
+    pytest.param("prox-finito-audit", "audit ", lambda line: "audit 0",
+                 "vec 'phi_sum' is not in the layout of solver 'prox-finito', audit 0",
                  id="prox-finito-audit 0"),
+    pytest.param("finito-audit", "audit ", lambda line: "audit 0",
+                 "vec 'phi_sum' is not in the layout of solver 'finito', audit 0",
+                 id="finito-audit 0"),
+    pytest.param("finito", "vec w ", lambda line: f"{line}\nvec zzz 0x0p+0 0x0p+0 0x0p+0",
+                 "vec 'zzz' is not in the layout of solver 'finito', audit 0",
+                 id="finito-vec zzz"),
+    pytest.param("sag", "vec w ",
+                 lambda line: f"{line}\ntable zzz 20" + f"\n{line[6:]}" * 20,
+                 "table 'zzz' is not in the layout of solver 'sag'$", id="sag-table zzz"),
+    pytest.param("full-gradient", "vec w ", lambda line: f"{line}\nvec p_sum {line[6:]}",
+                 "vec 'p_sum' is not in the layout of solver 'full-gradient'$",
+                 id="full-gradient-vec p_sum"),
     # scalar values that do not parse name their key and line
     pytest.param("finito", "k ", lambda line: "k x",
                  "line 5: bad 'k' value 'x'", id="finito-k x"),
@@ -312,7 +338,8 @@ def test_checkpoint_corruption_detected(synth_tiny, tmp_path):
 def test_checkpoint_missing_entry_is_format_error(synth_tiny, tmp_path,
                                                   solver, prefix, edit, match):
     problem, ref = synth_tiny
-    path, _ = run_and_checkpoint(problem, ref, solver, tmp_path)
+    path, _ = run_and_checkpoint(problem, ref, solver.removesuffix("-audit"),
+                                 tmp_path, audit=solver.endswith("-audit"))
     kept = []
     for line in path.read_text().splitlines():
         if line.startswith(prefix):
@@ -326,7 +353,7 @@ def test_checkpoint_missing_entry_is_format_error(synth_tiny, tmp_path,
 
 
 @pytest.mark.parametrize("kind", ["finito", "finito-audit", "prox-finito",
-                                  "sag"])
+                                  "prox-finito-audit", "sag"])
 def test_checkpoint_mid_first_pass_finishes_bit_exact(kind):
     # the step kernel subtracts an unseen row as if it were +0.0, so those
     # rows must load back as exactly +0.0
@@ -337,9 +364,10 @@ def test_checkpoint_mid_first_pass_finishes_bit_exact(kind):
         if kind == "sag":
             return sag_init(problem, w0=w0, first_pass=True), sag_first_pass_step
         state = finito_init(problem, 2.0, w0=w0, first_pass=True,
-                            audit=kind != "finito",
+                            audit=kind.endswith("-audit"),
                             solver_tag=kind.removesuffix("-audit"))
-        assert state.proximal == (kind == "prox-finito")
+        assert state.proximal == kind.startswith("prox-finito")
+        assert state.audit == kind.endswith("-audit")
         return state, finito_first_pass_step
 
     def saved(state):

@@ -188,7 +188,7 @@ def arbitrary_states(draw):
         state = FinitoState(alpha=draw(positive), k=k, seen=seen,
                             w=draw(vector), p_table=draw(table), p_sum=draw(vector),
                             solver_tag=tag)
-        if state.proximal or draw(st.booleans()):
+        if draw(st.booleans()):  # audit storage, for any tag
             state.phi_table, state.grad_table = draw(table), draw(table)
             state.phi_sum, state.grad_sum = draw(vector), draw(vector)
     sampler = None

@@ -143,6 +143,21 @@ def test_audit_and_compact_agree(synth_tiny, rng):
         assert np.linalg.norm(a.w - b.w) <= 1e-10
 
 
+def test_audit_and_compact_prox_finito_agree(rng):
+    # both soft-threshold the same point, phi_bar - g_bar/(alpha*s) in audit
+    # storage and -p_bar/(alpha*s) in compact storage; only rounding differs
+    problem, _ = synth_problem(SynthSpec(n=20, d=3, seed=1, l1_weight=0.01))
+    a = finito_init(problem, alpha=2.0, audit=True, solver_tag="prox-finito")
+    b = finito_init(problem, alpha=2.0, solver_tag="prox-finito")
+    assert a.audit and not b.audit
+    tol = 4 * problem.n * np.finfo(float).eps
+    for j in rng.integers(problem.n, size=100):
+        finito_step(a, problem, int(j))
+        finito_step(b, problem, int(j))
+        assert np.linalg.norm(a.w - b.w) <= tol * np.linalg.norm(a.w)
+    assert 0 < np.count_nonzero(b.w) < problem.d  # the prox zeroes a coordinate
+
+
 def test_sag_sum_tracks_table(synth_tiny, rng):
     problem, _ = synth_tiny
     st = sag_init(problem, w0=np.zeros(problem.d), practical=True)
@@ -287,11 +302,13 @@ def test_finito_init_takes_only_finito_tags(synth_tiny):
     for tag in ("sag", "full-gradient", "prox_finito"):
         with pytest.raises(ValueError, match="finito_init builds"):
             finito_init(problem, 2.0, solver_tag=tag)
-    # proximal follows the tag and cannot be set on its own
+    # proximal follows the tag and cannot be set on its own; the storage is
+    # compact for every tag unless audit is asked for
     for tag in FINITO_TAGS:
         state = finito_init(problem, 2.0, solver_tag=tag)
         assert state.proximal is (tag == "prox-finito")
-        assert state.audit is (tag == "prox-finito")
+        assert state.audit is False
+        assert finito_init(problem, 2.0, audit=True, solver_tag=tag).audit is True
     with pytest.raises(TypeError):
         finito_init(problem, 2.0, proximal=True)
 
