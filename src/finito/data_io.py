@@ -1,9 +1,9 @@
 """Problem ingestion and run persistence: LIBSVM text, synthetic generators,
 trace CSV, and bit-exact solver checkpoints.
 
-Checkpoint layouts come from the state dataclasses in solvers (array fields,
-plus _SCALAR_LINES), and loading goes through the state's constructor and
-its invariant checks.  Path arguments accept str/Path or open file objects.
+Checkpoint layouts are the fields of the state dataclasses in solvers, and
+loading goes through the state's constructor and its invariant checks.  Path
+arguments accept str/Path or open file objects.
 parse_libsvm treats a plain str as the file *content* (the format is
 line-oriented text); everything else here treats str/Path as a filesystem path.
 """
@@ -26,13 +26,7 @@ from .solvers import (FINITO_TAGS, FinitoState, FullGradientState, SagState,
                       TraceRecord, _require_positive, reference_solve)
 
 TRACE_HEADER = "epoch,objective,suboptimality,grad_norm,wall_ms,solver,sampling,seed"
-CHECKPOINT_MAGIC = "FINITOCKPT 1"
-# the scalar lines of each state class, in file order
-_SCALAR_LINES = {
-    FinitoState: ("n", "d", "k", "seen", "alpha", "proximal", "audit"),
-    SagState: ("n", "d", "k", "seen", "step"),
-    FullGradientState: ("d", "k"),
-}
+CHECKPOINT_MAGIC = "FINITOCKPT 2"
 _STATE_CLASSES = {**dict.fromkeys(FINITO_TAGS, FinitoState),
                   **{cls.solver_tag: cls for cls in (SagState, FullGradientState)}}
 
@@ -279,74 +273,77 @@ def _parse_hex_vector(line: str, line_no: int, d: int) -> np.ndarray:
     return np.array(values, dtype=float)
 
 
+def _scalars(cls) -> dict:
+    # scalar field -> its parser, in field order; the solver line is the tag
+    return {f.name: float if "float" in str(f.type) else int
+            for f in fields(cls) if "ndarray" not in str(f.type) and f.name != "solver_tag"}
+
+
 def _arrays(cls) -> list:
-    # (field, line name, is a table) per array field, in field order; field
-    # x_table is table x, any other array field a vec line
-    return [(f, f.name.removesuffix("_table"), f.name.endswith("_table"))
-            for f in fields(cls) if "ndarray" in str(f.type)]
+    # (field, line head) per array field, in field order: field x_table is
+    # `table x`, any other array field `vec <field>`
+    return [(f, f"table {f.name.removesuffix('_table')}" if f.name.endswith("_table")
+             else f"vec {f.name}") for f in fields(cls) if "ndarray" in str(f.type)]
 
 
 def checkpoint_save(state, sink, sampler: IndexSampler | None = None) -> None:
     """Serialize solver state (and optionally the sampler position).
 
-    The layout follows the state class: its _SCALAR_LINES, then a vec line
-    per vector field and a table per x_table field (optional ones when set),
-    in field order.  Floats are hexadecimal literals, so save -> load -> save
-    is byte-identical and resumed runs replay the exact arithmetic of an
-    uninterrupted one.  Lines are written one at a time, never the whole file.
+    The layout is the state's fields: the solver tag, one line per scalar
+    field, the sampler lines, then a vec line per vector field and a table
+    per x_table field that is set, vecs first, each in field order.  Floats
+    are hexadecimal literals, so save -> load -> save is byte-identical and
+    resumed runs replay the exact arithmetic of an uninterrupted one.  Lines
+    are written one at a time, never the whole file.
     """
     cls = type(state)
-    if cls not in _SCALAR_LINES:
+    if cls not in _STATE_CLASSES.values():
         raise TypeError(f"cannot checkpoint {cls.__name__}")
     # the vec lines, then the tables, each in field order (sorted is stable)
-    arrays = sorted(((is_table, name, getattr(state, f.name))
-                     for f, name, is_table in _arrays(cls)
-                     if getattr(state, f.name) is not None), key=lambda a: a[0])
-    sizes = {"n": next((len(a) for is_table, _, a in arrays if is_table), None),
-             "d": len(state.w)}
-    floats = {f.name for f in fields(cls) if "float" in str(f.type)}
+    arrays = sorted(((head, getattr(state, f.name)) for f, head in _arrays(cls)
+                     if getattr(state, f.name) is not None),
+                    key=lambda a: a[0].startswith("table "))
     lines = [CHECKPOINT_MAGIC, f"solver {state.solver_tag}"]
-    for key in _SCALAR_LINES[cls]:
-        value = sizes[key] if key in sizes else getattr(state, key)
-        lines.append(f"{key} {_format_float(value) if key in floats else int(value)}")
+    for key, cast in _scalars(cls).items():
+        value = getattr(state, key)
+        lines.append(f"{key} {_format_float(value) if cast is float else int(value)}")
     lines += (["sampling none"] if sampler is None else
               [f"sampling {sampler.scheme.kind}",
                f"sampling_seed {sampler.scheme.seed}", f"draws {sampler.draws}"])
     with _open_text(sink, "w") as handle:
         handle.writelines(line + "\n" for line in lines)
-        for is_table, name, a in arrays:
-            if not is_table:
-                handle.write(f"vec {name} {_hex_vector(a)}\n")
+        for head, a in arrays:
+            if head.startswith("vec "):
+                handle.write(f"{head} {_hex_vector(a)}\n")
                 continue
-            handle.write(f"table {name} {len(a)}\n")
+            handle.write(f"{head} {len(a)}\n")
             for row in a:
                 handle.write(_hex_vector(row) + "\n")
         handle.write("END\n")
 
 
 def checkpoint_load(source, problem):
-    """Rebuild (state, sampler) from a checkpoint, verifying problem shape.
+    """Rebuild (state, sampler) from a checkpoint of `problem`.
 
-    The solver tag picks the state class, whose layout (see checkpoint_save)
-    says what to read; `audit 1` adds the optional arrays.  These are
-    CheckpointFormatError: missing entries, scalar values that do not parse
-    (naming the key and the line), an `n` or `d` line other than the
-    problem's (raised as soon as it is read: arrays are sized from the
-    problem), vectors not of length d, tables not n x d, array lines the
-    layout does not read (an unknown name, optional arrays under `audit 0`),
-    a `proximal` line the tag contradicts (1 exactly for prox-finito) and any
-    ValueError the state or sampler raises (alpha, step, counters, sampling).
+    The solver tag picks the state class, whose fields (see checkpoint_save)
+    say what to read; the vec and table lines present are the storage, which
+    the state's constructor checks.  These are CheckpointFormatError: another
+    header, missing entries, scalar values that do not parse (naming the key
+    and the line), vectors not of length d and tables not n x d (both sized
+    from the problem, so a file's own sizes never allocate), a line given
+    twice, a line the layout does not read, and any ValueError the state or
+    sampler raises (storage, alpha, step, counters, sampling).
     """
     n, d = problem.n, problem.d
-    kv: dict[str, tuple[str, int]] = {}   # key -> (value text, line number)
-    arrays: dict[tuple[str, str], np.ndarray] = {}   # (vec or table, name) -> array
+    # line head (a scalar key, `vec name` or `table name`) -> (value, line number)
+    entries: dict[str, tuple] = {}
     saw_end = False
 
     def _scalar(key: str, cast=int):
-        # the one parser of scalar entries
-        if key not in kv:
+        # the one parser of scalar entries; a read entry leaves `entries`
+        if key not in entries:
             raise CheckpointFormatError(f"missing {key!r} entry")
-        text, line_no = kv[key]
+        text, line_no = entries.pop(key)
         try:
             return cast(text)
         except ValueError:
@@ -369,59 +366,50 @@ def checkpoint_load(source, problem):
                 saw_end = True
                 break
             key, _, rest = line.partition(" ")
-            if key == "vec":
-                name, _, payload = rest.partition(" ")
-                arrays["vec", name] = _parse_hex_vector(payload, line_no, d)
-            elif key == "table":
-                name, _, count_text = rest.partition(" ")
+            kind = key if key in ("vec", "table") else None
+            if kind:
+                name, _, rest = rest.partition(" ")
+                key = f"{kind} {name}"
+            if key in entries:
+                raise CheckpointFormatError(f"line {line_no}: {key!r} given twice "
+                                            f"(first on line {entries[key][1]})")
+            value, head_line = rest, line_no
+            if kind == "vec":
+                value = _parse_hex_vector(rest, line_no, d)
+            elif kind == "table":
                 try:
-                    count = int(count_text)
+                    count = int(rest)
                 except ValueError:
                     raise CheckpointFormatError(
-                        f"line {line_no}: bad table row count {count_text!r}") from None
+                        f"line {line_no}: bad table row count {rest!r}") from None
                 if count != n:
                     raise CheckpointFormatError(
                         f"line {line_no}: table {name!r} has {count} rows, expected n={n}")
-                rows = np.empty((n, d))
+                value = np.empty((n, d))
                 for r in range(n):
                     line_no, row = next(lines, (line_no + 1, None))
                     if row is None or row == "END":
                         raise CheckpointFormatError(
                             f"truncated checkpoint: table {name!r} needs {count} rows, "
                             f"got {r} (line {line_no})")
-                    rows[r] = _parse_hex_vector(row, line_no, d)
-                arrays["table", name] = rows
-            else:
-                kv[key] = (rest, line_no)
-                # arrays are sized from the problem, so a file's n and d must
-                # match it before any array is read
-                if key in ("n", "d") and (got := _scalar(key)) != getattr(problem, key):
-                    raise CheckpointFormatError(f"dimension mismatch: checkpoint {key}={got},"
-                                                f" problem {key}={getattr(problem, key)}")
+                    value[r] = _parse_hex_vector(row, line_no, d)
+            entries[key] = (value, head_line)
     if not saw_end:
         raise CheckpointFormatError("truncated checkpoint: missing END marker")
 
     solver = _scalar("solver", str)
-    _scalar("d")  # required, and checked against the problem where it was read
     cls = _STATE_CLASSES.get(solver)
     if cls is None:
         raise CheckpointFormatError(f"unknown solver tag {solver!r}")
-    scalars = _SCALAR_LINES[cls]
-    audit = "audit" in scalars and _scalar("audit")
-    args = {f.name: _scalar(f.name, float if "float" in str(f.type) else int)
-            for f in fields(cls) if f.name in scalars}
-    if any(f.name == "solver_tag" for f in fields(cls)):
+    args = {key: _scalar(key, cast) for key, cast in _scalars(cls).items()}
+    if cls is FinitoState:
         args["solver_tag"] = solver
-    for f, name, is_table in _arrays(cls):
-        if f.default is not None or audit:  # the optional arrays need audit 1
-            kind = "table" if is_table else "vec"
-            if (kind, name) not in arrays:
-                raise CheckpointFormatError(f"missing {name!r} {kind}")
-            args[f.name] = arrays.pop((kind, name))
-    if arrays:  # the layout reads none of what is left: the file was edited
-        kind, name = next(iter(arrays))
-        layout = f"solver {solver!r}" + (f", audit {audit}" if "audit" in scalars else "")
-        raise CheckpointFormatError(f"{kind} {name!r} is not in the layout of {layout}")
+    for f, head in _arrays(cls):
+        if head in entries:
+            args[f.name] = entries.pop(head)[0]
+        elif f.default is not None:  # a required field; the state checks the rest
+            kind, name = head.split(" ")
+            raise CheckpointFormatError(f"missing {name!r} {kind}")
     sampler = None
     sampling = _scalar("sampling", str)
     try:
@@ -431,9 +419,8 @@ def checkpoint_load(source, problem):
             sampler = IndexSampler(scheme, problem.n).skip_to(_scalar("draws"))
     except ValueError as exc:
         raise CheckpointFormatError(str(exc)) from None
-    # the tag implies these lines; a file that disagrees was edited
-    proximal = "proximal" in scalars and _scalar("proximal")
-    if proximal != getattr(state, "proximal", False):
-        raise CheckpointFormatError(f"proximal {proximal}, audit {audit} contradict "
-                                    f"solver {solver!r}")
+    if entries:  # the layout reads none of what is left: the file was edited
+        key, (_, line_no) = next(iter(entries.items()))
+        raise CheckpointFormatError(
+            f"line {line_no}: {key!r} is not in the layout of solver {solver!r}")
     return state, sampler

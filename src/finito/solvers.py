@@ -10,7 +10,7 @@ alpha = L/s, and SAG moves w along the stored gradient sum instead.
 
 Compact storage keeps only p_i = f_i'(phi_i) - alpha*s*phi_i, which halves
 memory and recovers w as -(1/(alpha*s*n)) * sum_i p_i.  Audit mode keeps the
-explicit phi/gradient tables as well, for the verification suites and the
+explicit phi/gradient tables instead, for the verification suites and the
 table-mean monitor; either storage runs every finito tag, prox-finito too.
 """
 
@@ -30,6 +30,9 @@ from .samplers import IndexSampler, SamplingScheme
 SOLVER_TAGS = ("finito", "prox-finito", "sag", "miso", "full-gradient")
 FINITO_TAGS = ("finito", "prox-finito", "miso")  # the FinitoState tags
 MONITORS = ("iterate", "table-mean")
+# the array fields a FinitoState holds besides w, per storage
+COMPACT_ARRAYS = ("p_table", "p_sum")
+AUDIT_ARRAYS = ("phi_table", "grad_table", "phi_sum", "grad_sum")
 
 # run() aborts when suboptimality exceeds this multiple of its start value
 DIVERGENCE_RATIO = 1e6
@@ -67,22 +70,21 @@ class TraceRecord:
 class FinitoState:
     """Mutable single-owner state for the table-based solvers.
 
-    Compact mode stores p_table/p_sum only.  Audit mode additionally keeps
-    phi_table/grad_table (with running sums) and still maintains p_table so
-    the two storage forms can be cross-checked.  `proximal` is not settable:
-    it is derived from the tag, true exactly for "prox-finito".
-
-    Construction checks the tag (one of FINITO_TAGS), alpha (finite, > 0)
-    and, with n = len(p_table), k >= 0 and seen == n or (mid first pass)
-    seen == k < n.  The array fields are the checkpoint's vec and table lines.
+    The array fields that are set are the storage: p_table and p_sum
+    (compact), or phi_table, grad_table, phi_sum and grad_sum (audit)
+    instead.  `proximal` is not settable: it is derived from the tag, true
+    exactly for "prox-finito".  Construction checks the storage, the tag
+    (one of FINITO_TAGS), alpha (finite, > 0) and, with n the table's row
+    count, k >= 0 and seen == n or (mid first pass) seen == k < n.  The
+    fields are the checkpoint's lines.
     """
 
     alpha: float
     k: int
     seen: int
     w: np.ndarray
-    p_table: np.ndarray
-    p_sum: np.ndarray
+    p_table: np.ndarray | None = None
+    p_sum: np.ndarray | None = None
     phi_table: np.ndarray | None = None
     grad_table: np.ndarray | None = None
     phi_sum: np.ndarray | None = None
@@ -93,13 +95,19 @@ class FinitoState:
         if self.solver_tag not in FINITO_TAGS:
             raise ValueError(f"finito_init builds {', '.join(FINITO_TAGS)} states, "
                              f"not {self.solver_tag!r}")
-        _check_table_state("alpha", self.alpha, self.k, self.seen, self.p_table)
+        held = tuple(a for a in COMPACT_ARRAYS + AUDIT_ARRAYS if getattr(self, a) is not None)
+        if held not in (COMPACT_ARRAYS, AUDIT_ARRAYS):
+            raise ValueError(
+                f"a finito state holds {', '.join(COMPACT_ARRAYS)} (compact) or "
+                f"{', '.join(AUDIT_ARRAYS)} (audit); got {', '.join(held) or 'none'}")
+        _check_table_state("alpha", self.alpha, self.k, self.seen,
+                           self.phi_table if self.audit else self.p_table)
         # a plain attribute, not a property: _next_w reads it every step
         self.proximal = self.solver_tag == "prox-finito"
 
     @property
     def audit(self) -> bool:
-        return self.phi_table is not None
+        return self.p_table is None
 
 
 @dataclass
@@ -114,6 +122,8 @@ class SagState:
     grad_table: np.ndarray
     grad_sum: np.ndarray
     solver_tag: ClassVar[str] = "sag"
+    p_table: ClassVar[None] = None  # the finito tables: never held
+    phi_table: ClassVar[None] = None
 
     def __post_init__(self):
         _check_table_state("step", self.step, self.k, self.seen, self.grad_table)
@@ -167,12 +177,12 @@ def _check_table_state(name: str, value: float, k: int, seen: int, table) -> Non
 
 def _recompute_sums(state: FinitoState | SagState) -> tuple:
     # periodic full recompute bounds incremental-sum drift; returns the sums
-    # in the order _next_w takes them
+    # of the held tables (None for the others) in the order _next_w takes them
     p_sum = phi_sum = grad_sum = None
-    if isinstance(state, FinitoState):
+    if state.p_table is not None:
         state.p_sum = p_sum = state.p_table.sum(axis=0)
-        if state.audit:
-            state.phi_sum = phi_sum = state.phi_table.sum(axis=0)
+    if state.phi_table is not None:
+        state.phi_sum = phi_sum = state.phi_table.sum(axis=0)
     if state.grad_table is not None:
         state.grad_sum = grad_sum = state.grad_table.sum(axis=0)
     return p_sum, phi_sum, grad_sum
@@ -216,15 +226,15 @@ def _fold(state: FinitoState | SagState, problem, j: int, first_pass: bool):
     w = state.w
     g = _gradient(problem, j, w, k)
     # stage the step in locals; the state changes only once it is checked
-    finito = isinstance(state, FinitoState)
+    p_table, phi_table, grad_table = state.p_table, state.phi_table, state.grad_table
     p_sum = phi_sum = grad_sum = None
-    if finito:
+    if p_table is not None:
         p_new = g - state.alpha * problem.s * w
-        p_sum = state.p_sum + (p_new - state.p_table[j])
-        if state.audit:
-            phi_sum = state.phi_sum + (w - state.phi_table[j])
-    if state.grad_table is not None:
-        grad_sum = state.grad_sum + (g - state.grad_table[j])
+        p_sum = state.p_sum + (p_new - p_table[j])
+    if phi_table is not None:
+        phi_sum = state.phi_sum + (w - phi_table[j])
+    if grad_table is not None:
+        grad_sum = state.grad_sum + (g - grad_table[j])
     seen = state.seen + 1 if first_pass else state.seen
     z = _next_w(state, problem, first_pass, seen, p_sum, phi_sum, grad_sum)
     recompute = (k + 1) % n == 0
@@ -235,14 +245,14 @@ def _fold(state: FinitoState | SagState, problem, j: int, first_pass: bool):
     if exact and not np.all(np.isfinite(g)):
         raise DivergenceError(f"non-finite gradient for component {j} at step {k}",
                               j=j, k=k)
-    if finito:
-        state.p_table[j] = p_new
+    if p_sum is not None:
+        p_table[j] = p_new
         state.p_sum = p_sum
-        if phi_sum is not None:
-            state.phi_table[j] = w
-            state.phi_sum = phi_sum
+    if phi_sum is not None:
+        phi_table[j] = w
+        state.phi_sum = phi_sum
     if grad_sum is not None:
-        state.grad_table[j] = g
+        grad_table[j] = g
         state.grad_sum = grad_sum
     state.seen = seen
     state.k = k + 1
@@ -259,10 +269,11 @@ def finito_init(problem, alpha: float, w0=None, audit: bool = False,
                 solver_tag: str = "finito") -> FinitoState:
     """Build the table state.
 
-    The default fills every row at w0 and sets w to the resulting map.  With
-    first_pass=True the tables start empty and rows are admitted one at a
-    time in index order by finito_first_pass_step, so a pass costs exactly n
-    gradient evaluations.
+    The storage is the p table or, with audit=True, the phi and gradient
+    tables instead.  The default fills every row at w0 and sets w to the
+    resulting map.  With first_pass=True the tables start empty and rows are
+    admitted one at a time in index order by finito_first_pass_step, so a
+    pass costs exactly n gradient evaluations.
 
     solver_tag is one of FINITO_TAGS.  "prox-finito" makes the state proximal:
     each refreshed w, from p_sum or (audit) from the phi and gradient sums,
@@ -271,20 +282,18 @@ def finito_init(problem, alpha: float, w0=None, audit: bool = False,
     n, d = problem.n, problem.d
     w0 = problem._check_point(np.zeros(d) if w0 is None else w0)
     state = FinitoState(alpha=float(alpha), k=0, seen=0, w=w0.copy(),
-                        p_table=np.zeros((n, d)), p_sum=np.zeros(d),
-                        solver_tag=solver_tag)
+                        solver_tag=solver_tag,
+                        **{name: np.zeros((n, d) if name.endswith("_table") else d)
+                           for name in (AUDIT_ARRAYS if audit else COMPACT_ARRAYS)})
     if problem.s == 0.0:
         raise StrongConvexityRequired("the table update divides by alpha*s*n")
-    if audit:
-        state.phi_table, state.grad_table = np.zeros((n, d)), np.zeros((n, d))
-        state.phi_sum, state.grad_sum = np.zeros(d), np.zeros(d)
     if first_pass:
         return state
     grads = problem.table_gradients(np.broadcast_to(w0, (n, d)))
-    state.p_table = grads - alpha * problem.s * w0[None, :]
     if audit:
-        state.phi_table = np.tile(w0, (n, 1))
-        state.grad_table = grads.copy()
+        state.phi_table, state.grad_table = np.tile(w0, (n, 1)), grads
+    else:
+        state.p_table = grads - alpha * problem.s * w0[None, :]
     state.seen = n
     state.w = _next_w(state, problem, False, n, *_recompute_sums(state))
     return state

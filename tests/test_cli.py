@@ -311,15 +311,17 @@ def test_resume_from_checkpoint_without_w_exits_one(tmp_path):
     assert "missing 'w'" in err
 
 
-# an audit 1 file turned audit 0 still holds the audit arrays, which the
-# compact layout does not read
+# the tag alone says proximal and the arrays alone say audit, so a file has
+# no `line` that says so; one with an `edited` line added was edited
 @pytest.mark.parametrize("solver,line,edited,message", [
-    pytest.param("finito", "proximal 0", "proximal 1", "contradict solver 'finito'",
+    pytest.param("finito", "proximal 0", "proximal 1",
+                 "line 3: 'proximal' is not in the layout of solver 'finito'",
                  id="finito-proximal 0-proximal 1"),
     pytest.param("prox-finito", "proximal 1", "proximal 0",
-                 "contradict solver 'prox-finito'", id="prox-finito-proximal 1-proximal 0"),
+                 "line 3: 'proximal' is not in the layout of solver 'prox-finito'",
+                 id="prox-finito-proximal 1-proximal 0"),
     pytest.param("prox-finito", "audit 1", "audit 0",
-                 "is not in the layout of solver 'prox-finito', audit 0",
+                 "line 3: 'audit' is not in the layout of solver 'prox-finito'",
                  id="prox-finito-audit 1-audit 0"),
 ])
 def test_resume_from_checkpoint_contradicting_its_tag_exits_one(
@@ -331,8 +333,10 @@ def test_resume_from_checkpoint_contradicting_its_tag_exits_one(
     code, _, _ = call(["run", *base, "--epochs", "2", "--save-state", str(ck)])
     assert code == 0
     text = ck.read_text()
-    assert f"\n{line}\n" in text
-    ck.write_text(text.replace(f"\n{line}\n", f"\n{edited}\n"))
+    assert f"\n{line}\n" not in text
+    tag = f"\nsolver {solver}\n"
+    assert tag in text
+    ck.write_text(text.replace(tag, f"{tag}{edited}\n"))
     code, out, err = call(["run", *base, "--epochs", "4", "--resume", str(ck)])
     assert (code, out) == (1, "")
     assert message in err
@@ -378,18 +382,21 @@ def test_resume_from_checkpoint_with_huge_n_exits_one(tmp_path):
     code, _, _ = call(["run", *base, "--epochs", "1", "--save-state", str(ck)])
     assert code == 0
     text = ck.read_text()
-    assert "\nn 20\n" in text and "\ntable p 20\n" in text
-    ck.write_text(text.replace("\nn 20\n", "\nn 100000000000000\n")
-                  .replace("\ntable p 20\n", "\ntable p 100000000000000\n"))
+    assert "\ntable p 20\n" in text
+    ck.write_text(text.replace("\ntable p 20\n", "\ntable p 100000000000000\n"))
     code, out, err = call(["run", *base, "--epochs", "2", "--resume", str(ck)])
     assert (code, out) == (1, "")
-    assert "dimension mismatch: checkpoint n=100000000000000, problem n=20" in err
+    assert "table 'p' has 100000000000000 rows, expected n=20" in err
     assert "Traceback" not in err
 
 
+# a checkpoint of an n=40, d=4 problem: the rows of its table or the entries
+# of its vectors do not match the problem's
 @pytest.mark.parametrize("synth,message", [
-    ("n=41,d=4,beta=2,seed=3", "dimension mismatch: checkpoint n=40, problem n=41"),
-    ("n=40,d=5,beta=2,seed=3", "dimension mismatch: checkpoint d=4, problem d=5"),
+    pytest.param("n=41,d=4,beta=2,seed=3", "table 'p' has 40 rows, expected n=41",
+                 id="n=41,d=4,beta=2,seed=3-dimension mismatch: n"),
+    pytest.param("n=40,d=5,beta=2,seed=3", "expected 5 entries, found 4",
+                 id="n=40,d=5,beta=2,seed=3-dimension mismatch: d"),
 ])
 def test_resume_against_a_problem_of_another_shape_exits_one(
         tmp_path, synth, message):

@@ -2,6 +2,7 @@
 
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -200,14 +201,21 @@ def test_checkpoint_save_load_save_identity(synth_tiny, tmp_path, solver, audit)
 
 
 def test_prox_finito_checkpoint_keeps_one_table(synth_tiny, tmp_path):
-    # prox-finito stores the compact p table only, unless audit asks for more
+    # prox-finito stores the compact p table only, unless audit asks for the
+    # phi and gradient tables instead; the tag and the arrays are the layout
     problem, ref = synth_tiny
     path, state = run_and_checkpoint(problem, ref, "prox-finito", tmp_path)
     assert state.proximal and state.phi_table is None and state.grad_table is None
     lines = path.read_text().splitlines()
     assert [line for line in lines if line.startswith("table ")] == [
         f"table p {problem.n}"]
-    assert "audit 0" in lines and "proximal 1" in lines
+    assert "solver prox-finito" in lines
+    assert not [line for line in lines if line.startswith(("proximal ", "audit ", "n ", "d "))]
+    path, _ = run_and_checkpoint(problem, ref, "prox-finito", tmp_path, audit=True)
+    assert [line.split()[:2] for line in path.read_text().splitlines()
+            if line.startswith(("vec ", "table "))] == [
+        ["vec", "w"], ["vec", "phi_sum"], ["vec", "grad_sum"],
+        ["table", "phi"], ["table", "grad"]]
 
 
 def test_checkpoint_full_gradient_has_no_sampler(synth_tiny, tmp_path):
@@ -254,11 +262,12 @@ def test_checkpoint_corruption_detected(synth_tiny, tmp_path):
 # (edit None) or rewritten by `edit`
 @pytest.mark.parametrize("solver,prefix,edit,match", [
     pytest.param("finito", "vec w ", None, "missing", id="finito-vec w "),
-    pytest.param("finito", "vec p_sum ", None, "missing",
+    # a finito state without one of its arrays holds neither storage
+    pytest.param("finito", "vec p_sum ", None, "got p_table$",
                  id="finito-vec p_sum "),
-    pytest.param("finito", "table p ", None, "missing", id="finito-table p "),
-    pytest.param("prox-finito-audit", "table phi ", None, "missing",
-                 id="prox-finito-table phi "),
+    pytest.param("finito", "table p ", None, "got p_sum$", id="finito-table p "),
+    pytest.param("prox-finito-audit", "table phi ", None,
+                 "got grad_table, phi_sum, grad_sum$", id="prox-finito-table phi "),
     pytest.param("sag", "vec grad_sum ", None, "missing",
                  id="sag-vec grad_sum "),
     pytest.param("finito", "vec w ", lambda line: line.rsplit(" ", 1)[0],
@@ -267,11 +276,10 @@ def test_checkpoint_corruption_detected(synth_tiny, tmp_path):
                  "expected 3 entries, found 4", id="sag-vec grad_sum with 4"),
     pytest.param("finito", "table p ", lambda line: "table p 10",
                  "10 rows, expected n=20", id="finito-table p 10"),
-    # the file's own n never sizes an array: 10^14 rows x 3 floats would be
-    # 2.4e15 bytes, beyond any address space
-    pytest.param("finito", ("n ", "table p "),
-                 lambda line: line.rsplit(" ", 1)[0] + " 100000000000000",
-                 "dimension mismatch: checkpoint n=100000000000000, problem n=20",
+    # the file's own row count never sizes an array: 10^14 rows x 3 floats
+    # would be 2.4e15 bytes, beyond any address space
+    pytest.param("finito", "table p ", lambda line: "table p 100000000000000",
+                 "line 11: table 'p' has 100000000000000 rows, expected n=20",
                  id="finito-n and table p 10^14"),
     pytest.param("finito", "seen ", lambda line: "seen 999",
                  "k=40 seen=999: need", id="finito-seen 999"),
@@ -283,40 +291,52 @@ def test_checkpoint_corruption_detected(synth_tiny, tmp_path):
     # seen < n only happens mid first pass, where seen == k
     pytest.param("finito", "seen ", lambda line: "seen 5",
                  "k=40 seen=5: need", id="finito-seen 5 below k"),
-    # the tag implies the proximal line
-    pytest.param("finito", "proximal ", lambda line: "proximal 1",
-                 "proximal 1, audit 0 contradict solver 'finito'",
+    # lines the layout does not read: the tag alone says proximal, the
+    # arrays alone say audit, and a misspelt key or an unknown array name is
+    # read by nothing, whatever its value
+    pytest.param("finito", "alpha ", lambda line: f"{line}\nproximal 1",
+                 "line 4: 'proximal' is not in the layout of solver 'finito'$",
                  id="finito-proximal 1"),
-    pytest.param("miso", "proximal ", lambda line: "proximal 1",
-                 "proximal 1, audit 0 contradict solver 'miso'",
+    pytest.param("miso", "alpha ", lambda line: f"{line}\nproximal 1",
+                 "line 4: 'proximal' is not in the layout of solver 'miso'$",
                  id="miso-proximal 1"),
-    pytest.param("prox-finito", "proximal ", lambda line: "proximal 0",
-                 "proximal 0, audit 0 contradict solver 'prox-finito'",
+    pytest.param("prox-finito", "alpha ", lambda line: f"{line}\nproximal 0",
+                 "line 4: 'proximal' is not in the layout of solver 'prox-finito'$",
                  id="prox-finito-proximal 0"),
-    # array lines the layout does not read: the audit arrays of an audit 1
-    # file turned audit 0, or an unknown name
-    pytest.param("prox-finito-audit", "audit ", lambda line: "audit 0",
-                 "vec 'phi_sum' is not in the layout of solver 'prox-finito', audit 0",
+    pytest.param("finito", "alpha ", lambda line: f"{line}\nproximal yes",
+                 "line 4: 'proximal' is not in the layout of solver 'finito'$",
+                 id="finito-proximal yes"),
+    pytest.param("prox-finito-audit", "alpha ", lambda line: f"{line}\naudit 0",
+                 "line 4: 'audit' is not in the layout of solver 'prox-finito'$",
                  id="prox-finito-audit 0"),
-    pytest.param("finito-audit", "audit ", lambda line: "audit 0",
-                 "vec 'phi_sum' is not in the layout of solver 'finito', audit 0",
+    pytest.param("finito-audit", "alpha ", lambda line: f"{line}\naudit 0",
+                 "line 4: 'audit' is not in the layout of solver 'finito'$",
                  id="finito-audit 0"),
+    pytest.param("finito", "alpha ", lambda line: f"{line}\nalpah 9",
+                 "line 4: 'alpah' is not in the layout of solver 'finito'$",
+                 id="finito-alpah 9"),
     pytest.param("finito", "vec w ", lambda line: f"{line}\nvec zzz 0x0p+0 0x0p+0 0x0p+0",
-                 "vec 'zzz' is not in the layout of solver 'finito', audit 0",
+                 "'vec zzz' is not in the layout of solver 'finito'$",
                  id="finito-vec zzz"),
     pytest.param("sag", "vec w ",
                  lambda line: f"{line}\ntable zzz 20" + f"\n{line[6:]}" * 20,
-                 "table 'zzz' is not in the layout of solver 'sag'$", id="sag-table zzz"),
+                 "'table zzz' is not in the layout of solver 'sag'$", id="sag-table zzz"),
     pytest.param("full-gradient", "vec w ", lambda line: f"{line}\nvec p_sum {line[6:]}",
-                 "vec 'p_sum' is not in the layout of solver 'full-gradient'$",
+                 "'vec p_sum' is not in the layout of solver 'full-gradient'$",
                  id="full-gradient-vec p_sum"),
+    # a line given twice, where the last one once won
+    pytest.param("finito", "k ", lambda line: f"{line}\nk 7",
+                 r"line 5: 'k' given twice \(first on line 4\)", id="finito-k twice"),
+    pytest.param("finito", "vec w ", lambda line: f"{line}\n{line}",
+                 "'vec w' given twice", id="finito-vec w twice"),
+    pytest.param("sag", "vec w ",
+                 lambda line: f"{line}\ntable grad 20" + f"\n{line[6:]}" * 20,
+                 "'table grad' given twice", id="sag-table grad twice"),
     # scalar values that do not parse name their key and line
     pytest.param("finito", "k ", lambda line: "k x",
-                 "line 5: bad 'k' value 'x'", id="finito-k x"),
-    pytest.param("finito", "proximal ", lambda line: "proximal yes",
-                 "line 8: bad 'proximal' value 'yes'", id="finito-proximal yes"),
+                 "line 4: bad 'k' value 'x'", id="finito-k x"),
     pytest.param("finito", "alpha ", lambda line: "alpha two",
-                 "line 7: bad 'alpha' value 'two'", id="finito-alpha two"),
+                 "line 3: bad 'alpha' value 'two'", id="finito-alpha two"),
     pytest.param("sag", "sampling_seed ", lambda line: "sampling_seed True",
                  "bad 'sampling_seed' value 'True'", id="sag-sampling_seed True"),
     # values that parse but that the state or the sampler refuses
@@ -352,6 +372,31 @@ def test_checkpoint_missing_entry_is_format_error(synth_tiny, tmp_path,
     assert caught.type is CheckpointFormatError
 
 
+def _table_block(text: str, name: str) -> str:
+    # the `table name` line and its rows
+    return re.search(rf"^table {name} \d+\n(?:-?0x.*\n)+", text, re.M).group()
+
+
+# the arrays present are the storage, so a file with the arrays of neither
+# storage is refused (an `audit` line once said which to read)
+@pytest.mark.parametrize("solver,audit,edit,match", [
+    pytest.param("finito", True, lambda text: text.replace(_table_block(text, "grad"), ""),
+                 "got phi_table, phi_sum, grad_sum$", id="audit-without-table-grad"),
+    pytest.param("prox-finito", False,
+                 lambda text: text.replace("END\n", _table_block(text, "p").replace(
+                     "table p ", "table phi ") + "END\n"),
+                 "got p_table, p_sum, phi_table$", id="compact-with-table-phi"),
+])
+def test_checkpoint_of_neither_storage_is_format_error(synth_tiny, tmp_path, solver,
+                                                       audit, edit, match):
+    problem, ref = synth_tiny
+    path, _ = run_and_checkpoint(problem, ref, solver, tmp_path, audit=audit)
+    edited = edit(path.read_text())
+    assert edited != path.read_text()
+    with pytest.raises(CheckpointFormatError, match=match):
+        checkpoint_load(io.StringIO(edited), problem)
+
+
 @pytest.mark.parametrize("kind", ["finito", "finito-audit", "prox-finito",
                                   "prox-finito-audit", "sag"])
 def test_checkpoint_mid_first_pass_finishes_bit_exact(kind):
@@ -383,8 +428,9 @@ def test_checkpoint_mid_first_pass_finishes_bit_exact(kind):
         step(part, problem, k)
     part, _ = checkpoint_load(io.StringIO(saved(part)), problem)
     assert part.k == part.seen == 7
-    unseen = part.grad_table[7:] if kind == "sag" else part.p_table[7:]
-    assert not unseen.any() and not np.signbit(unseen).any()
+    for table in (part.p_table, part.phi_table, part.grad_table):
+        if table is not None:
+            assert not table[7:].any() and not np.signbit(table[7:]).any()
     for k in range(7, problem.n):
         step(part, problem, k)
     assert part.seen == problem.n

@@ -116,12 +116,16 @@ def test_miso_matches_finito_at_matching_alpha(synth_tiny):
 
 
 def test_audit_rows_decompose_compact_rows(synth_tiny, rng):
+    # the two storages step through the same rows: p_i = f_i'(phi_i) - alpha*s*phi_i
     problem, _ = synth_tiny
-    st = finito_init(problem, alpha=2.0, w0=np.zeros(problem.d), audit=True)
+    compact = finito_init(problem, alpha=2.0, w0=np.zeros(problem.d))
+    audit = finito_init(problem, alpha=2.0, w0=np.zeros(problem.d), audit=True)
+    assert audit.p_table is None and compact.phi_table is None
     for j in rng.integers(problem.n, size=60):
-        finito_step(st, problem, int(j))
-    want = st.grad_table - st.alpha * problem.s * st.phi_table
-    assert np.max(np.abs(st.p_table - want)) <= 1e-12
+        finito_step(compact, problem, int(j))
+        finito_step(audit, problem, int(j))
+    want = audit.grad_table - audit.alpha * problem.s * audit.phi_table
+    assert np.max(np.abs(compact.p_table - want)) <= 1e-12
 
 
 def test_compact_w_identity(synth_tiny, rng):
