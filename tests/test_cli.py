@@ -311,8 +311,8 @@ def test_resume_from_checkpoint_without_w_exits_one(tmp_path):
     assert "missing 'w'" in err
 
 
-# the tag alone says proximal and the arrays alone say audit, so a file has
-# no `line` that says so; one with an `edited` line added was edited
+# the tag alone says proximal and the arrays alone say audit: a checkpoint
+# has no `line` saying either, and one with an `edited` line added is refused
 @pytest.mark.parametrize("solver,line,edited,message", [
     pytest.param("finito", "proximal 0", "proximal 1",
                  "line 3: 'proximal' is not in the layout of solver 'finito'",
