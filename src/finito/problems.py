@@ -118,8 +118,9 @@ class _ProblemBase:
         return w
 
     def _check_table(self, points: np.ndarray) -> np.ndarray:
+        # one (n, d) table, or a stack of them along leading axes
         points = np.asarray(points, dtype=float)
-        if points.shape != (self.n, self.d):
+        if points.shape[-2:] != (self.n, self.d):
             raise ValueError(
                 f"table must have shape ({self.n}, {self.d}), got {points.shape}"
             )
@@ -250,18 +251,20 @@ class FiniteSumProblem(_ProblemBase):
         return dm * x + self.s * w
 
     def table_values(self, points: np.ndarray) -> np.ndarray:
-        """f_i evaluated at row i of `points`, for all i at once."""
+        """f_i evaluated at row i of `points`, for all i at once; a stack of
+        tables (..., n, d) gives (..., n), each table with its own bits."""
         points = self._check_table(points)
-        margins = np.einsum("ij,ij->i", self.features, points)
-        ridge = 0.5 * self.s * np.einsum("ij,ij->i", points, points)
+        margins = np.einsum("ij,...ij->...i", self.features, points)
+        ridge = 0.5 * self.s * np.einsum("...j,...j->...", points, points)
         return self._loss_values(margins, self.targets) + ridge
 
     def table_gradients(self, points: np.ndarray) -> np.ndarray:
-        """Gradient of f_i at row i of `points`, for all i at once."""
+        """Gradient of f_i at row i of `points`, for all i at once; stacks as
+        table_values does."""
         points = self._check_table(points)
-        margins = np.einsum("ij,ij->i", self.features, points)
+        margins = np.einsum("ij,...ij->...i", self.features, points)
         dm = self._loss_dmargin(margins, self.targets)
-        return dm[:, None] * self.features + self.s * points
+        return dm[..., None] * self.features + self.s * points
 
     def objective_batch(self, points: np.ndarray) -> np.ndarray:
         """Smooth objective (1/n) sum_i f_i at each point along the last axis
@@ -338,7 +341,7 @@ class QuadraticProblem(_ProblemBase):
     def table_values(self, points: np.ndarray) -> np.ndarray:
         points = self._check_table(points)
         diffs = points - self.centers
-        return 0.5 * self.weights * np.einsum("ij,ij->i", diffs, diffs)
+        return 0.5 * self.weights * np.einsum("...j,...j->...", diffs, diffs)
 
     def table_gradients(self, points: np.ndarray) -> np.ndarray:
         points = self._check_table(points)

@@ -137,6 +137,11 @@ class FullGradientState:
     k: int = 0
     solver_tag: ClassVar[str] = "full-gradient"
 
+    def __post_init__(self):
+        # k counts steps from 0, as in the table states
+        if self.k < 0:
+            raise ValueError(f"counter k={self.k}: need k >= 0")
+
 
 @dataclass
 class SolverConfig:

@@ -17,17 +17,22 @@ each claimed inequality with exact enumeration over the n equally likely
 updates, never with sampled estimates, so a failure is a real
 counterexample and not noise.
 
-The per-state API is `Audit(problem, phi, w, alpha)`.  It validates the
-state once, builds the n successor iterates with running-sum arithmetic and
-evaluates the potential once at the state and once for all n branches; each
-check on that state is a method reading those quantities, and
-`expected_decrease_check` is the one-call form of its decrease check.  The
-branches are evaluated as stacked (b, n, d) arrays of at most BRANCH_FLOATS
-floats per chunk (see Audit.branches).  Every reduction runs per branch along
-the same axis as for a single state, and T1 comes from a stacked
-(b, 1, d) @ (d, n) matmul, which runs the single-point kernel once per branch,
-so each branch carries the bits of its own full evaluation; a plain
-(b, d) @ (d, n) GEMM would not.
+The audit API is `Audit(problem, phi, w, alpha)`, which takes a stack of S
+states, tables (S, n, d) and iterates (S, d); one (n, d) table and (d,)
+iterate are the stack of one.  It validates the states once, builds the n
+successor iterates of each with running-sum arithmetic and evaluates the
+potential once at the states and once for all S n branches; each check is a
+method computing its rows for the whole stack at once, and
+`expected_decrease_check` is the one-call form of the decrease check of one
+state.  The branches are evaluated as stacked (b, n, d) arrays of b
+(state, branch) pairs, at most BRANCH_FLOATS floats per chunk (see
+Audit.branches), and the suites audit blocks of audit_block(n, d) states, whose
+arrays fit the same budget.  Every reduction runs per state or branch along
+the same axis as for a lone state, and T1 and f(w) come from a stacked
+(b, 1, d) @ (d, n) matmul, which runs the single-point kernel once per point,
+so each state and branch carries the bits of its own full evaluation; a plain
+(b, d) @ (d, n) GEMM would not.  The full gradients and the whole-table sums
+stay one call per state, whose stacked forms would round differently.
 """
 
 from __future__ import annotations
@@ -49,8 +54,9 @@ from .solvers import (SolverConfig, TraceRecord, _require_positive, finito_init,
 BALL_RADIUS = 2.0
 
 # cap on the floats held by one chunk of stacked branch arrays (its tables,
-# gradients and gaps, b x n x d each)
-BRANCH_FLOATS = 2**20
+# gradients and gaps, b x n x d each), and by the arrays of one block of
+# states the suites audit as a stack (see audit_block)
+BRANCH_FLOATS = 2**18
 
 
 @dataclass
@@ -63,6 +69,13 @@ class LyapunovTerms:
     @property
     def total(self) -> float:
         return self.t1 + self.t2 + self.t3 + self.t4
+
+    def fields(self) -> tuple:
+        return self.t1, self.t2, self.t3, self.t4
+
+    def rows(self) -> list[LyapunovTerms]:
+        """Terms held as (S,) arrays, as S LyapunovTerms of floats."""
+        return [LyapunovTerms(*row) for row in zip(*(t.tolist() for t in self.fields()))]
 
 
 @dataclass
@@ -103,15 +116,52 @@ def _require_big_data(problem, beta: float) -> None:
             f"n*s = {report.n * report.s:g} < beta*L = {beta * report.L:g}")
 
 
-def _checked_state(problem, phi_table: np.ndarray, w: np.ndarray):
-    """(table, point) validated for the analysis: smooth objective, s > 0."""
+def _checked_state(problem, phi_table: np.ndarray, w):
+    """Tables (S, n, d) and points (S, d) validated for the analysis (smooth
+    objective, s > 0, finite points), and whether the caller gave one (n, d)
+    table and one (d,) point, which come back as a stack of one.  A point of
+    None is passed through: the audit forms each table's map."""
     _require_smooth(problem)
     _require_strongly_convex(problem)
-    return problem._check_table(phi_table), problem._check_point(w)
+    phi = problem._check_table(phi_table)
+    if phi.ndim == 2:
+        return phi[np.newaxis], (None if w is None
+                                 else problem._check_point(w)[np.newaxis]), True
+    w = None if w is None else np.asarray(w, dtype=float)
+    if phi.ndim != 3 or (w is not None and w.shape != (len(phi), problem.d)):
+        raise ValueError(f"a stack of tables (S, {problem.n}, {problem.d}) "
+                         f"needs points (S, {problem.d}); got {phi.shape} "
+                         f"and {np.shape(w)}")
+    if w is not None and not np.all(np.isfinite(w)):
+        raise ValueError("point contains non-finite entries")
+    return phi, w, False
 
 
-def _objective_at(problem, point: np.ndarray) -> float:
-    return float(problem.objective_batch(point[np.newaxis, :])[0])
+def _objectives(problem, points: np.ndarray) -> np.ndarray:
+    # f at each (d,) point of a stack, as a stack of one-point batches: the
+    # bits of evaluating each point alone, which a (S, d) batch's GEMM would
+    # not keep
+    return problem.objective_batch(points[..., np.newaxis, :])[..., 0]
+
+
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # <a, b> along the last axis as stacked (1, d) @ (d, 1) matmuls, which run
+    # the dot of a lone `a @ b` (and of np.linalg.norm)
+    return (a[..., np.newaxis, :] @ b[..., :, np.newaxis])[..., 0, 0]
+
+
+def _norms(a: np.ndarray) -> np.ndarray:
+    return np.sqrt(_dots(a, a))
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("...j,...j->...", a, b)
+
+
+def _table_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # sum_ij a_ij b_ij of each (n, d) table in a stack, one lone einsum per
+    # table: past 8192 floats a stacked einsum sums in another order
+    return np.array([np.einsum("ij,ij->", x, y) for x, y in zip(a, b)])
 
 
 def finito_map(problem, phi_table: np.ndarray, alpha: float) -> np.ndarray:
@@ -124,41 +174,32 @@ def finito_map(problem, phi_table: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def _map(phi_table: np.ndarray, grads: np.ndarray, denom: float) -> np.ndarray:
-    return phi_table.mean(axis=0) - grads.sum(axis=0) / denom
+    return phi_table.mean(axis=-2) - grads.sum(axis=-2) / denom
 
 
-def lyapunov_evaluate(problem, phi_table: np.ndarray,
-                      w: np.ndarray) -> LyapunovTerms:
-    """Evaluate the four potential terms at an arbitrary (phi, w) pair."""
-    phi_table, w = _checked_state(problem, phi_table, w)
-    return _potential(problem, phi_table, problem.table_values(phi_table),
-                      problem.table_gradients(phi_table), w)
-
-
-def _potential(problem, phi_table: np.ndarray, values: np.ndarray,
-               grads: np.ndarray, w: np.ndarray) -> LyapunovTerms:
-    # the four terms from the table's row values and gradients
-    return _potentials(problem, phi_table[np.newaxis], values[np.newaxis],
-                       grads[np.newaxis], w[np.newaxis])[0]
+def lyapunov_evaluate(problem, phi_table: np.ndarray, w: np.ndarray):
+    """Evaluate the four potential terms at an arbitrary (phi, w) pair, or
+    at each pair of a stack (a list, one LyapunovTerms per state)."""
+    phi, w, lone = _checked_state(problem, phi_table, w)
+    rows = _potentials(problem, phi, problem.table_values(phi),
+                       problem.table_gradients(phi), w).rows()
+    return rows[0] if lone else rows
 
 
 def _potentials(problem, tables: np.ndarray, values: np.ndarray,
-                grads: np.ndarray, ws: np.ndarray) -> list[LyapunovTerms]:
-    # _potential for a stack of states: tables and grads (b, n, d), values
-    # (b, n), points (b, d).  Every reduction runs within one state along the
-    # axis a lone (n, d) table would use, so each state's terms have the bits
-    # of evaluating that state by itself
+                grads: np.ndarray, ws: np.ndarray) -> LyapunovTerms:
+    # the four terms of a stack of states, as (b,) arrays: tables and grads
+    # (b, n, d), values (b, n), points (b, d).  Every reduction runs within one
+    # state along the axis a lone (n, d) table would use, so each state's
+    # terms have the bits of evaluating that state by itself
     phi_bar = tables.mean(axis=1)
     gaps = ws[:, np.newaxis, :] - tables
-    # f at each phi_bar as a stack of one-point batches: the bits of
-    # _objective_at, which a (b, d) batch's GEMM would not keep
-    t1 = problem.objective_batch(phi_bar[:, np.newaxis, :])[:, 0]
-    t2 = (-values.mean(axis=1)
-          - np.einsum("bij,bij->bi", grads, gaps).mean(axis=1))
-    t3 = -0.5 * problem.s * np.einsum("bij,bij->bi", gaps, gaps).mean(axis=1)
+    t1 = _objectives(problem, phi_bar)
+    t2 = -values.mean(axis=1) - _row_dots(grads, gaps).mean(axis=1)
+    t3 = -0.5 * problem.s * _row_dots(gaps, gaps).mean(axis=1)
     spread = np.subtract(phi_bar[:, np.newaxis, :], tables, out=gaps)
-    t4 = 0.5 * problem.s * np.einsum("bij,bij->bi", spread, spread).mean(axis=1)
-    return [LyapunovTerms(*map(float, row)) for row in zip(t1, t2, t3, t4)]
+    t4 = 0.5 * problem.s * _row_dots(spread, spread).mean(axis=1)
+    return LyapunovTerms(t1, t2, t3, t4)
 
 
 def initial_lyapunov(problem, phi0: np.ndarray, alpha: float) -> float:
@@ -192,185 +233,214 @@ def _require_admissible(alpha: float, beta: float) -> None:
 
 
 class Audit:
-    """One audit state (phi, w) at step constant alpha and its n equally
-    likely successors: branch j overwrites table row j with w and moves w to
-    the new table map, row j of `next_w`.  The state is validated once (s > 0,
-    smooth objective, finite alpha > 0); its row values and gradients, the
-    gradients at w and the gaps w - phi_i and f_i'(w) - f_i'(phi_i) are
-    computed once, `base` and `next_w` on first use, and every per-state
-    check is a method reading them.  The caller's arrays are never written."""
+    """A stack of S audit states (phi, w) at step constant alpha, tables
+    (S, n, d) and points (S, d), and the n equally likely successors of each:
+    branch j overwrites table row j with w and moves w to the new table map,
+    row j of the state's `next_w`.  One (n, d) table and (d,) point are the
+    stack of one; a point of None audits each table at its own map.
 
-    def __init__(self, problem, phi_table: np.ndarray, w: np.ndarray,
-                 alpha: float):
+    The states are validated once (s > 0, smooth objective, finite alpha > 0);
+    their row values and gradients, the gradients at w and the gaps
+    w - phi_i and f_i'(w) - f_i'(phi_i) are computed once for the whole stack
+    with the batch-axis table ops, `base`, `next_w` and `branches` on first
+    use.  Each check is one stacked computation returning one result per
+    state, or the one result of a lone state.  Every reduction runs per state
+    along the axis a lone state uses, so each state's results have the bits
+    of auditing it alone.  The caller's arrays are never written."""
+
+    def __init__(self, problem, phi_table: np.ndarray, w, alpha: float):
         _require_positive("alpha", alpha)
-        phi, w = _checked_state(problem, phi_table, w)
-        self.problem, self.alpha, self.phi, self.w = problem, alpha, phi, w
+        phi, w, self.lone = _checked_state(problem, phi_table, w)
+        self.problem, self.alpha, self.phi = problem, alpha, phi
         self.denom = alpha * problem.s * problem.n
         self.values = problem.table_values(phi)
         self.grads = problem.table_gradients(phi)
-        self.grads_at_w = problem.table_gradients(np.broadcast_to(w, phi.shape))
-        self.gaps = w - phi
+        self.w = _map(phi, self.grads, self.denom) if w is None else w
+        self.tiled_w = np.broadcast_to(self.w[:, np.newaxis, :], phi.shape)
+        self.grads_at_w = problem.table_gradients(self.tiled_w)
+        self.gaps = self.w[:, np.newaxis, :] - phi
         self.grad_gaps = self.grads_at_w - self.grads
+
+    def _each(self, results: list):
+        # one result per state; the audit of a lone state returns its one
+        return results[0] if self.lone else results
 
     @functools.cached_property
     def base(self) -> LyapunovTerms:
-        return _potential(self.problem, self.phi, self.values, self.grads, self.w)
+        """The potential of each state, as (S,) arrays."""
+        return _potentials(self.problem, self.phi, self.values, self.grads,
+                           self.w)
 
     @functools.cached_property
     def next_w(self) -> np.ndarray:
         # running-sum form of the map: replace row j's point and gradient
-        return ((self.phi.sum(axis=0) + self.gaps) / self.problem.n
-                - (self.grads.sum(axis=0) + self.grad_gaps) / self.denom)
+        return ((self.phi.sum(axis=1)[:, np.newaxis] + self.gaps) / self.problem.n
+                - (self.grads.sum(axis=1)[:, np.newaxis] + self.grad_gaps)
+                / self.denom)
 
     @functools.cached_property
-    def branches(self) -> list[LyapunovTerms]:
-        """The potential after each update.  A chunk of b branches stacks b
-        copies of the table, its row values and its row gradients, where
-        branch j's copy holds w, f_j(w) and f_j'(w) in row j, and evaluates
-        them at once; b keeps the chunk's tables, gradients and gaps within
-        BRANCH_FLOATS floats, or is 1 when one branch alone is larger."""
-        problem, phi, w = self.problem, self.phi, self.w
-        n, d = phi.shape
-        values_at_w = problem.table_values(np.broadcast_to(w, phi.shape))
+    def branches(self) -> LyapunovTerms:
+        """The potential after each update, as (S n,) arrays in (state,
+        branch) order.  A chunk of b (state, branch) pairs stacks b copies of
+        their states' tables, row values and row gradients, where pair (k, j)
+        holds w_k, f_j(w_k) and f_j'(w_k) in row j, and evaluates them at
+        once; b keeps the chunk's tables, gradients and gaps within
+        BRANCH_FLOATS floats, or is 1 when one branch alone is larger.  A
+        chunk may split a state and span states."""
+        problem, phi = self.problem, self.phi
+        states, n, d = phi.shape
+        values_at_w = problem.table_values(self.tiled_w)
         size = max(1, BRANCH_FLOATS // (3 * n * d))
-        terms = []
-        for start in range(0, n, size):
-            rows = np.arange(start, min(start + size, n))
-            chunk = np.arange(len(rows))
-            tables = np.repeat(phi[np.newaxis], len(rows), axis=0)
-            values = np.repeat(self.values[np.newaxis], len(rows), axis=0)
-            grads = np.repeat(self.grads[np.newaxis], len(rows), axis=0)
-            tables[chunk, rows] = w
-            values[chunk, rows] = values_at_w[rows]
-            grads[chunk, rows] = self.grads_at_w[rows]
-            terms += _potentials(problem, tables, values, grads, self.next_w[rows])
-        return terms
+        terms = np.empty((4, states * n))
+        for start in range(0, states * n, size):
+            stop = min(start + size, states * n)
+            state, row = np.divmod(np.arange(start, stop), n)
+            chunk = np.arange(stop - start)
+            tables, values, grads = phi[state], self.values[state], self.grads[state]
+            tables[chunk, row] = self.w[state]
+            values[chunk, row] = values_at_w[state, row]
+            grads[chunk, row] = self.grads_at_w[state, row]
+            terms[:, start:stop] = _potentials(problem, tables, values, grads,
+                                          self.next_w[state, row]).fields()
+        return LyapunovTerms(*terms)
+
+    def _branch_means(self, terms: np.ndarray) -> np.ndarray:
+        # each state's mean over its n branches
+        return terms.reshape(-1, self.problem.n).mean(axis=1)
 
     @functools.cached_property
     def phi_bar(self) -> np.ndarray:
-        return self.phi.mean(axis=0)
+        return self.phi.mean(axis=1)
 
     @functools.cached_property
     def full_grad_at_w(self) -> np.ndarray:
-        """f'(w), shared by step_gap and t3_shift."""
-        return self.problem.full_gradient(self.w)
+        """f'(w) of each state, shared by step_gap and t3_shift; one
+        full_gradient call per state keeps its bits."""
+        return np.stack([self.problem.full_gradient(x) for x in self.w])
 
-    def decrease_report(self, beta: float, tol: float = 1e-10) -> CheckReport:
+    @functools.cached_property
+    def gap_squares(self) -> np.ndarray:
+        """sum_j ||w - phi_j||^2 of each state."""
+        return _table_dots(self.gaps, self.gaps)
+
+    def decrease_report(self, beta: float, tol: float = 1e-10):
         """E[T'] <= (1 - 1/(alpha*n)) T over the n branches; see
         expected_decrease_check."""
         _require_admissible(self.alpha, beta)
         _require_big_data(self.problem, beta)
-        total = self.base.total
-        lhs = float(np.mean([b.total for b in self.branches]))
-        rhs = (1.0 - 1.0 / (self.alpha * self.problem.n)) * total
-        return _le_report(
-            "expected-decrease", lhs, rhs, tol,
-            f"alpha={self.alpha:g} beta={beta:g} n={self.problem.n} "
-            f"T={total:.6g}", scale=total)
+        n = self.problem.n
+        totals = self.base.total
+        lhs = self._branch_means(self.branches.total)
+        rhs = (1.0 - 1.0 / (self.alpha * n)) * totals
+        return self._each([
+            _le_report("expected-decrease", lo, hi, tol,
+                       f"alpha={self.alpha:g} beta={beta:g} n={n} T={total:.6g}",
+                       scale=total)
+            for lo, hi, total in zip(lhs.tolist(), rhs.tolist(), totals.tolist())])
 
-    def bound_report(self, reference: ReferenceSolution,
-                     tol: float = 1e-9) -> CheckReport:
+    def bound_report(self, reference: ReferenceSolution, tol: float = 1e-9):
         """f(phi_bar) - f* <= alpha * T, valid when w is the table map
-        (ValueError otherwise)."""
+        (ValueError otherwise, if any state's w is not)."""
         mapped = _map(self.phi, self.grads, self.denom)
-        scale = 1.0 + float(np.linalg.norm(mapped))
-        if float(np.linalg.norm(self.w - mapped)) > 1e-9 * scale:
+        if np.any(_norms(self.w - mapped) > 1e-9 * (1.0 + _norms(mapped))):
             raise ValueError("w is not the table map; the bound only covers "
                              "map-consistent states")
-        return _le_report(
-            "suboptimality-bound", self.base.t1 - reference.f_star,
-            self.alpha * self.base.total, tol,
-            f"alpha={self.alpha:g} n={self.problem.n}", scale=0.0)
+        lhs = self.base.t1 - reference.f_star
+        rhs = self.alpha * self.base.total
+        return self._each([
+            _le_report("suboptimality-bound", lo, hi, tol,
+                       f"alpha={self.alpha:g} n={self.problem.n}", scale=0.0)
+            for lo, hi in zip(lhs.tolist(), rhs.tolist())])
 
-    def mean_descent_report(self, tol: float = 1e-9) -> CheckReport:
+    def mean_descent_report(self, tol: float = 1e-9):
         """E[T1'] - T1 <= (1/n) <f'(phi_bar), w - phi_bar>
                           + (L/(2 n^3)) sum_j ||w - phi_j||^2."""
         problem, phi_bar, t1 = self.problem, self.phi_bar, self.base.t1
         n = problem.n
-        nxt = phi_bar[np.newaxis, :] + self.gaps / n   # branch-j table means
-        lhs = float(problem.objective_batch(nxt).mean()) - t1
+        nxt = phi_bar[:, np.newaxis, :] + self.gaps / n   # branch-j table means
+        lhs = problem.objective_batch(nxt).mean(axis=1) - t1
         L = problem.lipschitz_constant()
-        rhs = (float(problem.full_gradient(phi_bar) @ (self.w - phi_bar)) / n
-               + 0.5 * L * float(np.einsum("ij,ij->", self.gaps, self.gaps)) / n**3)
-        return _le_report("table-mean-descent", lhs, rhs, tol, f"n={n}", scale=t1)
+        slopes = np.stack([problem.full_gradient(x) for x in phi_bar])
+        rhs = (_dots(slopes, self.w - phi_bar) / n
+               + 0.5 * L * self.gap_squares / n**3)
+        return self._each([
+            _le_report("table-mean-descent", lo, hi, tol, f"n={n}", scale=t)
+            for lo, hi, t in zip(lhs.tolist(), rhs.tolist(), t1.tolist())])
 
-    def term_shifts(self) -> LyapunovTerms:
+    def term_shifts(self):
         """E[T_m'] - T_m for each potential term, by exact enumeration."""
-        def shift(term: str) -> float:
-            return (float(np.mean([getattr(b, term) for b in self.branches]))
-                    - getattr(self.base, term))
-        return LyapunovTerms(*map(shift, ("t1", "t2", "t3", "t4")))
+        return self._each(LyapunovTerms(*(
+            self._branch_means(after) - before for after, before
+            in zip(self.branches.fields(), self.base.fields()))).rows())
 
-    def t3_shift(self) -> float:
+    def t3_shift(self):
         """Exact value of E[T3'] - T3 when w is the table map:
 
             -(1/n + 1/n^2) T3 + (1/(alpha n)) <f'(w), w - phi_bar>
             - (1/(2 alpha^2 s n^3)) sum_j ||f_j'(phi_j) - f_j'(w)||^2
         """
         n, s, alpha = self.problem.n, self.problem.s, self.alpha
-        return (-(1.0 / n + 1.0 / n**2) * self.base.t3
-                + float(self.full_grad_at_w @ (self.w - self.phi_bar)) / (alpha * n)
-                - float(np.einsum("ij,ij->", self.grad_gaps, self.grad_gaps))
-                / (2.0 * alpha**2 * s * n**3))
+        return self._each((
+            -(1.0 / n + 1.0 / n**2) * self.base.t3
+            + _dots(self.full_grad_at_w, self.w - self.phi_bar) / (alpha * n)
+            - _table_dots(self.grad_gaps, self.grad_gaps)
+            / (2.0 * alpha**2 * s * n**3)).tolist())
 
-    def t4_shift(self) -> float:
+    def t4_shift(self):
         """Exact value of E[T4'] - T4 (holds for any w, no map needed):
 
             -(1/n) T4 + (s/(2n)) ||phi_bar - w||^2 - (s/(2n^3)) sum_j ||w - phi_j||^2
         """
         n, s = self.problem.n, self.problem.s
         u = self.phi_bar - self.w
-        return (-self.base.t4 / n + 0.5 * s * float(u @ u) / n
-                - 0.5 * s * float(np.einsum("ij,ij->", self.gaps, self.gaps)) / n**3)
+        return self._each((-self.base.t4 / n + 0.5 * s * _dots(u, u) / n
+                           - 0.5 * s * self.gap_squares / n**3).tolist())
 
-    def step_gap(self) -> float:
+    def step_gap(self):
         """|| E[w'] - (w - (1/(alpha s n)) f'(w)) ||: the mean update equals a
         damped gradient step at w.  Zero up to roundoff when w is the map."""
         damped = self.w - self.full_grad_at_w / self.denom
-        return float(np.linalg.norm(self.next_w.mean(axis=0) - damped))
+        return self._each(_norms(self.next_w.mean(axis=1) - damped).tolist())
 
-    def displacement_gap(self) -> float:
+    def displacement_gap(self):
         """Worst-case residual of the single-update displacement identity
 
             w_j' - w = (w - phi_j)/n + (f_j'(phi_j) - f_j'(w)) / (alpha s n),
 
         which holds exactly when w is the table map."""
         predicted = self.gaps / self.problem.n - self.grad_gaps / self.denom
-        residuals = (self.next_w - self.w) - predicted
-        # the n norms at once: a stacked (1, d) @ (d, 1) matmul runs the same
-        # dot as np.linalg.norm of each row
-        norms = np.sqrt(residuals[:, np.newaxis, :] @ residuals[:, :, np.newaxis])
-        return max([0.0] + norms.ravel().tolist())
+        residuals = (self.next_w - self.w[:, np.newaxis, :]) - predicted
+        return self._each([max([0.0] + norms)
+                           for norms in _norms(residuals).tolist()])
 
-    def variance_gap(self) -> float:
+    def variance_gap(self):
         """| mean_i ||w - phi_i||^2 - ||w - phi_bar||^2 - mean_i ||phi_bar - phi_i||^2 |."""
-        spread = self.phi_bar[np.newaxis, :] - self.phi
-        lhs = float(np.einsum("ij,ij->i", self.gaps, self.gaps).mean())
+        spread = self.phi_bar[:, np.newaxis, :] - self.phi
+        lhs = _row_dots(self.gaps, self.gaps).mean(axis=1)
         u = self.w - self.phi_bar
-        rhs = float(u @ u) + float(np.einsum("ij,ij->i", spread, spread).mean())
-        return abs(lhs - rhs)
+        rhs = _dots(u, u) + _row_dots(spread, spread).mean(axis=1)
+        return self._each(np.abs(lhs - rhs).tolist())
 
-    def table_reports(self, tol: float = 1e-9,
-                      context: str = "") -> list[CheckReport]:
+    def table_reports(self, tol: float = 1e-9):
         """Summed table forms bounding the T2 term: table-strong-convexity
         (-f(w) - T2 <= -(s/2n) sum ||w - phi_i||^2) and table-smoothness-lower
-        (<= -(1/(2Ln)) sum ||f_i'(w) - f_i'(phi_i)||^2).  T2 is formed here:
-        reading it off `base` would evaluate the whole potential."""
-        problem, gaps, diff = self.problem, self.gaps, self.grad_gaps
+        (<= -(1/(2Ln)) sum ||f_i'(w) - f_i'(phi_i)||^2), the two reports of
+        each state.  T2 is formed here: reading it off `base` would evaluate
+        the whole potential."""
+        problem, diff = self.problem, self.grad_gaps
         n = problem.n
-        fw = _objective_at(problem, self.w)
-        t2 = -float(self.values.mean()) \
-            - float(np.einsum("ij,ij->i", self.grads, gaps).mean())
-        return [
-            _le_report("table-strong-convexity", -fw - t2,
-                       -0.5 * problem.s * float(np.einsum("ij,ij->", gaps, gaps)) / n,
-                       tol, context),
-            _le_report("table-smoothness-lower", -fw - t2,
-                       -0.5 * float(np.einsum("ij,ij->", diff, diff))
-                       / (problem.lipschitz_constant() * n), tol, context),
-        ]
+        t2 = -self.values.mean(axis=1) - _row_dots(self.grads, self.gaps).mean(axis=1)
+        lhs = -_objectives(problem, self.w) - t2
+        convexity = -0.5 * problem.s * self.gap_squares / n
+        smoothness = (-0.5 * _table_dots(diff, diff)
+                      / (problem.lipschitz_constant() * n))
+        return self._each([
+            [_le_report("table-strong-convexity", lo, hi, tol, ""),
+             _le_report("table-smoothness-lower", lo, low, tol, "")]
+            for lo, hi, low in zip(lhs.tolist(), convexity.tolist(),
+                                   smoothness.tolist())])
 
-    def lower_bound_report(self, beta: float, tol: float = 1e-9) -> CheckReport:
+    def lower_bound_report(self, beta: float, tol: float = 1e-9):
         """Averaged lower bound on f(w) from the table, with constants
         beta/(2 s n^2), beta L/(2 n^2), beta/n^2; valid under the big-data
         condition at beta (checked, raises otherwise) and for any w:
@@ -383,14 +453,15 @@ class Audit:
         problem, dx, dg = self.problem, self.gaps, self.grad_gaps
         _require_big_data(problem, beta)
         n, s, L = problem.n, problem.s, problem.lipschitz_constant()
-        lhs = (float(self.values.mean())
-               + float(np.einsum("ij,ij->i", self.grads, dx).mean())
-               + 0.5 * beta * float(np.einsum("ij,ij->", dg, dg)) / (s * n**2)
-               + 0.5 * beta * L * float(np.einsum("ij,ij->", dx, dx)) / n**2
-               - beta * float(np.einsum("ij,ij->", dg, dx)) / n**2)
-        return _le_report("averaged-strong-smooth-lower", lhs,
-                          _objective_at(problem, self.w), tol,
-                          f"beta={beta:g} n={n}")
+        lhs = (self.values.mean(axis=1) + _row_dots(self.grads, dx).mean(axis=1)
+               + 0.5 * beta * _table_dots(dg, dg) / (s * n**2)
+               + 0.5 * beta * L * self.gap_squares / n**2
+               - beta * _table_dots(dg, dx) / n**2)
+        return self._each([
+            _le_report("averaged-strong-smooth-lower", lo, hi, tol,
+                       f"beta={beta:g} n={n}")
+            for lo, hi in zip(lhs.tolist(),
+                              _objectives(problem, self.w).tolist())])
 
 
 def expected_decrease_check(problem, phi_table: np.ndarray, w: np.ndarray,
@@ -420,13 +491,26 @@ def random_ball_point(rng: np.random.Generator, center: np.ndarray,
     return center + raw * (radius * rng.uniform() / norm)
 
 
+def random_table(problem, w_star: np.ndarray,
+                 rng: np.random.Generator) -> np.ndarray:
+    """Random (n, d) table with rows in the BALL_RADIUS ball around w_star."""
+    return np.stack([random_ball_point(rng, w_star, BALL_RADIUS)
+                     for _ in range(problem.n)])
+
+
 def random_audit_state(problem, w_star: np.ndarray, alpha: float,
                        rng: np.random.Generator):
-    """Random table with rows in the BALL_RADIUS ball around w_star, w set to
-    the map."""
-    phi = np.stack([random_ball_point(rng, w_star, BALL_RADIUS)
-                    for _ in range(problem.n)])
+    """random_table with w set to the map."""
+    phi = random_table(problem, w_star, rng)
     return phi, finito_map(problem, phi, alpha)
+
+
+def audit_block(n: int, d: int) -> int:
+    """States per stacked audit in the suites, at least one: a block keeps
+    within BRANCH_FLOATS floats the six (n, d) arrays each state holds and
+    the three (n, n) arrays (margins, their products with the labels,
+    losses) its table-mean descent evaluates."""
+    return max(1, BRANCH_FLOATS // (n * (6 * d + 3 * n)))
 
 
 def _le_report(name: str, lhs: float, rhs: float, tol: float, ctx: str,
@@ -474,8 +558,9 @@ def convexity_suite(problem, draws: int = 100, tol: float = 1e-9,
                     reference: ReferenceSolution | None = None) -> list[CheckReport]:
     """Pointwise checks of the smooth/strongly-convex inequalities the
     analysis consumes: per draw, the five pair_checks at a random (x, y)
-    and the two Audit.table_reports at a random map-consistent table state,
-    seven reports per draw.
+    and the two Audit.table_reports at a random table and its map, seven
+    reports per draw.  The tables of audit_block draws are audited as one
+    stack.
     """
     _require_smooth(problem)
     if draws < 1:
@@ -485,13 +570,19 @@ def convexity_suite(problem, draws: int = 100, tol: float = 1e-9,
     w_star = reference.w_star
     rng = np.random.default_rng([seed])
     reports: list[CheckReport] = []
-    for t in range(draws):
-        ctx = f"draw={t}"
-        x = random_ball_point(rng, w_star, BALL_RADIUS)
-        y = random_ball_point(rng, w_star, BALL_RADIUS)
-        reports.extend(pair_checks(problem, x, y, tol, ctx))
-        phi, w = random_audit_state(problem, w_star, alpha, rng)
-        reports.extend(Audit(problem, phi, w, alpha).table_reports(tol, ctx))
+    block = audit_block(problem.n, problem.d)
+    for first in range(0, draws, block):
+        pairs, tables = [], []
+        for t in range(first, min(first + block, draws)):
+            x = random_ball_point(rng, w_star, BALL_RADIUS)
+            y = random_ball_point(rng, w_star, BALL_RADIUS)
+            pairs.append(pair_checks(problem, x, y, tol, f"draw={t}"))
+            tables.append(random_table(problem, w_star, rng))
+        audit = Audit(problem, np.stack(tables), None, alpha)
+        for pair, table in zip(pairs, audit.table_reports(tol)):
+            for report in table:
+                report.context = pair[0].context
+            reports += pair + table
     return reports
 
 
@@ -607,25 +698,31 @@ def _eq_report(name: str, lhs: float, rhs: float, tol: float, scale: float,
 def suite_inequalities(n: int, d: int, beta: float, draws: int, seed: int,
                        alpha: float) -> list[CheckReport]:
     """convexity_suite on a generated logistic problem, then `draws` rows
-    each of strong_lb_check and Audit.lower_bound_report at random points."""
+    each of strong_lb_check and Audit.lower_bound_report at random points,
+    the latter audited audit_block tables at a time."""
     problem, reference = synth_problem(
         SynthSpec(n=n, d=d, loss=LOGISTIC, target_beta=beta, seed=seed))
     reports = convexity_suite(problem, draws=draws, alpha=alpha, seed=seed,
                               reference=reference)
+    w_star = reference.w_star
     rng = np.random.default_rng([seed, 1])
     for t in range(draws):
         i = int(rng.integers(problem.n))
-        x = random_ball_point(rng, reference.w_star, BALL_RADIUS)
-        y = random_ball_point(rng, reference.w_star, BALL_RADIUS)
+        x = random_ball_point(rng, w_star, BALL_RADIUS)
+        y = random_ball_point(rng, w_star, BALL_RADIUS)
         report = strong_lb_check(problem, i, x, y)
         report.context = f"draw={t} {report.context}"
         reports.append(report)
-    for t in range(draws):
-        phi, _ = random_audit_state(problem, reference.w_star, alpha, rng)
-        x = random_ball_point(rng, reference.w_star, BALL_RADIUS)
-        report = Audit(problem, phi, x, alpha).lower_bound_report(beta)
-        report.context = f"draw={t} {report.context}"
-        reports.append(report)
+    block = audit_block(problem.n, problem.d)
+    for first in range(0, draws, block):
+        tables, points = [], []
+        for _ in range(first, min(first + block, draws)):
+            tables.append(random_table(problem, w_star, rng))
+            points.append(random_ball_point(rng, w_star, BALL_RADIUS))
+        audit = Audit(problem, np.stack(tables), np.stack(points), alpha)
+        for t, report in enumerate(audit.lower_bound_report(beta), first):
+            report.context = f"draw={t} {report.context}"
+            reports.append(report)
     return reports
 
 
@@ -633,7 +730,9 @@ def suite_lyapunov(n: int, d: int, beta: float, states: int, seed: int,
                    alpha: float) -> list[CheckReport]:
     """The closed-form initial potential, then at each of `states` states of
     a uniform finito run the expected decrease, bound gap, table-mean
-    descent and five exact identities (step, displacement, variance, T3, T4)."""
+    descent and five exact identities (step, displacement, variance, T3, T4).
+    The run is snapshotted audit_block states at a time and each block is
+    audited as one stack."""
     problem, reference = synth_problem(
         SynthSpec(n=n, d=d, loss=LOGISTIC, target_beta=beta, seed=seed))
     w0 = np.zeros(d)
@@ -643,29 +742,35 @@ def suite_lyapunov(n: int, d: int, beta: float, states: int, seed: int,
     closed = initial_lyapunov(problem, w0, alpha)
     reports = [_eq_report("initial-potential", terms0.total, closed,
                           1e-12, closed, "all rows at w0")]
-    for t in range(states):
-        phi, w = state.phi_table, state.w
-        ctx = f"step={t}"
+    block = audit_block(n, d)
+    for first in range(0, states, block):
+        size = min(block, states - first)
+        phi, w = np.empty((size, n, d)), np.empty((size, d))
+        for k in range(size):
+            phi[k], w[k] = state.phi_table, state.w
+            finito_step(state, problem, sampler.next_index())
         audit = Audit(problem, phi, w, alpha)
-        for report in (audit.decrease_report(beta),
-                       audit.bound_report(reference),
-                       audit.mean_descent_report()):
-            report.context = f"{ctx} {report.context}"
-            reports.append(report)
-        scale = float(np.linalg.norm(w))
-        shifts = audit.term_shifts()
-        total = audit.base.total
-        for name, lhs, rhs, size in (
-            ("expected-step-identity", audit.step_gap(), 0.0, scale),
-            ("update-displacement-identity", audit.displacement_gap(), 0.0,
-             scale),
-            ("variance-decomposition", audit.variance_gap(), 0.0,
-             float(np.einsum("ij,ij->", phi, phi))),
-            ("t3-shift-closed-form", shifts.t3, audit.t3_shift(), total),
-            ("t4-shift-closed-form", shifts.t4, audit.t4_shift(), total),
-        ):
-            reports.append(_eq_report(name, lhs, rhs, 1e-12, size, ctx))
-        finito_step(state, problem, sampler.next_index())
+        checks = zip(audit.decrease_report(beta), audit.bound_report(reference),
+                     audit.mean_descent_report())
+        identities = zip(
+            audit.step_gap(), audit.displacement_gap(), audit.variance_gap(),
+            audit.term_shifts(), audit.t3_shift(), audit.t4_shift(),
+            _norms(w).tolist(), _table_dots(phi, phi).tolist(),
+            audit.base.total.tolist())
+        for t, rows, (step, moved, variance, shifts, t3, t4, scale, spread,
+                      total) in zip(range(first, states), checks, identities):
+            ctx = f"step={t}"
+            for report in rows:
+                report.context = f"{ctx} {report.context}"
+                reports.append(report)
+            for name, lhs, rhs, size in (
+                ("expected-step-identity", step, 0.0, scale),
+                ("update-displacement-identity", moved, 0.0, scale),
+                ("variance-decomposition", variance, 0.0, spread),
+                ("t3-shift-closed-form", shifts.t3, t3, total),
+                ("t4-shift-closed-form", shifts.t4, t4, total),
+            ):
+                reports.append(_eq_report(name, lhs, rhs, 1e-12, size, ctx))
     return reports
 
 

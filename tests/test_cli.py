@@ -374,6 +374,22 @@ def test_resume_from_checkpoint_with_negative_k_exits_one(tmp_path):
     assert "Traceback" not in err
 
 
+def test_resume_full_gradient_checkpoint_with_negative_k_exits_one(tmp_path):
+    # the full-gradient state once had no counter rule: edited to k -3 it
+    # resumed at epoch -2 and exited 0
+    ck = tmp_path / "state.ckpt"
+    base = ["--synth", "n=20,d=3", "--solver", "full-gradient", "--seed", "5"]
+    code, _, _ = call(["run", *base, "--epochs", "2", "--save-state", str(ck)])
+    assert code == 0
+    text = ck.read_text()
+    assert "\nk 2\n" in text
+    ck.write_text(text.replace("\nk 2\n", "\nk -3\n"))
+    code, out, err = call(["run", *base, "--epochs", "3", "--resume", str(ck)])
+    assert (code, out) == (1, "")
+    assert "counter k=-3: need k >= 0" in err
+    assert "Traceback" not in err
+
+
 def test_resume_from_checkpoint_with_huge_n_exits_one(tmp_path):
     # such a file once sized a 10^14-row table from its own n line and died
     # with a MemoryError traceback

@@ -288,6 +288,8 @@ def test_checkpoint_corruption_detected(synth_tiny, tmp_path):
     # k counts updates from 0, also once every row is filled
     pytest.param("finito", "k ", lambda line: "k -25",
                  "k=-25 seen=20: need k >= 0", id="finito-k -25"),
+    pytest.param("full-gradient", "k ", lambda line: "k -3",
+                 "counter k=-3: need k >= 0", id="full-gradient-k -3"),
     # seen < n only happens mid first pass, where seen == k
     pytest.param("finito", "seen ", lambda line: "seen 5",
                  "k=40 seen=5: need", id="finito-seen 5 below k"),

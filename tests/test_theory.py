@@ -359,13 +359,20 @@ def test_audit_branches_equal_full_reevaluation(synth_tiny, monkeypatch):
         n, d = problem.n, problem.d
         for size in (n, 3, 1):
             monkeypatch.setattr(theory, "BRANCH_FLOATS", size * 3 * n * d)
-            for phi, w in trajectory_states(problem, 12, seed=3)[::3]:
+            states = trajectory_states(problem, 12, seed=3)[::3]
+            stacked = []
+            for phi, w in states:
                 audit = Audit(problem, phi, w, 2.0)
-                assert audit.base == reference_potential(problem, phi, w)
+                assert audit.base.rows() == [reference_potential(problem, phi, w)]
                 expected = reference_branches(problem, phi, w, 2.0)
-                assert np.array_equal(audit.next_w,
+                assert np.array_equal(audit.next_w[0],
                                       np.stack([w_j for w_j, _ in expected]))
-                assert audit.branches == [terms for _, terms in expected]
+                assert audit.branches.rows() == [terms for _, terms in expected]
+                stacked += [terms for _, terms in expected]
+            # the same states as one stack, whose chunks also span states
+            audit = Audit(problem, np.stack([phi for phi, _ in states]),
+                          np.stack([w for _, w in states]), 2.0)
+            assert audit.branches.rows() == stacked
 
 
 def test_audit_branches_span_chunks_at_the_real_cap():
@@ -374,8 +381,8 @@ def test_audit_branches_span_chunks_at_the_real_cap():
     assert problem.n > size and problem.n % size
     phi, w = trajectory_states(problem, 5, seed=1)[-1]
     audit = Audit(problem, phi, w, 2.0)
-    assert audit.branches == [terms for _, terms in
-                              reference_branches(problem, phi, w, 2.0)]
+    assert audit.branches.rows() == [terms for _, terms in
+                                     reference_branches(problem, phi, w, 2.0)]
 
 
 def test_branch_stacks_stay_within_the_cap():
@@ -396,12 +403,7 @@ def test_branch_stacks_stay_within_the_cap():
 
 def test_suite_evaluates_each_branch_potential_once(monkeypatch):
     calls = []
-    potential, potentials, audit = (theory._potential, theory._potentials,
-                                    theory.Audit)
-
-    def counted_potential(*args):
-        calls.append("potential")
-        return potential(*args)
+    potentials, audit = theory._potentials, theory.Audit
 
     def counted_potentials(problem, tables, *rest):
         calls.append(len(tables))
@@ -411,14 +413,100 @@ def test_suite_evaluates_each_branch_potential_once(monkeypatch):
         calls.append("audit")
         return audit(*args)
 
-    monkeypatch.setattr(theory, "_potential", counted_potential)
     monkeypatch.setattr(theory, "_potentials", counted_potentials)
     monkeypatch.setattr(theory, "Audit", counted_audit)
     n, states = 40, 3
+    assert theory.audit_block(n, 5) >= states
+    assert theory.BRANCH_FLOATS // (3 * n * 5) >= states * n
     suite_lyapunov(n, 5, 2.0, states, 0, 2.0)
-    # the initial-potential row, then per state one audit, its base
-    # potential (a stack of one state) and all n branches in one stack
-    assert calls == ["potential", 1] + ["audit", "potential", 1, n] * states
+    # the initial potential (a stack of one state), then one audit of the
+    # block of states, its base potentials (one stack of all states) and
+    # all states * n branches in one stack
+    assert calls == [1, "audit", states, states * n]
+
+
+def test_suite_lyapunov_memory_stays_within_the_budget():
+    # at n=120, d=5 the branches of one state are 3 n^2 d = 216000 floats:
+    # the suite needs several branch chunks and several blocks of states.
+    # A chunk and a block each hold at most BRANCH_FLOATS floats
+    n, d, states = 120, 5, 12
+    assert 3 * n * n * d * states > 4 * theory.BRANCH_FLOATS
+    assert theory.audit_block(n, d) < states
+    tracemalloc.start()
+    try:
+        suite_lyapunov(n, d, 2.0, states, 0, 2.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * theory.BRANCH_FLOATS * 8
+
+
+def audit_bits(result):
+    """Every float of an audit result as hex, recursively."""
+    if isinstance(result, list):
+        return [audit_bits(r) for r in result]
+    if isinstance(result, CheckReport):
+        return report_bits(result)
+    if isinstance(result, theory.LyapunovTerms):
+        return tuple(t.hex() for t in result.fields())
+    return result.hex()
+
+
+@pytest.mark.parametrize("suite, args", [
+    (suite_lyapunov, (24, 4, 2.0, 10, 0, 2.0)),
+    (theory.suite_inequalities, (16, 3, 2.0, 10, 1, 2.0)),
+])
+def test_suites_are_bit_equal_at_any_chunk_size(monkeypatch, suite, args):
+    default = audit_bits(suite(*args))
+    n, d = args[:2]
+    # a chunk holds 7 (state, branch) pairs, and a block one state
+    monkeypatch.setattr(theory, "BRANCH_FLOATS", 7 * 3 * n * d)
+    assert theory.audit_block(n, d) == 1
+    assert audit_bits(suite(*args)) == default
+
+
+def test_stacked_audit_rejects_mismatched_or_non_finite_points(synth_tiny):
+    problem, _ = synth_tiny
+    phi = np.zeros((3, problem.n, problem.d))
+    w = np.zeros((3, problem.d))
+    for table, points in ((phi, w[:2]), (phi, w[0]), (phi[np.newaxis], w)):
+        with pytest.raises(ValueError, match="a stack of tables"):
+            Audit(problem, table, points, 2.0)
+    w[1, 0] = np.nan
+    with pytest.raises(ValueError, match="point contains non-finite entries"):
+        Audit(problem, phi, w, 2.0)
+    with pytest.raises(ValueError, match="table must have shape"):
+        Audit(problem, phi[:, 1:], None, 2.0)
+
+
+def test_lone_audit_equals_its_row_of_the_stack(synth_tiny, monkeypatch):
+    problem, ref = synth_tiny
+    monkeypatch.setattr(theory, "BRANCH_FLOATS", 7 * 3 * problem.n * problem.d)
+    rng = np.random.default_rng(5)
+    pairs = trajectory_states(problem, 8, seed=2)
+    phi = np.stack([p for p, _ in pairs])
+    w = np.stack([x for _, x in pairs])
+    points = rng.normal(size=w.shape)
+
+    def results(phi, w, points):
+        audit = Audit(problem, phi, w, 2.0)
+        return [audit.decrease_report(2.0), audit.bound_report(ref),
+                audit.mean_descent_report(), audit.term_shifts(),
+                audit.t3_shift(), audit.t4_shift(), audit.step_gap(),
+                audit.displacement_gap(), audit.variance_gap(),
+                audit.table_reports(),
+                Audit(problem, phi, points, 2.0).lower_bound_report(2.0),
+                Audit(problem, phi, None, 2.0).table_reports()]
+
+    stack = audit_bits(results(phi, w, points))
+    for k in range(len(pairs)):
+        lone = audit_bits(results(phi[k], w[k], points[k]))
+        assert lone == [rows[k] for rows in stack]
+        # a point of None is the table map of finito_map
+        at_map = Audit(problem, phi[k], finito_map(problem, phi[k], 2.0), 2.0)
+        assert audit_bits(at_map.table_reports()) == lone[-1]
+    assert np.array_equal(Audit(problem, phi, None, 2.0).w,
+                          np.stack([finito_map(problem, p, 2.0) for p in phi]))
 
 
 # -- inequality suites ---------------------------------------------------------------
@@ -550,6 +638,24 @@ def test_audit_table_checks_equal_standalone_checks(synth_tiny):
                         == report_bits(reference_lower_bound(problem, phi, w, 2.0)))
                 states += 1
     assert states == 40
+
+
+def test_inequality_suite_evaluates_each_table_gradient_once(monkeypatch):
+    # each random table's gradients feed both its map and its audit; the
+    # audits once evaluated them again, 200 times in 600 calls
+    tables = []
+    table_gradients = finito.FiniteSumProblem.table_gradients
+
+    def recorded(self, points):
+        tables.extend(t.tobytes() for t in np.reshape(points, (-1, self.n, self.d)))
+        return table_gradients(self, points)
+
+    monkeypatch.setattr(finito.FiniteSumProblem, "table_gradients", recorded)
+    draws = 100
+    theory.suite_inequalities(40, 5, 2.0, draws, 0, 2.0)
+    # per draw: a convexity table and its map, a lower-bound table and x
+    assert len(tables) == 4 * draws
+    assert len(set(tables)) == len(tables)
 
 
 def test_inequality_suite_counts_no_more_evaluations(monkeypatch):

@@ -30,8 +30,9 @@ CASES = {
     "all seed=3": ["--suite", "all", "--seed", "3"],
     "lyapunov n=24 d=4 draws=30": ["--suite", "lyapunov", "--draws", "30",
                                    "--n", "24", "--d", "4"],
-    # 3 n^2 d = 216000 branch floats per state: a stacked branch chunk holds
-    # about 4.85 states, so chunks both split a state and span states
+    # 3 n^2 d = 216000 branch floats per state: at theory.BRANCH_FLOATS =
+    # 2^18 a stacked branch chunk holds about 1.2 states, so chunks both
+    # split a state and span states
     "lyapunov n=120 d=5 draws=12": ["--suite", "lyapunov", "--draws", "12",
                                     "--n", "120", "--d", "5"],
     "inequalities n=16 d=3 draws=20 seed=1": [
