@@ -61,6 +61,9 @@ BRANCH_FLOATS = 2**18
 
 @dataclass
 class LyapunovTerms:
+    """The four potential terms: floats for one state, (S,) arrays for a
+    stack of S states or branches."""
+
     t1: float
     t2: float
     t3: float
@@ -75,7 +78,8 @@ class LyapunovTerms:
 
     def rows(self) -> list[LyapunovTerms]:
         """Terms held as (S,) arrays, as S LyapunovTerms of floats."""
-        return [LyapunovTerms(*row) for row in zip(*(t.tolist() for t in self.fields()))]
+        return [LyapunovTerms(*row)
+                for row in zip(*(t.tolist() for t in self.fields()))]
 
 
 @dataclass
@@ -180,7 +184,7 @@ def _map(phi_table: np.ndarray, grads: np.ndarray, denom: float) -> np.ndarray:
 def lyapunov_evaluate(problem, phi_table: np.ndarray, w: np.ndarray):
     """Evaluate the four potential terms at an arbitrary (phi, w) pair, or
     at each pair of a stack (a list, one LyapunovTerms per state)."""
-    phi, w, lone = _checked_state(problem, phi_table, w)
+    phi, w, lone = _checked_state(problem, phi_table, np.asarray(w, dtype=float))
     rows = _potentials(problem, phi, problem.table_values(phi),
                        problem.table_gradients(phi), w).rows()
     return rows[0] if lone else rows
@@ -296,7 +300,8 @@ class Audit:
             stop = min(start + size, states * n)
             state, row = np.divmod(np.arange(start, stop), n)
             chunk = np.arange(stop - start)
-            tables, values, grads = phi[state], self.values[state], self.grads[state]
+            tables = phi[state]
+            values, grads = self.values[state], self.grads[state]
             tables[chunk, row] = self.w[state]
             values[chunk, row] = values_at_w[state, row]
             grads[chunk, row] = self.grads_at_w[state, row]
@@ -336,7 +341,8 @@ class Audit:
             _le_report("expected-decrease", lo, hi, tol,
                        f"alpha={self.alpha:g} beta={beta:g} n={n} T={total:.6g}",
                        scale=total)
-            for lo, hi, total in zip(lhs.tolist(), rhs.tolist(), totals.tolist())])
+            for lo, hi, total in zip(lhs.tolist(), rhs.tolist(),
+                                     totals.tolist())])
 
     def bound_report(self, reference: ReferenceSolution, tol: float = 1e-9):
         """f(phi_bar) - f* <= alpha * T, valid when w is the table map
@@ -429,7 +435,8 @@ class Audit:
         the whole potential."""
         problem, diff = self.problem, self.grad_gaps
         n = problem.n
-        t2 = -self.values.mean(axis=1) - _row_dots(self.grads, self.gaps).mean(axis=1)
+        t2 = (-self.values.mean(axis=1)
+              - _row_dots(self.grads, self.gaps).mean(axis=1))
         lhs = -_objectives(problem, self.w) - t2
         convexity = -0.5 * problem.s * self.gap_squares / n
         smoothness = (-0.5 * _table_dots(diff, diff)
@@ -579,9 +586,10 @@ def convexity_suite(problem, draws: int = 100, tol: float = 1e-9,
             pairs.append(pair_checks(problem, x, y, tol, f"draw={t}"))
             tables.append(random_table(problem, w_star, rng))
         audit = Audit(problem, np.stack(tables), None, alpha)
-        for pair, table in zip(pairs, audit.table_reports(tol)):
+        for t, (pair, table) in enumerate(zip(pairs, audit.table_reports(tol)),
+                                          first):
             for report in table:
-                report.context = pair[0].context
+                report.context = f"draw={t}"
             reports += pair + table
     return reports
 
