@@ -136,9 +136,8 @@ def cmd_run(args) -> int:
     reference = _resolve_reference(args.fstar, problem, synth_ref)
     config = SolverConfig(
         solver=args.solver, alpha=args.alpha, step=args.step,
-        sag_practical=args.sag_practical, audit=args.audit,
-        first_pass=not args.no_first_pass, monitor=args.monitor,
-        w0=np.zeros(problem.d))
+        sag_practical=args.sag_practical, first_pass=not args.no_first_pass,
+        monitor=args.monitor, w0=np.zeros(problem.d))
     scheme = SamplingScheme.from_name(args.sampling, args.seed)
     resume = None
     if args.resume is not None:
@@ -300,9 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--epochs", type=int, default=10)
     p_run.add_argument("--record-every", type=float, default=1.0,
                        help="record interval in passes (default 1)")
-    p_run.add_argument("--audit", action="store_true",
-                       help="keep explicit phi / gradient tables")
-    p_run.add_argument("--monitor", choices=MONITORS, default="iterate")
+    p_run.add_argument("--monitor", choices=MONITORS, default="iterate",
+                       help="table-mean keeps the phi / gradient tables it reads")
     p_run.add_argument("--no-first-pass", action="store_true",
                        help="initialize every table row at w0 instead of "
                             "running the first-pass rule")

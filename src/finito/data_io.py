@@ -59,8 +59,7 @@ def _open_text(source, mode: str):
 # LIBSVM
 
 
-def parse_libsvm(source, d_hint: int | None = None,
-                 mem_warn_bytes: int = DENSE_WARN_BYTES):
+def parse_libsvm(source, d_hint: int | None = None):
     """Parse `<label> <idx>:<val> ...` lines into dense (features, targets).
 
     Indices are 1-based and must be strictly ascending within a line; blank
@@ -121,7 +120,7 @@ def parse_libsvm(source, d_hint: int | None = None,
         raise LibsvmFormatError("no data lines found")
     n = len(rows)
     need = n * width * 8
-    if need > mem_warn_bytes:
+    if need > DENSE_WARN_BYTES:
         warnings.warn(
             f"dense LIBSVM materialization needs {need / 2**20:.0f} MiB "
             f"({n} rows x {width} columns)", ResourceWarning)
@@ -157,7 +156,7 @@ class SynthSpec:
 
 def synth_problem(spec: SynthSpec):
     """Generate (FiniteSumProblem, ReferenceSolution) from a SynthSpec; the
-    reference is reference_solve at its default tolerance 1e-12."""
+    reference is reference_solve's, certified to 1e-12."""
     if spec.n < 2 or spec.d < 1:
         raise ValueError(f"need n >= 2 and d >= 1, got n={spec.n}, d={spec.d}")
     if spec.loss not in LOSS_KINDS:

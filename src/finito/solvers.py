@@ -9,9 +9,9 @@ soft-thresholded on a proximal state (prox-finito); miso is finito at
 alpha = L/s, and SAG moves w along the stored gradient sum instead.
 
 Compact storage keeps only p_i = f_i'(phi_i) - alpha*s*phi_i, which halves
-memory and recovers w as -(1/(alpha*s*n)) * sum_i p_i.  Audit mode keeps the
-explicit phi/gradient tables instead, for the verification suites and the
-table-mean monitor; either storage runs every finito tag, prox-finito too.
+memory and recovers w as -(1/(alpha*s*n)) * sum_i p_i.  Audit storage keeps
+the explicit phi/gradient tables instead, which only the verification suites
+and the table-mean monitor read; either storage runs every finito tag.
 """
 
 from __future__ import annotations
@@ -36,6 +36,9 @@ AUDIT_ARRAYS = ("phi_table", "grad_table", "phi_sum", "grad_sum")
 
 # run() aborts when suboptimality exceeds this multiple of its start value
 DIVERGENCE_RATIO = 1e6
+
+# reference_solve gives up after this many iterations
+REFERENCE_MAX_ITER = 500_000
 
 
 class DivergenceError(RuntimeError):
@@ -151,9 +154,8 @@ class SolverConfig:
     alpha: float = 2.0
     step: float | None = None
     sag_practical: bool = False
-    audit: bool = False
     first_pass: bool = True
-    monitor: str = "iterate"  # "iterate" or "table-mean" (audit only)
+    monitor: str = "iterate"  # or "table-mean", which keeps audit storage
     w0: np.ndarray | None = None
 
 
@@ -363,7 +365,7 @@ def sag_first_pass_step(state: SagState, problem, k: int) -> SagState:
 def _monitor_point(state, config: SolverConfig) -> np.ndarray:
     if config.monitor == "table-mean":
         if not isinstance(state, FinitoState) or not state.audit:
-            raise ValueError("table-mean monitoring needs an audit-mode table solver")
+            raise ValueError("table-mean monitoring needs finito audit storage")
         if state.seen == 0:
             return state.w
         return state.phi_sum / state.seen
@@ -372,13 +374,12 @@ def _monitor_point(state, config: SolverConfig) -> np.ndarray:
 
 def _build_state(problem, config: SolverConfig):
     w0 = config.w0
-    audit = config.audit or config.monitor == "table-mean"
     solver = config.solver
     if solver in FINITO_TAGS:
         alpha = config.alpha
         if solver == "miso" and problem.s > 0:  # finito_init refuses s == 0
             alpha = problem.lipschitz_constant() / problem.s
-        return finito_init(problem, alpha, w0=w0, audit=audit,
+        return finito_init(problem, alpha, w0=w0, audit=config.monitor == "table-mean",
                            first_pass=config.first_pass, solver_tag=solver)
     if solver == "sag":
         return sag_init(problem, w0=w0, step=config.step,
@@ -411,7 +412,8 @@ def run_with_state(problem, config: SolverConfig, scheme: SamplingScheme,
     full_grad = config.solver == "full-gradient"
     steps_per_epoch = 1 if full_grad else n
     total_steps = epochs * steps_per_epoch
-    interval = max(1, int(round(record_every * steps_per_epoch)))
+    # past the run's end an interval records the same rows, and cannot overflow
+    interval = max(1, round(min(record_every * steps_per_epoch, total_steps)))
 
     if resume is not None:
         state, sampler = resume
@@ -513,8 +515,7 @@ def run(problem, config: SolverConfig, scheme: SamplingScheme, epochs: int,
 # full-gradient reference solver
 
 
-def reference_solve(problem, tol: float = 1e-12,
-                    max_iter: int = 500_000) -> ReferenceSolution:
+def reference_solve(problem) -> ReferenceSolution:
     """High-accuracy minimizer for the suboptimality reference.
 
     Accelerated proximal gradient (FISTA) at step 1/L with gradient-based
@@ -524,20 +525,20 @@ def reference_solve(problem, tol: float = 1e-12,
     about sqrt(L/s) iterations where plain gradient steps need L/s.
 
     The loop returns w_star = y as soon as the certificate at y is at most
-    tol: the gradient norm ||g|| for smooth problems, the proximal fixed-point
-    residual ||x+ - y|| with an L1 term.  Raises RuntimeError when max_iter
-    iterations do not reach tol.
+    1e-12: the gradient norm ||g|| for smooth problems, the proximal
+    fixed-point residual ||x+ - y|| with an L1 term.  Raises ValueError when
+    REFERENCE_MAX_ITER iterations do not reach it (too ill-conditioned).
     """
     L = problem.lipschitz_constant()
     smooth = problem.l1_weight == 0.0
     x = y = np.zeros(problem.d)
     t = 1.0
     cert = np.inf
-    for _ in range(max_iter):
+    for _ in range(REFERENCE_MAX_ITER):
         g = problem.full_gradient(y)
         x_next = prox_operator(problem.l1_weight, y - g / L, 1.0 / L)
         cert = float(np.linalg.norm(g if smooth else x_next - y))
-        if cert <= tol:
+        if cert <= 1e-12:
             return ReferenceSolution(w_star=y, f_star=problem.full_objective(y),
                                      grad_norm_at_solution=cert,
                                      method_tag="accelerated-proximal-gradient")
@@ -548,5 +549,5 @@ def reference_solve(problem, tol: float = 1e-12,
             y = x_next + ((t - 1.0) / t_next) * (x_next - x)
             t = t_next
         x = x_next
-    raise RuntimeError(f"reference solve stalled at certificate {cert:g} "
-                       f"after {max_iter} iterations")
+    raise ValueError(f"reference solve stalled at certificate {cert:g} "
+                     f"after {REFERENCE_MAX_ITER} iterations")

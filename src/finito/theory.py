@@ -47,7 +47,7 @@ from .data_io import SynthSpec, synth_problem
 from .problems import LOGISTIC, ReferenceSolution, StrongConvexityRequired
 from .samplers import IndexSampler, SamplingScheme, UNIFORM
 from .solvers import (SolverConfig, TraceRecord, _require_positive, finito_init,
-                      finito_step, reference_solve, run)
+                      finito_step, run)
 
 # random points and table rows are drawn from the ball of this radius
 # around the reference minimizer
@@ -222,12 +222,12 @@ def initial_lyapunov(problem, phi0: np.ndarray, alpha: float) -> float:
 def admissible_parameters(alpha: float, beta: float) -> bool:
     """Parameter region where the expected-decrease certificate applies:
 
-        2/alpha - 1/alpha^2 - beta + beta/alpha <= 0,  alpha >= 2, beta >= 2.
+        2/alpha - 1/alpha^2 - beta + beta/alpha <= 0,  alpha >= 2, beta >= 2,
+
+    both finite.  The margin, which overflows at a huge alpha, is not
+    evaluated: alpha, beta >= 2 make it 1 - (1 - 1/alpha)^2 - beta (1 - 1/alpha) < 0.
     """
-    if not (0 < alpha < math.inf and 0 < beta < math.inf):
-        return False
-    margin = 2.0 / alpha - 1.0 / alpha**2 - beta + beta / alpha
-    return bool(margin <= 0.0 and alpha >= 2.0 and beta >= 2.0)
+    return bool(2.0 <= alpha < math.inf and 2.0 <= beta < math.inf)
 
 
 def _require_admissible(alpha: float, beta: float) -> None:
@@ -328,7 +328,7 @@ class Audit:
         """sum_j ||w - phi_j||^2 of each state."""
         return _table_dots(self.gaps, self.gaps)
 
-    def decrease_report(self, beta: float, tol: float = 1e-10):
+    def decrease_report(self, beta: float):
         """E[T'] <= (1 - 1/(alpha*n)) T over the n branches; see
         expected_decrease_check."""
         _require_admissible(self.alpha, beta)
@@ -338,13 +338,13 @@ class Audit:
         lhs = self._branch_means(self.branches.total)
         rhs = (1.0 - 1.0 / (self.alpha * n)) * totals
         return self._each([
-            _le_report("expected-decrease", lo, hi, tol,
+            _le_report("expected-decrease", lo, hi, 1e-10,
                        f"alpha={self.alpha:g} beta={beta:g} n={n} T={total:.6g}",
                        scale=total)
             for lo, hi, total in zip(lhs.tolist(), rhs.tolist(),
                                      totals.tolist())])
 
-    def bound_report(self, reference: ReferenceSolution, tol: float = 1e-9):
+    def bound_report(self, reference: ReferenceSolution):
         """f(phi_bar) - f* <= alpha * T, valid when w is the table map
         (ValueError otherwise, if any state's w is not)."""
         mapped = _map(self.phi, self.grads, self.denom)
@@ -354,11 +354,11 @@ class Audit:
         lhs = self.base.t1 - reference.f_star
         rhs = self.alpha * self.base.total
         return self._each([
-            _le_report("suboptimality-bound", lo, hi, tol,
+            _le_report("suboptimality-bound", lo, hi, 1e-9,
                        f"alpha={self.alpha:g} n={self.problem.n}", scale=0.0)
             for lo, hi in zip(lhs.tolist(), rhs.tolist())])
 
-    def mean_descent_report(self, tol: float = 1e-9):
+    def mean_descent_report(self):
         """E[T1'] - T1 <= (1/n) <f'(phi_bar), w - phi_bar>
                           + (L/(2 n^3)) sum_j ||w - phi_j||^2."""
         problem, phi_bar, t1 = self.problem, self.phi_bar, self.base.t1
@@ -370,7 +370,7 @@ class Audit:
         rhs = (_dots(slopes, self.w - phi_bar) / n
                + 0.5 * L * self.gap_squares / n**3)
         return self._each([
-            _le_report("table-mean-descent", lo, hi, tol, f"n={n}", scale=t)
+            _le_report("table-mean-descent", lo, hi, 1e-9, f"n={n}", scale=t)
             for lo, hi, t in zip(lhs.tolist(), rhs.tolist(), t1.tolist())])
 
     def term_shifts(self):
@@ -386,11 +386,15 @@ class Audit:
             - (1/(2 alpha^2 s n^3)) sum_j ||f_j'(phi_j) - f_j'(w)||^2
         """
         n, s, alpha = self.problem.n, self.problem.s, self.alpha
+        try:
+            alpha2 = alpha**2
+        except OverflowError:
+            raise ValueError(f"alpha={alpha:g}: alpha^2 overflows") from None
         return self._each((
             -(1.0 / n + 1.0 / n**2) * self.base.t3
             + _dots(self.full_grad_at_w, self.w - self.phi_bar) / (alpha * n)
             - _table_dots(self.grad_gaps, self.grad_gaps)
-            / (2.0 * alpha**2 * s * n**3)).tolist())
+            / (2.0 * alpha2 * s * n**3)).tolist())
 
     def t4_shift(self):
         """Exact value of E[T4'] - T4 (holds for any w, no map needed):
@@ -427,7 +431,7 @@ class Audit:
         rhs = _dots(u, u) + _row_dots(spread, spread).mean(axis=1)
         return self._each(np.abs(lhs - rhs).tolist())
 
-    def table_reports(self, tol: float = 1e-9):
+    def table_reports(self):
         """Summed table forms bounding the T2 term: table-strong-convexity
         (-f(w) - T2 <= -(s/2n) sum ||w - phi_i||^2) and table-smoothness-lower
         (<= -(1/(2Ln)) sum ||f_i'(w) - f_i'(phi_i)||^2), the two reports of
@@ -442,12 +446,12 @@ class Audit:
         smoothness = (-0.5 * _table_dots(diff, diff)
                       / (problem.lipschitz_constant() * n))
         return self._each([
-            [_le_report("table-strong-convexity", lo, hi, tol, ""),
-             _le_report("table-smoothness-lower", lo, low, tol, "")]
+            [_le_report("table-strong-convexity", lo, hi, 1e-9, ""),
+             _le_report("table-smoothness-lower", lo, low, 1e-9, "")]
             for lo, hi, low in zip(lhs.tolist(), convexity.tolist(),
                                    smoothness.tolist())])
 
-    def lower_bound_report(self, beta: float, tol: float = 1e-9):
+    def lower_bound_report(self, beta: float):
         """Averaged lower bound on f(w) from the table, with constants
         beta/(2 s n^2), beta L/(2 n^2), beta/n^2; valid under the big-data
         condition at beta (checked, raises otherwise) and for any w:
@@ -465,15 +469,14 @@ class Audit:
                + 0.5 * beta * L * self.gap_squares / n**2
                - beta * _table_dots(dg, dx) / n**2)
         return self._each([
-            _le_report("averaged-strong-smooth-lower", lo, hi, tol,
+            _le_report("averaged-strong-smooth-lower", lo, hi, 1e-9,
                        f"beta={beta:g} n={n}")
             for lo, hi in zip(lhs.tolist(),
                               _objectives(problem, self.w).tolist())])
 
 
 def expected_decrease_check(problem, phi_table: np.ndarray, w: np.ndarray,
-                            alpha: float, beta: float,
-                            tol: float = 1e-10) -> CheckReport:
+                            alpha: float, beta: float) -> CheckReport:
     """E[T'] <= (1 - 1/(alpha*n)) T, the expectation taken by enumerating
     all n equally likely updates exactly.
 
@@ -481,7 +484,7 @@ def expected_decrease_check(problem, phi_table: np.ndarray, w: np.ndarray,
     beta; both raise ValueError when unmet rather than report a failure,
     because outside them the claim is simply not made.
     """
-    return Audit(problem, phi_table, w, alpha).decrease_report(beta, tol)
+    return Audit(problem, phi_table, w, alpha).decrease_report(beta)
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +533,7 @@ def _le_report(name: str, lhs: float, rhs: float, tol: float, ctx: str,
                        slack=rhs - lhs, context=ctx)
 
 
-def pair_checks(problem, x: np.ndarray, y: np.ndarray, tol: float = 1e-9,
+def pair_checks(problem, x: np.ndarray, y: np.ndarray,
                 context: str = "") -> list[CheckReport]:
     """The five classical two-point inequalities on the full objective:
     smoothness-upper, smoothness-lower, strong-convexity-lower,
@@ -548,32 +551,29 @@ def pair_checks(problem, x: np.ndarray, y: np.ndarray, tol: float = 1e-9,
     linear = fx + float(gx @ (y - x))
     return [
         _le_report("smoothness-upper",
-                   fy, linear + 0.5 * L * float(dxy @ dxy), tol, context),
+                   fy, linear + 0.5 * L * float(dxy @ dxy), 1e-9, context),
         _le_report("smoothness-lower",
-                   linear + 0.5 * float(dg @ dg) / L, fy, tol, context),
+                   linear + 0.5 * float(dg @ dg) / L, fy, 1e-9, context),
         _le_report("strong-convexity-lower",
-                   linear + 0.5 * s * float(dxy @ dxy), fy, tol, context),
+                   linear + 0.5 * s * float(dxy @ dxy), fy, 1e-9, context),
         _le_report("cocoercivity",
-                   float(dg @ dg) / L, float(dg @ dxy), tol, context),
+                   float(dg @ dg) / L, float(dg @ dxy), 1e-9, context),
         _le_report("strong-monotonicity",
-                   s * float(dxy @ dxy), float(dg @ dxy), tol, context),
+                   s * float(dxy @ dxy), float(dg @ dxy), 1e-9, context),
     ]
 
 
-def convexity_suite(problem, draws: int = 100, tol: float = 1e-9,
-                    alpha: float = 2.0, seed: int = 0,
-                    reference: ReferenceSolution | None = None) -> list[CheckReport]:
+def convexity_suite(problem, reference: ReferenceSolution, draws: int = 100,
+                    alpha: float = 2.0, seed: int = 0) -> list[CheckReport]:
     """Pointwise checks of the smooth/strongly-convex inequalities the
     analysis consumes: per draw, the five pair_checks at a random (x, y)
     and the two Audit.table_reports at a random table and its map, seven
-    reports per draw.  The tables of audit_block draws are audited as one
-    stack.
+    reports per draw, all drawn around reference.w_star.  The tables of
+    audit_block draws are audited as one stack.
     """
     _require_smooth(problem)
     if draws < 1:
         raise ValueError(f"draws must be >= 1, got {draws}")
-    if reference is None:
-        reference = reference_solve(problem)
     w_star = reference.w_star
     rng = np.random.default_rng([seed])
     reports: list[CheckReport] = []
@@ -583,10 +583,10 @@ def convexity_suite(problem, draws: int = 100, tol: float = 1e-9,
         for t in range(first, min(first + block, draws)):
             x = random_ball_point(rng, w_star, BALL_RADIUS)
             y = random_ball_point(rng, w_star, BALL_RADIUS)
-            pairs.append(pair_checks(problem, x, y, tol, f"draw={t}"))
+            pairs.append(pair_checks(problem, x, y, f"draw={t}"))
             tables.append(random_table(problem, w_star, rng))
         audit = Audit(problem, np.stack(tables), None, alpha)
-        for t, (pair, table) in enumerate(zip(pairs, audit.table_reports(tol)),
+        for t, (pair, table) in enumerate(zip(pairs, audit.table_reports()),
                                           first):
             for report in table:
                 report.context = f"draw={t}"
@@ -594,8 +594,7 @@ def convexity_suite(problem, draws: int = 100, tol: float = 1e-9,
     return reports
 
 
-def strong_lb_check(problem, i: int, x: np.ndarray, y: np.ndarray,
-                    tol: float = 1e-9) -> CheckReport:
+def strong_lb_check(problem, i: int, x: np.ndarray, y: np.ndarray) -> CheckReport:
     """Component lower bound that mixes curvature s and smoothness L:
 
         f_i(x) >= f_i(y) + <f_i'(y), x - y>
@@ -625,7 +624,7 @@ def strong_lb_check(problem, i: int, x: np.ndarray, y: np.ndarray,
            + 0.5 * float(dg @ dg) / gap
            + 0.5 * s * L * float(dyx @ dyx) / gap
            + s * float(dg @ dyx) / gap)
-    return _le_report("strong-smooth-lower", lhs, fx, tol, f"i={i}")
+    return _le_report("strong-smooth-lower", lhs, fx, 1e-9, f"i={i}")
 
 
 # ---------------------------------------------------------------------------
@@ -675,16 +674,16 @@ def rate_curve(traces: list[list[TraceRecord]], problem, alpha: float,
 
 
 def rate_certificate(traces: list[list[TraceRecord]], problem, alpha: float,
-                     phi0: np.ndarray, tol: float = 1e-9) -> CheckReport:
+                     phi0: np.ndarray) -> CheckReport:
     """Seed-averaged measured curve lies under the certified bound at every
     recorded k."""
-    return _certificate(rate_curve(traces, problem, alpha, phi0), len(traces), tol)
+    return _certificate(rate_curve(traces, problem, alpha, phi0), len(traces))
 
 
-def _certificate(rows, seeds: int, tol: float) -> CheckReport:
+def _certificate(rows, seeds: int) -> CheckReport:
     worst = min(rows, key=lambda row: row[2] - row[1])
     k, mean, bound = worst
-    ok = all(m <= b + tol * (1.0 + abs(b)) for _, m, b in rows)
+    ok = all(m <= b + 1e-9 * (1.0 + abs(b)) for _, m, b in rows)
     return CheckReport(
         name="rate-bound", lhs=mean, rhs=bound, satisfied=bool(ok),
         slack=bound - mean,
@@ -710,8 +709,8 @@ def suite_inequalities(n: int, d: int, beta: float, draws: int, seed: int,
     the latter audited audit_block tables at a time."""
     problem, reference = synth_problem(
         SynthSpec(n=n, d=d, loss=LOGISTIC, target_beta=beta, seed=seed))
-    reports = convexity_suite(problem, draws=draws, alpha=alpha, seed=seed,
-                              reference=reference)
+    reports = convexity_suite(problem, reference, draws=draws, alpha=alpha,
+                              seed=seed)
     w_star = reference.w_star
     rng = np.random.default_rng([seed, 1])
     for t in range(draws):
@@ -740,7 +739,9 @@ def suite_lyapunov(n: int, d: int, beta: float, states: int, seed: int,
     a uniform finito run the expected decrease, bound gap, table-mean
     descent and five exact identities (step, displacement, variance, T3, T4).
     The run is snapshotted audit_block states at a time and each block is
-    audited as one stack."""
+    audited as one stack; `states` must be >= 1."""
+    if states < 1:
+        raise ValueError(f"states must be >= 1, got {states}")
     problem, reference = synth_problem(
         SynthSpec(n=n, d=d, loss=LOGISTIC, target_beta=beta, seed=seed))
     w0 = np.zeros(d)
@@ -782,22 +783,21 @@ def suite_lyapunov(n: int, d: int, beta: float, states: int, seed: int,
     return reports
 
 
-def suite_rate(n: int, seed: int, alpha: float, seeds: int = 5,
-               epochs: int = 10) -> list[CheckReport]:
-    """Seed-averaged table-mean suboptimality of `seeds` uniform finito runs
-    against rate_bound, one row per epoch, then the rate_certificate row;
-    alpha must be admissible at beta = 2, where the rate is certified."""
-    beta = 2.0
+def suite_rate(n: int, seed: int, alpha: float) -> list[CheckReport]:
+    """Seed-averaged table-mean suboptimality of 5 uniform finito runs of 10
+    epochs against rate_bound, one row per epoch, then the rate_certificate
+    row; alpha must be admissible at beta = 2, where the rate is certified."""
+    beta, seeds, epochs = 2.0, 5, 10
     _require_admissible(alpha, beta)
     problem, reference = synth_problem(
         SynthSpec(n=n, d=10, loss=LOGISTIC, target_beta=beta, seed=seed))
     w0 = np.zeros(problem.d)
-    config = SolverConfig(solver="finito", alpha=alpha, audit=True,
-                          first_pass=False, monitor="table-mean", w0=w0)
+    config = SolverConfig(solver="finito", alpha=alpha, first_pass=False,
+                          monitor="table-mean", w0=w0)
     traces = [run(problem, config, SamplingScheme(UNIFORM, seed=s), epochs,
                   reference=reference) for s in range(seeds)]
     rows = rate_curve(traces, problem, alpha, w0)
     reports = [_le_report(f"rate-k-{k}", mean, bound, 1e-9, f"seeds={seeds}")
                for k, mean, bound in rows]
-    reports.append(_certificate(rows, len(traces), tol=1e-9))
+    reports.append(_certificate(rows, len(traces)))
     return reports

@@ -61,9 +61,8 @@ def rate_problem():
 def rate_traces():
     if "traces" not in _cache:
         problem, ref = rate_problem()
-        config = SolverConfig(solver="finito", alpha=2.0, audit=True,
-                              first_pass=False, monitor="table-mean",
-                              w0=np.zeros(problem.d))
+        config = SolverConfig(solver="finito", alpha=2.0, first_pass=False,
+                              monitor="table-mean", w0=np.zeros(problem.d))
         _cache["traces"] = [
             run(problem, config, SamplingScheme("uniform", seed=s), 10,
                 reference=ref)
@@ -111,8 +110,7 @@ def test_criterion_3_expected_decrease_along_trajectory():
     rng = np.random.default_rng(0)
     hits = 0
     for j in rng.integers(problem.n, size=200):
-        rep = expected_decrease_check(problem, st.phi_table, st.w, 2.0, 2.0,
-                                      tol=1e-10)
+        rep = expected_decrease_check(problem, st.phi_table, st.w, 2.0, 2.0)
         hits += rep.satisfied
         finito_step(st, problem, int(j))
     elapsed = time.monotonic() - t0
@@ -234,10 +232,10 @@ def test_criterion_9_proximal_variant():
                                         noise=0.5, seed=7))
     scheme = SamplingScheme("permuted", seed=1)
     identical = True
-    for audit in (False, True):
-        cfg_prox = SolverConfig(solver="prox-finito", alpha=2.0, audit=audit,
+    for monitor, audit in (("iterate", False), ("table-mean", True)):
+        cfg_prox = SolverConfig(solver="prox-finito", alpha=2.0, monitor=monitor,
                                 w0=np.zeros(smooth.d))
-        cfg_plain = SolverConfig(solver="finito", alpha=2.0, audit=audit,
+        cfg_plain = SolverConfig(solver="finito", alpha=2.0, monitor=monitor,
                                  w0=np.zeros(smooth.d))
         _, sa, _ = run_with_state(smooth, cfg_prox, scheme, epochs=5)
         _, sb, _ = run_with_state(smooth, cfg_plain, scheme, epochs=5)

@@ -144,12 +144,52 @@ def test_miso_without_strong_convexity_exits_one(tmp_path):
                  "outside the admissible region", id="rate-alpha-1"),
     pytest.param(["verify", "--suite", "rate", "--alpha", "0.5"],
                  "outside the admissible region", id="rate-alpha-0.5"),
+    # at n = 1 the martingale lift is infinite and its rows were NaN (exit 3)
+    pytest.param(["verify", "--suite", "lowerbound", "--n", "1"],
+                 "need n >= 2, got 1", id="lowerbound-n-1"),
+    # these audited no state and exited 0
+    pytest.param(["verify", "--suite", "lyapunov", "--draws", "0"],
+                 "states must be >= 1, got 0", id="lyapunov-draws-0"),
+    pytest.param(["verify", "--suite", "lyapunov", "--draws", "-5"],
+                 "states must be >= 1, got -5", id="lyapunov-draws-negative"),
+    # alpha = 1e308 is admissible, but the T3 closed form needs alpha^2
+    pytest.param(["verify", "--suite", "lyapunov", "--alpha", "1e308"],
+                 "alpha^2 overflows", id="lyapunov-alpha-1e308"),
 ])
 def test_invalid_values_exit_one_without_traceback(argv, message):
     code, _, err = call(argv)
     assert code == 1
     assert message in err
     assert "Traceback" not in err
+
+
+def test_stalled_reference_solve_exits_one(tmp_path, monkeypatch):
+    # with s = 0 these rows have no minimizer; the stall escaped as a
+    # RuntimeError traceback after 500 000 iterations
+    monkeypatch.setattr(finito.solvers, "REFERENCE_MAX_ITER", 50)
+    data = tmp_path / "toy.libsvm"
+    data.write_text("1 1:0.4 2:-0.2\n-1 1:-0.3 2:0.9\n1 2:0.7\n")
+    code, out, err = call(["run", "--data", str(data), "--s", "0",
+                           "--solver", "sag"])
+    assert (code, out) == (1, "")
+    assert "reference solve stalled" in err and "Traceback" not in err
+
+
+def test_huge_record_interval_records_the_ends():
+    # record_every * n overflowed to inf and round() raised OverflowError
+    code, out, err = call(["run", "--synth", SYNTH, "--epochs", "3",
+                           "--record-every", "1e308"])
+    assert code == 0, err
+    assert [row[0] for row in rows_without_wall(out)] == ["0.0", "3.0"]
+
+
+def test_huge_admissible_alpha_is_checked():
+    # alpha = 1e308 is inside the admissible region; deciding so once
+    # overflowed in alpha**2
+    code, out, err = call(["verify", "--suite", "rate", "--alpha", "1e308",
+                           "--n", "25"])
+    assert code == 0, err
+    assert all(line.endswith("true") for line in out.strip().splitlines()[1:])
 
 
 def test_divergence_exits_two_with_partial_trace():
@@ -186,6 +226,15 @@ def test_verify_suites_pass(suite, flags):
     assert lines[0] == "name,lhs,rhs,slack,satisfied"
     assert len(lines) > 1
     assert all(line.endswith("true") for line in lines[1:])
+
+
+@pytest.mark.parametrize("suite", ["lowerbound", "all"])
+def test_verify_at_n_40_passes(suite):
+    # at n = 40 the k = 1 martingale row missed n by 7.1e-15 against a zero
+    # spread and exited 3
+    code, out, _ = call(["verify", "--suite", suite, "--n", "40"])
+    assert code == 0
+    assert all(line.endswith("true") for line in out.strip().splitlines()[1:])
 
 
 def test_verify_all_runs_every_suite():
@@ -311,6 +360,26 @@ def test_resume_from_checkpoint_without_w_exits_one(tmp_path):
     assert "missing 'w'" in err
 
 
+@pytest.mark.parametrize("solver", ["finito", "prox-finito", "miso"])
+def test_table_mean_checkpoint_resumes_under_either_monitor(tmp_path, solver):
+    # the checkpoint's arrays, not the monitor, are a resumed run's storage:
+    # audit tables saved by a table-mean run resume under --monitor iterate
+    base = ["--synth", "n=40,d=4,beta=2,seed=3,l1=0.01", "--solver", solver,
+            "--sampling", "permuted", "--seed", "5"]
+    ck, whole = tmp_path / "mid.ckpt", tmp_path / "whole.ckpt"
+    assert call(["run", *base, "--monitor", "table-mean", "--epochs", "4",
+                 "--save-state", str(whole)])[0] == 0
+    assert call(["run", *base, "--monitor", "table-mean", "--epochs", "2",
+                 "--save-state", str(ck)])[0] == 0
+    assert "table phi 40" in ck.read_text()
+    for monitor in ("iterate", "table-mean"):
+        end = tmp_path / f"{monitor}.ckpt"
+        code, _, err = call(["run", *base, "--monitor", monitor, "--epochs", "4",
+                             "--resume", str(ck), "--save-state", str(end)])
+        assert code == 0, err
+        assert end.read_text() == whole.read_text()
+
+
 # the tag alone says proximal and the arrays alone say audit: a checkpoint
 # has no `line` saying either, and one with an `edited` line added is refused
 @pytest.mark.parametrize("solver,line,edited,message", [
@@ -329,7 +398,7 @@ def test_resume_from_checkpoint_contradicting_its_tag_exits_one(
     ck = tmp_path / "state.ckpt"
     base = ["--synth", SYNTH, "--solver", solver, "--seed", "5"]
     if line == "audit 1":
-        base.append("--audit")
+        base += ["--monitor", "table-mean"]
     code, _, _ = call(["run", *base, "--epochs", "2", "--save-state", str(ck)])
     assert code == 0
     text = ck.read_text()

@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+import finito.data_io
 from finito import (
     CheckpointFormatError,
     LibsvmFormatError,
@@ -75,9 +76,10 @@ def test_parse_libsvm_error_positions():
         parse_libsvm("")
 
 
-def test_parse_libsvm_memory_warning():
+def test_parse_libsvm_memory_warning(monkeypatch):
+    monkeypatch.setattr(finito.data_io, "DENSE_WARN_BYTES", 8)
     with pytest.warns(ResourceWarning, match="dense LIBSVM materialization"):
-        parse_libsvm(SAMPLE, mem_warn_bytes=8)
+        parse_libsvm(SAMPLE)
 
 
 def test_parse_libsvm_concatenation():
@@ -176,7 +178,9 @@ def test_trace_header_and_field_errors():
 
 
 def run_and_checkpoint(problem, ref, solver, tmp_path, audit=False):
-    config = SolverConfig(solver=solver, alpha=2.0, audit=audit,
+    # the table-mean monitor is what keeps the audit tables
+    config = SolverConfig(solver=solver, alpha=2.0,
+                          monitor="table-mean" if audit else "iterate",
                           w0=np.zeros(problem.d))
     _, state, sampler = run_with_state(problem, config,
                                        SamplingScheme("permuted", seed=2),

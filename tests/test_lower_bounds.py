@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from finito import (
+    CheckReport,
     expected_unseen,
     finito_init,
     first_pass_floor_trace,
@@ -15,6 +16,7 @@ from finito import (
     simulate_unseen,
     unseen_trajectory,
 )
+from finito.lower_bounds import suite_lowerbound
 
 
 def test_expected_unseen_exact_values():
@@ -117,3 +119,20 @@ def test_floor_uses_identity_start():
     for k in range(3):
         finito_first_pass_step(st, case.problem, k)
     assert np.array_equal(st.w[3:], np.zeros(3))
+
+
+@pytest.mark.parametrize("n", [3, 7, 12, 30, 40, 200])
+def test_lowerbound_suite_judges_zero_spread_rows_at_rounding_tolerance(n):
+    # at k = 1 every trial leaves n - 1 unseen, so the spread is 0 and the
+    # lift (n - 1)(1 - 1/n)^(-1) misses n by rounding alone: at these n the
+    # martingale-mean-k1 row once failed
+    reports = suite_lowerbound(seed=0, n=n)
+    rows = {r.name: r for r in reports}
+    assert rows["unseen-mean-k1"].rhs == rows["martingale-mean-k1"].rhs == 0.0
+    assert all(isinstance(r, CheckReport) and r.satisfied for r in reports)
+
+
+@pytest.mark.parametrize("n", [1, 0, -3])
+def test_lowerbound_suite_needs_two_components(n):
+    with pytest.raises(ValueError, match="need n >= 2"):
+        suite_lowerbound(seed=0, n=n)

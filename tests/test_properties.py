@@ -33,6 +33,7 @@ from finito import (  # noqa: E402
     sag_step,
     write_trace,
 )
+from finito.solvers import FINITO_TAGS, MONITORS  # noqa: E402
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -127,7 +128,9 @@ def run_states(draw):
     solver = draw(st.sampled_from(SOLVER_TAGS))
     problem = QuadraticProblem(rng.standard_normal((n, d)), rng.uniform(1.0, 2.0, n),
                                l1_weight=draw(st.sampled_from([0.0, 0.05])))
-    config = SolverConfig(solver=solver, audit=draw(st.booleans()),
+    # the table-mean monitor, which keeps audit storage, needs a finito tag
+    monitor = draw(st.sampled_from(MONITORS if solver in FINITO_TAGS else ("iterate",)))
+    config = SolverConfig(solver=solver, monitor=monitor,
                           first_pass=draw(st.booleans()), w0=rng.standard_normal(d))
     scheme = SamplingScheme(draw(st.sampled_from(SAMPLING_NAMES)),
                             draw(st.integers(0, 100)))

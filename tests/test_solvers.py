@@ -12,6 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
+import finito.solvers
 from finito import (
     PERMUTED,
     UNIFORM,
@@ -317,6 +318,21 @@ def test_finito_init_takes_only_finito_tags(synth_tiny):
         finito_init(problem, 2.0, proximal=True)
 
 
+@pytest.mark.parametrize("first_pass", [False, True])
+def test_fresh_run_keeps_audit_storage_exactly_when_monitoring_the_table_mean(
+        synth_tiny, first_pass):
+    problem, _ = synth_tiny
+    for tag in FINITO_TAGS:
+        for monitor in ("iterate", "table-mean"):
+            config = SolverConfig(solver=tag, monitor=monitor, first_pass=first_pass,
+                                  w0=np.zeros(problem.d))
+            _, state, _ = run_with_state(problem, config, SamplingScheme(UNIFORM), 1)
+            assert state.audit is (monitor == "table-mean")
+            assert (state.phi_table is None) is (monitor == "iterate")
+            assert (state.p_table is None) is (monitor == "table-mean")
+    assert not any(f.name == "audit" for f in dataclasses.fields(SolverConfig))
+
+
 def test_table_mean_monitor_reports_phi_mean(synth_tiny):
     problem, ref = synth_tiny
     config = SolverConfig(solver="finito", alpha=2.0, monitor="table-mean",
@@ -370,10 +386,11 @@ def test_reference_solve_l1_certificate_holds_at_w_star():
     assert ref.f_star == problem.full_objective(w)
 
 
-def test_reference_solve_raises_when_iterations_run_out(synth_small):
+def test_reference_solve_raises_when_iterations_run_out(synth_small, monkeypatch):
     problem, _ = synth_small
-    with pytest.raises(RuntimeError):
-        reference_solve(problem, max_iter=3)
+    monkeypatch.setattr(finito.solvers, "REFERENCE_MAX_ITER", 3)
+    with pytest.raises(ValueError, match="after 3 iterations"):
+        reference_solve(problem)
 
 
 # -- the step kernel's finiteness guard -----------------------------------------

@@ -95,6 +95,34 @@ def test_admissible_region():
     assert not admissible_parameters(1.5, 2.0)
 
 
+def _margin_verdict(alpha, beta):
+    # the region as first written, margin evaluated
+    if not (0 < alpha < float("inf") and 0 < beta < float("inf")):
+        return False
+    margin = 2.0 / alpha - 1.0 / alpha**2 - beta + beta / alpha
+    return bool(margin <= 0.0 and alpha >= 2.0 and beta >= 2.0)
+
+
+def test_admissible_region_keeps_its_verdict_without_the_margin():
+    # every alpha and beta the tests and suites use, and a grid around the
+    # corner of the region
+    values = [-3.0, -1.0, 0.0, 0.01, 0.5, 1.0, 1.5, 1.9, 1.999999, 2.0,
+              2.000001, 2.1, 3.0, 4.0, 5.0, 10.0, 50.0, 1e3, 1e6, 1e150]
+    for alpha in values:
+        for beta in values + [1e300, 1e308]:
+            assert admissible_parameters(alpha, beta) == _margin_verdict(alpha, beta)
+
+
+def test_admissible_region_decides_extreme_values():
+    # alpha**2 overflowed (OverflowError) for any alpha above about 1.34e154,
+    # and underflowed to 0 (ZeroDivisionError) for a tiny alpha
+    assert not admissible_parameters(1e-308, 2.0)
+    assert admissible_parameters(1e308, 2.0)
+    assert admissible_parameters(1e308, 1e308)
+    assert not admissible_parameters(1e308, 1.0)
+    assert not admissible_parameters(1.0, 1e308)
+
+
 @pytest.mark.parametrize("value", [float("inf"), float("nan")])
 def test_admissible_region_is_finite(value):
     # with alpha = inf the margin is -beta <= 0, so only the guard refuses it
@@ -688,8 +716,7 @@ def test_inequality_suite_counts_no_more_evaluations(monkeypatch):
 
 def run_rate_traces(problem, ref, seeds, epochs=6):
     config = SolverConfig(solver="finito", alpha=2.0, monitor="table-mean",
-                          first_pass=False, audit=True,
-                          w0=np.zeros(problem.d))
+                          first_pass=False, w0=np.zeros(problem.d))
     return [run(problem, config, SamplingScheme("uniform", seed=s), epochs,
                 reference=ref) for s in range(seeds)]
 
@@ -710,6 +737,20 @@ def test_rate_curve_rejects_mismatched_grids(synth_small):
     with pytest.raises(ValueError):
         rate_curve([traces[0], traces[1][:-1]], problem, 2.0,
                    np.zeros(problem.d))
+
+
+@pytest.mark.parametrize("states", [0, -5])
+def test_suite_lyapunov_needs_a_state(states):
+    # with no state it printed the initial-potential row alone and passed
+    with pytest.raises(ValueError, match=f"states must be >= 1, got {states}"):
+        theory.suite_lyapunov(n=10, d=2, beta=2.0, states=states, seed=0, alpha=2.0)
+
+
+def test_t3_shift_refuses_an_alpha_whose_square_overflows(synth_tiny):
+    problem, _ = synth_tiny
+    phi = np.zeros((problem.n, problem.d))
+    with pytest.raises(ValueError, match="alpha\\^2 overflows"):
+        Audit(problem, phi, None, 1e308).t3_shift()
 
 
 def test_lyapunov_total_property(desk):
