@@ -24,13 +24,12 @@ from .data_io import (CheckpointFormatError, LibsvmFormatError, SynthSpec,
 from .theory import (Audit, CheckReport, LyapunovTerms, admissible_parameters,
                      convexity_suite, expected_decrease_check, finito_map,
                      initial_lyapunov, lyapunov_evaluate, pair_checks,
-                     random_audit_state, rate_bound, rate_certificate,
-                     rate_curve, strong_lb_check)
+                     rate_bound, rate_certificate, rate_curve, strong_lb_check)
 from .lower_bounds import (CoupledWorstCase, UnseenPoint, UnseenSummary,
-                           UnseenTrace, expected_unseen, first_pass_floor_trace,
+                           expected_unseen, first_pass_floor_trace,
                            floor_check, make_worst_case,
                            oracle_limited_suboptimality, simulate_unseen,
-                           unseen_trajectory)
+                           unseen_variance)
 
 __version__ = "0.1.0"
 
@@ -49,12 +48,10 @@ __all__ = [
     "read_trace", "synth_problem", "write_trace",
     "Audit", "CheckReport", "LyapunovTerms", "admissible_parameters",
     "convexity_suite", "expected_decrease_check", "finito_map",
-    "initial_lyapunov", "lyapunov_evaluate", "pair_checks",
-    "random_audit_state", "rate_bound", "rate_certificate", "rate_curve",
-    "strong_lb_check",
-    "CoupledWorstCase", "UnseenPoint", "UnseenSummary", "UnseenTrace",
-    "expected_unseen", "first_pass_floor_trace", "floor_check",
-    "make_worst_case", "oracle_limited_suboptimality", "simulate_unseen",
-    "unseen_trajectory",
+    "initial_lyapunov", "lyapunov_evaluate", "pair_checks", "rate_bound",
+    "rate_certificate", "rate_curve", "strong_lb_check",
+    "CoupledWorstCase", "UnseenPoint", "UnseenSummary", "expected_unseen",
+    "first_pass_floor_trace", "floor_check", "make_worst_case",
+    "oracle_limited_suboptimality", "simulate_unseen", "unseen_variance",
     "__version__",
 ]

@@ -1,5 +1,5 @@
-"""Command-line front end: run solvers, compare configurations, verify the
-convergence analysis, and reproduce the sampling lower bound.
+"""Command-line front end: run solvers, compare configurations, and verify
+the convergence analysis and the sampling lower bound.
 
 Exit codes: 0 success, 1 usage or input errors (a request too large to
 allocate included), 2 divergence, 3 one or more verification checks
@@ -17,7 +17,7 @@ import numpy as np
 
 from .data_io import (SynthSpec, _format_float as _fmt, checkpoint_load,
                       checkpoint_save, parse_libsvm, synth_problem, write_trace)
-from .lower_bounds import simulate_unseen, suite_lowerbound
+from .lower_bounds import suite_lowerbound
 from .problems import (FiniteSumProblem, LOGISTIC, LOSS_KINDS,
                        ReferenceSolution)
 from .samplers import SAMPLING_NAMES, SamplingScheme
@@ -48,18 +48,14 @@ def _write_text(path: str, text: str) -> None:
         Path(path).write_text(text, encoding="ascii")
 
 
-def _parse_int_list(text: str) -> list[int]:
+def _parse_seeds(text: str) -> list[int]:
+    """'11' means seeds 0..10; '3,5,7' is an explicit list."""
+    if "," not in text:
+        return list(range(int(text)))
     try:
         return [int(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError:
         raise ValueError(f"bad integer list {text!r}") from None
-
-
-def _parse_seeds(text: str) -> list[int]:
-    """'11' means seeds 0..10; '3,5,7' is an explicit list."""
-    if "," in text:
-        return _parse_int_list(text)
-    return list(range(int(text)))
 
 
 _SYNTH_KEYS = {
@@ -260,21 +256,6 @@ def cmd_verify(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# lowerbound
-
-
-def cmd_lowerbound(args) -> int:
-    ks = _parse_int_list(args.k_list)
-    summary = simulate_unseen(args.n, ks, trials=args.trials, seed=args.seed)
-    lines = ["k,formula,mc_mean,mc_stderr,martingale_mean"]
-    for p in summary.points:
-        lines.append(f"{p.k},{_fmt(p.expected)},{_fmt(p.mc_mean)},"
-                     f"{_fmt(p.mc_stderr)},{_fmt(p.martingale_mean)}")
-    _write_text(args.out, "\n".join(lines) + "\n")
-    return 0
-
-
-# ---------------------------------------------------------------------------
 # wiring
 
 
@@ -337,15 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--out", default="-")
     p_ver.set_defaults(func=cmd_verify)
 
-    p_low = subs.add_parser("lowerbound",
-                            help="Monte-Carlo unseen-count law on the "
-                                 "worst-case problem")
-    p_low.add_argument("--n", type=int, default=10)
-    p_low.add_argument("--k-list", default="1,5,10,20")
-    p_low.add_argument("--trials", type=int, default=1_000_000)
-    p_low.add_argument("--seed", type=int, default=0)
-    p_low.add_argument("--out", default="-")
-    p_low.set_defaults(func=cmd_lowerbound)
     return parser
 
 

@@ -66,6 +66,14 @@ def expected_unseen(n: int, k: int) -> float:
     return n * (1.0 - 1.0 / n) ** k
 
 
+def unseen_variance(n: int, k: int) -> float:
+    """Var[# indices never drawn in k uniform draws]
+    = n(n-1)(1 - 2/n)^k + n(1 - 1/n)^k - n^2(1 - 1/n)^(2k), clamped at 0
+    against rounding."""
+    mean = expected_unseen(n, k)
+    return max(0.0, n * (n - 1) * (1.0 - 2.0 / n) ** k + mean - mean * mean)
+
+
 def oracle_limited_suboptimality(n: int, seen_mask) -> float:
     """Suboptimality of the best iterate supported on the seen coordinates.
 
@@ -80,43 +88,11 @@ def oracle_limited_suboptimality(n: int, seen_mask) -> float:
 
 
 @dataclass
-class UnseenTrace:
-    """One trajectory's unseen count at draw k, with its martingale lift
-    scaled = (1 - 1/n)^(-k) * unseen (constant-mean across k)."""
-
-    k: int
-    unseen: int
-    scaled: float
-    seed: int
-
-
-def unseen_trajectory(n: int, k_max: int, seed: int = 0) -> list[UnseenTrace]:
-    """Exact unseen counts along a single uniform draw sequence."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if k_max < 0:
-        raise ValueError(f"need k_max >= 0, got {k_max}")
-    rng = np.random.default_rng([seed])
-    seen = np.zeros(n, dtype=bool)
-    out = [UnseenTrace(k=0, unseen=n, scaled=float(n), seed=seed)]
-    lift = 1.0
-    base = 1.0 / (1.0 - 1.0 / n) if n > 1 else np.inf
-    for k in range(1, k_max + 1):
-        seen[int(rng.integers(n))] = True
-        v = int(n - np.count_nonzero(seen))
-        lift = lift * base if n > 1 else (np.inf if v else 0.0)
-        out.append(UnseenTrace(k=k, unseen=v, scaled=v * lift, seed=seed))
-    return out
-
-
-@dataclass
 class UnseenPoint:
     k: int
     expected: float
     mc_mean: float
     mc_stderr: float
-    martingale_mean: float
-    martingale_stderr: float
 
 
 @dataclass
@@ -132,10 +108,7 @@ def simulate_unseen(n: int, k, trials: int = 100_000,
     """Monte-Carlo check of the unseen-count law under uniform sampling.
 
     `k` may be a single draw count or a list; all requested counts share
-    trajectories (one length-max(k) draw sequence per trial), so the
-    rescaled counts (1 - 1/n)^(-k) v_k are one martingale observed at
-    several times and every martingale_mean should sit near n within a few
-    standard errors.
+    trajectories (one length-max(k) draw sequence per trial).
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -173,12 +146,9 @@ def simulate_unseen(n: int, k, trials: int = 100_000,
     for kk in ks:
         mean = sums[kk] / trials
         var = max(0.0, (sq_sums[kk] - trials * mean * mean) / (trials - 1))
-        stderr = float(np.sqrt(var / trials))
-        lift = (1.0 - 1.0 / n) ** (-kk) if n > 1 else (np.inf if kk else 1.0)
         points.append(UnseenPoint(
             k=kk, expected=expected_unseen(n, kk), mc_mean=mean,
-            mc_stderr=stderr, martingale_mean=mean * lift,
-            martingale_stderr=stderr * lift))
+            mc_stderr=float(np.sqrt(var / trials))))
     return UnseenSummary(n=n, trials=trials, seed=seed, points=points)
 
 
@@ -226,22 +196,20 @@ def floor_check(n: int, solver: str = "finito") -> CheckReport:
 
 
 def suite_lowerbound(seed: int, n: int = 10) -> list[CheckReport]:
-    """Unseen-count means and their martingale lifts at k = 1, 5, 10, 20 over
-    100 000 trials, each within four standard errors of the law (and 1e-12
-    of it scaled, as at k = 1 the spread is 0), then floor_check for finito
-    and sag.  Needs n >= 2: at n = 1 the lift is infinite."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    summary = simulate_unseen(n, [1, 5, 10, 20], trials=100_000, seed=seed)
-    ctx = f"trials={summary.trials}"
+    """Unseen-count means at k = 1, 5, 10, 20 over T = 100 000 trials, each
+    within 4 sqrt(Var/T) + 16 n/(3T) of the law, with Var = unseen_variance,
+    then floor_check for finito and sag.  The radius is Bernstein's
+    inequality for counts in [0, n] at exponent 8, so a correct law fails a
+    row with probability at most 2 e^-8."""
+    trials = 100_000
+    summary = simulate_unseen(n, [1, 5, 10, 20], trials=trials, seed=seed)
+    ctx = f"trials={trials}"
     reports = []
     for p in summary.points:
+        radius = (4.0 * float(np.sqrt(unseen_variance(n, p.k) / trials))
+                  + 16.0 * n / (3.0 * trials))
         reports.append(_le_report(f"unseen-mean-k{p.k}",
-                                  abs(p.mc_mean - p.expected),
-                                  4.0 * p.mc_stderr, 1e-12, ctx, scale=p.expected))
-        reports.append(_le_report(f"martingale-mean-k{p.k}",
-                                  abs(p.martingale_mean - n),
-                                  4.0 * p.martingale_stderr, 1e-12, ctx, scale=n))
+                                  abs(p.mc_mean - p.expected), radius, 0.0, ctx))
     reports.append(floor_check(n, "finito"))
     reports.append(floor_check(n, "sag"))
     return reports

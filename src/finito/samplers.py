@@ -86,10 +86,6 @@ class IndexSampler:
         self.draws += 1
         return j
 
-    @property
-    def passes_completed(self) -> int:
-        return self.draws // self.n
-
     def skip_to(self, draws: int) -> "IndexSampler":
         """Jump the stream to an absolute draw count (used on resume)."""
         if draws < 0:

@@ -508,13 +508,6 @@ def random_table(problem, w_star: np.ndarray,
                      for _ in range(problem.n)])
 
 
-def random_audit_state(problem, w_star: np.ndarray, alpha: float,
-                       rng: np.random.Generator):
-    """random_table with w set to the map."""
-    phi = random_table(problem, w_star, rng)
-    return phi, finito_map(problem, phi, alpha)
-
-
 def audit_block(n: int, d: int) -> int:
     """States per stacked audit in the suites, at least one: a block keeps
     within BRANCH_FLOATS floats the six (n, d) arrays each state holds and

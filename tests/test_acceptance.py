@@ -25,13 +25,13 @@ from finito import (
     expected_decrease_check,
     expected_unseen,
     finito_init,
+    finito_map,
     finito_step,
     floor_check,
     initial_lyapunov,
     lyapunov_evaluate,
     make_worst_case,
     parse_libsvm,
-    random_audit_state,
     rate_curve,
     read_trace,
     reference_solve,
@@ -43,6 +43,7 @@ from finito import (
     write_trace,
     QuadraticProblem,
 )
+from finito.theory import random_table
 
 _cache: dict = {}
 
@@ -125,7 +126,8 @@ def test_criterion_4_step_identities_exact():
     rng = np.random.default_rng(4)
     worst = 0.0
     for _ in range(100):
-        phi, w = random_audit_state(problem, ref.w_star, 2.0, rng)
+        phi = random_table(problem, ref.w_star, rng)
+        w = finito_map(problem, phi, 2.0)
         scale = 1.0 + abs(lyapunov_evaluate(problem, phi, w).total)
         audit = Audit(problem, phi, w, 2.0)
         gaps = (abs(audit.step_gap()), abs(audit.displacement_gap()),
@@ -147,7 +149,7 @@ def test_criterion_5_inequality_suites_clean():
             rng.normal(size=problem.d), rng.normal(size=problem.d)))
     rng2 = np.random.default_rng(51)
     for _ in range(1000):
-        phi, _ = random_audit_state(problem, ref.w_star, 2.0, rng2)
+        phi = random_table(problem, ref.w_star, rng2)
         audit = Audit(problem, phi, rng2.normal(size=problem.d), 2.0)
         reports.append(audit.lower_bound_report(2.0))
     bad = [r for r in reports if not r.satisfied]
@@ -183,8 +185,10 @@ def test_criterion_7_unseen_statistics_and_oracle_floor():
     summary = simulate_unseen(10, [1, 5, 10, 20], trials=10**6, seed=0)
     mc_ok = all(abs(p.mc_mean - expected_unseen(10, p.k)) <= 4 * p.mc_stderr
                 for p in summary.points)
-    mart_ok = all(abs(p.martingale_mean - 10.0) <= 4 * p.martingale_stderr
-                  for p in summary.points)
+    # the martingale lift (1 - 1/n)^(-k) v_k keeps mean n at every k
+    mart_ok = all(abs(p.mc_mean * lift - 10.0) <= 4 * p.mc_stderr * lift
+                  for p in summary.points
+                  for lift in [(1 - 1 / 10) ** -p.k])
     floors = [floor_check(10, solver=s) for s in ("finito", "sag")]
     elapsed = time.monotonic() - t0
     ok = (mc_ok and mart_ok and all(f.satisfied for f in floors)

@@ -25,9 +25,7 @@ SIZING = {"--n": (("3",), ("1", "2", "0", "-1")),
           "--d": (("1", "2"), ("0", "nan")),
           "--draws": (("1", "2"), ("0", "-5")),
           "--epochs": (("1", "2"), ("0", "-1", "1e308")),
-          "--trials": (("2", "3"), ("1", "0", "-1")),
-          "--seeds": (("1", "2", "0,2"), ("0", "-1", "nan", "1e308")),
-          "--k-list": (("1,2", "3,1", "0"), ("-1", "", "nan", "1e308", "99999999999"))}
+          "--seeds": (("1", "2", "0,2"), ("0", "-1", "nan", "1e308"))}
 CONFIGS = (("finito", "sag:uniform", "prox-finito:permuted:alpha=3", "miso:cyclic",
             "full-gradient:cyclic"),
            ("finito::step=nan", "finito:uniform:alpha=1e308", "sag:uniform:step=1e308",

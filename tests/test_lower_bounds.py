@@ -14,8 +14,9 @@ from finito import (
     make_worst_case,
     oracle_limited_suboptimality,
     simulate_unseen,
-    unseen_trajectory,
+    unseen_variance,
 )
+from finito import lower_bounds
 from finito.lower_bounds import suite_lowerbound
 
 
@@ -34,6 +35,16 @@ def test_expected_unseen_matches_enumeration():
             total += n - len(set(seq))
         want = total / n**k
         assert expected_unseen(n, k) == pytest.approx(want, abs=1e-12)
+
+
+def test_unseen_variance_matches_enumeration():
+    n = 3
+    for k in range(0, 7):
+        counts = [n - len(set(seq))
+                  for seq in itertools.product(range(n), repeat=k)]
+        mean = sum(counts) / n**k
+        want = sum((c - mean) ** 2 for c in counts) / n**k
+        assert unseen_variance(n, k) == pytest.approx(want, abs=1e-12)
 
 
 def test_worst_case_construction():
@@ -58,23 +69,6 @@ def test_oracle_floor_from_mask():
     assert oracle_limited_suboptimality(8, np.ones(8, dtype=bool)) == 0.0
 
 
-def test_unseen_trajectory_shape_and_monotonicity():
-    rows = unseen_trajectory(12, 30, seed=5)
-    assert [r.k for r in rows] == list(range(31))
-    unseen = [r.unseen for r in rows]
-    assert unseen[0] == 12
-    assert all(a >= b for a, b in zip(unseen, unseen[1:]))
-    # the scaled value is the martingale lift of the count
-    for r in rows:
-        assert r.scaled == pytest.approx(unseen_lift(12, r.k) * r.unseen, rel=1e-12)
-    again = unseen_trajectory(12, 30, seed=5)
-    assert [r.unseen for r in again] == unseen
-
-
-def unseen_lift(n, k):
-    return (1 - 1 / n) ** (-k)
-
-
 def test_simulate_unseen_matches_formula():
     summary = simulate_unseen(10, [1, 5, 10], trials=60_000, seed=3)
     assert summary.n == 10 and summary.trials == 60_000
@@ -82,7 +76,9 @@ def test_simulate_unseen_matches_formula():
     for pt in summary.points:
         assert pt.expected == pytest.approx(expected_unseen(10, pt.k), abs=1e-12)
         assert abs(pt.mc_mean - pt.expected) <= 4 * pt.mc_stderr
-        assert abs(pt.martingale_mean - 10.0) <= 4 * pt.martingale_stderr
+        # the martingale lift (1 - 1/n)^(-k) v_k keeps mean n at every k
+        lift = (1 - 1 / 10) ** -pt.k
+        assert abs(pt.mc_mean * lift - 10.0) <= 4 * pt.mc_stderr * lift
 
 
 def test_simulate_unseen_single_k_and_determinism():
@@ -90,6 +86,13 @@ def test_simulate_unseen_single_k_and_determinism():
     assert len(one.points) == 1 and one.points[0].k == 4
     again = simulate_unseen(6, 4, trials=20_000, seed=9)
     assert one.points[0].mc_mean == again.points[0].mc_mean
+
+
+def test_simulate_unseen_refuses_a_draw_batch_beyond_the_limit():
+    # one batch of 2 x 10^12 int64 draws would need ~15 TiB; the request is
+    # refused before anything is allocated
+    with pytest.raises(ValueError, match="GiB of draws per batch"):
+        simulate_unseen(10, [10**12], trials=2)
 
 
 def test_first_pass_floor_never_beaten():
@@ -123,16 +126,33 @@ def test_floor_uses_identity_start():
 
 @pytest.mark.parametrize("n", [3, 7, 12, 30, 40, 200])
 def test_lowerbound_suite_judges_zero_spread_rows_at_rounding_tolerance(n):
-    # at k = 1 every trial leaves n - 1 unseen, so the spread is 0 and the
-    # lift (n - 1)(1 - 1/n)^(-1) misses n by rounding alone: at these n the
-    # martingale-mean-k1 row once failed
+    # at k = 1 every trial leaves n - 1 unseen, so the law's variance is 0
+    # and the row is judged by the range term alone, which covers rounding
+    assert unseen_variance(n, 1) == 0.0
     reports = suite_lowerbound(seed=0, n=n)
     rows = {r.name: r for r in reports}
-    assert rows["unseen-mean-k1"].rhs == rows["martingale-mean-k1"].rhs == 0.0
+    assert rows["unseen-mean-k1"].rhs == 16.0 * n / (3.0 * 100_000)
     assert all(isinstance(r, CheckReport) and r.satisfied for r in reports)
 
 
-@pytest.mark.parametrize("n", [1, 0, -3])
-def test_lowerbound_suite_needs_two_components(n):
-    with pytest.raises(ValueError, match="need n >= 2"):
+@pytest.mark.parametrize("seed", [0, 42, 44])
+def test_lowerbound_suite_passes_at_two_components(seed):
+    # judged against the sample's spread, seed 0 failed; seeds 42 and 44
+    # each see 2 trials with an unseen index at k = 20 where 0.19 are
+    # expected, which four of the law's standard errors alone reject
+    reports = suite_lowerbound(seed=seed, n=2)
+    assert all(r.satisfied for r in reports)
+
+
+def test_lowerbound_suite_rejects_a_law_one_draw_off(monkeypatch):
+    monkeypatch.setattr(lower_bounds, "expected_unseen",
+                        lambda n, k: n * (1.0 - 1.0 / n) ** (k + 1))
+    rows = {r.name: r for r in suite_lowerbound(seed=0, n=10)}
+    assert [rows[f"unseen-mean-k{k}"].satisfied for k in (1, 5, 10, 20)] \
+        == [False] * 4
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_lowerbound_suite_needs_a_component(n):
+    with pytest.raises(ValueError, match="need n >= 1"):
         suite_lowerbound(seed=0, n=n)

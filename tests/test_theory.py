@@ -26,7 +26,6 @@ from finito import (
     initial_lyapunov,
     lyapunov_evaluate,
     pair_checks,
-    random_audit_state,
     rate_bound,
     rate_certificate,
     rate_curve,
@@ -177,7 +176,8 @@ def test_term_shifts_match_closed_forms(synth_tiny):
     problem, ref = synth_tiny
     rng = np.random.default_rng(7)
     for _ in range(25):
-        phi, w = random_audit_state(problem, ref.w_star, 2.0, rng)
+        phi = theory.random_table(problem, ref.w_star, rng)
+        w = finito_map(problem, phi, 2.0)
         audit = Audit(problem, phi, w, 2.0)
         shifts = audit.term_shifts()
         base = lyapunov_evaluate(problem, phi, w)
@@ -190,18 +190,12 @@ def test_identity_gaps_vanish(synth_tiny):
     problem, ref = synth_tiny
     rng = np.random.default_rng(11)
     for _ in range(25):
-        phi, w = random_audit_state(problem, ref.w_star, 2.0, rng)
+        phi = theory.random_table(problem, ref.w_star, rng)
+        w = finito_map(problem, phi, 2.0)
         audit = Audit(problem, phi, w, 2.0)
         assert abs(audit.step_gap()) <= 1e-12
         assert abs(audit.displacement_gap()) <= 1e-12
         assert abs(audit.variance_gap()) <= 1e-12
-
-
-def test_random_audit_state_returns_map(synth_tiny, rng):
-    problem, ref = synth_tiny
-    phi, w = random_audit_state(problem, ref.w_star, 2.0, rng)
-    assert np.array_equal(w, finito_map(problem, phi, 2.0))
-    assert phi.shape == (problem.n, problem.d)
 
 
 def test_bound_gap_rejects_non_map(synth_tiny):
@@ -237,8 +231,9 @@ def test_alpha_must_be_finite_and_positive(synth_tiny, alpha):
         "Audit.displacement_gap":
             lambda: Audit(problem, phi, w, alpha).displacement_gap(),
         "Audit.t3_shift": lambda: Audit(problem, phi, w, alpha).t3_shift(),
-        "random_audit_state": lambda: random_audit_state(
-            problem, ref.w_star, alpha, np.random.default_rng(0)),
+        "random_table then finito_map": lambda: finito_map(
+            problem, theory.random_table(problem, ref.w_star,
+                                         np.random.default_rng(0)), alpha),
     }
     for name, call in calls.items():
         with pytest.raises(ValueError, match="alpha must be finite and > 0"):
@@ -554,7 +549,8 @@ def test_pair_checks_names_and_satisfaction(synth_small, rng):
 
 def test_table_checks_names_and_satisfaction(synth_small, rng):
     problem, ref = synth_small
-    phi, w = random_audit_state(problem, ref.w_star, 2.0, rng)
+    phi = theory.random_table(problem, ref.w_star, rng)
+    w = finito_map(problem, phi, 2.0)
     reports = Audit(problem, phi, w, 2.0).table_reports()
     assert [r.name for r in reports] == ["table-strong-convexity",
                                          "table-smoothness-lower"]
@@ -586,7 +582,7 @@ def test_component_lower_bound_needs_curvature_gap(desk):
 def test_aggregate_lower_bound_check(synth_small, rng):
     problem, ref = synth_small
     for _ in range(20):
-        phi, _ = random_audit_state(problem, ref.w_star, 2.0, rng)
+        phi = theory.random_table(problem, ref.w_star, rng)
         audit = Audit(problem, phi, rng.normal(size=problem.d), 2.0)
         assert audit.lower_bound_report(2.0).satisfied
 
@@ -655,7 +651,8 @@ def test_audit_table_checks_equal_standalone_checks(synth_tiny):
     states = 0
     for problem, ref in (synth_tiny, (squared, squared_ref)):
         for _ in range(10):
-            phi, at_map = random_audit_state(problem, ref.w_star, 2.0, rng)
+            phi = theory.random_table(problem, ref.w_star, rng)
+            at_map = finito_map(problem, phi, 2.0)
             off_map = theory.random_ball_point(rng, ref.w_star, 2.0)
             for w in (at_map, off_map):
                 audit = Audit(problem, phi, w, 2.0)
