@@ -146,6 +146,9 @@ def test_miso_without_strong_convexity_exits_one(tmp_path):
                  "outside the admissible region", id="rate-alpha-0.5"),
     pytest.param(["verify", "--suite", "lowerbound", "--n", "0"],
                  "need n >= 1, got 0", id="lowerbound-n-0"),
+    # the unseen-count law is a verify suite, not a command of its own
+    pytest.param(["lowerbound", "--n", "10"], "invalid choice: 'lowerbound'",
+                 id="lowerbound-command"),
     # these audited no state and exited 0
     pytest.param(["verify", "--suite", "lyapunov", "--draws", "0"],
                  "states must be >= 1, got 0", id="lyapunov-draws-0"),
@@ -217,6 +220,10 @@ def test_verification_failure_exits_three(monkeypatch):
     ("lyapunov", ["--draws", "40", "--n", "25", "--d", "3"]),
     ("rate", ["--n", "50"]),
     ("lowerbound", []),
+    # n = 1 was refused, and a radius from the sample's spread exited 3
+    # at n = 2 on most seeds
+    ("lowerbound", ["--n", "1"]),
+    ("lowerbound", ["--n", "2"]),
 ])
 def test_verify_suites_pass(suite, flags):
     code, out, _ = call(["verify", "--suite", suite] + flags)
@@ -229,8 +236,8 @@ def test_verify_suites_pass(suite, flags):
 
 @pytest.mark.parametrize("suite", ["lowerbound", "all"])
 def test_verify_at_n_40_passes(suite):
-    # at n = 40 the k = 1 row of the former martingale lift missed n by
-    # 7.1e-15 against a zero spread and exited 3
+    # at n = 40 the k = 1 count has zero spread; a row judged by that
+    # spread alone exited 3 on a rounding error of 7.1e-15
     code, out, _ = call(["verify", "--suite", suite, "--n", "40"])
     assert code == 0
     assert all(line.endswith("true") for line in out.strip().splitlines()[1:])
@@ -285,24 +292,6 @@ def test_compare_out_dir_traces(tmp_path):
 def test_compare_rejects_bad_config_token():
     assert call(["compare", "--synth", SYNTH,
                  "--configs", "finito:uniform:gamma=1"])[0] == 1
-
-
-# -- lowerbound -------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("n", ["1", "2"])
-def test_verify_lowerbound_passes_at_small_n(n):
-    # each row is judged by the law's variance, which is 0 at n = 1 and at
-    # k = 1; judged by the sample's spread, n = 2 exited 3 on most seeds
-    code, out, err = call(["verify", "--suite", "lowerbound", "--n", n])
-    assert code == 0, err
-    assert all(line.endswith("true") for line in out.strip().splitlines()[1:])
-
-
-def test_lowerbound_is_a_verify_suite_not_a_command():
-    code, out, err = call(["lowerbound", "--n", "10"])
-    assert (code, out) == (1, "")
-    assert "invalid choice: 'lowerbound'" in err and "Traceback" not in err
 
 
 # -- checkpoint flow ----------------------------------------------------------------
