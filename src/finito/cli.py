@@ -10,6 +10,9 @@ trace column is the single exception.
 from __future__ import annotations
 
 import argparse
+import os
+import pickle
+import signal
 import sys
 from pathlib import Path
 
@@ -233,24 +236,110 @@ def _reports_csv(reports: list[CheckReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _spare_cpus() -> int:
+    """Usable CPUs besides this process's; 0 where the platform cannot say."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) - 1 if affinity is not None else 0
+
+
+def _run_group(calls: dict, names: list[str]) -> dict:
+    """Each named call's result in order; the first exception raised takes
+    its call's place and ends the group."""
+    done = {}
+    for name in names:
+        try:
+            done[name] = calls[name]()
+        except Exception as err:
+            done[name] = err
+            break
+    return done
+
+
+def _fork_group(calls: dict, names: list[str]) -> tuple[int, int]:
+    """Start _run_group in a forked child that pickles its result into a
+    pipe; return the child's pid and the pipe's read end."""
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read)
+            payload = pickle.dumps(_run_group(calls, names))
+            with open(write, "wb") as pipe:
+                pipe.write(payload)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write)
+    return pid, read
+
+
+def _outcome(names: list[str], payload: bytes, status: int) -> dict:
+    """A child's _run_group result, or an OSError in its first call's place
+    when the child died before sending one."""
+    if payload:
+        return pickle.loads(payload)
+    return {names[0]: OSError(
+        f"the worker running suite {', '.join(names)} exited without a "
+        f"result (exit code {os.waitstatus_to_exitcode(status)})")}
+
+
+def _run_suites(calls: dict) -> dict:
+    """_run_group over every call, with the same result at any CPU count.
+    With more than one call, the calls other than "rate" go round-robin to at
+    most _spare_cpus() forked children while this process runs the rest.
+    rate stays here, so a wrapper of run_with_state in this process sees its
+    solver runs."""
+    forked = [name for name in calls if name != "rate"] if len(calls) > 1 else []
+    workers = min(_spare_cpus(), len(forked))
+    groups = [forked[i::workers] for i in range(workers)]
+    local = [name for name in calls if not any(name in g for g in groups)]
+    children = []  # (names, pid, read end) of each child not yet reaped
+    try:
+        for group in groups:
+            children.append((group, *_fork_group(calls, group)))
+        done = _run_group(calls, local)
+        while children:
+            group, pid, read = children[0]
+            with open(read, "rb", closefd=False) as pipe:
+                payload = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            children.pop(0)
+            os.close(read)
+            done.update(_outcome(group, payload, status))
+    finally:
+        for _, pid, read in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(read)
+    return done
+
+
 def cmd_verify(args) -> int:
     def pick(value, fallback):
         return fallback if value is None else value
 
+    # in CSV order
+    calls = {
+        "inequalities": lambda: suite_inequalities(
+            n=pick(args.n, 40), d=pick(args.d, 5), beta=args.beta,
+            draws=pick(args.draws, 100), seed=args.seed, alpha=args.alpha),
+        "lyapunov": lambda: suite_lyapunov(
+            n=pick(args.n, 40), d=pick(args.d, 5), beta=args.beta,
+            states=pick(args.draws, 200), seed=args.seed, alpha=args.alpha),
+        "rate": lambda: suite_rate(n=pick(args.n, 200), seed=args.seed,
+                                   alpha=args.alpha),
+        "lowerbound": lambda: suite_lowerbound(seed=args.seed,
+                                               n=pick(args.n, 10)),
+    }
+    calls = {name: call for name, call in calls.items()
+             if args.suite in (name, "all")}
+    done = _run_suites(calls)
     reports: list[CheckReport] = []
-    if args.suite in ("inequalities", "all"):
-        reports += suite_inequalities(
-            n=pick(args.n, 40), d=pick(args.d, 5), beta=args.beta,
-            draws=pick(args.draws, 100), seed=args.seed, alpha=args.alpha)
-    if args.suite in ("lyapunov", "all"):
-        reports += suite_lyapunov(
-            n=pick(args.n, 40), d=pick(args.d, 5), beta=args.beta,
-            states=pick(args.draws, 200), seed=args.seed, alpha=args.alpha)
-    if args.suite in ("rate", "all"):
-        reports += suite_rate(n=pick(args.n, 200), seed=args.seed,
-                              alpha=args.alpha)
-    if args.suite in ("lowerbound", "all"):
-        reports += suite_lowerbound(seed=args.seed, n=pick(args.n, 10))
+    for name in calls:  # a call after the first error has no entry
+        if isinstance(done[name], Exception):
+            raise done[name]
+        reports += done[name]
     _write_text(args.out, _reports_csv(reports))
     return 0 if all(r.satisfied for r in reports) else 3
 

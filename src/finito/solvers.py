@@ -527,9 +527,17 @@ def reference_solve(problem) -> ReferenceSolution:
     The loop returns w_star = y as soon as the certificate at y is at most
     1e-12: the gradient norm ||g|| for smooth problems, the proximal
     fixed-point residual ||x+ - y|| with an L1 term.  Raises ValueError when
-    REFERENCE_MAX_ITER iterations do not reach it (too ill-conditioned).
+    REFERENCE_MAX_ITER iterations do not reach it, and up front when s = 0 or
+    sqrt(kappa), kappa = L/s, is not finite or exceeds REFERENCE_MAX_ITER:
+    the loop takes about 13 sqrt(kappa) iterations, so such a solve would
+    only stall.
     """
     L = problem.lipschitz_constant()
+    kappa = L / problem.s if problem.s > 0.0 else math.inf
+    if not math.sqrt(kappa) <= REFERENCE_MAX_ITER:
+        raise ValueError(f"reference solve refused: condition number kappa = "
+                         f"L/s = {kappa:g} (L={L:g}, s={problem.s:g}) needs "
+                         f"more than {REFERENCE_MAX_ITER} iterations")
     smooth = problem.l1_weight == 0.0
     x = y = np.zeros(problem.d)
     t = 1.0

@@ -388,8 +388,22 @@ def test_reference_solve_l1_certificate_holds_at_w_star():
 
 def test_reference_solve_raises_when_iterations_run_out(synth_small, monkeypatch):
     problem, _ = synth_small
-    monkeypatch.setattr(finito.solvers, "REFERENCE_MAX_ITER", 3)
-    with pytest.raises(ValueError, match="after 3 iterations"):
+    # kappa = 20 passes the up-front refusal (sqrt(kappa) <= 10), but the
+    # loop needs about 13 sqrt(kappa) iterations
+    monkeypatch.setattr(finito.solvers, "REFERENCE_MAX_ITER", 10)
+    with pytest.raises(ValueError, match="after 10 iterations"):
+        reference_solve(problem)
+
+
+def test_reference_solve_refuses_a_hopeless_condition_number(synth_small,
+                                                             monkeypatch):
+    problem, _ = synth_small
+    flat = FiniteSumProblem(problem.features, problem.targets, "logistic", s=0.0)
+    with pytest.raises(ValueError, match=r"kappa = L/s = inf \(L=.*, s=0\)"):
+        reference_solve(flat)
+    # sqrt(20) > 4: refused before the first iteration
+    monkeypatch.setattr(finito.solvers, "REFERENCE_MAX_ITER", 4)
+    with pytest.raises(ValueError, match="kappa = L/s = 20"):
         reference_solve(problem)
 
 
