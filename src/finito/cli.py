@@ -276,9 +276,11 @@ def _fork_group(calls: dict, names: list[str]) -> tuple[int, int]:
 
 def _outcome(names: list[str], payload: bytes, status: int) -> dict:
     """A child's _run_group result, or an OSError in its first call's place
-    when the child died before sending one."""
-    if payload:
+    when the child died before sending all of one."""
+    try:
         return pickle.loads(payload)
+    except (EOFError, pickle.UnpicklingError):
+        pass
     return {names[0]: OSError(
         f"the worker running suite {', '.join(names)} exited without a "
         f"result (exit code {os.waitstatus_to_exitcode(status)})")}

@@ -5,12 +5,26 @@ on how many it has."""
 import contextlib
 import io
 import os
+import pickle
+import signal
 
 import pytest
 
 import finito.cli as cli
 import finito.solvers
 from finito import CheckReport, DivergenceError
+
+
+@pytest.fixture(autouse=True)
+def time_limit():
+    # a lost worker would block the caller's read of its pipe forever
+    def expire(*_):
+        raise TimeoutError("verify did not finish within 60 s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 def call(argv):
@@ -96,6 +110,14 @@ def test_a_worker_that_dies_without_a_result_exits_one(monkeypatch):
     assert err == ("error: the worker running suite inequalities, lyapunov, "
                    "lowerbound exited without a result (exit code 7)\n")
     assert_no_child_left()
+
+
+def test_a_result_cut_short_reads_as_no_result():
+    # a worker killed while it writes leaves a truncated pickle in the pipe
+    payload = pickle.dumps({"lyapunov": [0.5] * 10_000})
+    done = cli._outcome(["lyapunov"], payload[:len(payload) // 2], 9)
+    assert str(done["lyapunov"]) == ("the worker running suite lyapunov "
+                                     "exited without a result (exit code -9)")
 
 
 def test_workers_split_the_suites_round_robin(monkeypatch):
