@@ -288,32 +288,25 @@ def _outcome(names: list[str], payload: bytes, status: int) -> dict:
 
 def _run_suites(calls: dict) -> dict:
     """_run_group over every call, with the same result at any CPU count.
-    With more than one call, the calls other than "rate" go round-robin to at
-    most _spare_cpus() forked children while this process runs the rest.
-    rate stays here, so a wrapper of run_with_state in this process sees its
-    solver runs."""
-    forked = [name for name in calls if name != "rate"] if len(calls) > 1 else []
-    workers = min(_spare_cpus(), len(forked))
-    groups = [forked[i::workers] for i in range(workers)]
-    local = [name for name in calls if not any(name in g for g in groups)]
-    children = []  # (names, pid, read end) of each child not yet reaped
+    With more than one call and a spare CPU, the calls other than "rate" run
+    in one forked child while this process runs rate, so a wrapper of
+    run_with_state in this process sees its solver runs."""
+    if len(calls) < 2 or _spare_cpus() < 1:
+        return _run_group(calls, list(calls))
+    forked = [name for name in calls if name != "rate"]
+    pid, read = _fork_group(calls, forked)
     try:
-        for group in groups:
-            children.append((group, *_fork_group(calls, group)))
-        done = _run_group(calls, local)
-        while children:
-            group, pid, read = children[0]
-            with open(read, "rb", closefd=False) as pipe:
-                payload = pipe.read()
-            status = os.waitpid(pid, 0)[1]
-            children.pop(0)
-            os.close(read)
-            done.update(_outcome(group, payload, status))
+        done = _run_group(calls, [name for name in calls if name not in forked])
+        with open(read, "rb", closefd=False) as pipe:
+            payload = pipe.read()
+        status = os.waitpid(pid, 0)[1]
+        pid = None
     finally:
-        for _, pid, read in children:
+        if pid is not None:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-            os.close(read)
+        os.close(read)
+    done.update(_outcome(forked, payload, status))
     return done
 
 

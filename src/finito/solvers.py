@@ -527,21 +527,15 @@ def reference_solve(problem) -> ReferenceSolution:
     The loop returns w_star = y as soon as the certificate at y is at most
     1e-12: the gradient norm ||g|| for smooth problems, the proximal
     fixed-point residual ||x+ - y|| with an L1 term.  Raises ValueError when
-    REFERENCE_MAX_ITER iterations do not reach it, and up front when s = 0 or
-    sqrt(kappa), kappa = L/s, is not finite or exceeds REFERENCE_MAX_ITER:
-    the loop takes about 13 sqrt(kappa) iterations, so such a solve would
-    only stall.
+    REFERENCE_MAX_ITER iterations do not reach it (too ill-conditioned), and
+    as soon as an iteration finds x = y = x+ bit for bit: from there every
+    iteration repeats it, so the loop could only run out.
     """
     L = problem.lipschitz_constant()
-    kappa = L / problem.s if problem.s > 0.0 else math.inf
-    if not math.sqrt(kappa) <= REFERENCE_MAX_ITER:
-        raise ValueError(f"reference solve refused: condition number kappa = "
-                         f"L/s = {kappa:g} (L={L:g}, s={problem.s:g}) needs "
-                         f"more than {REFERENCE_MAX_ITER} iterations")
     smooth = problem.l1_weight == 0.0
     x = y = np.zeros(problem.d)
     t = 1.0
-    cert = np.inf
+    cert = last = np.inf
     for _ in range(REFERENCE_MAX_ITER):
         g = problem.full_gradient(y)
         x_next = prox_operator(problem.l1_weight, y - g / L, 1.0 / L)
@@ -550,6 +544,12 @@ def reference_solve(problem) -> ReferenceSolution:
             return ReferenceSolution(w_star=y, f_star=problem.full_objective(y),
                                      grad_norm_at_solution=cert,
                                      method_tag="accelerated-proximal-gradient")
+        # a repeat has the last certificate; compare arrays only then
+        if cert == last and np.array_equal(x_next, x) and np.array_equal(x, y):
+            raise ValueError(f"reference solve stalled at certificate "
+                             f"{cert:g}: the iterate stopped moving in "
+                             f"floating point")
+        last = cert
         if float((y - x_next) @ (x_next - x)) > 0.0:
             t, y = 1.0, x_next
         else:
