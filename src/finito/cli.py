@@ -365,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--record-every", type=float, default=1.0,
                        help="record interval in passes (default 1)")
     p_run.add_argument("--monitor", choices=MONITORS, default="iterate",
-                       help="table-mean keeps the phi / gradient tables it reads")
+                       help="table-mean keeps the phi table it reads")
     p_run.add_argument("--no-first-pass", action="store_true",
                        help="initialize every table row at w0 instead of "
                             "running the first-pass rule")

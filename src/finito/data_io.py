@@ -2,10 +2,8 @@
 trace CSV, and bit-exact solver checkpoints.
 
 Checkpoint layouts are the fields of the state dataclasses in solvers, and
-loading goes through the state's constructor and its invariant checks.  Path
-arguments accept str/Path or open file objects.
-parse_libsvm treats a plain str as the file *content* (the format is
-line-oriented text); everything else here treats str/Path as a filesystem path.
+loading goes through the state's constructor and its invariant checks.  Every
+source or sink is a str/Path filesystem path or an open text stream.
 """
 
 from __future__ import annotations
@@ -59,24 +57,18 @@ def _open_text(source, mode: str):
 # LIBSVM
 
 
-def parse_libsvm(source, d_hint: int | None = None):
+def parse_libsvm(source):
     """Parse `<label> <idx>:<val> ...` lines into dense (features, targets).
 
     Indices are 1-based and must be strictly ascending within a line; blank
     lines are skipped, so concatenating valid files yields a valid file.  The
-    width is the largest index seen, or d_hint if that is larger.
-
-    `source` may be an open text stream or the content itself as a str.
+    width is the largest index seen.
     """
-    if hasattr(source, "read"):
-        text = source.read()
-    elif isinstance(source, Path):
-        text = source.read_text(encoding="ascii")
-    else:
-        text = source
+    with _open_text(source, "r") as handle:
+        text = handle.read()
     labels: list[float] = []
     rows: list[list[tuple[int, float]]] = []
-    width = int(d_hint) if d_hint else 0
+    width = 0
     for line_no, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip():
             continue
@@ -194,7 +186,9 @@ def synth_problem(spec: SynthSpec):
             break
         scale2 *= 1.0 - 1e-9  # shave another ulp-scale sliver off L
     else:
-        raise RuntimeError("feature rescaling failed to reach the target beta")
+        # a subnormal s leaves L_target too few bits for the shaving to reach
+        raise ValueError(f"feature rescaling failed to reach the target "
+                         f"beta={spec.target_beta!r} at s={spec.s!r}")
     return problem, reference_solve(problem)
 
 

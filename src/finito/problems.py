@@ -161,9 +161,6 @@ class _ProblemBase:
             verdict=bool(self.n * self.s >= beta * L),
         )
 
-    def prox(self, z: np.ndarray, step: float) -> np.ndarray:
-        return prox_operator(self.l1_weight, z, step)
-
 
 class FiniteSumProblem(_ProblemBase):
     """Data-backed finite sum: f_i(w) = loss(<x_i, w>, y_i) + (s/2) ||w||^2.
@@ -179,7 +176,7 @@ class FiniteSumProblem(_ProblemBase):
     s : float
         Strong convexity constant; the ridge term is folded into every f_i.
     l1_weight : float
-        Optional L1 penalty weight applied to the average, handled by prox.
+        Optional L1 penalty weight applied to the average, handled by prox_operator.
     """
 
     def __init__(self, features, targets, loss: str, s: float = 0.0,

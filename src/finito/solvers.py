@@ -8,10 +8,10 @@ data at the current w, update the running sums, then refresh w.  For finito
 soft-thresholded on a proximal state (prox-finito); miso is finito at
 alpha = L/s, and SAG moves w along the stored gradient sum instead.
 
-Compact storage keeps only p_i = f_i'(phi_i) - alpha*s*phi_i, which halves
-memory and recovers w as -(1/(alpha*s*n)) * sum_i p_i.  Audit storage keeps
-the explicit phi/gradient tables instead, which only the verification suites
-and the table-mean monitor read; either storage runs every finito tag.
+Every finito state keeps p_i = f_i'(phi_i) - alpha*s*phi_i and reads w as
+-(1/(alpha*s*n)) * sum_i p_i.  Audit storage keeps the phi table beside it,
+which only the verification suites and the table-mean monitor read; the
+phi table never feeds back into w, so both storages step bit for bit alike.
 """
 
 from __future__ import annotations
@@ -30,9 +30,6 @@ from .samplers import IndexSampler, SamplingScheme
 SOLVER_TAGS = ("finito", "prox-finito", "sag", "miso", "full-gradient")
 FINITO_TAGS = ("finito", "prox-finito", "miso")  # the FinitoState tags
 MONITORS = ("iterate", "table-mean")
-# the array fields a FinitoState holds besides w, per storage
-COMPACT_ARRAYS = ("p_table", "p_sum")
-AUDIT_ARRAYS = ("phi_table", "grad_table", "phi_sum", "grad_sum")
 
 # run() aborts when suboptimality exceeds this multiple of its start value
 DIVERGENCE_RATIO = 1e6
@@ -73,44 +70,41 @@ class TraceRecord:
 class FinitoState:
     """Mutable single-owner state for the table-based solvers.
 
-    The array fields that are set are the storage: p_table and p_sum
-    (compact), or phi_table, grad_table, phi_sum and grad_sum (audit)
-    instead.  `proximal` is not settable: it is derived from the tag, true
-    exactly for "prox-finito".  Construction checks the storage, the tag
-    (one of FINITO_TAGS), alpha (finite, > 0) and, with n the table's row
-    count, k >= 0 and seen == n or (mid first pass) seen == k < n.  The
-    fields are the checkpoint's lines.
+    p_table and p_sum are always set; audit storage also sets phi_table and
+    phi_sum, compact storage neither.  `proximal` is not settable: it is
+    derived from the tag, true exactly for "prox-finito".  Construction
+    checks the storage, the tag (one of FINITO_TAGS), alpha (finite, > 0)
+    and, with n the table's row count, k >= 0 and seen == n or (mid first
+    pass) seen == k < n.  The fields are the checkpoint's lines.
     """
 
     alpha: float
     k: int
     seen: int
     w: np.ndarray
-    p_table: np.ndarray | None = None
-    p_sum: np.ndarray | None = None
+    p_table: np.ndarray
+    p_sum: np.ndarray
     phi_table: np.ndarray | None = None
-    grad_table: np.ndarray | None = None
     phi_sum: np.ndarray | None = None
-    grad_sum: np.ndarray | None = None
     solver_tag: str = "finito"
 
     def __post_init__(self):
         if self.solver_tag not in FINITO_TAGS:
             raise ValueError(f"finito_init builds {', '.join(FINITO_TAGS)} states, "
                              f"not {self.solver_tag!r}")
-        held = tuple(a for a in COMPACT_ARRAYS + AUDIT_ARRAYS if getattr(self, a) is not None)
-        if held not in (COMPACT_ARRAYS, AUDIT_ARRAYS):
-            raise ValueError(
-                f"a finito state holds {', '.join(COMPACT_ARRAYS)} (compact) or "
-                f"{', '.join(AUDIT_ARRAYS)} (audit); got {', '.join(held) or 'none'}")
-        _check_table_state("alpha", self.alpha, self.k, self.seen,
-                           self.phi_table if self.audit else self.p_table)
+        if (self.p_table is None or self.p_sum is None
+                or (self.phi_table is None) != (self.phi_sum is None)):
+            held = [a for a in ("p_table", "p_sum", "phi_table", "phi_sum")
+                    if getattr(self, a) is not None]
+            raise ValueError(f"a finito state holds p_table and p_sum, plus phi_table and "
+                             f"phi_sum (audit) or neither; got {', '.join(held) or 'none'}")
+        _check_table_state("alpha", self.alpha, self.k, self.seen, self.p_table)
         # a plain attribute, not a property: _next_w reads it every step
         self.proximal = self.solver_tag == "prox-finito"
 
     @property
     def audit(self) -> bool:
-        return self.p_table is None
+        return self.phi_table is not None
 
 
 @dataclass
@@ -125,8 +119,7 @@ class SagState:
     grad_table: np.ndarray
     grad_sum: np.ndarray
     solver_tag: ClassVar[str] = "sag"
-    p_table: ClassVar[None] = None  # the finito tables: never held
-    phi_table: ClassVar[None] = None
+    phi_table: ClassVar[None] = None  # the audit table: never held
 
     def __post_init__(self):
         _check_table_state("step", self.step, self.k, self.seen, self.grad_table)
@@ -182,31 +175,28 @@ def _check_table_state(name: str, value: float, k: int, seen: int, table) -> Non
                          f"seen == n={len(table)} or seen == k < n")
 
 
-def _recompute_sums(state: FinitoState | SagState) -> tuple:
-    # periodic full recompute bounds incremental-sum drift; returns the sums
-    # of the held tables (None for the others) in the order _next_w takes them
-    p_sum = phi_sum = grad_sum = None
-    if state.p_table is not None:
-        state.p_sum = p_sum = state.p_table.sum(axis=0)
+def _recompute_sums(state: FinitoState | SagState) -> np.ndarray:
+    # periodic full recompute bounds incremental-sum drift; returns the sum
+    # that _next_w reads w from
     if state.phi_table is not None:
-        state.phi_sum = phi_sum = state.phi_table.sum(axis=0)
-    if state.grad_table is not None:
-        state.grad_sum = grad_sum = state.grad_table.sum(axis=0)
-    return p_sum, phi_sum, grad_sum
+        state.phi_sum = state.phi_table.sum(axis=0)
+    if isinstance(state, SagState):
+        state.grad_sum = state.grad_table.sum(axis=0)
+        return state.grad_sum
+    state.p_sum = state.p_table.sum(axis=0)
+    return state.p_sum
 
 
 def _next_w(state: FinitoState | SagState, problem, first_pass: bool,
-            seen: int, p_sum, phi_sum, grad_sum) -> np.ndarray:
-    """The iterate given these running sums over `seen` rows."""
+            seen: int, total: np.ndarray) -> np.ndarray:
+    """The iterate given the running sum over `seen` rows that w is read
+    from: p_sum for a finito state, grad_sum for SAG."""
     if isinstance(state, SagState):
         # every first-pass step, the last one included, scales by n/seen
         step = state.step * problem.n / seen if first_pass else state.step
-        return state.w - step * grad_sum
-    denom = state.alpha * problem.s * seen
-    if phi_sum is not None:
-        z = phi_sum / seen - grad_sum / denom
-    else:
-        z = p_sum / -denom  # negation is exact, so this is -p_sum / denom
+        return state.w - step * total
+    # negation is exact, so this is -p_sum / (alpha*s*seen)
+    z = total / -(state.alpha * problem.s * seen)
     if state.proximal and problem.l1_weight > 0.0:
         # prox_operator without its argument checks; l1 = 0 is the identity
         z = _soft_threshold(z, problem.l1_weight * (1.0 / (state.alpha * problem.s)))
@@ -233,17 +223,18 @@ def _fold(state: FinitoState | SagState, problem, j: int, first_pass: bool):
     w = state.w
     g = _gradient(problem, j, w, k)
     # stage the step in locals; the state changes only once it is checked
-    p_table, phi_table, grad_table = state.p_table, state.phi_table, state.grad_table
-    p_sum = phi_sum = grad_sum = None
-    if p_table is not None:
-        p_new = g - state.alpha * problem.s * w
-        p_sum = state.p_sum + (p_new - p_table[j])
+    sag = isinstance(state, SagState)
+    if sag:
+        table, row = state.grad_table, g
+        total = state.grad_sum + (g - table[j])
+    else:
+        table, row = state.p_table, g - state.alpha * problem.s * w
+        total = state.p_sum + (row - table[j])
+    phi_table = state.phi_table
     if phi_table is not None:
         phi_sum = state.phi_sum + (w - phi_table[j])
-    if grad_table is not None:
-        grad_sum = state.grad_sum + (g - grad_table[j])
     seen = state.seen + 1 if first_pass else state.seen
-    z = _next_w(state, problem, first_pass, seen, p_sum, phi_sum, grad_sum)
+    z = _next_w(state, problem, first_pass, seen, total)
     recompute = (k + 1) % n == 0
     # NaN and inf in g always reach z and then its sum, so a finite sum means
     # a finite step.  Otherwise (and on a recompute) replay the exact checks
@@ -252,19 +243,18 @@ def _fold(state: FinitoState | SagState, problem, j: int, first_pass: bool):
     if exact and not np.all(np.isfinite(g)):
         raise DivergenceError(f"non-finite gradient for component {j} at step {k}",
                               j=j, k=k)
-    if p_sum is not None:
-        p_table[j] = p_new
-        state.p_sum = p_sum
-    if phi_sum is not None:
+    table[j] = row
+    if sag:
+        state.grad_sum = total
+    else:
+        state.p_sum = total
+    if phi_table is not None:
         phi_table[j] = w
         state.phi_sum = phi_sum
-    if grad_sum is not None:
-        grad_table[j] = g
-        state.grad_sum = grad_sum
     state.seen = seen
     state.k = k + 1
     if recompute:
-        z = _next_w(state, problem, first_pass, seen, *_recompute_sums(state))
+        z = _next_w(state, problem, first_pass, seen, _recompute_sums(state))
     state.w = z
     if exact and not np.all(np.isfinite(state.w)):
         raise DivergenceError(f"iterate diverged at step {state.k}", j=j, k=state.k)
@@ -276,33 +266,32 @@ def finito_init(problem, alpha: float, w0=None, audit: bool = False,
                 solver_tag: str = "finito") -> FinitoState:
     """Build the table state.
 
-    The storage is the p table or, with audit=True, the phi and gradient
-    tables instead.  The default fills every row at w0 and sets w to the
-    resulting map.  With first_pass=True the tables start empty and rows are
-    admitted one at a time in index order by finito_first_pass_step, so a
-    pass costs exactly n gradient evaluations.
+    The storage is the p table and, with audit=True, the phi table beside
+    it.  The default fills every row at w0 and sets w to the resulting map.
+    With first_pass=True the tables start empty and rows are admitted one at
+    a time in index order by finito_first_pass_step, so a pass costs exactly
+    n gradient evaluations.
 
     solver_tag is one of FINITO_TAGS.  "prox-finito" makes the state proximal:
-    each refreshed w, from p_sum or (audit) from the phi and gradient sums,
-    goes through the L1 prox with step 1/(alpha*s).
+    each w refreshed from p_sum goes through the L1 prox with step
+    1/(alpha*s).
     """
     n, d = problem.n, problem.d
     w0 = problem._check_point(np.zeros(d) if w0 is None else w0)
+    phi = dict(phi_table=np.zeros((n, d)), phi_sum=np.zeros(d)) if audit else {}
     state = FinitoState(alpha=float(alpha), k=0, seen=0, w=w0.copy(),
-                        solver_tag=solver_tag,
-                        **{name: np.zeros((n, d) if name.endswith("_table") else d)
-                           for name in (AUDIT_ARRAYS if audit else COMPACT_ARRAYS)})
+                        p_table=np.zeros((n, d)), p_sum=np.zeros(d),
+                        solver_tag=solver_tag, **phi)
     if problem.s == 0.0:
         raise StrongConvexityRequired("the table update divides by alpha*s*n")
     if first_pass:
         return state
     grads = problem.table_gradients(np.broadcast_to(w0, (n, d)))
+    state.p_table = grads - alpha * problem.s * w0[None, :]
     if audit:
-        state.phi_table, state.grad_table = np.tile(w0, (n, 1)), grads
-    else:
-        state.p_table = grads - alpha * problem.s * w0[None, :]
+        state.phi_table = np.tile(w0, (n, 1))
     state.seen = n
-    state.w = _next_w(state, problem, False, n, *_recompute_sums(state))
+    state.w = _next_w(state, problem, False, n, _recompute_sums(state))
     return state
 
 

@@ -284,7 +284,7 @@ def test_criterion_10_infrastructure_round_trips():
                [(r.epoch, r.objective) for r in back]
 
     try:
-        parse_libsvm("1 0:2\n")
+        parse_libsvm(io.StringIO("1 0:2\n"))
         parser_ok = False
     except LibsvmFormatError as err:
         parser_ok = "line 1, column 3" in str(err)

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -136,6 +137,11 @@ def test_miso_without_strong_convexity_exits_one(tmp_path):
                  "target_beta must be finite and > 0", id="synth-beta-0"),
     pytest.param(["run", "--synth", "n=50,d=5,beta=-1"],
                  "target_beta must be finite and > 0", id="synth-beta-negative"),
+    # a subnormal s leaves the feature rescaling too few bits to tune L
+    pytest.param(["run", "--synth", "n=50,d=5,s=1e-320", "--epochs", "1"],
+                 "target beta=2.0 at s=1e-320", id="synth-s-subnormal"),
+    pytest.param(["compare", "--synth", "n=50,d=5,s=5e-324", "--configs", "finito"],
+                 "target beta=2.0 at s=5e-324", id="compare-synth-s-subnormal"),
     pytest.param(["verify", "--suite", "lyapunov", "--beta", "0"],
                  "target_beta must be finite and > 0", id="lyapunov-beta-0"),
     # the rate is certified only inside the admissible region (alpha >= 2 at
@@ -350,6 +356,29 @@ def test_resume_from_checkpoint_without_w_exits_one(tmp_path):
     code, _, err = call(["run", *base, "--epochs", "6", "--resume", str(ck)])
     assert code == 1
     assert "missing 'w'" in err
+
+
+def test_resume_from_audit_checkpoint_in_the_gradient_table_layout_exits_one(tmp_path):
+    # audit checkpoints once held phi and gradient tables in place of the p
+    # table, under the same header; such a file lacks the p table every
+    # finito state reads w from
+    ck = tmp_path / "state.ckpt"
+    base = ["--synth", SYNTH, "--solver", "finito", "--monitor", "table-mean",
+            "--seed", "5"]
+    code, _, _ = call(["run", *base, "--epochs", "2", "--save-state", str(ck)])
+    assert code == 0
+    head, *blocks = re.split(r"(?m)^(?=vec |table |END$)", ck.read_text())
+    parts = {" ".join(block.split()[:2]): block for block in blocks}
+    old = (head + parts["vec w"] + parts["vec phi_sum"]
+           + parts["vec p_sum"].replace("vec p_sum", "vec grad_sum")
+           + parts["table phi"] + parts["table p"].replace("table p", "table grad")
+           + parts["END"])
+    assert old.startswith("FINITOCKPT 2\n") and "\ntable grad 40\n" in old
+    ck.write_text(old)
+    code, out, err = call(["run", *base, "--epochs", "4", "--resume", str(ck)])
+    assert (code, out) == (1, "")
+    assert "missing 'p' table" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("solver", ["finito", "prox-finito", "miso"])

@@ -41,16 +41,10 @@ SAMPLE = "1 1:0.5 3:2\n-1 2:1\n"
 
 
 def test_parse_libsvm_dense_layout():
-    feats, labels = parse_libsvm(SAMPLE)
+    feats, labels = parse_libsvm(io.StringIO(SAMPLE))
     assert feats.shape == (2, 3)
     assert np.array_equal(feats, [[0.5, 0.0, 2.0], [0.0, 1.0, 0.0]])
     assert np.array_equal(labels, [1.0, -1.0])
-
-
-def test_parse_libsvm_d_hint_pads():
-    feats, _ = parse_libsvm(SAMPLE, d_hint=5)
-    assert feats.shape == (2, 5)
-    assert np.array_equal(feats[:, 3:], np.zeros((2, 2)))
 
 
 def test_parse_libsvm_from_path_and_stream(tmp_path):
@@ -59,35 +53,39 @@ def test_parse_libsvm_from_path_and_stream(tmp_path):
     from_path = parse_libsvm(path)[0]
     from_stream = parse_libsvm(io.StringIO(SAMPLE))[0]
     assert np.array_equal(from_path, from_stream)
+    # a plain str is a path too, never the content
+    assert np.array_equal(parse_libsvm(str(path))[0], from_stream)
+    with pytest.raises(FileNotFoundError):
+        parse_libsvm(SAMPLE)
 
 
 def test_parse_libsvm_error_positions():
     with pytest.raises(LibsvmFormatError, match=r"line 1, column 1: bad label"):
-        parse_libsvm("abc 1:2\n")
+        parse_libsvm(io.StringIO("abc 1:2\n"))
     with pytest.raises(LibsvmFormatError, match=r"line 2, column 4: indices are 1-based"):
-        parse_libsvm("1 1:2\n-1 0:3\n")
+        parse_libsvm(io.StringIO("1 1:2\n-1 0:3\n"))
     with pytest.raises(LibsvmFormatError, match=r"line 1, column 7: index 2 not ascending"):
-        parse_libsvm("1 3:1 2:5\n")
+        parse_libsvm(io.StringIO("1 3:1 2:5\n"))
     with pytest.raises(LibsvmFormatError, match=r"malformed token '1::'"):
-        parse_libsvm("1 1::\n")
+        parse_libsvm(io.StringIO("1 1::\n"))
     with pytest.raises(LibsvmFormatError, match=r"malformed token 'novalue'"):
-        parse_libsvm("1 novalue\n")
+        parse_libsvm(io.StringIO("1 novalue\n"))
     with pytest.raises(LibsvmFormatError, match="no data lines"):
-        parse_libsvm("")
+        parse_libsvm(io.StringIO(""))
 
 
 def test_parse_libsvm_memory_warning(monkeypatch):
     monkeypatch.setattr(finito.data_io, "DENSE_WARN_BYTES", 8)
     with pytest.warns(ResourceWarning, match="dense LIBSVM materialization"):
-        parse_libsvm(SAMPLE)
+        parse_libsvm(io.StringIO(SAMPLE))
 
 
 def test_parse_libsvm_concatenation():
     a = "1 1:1 2:2\n"
     b = "-1 1:3\n1 2:4\n"
-    fa, la = parse_libsvm(a, d_hint=2)
-    fb, lb = parse_libsvm(b, d_hint=2)
-    fab, lab = parse_libsvm(a + b, d_hint=2)
+    fa, la = parse_libsvm(io.StringIO(a))
+    fb, lb = parse_libsvm(io.StringIO(b))
+    fab, lab = parse_libsvm(io.StringIO(a + b))
     assert np.array_equal(fab, np.vstack([fa, fb]))
     assert np.array_equal(lab, np.concatenate([la, lb]))
 
@@ -206,10 +204,10 @@ def test_checkpoint_save_load_save_identity(synth_tiny, tmp_path, solver, audit)
 
 def test_prox_finito_checkpoint_keeps_one_table(synth_tiny, tmp_path):
     # prox-finito stores the compact p table only, unless audit asks for the
-    # phi and gradient tables instead; the tag and the arrays are the layout
+    # phi table beside it; the tag and the arrays are the layout
     problem, ref = synth_tiny
     path, state = run_and_checkpoint(problem, ref, "prox-finito", tmp_path)
-    assert state.proximal and state.phi_table is None and state.grad_table is None
+    assert state.proximal and state.phi_table is None and state.phi_sum is None
     lines = path.read_text().splitlines()
     assert [line for line in lines if line.startswith("table ")] == [
         f"table p {problem.n}"]
@@ -218,8 +216,8 @@ def test_prox_finito_checkpoint_keeps_one_table(synth_tiny, tmp_path):
     path, _ = run_and_checkpoint(problem, ref, "prox-finito", tmp_path, audit=True)
     assert [line.split()[:2] for line in path.read_text().splitlines()
             if line.startswith(("vec ", "table "))] == [
-        ["vec", "w"], ["vec", "phi_sum"], ["vec", "grad_sum"],
-        ["table", "phi"], ["table", "grad"]]
+        ["vec", "w"], ["vec", "p_sum"], ["vec", "phi_sum"],
+        ["table", "p"], ["table", "phi"]]
 
 
 def test_checkpoint_full_gradient_has_no_sampler(synth_tiny, tmp_path):
@@ -266,12 +264,13 @@ def test_checkpoint_corruption_detected(synth_tiny, tmp_path):
 # (edit None) or rewritten by `edit`
 @pytest.mark.parametrize("solver,prefix,edit,match", [
     pytest.param("finito", "vec w ", None, "missing", id="finito-vec w "),
-    # a finito state without one of its arrays holds neither storage
-    pytest.param("finito", "vec p_sum ", None, "got p_table$",
+    # every finito state holds the p arrays; a phi sum needs its table
+    pytest.param("finito", "vec p_sum ", None, "missing 'p_sum' vec$",
                  id="finito-vec p_sum "),
-    pytest.param("finito", "table p ", None, "got p_sum$", id="finito-table p "),
+    pytest.param("finito", "table p ", None, "missing 'p' table$",
+                 id="finito-table p "),
     pytest.param("prox-finito-audit", "table phi ", None,
-                 "got grad_table, phi_sum, grad_sum$", id="prox-finito-table phi "),
+                 "got p_table, p_sum, phi_sum$", id="prox-finito-table phi "),
     pytest.param("sag", "vec grad_sum ", None, "missing",
                  id="sag-vec grad_sum "),
     pytest.param("finito", "vec w ", lambda line: line.rsplit(" ", 1)[0],
@@ -386,8 +385,9 @@ def _table_block(text: str, name: str) -> str:
 # the arrays present are the storage, so a file with the arrays of neither
 # storage is refused (an `audit` line once said which to read)
 @pytest.mark.parametrize("solver,audit,edit,match", [
-    pytest.param("finito", True, lambda text: text.replace(_table_block(text, "grad"), ""),
-                 "got phi_table, phi_sum, grad_sum$", id="audit-without-table-grad"),
+    pytest.param("finito", True,
+                 lambda text: re.sub(r"^vec phi_sum .*\n", "", text, flags=re.M),
+                 "got p_table, p_sum, phi_table$", id="audit-without-vec-phi_sum"),
     pytest.param("prox-finito", False,
                  lambda text: text.replace("END\n", _table_block(text, "p").replace(
                      "table p ", "table phi ") + "END\n"),
@@ -434,7 +434,8 @@ def test_checkpoint_mid_first_pass_finishes_bit_exact(kind):
         step(part, problem, k)
     part, _ = checkpoint_load(io.StringIO(saved(part)), problem)
     assert part.k == part.seen == 7
-    for table in (part.p_table, part.phi_table, part.grad_table):
+    for name in ("p_table", "phi_table", "grad_table"):
+        table = getattr(part, name, None)
         if table is not None:
             assert not table[7:].any() and not np.signbit(table[7:]).any()
     for k in range(7, problem.n):

@@ -100,14 +100,13 @@ def _format_rows(rows, sep: str, blank: bool) -> str:
 
 @SETTINGS
 @given(libsvm_rows(), libsvm_rows(), st.sampled_from([" ", "\t", "  \t"]),
-       st.booleans(), st.integers(0, 15))
-def test_parse_libsvm_reads_formatted_rows(head, tail, sep, blank, d_hint):
+       st.booleans())
+def test_parse_libsvm_reads_formatted_rows(head, tail, sep, blank):
     # concatenating two valid files gives a valid file with both row sets
     rows = head + tail
-    features, targets = parse_libsvm(
-        _format_rows(head, sep, blank) + _format_rows(tail, sep, blank),
-        d_hint=d_hint)
-    width = max([d_hint] + [i for _, entries in rows for i, _ in entries])
+    features, targets = parse_libsvm(io.StringIO(
+        _format_rows(head, sep, blank) + _format_rows(tail, sep, blank)))
+    width = max([0] + [i for _, entries in rows for i, _ in entries])
     assert features.shape == (len(rows), width)
     expected = np.zeros((len(rows), width))
     for r, (label, entries) in enumerate(rows):
@@ -188,11 +187,9 @@ def arbitrary_states(draw):
                          grad_sum=draw(vector))
     else:
         tag = draw(st.sampled_from(["finito", "prox-finito", "miso"]))
-        if draw(st.booleans()):  # audit storage, for any tag, instead of p
-            arrays = dict(phi_table=draw(table), grad_table=draw(table),
-                          phi_sum=draw(vector), grad_sum=draw(vector))
-        else:
-            arrays = dict(p_table=draw(table), p_sum=draw(vector))
+        arrays = dict(p_table=draw(table), p_sum=draw(vector))
+        if draw(st.booleans()):  # audit storage, for any tag, beside p
+            arrays.update(phi_table=draw(table), phi_sum=draw(vector))
         state = FinitoState(alpha=draw(positive), k=k, seen=seen, w=draw(vector),
                             solver_tag=tag, **arrays)
     sampler = None

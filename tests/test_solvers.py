@@ -27,6 +27,7 @@ from finito import (
     finito_first_pass_step,
     finito_init,
     finito_step,
+    prox_operator,
     reference_solve,
     run,
     run_with_state,
@@ -37,6 +38,7 @@ from finito import (
     synth_problem,
     SynthSpec,
 )
+from finito.samplers import SAMPLING_NAMES
 from finito.solvers import FINITO_TAGS
 
 
@@ -121,11 +123,13 @@ def test_audit_rows_decompose_compact_rows(synth_tiny, rng):
     problem, _ = synth_tiny
     compact = finito_init(problem, alpha=2.0, w0=np.zeros(problem.d))
     audit = finito_init(problem, alpha=2.0, w0=np.zeros(problem.d), audit=True)
-    assert audit.p_table is None and compact.phi_table is None
+    assert compact.phi_table is None and compact.phi_sum is None
     for j in rng.integers(problem.n, size=60):
         finito_step(compact, problem, int(j))
         finito_step(audit, problem, int(j))
-    want = audit.grad_table - audit.alpha * problem.s * audit.phi_table
+    assert np.array_equal(audit.p_table, compact.p_table)
+    want = (problem.table_gradients(audit.phi_table)
+            - audit.alpha * problem.s * audit.phi_table)
     assert np.max(np.abs(compact.p_table - want)) <= 1e-12
 
 
@@ -145,21 +149,20 @@ def test_audit_and_compact_agree(synth_tiny, rng):
     for j in rng.integers(problem.n, size=100):
         finito_step(a, problem, int(j))
         finito_step(b, problem, int(j))
-        assert np.linalg.norm(a.w - b.w) <= 1e-10
+        assert np.array_equal(a.w, b.w)
 
 
 def test_audit_and_compact_prox_finito_agree(rng):
-    # both soft-threshold the same point, phi_bar - g_bar/(alpha*s) in audit
-    # storage and -p_bar/(alpha*s) in compact storage; only rounding differs
+    # both soft-threshold the same point, -p_bar/(alpha*s); the phi table of
+    # audit storage never feeds back into w
     problem, _ = synth_problem(SynthSpec(n=20, d=3, seed=1, l1_weight=0.01))
     a = finito_init(problem, alpha=2.0, audit=True, solver_tag="prox-finito")
     b = finito_init(problem, alpha=2.0, solver_tag="prox-finito")
     assert a.audit and not b.audit
-    tol = 4 * problem.n * np.finfo(float).eps
     for j in rng.integers(problem.n, size=100):
         finito_step(a, problem, int(j))
         finito_step(b, problem, int(j))
-        assert np.linalg.norm(a.w - b.w) <= tol * np.linalg.norm(a.w)
+        assert np.array_equal(a.w, b.w)
     assert 0 < np.count_nonzero(b.w) < problem.d  # the prox zeroes a coordinate
 
 
@@ -329,8 +332,32 @@ def test_fresh_run_keeps_audit_storage_exactly_when_monitoring_the_table_mean(
             _, state, _ = run_with_state(problem, config, SamplingScheme(UNIFORM), 1)
             assert state.audit is (monitor == "table-mean")
             assert (state.phi_table is None) is (monitor == "iterate")
-            assert (state.p_table is None) is (monitor == "table-mean")
+            assert (state.phi_sum is None) is (monitor == "iterate")
+            assert state.p_table is not None and state.p_sum is not None
     assert not any(f.name == "audit" for f in dataclasses.fields(SolverConfig))
+
+
+@pytest.mark.parametrize("tag", FINITO_TAGS)
+def test_the_monitor_never_changes_the_trajectory(tag):
+    # the table-mean monitor keeps the phi table beside the p table, and w
+    # is read from p_sum in either storage
+    problem, ref = synth_problem(SynthSpec(n=12, d=3, l1_weight=0.05, seed=7))
+    for sampling in SAMPLING_NAMES:
+        for first_pass in (False, True):
+            ends = []
+            for monitor in ("iterate", "table-mean"):
+                config = SolverConfig(solver=tag, first_pass=first_pass,
+                                      monitor=monitor, w0=np.zeros(problem.d))
+                _, state, _ = run_with_state(
+                    problem, config, SamplingScheme.from_name(sampling, 3), 4,
+                    reference=ref)
+                ends.append(state)
+            iterate, table_mean = ends
+            assert table_mean.audit and not iterate.audit
+            for name in ("w", "p_table", "p_sum"):
+                assert np.array_equal(getattr(iterate, name),
+                                      getattr(table_mean, name)), \
+                    (sampling, first_pass, name)
 
 
 def test_table_mean_monitor_reports_phi_mean(synth_tiny):
@@ -381,7 +408,8 @@ def test_reference_solve_l1_certificate_holds_at_w_star():
     step = 1.0 / problem.lipschitz_constant()
     w = ref.w_star
     resid = np.linalg.norm(
-        problem.prox(w - step * problem.full_gradient(w), step) - w)
+        prox_operator(problem.l1_weight, w - step * problem.full_gradient(w), step)
+        - w)
     assert resid <= 1e-12
     assert ref.f_star == problem.full_objective(w)
 
