@@ -341,7 +341,7 @@ def test_fresh_run_keeps_audit_storage_exactly_when_monitoring_the_table_mean(
 def test_the_monitor_never_changes_the_trajectory(tag):
     # the table-mean monitor keeps the phi table beside the p table, and w
     # is read from p_sum in either storage
-    problem, ref = synth_problem(SynthSpec(n=12, d=3, l1_weight=0.05, seed=7))
+    problem, _ = synth_problem(SynthSpec(n=12, d=3, l1_weight=0.05, seed=7))
     for sampling in SAMPLING_NAMES:
         for first_pass in (False, True):
             ends = []
@@ -349,8 +349,7 @@ def test_the_monitor_never_changes_the_trajectory(tag):
                 config = SolverConfig(solver=tag, first_pass=first_pass,
                                       monitor=monitor, w0=np.zeros(problem.d))
                 _, state, _ = run_with_state(
-                    problem, config, SamplingScheme.from_name(sampling, 3), 4,
-                    reference=ref)
+                    problem, config, SamplingScheme.from_name(sampling, 3), 4)
                 ends.append(state)
             iterate, table_mean = ends
             assert table_mean.audit and not iterate.audit
