@@ -100,7 +100,8 @@ class _ProblemBase:
     # -- validation helpers -------------------------------------------------
 
     def _check_index(self, i: int) -> int:
-        i = _as_index(i)
+        if type(i) is not int:
+            i = _as_index(i)
         if not 0 <= i < self.n:
             raise IndexError(f"component index {i} out of range [0, {self.n})")
         return i
@@ -220,8 +221,7 @@ class FiniteSumProblem(_ProblemBase):
         # log(1 + exp(-y m)) evaluated stably for large |m|
         return np.logaddexp(0.0, -targets * margins)
 
-    def _loss_dmargin(self, margins, targets):
-        # arrays for the table ops, Python floats for component_gradient
+    def _loss_dmargin(self, margins: np.ndarray, targets: np.ndarray) -> np.ndarray:
         if self.loss == SQUARED:
             return margins - targets
         # sigmoid(-y m) in tanh form, which cannot overflow for any margin
@@ -244,7 +244,13 @@ class FiniteSumProblem(_ProblemBase):
         if not math.isfinite(m):
             # the features are finite, so any NaN or inf in w reaches m
             self._check_point(w)
-        dm = float(self._loss_dmargin(m, self.targets.item(i)))
+        y = self.targets.item(i)
+        if self.loss == SQUARED:
+            dm = m - y
+        else:
+            # _loss_dmargin's operations on Python floats; math.tanh rounds
+            # differently from np.tanh, so the one tanh stays numpy's
+            dm = -y * (0.5 - 0.5 * float(np.tanh(0.5 * y * m)))
         return dm * x + self.s * w
 
     def table_values(self, points: np.ndarray) -> np.ndarray:

@@ -152,14 +152,6 @@ class SolverConfig:
     w0: np.ndarray | None = None
 
 
-def _gradient(problem, j: int, w: np.ndarray, k: int) -> np.ndarray:
-    try:
-        return problem.component_gradient(j, w)
-    except ValueError as exc:
-        raise DivergenceError(f"iterate no longer finite at step {k}: {exc}",
-                              j=j, k=k) from exc
-
-
 def _require_positive(name: str, value: float) -> None:
     # NaN fails both comparisons, so it is rejected along with 0, < 0 and inf
     if not 0 < value < math.inf:
@@ -175,26 +167,8 @@ def _check_table_state(name: str, value: float, k: int, seen: int, table) -> Non
                          f"seen == n={len(table)} or seen == k < n")
 
 
-def _recompute_sums(state: FinitoState | SagState) -> np.ndarray:
-    # periodic full recompute bounds incremental-sum drift; returns the sum
-    # that _next_w reads w from
-    if state.phi_table is not None:
-        state.phi_sum = state.phi_table.sum(axis=0)
-    if isinstance(state, SagState):
-        state.grad_sum = state.grad_table.sum(axis=0)
-        return state.grad_sum
-    state.p_sum = state.p_table.sum(axis=0)
-    return state.p_sum
-
-
-def _next_w(state: FinitoState | SagState, problem, first_pass: bool,
-            seen: int, total: np.ndarray) -> np.ndarray:
-    """The iterate given the running sum over `seen` rows that w is read
-    from: p_sum for a finito state, grad_sum for SAG."""
-    if isinstance(state, SagState):
-        # every first-pass step, the last one included, scales by n/seen
-        step = state.step * problem.n / seen if first_pass else state.step
-        return state.w - step * total
+def _next_w(state: FinitoState, problem, seen: int, total: np.ndarray) -> np.ndarray:
+    """A finito state's iterate given p_sum over its `seen` rows."""
     # negation is exact, so this is -p_sum / (alpha*s*seen)
     z = total / -(state.alpha * problem.s * seen)
     if state.proximal and problem.l1_weight > 0.0:
@@ -207,57 +181,68 @@ def _fold(state: FinitoState | SagState, problem, j: int, first_pass: bool):
     # the first pass folds in the next unseen row, still all +0.0, so
     # sum + (new - row) is exactly sum + new
     n = problem.n
+    seen = state.seen
     if first_pass:
-        if state.seen >= n:
+        if seen >= n:
             raise ValueError(f"first pass is over (k >= n = {n})")
         j = _as_index(j)
-        if j != state.seen:
+        if j != seen:
             raise ValueError("first pass visits components in index order; "
-                             f"expected k={state.seen}, got {j}")
-    elif state.seen < n:
+                             f"expected k={seen}, got {j}")
+        seen += 1
+    elif seen < n:
         kind = "sag" if isinstance(state, SagState) else "finito"
         raise ValueError(f"first pass incomplete; step with {kind}_first_pass_step")
-    else:
-        j = _as_index(j)  # component_gradient checks the range
     k = state.k
     w = state.w
-    g = _gradient(problem, j, w, k)
+    try:
+        # checks j, its type and range, before anything changes
+        g = problem.component_gradient(j, w)
+    except ValueError as exc:
+        raise DivergenceError(f"iterate no longer finite at step {k}: {exc}",
+                              j=j, k=k) from exc
     # stage the step in locals; the state changes only once it is checked
     sag = isinstance(state, SagState)
     if sag:
-        table, row = state.grad_table, g
-        total = state.grad_sum + (g - table[j])
+        # every first-pass step, the last one included, scales by n/seen
+        step = state.step * n / seen if first_pass else state.step
+        table, row, total = state.grad_table, g, state.grad_sum
     else:
-        table, row = state.p_table, g - state.alpha * problem.s * w
-        total = state.p_sum + (row - table[j])
-    phi_table = state.phi_table
-    if phi_table is not None:
-        phi_sum = state.phi_sum + (w - phi_table[j])
-    seen = state.seen + 1 if first_pass else state.seen
-    z = _next_w(state, problem, first_pass, seen, total)
+        table, row, total = state.p_table, g - state.alpha * problem.s * w, state.p_sum
+    total = total + (row - table[j])
+    z = w - step * total if sag else _next_w(state, problem, seen, total)
     recompute = (k + 1) % n == 0
-    # NaN and inf in g always reach z and then its sum, so a finite sum means
-    # a finite step.  Otherwise (and on a recompute) replay the exact checks
-    # in order; finite entries whose sum overflows pass them.
-    exact = recompute or not math.isfinite(z.sum())
+    # NaN and inf in g always reach z and then z.z, so a finite z.z means a
+    # finite step.  Otherwise (and on a recompute) take the exact checks in
+    # order; finite entries whose square overflows pass them.
+    exact = recompute or not math.isfinite(z.dot(z))
     if exact and not np.all(np.isfinite(g)):
         raise DivergenceError(f"non-finite gradient for component {j} at step {k}",
                               j=j, k=k)
+    if recompute:
+        # the periodic full recompute bounds incremental-sum drift; it reads
+        # the new row from the table, which gets its old row back on a raise
+        old = table[j].copy()
+        table[j] = row
+        total = table.sum(axis=0)
+        z = w - step * total if sag else _next_w(state, problem, seen, total)
+    if exact and not np.all(np.isfinite(z)):
+        if recompute:
+            table[j] = old
+        raise DivergenceError(f"iterate diverged at step {k + 1}", j=j, k=k + 1)
     table[j] = row
     if sag:
         state.grad_sum = total
     else:
         state.p_sum = total
+    phi_table = state.phi_table
     if phi_table is not None:
+        phi_sum = state.phi_sum + (w - phi_table[j])
         phi_table[j] = w
-        state.phi_sum = phi_sum
+        state.phi_sum = phi_table.sum(axis=0) if recompute else phi_sum
     state.seen = seen
     state.k = k + 1
-    if recompute:
-        z = _next_w(state, problem, first_pass, seen, _recompute_sums(state))
     state.w = z
-    if exact and not np.all(np.isfinite(state.w)):
-        raise DivergenceError(f"iterate diverged at step {state.k}", j=j, k=state.k)
     return state
 
 
@@ -288,10 +273,12 @@ def finito_init(problem, alpha: float, w0=None, audit: bool = False,
         return state
     grads = problem.table_gradients(np.broadcast_to(w0, (n, d)))
     state.p_table = grads - alpha * problem.s * w0[None, :]
+    state.p_sum = state.p_table.sum(axis=0)
     if audit:
         state.phi_table = np.tile(w0, (n, 1))
+        state.phi_sum = state.phi_table.sum(axis=0)
     state.seen = n
-    state.w = _next_w(state, problem, False, n, _recompute_sums(state))
+    state.w = _next_w(state, problem, n, state.p_sum)
     return state
 
 
@@ -332,8 +319,8 @@ def sag_init(problem, w0=None, step: float | None = None,
                      grad_table=np.zeros((n, d)), grad_sum=np.zeros(d))
     if not first_pass:
         state.grad_table = problem.table_gradients(np.broadcast_to(w0, (n, d)))
+        state.grad_sum = state.grad_table.sum(axis=0)
         state.seen = n
-        _recompute_sums(state)
     return state
 
 
@@ -442,6 +429,12 @@ def run_with_state(problem, config: SolverConfig, scheme: SamplingScheme,
         L = problem.lipschitz_constant()
         gd_step = config.step if config.step is not None else 1.0 / L
         _require_positive("step", gd_step)
+    else:
+        # bound once per run, from the module globals as they are when it starts
+        sag = isinstance(state, SagState)
+        first = sag_first_pass_step if sag else finito_first_pass_step
+        step = sag_step if sag else finito_step
+        next_index = sampler.next_index
 
     while state.k < total_steps:
         try:
@@ -453,12 +446,9 @@ def run_with_state(problem, config: SolverConfig, scheme: SamplingScheme,
                 if not np.all(np.isfinite(state.w)):
                     raise DivergenceError("iterate diverged", k=state.k)
             elif state.seen < n:
-                first = (sag_first_pass_step if isinstance(state, SagState)
-                         else finito_first_pass_step)
                 first(state, problem, state.seen)
             else:
-                step = sag_step if isinstance(state, SagState) else finito_step
-                step(state, problem, sampler.next_index())
+                step(state, problem, next_index())
         except DivergenceError as err:
             err.records = records
             raise

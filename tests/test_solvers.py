@@ -459,29 +459,44 @@ def _snapshot(state):
 
 @pytest.mark.parametrize("first_pass", [False, True])
 @pytest.mark.parametrize("kind", ["finito", "finito-audit", "sag"])
-@pytest.mark.parametrize("loss", ["quadratic", "squared"])
+@pytest.mark.parametrize("loss", ["quadratic", "squared", "overflowing-iterate",
+                                  "overflowing-iterate-at-recompute"])
 def test_non_finite_gradient_leaves_state_untouched(loss, kind, first_pass):
+    overflow = loss.startswith("overflowing-iterate")
+    # k = n - 1 = 3 makes the step a recompute of the table sums
+    at = 3 if loss.endswith("at-recompute") else 0
     if loss == "quadratic":
         # weight 2 doubles w - c = 1.5e308 past the largest double
         problem = QuadraticProblem(centers=np.zeros((4, 3)), weights=np.full(4, 2.0))
-    else:
+    elif loss == "squared":
         # a finite point whose margin overflows, and the loss keeps it infinite
         problem = FiniteSumProblem(np.ones((4, 3)), np.zeros(4), SQUARED, s=0.5)
+    else:
+        # the gradient w = 1e308 is finite, but the next iterate is not:
+        # finito divides p_sum by alpha*s*seen <= 0.4, and sag moves 3 times
+        # the gradient sum (n/seen times that in the first pass)
+        problem = QuadraticProblem(centers=np.zeros((4, 3)))
     if kind == "sag":
-        state = sag_init(problem, step=0.1, first_pass=first_pass)
+        state = sag_init(problem, step=3.0 if overflow else 0.1, first_pass=first_pass)
         step = sag_first_pass_step if first_pass else sag_step
     else:
-        state = finito_init(problem, 2.0, audit=kind == "finito-audit",
-                            first_pass=first_pass)
+        state = finito_init(problem, 0.1 if overflow else 2.0,
+                            audit=kind == "finito-audit", first_pass=first_pass)
         step = finito_first_pass_step if first_pass else finito_step
-    state.w = np.full(problem.d, 1.5e308)
+    for j in range(at):
+        step(state, problem, j)  # at w = 0 every row and sum stays 0
+    state.w = np.full(problem.d, 1e308 if overflow else 1.5e308)
     before = _snapshot(state)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         with pytest.raises(DivergenceError) as info:
-            step(state, problem, 0)
-    assert str(info.value) == "non-finite gradient for component 0 at step 0"
-    assert (info.value.j, info.value.k) == (0, 0)
+            step(state, problem, at)
+    if overflow:
+        assert str(info.value) == f"iterate diverged at step {at + 1}"
+        assert (info.value.j, info.value.k) == (at, at + 1)
+    else:
+        assert str(info.value) == "non-finite gradient for component 0 at step 0"
+        assert (info.value.j, info.value.k) == (0, 0)
     assert _snapshot(state) == before
 
 
