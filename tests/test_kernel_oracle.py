@@ -139,8 +139,9 @@ def test_every_step_matches_the_textbook_iterate(tag, audit, first_pass, drawn, 
                                                  alpha, epochs, huge):
     problem, rng = drawn
     n = problem.n
-    # a huge w0 overflows somewhere in the first pass, where the oracle's map
-    # is the kernel's arithmetic; such a draw runs that pass only
+    # a huge w0 may overflow in the first pass, where the oracle's map is the
+    # kernel's arithmetic bit for bit, so both agree on where the iterate
+    # stops being finite; such a draw runs that pass only
     huge = huge and first_pass
     w0 = rng.standard_normal(problem.d) * (2.0**1022 if huge else 1.0)
     if "sag" in tag:
