@@ -227,13 +227,12 @@ def cmd_compare(args) -> int:
 # verify
 
 
-def _reports_csv(reports: list[CheckReport]) -> str:
-    lines = ["name,lhs,rhs,slack,satisfied"]
-    for r in reports:
-        flag = "true" if r.satisfied else "false"
-        lines.append(f"{r.name},{_fmt(r.lhs)},{_fmt(r.rhs)},"
-                     f"{_fmt(r.slack)},{flag}")
-    return "\n".join(lines) + "\n"
+def _rows(reports: list[CheckReport]) -> tuple[str, bool]:
+    """A suite's CSV rows and whether every check holds, made in the
+    process that ran the suite, so a worker sends text and not reports."""
+    text = "".join(f"{r.name},{_fmt(r.lhs)},{_fmt(r.rhs)},{_fmt(r.slack)},"
+                   f"{'true' if r.satisfied else 'false'}\n" for r in reports)
+    return text, all(r.satisfied for r in reports)
 
 
 def _spare_cpus() -> int:
@@ -316,27 +315,26 @@ def cmd_verify(args) -> int:
 
     # in CSV order
     calls = {
-        "inequalities": lambda: suite_inequalities(
+        "inequalities": lambda: _rows(suite_inequalities(
             n=pick(args.n, 40), d=pick(args.d, 5), beta=args.beta,
-            draws=pick(args.draws, 100), seed=args.seed, alpha=args.alpha),
-        "lyapunov": lambda: suite_lyapunov(
+            draws=pick(args.draws, 100), seed=args.seed, alpha=args.alpha)),
+        "lyapunov": lambda: _rows(suite_lyapunov(
             n=pick(args.n, 40), d=pick(args.d, 5), beta=args.beta,
-            states=pick(args.draws, 200), seed=args.seed, alpha=args.alpha),
-        "rate": lambda: suite_rate(n=pick(args.n, 200), seed=args.seed,
-                                   alpha=args.alpha),
-        "lowerbound": lambda: suite_lowerbound(seed=args.seed,
-                                               n=pick(args.n, 10)),
+            states=pick(args.draws, 200), seed=args.seed, alpha=args.alpha)),
+        "rate": lambda: _rows(suite_rate(n=pick(args.n, 200), seed=args.seed,
+                                         alpha=args.alpha)),
+        "lowerbound": lambda: _rows(suite_lowerbound(seed=args.seed,
+                                                     n=pick(args.n, 10))),
     }
     calls = {name: call for name, call in calls.items()
              if args.suite in (name, "all")}
     done = _run_suites(calls)
-    reports: list[CheckReport] = []
     for name in calls:  # a call after the first error has no entry
         if isinstance(done[name], Exception):
             raise done[name]
-        reports += done[name]
-    _write_text(args.out, _reports_csv(reports))
-    return 0 if all(r.satisfied for r in reports) else 3
+    texts, holds = zip(*(done[name] for name in calls))
+    _write_text(args.out, "name,lhs,rhs,slack,satisfied\n" + "".join(texts))
+    return 0 if all(holds) else 3
 
 
 # ---------------------------------------------------------------------------

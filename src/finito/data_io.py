@@ -9,6 +9,7 @@ source or sink is a str/Path filesystem path or an open text stream.
 from __future__ import annotations
 
 import math
+import os
 import re
 import warnings
 from contextlib import contextmanager
@@ -46,11 +47,25 @@ class CheckpointFormatError(ValueError):
 
 @contextmanager
 def _open_text(source, mode: str):
-    if isinstance(source, (str, Path)):
-        with open(source, mode, encoding="ascii", newline="") as handle:
-            yield handle
-    else:
+    # a regular file (or a new one) opened to write ("w") is written beside
+    # itself and replaced only once the writer is done, so a write that fails
+    # part-way leaves it whole; a device or a pipe is written in place
+    if not isinstance(source, (str, Path)):
         yield source
+        return
+    path = temp = Path(source)
+    if mode == "w" and (path.is_file() or not path.exists()):
+        path = path.resolve()  # a symlink keeps pointing at the new file
+        temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(temp, mode, encoding="ascii", newline="") as handle:
+            yield handle
+        if temp != path:
+            temp.replace(path)
+    except BaseException:
+        if temp != path:
+            temp.unlink(missing_ok=True)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +302,9 @@ def checkpoint_save(state, sink, sampler: IndexSampler | None = None) -> None:
     per x_table field that is set, vecs first, each in field order.  Floats
     are hexadecimal literals, so save -> load -> save is byte-identical and
     resumed runs replay the exact arithmetic of an uninterrupted one.  Lines
-    are written one at a time, never the whole file.
+    are written one at a time, never the whole file, and a path is replaced
+    only by a whole checkpoint: saving over the one a run resumed from is
+    safe.
     """
     cls = type(state)
     if cls not in _STATE_CLASSES.values():

@@ -252,10 +252,11 @@ def finito_init(problem, alpha: float, w0=None, audit: bool = False,
     """Build the table state.
 
     The storage is the p table and, with audit=True, the phi table beside
-    it.  The default fills every row at w0 and sets w to the resulting map.
-    With first_pass=True the tables start empty and rows are admitted one at
-    a time in index order by finito_first_pass_step, so a pass costs exactly
-    n gradient evaluations.
+    it.  The default fills every row at w0 and sets w to the resulting map
+    (DivergenceError at k = 0 if it is not finite).  With first_pass=True
+    the tables start empty and rows are admitted one at a time in index
+    order by finito_first_pass_step, so a pass costs exactly n gradient
+    evaluations.
 
     solver_tag is one of FINITO_TAGS.  "prox-finito" makes the state proximal:
     each w refreshed from p_sum goes through the L1 prox with step
@@ -279,6 +280,8 @@ def finito_init(problem, alpha: float, w0=None, audit: bool = False,
         state.phi_sum = state.phi_table.sum(axis=0)
     state.seen = n
     state.w = _next_w(state, problem, n, state.p_sum)
+    if not np.all(np.isfinite(state.w)):  # as the first pass would raise
+        raise DivergenceError("iterate diverged at step 0", k=0)
     return state
 
 
@@ -321,6 +324,8 @@ def sag_init(problem, w0=None, step: float | None = None,
         state.grad_table = problem.table_gradients(np.broadcast_to(w0, (n, d)))
         state.grad_sum = state.grad_table.sum(axis=0)
         state.seen = n
+        if not np.all(np.isfinite(state.grad_sum)):
+            raise DivergenceError("gradient sum diverged at step 0", k=0)
     return state
 
 

@@ -491,21 +491,22 @@ def expected_decrease_check(problem, phi_table: np.ndarray, w: np.ndarray,
 # convexity / smoothness inequality suite
 
 
-def random_ball_point(rng: np.random.Generator, center: np.ndarray,
-                radius: float) -> np.ndarray:
-    """Uniform direction, length uniform in [0, radius]."""
-    raw = rng.standard_normal(center.shape[0])
-    norm = float(np.linalg.norm(raw))
-    if norm == 0.0:
-        return center.copy()
-    return center + raw * (radius * rng.uniform() / norm)
+def random_ball_points(rng: np.random.Generator, center: np.ndarray,
+                       radius: float, m: int) -> np.ndarray:
+    """(m, d) points, each a uniform direction (a normalised Gaussian) from
+    center and a length uniform in [0, radius].  Draws (m, d) normals, then
+    m uniforms; a zero normal gives center."""
+    raw = rng.standard_normal((m, center.shape[0]))
+    lengths = radius * rng.uniform(size=m)
+    norms = np.linalg.norm(raw, axis=1)
+    scale = np.divide(lengths, norms, out=np.zeros(m), where=norms > 0.0)
+    return center + raw * scale[:, None]
 
 
 def random_table(problem, w_star: np.ndarray,
                  rng: np.random.Generator) -> np.ndarray:
     """Random (n, d) table with rows in the BALL_RADIUS ball around w_star."""
-    return np.stack([random_ball_point(rng, w_star, BALL_RADIUS)
-                     for _ in range(problem.n)])
+    return random_ball_points(rng, w_star, BALL_RADIUS, problem.n)
 
 
 def audit_block(n: int, d: int) -> int:
@@ -574,8 +575,7 @@ def convexity_suite(problem, reference: ReferenceSolution, draws: int = 100,
     for first in range(0, draws, block):
         pairs, tables = [], []
         for t in range(first, min(first + block, draws)):
-            x = random_ball_point(rng, w_star, BALL_RADIUS)
-            y = random_ball_point(rng, w_star, BALL_RADIUS)
+            x, y = random_ball_points(rng, w_star, BALL_RADIUS, 2)
             pairs.append(pair_checks(problem, x, y, f"draw={t}"))
             tables.append(random_table(problem, w_star, rng))
         audit = Audit(problem, np.stack(tables), None, alpha)
@@ -706,19 +706,20 @@ def suite_inequalities(n: int, d: int, beta: float, draws: int, seed: int,
                               seed=seed)
     w_star = reference.w_star
     rng = np.random.default_rng([seed, 1])
-    for t in range(draws):
-        i = int(rng.integers(problem.n))
-        x = random_ball_point(rng, w_star, BALL_RADIUS)
-        y = random_ball_point(rng, w_star, BALL_RADIUS)
-        report = strong_lb_check(problem, i, x, y)
+    components = rng.integers(problem.n, size=draws).tolist()
+    pairs = random_ball_points(rng, w_star, BALL_RADIUS, 2 * draws)
+    for t, i in enumerate(components):
+        report = strong_lb_check(problem, i, pairs[2 * t], pairs[2 * t + 1])
         report.context = f"draw={t} {report.context}"
         reports.append(report)
     block = audit_block(problem.n, problem.d)
     for first in range(0, draws, block):
         tables, points = [], []
         for _ in range(first, min(first + block, draws)):
-            tables.append(random_table(problem, w_star, rng))
-            points.append(random_ball_point(rng, w_star, BALL_RADIUS))
+            # a table and its point per call, so the draws do not depend on block
+            drawn = random_ball_points(rng, w_star, BALL_RADIUS, problem.n + 1)
+            tables.append(drawn[:-1])
+            points.append(drawn[-1])
         audit = Audit(problem, np.stack(tables), np.stack(points), alpha)
         for t, report in enumerate(audit.lower_bound_report(beta), first):
             report.context = f"draw={t} {report.context}"

@@ -220,6 +220,27 @@ def test_divergence_exits_two_with_partial_trace():
     assert lines[0] == TRACE_HEADER and len(lines) >= 2
 
 
+@pytest.mark.parametrize("solver", ["finito", "prox-finito", "miso", "sag"])
+@pytest.mark.parametrize("first_pass", [True, False])
+def test_rows_that_overflow_at_w0_exit_two(tmp_path, solver, first_pass):
+    # squared losses near 1e400 at w0: the state built with every row at w0
+    # is as non-finite as the first pass's first step, and both are
+    # divergence at step 0, not a bad point handed to the objective
+    data = tmp_path / "huge.libsvm"
+    data.write_text("1e200 1:1e120 2:-2e120\n-1e200 1:3e120\n1e200 2:1e120\n")
+    argv = ["run", "--data", str(data), "--loss", "squared", "--s", "0.5",
+            "--epochs", "1", "--fstar", "none", "--solver", solver]
+    with np.errstate(all="ignore"):
+        code, out, err = call(argv + ([] if first_pass else ["--no-first-pass"]))
+    assert code == 2 and out.startswith(TRACE_HEADER + "\n")
+    if first_pass:
+        expected = "non-finite gradient for component 0 at step 0"
+    else:
+        built = "gradient sum" if solver == "sag" else "iterate"
+        expected = f"{built} diverged at step 0"
+    assert err == f"diverged: {expected}\n"
+
+
 def test_verification_failure_exits_three(monkeypatch):
     monkeypatch.setattr(
         cli, "suite_lowerbound",

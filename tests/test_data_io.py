@@ -2,7 +2,9 @@
 
 import io
 import math
+import os
 import re
+import stat
 
 import numpy as np
 import pytest
@@ -200,6 +202,46 @@ def test_checkpoint_save_load_save_identity(synth_tiny, tmp_path, solver, audit)
     sink = io.StringIO()
     checkpoint_save(state, sink, sampler)
     assert sink.getvalue() == first
+
+
+def test_a_failed_save_keeps_the_old_checkpoint(synth_tiny, tmp_path, monkeypatch):
+    # `run --resume F --save-state F` saves over the checkpoint it resumed
+    # from; a save that fails part-way must not have truncated it
+    problem, ref = synth_tiny
+    path, state = run_and_checkpoint(problem, ref, "finito", tmp_path)
+    before = path.read_bytes()
+    state.k += problem.n  # a later state, so a whole save would change the file
+    hex_vector, calls = finito.data_io._hex_vector, []
+
+    def fails_second(v):
+        calls.append(1)
+        if len(calls) == 2:
+            raise OSError("disk full")
+        return hex_vector(v)
+    monkeypatch.setattr(finito.data_io, "_hex_vector", fails_second)
+    with pytest.raises(OSError, match="disk full"):
+        checkpoint_save(state, path, None)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+    monkeypatch.undo()
+    checkpoint_save(state, path, None)
+    assert path.read_bytes() != before
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+def test_a_save_through_a_link_or_to_a_device_writes_in_place(synth_tiny, tmp_path):
+    # the replacing file goes beside the link's target, and a device is
+    # never replaced by a regular file
+    problem, ref = synth_tiny
+    path, state = run_and_checkpoint(problem, ref, "finito", tmp_path)
+    link = tmp_path / "link.ckpt"
+    link.symlink_to(path.name)
+    sink = io.StringIO()
+    checkpoint_save(state, sink, None)
+    checkpoint_save(state, link, None)
+    assert link.is_symlink() and path.read_text() == sink.getvalue()
+    checkpoint_save(state, os.devnull, None)
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
 
 
 def test_prox_finito_checkpoint_keeps_one_table(synth_tiny, tmp_path):

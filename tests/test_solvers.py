@@ -457,6 +457,21 @@ def _snapshot(state):
             state.k, state.seen)
 
 
+@pytest.mark.parametrize("kind,message", [
+    ("finito", "iterate diverged at step 0"),
+    ("sag", "gradient sum diverged at step 0"),
+])
+def test_a_state_whose_sums_overflow_at_w0_is_refused(kind, message):
+    # each row's gradient at w0 is -1e308, but three of them sum past the
+    # largest double
+    problem = QuadraticProblem(centers=np.full((3, 2), 1e308))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(DivergenceError, match=message) as info:
+            finito_init(problem, 2.0) if kind == "finito" else sag_init(problem)
+    assert (info.value.j, info.value.k) == (None, 0)
+
+
 @pytest.mark.parametrize("first_pass", [False, True])
 @pytest.mark.parametrize("kind", ["finito", "finito-audit", "sag"])
 @pytest.mark.parametrize("loss", ["quadratic", "squared", "overflowing-iterate",

@@ -642,6 +642,44 @@ def report_bits(report):
             report.slack.hex(), report.satisfied, report.context)
 
 
+@pytest.mark.parametrize("m,d", [(1, 1), (7, 3), (500, 20)])
+def test_random_ball_points_lie_in_the_ball(m, d):
+    center = np.linspace(-1e3, 1e3, d)
+    points = theory.random_ball_points(np.random.default_rng([m, d]), center,
+                                       2.5, m)
+    assert points.shape == (m, d)
+    radii = np.linalg.norm(points - center, axis=1)
+    assert np.all(radii <= 2.5 * (1 + 1e-12))
+    assert len(set(radii.tolist())) == m  # lengths are drawn, not fixed
+
+
+class _ZeroNormals:
+    """A generator whose normals are all zero and whose uniforms are 1."""
+
+    def standard_normal(self, shape):
+        return np.zeros(shape)
+
+    def uniform(self, size):
+        return np.ones(size)
+
+
+def test_a_zero_normal_gives_the_center():
+    center = np.array([1.5, -2.0, 0.25])
+    points = theory.random_ball_points(_ZeroNormals(), center, 2.0, 4)
+    assert points.shape == (4, 3)
+    assert np.array_equal(points, np.tile(center, (4, 1)))
+
+
+def test_random_ball_points_draw_normals_then_uniforms():
+    center = np.zeros(3)
+    points = theory.random_ball_points(np.random.default_rng(5), center, 2.0, 4)
+    rng = np.random.default_rng(5)
+    raw = rng.standard_normal((4, 3))
+    lengths = 2.0 * rng.uniform(size=4)
+    assert np.allclose(points, raw / np.linalg.norm(raw, axis=1)[:, None]
+                       * lengths[:, None], rtol=1e-14, atol=0)
+
+
 def test_audit_table_checks_equal_standalone_checks(synth_tiny):
     # the two table-state checks read the audit's rows instead of evaluating
     # their own; on and off the map, for either loss, not a bit may move
@@ -653,7 +691,7 @@ def test_audit_table_checks_equal_standalone_checks(synth_tiny):
         for _ in range(10):
             phi = theory.random_table(problem, ref.w_star, rng)
             at_map = finito_map(problem, phi, 2.0)
-            off_map = theory.random_ball_point(rng, ref.w_star, 2.0)
+            (off_map,) = theory.random_ball_points(rng, ref.w_star, 2.0, 1)
             for w in (at_map, off_map):
                 audit = Audit(problem, phi, w, 2.0)
                 assert ([report_bits(r) for r in audit.table_reports()]
