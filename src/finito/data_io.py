@@ -54,13 +54,15 @@ def _open_text(source, mode: str):
         yield source
         return
     path = temp = Path(source)
-    if mode == "w" and (path.is_file() or not path.exists()):
+    if mode == "w" and (path.is_file() or (path.parent.is_dir() and not path.exists())):
         path = path.resolve()  # a symlink keeps pointing at the new file
         temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(temp, mode, encoding="ascii", newline="") as handle:
             yield handle
         if temp != path:
+            if path.exists():  # the new file keeps the old one's permissions
+                os.chmod(temp, path.stat().st_mode)
             temp.replace(path)
     except BaseException:
         if temp != path:

@@ -224,9 +224,11 @@ def test_a_failed_save_keeps_the_old_checkpoint(synth_tiny, tmp_path, monkeypatc
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
     monkeypatch.undo()
+    path.chmod(0o600)
     checkpoint_save(state, path, None)
     assert path.read_bytes() != before
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
+    assert stat.S_IMODE(path.stat().st_mode) == 0o600
 
 
 def test_a_save_through_a_link_or_to_a_device_writes_in_place(synth_tiny, tmp_path):
