@@ -707,8 +707,8 @@ def suite_inequalities(n: int, d: int, beta: float, draws: int, seed: int,
     w_star = reference.w_star
     rng = np.random.default_rng([seed, 1])
     components = rng.integers(problem.n, size=draws).tolist()
-    points = random_ball_points(rng, w_star, BALL_RADIUS, 2 * draws)
-    for t, (i, x, y) in enumerate(zip(components, points[0::2], points[1::2])):
+    xy = random_ball_points(rng, w_star, BALL_RADIUS, 2 * draws)
+    for t, (i, x, y) in enumerate(zip(components, xy[0::2], xy[1::2])):
         report = strong_lb_check(problem, i, x, y)
         report.context = f"draw={t} {report.context}"
         reports.append(report)
