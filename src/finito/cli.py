@@ -10,16 +10,16 @@ trace column is the single exception.
 from __future__ import annotations
 
 import argparse
+import multiprocessing
 import os
-import pickle
-import signal
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .data_io import (SynthSpec, _format_float as _fmt, checkpoint_load,
-                      checkpoint_save, parse_libsvm, synth_problem, write_trace)
+from .data_io import (SynthSpec, _format_float as _fmt, _open_text,
+                      checkpoint_load, checkpoint_save, parse_libsvm,
+                      synth_problem, write_trace)
 from .lower_bounds import suite_lowerbound
 from .problems import (FiniteSumProblem, LOGISTIC, LOSS_KINDS,
                        ReferenceSolution)
@@ -45,10 +45,8 @@ def _sink(path: str):
 
 
 def _write_text(path: str, text: str) -> None:
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text, encoding="ascii")
+    with _open_text(_sink(path), "w") as handle:
+        handle.write(text)
 
 
 def _parse_seeds(text: str) -> list[int]:
@@ -254,58 +252,43 @@ def _run_group(calls: dict, names: list[str]) -> dict:
     return done
 
 
-def _fork_group(calls: dict, names: list[str]) -> tuple[int, int]:
-    """Start _run_group in a forked child that pickles its result into a
-    pipe; return the child's pid and the pipe's read end."""
-    read, write = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read)
-            payload = pickle.dumps(_run_group(calls, names))
-            with open(write, "wb") as pipe:
-                pipe.write(payload)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write)
-    return pid, read
-
-
-def _outcome(names: list[str], payload: bytes, status: int) -> dict:
-    """A child's _run_group result, or an OSError in its first call's place
-    when the child died before sending all of one."""
+def _send_group(calls: dict, names: list[str], sender) -> None:
+    """A forked worker's target: send _run_group's result, or exit 1 without
+    a traceback; os._exit also keeps it from flushing the caller's output."""
     try:
-        return pickle.loads(payload)
-    except (EOFError, pickle.UnpicklingError):
-        pass
-    return {names[0]: OSError(
-        f"the worker running suite {', '.join(names)} exited without a "
-        f"result (exit code {os.waitstatus_to_exitcode(status)})")}
+        sender.send(_run_group(calls, names))
+        os._exit(0)
+    finally:  # reached only when the result could not be sent
+        os._exit(1)
 
 
 def _run_suites(calls: dict) -> dict:
     """_run_group over every call, with the same result at any CPU count.
     With more than one call and a spare CPU, the calls other than "rate" run
-    in one forked child while this process runs rate, so a wrapper of
+    in one forked worker while this process runs rate, so a wrapper of
     run_with_state in this process sees its solver runs."""
     if len(calls) < 2 or _spare_cpus() < 1:
         return _run_group(calls, list(calls))
     forked = [name for name in calls if name != "rate"]
-    pid, read = _fork_group(calls, forked)
+    fork = multiprocessing.get_context("fork")
+    receiver, sender = fork.Pipe(duplex=False)
+    worker = fork.Process(target=_send_group, args=(calls, forked, sender))
+    worker.start()
+    sender.close()  # the worker then holds the pipe's only write end
     try:
         done = _run_group(calls, [name for name in calls if name not in forked])
-        with open(read, "rb", closefd=False) as pipe:
-            payload = pipe.read()
-        status = os.waitpid(pid, 0)[1]
-        pid = None
+        try:
+            result = receiver.recv()
+        except (EOFError, OSError):  # nothing sent, or a frame cut short
+            result = None
+        worker.join()
     finally:
-        if pid is not None:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        os.close(read)
-    done.update(_outcome(forked, payload, status))
+        worker.kill()  # a no-op once joined; ends the worker if this raised
+        worker.join()
+        receiver.close()
+    done.update(result or {forked[0]: OSError(
+        f"the worker running suite {', '.join(forked)} exited without a "
+        f"result (exit code {worker.exitcode})")})
     return done
 
 
@@ -407,7 +390,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # no numpy warning on stderr; errstate changes no value or exit code
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except DivergenceError as err:
         print(f"diverged: {err}", file=sys.stderr)
         return 2

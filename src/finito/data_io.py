@@ -24,7 +24,18 @@ from .samplers import IndexSampler, SamplingScheme
 from .solvers import (FINITO_TAGS, FinitoState, FullGradientState, SagState,
                       TraceRecord, _require_positive, reference_solve)
 
-TRACE_HEADER = "epoch,objective,suboptimality,grad_norm,wall_ms,solver,sampling,seed"
+
+def _format_float(x: float) -> str:
+    return repr(float(x))
+
+
+# field type -> (format, parse) of a trace cell or a checkpoint scalar line;
+# floats are shortest round-trip decimals
+_CODECS = {"float": (_format_float, float), "int": (lambda v: str(int(v)), int),
+           "str": (str, str)}
+# (name, format, parse) per trace column, in field order
+_TRACE_COLUMNS = [(f.name, *_CODECS[f.type]) for f in fields(TraceRecord)]
+TRACE_HEADER = ",".join(name for name, _, _ in _TRACE_COLUMNS)
 CHECKPOINT_MAGIC = "FINITOCKPT 2"
 _STATE_CLASSES = {**dict.fromkeys(FINITO_TAGS, FinitoState),
                   **{cls.solver_tag: cls for cls in (SagState, FullGradientState)}}
@@ -213,19 +224,11 @@ def synth_problem(spec: SynthSpec):
 # trace CSV
 
 
-def _format_float(x: float) -> str:
-    return repr(float(x))
-
-
 def write_trace(records, sink) -> None:
     """Write records as CSV; floats use shortest round-trip decimals."""
     lines = [TRACE_HEADER]
-    for r in records:
-        lines.append(",".join((
-            _format_float(r.epoch), _format_float(r.objective),
-            _format_float(r.suboptimality), _format_float(r.grad_norm),
-            _format_float(r.wall_ms), r.solver, r.sampling, str(int(r.seed)),
-        )))
+    lines += (",".join(fmt(getattr(r, name)) for name, fmt, _ in _TRACE_COLUMNS)
+              for r in records)
     payload = "\n".join(lines) + "\n"
     with _open_text(sink, "w") as handle:
         handle.write(payload)
@@ -240,21 +243,18 @@ def read_trace(source) -> list[TraceRecord]:
         raise TraceFormatError(
             f"header mismatch: expected {TRACE_HEADER!r}, found {found!r}")
     records = []
-    names = TRACE_HEADER.split(",")
+    width = len(_TRACE_COLUMNS)
     for line_no, line in enumerate(lines[1:], start=2):
         if not line:
             continue
-        fields = line.split(",")
-        if len(fields) != len(names):
+        cells = line.split(",")
+        if len(cells) != width:
             raise TraceFormatError(
-                f"line {line_no}: expected {len(names)} fields, found {len(fields)}")
+                f"line {line_no}: expected {width} fields, found {len(cells)}")
         try:
-            records.append(TraceRecord(
-                epoch=float(fields[0]), objective=float(fields[1]),
-                suboptimality=float(fields[2]), grad_norm=float(fields[3]),
-                wall_ms=float(fields[4]), solver=fields[5], sampling=fields[6],
-                seed=int(fields[7]),
-            ))
+            records.append(TraceRecord(**{
+                name: parse(cell)
+                for (name, _, parse), cell in zip(_TRACE_COLUMNS, cells)}))
         except ValueError as exc:
             raise TraceFormatError(f"line {line_no}: non-numeric field ({exc})") from None
     return records
@@ -284,9 +284,9 @@ def _parse_hex_vector(line: str, line_no: int, d: int) -> np.ndarray:
 
 
 def _scalars(cls) -> dict:
-    # scalar field -> its parser, in field order; the solver line is the tag
-    return {f.name: float if "float" in str(f.type) else int
-            for f in fields(cls) if "ndarray" not in str(f.type) and f.name != "solver_tag"}
+    # scalar field -> its (format, parse), in field order; the solver line is the tag
+    return {f.name: _CODECS[f.type]
+            for f in fields(cls) if f.type in _CODECS and f.name != "solver_tag"}
 
 
 def _arrays(cls) -> list:
@@ -316,9 +316,8 @@ def checkpoint_save(state, sink, sampler: IndexSampler | None = None) -> None:
                      if getattr(state, f.name) is not None),
                     key=lambda a: a[0].startswith("table "))
     lines = [CHECKPOINT_MAGIC, f"solver {state.solver_tag}"]
-    for key, cast in _scalars(cls).items():
-        value = getattr(state, key)
-        lines.append(f"{key} {_format_float(value) if cast is float else int(value)}")
+    for key, (fmt, _) in _scalars(cls).items():
+        lines.append(f"{key} {fmt(getattr(state, key))}")
     lines += (["sampling none"] if sampler is None else
               [f"sampling {sampler.scheme.kind}",
                f"sampling_seed {sampler.scheme.seed}", f"draws {sampler.draws}"])
@@ -413,7 +412,7 @@ def checkpoint_load(source, problem):
     cls = _STATE_CLASSES.get(solver)
     if cls is None:
         raise CheckpointFormatError(f"unknown solver tag {solver!r}")
-    args = {key: _scalar(key, cast) for key, cast in _scalars(cls).items()}
+    args = {key: _scalar(key, parse) for key, (_, parse) in _scalars(cls).items()}
     if cls is FinitoState:
         args["solver_tag"] = solver
     for f, head in _arrays(cls):

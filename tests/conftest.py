@@ -7,10 +7,13 @@ exact dyadic rational.
 """
 
 import hashlib
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import finito
 from finito import QuadraticProblem, SynthSpec, synth_problem
 
 
@@ -33,6 +36,16 @@ def synth_tiny():
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture(scope="session")
+def subprocess_env():
+    """The environment for a child `python` that imports this finito."""
+    src = str(Path(finito.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
 
 
 # ---------------------------------------------------------------------------

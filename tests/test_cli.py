@@ -2,13 +2,10 @@
 
 import contextlib
 import io
-import os
 import re
 import subprocess
 import sys
-from pathlib import Path
 
-import numpy as np
 import pytest
 
 import finito
@@ -220,6 +217,10 @@ def test_divergence_exits_two_with_partial_trace():
     assert lines[0] == TRACE_HEADER and len(lines) >= 2
 
 
+# squared losses near 1e400 at w0
+HUGE_ROWS = "1e200 1:1e120 2:-2e120\n-1e200 1:3e120\n1e200 2:1e120\n"
+
+
 @pytest.mark.parametrize("solver", ["finito", "prox-finito", "miso", "sag"])
 @pytest.mark.parametrize("first_pass", [True, False])
 def test_rows_that_overflow_at_w0_exit_two(tmp_path, solver, first_pass):
@@ -227,11 +228,10 @@ def test_rows_that_overflow_at_w0_exit_two(tmp_path, solver, first_pass):
     # is as non-finite as the first pass's first step, and both are
     # divergence at step 0, not a bad point handed to the objective
     data = tmp_path / "huge.libsvm"
-    data.write_text("1e200 1:1e120 2:-2e120\n-1e200 1:3e120\n1e200 2:1e120\n")
+    data.write_text(HUGE_ROWS)
     argv = ["run", "--data", str(data), "--loss", "squared", "--s", "0.5",
             "--epochs", "1", "--fstar", "none", "--solver", solver]
-    with np.errstate(all="ignore"):
-        code, out, err = call(argv + ([] if first_pass else ["--no-first-pass"]))
+    code, out, err = call(argv + ([] if first_pass else ["--no-first-pass"]))
     assert code == 2 and out.startswith(TRACE_HEADER + "\n")
     if first_pass:
         expected = "non-finite gradient for component 0 at step 0"
@@ -239,6 +239,20 @@ def test_rows_that_overflow_at_w0_exit_two(tmp_path, solver, first_pass):
         built = "gradient sum" if solver == "sag" else "iterate"
         expected = f"{built} diverged at step 0"
     assert err == f"diverged: {expected}\n"
+
+
+def test_overflow_prints_only_the_diverged_line(tmp_path, subprocess_env):
+    # numpy's overflow warnings, with the library's source lines, once came
+    # before the CLI's own line
+    data = tmp_path / "huge.libsvm"
+    data.write_text(HUGE_ROWS)
+    done = subprocess.run(
+        [sys.executable, "-m", "finito", "run", "--data", str(data), "--loss",
+         "squared", "--s", "0.5", "--epochs", "1", "--fstar", "none"],
+        env=subprocess_env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2
+    assert done.stderr == ("diverged: non-finite gradient for component 0 "
+                           "at step 0\n")
 
 
 def test_verification_failure_exits_three(monkeypatch):
@@ -251,6 +265,23 @@ def test_verification_failure_exits_three(monkeypatch):
 
 
 # -- verify ----------------------------------------------------------------------
+
+
+def test_a_failed_write_keeps_the_old_output(monkeypatch, tmp_path):
+    # the CSV is ASCII: a row that cannot be encoded fails the write, and the
+    # file it was to replace stays as it was
+    monkeypatch.setattr(
+        cli, "suite_lowerbound",
+        lambda **kw: [CheckReport("\u00fcber", 1.0, 0.0, True, 1.0)])
+    out_file = tmp_path / "verify.csv"
+    out_file.write_bytes(b"name,lhs,rhs,slack,satisfied\nold,1.0,1.0,0.0,true\n")
+    before = out_file.read_bytes()
+    code, out, err = call(["verify", "--suite", "lowerbound",
+                           "--out", str(out_file)])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: 'ascii' codec can't encode")
+    assert out_file.read_bytes() == before
+    assert [f.name for f in tmp_path.iterdir()] == ["verify.csv"]
 
 
 @pytest.mark.parametrize("suite,flags", [
@@ -575,14 +606,11 @@ def test_non_finite_fstar_exits_one(tmp_path, command, fstar):
 
 
 @pytest.mark.parametrize("module", ["finito", "finito.cli"])
-def test_module_execution_runs_the_cli(module):
-    src = str(Path(finito.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
+def test_module_execution_runs_the_cli(module, subprocess_env):
 
     def python_m(*args):
-        return subprocess.run([sys.executable, "-m", module, *args], env=env,
+        return subprocess.run([sys.executable, "-m", module, *args],
+                              env=subprocess_env,
                               capture_output=True, text=True, timeout=120)
 
     argv = ["verify", "--suite", "lowerbound", "--n", "4"]

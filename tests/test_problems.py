@@ -1,15 +1,11 @@
 """Problem containers: exact desk values, gradient oracles, validation."""
 
-import os
 import subprocess
 import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
-
-import finito
 
 from finito import (
     LOGISTIC,
@@ -133,15 +129,11 @@ def test_logistic_gradients_quiet_at_extreme_margins():
             assert all(np.all(np.isfinite(g)) for g in grads)
 
 
-def test_import_and_synth_do_not_load_scipy():
+def test_import_and_synth_do_not_load_scipy(subprocess_env):
     script = ("import sys, finito\n"
               "finito.synth_problem(finito.SynthSpec(n=20, d=3, loss='logistic'))\n"
               "print('scipy' in sys.modules)\n")
-    src = str(Path(finito.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    out = subprocess.run([sys.executable, "-c", script], env=env,
+    out = subprocess.run([sys.executable, "-c", script], env=subprocess_env,
                          capture_output=True, text=True, timeout=120, check=True)
     assert out.stdout.strip() == "False"
 

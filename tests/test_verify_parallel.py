@@ -4,9 +4,14 @@ must not depend on whether it has one."""
 
 import contextlib
 import io
+import multiprocessing.connection
 import os
 import pickle
 import signal
+import struct
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -111,12 +116,49 @@ def test_a_worker_that_dies_without_a_result_exits_one(monkeypatch):
     assert_no_child_left()
 
 
-def test_a_result_cut_short_reads_as_no_result():
-    # a worker killed while it writes leaves a truncated pickle in the pipe
-    payload = pickle.dumps({"lyapunov": [0.5] * 10_000})
-    done = cli._outcome(["lyapunov"], payload[:len(payload) // 2], 9)
-    assert str(done["lyapunov"]) == ("the worker running suite lyapunov "
-                                     "exited without a result (exit code -9)")
+def test_a_result_cut_short_reads_as_no_result(monkeypatch):
+    # a worker killed while it writes leaves half a frame in the pipe
+    def send_half(connection, obj):
+        payload = pickle.dumps(obj)
+        os.write(connection.fileno(), struct.pack("!i", len(payload))
+                 + payload[:len(payload) // 2])
+        os.kill(os.getpid(), signal.SIGKILL)
+    monkeypatch.setattr(multiprocessing.connection.Connection, "send",
+                        send_half)
+    code, out, err = on_cpus(monkeypatch, 2, ["verify", "--suite", "all"])
+    assert (code, out) == (1, "")
+    assert err == ("error: the worker running suite inequalities, lyapunov, "
+                   "lowerbound exited without a result (exit code -9)\n")
+    assert_no_child_left()
+
+
+def test_a_result_that_cannot_be_sent_exits_one_without_a_traceback(
+        subprocess_env):
+    # a lambda cannot be pickled, so the worker cannot send this exception
+    script = ("import os, sys\n"
+              "import finito.cli as cli\n"
+              "os.sched_getaffinity = lambda pid: {0, 1}\n"
+              "def suite(**_):\n"
+              "    raise ValueError(lambda: None)\n"
+              "cli.suite_lyapunov = suite\n"
+              "sys.exit(cli.main(['verify', '--suite', 'all', '--n', '40']))\n")
+    done = subprocess.run([sys.executable, "-c", script], env=subprocess_env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == ("error: the worker running suite inequalities, "
+                           "lyapunov, lowerbound exited without a result "
+                           "(exit code 1)\n")
+
+
+def test_the_worker_is_ended_when_the_caller_raises(monkeypatch):
+    def interrupt(**_):
+        raise KeyboardInterrupt
+    monkeypatch.setattr(cli, "suite_rate", interrupt)
+    monkeypatch.setattr(cli, "suite_inequalities",
+                        in_worker_only(lambda: time.sleep(60)))
+    with pytest.raises(KeyboardInterrupt):
+        on_cpus(monkeypatch, 2, ["verify", "--suite", "all"])
+    assert_no_child_left()
 
 
 def test_more_spare_cpus_still_fork_one_worker(monkeypatch):
