@@ -25,11 +25,10 @@ from .theory import (Audit, CheckReport, LyapunovTerms, admissible_parameters,
                      convexity_suite, expected_decrease_check, finito_map,
                      initial_lyapunov, lyapunov_evaluate, pair_checks,
                      rate_bound, rate_certificate, rate_curve, strong_lb_check)
-from .lower_bounds import (CoupledWorstCase, UnseenPoint, UnseenSummary,
-                           expected_unseen, first_pass_floor_trace,
-                           floor_check, make_worst_case,
-                           oracle_limited_suboptimality, simulate_unseen,
-                           unseen_variance)
+from .lower_bounds import (UnseenPoint, expected_unseen,
+                           first_pass_floor_trace, floor_check,
+                           make_worst_case, oracle_limited_suboptimality,
+                           simulate_unseen, unseen_variance)
 
 __version__ = "0.1.0"
 
@@ -50,7 +49,7 @@ __all__ = [
     "convexity_suite", "expected_decrease_check", "finito_map",
     "initial_lyapunov", "lyapunov_evaluate", "pair_checks", "rate_bound",
     "rate_certificate", "rate_curve", "strong_lb_check",
-    "CoupledWorstCase", "UnseenPoint", "UnseenSummary", "expected_unseen",
+    "UnseenPoint", "expected_unseen",
     "first_pass_floor_trace", "floor_check", "make_worst_case",
     "oracle_limited_suboptimality", "simulate_unseen", "unseen_variance",
     "__version__",

@@ -22,28 +22,20 @@ import numpy as np
 from .problems import FiniteSumProblem, ReferenceSolution, SQUARED
 from .solvers import (finito_first_pass_step, finito_init,
                       sag_first_pass_step, sag_init)
-from .theory import CheckReport, _le_report
+from .theory import CheckReport, _le_report, _worst_report
 
 # trials per simulate_unseen batch, and the most bytes its int64 draws may take
 _TRIAL_CHUNK = 16_384
 _MAX_DRAW_BYTES = 1 << 30
 
 
-@dataclass
-class CoupledWorstCase:
-    """The hard instance with its canonical start and exact solution.
+def make_worst_case(n: int):
+    """(FiniteSumProblem, ReferenceSolution) of the hard instance, the pair
+    synth_problem returns.
 
     f(w) = (1/2)||w - 1||^2 + (1/2)||w||^2: minimized at w = 1/2 with
     f* = n/4; the all-zeros start is n/4 suboptimal, 1/4 per coordinate.
     """
-
-    n: int
-    problem: FiniteSumProblem
-    w_start: np.ndarray
-    reference: ReferenceSolution
-
-
-def make_worst_case(n: int) -> CoupledWorstCase:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     root = float(np.sqrt(n))
@@ -53,8 +45,7 @@ def make_worst_case(n: int) -> CoupledWorstCase:
     reference = ReferenceSolution(
         w_star=np.full(n, 0.5), f_star=n / 4.0,
         grad_norm_at_solution=0.0, method_tag="closed-form")
-    return CoupledWorstCase(n=n, problem=problem, w_start=np.zeros(n),
-                            reference=reference)
+    return problem, reference
 
 
 def expected_unseen(n: int, k: int) -> float:
@@ -95,17 +86,10 @@ class UnseenPoint:
     mc_stderr: float
 
 
-@dataclass
-class UnseenSummary:
-    n: int
-    trials: int
-    seed: int
-    points: list[UnseenPoint]
-
-
 def simulate_unseen(n: int, k, trials: int = 100_000,
-                    seed: int = 0) -> UnseenSummary:
-    """Monte-Carlo check of the unseen-count law under uniform sampling.
+                    seed: int = 0) -> list[UnseenPoint]:
+    """Monte-Carlo check of the unseen-count law under uniform sampling, one
+    point per requested draw count in increasing order.
 
     `k` may be a single draw count or a list; all requested counts share
     trajectories (one length-max(k) draw sequence per trial).
@@ -149,7 +133,7 @@ def simulate_unseen(n: int, k, trials: int = 100_000,
         points.append(UnseenPoint(
             k=kk, expected=expected_unseen(n, kk), mc_mean=mean,
             mc_stderr=float(np.sqrt(var / trials))))
-    return UnseenSummary(n=n, trials=trials, seed=seed, points=points)
+    return points
 
 
 def first_pass_floor_trace(n: int, solver: str = "finito"):
@@ -160,13 +144,12 @@ def first_pass_floor_trace(n: int, solver: str = "finito"):
     is supported on coordinates 0..k-1 and can never dip under the floor
     (n - k)/4; equality holds at k = 0.
     """
-    case = make_worst_case(n)
-    problem = case.problem
+    problem, reference = make_worst_case(n)
     if solver == "finito":
-        state = finito_init(problem, 2.0, w0=case.w_start, first_pass=True)
+        state = finito_init(problem, 2.0, w0=np.zeros(n), first_pass=True)
         step_fn = finito_first_pass_step
     elif solver == "sag":
-        state = sag_init(problem, w0=case.w_start, first_pass=True)
+        state = sag_init(problem, w0=np.zeros(n), first_pass=True)
         step_fn = sag_first_pass_step
     else:
         raise ValueError(f"unknown solver {solver!r} (use finito or sag)")
@@ -174,7 +157,7 @@ def first_pass_floor_trace(n: int, solver: str = "finito"):
     def measure(k: int):
         f_w = float(problem.objective_batch(state.w[np.newaxis, :])[0])
         floor = oracle_limited_suboptimality(n, np.arange(n) < k)
-        return (k, floor, f_w - case.reference.f_star)
+        return (k, floor, f_w - reference.f_star)
 
     rows = [measure(0)]
     for k in range(n):
@@ -185,14 +168,11 @@ def first_pass_floor_trace(n: int, solver: str = "finito"):
 
 def floor_check(n: int, solver: str = "finito") -> CheckReport:
     """Every first-pass iterate respects the oracle-access floor."""
-    rows = first_pass_floor_trace(n, solver)
-    worst = min(rows, key=lambda row: row[2] - row[1])
-    k, floor, measured = worst
-    ok = all(m >= fl - 1e-9 * (1.0 + abs(fl)) for _, fl, m in rows)
-    return CheckReport(
-        name="oracle-floor", lhs=floor, rhs=measured,
-        satisfied=bool(ok), slack=measured - floor,
-        context=f"solver={solver} n={n} worst_k={k}")
+    return _worst_report(
+        "oracle-floor",
+        {k: _le_report("oracle-floor", floor, measured, 1e-9, "", scale=floor)
+         for k, floor, measured in first_pass_floor_trace(n, solver)},
+        f"solver={solver} n={n}")
 
 
 def suite_lowerbound(seed: int, n: int = 10) -> list[CheckReport]:
@@ -202,10 +182,9 @@ def suite_lowerbound(seed: int, n: int = 10) -> list[CheckReport]:
     inequality for counts in [0, n] at exponent 8, so a correct law fails a
     row with probability at most 2 e^-8."""
     trials = 100_000
-    summary = simulate_unseen(n, [1, 5, 10, 20], trials=trials, seed=seed)
     ctx = f"trials={trials}"
     reports = []
-    for p in summary.points:
+    for p in simulate_unseen(n, [1, 5, 10, 20], trials=trials, seed=seed):
         radius = (4.0 * float(np.sqrt(unseen_variance(n, p.k) / trials))
                   + 16.0 * n / (3.0 * trials))
         reports.append(_le_report(f"unseen-mean-k{p.k}",

@@ -32,10 +32,7 @@ class BigDataReport:
     """Outcome of the n >= beta * L / s test."""
 
     L: float
-    s: float
-    n: int
     beta_achieved: float
-    satisfied_at_beta: float
     verdict: bool
 
 
@@ -153,14 +150,8 @@ class _ProblemBase:
                 "big data condition needs s > 0; this problem declares s = 0"
             )
         L = self.lipschitz_constant()
-        return BigDataReport(
-            L=L,
-            s=self.s,
-            n=self.n,
-            beta_achieved=self.n * self.s / L,
-            satisfied_at_beta=float(beta),
-            verdict=bool(self.n * self.s >= beta * L),
-        )
+        return BigDataReport(L=L, beta_achieved=self.n * self.s / L,
+                             verdict=bool(self.n * self.s >= beta * L))
 
 
 class FiniteSumProblem(_ProblemBase):

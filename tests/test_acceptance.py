@@ -43,7 +43,7 @@ from finito import (
     write_trace,
     QuadraticProblem,
 )
-from finito.theory import random_table
+from finito.theory import BALL_RADIUS, random_ball_points
 
 _cache: dict = {}
 
@@ -126,7 +126,7 @@ def test_criterion_4_step_identities_exact():
     rng = np.random.default_rng(4)
     worst = 0.0
     for _ in range(100):
-        phi = random_table(problem, ref.w_star, rng)
+        phi = random_ball_points(rng, ref.w_star, BALL_RADIUS, problem.n)
         w = finito_map(problem, phi, 2.0)
         scale = 1.0 + abs(lyapunov_evaluate(problem, phi, w).total)
         audit = Audit(problem, phi, w, 2.0)
@@ -149,7 +149,7 @@ def test_criterion_5_inequality_suites_clean():
             rng.normal(size=problem.d), rng.normal(size=problem.d)))
     rng2 = np.random.default_rng(51)
     for _ in range(1000):
-        phi = random_table(problem, ref.w_star, rng2)
+        phi = random_ball_points(rng2, ref.w_star, BALL_RADIUS, problem.n)
         audit = Audit(problem, phi, rng2.normal(size=problem.d), 2.0)
         reports.append(audit.lower_bound_report(2.0))
     bad = [r for r in reports if not r.satisfied]
@@ -182,12 +182,12 @@ def test_criterion_7_unseen_statistics_and_oracle_floor():
     # martingale mean stays at n, and no first-pass iterate beats the
     # information floor, all in under 60 seconds
     t0 = time.monotonic()
-    summary = simulate_unseen(10, [1, 5, 10, 20], trials=10**6, seed=0)
+    points = simulate_unseen(10, [1, 5, 10, 20], trials=10**6, seed=0)
     mc_ok = all(abs(p.mc_mean - expected_unseen(10, p.k)) <= 4 * p.mc_stderr
-                for p in summary.points)
+                for p in points)
     # the martingale lift (1 - 1/n)^(-k) v_k keeps mean n at every k
     mart_ok = all(abs(p.mc_mean * lift - 10.0) <= 4 * p.mc_stderr * lift
-                  for p in summary.points
+                  for p in points
                   for lift in [(1 - 1 / 10) ** -p.k])
     floors = [floor_check(10, solver=s) for s in ("finito", "sag")]
     elapsed = time.monotonic() - t0

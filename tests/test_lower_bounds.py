@@ -48,17 +48,15 @@ def test_unseen_variance_matches_enumeration():
 
 
 def test_worst_case_construction():
-    case = make_worst_case(4)
-    p = case.problem
+    p, reference = make_worst_case(4)
     assert p.n == 4 and p.d == 4 and p.s == 1.0
     assert p.lipschitz_constant() == 5.0
-    assert np.array_equal(case.w_start, np.zeros(4))
-    assert case.reference.method_tag == "closed-form"
-    assert np.array_equal(case.reference.w_star, np.full(4, 0.5))
-    assert case.reference.f_star == 1.0
+    assert reference.method_tag == "closed-form"
+    assert np.array_equal(reference.w_star, np.full(4, 0.5))
+    assert reference.f_star == 1.0
     assert p.full_objective(np.zeros(4)) == 2.0
-    assert p.full_objective(case.reference.w_star) == 1.0
-    assert np.linalg.norm(p.full_gradient(case.reference.w_star)) <= 1e-12
+    assert p.full_objective(reference.w_star) == 1.0
+    assert np.linalg.norm(p.full_gradient(reference.w_star)) <= 1e-12
 
 
 def test_oracle_floor_from_mask():
@@ -70,10 +68,9 @@ def test_oracle_floor_from_mask():
 
 
 def test_simulate_unseen_matches_formula():
-    summary = simulate_unseen(10, [1, 5, 10], trials=60_000, seed=3)
-    assert summary.n == 10 and summary.trials == 60_000
-    assert len(summary.points) == 3
-    for pt in summary.points:
+    points = simulate_unseen(10, [1, 5, 10], trials=60_000, seed=3)
+    assert [pt.k for pt in points] == [1, 5, 10]
+    for pt in points:
         assert pt.expected == pytest.approx(expected_unseen(10, pt.k), abs=1e-12)
         assert abs(pt.mc_mean - pt.expected) <= 4 * pt.mc_stderr
         # the martingale lift (1 - 1/n)^(-k) v_k keeps mean n at every k
@@ -83,9 +80,9 @@ def test_simulate_unseen_matches_formula():
 
 def test_simulate_unseen_single_k_and_determinism():
     one = simulate_unseen(6, 4, trials=20_000, seed=9)
-    assert len(one.points) == 1 and one.points[0].k == 4
+    assert len(one) == 1 and one[0].k == 4
     again = simulate_unseen(6, 4, trials=20_000, seed=9)
-    assert one.points[0].mc_mean == again.points[0].mc_mean
+    assert one[0].mc_mean == again[0].mc_mean
 
 
 def test_simulate_unseen_refuses_a_draw_batch_beyond_the_limit():
@@ -112,15 +109,24 @@ def test_floor_check_reports():
         assert rep.satisfied
 
 
+def test_floor_check_reports_the_least_slack_step(monkeypatch):
+    rows = [(0, 1.5, 1.5), (1, 1.25, 1.0), (2, 1.0, 1.1)]
+    monkeypatch.setattr(lower_bounds, "first_pass_floor_trace",
+                        lambda n, solver: rows)
+    rep = floor_check(6, "sag")
+    assert (rep.lhs, rep.rhs, rep.slack, rep.satisfied, rep.context) == (
+        1.25, 1.0, -0.25, False, "solver=sag n=6 worst_k=1")
+
+
 def test_floor_uses_identity_start():
     # the floor argument needs the iterate built only from seen components;
     # starting at zero, the unseen coordinates stay exactly at zero
-    case = make_worst_case(6)
-    st = finito_init(case.problem, alpha=2.0, w0=case.w_start, first_pass=True)
+    problem, _ = make_worst_case(6)
+    st = finito_init(problem, alpha=2.0, w0=np.zeros(6), first_pass=True)
     from finito import finito_first_pass_step
 
     for k in range(3):
-        finito_first_pass_step(st, case.problem, k)
+        finito_first_pass_step(st, problem, k)
     assert np.array_equal(st.w[3:], np.zeros(3))
 
 

@@ -206,7 +206,6 @@ def test_big_data_verdict_and_ratio():
     assert p.lipschitz_constant() == 10.0
     rep = p.big_data_check(2.0)
     assert rep.verdict and rep.beta_achieved == 10.0
-    assert rep.satisfied_at_beta == 2.0
 
 
 def test_big_data_verdict_false_when_small():

@@ -35,7 +35,7 @@ from finito import (
     synth_problem,
     TraceRecord,
 )
-from finito.theory import suite_lyapunov
+from finito.theory import BALL_RADIUS, random_ball_points, suite_lyapunov
 
 
 def trajectory_states(problem, steps, alpha=2.0, seed=0):
@@ -176,7 +176,7 @@ def test_term_shifts_match_closed_forms(synth_tiny):
     problem, ref = synth_tiny
     rng = np.random.default_rng(7)
     for _ in range(25):
-        phi = theory.random_table(problem, ref.w_star, rng)
+        phi = random_ball_points(rng, ref.w_star, BALL_RADIUS, problem.n)
         w = finito_map(problem, phi, 2.0)
         audit = Audit(problem, phi, w, 2.0)
         shifts = audit.term_shifts()
@@ -190,7 +190,7 @@ def test_identity_gaps_vanish(synth_tiny):
     problem, ref = synth_tiny
     rng = np.random.default_rng(11)
     for _ in range(25):
-        phi = theory.random_table(problem, ref.w_star, rng)
+        phi = random_ball_points(rng, ref.w_star, BALL_RADIUS, problem.n)
         w = finito_map(problem, phi, 2.0)
         audit = Audit(problem, phi, w, 2.0)
         assert abs(audit.step_gap()) <= 1e-12
@@ -231,9 +231,9 @@ def test_alpha_must_be_finite_and_positive(synth_tiny, alpha):
         "Audit.displacement_gap":
             lambda: Audit(problem, phi, w, alpha).displacement_gap(),
         "Audit.t3_shift": lambda: Audit(problem, phi, w, alpha).t3_shift(),
-        "random_table then finito_map": lambda: finito_map(
-            problem, theory.random_table(problem, ref.w_star,
-                                         np.random.default_rng(0)), alpha),
+        "random_ball_points then finito_map": lambda: finito_map(
+            problem, random_ball_points(np.random.default_rng(0), ref.w_star,
+                                        BALL_RADIUS, problem.n), alpha),
     }
     for name, call in calls.items():
         with pytest.raises(ValueError, match="alpha must be finite and > 0"):
@@ -549,7 +549,7 @@ def test_pair_checks_names_and_satisfaction(synth_small, rng):
 
 def test_table_checks_names_and_satisfaction(synth_small, rng):
     problem, ref = synth_small
-    phi = theory.random_table(problem, ref.w_star, rng)
+    phi = random_ball_points(rng, ref.w_star, BALL_RADIUS, problem.n)
     w = finito_map(problem, phi, 2.0)
     reports = Audit(problem, phi, w, 2.0).table_reports()
     assert [r.name for r in reports] == ["table-strong-convexity",
@@ -582,7 +582,7 @@ def test_component_lower_bound_needs_curvature_gap(desk):
 def test_aggregate_lower_bound_check(synth_small, rng):
     problem, ref = synth_small
     for _ in range(20):
-        phi = theory.random_table(problem, ref.w_star, rng)
+        phi = random_ball_points(rng, ref.w_star, BALL_RADIUS, problem.n)
         audit = Audit(problem, phi, rng.normal(size=problem.d), 2.0)
         assert audit.lower_bound_report(2.0).satisfied
 
@@ -689,7 +689,7 @@ def test_audit_table_checks_equal_standalone_checks(synth_tiny):
     states = 0
     for problem, ref in (synth_tiny, (squared, squared_ref)):
         for _ in range(10):
-            phi = theory.random_table(problem, ref.w_star, rng)
+            phi = random_ball_points(rng, ref.w_star, BALL_RADIUS, problem.n)
             at_map = finito_map(problem, phi, 2.0)
             (off_map,) = theory.random_ball_points(rng, ref.w_star, 2.0, 1)
             for w in (at_map, off_map):
@@ -764,6 +764,34 @@ def test_rate_curve_and_certificate(synth_small):
     assert all(mean <= bound + 1e-9 for _, mean, bound in curve)
     cert = rate_certificate(traces, problem, 2.0, np.zeros(problem.d))
     assert cert.name == "rate-bound" and cert.satisfied
+
+
+def test_worst_report_holds_only_when_every_member_holds():
+    family = {
+        0: theory._le_report("a", 1.0, 2.0, 0.0, ""),
+        # least slack, yet within tolerance of its large scale
+        4: theory._le_report("b", 0.0, -1.0, 1e-9, "", scale=1e10),
+        9: theory._le_report("c", 1.0, 0.5, 0.0, ""),
+    }
+    assert [r.satisfied for r in family.values()] == [True, True, False]
+    row = theory._worst_report("family", family, "seeds=2")
+    assert (row.name, row.lhs, row.rhs, row.slack, row.satisfied,
+            row.context) == ("family", 0.0, -1.0, -1.0, False,
+                             "seeds=2 worst_k=4")
+    del family[9]
+    row = theory._worst_report("family", family, "seeds=2")
+    assert row.satisfied and row.context == "seeds=2 worst_k=4"
+
+
+def test_rate_certificate_names_the_worst_checkpoint(synth_small):
+    problem, ref = synth_small
+    traces = run_rate_traces(problem, ref, seeds=2)
+    curve = rate_curve(traces, problem, 2.0, np.zeros(problem.d))
+    k, mean, bound = min(curve, key=lambda row: row[2] - row[1])
+    cert = rate_certificate(traces, problem, 2.0, np.zeros(problem.d))
+    assert (cert.lhs, cert.rhs, cert.slack, cert.context) == (
+        mean, bound, bound - mean,
+        f"checkpoints={len(curve)} seeds=2 worst_k={k}")
 
 
 def test_rate_curve_rejects_mismatched_grids(synth_small):
