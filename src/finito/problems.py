@@ -277,11 +277,19 @@ class FiniteSumProblem(_ProblemBase):
         return self.features.T @ dm / self.n + self.s * w
 
     def lipschitz_constant(self) -> float:
-        """max_i L_i with L_i = c ||x_i||^2 + s, c the loss margin curvature."""
+        """max_i L_i with L_i = c ||x_i||^2 + s, c the loss margin curvature.
+        ValueError when it is not finite: only the steps and the checks that
+        need L refuse such data, so finito runs on it without a reference."""
         if self._lipschitz is None:
             c = _MARGIN_CURVATURE[self.loss]
             row_norms = np.einsum("ij,ij->i", self.features, self.features)
-            self._lipschitz = float(c * row_norms.max() + self.s)
+            L = float(c * row_norms.max() + self.s)
+            if not math.isfinite(L):
+                raise ValueError(
+                    f"Lipschitz constant overflows: the largest feature "
+                    f"magnitude is {np.abs(self.features).max():g} "
+                    f"(s = {self.s:g}); rescale the data")
+            self._lipschitz = L
         return self._lipschitz
 
 

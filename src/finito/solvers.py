@@ -309,7 +309,11 @@ def finito_first_pass_step(state: FinitoState, problem, k: int) -> FinitoState:
 def sag_default_step(problem, practical: bool = False) -> float:
     """Stored-gradient step: 1/(16Ln) from the analysis, 1/(Ln) in practice."""
     L = problem.lipschitz_constant()
-    return 1.0 / (L * problem.n) if practical else 1.0 / (16.0 * L * problem.n)
+    step = 1.0 / (L * problem.n) if practical else 1.0 / (16.0 * L * problem.n)
+    if step == 0.0:
+        raise ValueError(f"the default sag step underflows to 0 at L = {L:g}, "
+                         f"n = {problem.n}; rescale the data")
+    return step
 
 
 def sag_init(problem, w0=None, step: float | None = None,
@@ -360,6 +364,10 @@ def _build_state(problem, config: SolverConfig):
         alpha = config.alpha
         if solver == "miso" and problem.s > 0:  # finito_init refuses s == 0
             alpha = problem.lipschitz_constant() / problem.s
+            if alpha == math.inf:
+                raise ValueError(f"miso's alpha = L/s overflows at L = "
+                                 f"{problem.lipschitz_constant():g}, "
+                                 f"s = {problem.s:g}; rescale the data")
         return finito_init(problem, alpha, w0=w0, audit=config.monitor == "table-mean",
                            first_pass=config.first_pass, solver_tag=solver)
     if solver == "sag":

@@ -192,6 +192,15 @@ def test_lipschitz_bounds_gradient_differences(rng):
         assert lhs <= L * np.linalg.norm(w - v) + 1e-12
 
 
+def test_an_overflowing_lipschitz_constant_names_the_largest_feature():
+    # the problem is built: finito needs no L and runs on such data
+    p = FiniteSumProblem([[1e200], [-3e199]], [1.0, -1.0], LOGISTIC, s=0.5)
+    with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match=r"overflows: the largest feature magnitude is "
+                              r"1e\+200 \(s = 0.5\); rescale the data"):
+        p.lipschitz_constant()
+
+
 def test_quadratic_lipschitz_is_max_weight():
     p = QuadraticProblem([[0.0], [1.0]], weights=[3.0, 0.5])
     assert p.lipschitz_constant() == 3.0

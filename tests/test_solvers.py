@@ -88,6 +88,17 @@ def test_sag_default_steps(desk):
     assert sag_default_step(desk, practical=True) == 0.5
 
 
+def test_constants_derived_from_a_huge_lipschitz_constant_name_the_data():
+    # L = 1e308 + 0.5 is finite; 16 L n and L/s are not
+    p = FiniteSumProblem([[0.0], [1e154]], [0.0, 0.0], SQUARED, s=0.5)
+    with pytest.raises(ValueError, match="default sag step underflows to 0 "
+                                         "at L = 1e\\+308, n = 2"):
+        sag_default_step(p)
+    with pytest.raises(ValueError, match="miso's alpha = L/s overflows"):
+        run(p, SolverConfig(solver="miso", w0=np.zeros(1)),
+            SamplingScheme(UNIFORM, 0), 1)
+
+
 def miso_state(problem, w0):
     """The state run() builds for solver="miso" (eager init, no steps)."""
     config = SolverConfig(solver="miso", alpha=5.0, first_pass=False, w0=w0)
