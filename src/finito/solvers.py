@@ -411,11 +411,10 @@ def run_with_state(problem, config: SolverConfig, scheme: SamplingScheme,
                 f"resume state is for {getattr(state, 'solver_tag', None)!r}, "
                 f"config says {config.solver!r}"
             )
-        if sampler is None and not full_grad:
-            sampler = IndexSampler(scheme, n)
     else:
-        state = _build_state(problem, config)
-        sampler = None if full_grad else IndexSampler(scheme, n)
+        state, sampler = _build_state(problem, config), None
+    if sampler is None and not full_grad:
+        sampler = IndexSampler(scheme, n)
 
     # a restored sampler keeps its original scheme; report that one
     active = sampler.scheme if sampler is not None else scheme
@@ -433,10 +432,10 @@ def run_with_state(problem, config: SolverConfig, scheme: SamplingScheme,
         ))
         return sub
 
-    start_obj = problem.full_objective(_monitor_point(state, config))
-    baseline = start_obj - f_star if f_star is not None else None
-    if resume is None:
-        emit()
+    # the divergence baseline is the start row's; a resumed run has recorded it
+    baseline = emit()
+    if resume is not None:
+        records.pop()
 
     if full_grad:
         L = problem.lipschitz_constant()
@@ -467,8 +466,7 @@ def run_with_state(problem, config: SolverConfig, scheme: SamplingScheme,
             raise
         if state.k % interval == 0 or state.k == total_steps:
             sub = emit()
-            if (baseline is not None and baseline > 1e-9
-                    and sub > DIVERGENCE_RATIO * baseline):
+            if baseline > 1e-9 and sub > DIVERGENCE_RATIO * baseline:
                 raise DivergenceError(
                     f"suboptimality exceeded {DIVERGENCE_RATIO:g} times its "
                     f"starting value at step {state.k}",

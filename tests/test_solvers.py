@@ -396,6 +396,23 @@ def test_resume_matches_uninterrupted(synth_tiny):
     assert stitched == want
 
 
+def test_a_fresh_run_evaluates_its_start_point_once(synth_tiny, monkeypatch):
+    problem, ref = synth_tiny
+    calls = []
+    objective = type(problem).full_objective
+    monkeypatch.setattr(type(problem), "full_objective",
+                        lambda self, w: calls.append(1) or objective(self, w))
+    config = SolverConfig(solver="finito", alpha=2.0, w0=np.zeros(problem.d))
+    scheme = SamplingScheme(UNIFORM, seed=0)
+    records, state, sampler = run_with_state(problem, config, scheme, 0,
+                                             reference=ref)
+    assert len(records) == 1 and len(calls) == 1
+    # a resumed run reads its baseline without recording the row again
+    assert run(problem, config, scheme, 0, reference=ref,
+               resume=(state, sampler)) == []
+    assert len(calls) == 2
+
+
 # -- reference solver ----------------------------------------------------------------
 
 
