@@ -264,6 +264,20 @@ def test_verification_failure_exits_three(monkeypatch):
     assert out.strip().splitlines()[-1] == "forced,1.0,0.0,-1.0,false"
 
 
+def test_a_solver_whose_w_is_not_its_table_map_fails_a_row(monkeypatch):
+    # the iterate divides by 1.1 alpha s seen: the lab reports a false
+    # map-consistency row (exit 3), not a usage error (exit 1)
+    monkeypatch.setattr(
+        finito.solvers, "_next_w",
+        lambda state, problem, seen, total:
+            total / -(1.1 * state.alpha * problem.s * seen))
+    code, out, err = call(["verify", "--suite", "lyapunov", "--n", "12",
+                           "--d", "3", "--draws", "4"])
+    assert (code, err) == (3, "")
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert {row[4] for row in rows if row[0] == "map-consistency"} == {"false"}
+
+
 # -- verify ----------------------------------------------------------------------
 
 

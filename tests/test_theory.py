@@ -198,12 +198,14 @@ def test_identity_gaps_vanish(synth_tiny):
         assert abs(audit.variance_gap()) <= 1e-12
 
 
-def test_bound_gap_rejects_non_map(synth_tiny):
+def test_map_report_rejects_non_map(synth_tiny):
     problem, ref = synth_tiny
     phi = np.zeros((problem.n, problem.d))
-    w = finito_map(problem, phi, 2.0) + 0.5
-    with pytest.raises(ValueError):
-        Audit(problem, phi, w, 2.0).bound_report(ref)
+    w = finito_map(problem, phi, 2.0)
+    assert Audit(problem, phi, w, 2.0).map_report().satisfied
+    report = Audit(problem, phi, w + 0.5, 2.0).map_report()
+    assert report.name == "map-consistency" and not report.satisfied
+    assert report.lhs == pytest.approx(0.5 * np.sqrt(problem.d), rel=1e-12)
 
 
 # NaN passes an `alpha <= 0` guard; every entry point that takes alpha
@@ -224,6 +226,7 @@ def test_alpha_must_be_finite_and_positive(synth_tiny, alpha):
         "expected_decrease_check":
             lambda: expected_decrease_check(problem, phi, w, alpha, 2.0),
         "Audit": lambda: Audit(problem, phi, w, alpha),
+        "Audit.map_report": lambda: Audit(problem, phi, w, alpha).map_report(),
         "Audit.bound_report":
             lambda: Audit(problem, phi, w, alpha).bound_report(ref),
         "Audit.term_shifts": lambda: Audit(problem, phi, w, alpha).term_shifts(),
@@ -250,7 +253,8 @@ def test_table_mean_descent_along_trajectory(synth_tiny):
 # -- one audit per state -----------------------------------------------------------
 
 # suite_lyapunov reports one initial-potential row, then these rows per state
-SUITE_ROWS = ("expected-decrease", "suboptimality-bound", "table-mean-descent",
+SUITE_ROWS = ("expected-decrease", "map-consistency", "suboptimality-bound",
+              "table-mean-descent",
               "expected-step-identity", "update-displacement-identity",
               "variance-decomposition", "t3-shift-closed-form",
               "t4-shift-closed-form")
@@ -284,7 +288,7 @@ def test_public_checks_equal_suite_rows():
             return Audit(problem, phi, w, alpha)
 
         for report in (expected_decrease_check(problem, phi, w, alpha, beta),
-                       fresh().bound_report(reference),
+                       fresh().map_report(), fresh().bound_report(reference),
                        fresh().mean_descent_report()):
             got = row[report.name]
             assert (got.lhs.hex(), got.rhs.hex(), got.slack.hex(),
@@ -321,12 +325,13 @@ def test_public_checks_leave_inputs_unchanged(synth_tiny):
         lambda: Audit(problem, phi, w, 2.0).variance_gap(),
         lambda: Audit(problem, phi, w, 2.0).table_reports(),
         lambda: Audit(problem, phi, off_map, 2.0).lower_bound_report(2.0),
+        lambda: Audit(problem, phi, off_map, 2.0).bound_report(ref),
+        lambda: Audit(problem, phi, off_map, 2.0).map_report(),
     ]
     failing = [
         lambda: expected_decrease_check(problem, phi, w, 1.5, 2.0),
         lambda: expected_decrease_check(problem, phi, w, 2.0, 50.0),
         lambda: Audit(problem, phi, w, 2.0).lower_bound_report(50.0),
-        lambda: Audit(problem, phi, off_map, 2.0).bound_report(ref),
     ]
     before = [a.copy() for a in (phi, w, off_map)]
     for call in calls:
@@ -513,7 +518,8 @@ def test_lone_audit_equals_its_row_of_the_stack(synth_tiny, monkeypatch):
 
     def results(phi, w, points):
         audit = Audit(problem, phi, w, 2.0)
-        return [audit.decrease_report(2.0), audit.bound_report(ref),
+        return [audit.decrease_report(2.0), audit.map_report(),
+                audit.bound_report(ref),
                 audit.mean_descent_report(), audit.term_shifts(),
                 audit.t3_shift(), audit.t4_shift(), audit.step_gap(),
                 audit.displacement_gap(), audit.variance_gap(),
