@@ -363,10 +363,10 @@ def _build_state(problem, config: SolverConfig):
     if solver in FINITO_TAGS:
         alpha = config.alpha
         if solver == "miso" and problem.s > 0:  # finito_init refuses s == 0
-            alpha = problem.lipschitz_constant() / problem.s
+            L = problem.lipschitz_constant()
+            alpha = L / problem.s
             if alpha == math.inf:
-                raise ValueError(f"miso's alpha = L/s overflows at L = "
-                                 f"{problem.lipschitz_constant():g}, "
+                raise ValueError(f"miso's alpha = L/s overflows at L = {L:g}, "
                                  f"s = {problem.s:g}; rescale the data")
         return finito_init(problem, alpha, w0=w0, audit=config.monitor == "table-mean",
                            first_pass=config.first_pass, solver_tag=solver)
@@ -432,10 +432,12 @@ def run_with_state(problem, config: SolverConfig, scheme: SamplingScheme,
         ))
         return sub
 
-    # the divergence baseline is the start row's; a resumed run has recorded it
-    baseline = emit()
-    if resume is not None:
-        records.pop()
+    # the divergence baseline is the start row's suboptimality
+    if resume is None:
+        baseline = emit()
+    else:  # the start row is in the trace the checkpoint came from
+        baseline = (problem.full_objective(_monitor_point(state, config)) - f_star
+                    if f_star is not None else math.nan)
 
     if full_grad:
         L = problem.lipschitz_constant()

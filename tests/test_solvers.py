@@ -411,6 +411,8 @@ def test_a_fresh_run_evaluates_its_start_point_once(synth_tiny, monkeypatch):
     assert run(problem, config, scheme, 0, reference=ref,
                resume=(state, sampler)) == []
     assert len(calls) == 2
+    assert run(problem, config, scheme, 0, resume=(state, sampler)) == []
+    assert len(calls) == 2
 
 
 # -- reference solver ----------------------------------------------------------------

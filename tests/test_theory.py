@@ -198,8 +198,9 @@ def test_identity_gaps_vanish(synth_tiny):
         assert abs(audit.variance_gap()) <= 1e-12
 
 
-def test_map_report_rejects_non_map(synth_tiny):
-    problem, ref = synth_tiny
+def test_bound_gap_rejects_non_map(synth_tiny):
+    # the bound holds only at the table map; map_report says whether w is it
+    problem, _ = synth_tiny
     phi = np.zeros((problem.n, problem.d))
     w = finito_map(problem, phi, 2.0)
     assert Audit(problem, phi, w, 2.0).map_report().satisfied
