@@ -170,8 +170,9 @@ def floor_check(n: int, solver: str = "finito") -> CheckReport:
     """Every first-pass iterate respects the oracle-access floor."""
     return _worst_report(
         "oracle-floor",
-        {k: _le_report("oracle-floor", floor, measured, 1e-9, "", scale=floor)
-         for k, floor, measured in first_pass_floor_trace(n, solver)},
+        [(k, _le_report("oracle-floor", floor, measured, 1e-9, "",
+                        scale=floor))
+         for k, floor, measured in first_pass_floor_trace(n, solver)],
         f"solver={solver} n={n}")
 
 

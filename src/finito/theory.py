@@ -527,13 +527,13 @@ def _le_report(name: str, lhs: float, rhs: float, tol: float, ctx: str,
                        slack=rhs - lhs, context=ctx)
 
 
-def _worst_report(name: str, family: dict, ctx: str) -> CheckReport:
-    """One row for a family {k: _le_report row}: the member of least slack,
-    named `name`, satisfied only if every member is, with context
-    "<ctx> worst_k=<k>"."""
-    k = min(family, key=lambda key: family[key].slack)
-    return replace(family[k], name=name, context=f"{ctx} worst_k={k}",
-                   satisfied=all(r.satisfied for r in family.values()))
+def _worst_report(name: str, family: list, ctx: str) -> CheckReport:
+    """One row for a family of (k, _le_report row) pairs: the member of
+    least slack, named `name`, satisfied only if every member is, with
+    context "<ctx> worst_k=<k>"."""
+    k, worst = min(family, key=lambda pair: pair[1].slack)
+    return replace(worst, name=name, context=f"{ctx} worst_k={k}",
+                   satisfied=all(r.satisfied for _, r in family))
 
 
 def pair_checks(problem, x: np.ndarray, y: np.ndarray,
@@ -683,8 +683,8 @@ def rate_certificate(traces: list[list[TraceRecord]], problem, alpha: float,
     rows = rate_curve(traces, problem, alpha, phi0)
     return _worst_report(
         "rate-bound",
-        {k: _le_report("rate-bound", mean, bound, 1e-9, "")
-         for k, mean, bound in rows},
+        [(k, _le_report("rate-bound", mean, bound, 1e-9, ""))
+         for k, mean, bound in rows],
         f"checkpoints={len(rows)} seeds={len(traces)}")
 
 
@@ -797,7 +797,7 @@ def suite_rate(n: int, seed: int, alpha: float) -> list[CheckReport]:
     traces = [run(problem, config, SamplingScheme(UNIFORM, seed=s), epochs,
                   reference=reference) for s in range(seeds)]
     rows = rate_curve(traces, problem, alpha, w0)
-    family = {k: _le_report(f"rate-k-{k}", mean, bound, 1e-9, f"seeds={seeds}")
-              for k, mean, bound in rows}
-    return [*family.values(), _worst_report(
+    family = [(k, _le_report(f"rate-k-{k}", mean, bound, 1e-9,
+                             f"seeds={seeds}")) for k, mean, bound in rows]
+    return [r for _, r in family] + [_worst_report(
         "rate-bound", family, f"checkpoints={len(rows)} seeds={seeds}")]

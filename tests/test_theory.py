@@ -774,19 +774,20 @@ def test_rate_curve_and_certificate(synth_small):
 
 
 def test_worst_report_holds_only_when_every_member_holds():
-    family = {
-        0: theory._le_report("a", 1.0, 2.0, 0.0, ""),
+    family = [
+        (0, theory._le_report("a", 1.0, 2.0, 0.0, "")),
         # least slack, yet within tolerance of its large scale
-        4: theory._le_report("b", 0.0, -1.0, 1e-9, "", scale=1e10),
-        9: theory._le_report("c", 1.0, 0.5, 0.0, ""),
-    }
-    assert [r.satisfied for r in family.values()] == [True, True, False]
+        (4, theory._le_report("b", 0.0, -1.0, 1e-9, "", scale=1e10)),
+        (9, theory._le_report("c", 1.0, 0.5, 0.0, "")),
+        # a k given twice is two members
+        (9, theory._le_report("d", 0.5, 1.0, 0.0, "")),
+    ]
+    assert [r.satisfied for _, r in family] == [True, True, False, True]
     row = theory._worst_report("family", family, "seeds=2")
     assert (row.name, row.lhs, row.rhs, row.slack, row.satisfied,
             row.context) == ("family", 0.0, -1.0, -1.0, False,
                              "seeds=2 worst_k=4")
-    del family[9]
-    row = theory._worst_report("family", family, "seeds=2")
+    row = theory._worst_report("family", family[:2], "seeds=2")
     assert row.satisfied and row.context == "seeds=2 worst_k=4"
 
 
