@@ -70,8 +70,8 @@ class TraceRecord:
 class FinitoState:
     """Mutable single-owner state for the table-based solvers.
 
-    p_table and p_sum are always set; audit storage also sets phi_table and
-    phi_sum, compact storage neither.  `proximal` is not settable: it is
+    p_table and p_sum are always set; audit storage also sets phi_table,
+    compact storage does not.  `proximal` is not settable: it is
     derived from the tag, true exactly for "prox-finito".  Construction
     checks the storage, the tag (one of FINITO_TAGS), alpha (finite, > 0)
     and, with n the table's row count, k >= 0 and seen == n or (mid first
@@ -85,19 +85,14 @@ class FinitoState:
     p_table: np.ndarray
     p_sum: np.ndarray
     phi_table: np.ndarray | None = None
-    phi_sum: np.ndarray | None = None
     solver_tag: str = "finito"
 
     def __post_init__(self):
         if self.solver_tag not in FINITO_TAGS:
             raise ValueError(f"finito_init builds {', '.join(FINITO_TAGS)} states, "
                              f"not {self.solver_tag!r}")
-        if (self.p_table is None or self.p_sum is None
-                or (self.phi_table is None) != (self.phi_sum is None)):
-            held = [a for a in ("p_table", "p_sum", "phi_table", "phi_sum")
-                    if getattr(self, a) is not None]
-            raise ValueError(f"a finito state holds p_table and p_sum, plus phi_table and "
-                             f"phi_sum (audit) or neither; got {', '.join(held) or 'none'}")
+        if self.p_table is None or self.p_sum is None:
+            raise ValueError("a finito state holds p_table and p_sum")
         _check_table_state("alpha", self.alpha, self.k, self.seen, self.p_table)
         # a plain attribute, not a property: _next_w reads it every step
         self.proximal = self.solver_tag == "prox-finito"
@@ -235,11 +230,8 @@ def _fold(state: FinitoState | SagState, problem, j: int, first_pass: bool):
         state.grad_sum = total
     else:
         state.p_sum = total
-    phi_table = state.phi_table
-    if phi_table is not None:
-        phi_sum = state.phi_sum + (w - phi_table[j])
-        phi_table[j] = w
-        state.phi_sum = phi_table.sum(axis=0) if recompute else phi_sum
+    if state.phi_table is not None:
+        state.phi_table[j] = w
     state.seen = seen
     state.k = k + 1
     state.w = z
@@ -264,10 +256,10 @@ def finito_init(problem, alpha: float, w0=None, audit: bool = False,
     """
     n, d = problem.n, problem.d
     w0 = problem._check_point(np.zeros(d) if w0 is None else w0)
-    phi = dict(phi_table=np.zeros((n, d)), phi_sum=np.zeros(d)) if audit else {}
     state = FinitoState(alpha=float(alpha), k=0, seen=0, w=w0.copy(),
                         p_table=np.zeros((n, d)), p_sum=np.zeros(d),
-                        solver_tag=solver_tag, **phi)
+                        phi_table=np.zeros((n, d)) if audit else None,
+                        solver_tag=solver_tag)
     if problem.s == 0.0:
         raise StrongConvexityRequired("the table update divides by alpha*s*n")
     if first_pass:
@@ -277,7 +269,6 @@ def finito_init(problem, alpha: float, w0=None, audit: bool = False,
     state.p_sum = state.p_table.sum(axis=0)
     if audit:
         state.phi_table = np.tile(w0, (n, 1))
-        state.phi_sum = state.phi_table.sum(axis=0)
     state.seen = n
     state.w = _next_w(state, problem, n, state.p_sum)
     if not np.all(np.isfinite(state.w)):  # as the first pass would raise
@@ -353,7 +344,8 @@ def _monitor_point(state, config: SolverConfig) -> np.ndarray:
             raise ValueError("table-mean monitoring needs finito audit storage")
         if state.seen == 0:
             return state.w
-        return state.phi_sum / state.seen
+        # the rows not yet seen are all +0.0, so this is the mean of those seen
+        return state.phi_table.sum(axis=0) / state.seen
     return state.w
 
 

@@ -58,8 +58,7 @@ def _trace_bytes(records) -> bytes:
 
 
 def _state_bytes(state) -> bytes:
-    names = ("w", "p_table", "p_sum", "phi_table", "phi_sum", "grad_table",
-             "grad_sum")
+    names = ("w", "p_table", "p_sum", "phi_table", "grad_table", "grad_sum")
     return b"".join(getattr(state, name).tobytes() for name in names
                     if getattr(state, name, None) is not None)
 

@@ -425,9 +425,9 @@ def test_resume_from_checkpoint_without_w_exits_one(tmp_path):
 
 
 def test_resume_from_audit_checkpoint_in_the_gradient_table_layout_exits_one(tmp_path):
-    # audit checkpoints once held phi and gradient tables in place of the p
-    # table, under the same header; such a file lacks the p table every
-    # finito state reads w from
+    # audit checkpoints once held phi and gradient tables, with their sums,
+    # in place of the p table, under the same header; such a file lacks the
+    # p table every finito state reads w from
     ck = tmp_path / "state.ckpt"
     base = ["--synth", SYNTH, "--solver", "finito", "--monitor", "table-mean",
             "--seed", "5"]
@@ -435,7 +435,7 @@ def test_resume_from_audit_checkpoint_in_the_gradient_table_layout_exits_one(tmp
     assert code == 0
     head, *blocks = re.split(r"(?m)^(?=vec |table |END$)", ck.read_text())
     parts = {" ".join(block.split()[:2]): block for block in blocks}
-    old = (head + parts["vec w"] + parts["vec phi_sum"]
+    old = (head + parts["vec w"] + parts["vec p_sum"].replace("vec p_sum", "vec phi_sum")
            + parts["vec p_sum"].replace("vec p_sum", "vec grad_sum")
            + parts["table phi"] + parts["table p"].replace("table p", "table grad")
            + parts["END"])
@@ -445,6 +445,24 @@ def test_resume_from_audit_checkpoint_in_the_gradient_table_layout_exits_one(tmp
     assert (code, out) == (1, "")
     assert "missing 'p' table" in err
     assert "Traceback" not in err
+
+
+def test_resume_from_audit_checkpoint_with_a_phi_sum_line_exits_one(tmp_path):
+    # audit checkpoints once also held the phi table's running sum, under the
+    # same header; the table-mean monitor now sums the table itself
+    ck = tmp_path / "state.ckpt"
+    base = ["--synth", SYNTH, "--solver", "finito", "--monitor", "table-mean",
+            "--seed", "5"]
+    code, _, _ = call(["run", *base, "--epochs", "2", "--save-state", str(ck)])
+    assert code == 0
+    text = ck.read_text()
+    assert "\ntable phi 40\n" in text and "phi_sum" not in text
+    p_sum = re.search(r"(?m)^vec p_sum .*\n", text).group()
+    ck.write_text(text.replace(p_sum, p_sum + p_sum.replace("vec p_sum", "vec phi_sum")))
+    code, out, err = call(["run", *base, "--epochs", "4", "--resume", str(ck)])
+    assert (code, out) == (1, "")
+    assert re.fullmatch(r"error: line \d+: 'vec phi_sum' is not in the layout "
+                        r"of solver 'finito'\n", err)
 
 
 @pytest.mark.parametrize("solver", ["finito", "prox-finito", "miso"])

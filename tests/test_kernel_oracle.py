@@ -54,7 +54,7 @@ CASES = [(tag, audit, first_pass)
          for tag in ("finito", "miso", "prox-finito", "sag", "practical sag")
          for audit in ((False, True) if "sag" not in tag else (False,))
          for first_pass in (False, True)]
-ARRAYS = ("w", "p_table", "p_sum", "phi_table", "phi_sum", "grad_table", "grad_sum")
+ARRAYS = ("w", "p_table", "p_sum", "phi_table", "grad_table", "grad_sum")
 
 
 @st.composite
@@ -176,7 +176,6 @@ def test_every_step_matches_the_textbook_iterate(tag, audit, first_pass, drawn, 
                 assert np.array_equal(state.w, exact), (k, state.w, exact)
             if recompute and audit:
                 assert np.array_equal(state.phi_table, oracle.phi)
-                assert np.array_equal(state.phi_sum, oracle.phi.sum(axis=0))
             if not huge:
                 oracle.scale = np.maximum(oracle.scale, scale)
                 gap = np.abs(state.w - z)

@@ -189,7 +189,7 @@ def arbitrary_states(draw):
         tag = draw(st.sampled_from(["finito", "prox-finito", "miso"]))
         arrays = dict(p_table=draw(table), p_sum=draw(vector))
         if draw(st.booleans()):  # audit storage, for any tag, beside p
-            arrays.update(phi_table=draw(table), phi_sum=draw(vector))
+            arrays.update(phi_table=draw(table))
         state = FinitoState(alpha=draw(positive), k=k, seen=seen, w=draw(vector),
                             solver_tag=tag, **arrays)
     sampler = None
@@ -206,8 +206,7 @@ def test_checkpoint_keeps_every_float_bit(case):
     problem, state, sampler = case
     text = _saved(state, sampler)
     loaded, _ = checkpoint_load(io.StringIO(text), problem)
-    for name in ("w", "p_table", "p_sum", "phi_table", "phi_sum", "grad_table",
-                 "grad_sum"):
+    for name in ("w", "p_table", "p_sum", "phi_table", "grad_table", "grad_sum"):
         want = getattr(state, name, None)
         if want is None:
             assert getattr(loaded, name, None) is None

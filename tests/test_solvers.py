@@ -134,7 +134,7 @@ def test_audit_rows_decompose_compact_rows(synth_tiny, rng):
     problem, _ = synth_tiny
     compact = finito_init(problem, alpha=2.0, w0=np.zeros(problem.d))
     audit = finito_init(problem, alpha=2.0, w0=np.zeros(problem.d), audit=True)
-    assert compact.phi_table is None and compact.phi_sum is None
+    assert compact.phi_table is None
     for j in rng.integers(problem.n, size=60):
         finito_step(compact, problem, int(j))
         finito_step(audit, problem, int(j))
@@ -343,7 +343,6 @@ def test_fresh_run_keeps_audit_storage_exactly_when_monitoring_the_table_mean(
             _, state, _ = run_with_state(problem, config, SamplingScheme(UNIFORM), 1)
             assert state.audit is (monitor == "table-mean")
             assert (state.phi_table is None) is (monitor == "iterate")
-            assert (state.phi_sum is None) is (monitor == "iterate")
             assert state.p_table is not None and state.p_sum is not None
     assert not any(f.name == "audit" for f in dataclasses.fields(SolverConfig))
 
@@ -379,6 +378,30 @@ def test_table_mean_monitor_reports_phi_mean(synth_tiny):
                                        epochs=3, reference=ref)
     want = problem.full_objective(state.phi_table.mean(axis=0))
     assert records[-1].objective == want
+
+
+@pytest.mark.parametrize("first_pass", [False, True])
+@pytest.mark.parametrize("tag", FINITO_TAGS)
+def test_every_table_mean_record_sums_the_table_over_seen(synth_tiny, tag, first_pass):
+    # a record every step, mid-epoch and mid first pass included, is the
+    # objective at the phi table's sum over the rows seen, bit for bit
+    problem, ref = synth_tiny
+    n = problem.n
+    config = SolverConfig(solver=tag, monitor="table-mean", first_pass=first_pass,
+                          w0=np.zeros(problem.d))
+    scheme = SamplingScheme(UNIFORM, seed=4)
+    records, _, _ = run_with_state(problem, config, scheme, 3, reference=ref,
+                                   record_every=1 / n)
+    _, state, sampler = run_with_state(problem, config, scheme, 0)
+    want = [problem.full_objective(state.w if state.seen == 0 else
+                                   state.phi_table.sum(axis=0) / state.seen)]
+    while state.k < 3 * n:
+        if state.seen < n:
+            finito_first_pass_step(state, problem, state.seen)
+        else:
+            finito_step(state, problem, sampler.next_index())
+        want.append(problem.full_objective(state.phi_table.sum(axis=0) / state.seen))
+    assert [r.objective for r in records] == want
 
 
 def test_resume_matches_uninterrupted(synth_tiny):
@@ -477,8 +500,7 @@ def test_reference_solve_stops_where_the_iterate_stops_moving():
 
 # -- the step kernel's finiteness guard -----------------------------------------
 
-_TABLES = ("w", "p_table", "p_sum", "phi_table", "phi_sum", "grad_table",
-           "grad_sum")
+_TABLES = ("w", "p_table", "p_sum", "phi_table", "grad_table", "grad_sum")
 
 
 def _snapshot(state):
