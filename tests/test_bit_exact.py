@@ -136,6 +136,8 @@ def compute_digests() -> dict:
     cases = {}
     for name, (problem, reference) in problems.items():
         for solver, sampling, first_pass, monitor in _configs():
+            if name == "l1" and solver != "prox-finito":
+                continue  # the other table solvers refuse an l1 term
             # the table-mean monitor is what keeps the audit tables
             key = (f"{name} {solver} {sampling} first_pass={int(first_pass)} "
                    f"audit={int(monitor == 'table-mean')} {monitor}")
