@@ -153,6 +153,14 @@ def _require_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
+def _refuse_l1(tag: str, problem) -> None:
+    # finito, miso and sag step on the smooth part alone; SAG (arXiv
+    # 1309.2388) is analysed for smooth sums only
+    if problem.l1_weight > 0 and tag not in ("prox-finito", "full-gradient"):
+        raise ValueError(f"{tag} ignores the l1 term (l1 = {problem.l1_weight:g}); "
+                         f"use prox-finito or full-gradient")
+
+
 def _check_table_state(name: str, value: float, k: int, seen: int, table) -> None:
     # k counts updates from 0; every row is filled, or the first pass has
     # admitted exactly k rows
@@ -252,8 +260,9 @@ def finito_init(problem, alpha: float, w0=None, audit: bool = False,
 
     solver_tag is one of FINITO_TAGS.  "prox-finito" makes the state proximal:
     each w refreshed from p_sum goes through the L1 prox with step
-    1/(alpha*s).
+    1/(alpha*s); the other tags refuse a problem with an l1 term.
     """
+    _refuse_l1(solver_tag, problem)
     n, d = problem.n, problem.d
     w0 = problem._check_point(np.zeros(d) if w0 is None else w0)
     state = FinitoState(alpha=float(alpha), k=0, seen=0, w=w0.copy(),
@@ -309,6 +318,7 @@ def sag_default_step(problem, practical: bool = False) -> float:
 
 def sag_init(problem, w0=None, step: float | None = None,
              practical: bool = False, first_pass: bool = False) -> SagState:
+    _refuse_l1("sag", problem)
     if step is None:
         step = sag_default_step(problem, practical=practical)
     n, d = problem.n, problem.d
@@ -380,6 +390,7 @@ def run_with_state(problem, config: SolverConfig, scheme: SamplingScheme,
         raise ValueError(f"unknown solver {config.solver!r}")
     if config.monitor not in MONITORS:
         raise ValueError(f"unknown monitor {config.monitor!r}")
+    _refuse_l1(config.solver, problem)  # a resumed state too
     if epochs < 0:
         raise ValueError(f"epochs must be >= 0, got {epochs}")
     _require_positive("record_every", record_every)

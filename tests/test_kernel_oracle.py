@@ -58,10 +58,10 @@ ARRAYS = ("w", "p_table", "p_sum", "phi_table", "grad_table", "grad_sum")
 
 
 @st.composite
-def problems(draw):
+def problems(draw, l1_weights):
     n, d = draw(st.integers(2, 8)), draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    l1 = draw(st.sampled_from([0.0, 0.05]))
+    l1 = draw(st.sampled_from(l1_weights))
     kind = draw(st.sampled_from([LOGISTIC, SQUARED, "quadratic"]))
     if kind == "quadratic":
         return QuadraticProblem(rng.standard_normal((n, d)),
@@ -132,12 +132,13 @@ class Oracle:
 
 @pytest.mark.parametrize("tag,audit,first_pass", CASES)
 @settings(max_examples=6, deadline=None, derandomize=True, database=None)
-@given(drawn=problems(), kind=st.sampled_from(SAMPLING_NAMES),
+@given(data=st.data(), kind=st.sampled_from(SAMPLING_NAMES),
        alpha=st.sampled_from([2.0, 1.0, 5.0]), epochs=st.integers(1, 3),
        huge=st.booleans())
-def test_every_step_matches_the_textbook_iterate(tag, audit, first_pass, drawn, kind,
+def test_every_step_matches_the_textbook_iterate(tag, audit, first_pass, data, kind,
                                                  alpha, epochs, huge):
-    problem, rng = drawn
+    # only prox-finito steps on an l1 term; the other solvers refuse one
+    problem, rng = data.draw(problems([0.0, 0.05] if tag == "prox-finito" else [0.0]))
     n = problem.n
     # a huge w0 may overflow in the first pass, where the oracle's map is the
     # kernel's arithmetic bit for bit, so both agree on where the iterate

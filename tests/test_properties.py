@@ -125,8 +125,11 @@ def run_states(draw):
     n, d = draw(st.integers(2, 5)), draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     solver = draw(st.sampled_from(SOLVER_TAGS))
+    # finito, miso and sag refuse an l1 term
+    l1_weights = [0.0, 0.05] if solver in ("prox-finito", "full-gradient") else [0.0]
+    l1 = draw(st.sampled_from(l1_weights))
     problem = QuadraticProblem(rng.standard_normal((n, d)), rng.uniform(1.0, 2.0, n),
-                               l1_weight=draw(st.sampled_from([0.0, 0.05])))
+                               l1_weight=l1)
     # the table-mean monitor, which keeps audit storage, needs a finito tag
     monitor = draw(st.sampled_from(MONITORS if solver in FINITO_TAGS else ("iterate",)))
     config = SolverConfig(solver=solver, monitor=monitor,

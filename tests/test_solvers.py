@@ -99,6 +99,26 @@ def test_constants_derived_from_a_huge_lipschitz_constant_name_the_data():
             SamplingScheme(UNIFORM, 0), 1)
 
 
+@pytest.mark.parametrize("solver", ["finito", "miso", "sag"])
+def test_solvers_that_ignore_an_l1_term_refuse_it(solver):
+    # the init and run refuse; so does a resume, whatever state it carries
+    problem, _ = synth_problem(SynthSpec(n=12, d=3, l1_weight=0.05, seed=7))
+    smooth, _ = synth_problem(SynthSpec(n=12, d=3, seed=7))
+    message = (f"^{solver} ignores the l1 term \\(l1 = 0.05\\); "
+               "use prox-finito or full-gradient$")
+    config = SolverConfig(solver=solver, w0=np.zeros(problem.d))
+    with pytest.raises(ValueError, match=message):
+        sag_init(problem) if solver == "sag" else finito_init(problem, 2.0, solver_tag=solver)
+    with pytest.raises(ValueError, match=message):
+        run(problem, config, SamplingScheme(UNIFORM), 1)
+    _, state, sampler = run_with_state(smooth, config, SamplingScheme(UNIFORM), 1)
+    with pytest.raises(ValueError, match=message):
+        run(problem, config, SamplingScheme(UNIFORM), 2, resume=(state, sampler))
+    for tag in ("prox-finito", "full-gradient"):
+        run(problem, SolverConfig(solver=tag, w0=np.zeros(problem.d)),
+            SamplingScheme(UNIFORM), 1)
+
+
 def miso_state(problem, w0):
     """The state run() builds for solver="miso" (eager init, no steps)."""
     config = SolverConfig(solver="miso", alpha=5.0, first_pass=False, w0=w0)
@@ -350,8 +370,9 @@ def test_fresh_run_keeps_audit_storage_exactly_when_monitoring_the_table_mean(
 @pytest.mark.parametrize("tag", FINITO_TAGS)
 def test_the_monitor_never_changes_the_trajectory(tag):
     # the table-mean monitor keeps the phi table beside the p table, and w
-    # is read from p_sum in either storage
-    problem, _ = synth_problem(SynthSpec(n=12, d=3, l1_weight=0.05, seed=7))
+    # is read from p_sum in either storage; only prox-finito steps on an l1 term
+    l1 = 0.05 if tag == "prox-finito" else 0.0
+    problem, _ = synth_problem(SynthSpec(n=12, d=3, l1_weight=l1, seed=7))
     for sampling in SAMPLING_NAMES:
         for first_pass in (False, True):
             ends = []
