@@ -3,7 +3,7 @@ the convergence analysis and the sampling lower bound.
 
 Exit codes: 0 success, 1 usage or input errors (a request too large to
 allocate included), 2 divergence, 3 one or more verification checks
-unsatisfied.  Every command is deterministic given its flags; the wall_ms
+unsatisfied (stderr names the first).  Every command is deterministic given its flags; the wall_ms
 trace column is the single exception.
 """
 
@@ -225,12 +225,15 @@ def cmd_compare(args) -> int:
 # verify
 
 
-def _rows(reports: list[CheckReport]) -> tuple[str, bool]:
-    """A suite's CSV rows and whether every check holds, made in the
-    process that ran the suite, so a worker sends text and not reports."""
+def _rows(reports: list[CheckReport]) -> tuple[str, str | None]:
+    """A suite's CSV rows and a line naming its first unsatisfied check, or
+    None when every check holds, made in the process that ran the suite, so
+    a worker sends text and not reports."""
     text = "".join(f"{r.name},{_fmt(r.lhs)},{_fmt(r.rhs)},{_fmt(r.slack)},"
                    f"{'true' if r.satisfied else 'false'}\n" for r in reports)
-    return text, all(r.satisfied for r in reports)
+    bad = next((r for r in reports if not r.satisfied), None)
+    return text, bad and (f"failed: {bad.name}: lhs={_fmt(bad.lhs)} "
+                          f"rhs={_fmt(bad.rhs)} context={bad.context!r}")
 
 
 def _spare_cpus() -> int:
@@ -315,9 +318,13 @@ def cmd_verify(args) -> int:
     for name in calls:  # a call after the first error has no entry
         if isinstance(done[name], Exception):
             raise done[name]
-    texts, holds = zip(*(done[name] for name in calls))
+    texts, failures = zip(*(done[name] for name in calls))
     _write_text(args.out, "name,lhs,rhs,slack,satisfied\n" + "".join(texts))
-    return 0 if all(holds) else 3
+    failure = next((line for line in failures if line is not None), None)
+    if failure is None:
+        return 0
+    print(failure, file=sys.stderr)  # the first in CSV order
+    return 3
 
 
 # ---------------------------------------------------------------------------

@@ -269,9 +269,10 @@ def test_verification_failure_exits_three(monkeypatch):
     monkeypatch.setattr(
         cli, "suite_lowerbound",
         lambda **kw: [CheckReport("forced", 1.0, 0.0, False, -1.0)])
-    code, out, _ = call(["verify", "--suite", "lowerbound"])
+    code, out, err = call(["verify", "--suite", "lowerbound"])
     assert code == 3
     assert out.strip().splitlines()[-1] == "forced,1.0,0.0,-1.0,false"
+    assert err == "failed: forced: lhs=1.0 rhs=0.0 context=''\n"
 
 
 def test_a_solver_whose_w_is_not_its_table_map_fails_a_row(monkeypatch):
@@ -283,9 +284,14 @@ def test_a_solver_whose_w_is_not_its_table_map_fails_a_row(monkeypatch):
             total / -(1.1 * state.alpha * problem.s * seen))
     code, out, err = call(["verify", "--suite", "lyapunov", "--n", "12",
                            "--d", "3", "--draws", "4"])
-    assert (code, err) == (3, "")
+    assert code == 3
     rows = [line.split(",") for line in out.strip().splitlines()[1:]]
     assert {row[4] for row in rows if row[0] == "map-consistency"} == {"false"}
+    # stderr names the first false row in CSV order, with its context
+    first = next(row for row in rows if row[4] == "false")
+    assert err == (f"failed: {first[0]}: lhs={first[1]} rhs={first[2]} "
+                   "context='all rows at w0'\n")
+    assert first[0] == "initial-potential"
 
 
 # -- verify ----------------------------------------------------------------------

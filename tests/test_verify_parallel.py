@@ -106,6 +106,25 @@ def test_violated_check_in_a_worker_exits_three(monkeypatch):
     assert_no_child_left()
 
 
+def test_the_first_failed_check_is_the_same_on_one_and_two_cpus(monkeypatch):
+    # lyapunov runs in the worker and rate in the caller; stderr names the
+    # first unsatisfied row in CSV order, wherever its suite ran
+    def failing(name, context):
+        return lambda **_: [CheckReport(f"{name}-holds", 0.0, 1.0, True, 1.0),
+                            CheckReport(name, 2.0, 1.0, False, -1.0, context)]
+    monkeypatch.setattr(cli, "suite_inequalities", lambda **_: [])
+    monkeypatch.setattr(cli, "suite_lyapunov", failing("lyapunov-row", "step=3"))
+    monkeypatch.setattr(cli, "suite_rate", failing("rate-row", "k=1"))
+    monkeypatch.setattr(cli, "suite_lowerbound", lambda **_: [])
+    argv = ["verify", "--suite", "all"]
+    serial = on_cpus(monkeypatch, 1, argv)
+    parallel = on_cpus(monkeypatch, 2, argv)
+    assert serial[0] == 3
+    assert serial[2] == "failed: lyapunov-row: lhs=2.0 rhs=1.0 context='step=3'\n"
+    assert parallel == serial
+    assert_no_child_left()
+
+
 def test_a_worker_that_dies_without_a_result_exits_one(monkeypatch):
     monkeypatch.setattr(cli, "suite_inequalities",
                         in_worker_only(lambda: os._exit(7)))
