@@ -139,6 +139,13 @@ def test_every_step_matches_the_textbook_iterate(tag, audit, first_pass, data, k
                                                  alpha, epochs, huge):
     # only prox-finito steps on an l1 term; the other solvers refuse one
     problem, rng = data.draw(problems([0.0, 0.05] if tag == "prox-finito" else [0.0]))
+    follow_the_oracle(problem, rng, tag, audit, first_pass, kind, alpha, epochs, huge)
+
+
+def follow_the_oracle(problem, rng, tag, audit, first_pass, kind, alpha, epochs,
+                      huge=False):
+    """Step a fresh state of `tag` on `problem` through `epochs` passes and
+    assert each step against the oracle; rng draws w0 and the sampler seed."""
     n = problem.n
     # a huge w0 may overflow in the first pass, where the oracle's map is the
     # kernel's arithmetic bit for bit, so both agree on where the iterate
