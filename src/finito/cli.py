@@ -3,8 +3,8 @@ the convergence analysis and the sampling lower bound.
 
 Exit codes: 0 success, 1 usage or input errors (a request too large to
 allocate included), 2 divergence, 3 one or more verification checks
-unsatisfied (stderr names the first).  Every command is deterministic given its flags; the wall_ms
-trace column is the single exception.
+unsatisfied, the first named on stderr.  Every command is deterministic
+given its flags; the wall_ms trace column is the single exception.
 """
 
 from __future__ import annotations
@@ -320,11 +320,10 @@ def cmd_verify(args) -> int:
             raise done[name]
     texts, failures = zip(*(done[name] for name in calls))
     _write_text(args.out, "name,lhs,rhs,slack,satisfied\n" + "".join(texts))
-    failure = next((line for line in failures if line is not None), None)
-    if failure is None:
-        return 0
-    print(failure, file=sys.stderr)  # the first in CSV order
-    return 3
+    for failure in filter(None, failures):  # the first in CSV order
+        print(failure, file=sys.stderr)
+        return 3
+    return 0
 
 
 # ---------------------------------------------------------------------------

@@ -158,7 +158,7 @@ def _refuse_l1(tag: str, problem) -> None:
     # 1309.2388) is analysed for smooth sums only
     if problem.l1_weight > 0 and tag not in ("prox-finito", "full-gradient"):
         raise ValueError(f"{tag} ignores the l1 term (l1 = {problem.l1_weight:g}); "
-                         f"use prox-finito or full-gradient")
+                         "use prox-finito or full-gradient")
 
 
 def _check_table_state(name: str, value: float, k: int, seen: int, table) -> None:
