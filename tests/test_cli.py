@@ -122,16 +122,6 @@ def test_miso_without_strong_convexity_exits_one(tmp_path):
         assert "divides by alpha*s*n" in err
 
 
-@pytest.mark.parametrize("solver", ["finito", "sag", "miso"])
-def test_solvers_that_ignore_an_l1_term_refuse_it(solver):
-    # they step on the smooth part alone; on this problem finito's
-    # suboptimality once rose from 0.0377 to 0.295 and the run exited 0
-    code, out, err = call(["run", "--synth", "n=200,d=10,l1=0.05", "--solver", solver])
-    assert (code, out) == (1, "")
-    assert err == (f"error: {solver} ignores the l1 term (l1 = 0.05); "
-                   "use prox-finito or full-gradient\n")
-
-
 # each of these once escaped cli.main as a traceback or exited 2 ("diverged")
 @pytest.mark.parametrize("argv,message", [
     pytest.param(["run", "--synth", "n=10,d=2,loss=hinge"],
@@ -149,6 +139,12 @@ def test_solvers_that_ignore_an_l1_term_refuse_it(solver):
                  "target beta=2.0 at s=1e-320", id="synth-s-subnormal"),
     pytest.param(["compare", "--synth", "n=50,d=5,s=5e-324", "--configs", "finito"],
                  "target beta=2.0 at s=5e-324", id="compare-synth-s-subnormal"),
+    # these step on the smooth part alone; on this problem finito's
+    # suboptimality rose from 0.0377 to 0.295 and the run exited 0
+    *(pytest.param(["run", "--synth", "n=200,d=10,l1=0.05", "--solver", solver],
+                   f"error: {solver} ignores the l1 term (l1 = 0.05); "
+                   "use prox-finito or full-gradient\n", id=f"{solver}-l1")
+      for solver in ("finito", "sag", "miso")),
     pytest.param(["verify", "--suite", "lyapunov", "--beta", "0"],
                  "target_beta must be finite and > 0", id="lyapunov-beta-0"),
     # the rate is certified only inside the admissible region (alpha >= 2 at
