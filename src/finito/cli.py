@@ -135,7 +135,7 @@ def cmd_run(args) -> int:
         solver=args.solver, alpha=args.alpha, step=args.step,
         sag_practical=args.sag_practical, first_pass=not args.no_first_pass,
         monitor=args.monitor, w0=np.zeros(problem.d))
-    scheme = SamplingScheme.from_name(args.sampling, args.seed)
+    scheme = SamplingScheme(args.sampling, args.seed)
     resume = None
     if args.resume is not None:
         resume = checkpoint_load(args.resume, problem)
@@ -200,7 +200,7 @@ def cmd_compare(args) -> int:
         for row, seed in enumerate(seeds):
             config = SolverConfig(solver=solver, alpha=alpha, step=step,
                                   w0=np.zeros(problem.d))
-            scheme = SamplingScheme.from_name(sampling, seed)
+            scheme = SamplingScheme(sampling, seed)
             try:
                 records = run(problem, config, scheme, args.epochs,
                               reference=reference)

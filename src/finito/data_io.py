@@ -426,7 +426,7 @@ def checkpoint_load(source, problem):
     try:
         state = cls(**args)
         if sampling != "none":
-            scheme = SamplingScheme.from_name(sampling, _scalar("sampling_seed"))
+            scheme = SamplingScheme(sampling, _scalar("sampling_seed"))
             sampler = IndexSampler(scheme, problem.n).skip_to(_scalar("draws"))
     except ValueError as exc:
         raise CheckpointFormatError(str(exc)) from None

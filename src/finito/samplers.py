@@ -9,6 +9,7 @@ checkpointed runs resume bit-exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, count, islice, repeat
 
 import numpy as np
 
@@ -47,7 +48,7 @@ class SamplingScheme:
 
     @staticmethod
     def from_name(name: str, seed: int = 0) -> "SamplingScheme":
-        """Build from a config tag (one of SAMPLING_NAMES)."""
+        """SamplingScheme(name, seed), kept for the benchmark harness."""
         return SamplingScheme(name, seed)
 
 
@@ -59,30 +60,23 @@ class IndexSampler:
             raise ValueError(f"sampler needs n >= 1, got {n}")
         self.scheme = scheme
         self.n = int(n)
-        self.draws = 0
-        self._pass = 0
-        self._pos = 0
-        self._block = self._make_block(0)
+        self.skip_to(0)
 
-    def _make_block(self, pass_index: int) -> list[int]:
-        # a list of Python ints: indexing it is far cheaper than a numpy read
-        kind = self.scheme.kind
-        if kind == CYCLIC:
-            return list(range(self.n))
-        if kind == PERMUTED_FROZEN:
+    @staticmethod
+    def _make_block(scheme: SamplingScheme, n: int, pass_index: int) -> list[int]:
+        # a list of Python ints, whose iterator is far cheaper than numpy reads;
+        # static, so the stream holds no reference back to its sampler
+        if scheme.kind == CYCLIC:
+            return list(range(n))
+        if scheme.kind == PERMUTED_FROZEN:
             pass_index = 0
-        rng = np.random.default_rng([self.scheme.seed, pass_index])
-        if kind == UNIFORM:
-            return rng.integers(0, self.n, size=self.n).tolist()
-        return rng.permutation(self.n).tolist()
+        rng = np.random.default_rng([scheme.seed, pass_index])
+        if scheme.kind == UNIFORM:
+            return rng.integers(0, n, size=n).tolist()
+        return rng.permutation(n).tolist()
 
     def next_index(self) -> int:
-        if self._pos == self.n:
-            self._pass += 1
-            self._pos = 0
-            self._block = self._make_block(self._pass)
-        j = self._block[self._pos]
-        self._pos += 1
+        j = next(self._stream)
         self.draws += 1
         return j
 
@@ -91,7 +85,7 @@ class IndexSampler:
         if draws < 0:
             raise ValueError(f"draw count must be >= 0, got {draws}")
         self.draws = draws
-        self._pass = draws // self.n
-        self._pos = draws % self.n
-        self._block = self._make_block(self._pass)
+        blocks = map(self._make_block, repeat(self.scheme), repeat(self.n),
+                     count(draws // self.n))
+        self._stream = islice(chain.from_iterable(blocks), draws % self.n, None)
         return self

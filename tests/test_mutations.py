@@ -94,10 +94,10 @@ def m5(monkeypatch):
 
 
 def m6(monkeypatch):
-    def uniform_block(self, pass_index):
-        rng = np.random.default_rng([self.scheme.seed, pass_index])
-        return rng.integers(0, self.n, size=self.n).tolist()
-    monkeypatch.setattr(IndexSampler, "_make_block", uniform_block)
+    def uniform_block(scheme, n, pass_index):
+        rng = np.random.default_rng([scheme.seed, pass_index])
+        return rng.integers(0, n, size=n).tolist()
+    monkeypatch.setattr(IndexSampler, "_make_block", staticmethod(uniform_block))
 
 
 def m7(monkeypatch):
