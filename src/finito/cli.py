@@ -25,7 +25,7 @@ from .problems import (FiniteSumProblem, LOGISTIC, LOSS_KINDS,
                        ReferenceSolution)
 from .samplers import SAMPLING_NAMES, SamplingScheme
 from .solvers import (DivergenceError, MONITORS, SOLVER_TAGS, SolverConfig,
-                      reference_solve, run, run_with_state)
+                      check_config, reference_solve, run, run_with_state)
 from .theory import (CheckReport, suite_inequalities, suite_lyapunov,
                      suite_rate)
 
@@ -157,8 +157,9 @@ def cmd_run(args) -> int:
 # compare
 
 
-def _parse_config_token(token: str, default_alpha: float):
-    """'solver[:sampling[:key=val]...]'; keys alpha and step."""
+def _parse_config_token(token: str, default_alpha: float, d: int):
+    """'solver[:sampling[:key=val]...]'; keys alpha (finito and prox-finito
+    only) and step."""
     parts = token.split(":")
     solver = parts[0]
     if solver not in SOLVER_TAGS:
@@ -172,34 +173,36 @@ def _parse_config_token(token: str, default_alpha: float):
         if not eq:
             raise ValueError(f"bad override {extra!r} in config {token!r}")
         if key == "alpha":
+            if solver not in ("finito", "prox-finito"):  # miso's alpha is L/s
+                raise ValueError(f"{solver} ignores alpha (in config {token!r})")
             alpha = float(val)
         elif key == "step":
             step = float(val)
         else:
             raise ValueError(f"unknown override key {key!r} in {token!r}")
-    label = token.replace(":", "-")
-    return label, solver, sampling, alpha, step
+    config = SolverConfig(solver=solver, alpha=alpha, step=step, w0=np.zeros(d))
+    return token.replace(":", "-"), sampling, config
 
 
 def cmd_compare(args) -> int:
     problem, synth_ref = _build_problem(args)
-    reference = _resolve_reference(args.fstar, problem, synth_ref)
-    configs = [_parse_config_token(tok, args.alpha)
+    configs = [_parse_config_token(tok, args.alpha, problem.d)
                for tok in args.configs.split(",") if tok]
     if not configs:
         raise ValueError("no configs given")
+    for _, _, config in configs:  # every config, before the first run
+        check_config(problem, config)
     seeds = _parse_seeds(args.seeds)
     if not seeds:
         raise ValueError("no seeds given")
+    reference = _resolve_reference(args.fstar, problem, synth_ref)
     grid = list(range(args.epochs + 1))
     columns: dict[str, np.ndarray] = {}
     if args.out_dir is not None:
         Path(args.out_dir).mkdir(parents=True, exist_ok=True)
-    for label, solver, sampling, alpha, step in configs:
+    for label, sampling, config in configs:
         per_seed = np.full((len(seeds), len(grid)), np.inf)
         for row, seed in enumerate(seeds):
-            config = SolverConfig(solver=solver, alpha=alpha, step=step,
-                                  w0=np.zeros(problem.d))
             scheme = SamplingScheme(sampling, seed)
             try:
                 records = run(problem, config, scheme, args.epochs,
@@ -340,11 +343,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = subs.add_parser("run", help="run one solver, write a trace CSV")
     _add_problem_flags(p_run)
     p_run.add_argument("--solver", choices=SOLVER_TAGS, default="finito")
-    p_run.add_argument("--alpha", type=float, default=2.0)
+    p_run.add_argument("--alpha", type=float, default=2.0,
+                       help="finito and prox-finito only; miso sets alpha = "
+                            "L/s, sag and full-gradient ignore it (default 2)")
     p_run.add_argument("--step", type=float, default=None,
-                       help="sag / full-gradient step override")
+                       help="sag / full-gradient step; refused by the others")
     p_run.add_argument("--sag-practical", action="store_true",
-                       help="sag step 1/(Ln) instead of 1/(16Ln)")
+                       help="sag default step 1/(Ln) instead of 1/(16Ln); "
+                            "refused by the others and beside --step")
     p_run.add_argument("--sampling", choices=SAMPLING_NAMES,
                        default="uniform")
     p_run.add_argument("--seed", type=int, default=0)
@@ -371,7 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--seeds", default="11",
                        help="seed count (0..n-1) or comma list (default 11)")
     p_cmp.add_argument("--epochs", type=int, default=10)
-    p_cmp.add_argument("--alpha", type=float, default=2.0)
+    p_cmp.add_argument("--alpha", type=float, default=2.0,
+                       help="default alpha of finito and prox-finito configs")
     p_cmp.add_argument("--out-dir", default=None,
                        help="also write one trace CSV per (config, seed)")
     p_cmp.set_defaults(func=cmd_compare)

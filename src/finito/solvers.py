@@ -161,6 +161,28 @@ def _refuse_l1(tag: str, problem) -> None:
                          "use prox-finito or full-gradient")
 
 
+def check_config(problem, config: SolverConfig) -> None:
+    """ValueError unless run_with_state would run `config` on `problem` as
+    asked: a known solver and monitor, no l1 term the solver ignores, and no
+    setting it never reads (step for finito, prox-finito and miso, whose
+    step alpha sets; sag_practical for any solver but sag, or beside an
+    explicit step)."""
+    solver = config.solver
+    if solver not in SOLVER_TAGS:
+        raise ValueError(f"unknown solver {solver!r}")
+    if config.monitor not in MONITORS:
+        raise ValueError(f"unknown monitor {config.monitor!r}")
+    _refuse_l1(solver, problem)  # a resumed state too
+    if config.step is not None and solver in FINITO_TAGS:
+        raise ValueError(f"{solver} ignores step (step = {config.step:g}); "
+                         "only sag and full-gradient take one")
+    if config.sag_practical and solver != "sag":
+        raise ValueError(f"{solver} ignores sag_practical; only sag reads it")
+    if config.sag_practical and config.step is not None:
+        raise ValueError(f"sag ignores sag_practical beside an explicit step "
+                         f"(step = {config.step:g})")
+
+
 def _check_table_state(name: str, value: float, k: int, seen: int, table) -> None:
     # k counts updates from 0; every row is filled, or the first pass has
     # admitted exactly k rows
@@ -386,11 +408,7 @@ def run_with_state(problem, config: SolverConfig, scheme: SamplingScheme,
                    record_every: float = 1.0, resume: tuple | None = None):
     """Like run(), but returns (records, state, sampler) so the caller can
     checkpoint where the run stopped."""
-    if config.solver not in SOLVER_TAGS:
-        raise ValueError(f"unknown solver {config.solver!r}")
-    if config.monitor not in MONITORS:
-        raise ValueError(f"unknown monitor {config.monitor!r}")
-    _refuse_l1(config.solver, problem)  # a resumed state too
+    check_config(problem, config)
     if epochs < 0:
         raise ValueError(f"epochs must be >= 0, got {epochs}")
     _require_positive("record_every", record_every)

@@ -145,6 +145,25 @@ def test_miso_without_strong_convexity_exits_one(tmp_path):
                    f"error: {solver} ignores the l1 term (l1 = 0.05); "
                    "use prox-finito or full-gradient\n", id=f"{solver}-l1")
       for solver in ("finito", "sag", "miso")),
+    # each of these exited 0 and ignored a setting the solver never reads
+    pytest.param(["run", "--synth", "n=50,d=5", "--solver", "finito", "--step", "0.1"],
+                 "error: finito ignores step (step = 0.1)", id="finito-step"),
+    pytest.param(["run", "--synth", "n=50,d=5", "--solver", "prox-finito",
+                  "--sag-practical"],
+                 "error: prox-finito ignores sag_practical", id="prox-finito-sag-practical"),
+    pytest.param(["run", "--synth", "n=50,d=5", "--solver", "sag", "--sag-practical",
+                  "--step", "1e-3"],
+                 "error: sag ignores sag_practical beside an explicit step (step = 0.001)",
+                 id="sag-practical-and-step"),
+    pytest.param(["compare", "--synth", "n=50,d=5",
+                  "--configs", "finito::step=0.5,sag::alpha=3,miso::alpha=9"],
+                 "error: sag ignores alpha (in config 'sag::alpha=3')",
+                 id="compare-ignored-settings"),
+    *(pytest.param(["compare", "--synth", "n=50,d=5", "--configs", token],
+                   f"error: {message}", id=f"compare-{token}")
+      for token, message in (("finito::step=0.5", "finito ignores step (step = 0.5)"),
+                             ("miso::alpha=9", "miso ignores alpha"),
+                             ("full-gradient::alpha=3", "full-gradient ignores alpha"))),
     pytest.param(["verify", "--suite", "lyapunov", "--beta", "0"],
                  "target_beta must be finite and > 0", id="lyapunov-beta-0"),
     # the rate is certified only inside the admissible region (alpha >= 2 at
@@ -172,6 +191,23 @@ def test_invalid_values_exit_one_without_traceback(argv, message):
     assert code == 1
     assert message in err
     assert "Traceback" not in err
+
+
+def test_compare_checks_every_config_before_its_first_run(monkeypatch):
+    # prox-finito once ran for every seed before finito's turn refused l1
+    runs = []
+
+    def counted(*args, **kwargs):
+        runs.append(args[1].solver)
+        return real(*args, **kwargs)
+
+    real = cli.run
+    monkeypatch.setattr(cli, "run", counted)
+    code, out, err = call(["compare", "--synth", "n=2000,d=20,l1=0.01", "--configs",
+                           "prox-finito,finito", "--seeds", "3", "--epochs", "5"])
+    assert (code, out, runs) == (1, "", [])
+    assert err == ("error: finito ignores the l1 term (l1 = 0.01); "
+                   "use prox-finito or full-gradient\n")
 
 
 def test_stalled_reference_solve_exits_one(tmp_path, monkeypatch):

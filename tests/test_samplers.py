@@ -1,5 +1,8 @@
 """Index stream properties: determinism, per-pass structure, frequencies."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -137,17 +140,18 @@ def _numpy_stream(scheme, n, passes):
 @pytest.mark.parametrize("name", SAMPLING_NAMES)
 def test_stream_is_python_ints_from_numpy_blocks(name):
     scheme = SamplingScheme.from_name(name, seed=9)
-    n = 7
-    expected = _numpy_stream(scheme, n, 4)
-    s = IndexSampler(scheme, n)
-    got = [s.next_index() for _ in range(4 * n)]
-    assert got == expected
-    assert all(type(j) is int for j in got)
-    for start in (0, 3, n, 2 * n + 5):
-        resumed = IndexSampler(scheme, n).skip_to(start)
-        tail = [resumed.next_index() for _ in range(4 * n - start)]
-        assert tail == expected[start:]
-        assert all(type(j) is int for j in tail)
+    for n in (1, 7):
+        # enough passes that every start below leaves a tail, at n = 1 too
+        expected = _numpy_stream(scheme, n, 8)
+        s = IndexSampler(scheme, n)
+        got = [s.next_index() for _ in range(8 * n)]
+        assert got == expected
+        assert all(type(j) is int for j in got)
+        for start in (0, 3, n - 1, n, 2 * n + 5, 3 * n):
+            resumed = IndexSampler(scheme, n).skip_to(start)
+            tail = [resumed.next_index() for _ in range(8 * n - start)]
+            assert tail == expected[start:]
+            assert all(type(j) is int for j in tail)
 
 
 def test_draws_counts_consumed_indices():
@@ -170,3 +174,20 @@ def test_scheme_seed_is_an_integer():
     scheme = SamplingScheme(UNIFORM, np.int64(3))
     assert type(scheme.seed) is int and scheme.seed == 3
     assert draw(scheme, 6, 12) == draw(SamplingScheme(UNIFORM, 3), 6, 12)
+
+
+@pytest.mark.parametrize("name", SAMPLING_NAMES)
+def test_sampler_is_freed_without_the_cycle_collector(name):
+    # the stream's blocks come from a static function, so the stream holds
+    # no reference back to its sampler, and a drawn sampler dies with its
+    # last reference
+    s = IndexSampler(SamplingScheme(name, seed=3), 5)
+    for _ in range(7):  # across the first pass boundary
+        s.next_index()
+    gone = weakref.ref(s)
+    gc.disable()
+    try:
+        del s
+        assert gone() is None
+    finally:
+        gc.enable()
