@@ -59,19 +59,18 @@ def _parse_seeds(text: str) -> list[int]:
         raise ValueError(f"bad integer list {text!r}") from None
 
 
-_SYNTH_KEYS = {
-    "n": ("n", int), "d": ("d", int), "beta": ("target_beta", float),
-    "loss": ("loss", str), "s": ("s", float), "noise": ("noise", float),
-    "seed": ("seed", int), "l1": ("l1_weight", float),
-}
+_SYNTH_KEYS = {"n": ("n", int), "d": ("d", int), "beta": ("target_beta", float),
+               "noise": ("noise", float), "seed": ("seed", int)}
 
 
-def _parse_synth_spec(text: str, l1_default: float) -> SynthSpec:
-    """'n=200,d=10,beta=2' with optional loss=, s=, noise=, seed=, l1=."""
-    fields: dict = {"l1_weight": l1_default}
+def _parse_synth_spec(text: str) -> dict:
+    """Generator fields from 'n=200,d=10,beta=2' with optional noise=, seed=."""
+    fields: dict = {}
     for token in text.split(","):
         key, eq, val = token.partition("=")
         key = key.strip()
+        if key in ("loss", "s", "l1"):
+            raise ValueError(f"{key}= is not a synth field; use --{key}")
         if not eq or key not in _SYNTH_KEYS:
             raise ValueError(f"bad synth field {token!r} "
                              f"(known keys: {', '.join(_SYNTH_KEYS)})")
@@ -79,18 +78,15 @@ def _parse_synth_spec(text: str, l1_default: float) -> SynthSpec:
         fields[name] = cast(val.strip())
     if "n" not in fields or "d" not in fields:
         raise ValueError("synth spec needs at least n= and d=")
-    return SynthSpec(**fields)
+    return fields
 
 
 def _build_problem(args):
-    """(problem, reference-or-None) from --data or --synth flags."""
+    """(problem, reference-or-None) from the source and objective flags."""
+    objective = {"loss": args.loss, "s": args.s, "l1_weight": args.l1}
     if args.data is not None:
-        features, targets = parse_libsvm(Path(args.data))
-        problem = FiniteSumProblem(features, targets, args.loss, s=args.s,
-                                   l1_weight=args.l1)
-        return problem, None
-    spec = _parse_synth_spec(args.synth, args.l1)
-    return synth_problem(spec)
+        return FiniteSumProblem(*parse_libsvm(Path(args.data)), **objective), None
+    return synth_problem(SynthSpec(**_parse_synth_spec(args.synth), **objective))
 
 
 def _resolve_reference(fstar: str, problem, synth_ref):
@@ -101,7 +97,7 @@ def _resolve_reference(fstar: str, problem, synth_ref):
     try:
         value = float(fstar)
     except ValueError:
-        value = float(Path(fstar).read_text(encoding="ascii").strip())
+        raise ValueError(f"--fstar {fstar!r}: use auto, none or a number") from None
     return ReferenceSolution(w_star=np.full(problem.d, np.nan), f_star=value,
                              grad_norm_at_solution=float("nan"),
                              method_tag="external")
@@ -112,13 +108,13 @@ def _add_problem_flags(sub) -> None:
     src.add_argument("--data", help="LIBSVM text file")
     src.add_argument("--synth", help="synthetic spec, e.g. n=200,d=10,beta=2")
     sub.add_argument("--loss", choices=LOSS_KINDS, default=LOGISTIC,
-                     help="loss for --data problems (default logistic)")
+                     help="loss (default logistic)")
     sub.add_argument("--s", type=float, default=0.01,
-                     help="strong convexity weight for --data (default 0.01)")
+                     help="strong convexity weight (default 0.01)")
     sub.add_argument("--l1", type=float, default=0.0,
                      help="l1 weight (default 0)")
     sub.add_argument("--fstar", default="auto",
-                     help="auto | none | <value> | <path to value> "
+                     help="auto | none | <value> "
                           "(default auto: full-gradient solve to 1e-12)")
     sub.add_argument("--out", default="-",
                      help="output CSV path, - for stdout (default -)")
@@ -134,11 +130,9 @@ def cmd_run(args) -> int:
     config = SolverConfig(
         solver=args.solver, alpha=args.alpha, step=args.step,
         sag_practical=args.sag_practical, first_pass=not args.no_first_pass,
-        monitor=args.monitor, w0=np.zeros(problem.d))
+        monitor=args.monitor)
     scheme = SamplingScheme(args.sampling, args.seed)
-    resume = None
-    if args.resume is not None:
-        resume = checkpoint_load(args.resume, problem)
+    resume = None if args.resume is None else checkpoint_load(args.resume, problem)
     try:
         records, state, sampler = run_with_state(
             problem, config, scheme, args.epochs, reference=reference,
@@ -157,9 +151,8 @@ def cmd_run(args) -> int:
 # compare
 
 
-def _parse_config_token(token: str, default_alpha: float, d: int):
-    """'solver[:sampling[:key=val]...]'; keys alpha (finito and prox-finito
-    only) and step."""
+def _parse_config_token(token: str):
+    """'solver[:sampling[:key=val]...]' with the keys alpha and step."""
     parts = token.split(":")
     solver = parts[0]
     if solver not in SOLVER_TAGS:
@@ -167,7 +160,7 @@ def _parse_config_token(token: str, default_alpha: float, d: int):
     sampling = parts[1] if len(parts) > 1 and parts[1] else "uniform"
     if sampling not in SAMPLING_NAMES:
         raise ValueError(f"unknown sampling {sampling!r} in config {token!r}")
-    alpha, step = default_alpha, None
+    settings = {}
     for extra in parts[2:]:
         key, eq, val = extra.partition("=")
         if not eq:
@@ -175,19 +168,17 @@ def _parse_config_token(token: str, default_alpha: float, d: int):
         if key == "alpha":
             if solver not in ("finito", "prox-finito"):  # miso's alpha is L/s
                 raise ValueError(f"{solver} ignores alpha (in config {token!r})")
-            alpha = float(val)
+            settings["alpha"] = float(val)
         elif key == "step":
-            step = float(val)
+            settings["step"] = float(val)
         else:
             raise ValueError(f"unknown override key {key!r} in {token!r}")
-    config = SolverConfig(solver=solver, alpha=alpha, step=step, w0=np.zeros(d))
-    return token.replace(":", "-"), sampling, config
+    return token.replace(":", "-"), sampling, SolverConfig(solver, **settings)
 
 
 def cmd_compare(args) -> int:
     problem, synth_ref = _build_problem(args)
-    configs = [_parse_config_token(tok, args.alpha, problem.d)
-               for tok in args.configs.split(",") if tok]
+    configs = [_parse_config_token(tok) for tok in args.configs.split(",") if tok]
     if not configs:
         raise ValueError("no configs given")
     for _, _, config in configs:  # every config, before the first run
@@ -372,13 +363,11 @@ def build_parser() -> argparse.ArgumentParser:
                                  "configs and seeds")
     _add_problem_flags(p_cmp)
     p_cmp.add_argument("--configs", required=True,
-                       help="comma list of solver[:sampling[:key=val]...], "
-                            "e.g. finito:uniform,finito:permuted")
+                       help="comma list of solver[:sampling[:key=val]...], keys "
+                            "alpha and step, e.g. finito,finito:permuted:alpha=3")
     p_cmp.add_argument("--seeds", default="11",
                        help="seed count (0..n-1) or comma list (default 11)")
     p_cmp.add_argument("--epochs", type=int, default=10)
-    p_cmp.add_argument("--alpha", type=float, default=2.0,
-                       help="default alpha of finito and prox-finito configs")
     p_cmp.add_argument("--out-dir", default=None,
                        help="also write one trace CSV per (config, seed)")
     p_cmp.set_defaults(func=cmd_compare)

@@ -124,8 +124,8 @@ def test_miso_without_strong_convexity_exits_one(tmp_path):
 
 # each of these once escaped cli.main as a traceback or exited 2 ("diverged")
 @pytest.mark.parametrize("argv,message", [
-    pytest.param(["run", "--synth", "n=10,d=2,loss=hinge"],
-                 "unknown loss 'hinge'", id="unknown-synth-loss"),
+    pytest.param(["run", "--synth", "n=10,d=2", "--loss", "hinge"],
+                 "invalid choice: 'hinge'", id="unknown-synth-loss"),
     pytest.param(["run", "--synth", "n=10,d=2", "--record-every", "inf"],
                  "record_every must be finite", id="record-every-inf"),
     pytest.param(["run", "--synth", "n=10,d=2", "--alpha", "nan"],
@@ -135,13 +135,13 @@ def test_miso_without_strong_convexity_exits_one(tmp_path):
     pytest.param(["run", "--synth", "n=50,d=5,beta=-1"],
                  "target_beta must be finite and > 0", id="synth-beta-negative"),
     # a subnormal s leaves the feature rescaling too few bits to tune L
-    pytest.param(["run", "--synth", "n=50,d=5,s=1e-320", "--epochs", "1"],
+    pytest.param(["run", "--synth", "n=50,d=5", "--s", "1e-320", "--epochs", "1"],
                  "target beta=2.0 at s=1e-320", id="synth-s-subnormal"),
-    pytest.param(["compare", "--synth", "n=50,d=5,s=5e-324", "--configs", "finito"],
+    pytest.param(["compare", "--synth", "n=50,d=5", "--s", "5e-324", "--configs", "finito"],
                  "target beta=2.0 at s=5e-324", id="compare-synth-s-subnormal"),
     # these step on the smooth part alone; on this problem finito's
     # suboptimality rose from 0.0377 to 0.295 and the run exited 0
-    *(pytest.param(["run", "--synth", "n=200,d=10,l1=0.05", "--solver", solver],
+    *(pytest.param(["run", "--synth", "n=200,d=10", "--l1", "0.05", "--solver", solver],
                    f"error: {solver} ignores the l1 term (l1 = 0.05); "
                    "use prox-finito or full-gradient\n", id=f"{solver}-l1")
       for solver in ("finito", "sag", "miso")),
@@ -185,12 +185,43 @@ def test_miso_without_strong_convexity_exits_one(tmp_path):
     # alpha = 1e308 is admissible, but the T3 closed form needs alpha^2
     pytest.param(["verify", "--suite", "lyapunov", "--alpha", "1e308"],
                  "alpha^2 overflows", id="lyapunov-alpha-1e308"),
+    # each setting has one spelling: these were a second one, which won over
+    # the flag (l1=) or left it unread (loss=, s=, compare --alpha)
+    *(pytest.param(["run", "--synth", f"n=50,d=5,{key}={value}"],
+                   f"error: {key}= is not a synth field; use --{key}\n",
+                   id=f"synth-{key}-key")
+      for key, value in (("loss", "squared"), ("s", "0.05"), ("l1", "0.01"))),
+    pytest.param(["compare", "--synth", "n=50,d=5", "--alpha", "7", "--configs", "sag"],
+                 "unrecognized arguments: --alpha 7", id="compare-alpha-flag"),
+    pytest.param(["run", "--synth", "n=50,d=5", "--fstar", "fstar.txt"],
+                 "error: --fstar 'fstar.txt': use auto, none or a number\n",
+                 id="fstar-not-a-number"),
 ])
 def test_invalid_values_exit_one_without_traceback(argv, message):
     code, _, err = call(argv)
     assert code == 1
     assert message in err
     assert "Traceback" not in err
+
+
+def test_objective_flags_set_the_synth_problem():
+    # --loss and --s once reached --data problems only; a synth problem
+    # took them from its spec
+    args = cli.build_parser().parse_args(
+        ["run", "--synth", "n=60,d=4,noise=0.1", "--loss", "squared",
+         "--s", "0.05", "--l1", "0.01"])
+    problem, _ = cli._build_problem(args)
+    assert (problem.loss, problem.s, problem.l1_weight) == ("squared", 0.05, 0.01)
+
+
+def test_fstar_reads_no_file(tmp_path, monkeypatch):
+    # the file form of --fstar is gone; --fstar "$(cat F)" does its job
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "0.5").write_text("0.25\n")
+    code, out, err = call(["run", "--synth", SYNTH, "--epochs", "1", "--fstar", "0.5"])
+    assert code == 0, err
+    first = out.splitlines()[1].split(",")
+    assert float(first[2]) == float(first[1]) - 0.5
 
 
 def test_compare_checks_every_config_before_its_first_run(monkeypatch):
@@ -203,7 +234,7 @@ def test_compare_checks_every_config_before_its_first_run(monkeypatch):
 
     real = cli.run
     monkeypatch.setattr(cli, "run", counted)
-    code, out, err = call(["compare", "--synth", "n=2000,d=20,l1=0.01", "--configs",
+    code, out, err = call(["compare", "--synth", "n=2000,d=20", "--l1", "0.01", "--configs",
                            "prox-finito,finito", "--seeds", "3", "--epochs", "5"])
     assert (code, out, runs) == (1, "", [])
     assert err == ("error: finito ignores the l1 term (l1 = 0.01); "
@@ -518,8 +549,8 @@ def test_table_mean_checkpoint_resumes_under_either_monitor(tmp_path, solver):
     # the checkpoint's arrays, not the monitor, are a resumed run's storage:
     # audit tables saved by a table-mean run resume under --monitor iterate;
     # only prox-finito steps on an l1 term
-    l1 = ",l1=0.01" if solver == "prox-finito" else ""
-    base = ["--synth", f"n=40,d=4,beta=2,seed=3{l1}", "--solver", solver,
+    l1 = ["--l1", "0.01"] if solver == "prox-finito" else []
+    base = ["--synth", "n=40,d=4,beta=2,seed=3", *l1, "--solver", solver,
             "--sampling", "permuted", "--seed", "5"]
     ck, whole = tmp_path / "mid.ckpt", tmp_path / "whole.ckpt"
     assert call(["run", *base, "--monitor", "table-mean", "--epochs", "4",
@@ -672,13 +703,10 @@ def test_request_too_big_to_allocate_exits_one(tmp_path, argv):
 
 
 @pytest.mark.parametrize("command", ["run", "compare"])
-@pytest.mark.parametrize("fstar", ["inf", "-inf", "nan", "nan-file"])
-def test_non_finite_fstar_exits_one(tmp_path, command, fstar):
+@pytest.mark.parametrize("fstar", ["inf", "-inf", "nan"])
+def test_non_finite_fstar_exits_one(command, fstar):
     # --fstar inf once exited 0 with -inf in every suboptimality cell, and
     # nan gave the NaN column of --fstar none
-    if fstar == "nan-file":
-        fstar = tmp_path / "fstar.txt"
-        fstar.write_text("nan\n")
     argv = [command, "--synth", SYNTH, "--epochs", "1", f"--fstar={fstar}"]
     if command == "compare":
         argv += ["--configs", "finito", "--seeds", "1"]

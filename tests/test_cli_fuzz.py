@@ -32,11 +32,15 @@ CONFIGS = (("finito", "sag:uniform", "prox-finito:permuted:alpha=3", "miso:cycli
             "bogus", "finito:bogus", "finito:uniform:foo=1", "finito:uniform:alpha"))
 
 
+# the objective flags, once also synth keys, keep the values the spec drew
+OBJECTIVE = {"--s": (("0.01", "0.1"), FLOATS[1]), "--l1": (("0", "0.01"), FLOATS[1])}
+
+
 def synth_specs(edge):
-    extra = (tuple(f"{key}={value}" for key in ("beta", "s", "noise", "l1")
-                   for value in FLOATS[1]) + ("loss=bogus", "seed=-1", "bogus=1", "n")
-             if edge else
-             ("beta=2", "loss=squared", "seed=2", "l1=0.01", "noise=0.1", "s=0.1"))
+    # an edge spec may still spell an objective setting there, which exits 1
+    extra = (tuple(f"{key}={value}" for key in ("beta", "noise")
+                   for value in FLOATS[1]) + ("seed=-1", "bogus=1", "n", "l1=0.01")
+             if edge else ("beta=2", "seed=2", "noise=0.1"))
     return st.builds(lambda n, d, more: ",".join([f"n={n}", f"d={d}", *more]),
                      st.sampled_from(("1", "2", "3") if edge else ("3",)),
                      st.sampled_from(("0", "1") if edge else ("1", "2")),
@@ -80,6 +84,8 @@ def flag_values(files, action, edge: bool):
              "--save-state": ((str(files["dir"] / "saved.ckpt"),),) * 2}
     if flag in SIZING:
         pool = SIZING[flag]
+    elif flag in OBJECTIVE:
+        pool = OBJECTIVE[flag]
     elif action.choices is not None:
         pool = (tuple(action.choices), ("bogus",))
     else:
