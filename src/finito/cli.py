@@ -120,6 +120,18 @@ def _add_problem_flags(sub) -> None:
                      help="output CSV path, - for stdout (default -)")
 
 
+def _alpha_setting(solver: str, alpha: float | None, where: str) -> dict:
+    """SolverConfig's alpha keyword, none when alpha is not given (None); a
+    solver that never reads alpha (miso's is L/s) refuses one, naming
+    `where` it was given."""
+    if alpha is None:
+        return {}
+    if solver not in ("finito", "prox-finito"):
+        raise ValueError(f"{solver} ignores alpha ({where}); "
+                         "only finito and prox-finito take one")
+    return {"alpha": alpha}
+
+
 # ---------------------------------------------------------------------------
 # run
 
@@ -128,9 +140,9 @@ def cmd_run(args) -> int:
     problem, synth_ref = _build_problem(args)
     reference = _resolve_reference(args.fstar, problem, synth_ref)
     config = SolverConfig(
-        solver=args.solver, alpha=args.alpha, step=args.step,
-        sag_practical=args.sag_practical, first_pass=not args.no_first_pass,
-        monitor=args.monitor)
+        solver=args.solver, step=args.step, sag_practical=args.sag_practical,
+        first_pass=not args.no_first_pass, monitor=args.monitor,
+        **_alpha_setting(args.solver, args.alpha, "--alpha"))
     scheme = SamplingScheme(args.sampling, args.seed)
     resume = None if args.resume is None else checkpoint_load(args.resume, problem)
     try:
@@ -160,19 +172,18 @@ def _parse_config_token(token: str):
     sampling = parts[1] if len(parts) > 1 and parts[1] else "uniform"
     if sampling not in SAMPLING_NAMES:
         raise ValueError(f"unknown sampling {sampling!r} in config {token!r}")
-    settings = {}
+    alpha, settings = None, {}
     for extra in parts[2:]:
         key, eq, val = extra.partition("=")
         if not eq:
             raise ValueError(f"bad override {extra!r} in config {token!r}")
         if key == "alpha":
-            if solver not in ("finito", "prox-finito"):  # miso's alpha is L/s
-                raise ValueError(f"{solver} ignores alpha (in config {token!r})")
-            settings["alpha"] = float(val)
+            alpha = float(val)
         elif key == "step":
             settings["step"] = float(val)
         else:
             raise ValueError(f"unknown override key {key!r} in {token!r}")
+    settings.update(_alpha_setting(solver, alpha, f"in config {token!r}"))
     return token.replace(":", "-"), sampling, SolverConfig(solver, **settings)
 
 
@@ -289,20 +300,31 @@ def _run_suites(calls: dict) -> dict:
     return done
 
 
+# the verify flags each suite reads besides --seed; the others read them all
+_VERIFY_FLAGS = ("n", "d", "beta", "draws", "alpha")
+_SUITE_FLAGS = {"rate": ("n", "alpha"), "lowerbound": ("n",)}
+
+
 def cmd_verify(args) -> int:
+    reads = _SUITE_FLAGS.get(args.suite, _VERIFY_FLAGS)
+    for flag in _VERIFY_FLAGS:
+        if flag not in reads and getattr(args, flag) is not None:
+            raise ValueError(f"verify --suite {args.suite} ignores --{flag}")
+
     def pick(value, fallback):
         return fallback if value is None else value
 
+    beta, alpha = pick(args.beta, 2.0), pick(args.alpha, 2.0)
     # in CSV order
     calls = {
         "inequalities": lambda: _rows(suite_inequalities(
-            n=pick(args.n, 40), d=pick(args.d, 5), beta=args.beta,
-            draws=pick(args.draws, 100), seed=args.seed, alpha=args.alpha)),
+            n=pick(args.n, 40), d=pick(args.d, 5), beta=beta,
+            draws=pick(args.draws, 100), seed=args.seed, alpha=alpha)),
         "lyapunov": lambda: _rows(suite_lyapunov(
-            n=pick(args.n, 40), d=pick(args.d, 5), beta=args.beta,
-            states=pick(args.draws, 200), seed=args.seed, alpha=args.alpha)),
+            n=pick(args.n, 40), d=pick(args.d, 5), beta=beta,
+            states=pick(args.draws, 200), seed=args.seed, alpha=alpha)),
         "rate": lambda: _rows(suite_rate(n=pick(args.n, 200), seed=args.seed,
-                                         alpha=args.alpha)),
+                                         alpha=alpha)),
         "lowerbound": lambda: _rows(suite_lowerbound(seed=args.seed,
                                                      n=pick(args.n, 10))),
     }
@@ -334,9 +356,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = subs.add_parser("run", help="run one solver, write a trace CSV")
     _add_problem_flags(p_run)
     p_run.add_argument("--solver", choices=SOLVER_TAGS, default="finito")
-    p_run.add_argument("--alpha", type=float, default=2.0,
-                       help="finito and prox-finito only; miso sets alpha = "
-                            "L/s, sag and full-gradient ignore it (default 2)")
+    p_run.add_argument("--alpha", type=float, default=None,
+                       help="finito and prox-finito only (default 2); miso "
+                            "sets alpha = L/s, sag and full-gradient refuse it")
     p_run.add_argument("--step", type=float, default=None,
                        help="sag / full-gradient step; refused by the others")
     p_run.add_argument("--sag-practical", action="store_true",
@@ -353,7 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--no-first-pass", action="store_true",
                        help="initialize every table row at w0 instead of "
                             "running the first-pass rule")
-    p_run.add_argument("--resume", default=None, help="checkpoint to resume")
+    p_run.add_argument("--resume", default=None,
+                       help="checkpoint to resume, with the flags it started with")
     p_run.add_argument("--save-state", default=None,
                        help="write a checkpoint at run end")
     p_run.set_defaults(func=cmd_run)
@@ -378,10 +401,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--suite", choices=SUITES, required=True)
     p_ver.add_argument("--n", type=int, default=None)
     p_ver.add_argument("--d", type=int, default=None)
-    p_ver.add_argument("--beta", type=float, default=2.0)
+    p_ver.add_argument("--beta", type=float, default=None)
     p_ver.add_argument("--draws", type=int, default=None)
     p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--alpha", type=float, default=2.0)
+    p_ver.add_argument("--alpha", type=float, default=None)
     p_ver.add_argument("--out", default="-")
     p_ver.set_defaults(func=cmd_verify)
 

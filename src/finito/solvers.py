@@ -183,6 +183,32 @@ def check_config(problem, config: SolverConfig) -> None:
                          f"(step = {config.step:g})")
 
 
+def check_resume(problem, config: SolverConfig, scheme: SamplingScheme,
+                 state, sampler: IndexSampler | None) -> None:
+    """ValueError unless resuming (state, sampler) under `config` and
+    `scheme` continues the run they were saved from: the same solver, the
+    constant a fresh start from `config` would hold (finito and prox-finito
+    alpha, miso's L/s, sag's step) and, for a table solver, the same scheme.
+    A full-gradient state holds no step, so its step is read from `config`."""
+    tag = getattr(state, "solver_tag", None)
+    if tag != config.solver:
+        raise ValueError(f"resume state is for {tag!r}, config says {config.solver!r}")
+    settings = []  # (name, the state's, a fresh start's)
+    if tag in FINITO_TAGS:
+        fresh = _miso_alpha(problem) if tag == "miso" else config.alpha
+        settings.append(("alpha", state.alpha, fresh))
+    elif tag == "sag":
+        fresh = (config.step if config.step is not None
+                 else sag_default_step(problem, config.sag_practical))
+        settings.append(("step", state.step, fresh))
+    if sampler is not None:
+        settings.append(("sampling", sampler.scheme, scheme))
+    for name, held, fresh in settings:
+        if held != fresh:
+            raise ValueError(f"{tag} resumes at {name} {held!r} from its checkpoint, "
+                             f"not {fresh!r}; resume with the settings it started with")
+
+
 def _check_table_state(name: str, value: float, k: int, seen: int, table) -> None:
     # k counts updates from 0; every row is filled, or the first pass has
     # admitted exactly k rows
@@ -381,17 +407,23 @@ def _monitor_point(state, config: SolverConfig) -> np.ndarray:
     return state.w
 
 
+def _miso_alpha(problem) -> float:
+    """miso's alpha, L/s; with s = 0, the table update's own refusal."""
+    if problem.s == 0.0:
+        raise StrongConvexityRequired("the table update divides by alpha*s*n")
+    L = problem.lipschitz_constant()
+    alpha = L / problem.s
+    if alpha == math.inf:
+        raise ValueError(f"miso's alpha = L/s overflows at L = {L:g}, "
+                         f"s = {problem.s:g}; rescale the data")
+    return alpha
+
+
 def _build_state(problem, config: SolverConfig):
     w0 = config.w0
     solver = config.solver
     if solver in FINITO_TAGS:
-        alpha = config.alpha
-        if solver == "miso" and problem.s > 0:  # finito_init refuses s == 0
-            L = problem.lipschitz_constant()
-            alpha = L / problem.s
-            if alpha == math.inf:
-                raise ValueError(f"miso's alpha = L/s overflows at L = {L:g}, "
-                                 f"s = {problem.s:g}; rescale the data")
+        alpha = _miso_alpha(problem) if solver == "miso" else config.alpha
         return finito_init(problem, alpha, w0=w0, audit=config.monitor == "table-mean",
                            first_pass=config.first_pass, solver_tag=solver)
     if solver == "sag":
@@ -427,18 +459,11 @@ def run_with_state(problem, config: SolverConfig, scheme: SamplingScheme,
 
     if resume is not None:
         state, sampler = resume
-        if getattr(state, "solver_tag", None) != config.solver:
-            raise ValueError(
-                f"resume state is for {getattr(state, 'solver_tag', None)!r}, "
-                f"config says {config.solver!r}"
-            )
+        check_resume(problem, config, scheme, state, sampler)
     else:
         state, sampler = _build_state(problem, config), None
     if sampler is None and not full_grad:
         sampler = IndexSampler(scheme, n)
-
-    # a restored sampler keeps its original scheme; report that one
-    active = sampler.scheme if sampler is not None else scheme
 
     def emit():
         point = _monitor_point(state, config)
@@ -449,7 +474,7 @@ def run_with_state(problem, config: SolverConfig, scheme: SamplingScheme,
             epoch=state.k / steps_per_epoch, objective=objective,
             suboptimality=sub, grad_norm=gnorm,
             wall_ms=(time.perf_counter() - t0) * 1e3,
-            solver=config.solver, sampling=active.kind, seed=active.seed,
+            solver=config.solver, sampling=scheme.kind, seed=scheme.seed,
         ))
         return sub
 

@@ -164,6 +164,22 @@ def test_miso_without_strong_convexity_exits_one(tmp_path):
       for token, message in (("finito::step=0.5", "finito ignores step (step = 0.5)"),
                              ("miso::alpha=9", "miso ignores alpha"),
                              ("full-gradient::alpha=3", "full-gradient ignores alpha"))),
+    # run --alpha once exited 0 where the solver never reads alpha
+    *(pytest.param(["run", "--synth", "n=50,d=5", "--solver", solver, "--alpha", "3"],
+                   f"error: {solver} ignores alpha (--alpha); only finito and "
+                   "prox-finito take one\n", id=f"run-{solver}-alpha")
+      for solver in ("sag", "full-gradient", "miso")),
+    # a single suite once ran, exit 0 and the CSV unchanged, with a flag it
+    # never reads
+    pytest.param(["verify", "--suite", "rate", "--d", "99", "--beta", "7", "--draws", "3"],
+                 "error: verify --suite rate ignores --d\n", id="rate-d-beta-draws"),
+    pytest.param(["verify", "--suite", "lowerbound", "--alpha", "9", "--d", "3"],
+                 "error: verify --suite lowerbound ignores --d\n", id="lowerbound-alpha-d"),
+    *(pytest.param(["verify", "--suite", suite, flag, "3"],
+                   f"error: verify --suite {suite} ignores {flag}\n",
+                   id=f"{suite}{flag}")
+      for suite, flag in (("rate", "--beta"), ("rate", "--draws"),
+                          ("lowerbound", "--alpha"), ("lowerbound", "--beta"))),
     pytest.param(["verify", "--suite", "lyapunov", "--beta", "0"],
                  "target_beta must be finite and > 0", id="lyapunov-beta-0"),
     # the rate is certified only inside the admissible region (alpha >= 2 at
@@ -241,6 +257,17 @@ def test_compare_checks_every_config_before_its_first_run(monkeypatch):
                    "use prox-finito or full-gradient\n")
 
 
+def test_verify_suites_read_the_flags_they_are_given():
+    # the flags a single suite reads, and --suite all with every flag
+    for argv in (["--suite", "rate", "--n", "25", "--alpha", "3"],
+                 ["--suite", "lowerbound", "--n", "4"],
+                 ["--suite", "all", "--n", "25", "--d", "2", "--beta", "2",
+                  "--draws", "2", "--alpha", "3"]):
+        code, out, err = call(["verify", *argv, "--seed", "1"])
+        assert code == 0, err
+        assert out.startswith("name,lhs,rhs,slack,satisfied\n")
+
+
 def test_stalled_reference_solve_exits_one(tmp_path, monkeypatch):
     # with s = 0 these rows have no minimizer; the stall escaped as a
     # RuntimeError traceback after 500 000 iterations
@@ -279,6 +306,17 @@ def test_huge_admissible_alpha_is_checked():
                            "--n", "25"])
     assert code == 0, err
     assert all(line.endswith("true") for line in out.strip().splitlines()[1:])
+
+
+def test_runaway_suboptimality_exits_two_naming_its_step():
+    # the ratio guard, not a non-finite value: the trace up to the record
+    # past 1e6 times the start's suboptimality, and one stderr line
+    code, out, err = call(["run", "--synth", "n=50,d=5,beta=0.01", "--alpha", "0.05",
+                           "--epochs", "3"])
+    assert code == 2
+    assert err == ("diverged: suboptimality exceeded 1e+06 times its starting "
+                   "value at step 100\n")
+    assert [row[0] for row in rows_without_wall(out)] == ["0.0", "1.0", "2.0"]
 
 
 def test_divergence_exits_two_with_partial_trace():
@@ -472,6 +510,44 @@ def test_cli_save_and_resume_stitches_exactly(tmp_path):
     assert code == 0
     stitched = rows_without_wall(part1.read_text()) + rows_without_wall(tail)
     assert stitched == rows_without_wall(full)
+
+
+# each once exited 0 and ran on at the checkpoint's own setting, and
+# --save-state wrote the checkpoint's step, alpha or scheme
+N50 = ["--synth", "n=50,d=5"]
+
+
+@pytest.mark.parametrize("start,resume,message", [
+    pytest.param([*N50, "--solver", "sag"], [*N50, "--solver", "sag", "--step", "1e-3"],
+                 "sag resumes at step 0.0050000000048 from its checkpoint, not 0.001",
+                 id="sag-step"),
+    pytest.param(N50, [*N50, "--alpha", "7"],
+                 "finito resumes at alpha 2.0 from its checkpoint, not 7.0",
+                 id="finito-alpha"),
+    pytest.param([*N50, "--sampling", "permuted", "--seed", "4"],
+                 [*N50, "--sampling", "cyclic"],
+                 "finito resumes at sampling SamplingScheme(kind='permuted', seed=4) "
+                 "from its checkpoint, not SamplingScheme(kind='cyclic', seed=0)",
+                 id="sampling"),
+    # miso's alpha is L/s, here n/beta: 25, then 12.5
+    pytest.param([*N50, "--solver", "miso"],
+                 ["--synth", "n=50,d=5,beta=4", "--solver", "miso"],
+                 "miso resumes at alpha 24.99", id="miso-alpha"),
+])
+def test_resume_refuses_settings_that_contradict_its_checkpoint(
+        tmp_path, start, resume, message):
+    ck, saved = tmp_path / "start.ckpt", tmp_path / "saved.ckpt"
+    base = ["run", "--fstar", "none"]
+    assert call([*base, *start, "--epochs", "2", "--save-state", str(ck)])[0] == 0
+    code, out, err = call([*base, *resume, "--epochs", "3", "--resume", str(ck),
+                           "--save-state", str(saved)])
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {message}")
+    assert err.endswith("; resume with the settings it started with\n")
+    assert not saved.exists()
+    # the flags it started with resume it
+    code, _, err = call([*base, *start, "--epochs", "3", "--resume", str(ck)])
+    assert code == 0, err
 
 
 def test_resume_without_first_pass_from_epoch_zero(tmp_path):

@@ -8,32 +8,43 @@ code as it is (mutation analysis, DeMillo, Lipton & Sayward, IEEE Computer
 - M4: phi row j stores w + 1e-3 g, not w;
 - M5: SAG's first pass drops its n/seen step scaling;
 - M6: the permuted sampler draws uniformly;
-- M7: SAG's step is doubled once the first pass is over.
+- M7: SAG's step is doubled once the first pass is over;
 
-Each is applied in-process: a module function is patched, or `_fold` is
-rebuilt from its source with one replacement that must match exactly once.
+and from the run driver's exit and resume paths:
+
+- M8: the ratio guard fires at 10 x DIVERGENCE_RATIO;
+- M9: a resumed run has a nan divergence baseline;
+- M10: a loaded sampler restarts at draw 0.
+
+Each is applied in-process: a module function or method is patched, or a
+solvers function (`_fold`, `run_with_state`) is rebuilt from its source with
+one replacement that must match exactly once.
 """
 
 import inspect
+import io
 
 import numpy as np
 import pytest
 
 import finito.cli as cli
 import finito.solvers as solvers
-from finito import (LOGISTIC, PERMUTED, FiniteSumProblem, IndexSampler,
-                    QuadraticProblem, SamplingScheme, sag_init, sag_step)
+from finito import (LOGISTIC, PERMUTED, UNIFORM, DivergenceError, FiniteSumProblem,
+                    IndexSampler, QuadraticProblem, SamplingScheme, SolverConfig,
+                    SynthSpec, checkpoint_load, checkpoint_save, sag_init, sag_step,
+                    synth_problem)
 
 
-def rebuild_fold(monkeypatch, old: str, new: str) -> None:
-    """Patch solvers._fold with its source edited once, compiled in the
-    module's globals, so the step functions call the edited kernel."""
-    source = inspect.getsource(solvers._fold)
+def rebuild(monkeypatch, function, old: str, new: str) -> None:
+    """Patch a solvers function with its source edited once, compiled in the
+    module's globals, so its callers there (the step functions, `run`) call
+    the edited one."""
+    source = inspect.getsource(function)
     assert source.count(old) == 1, old
     namespace = {}
     exec(compile(source.replace(old, new), solvers.__file__, "exec"),
          vars(solvers), namespace)
-    monkeypatch.setattr(solvers, "_fold", namespace["_fold"])
+    monkeypatch.setattr(solvers, function.__name__, namespace[function.__name__])
 
 
 def lyapunov_passes() -> bool:
@@ -73,24 +84,81 @@ def sag_step_hand_value_holds() -> bool:
     return state.w[0] == 15.0 / 16.0
 
 
+def reloaded(problem, state, sampler):
+    """(state, sampler) through a checkpoint save and load."""
+    buf = io.StringIO()
+    checkpoint_save(state, buf, sampler)
+    buf.seek(0)
+    return checkpoint_load(buf, problem)
+
+
+# test_solvers' diverging run: finito at alpha = 0.05 on a beta = 0.01
+# problem, whose suboptimality stays finite until the ratio guard ends it
+DIVERGING = SynthSpec(n=50, d=5, target_beta=0.01)
+RUNAWAY = "suboptimality exceeded 1e+06 times its starting value at step 100"
+
+
+def ratio_guard_fires_at_the_first_record_past_it() -> bool:
+    """Recorded every step, the run raises at the first record whose
+    suboptimality exceeds DIVERGENCE_RATIO times the first."""
+    problem, ref = synth_problem(DIVERGING)
+    try:
+        solvers.run(problem, SolverConfig(alpha=0.05), SamplingScheme(UNIFORM), 3,
+                    reference=ref, record_every=1 / problem.n)
+    except DivergenceError as err:
+        subs = [r.suboptimality for r in err.records]
+        return max(subs[:-1]) <= solvers.DIVERGENCE_RATIO * subs[0] < subs[-1]
+    return False
+
+
+def resumed_runaway_raises() -> bool:
+    """Resumed from its epoch-1 checkpoint, the run raises at step 100."""
+    problem, ref = synth_problem(DIVERGING)
+    config, scheme = SolverConfig(alpha=0.05), SamplingScheme(UNIFORM)
+    _, state, sampler = solvers.run_with_state(problem, config, scheme, 1,
+                                               reference=ref)
+    try:
+        solvers.run(problem, config, scheme, 3, reference=ref,
+                    resume=reloaded(problem, state, sampler))
+    except DivergenceError as err:
+        return (str(err), err.k) == (RUNAWAY, 100)
+    return False
+
+
+def resume_is_bit_exact() -> bool:
+    """Checkpointed after its first sampled pass, a run resumes to the
+    uninterrupted trace."""
+    problem, ref = synth_problem(SynthSpec(n=20, d=3, seed=1))
+    config, scheme = SolverConfig(), SamplingScheme(UNIFORM, 3)
+    whole = solvers.run(problem, config, scheme, 3, reference=ref)
+    head, state, sampler = solvers.run_with_state(problem, config, scheme, 2,
+                                                  reference=ref)
+    tail = solvers.run(problem, config, scheme, 3, reference=ref,
+                       resume=reloaded(problem, state, sampler))
+    return ([(r.epoch, r.objective) for r in head + tail]
+            == [(r.epoch, r.objective) for r in whole])
+
+
 def m2(monkeypatch):
     monkeypatch.setattr(solvers, "_next_w", lambda state, problem, seen, total:
                         total / -(1.1 * state.alpha * problem.s * seen))
 
 
 def m3(monkeypatch):
-    rebuild_fold(monkeypatch, "recompute = (k + 1) % n == 0", "recompute = False")
+    rebuild(monkeypatch, solvers._fold, "recompute = (k + 1) % n == 0",
+            "recompute = False")
 
 
 def m4(monkeypatch):
-    rebuild_fold(monkeypatch, "state.phi_table[j] = w", "state.phi_table[j] = w + 1e-3 * g")
+    rebuild(monkeypatch, solvers._fold, "state.phi_table[j] = w",
+            "state.phi_table[j] = w + 1e-3 * g")
 
 
 SAG_STEP = "step = state.step * n / seen if first_pass else state.step"
 
 
 def m5(monkeypatch):
-    rebuild_fold(monkeypatch, SAG_STEP, "step = state.step")
+    rebuild(monkeypatch, solvers._fold, SAG_STEP, "step = state.step")
 
 
 def m6(monkeypatch):
@@ -101,8 +169,23 @@ def m6(monkeypatch):
 
 
 def m7(monkeypatch):
-    rebuild_fold(monkeypatch, SAG_STEP, SAG_STEP.replace("else state.step",
-                                                         "else 2 * state.step"))
+    rebuild(monkeypatch, solvers._fold, SAG_STEP,
+            SAG_STEP.replace("else state.step", "else 2 * state.step"))
+
+
+def m8(monkeypatch):
+    rebuild(monkeypatch, solvers.run_with_state, "sub > DIVERGENCE_RATIO * baseline",
+            "sub > 10 * DIVERGENCE_RATIO * baseline")
+
+
+def m9(monkeypatch):
+    rebuild(monkeypatch, solvers.run_with_state, "if f_star is not None else math.nan)",
+            "if f_star is None else math.nan)")
+
+
+def m10(monkeypatch):
+    skip_to = IndexSampler.skip_to
+    monkeypatch.setattr(IndexSampler, "skip_to", lambda self, draws: skip_to(self, 0))
 
 
 # mutation -> the check that catches it
@@ -113,6 +196,9 @@ CAUGHT_BY = {
     m5: lambda: oracle_passes("sag"),
     m6: permuted_passes_are_permutations,
     m7: sag_step_hand_value_holds,
+    m8: ratio_guard_fires_at_the_first_record_past_it,
+    m9: resumed_runaway_raises,
+    m10: resume_is_bit_exact,
 }
 
 

@@ -23,6 +23,7 @@ from finito import (
     SolverConfig,
     SQUARED,
     SagState,
+    checkpoint_load,
     checkpoint_save,
     finito_first_pass_step,
     finito_init,
@@ -457,6 +458,43 @@ def test_a_fresh_run_evaluates_its_start_point_once(synth_tiny, monkeypatch):
     assert len(calls) == 2
     assert run(problem, config, scheme, 0, resume=(state, sampler)) == []
     assert len(calls) == 2
+
+
+# beta = 0.01 is far below the big-data condition, and alpha = 0.05 far below
+# the admissible region: finito's suboptimality grows 1.6e3-fold in the
+# first pass and 4e7-fold in the second and stays finite, so the ratio guard
+# and no non-finite value ends the run
+DIVERGING = SynthSpec(n=50, d=5, target_beta=0.01)
+RUNAWAY = "suboptimality exceeded 1e+06 times its starting value at step 100"
+
+
+def test_runaway_suboptimality_raises_at_the_first_record_past_the_ratio():
+    problem, ref = synth_problem(DIVERGING)
+    with pytest.raises(DivergenceError) as info:
+        run(problem, SolverConfig(alpha=0.05), SamplingScheme(UNIFORM, seed=0), 3,
+            reference=ref)
+    err = info.value
+    assert (str(err), err.k) == (RUNAWAY, 100)
+    assert [r.epoch for r in err.records] == [0.0, 1.0, 2.0]
+    subs = [r.suboptimality for r in err.records]
+    limit = finito.solvers.DIVERGENCE_RATIO * subs[0]
+    assert max(subs[:-1]) <= limit < subs[-1]
+
+
+def test_resumed_runaway_raises_at_the_same_step():
+    # a resumed run's baseline is its start point's suboptimality, which the
+    # checkpoint's trace recorded
+    problem, ref = synth_problem(DIVERGING)
+    config, scheme = SolverConfig(alpha=0.05), SamplingScheme(UNIFORM, seed=0)
+    _, state, sampler = run_with_state(problem, config, scheme, 1, reference=ref)
+    buf = io.StringIO()
+    checkpoint_save(state, buf, sampler)
+    buf.seek(0)
+    with pytest.raises(DivergenceError) as info:
+        run(problem, config, scheme, 3, reference=ref,
+            resume=checkpoint_load(buf, problem))
+    assert (str(info.value), info.value.k) == (RUNAWAY, 100)
+    assert [r.epoch for r in info.value.records] == [2.0]
 
 
 # -- reference solver ----------------------------------------------------------------
