@@ -121,9 +121,8 @@ def _add_problem_flags(sub) -> None:
 
 
 def _alpha_setting(solver: str, alpha: float | None, where: str) -> dict:
-    """SolverConfig's alpha keyword, none when alpha is not given (None); a
-    solver that never reads alpha (miso's is L/s) refuses one, naming
-    `where` it was given."""
+    """SolverConfig's alpha keyword: none for alpha None; refused, naming
+    `where`, by a solver that never reads alpha (miso's is L/s)."""
     if alpha is None:
         return {}
     if solver not in ("finito", "prox-finito"):
