@@ -33,6 +33,10 @@ from finito import (LOGISTIC, PERMUTED, UNIFORM, DivergenceError, FiniteSumProbl
                     IndexSampler, QuadraticProblem, SamplingScheme, SolverConfig,
                     SynthSpec, checkpoint_load, checkpoint_save, sag_init, sag_step,
                     synth_problem)
+# the diverging run of the exit-2 tests: finito at alpha = 0.05 on a
+# beta = 0.01 problem, whose suboptimality stays finite until the ratio
+# guard ends it
+from test_solvers import DIVERGING, RUNAWAY
 
 
 def rebuild(monkeypatch, function, old: str, new: str) -> None:
@@ -90,12 +94,6 @@ def reloaded(problem, state, sampler):
     checkpoint_save(state, buf, sampler)
     buf.seek(0)
     return checkpoint_load(buf, problem)
-
-
-# test_solvers' diverging run: finito at alpha = 0.05 on a beta = 0.01
-# problem, whose suboptimality stays finite until the ratio guard ends it
-DIVERGING = SynthSpec(n=50, d=5, target_beta=0.01)
-RUNAWAY = "suboptimality exceeded 1e+06 times its starting value at step 100"
 
 
 def ratio_guard_fires_at_the_first_record_past_it() -> bool:
