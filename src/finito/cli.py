@@ -32,8 +32,27 @@ from .theory import (CheckReport, suite_inequalities, suite_lyapunov,
 SUITES = ("inequalities", "lyapunov", "rate", "lowerbound", "all")
 
 
+class _StoreOnce(argparse._StoreAction):
+    """The default action: store a flag's value, refusing a flag already
+    given, where argparse would keep the last."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if self.dest in parser.given:
+            raise argparse.ArgumentError(None, f"{option_string} given twice")
+        parser.given.add(self.dest)
+        setattr(namespace, self.dest, values)
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors; the contract here is 1."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.register("action", None, _StoreOnce)
+
+    def parse_known_args(self, args=None, namespace=None):
+        self.given = set()  # the dests stored in this parse
+        return super().parse_known_args(args, namespace)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -75,6 +94,8 @@ def _parse_synth_spec(text: str) -> dict:
             raise ValueError(f"bad synth field {token!r} "
                              f"(known keys: {', '.join(_SYNTH_KEYS)})")
         name, cast = _SYNTH_KEYS[key]
+        if name in fields:
+            raise ValueError(f"{key}= given twice in synth spec {text!r}")
         fields[name] = cast(val.strip())
     if "n" not in fields or "d" not in fields:
         raise ValueError("synth spec needs at least n= and d=")
@@ -171,17 +192,17 @@ def _parse_config_token(token: str):
     sampling = parts[1] if len(parts) > 1 and parts[1] else "uniform"
     if sampling not in SAMPLING_NAMES:
         raise ValueError(f"unknown sampling {sampling!r} in config {token!r}")
-    alpha, settings = None, {}
+    settings = {}
     for extra in parts[2:]:
         key, eq, val = extra.partition("=")
         if not eq:
             raise ValueError(f"bad override {extra!r} in config {token!r}")
-        if key == "alpha":
-            alpha = float(val)
-        elif key == "step":
-            settings["step"] = float(val)
-        else:
+        if key not in ("alpha", "step"):
             raise ValueError(f"unknown override key {key!r} in {token!r}")
+        if key in settings:
+            raise ValueError(f"{key}= given twice in config {token!r}")
+        settings[key] = float(val)
+    alpha = settings.pop("alpha", None)
     settings.update(_alpha_setting(solver, alpha, f"in config {token!r}"))
     return token.replace(":", "-"), sampling, SolverConfig(solver, **settings)
 

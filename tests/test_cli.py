@@ -212,6 +212,22 @@ def test_miso_without_strong_convexity_exits_one(tmp_path):
     pytest.param(["run", "--synth", "n=50,d=5", "--fstar", "fstar.txt"],
                  "error: --fstar 'fstar.txt': use auto, none or a number\n",
                  id="fstar-not-a-number"),
+    # a flag or key given twice once kept its last value and exited 0
+    pytest.param(["run", "--synth", "n=50,d=5", "--synth", "n=40,d=2"],
+                 "finito run: error: --synth given twice\n", id="synth-twice"),
+    pytest.param(["run", "--synth", "n=50,n=40,d=2", "--alpha", "2", "--alpha", "3"],
+                 "finito run: error: --alpha given twice\n", id="alpha-twice"),
+    pytest.param(["run", "--synth", "n=50,n=40,d=2"],
+                 "error: n= given twice in synth spec 'n=50,n=40,d=2'\n",
+                 id="synth-key-twice"),
+    pytest.param(["verify", "--suite", "rate", "--seed", "0", "--seed", "1"],
+                 "finito verify: error: --seed given twice\n", id="verify-seed-twice"),
+    pytest.param(["compare", "--synth", "n=50,d=5", "--configs", "finito",
+                  "--configs", "sag"],
+                 "finito compare: error: --configs given twice\n", id="configs-twice"),
+    pytest.param(["compare", "--synth", "n=50,d=5", "--configs", "finito::alpha=3:alpha=4"],
+                 "error: alpha= given twice in config 'finito::alpha=3:alpha=4'\n",
+                 id="config-key-twice"),
 ])
 def test_invalid_values_exit_one_without_traceback(argv, message):
     code, _, err = call(argv)
