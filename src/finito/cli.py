@@ -13,6 +13,7 @@ import argparse
 import multiprocessing
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -25,11 +26,9 @@ from .problems import (FiniteSumProblem, LOGISTIC, LOSS_KINDS,
                        ReferenceSolution)
 from .samplers import SAMPLING_NAMES, SamplingScheme
 from .solvers import (DivergenceError, MONITORS, SOLVER_TAGS, SolverConfig,
-                      check_config, reference_solve, run, run_with_state)
-from .theory import (CheckReport, suite_inequalities, suite_lyapunov,
-                     suite_rate)
-
-SUITES = ("inequalities", "lyapunov", "rate", "lowerbound", "all")
+                      check_config, reference_solve, run, run_with_state,
+                      sag_default_step)
+from .theory import suite_inequalities, suite_lyapunov, suite_rate
 
 
 class _StoreOnce(argparse._StoreAction):
@@ -124,6 +123,19 @@ def _resolve_reference(fstar: str, problem, synth_ref):
                              method_tag="external")
 
 
+def _resolve_step(solver: str, step: str | None, problem) -> float | None:
+    """run --step: practical (sag's 1/(Ln)) or a number; None without one,
+    which leaves sag at its analysed 1/(16Ln) and full-gradient at 1/L."""
+    if step != "practical":
+        try:
+            return None if step is None else float(step)
+        except ValueError:
+            raise ValueError(f"--step {step!r}: use practical or a number") from None
+    if solver != "sag":
+        raise ValueError(f"{solver} ignores --step practical; only sag has one")
+    return sag_default_step(problem, practical=True)
+
+
 def _add_problem_flags(sub) -> None:
     src = sub.add_mutually_exclusive_group(required=True)
     src.add_argument("--data", help="LIBSVM text file")
@@ -160,7 +172,7 @@ def cmd_run(args) -> int:
     problem, synth_ref = _build_problem(args)
     reference = _resolve_reference(args.fstar, problem, synth_ref)
     config = SolverConfig(
-        solver=args.solver, step=args.step, sag_practical=args.sag_practical,
+        solver=args.solver, step=_resolve_step(args.solver, args.step, problem),
         first_pass=not args.no_first_pass, monitor=args.monitor,
         **_alpha_setting(args.solver, args.alpha, "--alpha"))
     scheme = SamplingScheme(args.sampling, args.seed)
@@ -250,10 +262,11 @@ def cmd_compare(args) -> int:
 # verify
 
 
-def _rows(reports: list[CheckReport]) -> tuple[str, str | None]:
-    """A suite's CSV rows and a line naming its first unsatisfied check, or
-    None when every check holds, made in the process that ran the suite, so
-    a worker sends text and not reports."""
+def _suite_rows(suite, **settings) -> tuple[str, str | None]:
+    """suite(**settings)'s CSV rows and a line naming its first unsatisfied
+    check, or None when every check holds, made in the process that ran the
+    suite, so a worker sends text and not reports."""
+    reports = suite(**settings)
     text = "".join(f"{r.name},{_fmt(r.lhs)},{_fmt(r.rhs)},{_fmt(r.slack)},"
                    f"{'true' if r.satisfied else 'false'}\n" for r in reports)
     bad = next((r for r in reports if not r.satisfied), None)
@@ -320,36 +333,28 @@ def _run_suites(calls: dict) -> dict:
     return done
 
 
-# the verify flags each suite reads besides --seed; the others read them all
-_VERIFY_FLAGS = ("n", "d", "beta", "draws", "alpha")
-_SUITE_FLAGS = {"rate": ("n", "alpha"), "lowerbound": ("n",)}
+# each suite in CSV order, with the verify flags it reads besides --seed;
+# the first two read them all
+_SUITE_FLAGS = {"inequalities": ("n", "d", "beta", "draws", "alpha"),
+                "lyapunov": ("n", "d", "beta", "draws", "alpha"),
+                "rate": ("n", "alpha"), "lowerbound": ("n",)}
 
 
 def cmd_verify(args) -> int:
-    reads = _SUITE_FLAGS.get(args.suite, _VERIFY_FLAGS)
-    for flag in _VERIFY_FLAGS:
-        if flag not in reads and getattr(args, flag) is not None:
+    names = [name for name in _SUITE_FLAGS if args.suite in (name, "all")]
+    given = {flag: getattr(args, flag) for flag in _SUITE_FLAGS["inequalities"]
+             if getattr(args, flag) is not None}
+    for flag in given:
+        if all(flag not in _SUITE_FLAGS[name] for name in names):
             raise ValueError(f"verify --suite {args.suite} ignores --{flag}")
-
-    def pick(value, fallback):
-        return fallback if value is None else value
-
-    beta, alpha = pick(args.beta, 2.0), pick(args.alpha, 2.0)
-    # in CSV order
-    calls = {
-        "inequalities": lambda: _rows(suite_inequalities(
-            n=pick(args.n, 40), d=pick(args.d, 5), beta=beta,
-            draws=pick(args.draws, 100), seed=args.seed, alpha=alpha)),
-        "lyapunov": lambda: _rows(suite_lyapunov(
-            n=pick(args.n, 40), d=pick(args.d, 5), beta=beta,
-            states=pick(args.draws, 200), seed=args.seed, alpha=alpha)),
-        "rate": lambda: _rows(suite_rate(n=pick(args.n, 200), seed=args.seed,
-                                         alpha=alpha)),
-        "lowerbound": lambda: _rows(suite_lowerbound(seed=args.seed,
-                                                     n=pick(args.n, 10))),
-    }
-    calls = {name: call for name, call in calls.items()
-             if args.suite in (name, "all")}
+    # looked up here, so a suite rebound in this module is the one called
+    suites = {"inequalities": suite_inequalities, "lyapunov": suite_lyapunov,
+              "rate": suite_rate, "lowerbound": suite_lowerbound}
+    # a suite's own defaults fill the flags not given
+    calls = {name: partial(_suite_rows, suites[name], seed=args.seed,
+                           **{flag: given[flag] for flag in _SUITE_FLAGS[name]
+                              if flag in given})
+             for name in names}
     done = _run_suites(calls)
     for name in calls:  # a call after the first error has no entry
         if isinstance(done[name], Exception):
@@ -379,11 +384,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--alpha", type=float, default=None,
                        help="finito and prox-finito only (default 2); miso "
                             "sets alpha = L/s, sag and full-gradient refuse it")
-    p_run.add_argument("--step", type=float, default=None,
-                       help="sag / full-gradient step; refused by the others")
-    p_run.add_argument("--sag-practical", action="store_true",
-                       help="sag default step 1/(Ln) instead of 1/(16Ln); "
-                            "refused by the others and beside --step")
+    p_run.add_argument("--step", default=None,
+                       help="sag / full-gradient step: <number> | practical "
+                            "(sag's 1/(Ln); default 1/(16Ln)); refused by the others")
     p_run.add_argument("--sampling", choices=SAMPLING_NAMES,
                        default="uniform")
     p_run.add_argument("--seed", type=int, default=0)
@@ -418,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = subs.add_parser("verify",
                             help="run analysis check suites, emit CheckReport "
                                  "CSV, exit 3 on any violation")
-    p_ver.add_argument("--suite", choices=SUITES, required=True)
+    p_ver.add_argument("--suite", choices=(*_SUITE_FLAGS, "all"), required=True)
     p_ver.add_argument("--n", type=int, default=None)
     p_ver.add_argument("--d", type=int, default=None)
     p_ver.add_argument("--beta", type=float, default=None)

@@ -176,7 +176,7 @@ def floor_check(n: int, solver: str = "finito") -> CheckReport:
         f"solver={solver} n={n}")
 
 
-def suite_lowerbound(seed: int, n: int = 10) -> list[CheckReport]:
+def suite_lowerbound(seed: int = 0, n: int = 10) -> list[CheckReport]:
     """Unseen-count means at k = 1, 5, 10, 20 over T = 100 000 trials, each
     within 4 sqrt(Var/T) + 16 n/(3T) of the law, with Var = unseen_variance,
     then floor_check for finito and sag.  The radius is Bernstein's

@@ -141,7 +141,6 @@ class SolverConfig:
     solver: str = "finito"
     alpha: float = 2.0
     step: float | None = None
-    sag_practical: bool = False
     first_pass: bool = True
     monitor: str = "iterate"  # or "table-mean", which keeps audit storage
     w0: np.ndarray | None = None
@@ -165,8 +164,7 @@ def check_config(problem, config: SolverConfig) -> None:
     """ValueError unless run_with_state would run `config` on `problem` as
     asked: a known solver and monitor, no l1 term the solver ignores, and no
     setting it never reads (step for finito, prox-finito and miso, whose
-    step alpha sets; sag_practical for any solver but sag, or beside an
-    explicit step)."""
+    step alpha sets)."""
     solver = config.solver
     if solver not in SOLVER_TAGS:
         raise ValueError(f"unknown solver {solver!r}")
@@ -176,11 +174,6 @@ def check_config(problem, config: SolverConfig) -> None:
     if config.step is not None and solver in FINITO_TAGS:
         raise ValueError(f"{solver} ignores step (step = {config.step:g}); "
                          "only sag and full-gradient take one")
-    if config.sag_practical and solver != "sag":
-        raise ValueError(f"{solver} ignores sag_practical; only sag reads it")
-    if config.sag_practical and config.step is not None:
-        raise ValueError(f"sag ignores sag_practical beside an explicit step "
-                         f"(step = {config.step:g})")
 
 
 def check_resume(problem, config: SolverConfig, scheme: SamplingScheme,
@@ -198,8 +191,7 @@ def check_resume(problem, config: SolverConfig, scheme: SamplingScheme,
         fresh = _miso_alpha(problem) if tag == "miso" else config.alpha
         settings.append(("alpha", state.alpha, fresh))
     elif tag == "sag":
-        fresh = (config.step if config.step is not None
-                 else sag_default_step(problem, config.sag_practical))
+        fresh = config.step if config.step is not None else sag_default_step(problem)
         settings.append(("step", state.step, fresh))
     if sampler is not None:
         settings.append(("sampling", sampler.scheme, scheme))
@@ -365,10 +357,10 @@ def sag_default_step(problem, practical: bool = False) -> float:
 
 
 def sag_init(problem, w0=None, step: float | None = None,
-             practical: bool = False, first_pass: bool = False) -> SagState:
+             first_pass: bool = False) -> SagState:
     _refuse_l1("sag", problem)
     if step is None:
-        step = sag_default_step(problem, practical=practical)
+        step = sag_default_step(problem)
     n, d = problem.n, problem.d
     w0 = problem._check_point(np.zeros(d) if w0 is None else w0)
     state = SagState(step=float(step), k=0, seen=0, w=w0.copy(),
@@ -427,9 +419,7 @@ def _build_state(problem, config: SolverConfig):
         return finito_init(problem, alpha, w0=w0, audit=config.monitor == "table-mean",
                            first_pass=config.first_pass, solver_tag=solver)
     if solver == "sag":
-        return sag_init(problem, w0=w0, step=config.step,
-                        practical=config.sag_practical,
-                        first_pass=config.first_pass)
+        return sag_init(problem, w0=w0, step=config.step, first_pass=config.first_pass)
     # full-gradient, the one tag left once run_with_state has checked it
     w0 = np.zeros(problem.d) if w0 is None else problem._check_point(w0)
     return FullGradientState(w=w0.copy(), k=0)

@@ -700,8 +700,8 @@ def _eq_report(name: str, lhs: float, rhs: float, tol: float, scale: float,
                        slack=rhs - lhs, context=context)
 
 
-def suite_inequalities(n: int, d: int, beta: float, draws: int, seed: int,
-                       alpha: float) -> list[CheckReport]:
+def suite_inequalities(n: int = 40, d: int = 5, beta: float = 2.0, draws: int = 100,
+                       seed: int = 0, alpha: float = 2.0) -> list[CheckReport]:
     """convexity_suite on a generated logistic problem, then `draws` rows
     each of strong_lb_check and Audit.lower_bound_report at random points,
     the latter audited audit_block tables at a time."""
@@ -732,16 +732,16 @@ def suite_inequalities(n: int, d: int, beta: float, draws: int, seed: int,
     return reports
 
 
-def suite_lyapunov(n: int, d: int, beta: float, states: int, seed: int,
-                   alpha: float) -> list[CheckReport]:
-    """The closed-form initial potential, then at each of `states` states of
+def suite_lyapunov(n: int = 40, d: int = 5, beta: float = 2.0, draws: int = 200,
+                   seed: int = 0, alpha: float = 2.0) -> list[CheckReport]:
+    """The closed-form initial potential, then at each of `draws` states of
     a uniform finito run the expected decrease, map consistency, bound gap,
     table-mean descent and five exact identities (step, displacement,
     variance, T3, T4).
     The run is snapshotted audit_block states at a time and each block is
-    audited as one stack; `states` must be >= 1."""
-    if states < 1:
-        raise ValueError(f"states must be >= 1, got {states}")
+    audited as one stack; `draws` must be >= 1."""
+    if draws < 1:
+        raise ValueError(f"draws must be >= 1, got {draws}")
     problem, reference = synth_problem(
         SynthSpec(n=n, d=d, loss=LOGISTIC, target_beta=beta, seed=seed))
     w0 = np.zeros(d)
@@ -752,8 +752,8 @@ def suite_lyapunov(n: int, d: int, beta: float, states: int, seed: int,
     reports = [_eq_report("initial-potential", terms0.total, closed,
                           1e-12, closed, "all rows at w0")]
     block = audit_block(n, d)
-    for first in range(0, states, block):
-        size = min(block, states - first)
+    for first in range(0, draws, block):
+        size = min(block, draws - first)
         phi, w = np.empty((size, n, d)), np.empty((size, d))
         for k in range(size):
             phi[k], w[k] = state.phi_table, state.w
@@ -767,7 +767,7 @@ def suite_lyapunov(n: int, d: int, beta: float, states: int, seed: int,
             _norms(w).tolist(), _table_dots(phi, phi).tolist(),
             audit.base.total.tolist())
         for t, rows, (step, moved, variance, shifts, t3, t4, scale, spread,
-                      total) in zip(range(first, states), checks, identities):
+                      total) in zip(range(first, draws), checks, identities):
             ctx = f"step={t}"
             for report in rows:
                 report.context = f"{ctx} {report.context}"
@@ -783,7 +783,7 @@ def suite_lyapunov(n: int, d: int, beta: float, states: int, seed: int,
     return reports
 
 
-def suite_rate(n: int, seed: int, alpha: float) -> list[CheckReport]:
+def suite_rate(n: int = 200, seed: int = 0, alpha: float = 2.0) -> list[CheckReport]:
     """Seed-averaged table-mean suboptimality of 5 uniform finito runs of 10
     epochs against rate_bound, one row per epoch, then the rate_certificate
     row; alpha must be admissible at beta = 2, where the rate is certified."""

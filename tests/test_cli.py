@@ -149,12 +149,15 @@ def test_miso_without_strong_convexity_exits_one(tmp_path):
     pytest.param(["run", "--synth", "n=50,d=5", "--solver", "finito", "--step", "0.1"],
                  "error: finito ignores step (step = 0.1)", id="finito-step"),
     pytest.param(["run", "--synth", "n=50,d=5", "--solver", "prox-finito",
-                  "--sag-practical"],
-                 "error: prox-finito ignores sag_practical", id="prox-finito-sag-practical"),
-    pytest.param(["run", "--synth", "n=50,d=5", "--solver", "sag", "--sag-practical",
+                  "--step", "practical"],
+                 "error: prox-finito ignores --step practical; only sag has one\n",
+                 id="prox-finito-sag-practical"),
+    pytest.param(["run", "--synth", "n=50,d=5", "--solver", "sag", "--step", "practical",
                   "--step", "1e-3"],
-                 "error: sag ignores sag_practical beside an explicit step (step = 0.001)",
-                 id="sag-practical-and-step"),
+                 "finito run: error: --step given twice\n", id="sag-practical-and-step"),
+    pytest.param(["run", "--synth", "n=50,d=5", "--solver", "sag", "--step", "fast"],
+                 "error: --step 'fast': use practical or a number\n",
+                 id="step-not-a-number"),
     pytest.param(["compare", "--synth", "n=50,d=5",
                   "--configs", "finito::step=0.5,sag::alpha=3,miso::alpha=9"],
                  "error: sag ignores alpha (in config 'sag::alpha=3')",
@@ -195,9 +198,9 @@ def test_miso_without_strong_convexity_exits_one(tmp_path):
                  id="lowerbound-command"),
     # these audited no state and exited 0
     pytest.param(["verify", "--suite", "lyapunov", "--draws", "0"],
-                 "states must be >= 1, got 0", id="lyapunov-draws-0"),
+                 "draws must be >= 1, got 0", id="lyapunov-draws-0"),
     pytest.param(["verify", "--suite", "lyapunov", "--draws", "-5"],
-                 "states must be >= 1, got -5", id="lyapunov-draws-negative"),
+                 "draws must be >= 1, got -5", id="lyapunov-draws-negative"),
     # alpha = 1e308 is admissible, but the T3 closed form needs alpha^2
     pytest.param(["verify", "--suite", "lyapunov", "--alpha", "1e308"],
                  "alpha^2 overflows", id="lyapunov-alpha-1e308"),

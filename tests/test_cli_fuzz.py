@@ -78,6 +78,7 @@ def flag_values(files, action, edge: bool):
              "--resume": ((files["checkpoint"],), (files["missing"],)),
              "--fstar": (("auto", "none", "0"),
                          ("nan", "-inf", "1e308", files["missing"])),
+             "--step": (("0.01", "practical"), (*FLOATS[1], "bogus")),
              "--configs": CONFIGS,
              "--out": (("-",), (str(files["dir"] / "out.csv"),)),
              "--out-dir": ((str(files["dir"] / "traces"),),) * 2,

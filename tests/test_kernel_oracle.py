@@ -41,6 +41,7 @@ from finito import (  # noqa: E402
     finito_first_pass_step,
     finito_init,
     finito_step,
+    sag_default_step,
     sag_first_pass_step,
     sag_init,
     sag_step,
@@ -153,8 +154,10 @@ def follow_the_oracle(problem, rng, tag, audit, first_pass, kind, alpha, epochs,
     huge = huge and first_pass
     w0 = rng.standard_normal(problem.d) * (2.0**1022 if huge else 1.0)
     if "sag" in tag:
-        state = sag_init(problem, w0=w0, practical=tag == "practical sag",
-                         first_pass=first_pass)
+        step = None
+        if tag == "practical sag":
+            step = sag_default_step(problem, practical=True)
+        state = sag_init(problem, w0=w0, step=step, first_pass=first_pass)
         first, step = sag_first_pass_step, sag_step
     else:
         if tag == "miso":

@@ -200,7 +200,8 @@ def test_audit_and_compact_prox_finito_agree(rng):
 
 def test_sag_sum_tracks_table(synth_tiny, rng):
     problem, _ = synth_tiny
-    st = sag_init(problem, w0=np.zeros(problem.d), practical=True)
+    st = sag_init(problem, w0=np.zeros(problem.d),
+                  step=sag_default_step(problem, practical=True))
     for j in rng.integers(problem.n, size=150):
         sag_step(st, problem, int(j))
     assert np.linalg.norm(st.grad_sum - st.grad_table.sum(axis=0)) <= 1e-10

@@ -810,11 +810,11 @@ def test_rate_curve_rejects_mismatched_grids(synth_small):
                    np.zeros(problem.d))
 
 
-@pytest.mark.parametrize("states", [0, -5])
-def test_suite_lyapunov_needs_a_state(states):
+@pytest.mark.parametrize("draws", [0, -5])
+def test_suite_lyapunov_needs_a_state(draws):
     # with no state it printed the initial-potential row alone and passed
-    with pytest.raises(ValueError, match=f"states must be >= 1, got {states}"):
-        theory.suite_lyapunov(n=10, d=2, beta=2.0, states=states, seed=0, alpha=2.0)
+    with pytest.raises(ValueError, match=f"draws must be >= 1, got {draws}"):
+        theory.suite_lyapunov(n=10, d=2, beta=2.0, draws=draws, seed=0, alpha=2.0)
 
 
 def test_t3_shift_refuses_an_alpha_whose_square_overflows(synth_tiny):
