@@ -489,12 +489,13 @@ def run_with_state(problem, config: SolverConfig, scheme: SamplingScheme,
     while state.k < total_steps:
         try:
             if full_grad:
+                # as in the table kernel, the state changes only once checked
                 g = problem.full_gradient(state.w)
-                state.w = prox_operator(problem.l1_weight,
-                                        state.w - gd_step * g, gd_step)
-                state.k += 1
-                if not np.all(np.isfinite(state.w)):
-                    raise DivergenceError("iterate diverged", k=state.k)
+                w = prox_operator(problem.l1_weight, state.w - gd_step * g, gd_step)
+                if not np.all(np.isfinite(w)):
+                    raise DivergenceError(f"iterate diverged at step {state.k + 1}",
+                                          k=state.k + 1)
+                state.w, state.k = w, state.k + 1
             elif state.seen < n:
                 first(state, problem, state.seen)
             else:

@@ -18,6 +18,7 @@ from finito import (
     UNIFORM,
     DivergenceError,
     FiniteSumProblem,
+    FullGradientState,
     QuadraticProblem,
     SamplingScheme,
     SolverConfig,
@@ -311,6 +312,21 @@ def test_divergence_attaches_partial_records(synth_tiny):
         run(problem, config, SamplingScheme(UNIFORM), epochs=10, reference=ref)
     assert len(info.value.records) >= 1
     assert info.value.records[0].epoch == 0.0
+
+
+def test_diverging_full_gradient_step_leaves_its_state(synth_tiny):
+    # the step once wrote a non-finite w and counted itself before its check
+    problem, _ = synth_tiny
+    step, w0 = 1e300, np.zeros(problem.d)
+    state = FullGradientState(w=w0.copy())
+    config = SolverConfig("full-gradient", step=step)
+    with pytest.raises(DivergenceError) as info, np.errstate(all="ignore"):
+        run_with_state(problem, config, SamplingScheme(UNIFORM), 5,
+                       resume=(state, None))
+    # the first step stays finite, so the second is the one refused
+    first = prox_operator(problem.l1_weight, w0 - step * problem.full_gradient(w0), step)
+    assert (str(info.value), info.value.k) == ("iterate diverged at step 2", 2)
+    assert state.k == 1 and np.array_equal(state.w, first)
 
 
 @pytest.mark.parametrize("f_star", [float("inf"), float("-inf"), float("nan")])
