@@ -181,10 +181,9 @@ def cmd_run(args) -> int:
         records, state, sampler = run_with_state(
             problem, config, scheme, args.epochs, reference=reference,
             record_every=args.record_every, resume=resume)
-    except DivergenceError as err:
+    except DivergenceError as err:  # main prints it and exits 2
         write_trace(err.records or [], _sink(args.out))
-        print(f"diverged: {err}", file=sys.stderr)
-        return 2
+        raise
     write_trace(records, _sink(args.out))
     if args.save_state is not None:
         checkpoint_save(state, args.save_state, sampler)
