@@ -231,6 +231,25 @@ def test_miso_without_strong_convexity_exits_one(tmp_path):
     pytest.param(["compare", "--synth", "n=50,d=5", "--configs", "finito::alpha=3:alpha=4"],
                  "error: alpha= given twice in config 'finito::alpha=3:alpha=4'\n",
                  id="config-key-twice"),
+    # refusals that no other test reached
+    pytest.param(["run", "--synth", "n=50,d=5", "--solver", "sag", "--monitor", "table-mean"],
+                 "error: table-mean monitoring needs finito audit storage\n",
+                 id="sag-table-mean"),
+    pytest.param(["run", "--synth", "n=50,d=5", "--epochs", "-1"],
+                 "error: epochs must be >= 0, got -1\n", id="epochs-negative"),
+    pytest.param(["run", "--synth", "d=5"],
+                 "error: synth spec needs at least n= and d=\n", id="synth-without-n"),
+    *(pytest.param(["compare", "--synth", "n=50,d=5", "--configs", configs,
+                    "--seeds", seeds],
+                   f"error: {message}\n", id=f"compare-{configs}-seeds-{seeds}")
+      for configs, seeds, message in (
+          (",", "1", "no configs given"),
+          ("finito", ",", "no seeds given"),
+          ("finito", "1,x", "bad integer list '1,x'"),
+          ("bogus", "1", "unknown solver 'bogus' in config 'bogus'"),
+          ("finito:bogus", "1", "unknown sampling 'bogus' in config 'finito:bogus'"),
+          ("finito:uniform:alpha", "1",
+           "bad override 'alpha' in config 'finito:uniform:alpha'"))),
 ])
 def test_invalid_values_exit_one_without_traceback(argv, message):
     code, _, err = call(argv)
@@ -547,6 +566,20 @@ def test_resume_refuses_settings_that_contradict_its_checkpoint(
     # the flags it started with resume it
     code, _, err = call([*base, *start, "--epochs", "3", "--resume", str(ck)])
     assert code == 0, err
+
+
+@pytest.mark.parametrize("flags,message", [
+    pytest.param(["--solver", "sag"], "resume state is for 'finito', config says 'sag'",
+                 id="sag"),
+    # a compact checkpoint holds no phi table to take the mean of
+    pytest.param(["--monitor", "table-mean"],
+                 "table-mean monitoring needs finito audit storage", id="table-mean"),
+])
+def test_resume_refuses_what_its_checkpoint_cannot_run(tmp_path, flags, message):
+    ck = tmp_path / "finito.ckpt"
+    assert call(["run", *N50, "--epochs", "1", "--save-state", str(ck)])[0] == 0
+    code, out, err = call(["run", *N50, *flags, "--epochs", "2", "--resume", str(ck)])
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 def test_resume_without_first_pass_from_epoch_zero(tmp_path):
