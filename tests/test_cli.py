@@ -539,6 +539,10 @@ N50 = ["--synth", "n=50,d=5"]
     pytest.param([*N50, "--solver", "sag"], [*N50, "--solver", "sag", "--step", "1e-3"],
                  "sag resumes at step 0.0050000000048 from its checkpoint, not 0.001",
                  id="sag-step"),
+    # practical is sag's 1/(Ln), 16 times the analysed default
+    pytest.param([*N50, "--solver", "sag", "--step", "practical"], [*N50, "--solver", "sag"],
+                 "sag resumes at step 0.0800000000768 from its checkpoint, "
+                 "not 0.0050000000048", id="sag-step-practical"),
     pytest.param(N50, [*N50, "--alpha", "7"],
                  "finito resumes at alpha 2.0 from its checkpoint, not 7.0",
                  id="finito-alpha"),
