@@ -31,26 +31,19 @@ from .solvers import (DivergenceError, MONITORS, SOLVER_TAGS, SolverConfig,
 from .theory import suite_inequalities, suite_lyapunov, suite_rate
 
 
-class _StoreOnce(argparse._StoreAction):
-    """The default action: store a flag's value, refusing a flag already
-    given, where argparse would keep the last."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        if self.dest in parser.given:
-            raise argparse.ArgumentError(None, f"{option_string} given twice")
-        parser.given.add(self.dest)
-        setattr(namespace, self.dest, values)
-
-
 class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on usage errors; the contract here is 1."""
+    """argparse exits 2 on usage errors; the contract here is 1.  A flag is
+    its full name, given once, where argparse takes a prefix or the last."""
 
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.register("action", None, _StoreOnce)
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def parse_known_args(self, args=None, namespace=None):
-        self.given = set()  # the dests stored in this parse
+        names = [arg.split("=", 1)[0] for arg in
+                 (sys.argv[1:] if args is None else args)]
+        for flag in self._option_string_actions:
+            if names.count(flag) > 1:
+                self.error(f"{flag} given twice")
         return super().parse_known_args(args, namespace)
 
     def error(self, message):

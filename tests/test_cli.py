@@ -231,6 +231,26 @@ def test_miso_without_strong_convexity_exits_one(tmp_path):
     pytest.param(["compare", "--synth", "n=50,d=5", "--configs", "finito::alpha=3:alpha=4"],
                  "error: alpha= given twice in config 'finito::alpha=3:alpha=4'\n",
                  id="config-key-twice"),
+    # store_true flags too, and the --flag=value form is the flag itself
+    pytest.param(["run", "--synth", "n=50,d=5", "--epochs", "1", "--no-first-pass",
+                  "--no-first-pass"],
+                 "finito run: error: --no-first-pass given twice\n",
+                 id="no-first-pass-twice"),
+    pytest.param(["run", "--synth", "n=50,d=5", "--alpha=2", "--alpha", "3"],
+                 "finito run: error: --alpha given twice\n", id="alpha-equals-twice"),
+    # a prefix of a flag once ran as that flag: compare's --seed 3 as --seeds 3,
+    # the median over seeds 0, 1 and 2
+    pytest.param(["run", "--synth", "n=50,d=5", "--epo", "1", "--sam", "permuted",
+                  "--alp", "3", "--so", "finito"],
+                 "finito: error: unrecognized arguments: --epo 1 --sam permuted "
+                 "--alp 3 --so finito\n", id="run-abbreviations"),
+    pytest.param(["compare", "--synth", "n=50,d=5", "--configs", "finito", "--epochs", "2",
+                  "--seed", "3"],
+                 "finito: error: unrecognized arguments: --seed 3\n",
+                 id="compare-seed-abbreviation"),
+    pytest.param(["verify", "--suite", "rate", "--se", "1"],
+                 "finito: error: unrecognized arguments: --se 1\n",
+                 id="verify-se-abbreviation"),
     # refusals that no other test reached
     pytest.param(["run", "--synth", "n=50,d=5", "--solver", "sag", "--monitor", "table-mean"],
                  "error: table-mean monitoring needs finito audit storage\n",
