@@ -62,9 +62,9 @@ def _write_text(path: str, text: str) -> None:
 
 def _parse_seeds(text: str) -> list[int]:
     """'11' means seeds 0..10; '3,5,7' is an explicit list."""
-    if "," not in text:
-        return list(range(int(text)))
     try:
+        if "," not in text:
+            return list(range(int(text)))
         return [int(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError:
         raise ValueError(f"bad integer list {text!r}") from None
@@ -88,7 +88,10 @@ def _parse_synth_spec(text: str) -> dict:
         name, cast = _SYNTH_KEYS[key]
         if name in fields:
             raise ValueError(f"{key}= given twice in synth spec {text!r}")
-        fields[name] = cast(val.strip())
+        try:
+            fields[name] = cast(val.strip())
+        except ValueError:
+            raise ValueError(f"bad synth field {token!r}") from None
     if "n" not in fields or "d" not in fields:
         raise ValueError("synth spec needs at least n= and d=")
     return fields
@@ -198,14 +201,15 @@ def _parse_config_token(token: str):
         raise ValueError(f"unknown sampling {sampling!r} in config {token!r}")
     settings = {}
     for extra in parts[2:]:
-        key, eq, val = extra.partition("=")
-        if not eq:
-            raise ValueError(f"bad override {extra!r} in config {token!r}")
+        key, _, val = extra.partition("=")
         if key not in ("alpha", "step"):
             raise ValueError(f"unknown override key {key!r} in {token!r}")
         if key in settings:
             raise ValueError(f"{key}= given twice in config {token!r}")
-        settings[key] = float(val)
+        try:
+            settings[key] = float(val)
+        except ValueError:
+            raise ValueError(f"bad override {extra!r} in config {token!r}") from None
     alpha = settings.pop("alpha", None)
     settings.update(_alpha_setting(solver, alpha, f"in config {token!r}"))
     return token.replace(":", "-"), sampling, SolverConfig(solver, **settings)
@@ -325,11 +329,11 @@ def _run_suites(calls: dict) -> dict:
     return done
 
 
-# each suite in CSV order, with the verify flags it reads besides --seed;
-# the first two read them all
-_SUITE_FLAGS = {"inequalities": ("n", "d", "beta", "draws", "alpha"),
-                "lyapunov": ("n", "d", "beta", "draws", "alpha"),
-                "rate": ("n", "alpha"), "lowerbound": ("n",)}
+# each suite in CSV order, with the verify flags it reads; the first two
+# read them all
+_SUITE_FLAGS = {"inequalities": ("n", "d", "beta", "draws", "seed", "alpha"),
+                "lyapunov": ("n", "d", "beta", "draws", "seed", "alpha"),
+                "rate": ("n", "seed", "alpha"), "lowerbound": ("n", "seed")}
 
 
 def cmd_verify(args) -> int:
@@ -343,7 +347,7 @@ def cmd_verify(args) -> int:
     suites = {"inequalities": suite_inequalities, "lyapunov": suite_lyapunov,
               "rate": suite_rate, "lowerbound": suite_lowerbound}
     # a suite's own defaults fill the flags not given
-    calls = {name: partial(_suite_rows, suites[name], seed=args.seed,
+    calls = {name: partial(_suite_rows, suites[name],
                            **{flag: given[flag] for flag in _SUITE_FLAGS[name]
                               if flag in given})
              for name in names}
@@ -418,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--d", type=int, default=None)
     p_ver.add_argument("--beta", type=float, default=None)
     p_ver.add_argument("--draws", type=int, default=None)
-    p_ver.add_argument("--seed", type=int, default=0)
+    p_ver.add_argument("--seed", type=int, default=None)
     p_ver.add_argument("--alpha", type=float, default=None)
     p_ver.add_argument("--out", default="-")
     p_ver.set_defaults(func=cmd_verify)

@@ -269,7 +269,19 @@ def test_miso_without_strong_convexity_exits_one(tmp_path):
           ("bogus", "1", "unknown solver 'bogus' in config 'bogus'"),
           ("finito:bogus", "1", "unknown sampling 'bogus' in config 'finito:bogus'"),
           ("finito:uniform:alpha", "1",
-           "bad override 'alpha' in config 'finito:uniform:alpha'"))),
+           "bad override 'alpha' in config 'finito:uniform:alpha'"),
+          # the number parsers once gave Python's own message, naming
+          # neither the setting nor the spec
+          ("finito", "2x", "bad integer list '2x'"),
+          ("finito::alpha=x", "1", "bad override 'alpha=x' in config 'finito::alpha=x'"),
+          ("sag::step=x", "1", "bad override 'step=x' in config 'sag::step=x'"))),
+    *(pytest.param(["run", "--synth", spec], f"error: bad synth field '{field}'\n",
+                   id=f"synth-{field}")
+      for spec, field in (("n=x,d=5", "n=x"), ("n=50,d=5,beta=y", "beta=y"))),
+    *(pytest.param(["run", "--synth", "n=50,d=5", "--s", s], f"error: {message}\n",
+                   id=f"synth-s-{s}")
+      for s, message in (("0", "synthetic problems need s > 0"),
+                         ("nan", "s must be finite, got nan"))),
 ])
 def test_invalid_values_exit_one_without_traceback(argv, message):
     code, _, err = call(argv)
@@ -488,6 +500,15 @@ def test_verify_all_runs_every_suite():
     names = {line.split(",")[0] for line in out.strip().splitlines()[1:]}
     assert {"smoothness-upper", "expected-decrease", "rate-bound",
             "oracle-floor"} <= names
+
+
+def test_verify_passes_a_suite_only_the_flags_given(monkeypatch):
+    # the suite's keyword defaults are the only ones; --seed once passed 0
+    settings = []
+    monkeypatch.setattr(cli, "suite_rate", lambda **kw: settings.append(kw) or [])
+    assert call(["verify", "--suite", "rate"])[0] == 0
+    assert call(["verify", "--suite", "rate", "--seed", "4", "--alpha", "3"])[0] == 0
+    assert settings == [{}, {"seed": 4, "alpha": 3.0}]
 
 
 # -- compare ---------------------------------------------------------------------

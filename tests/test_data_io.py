@@ -129,6 +129,16 @@ def test_synth_requires_room_for_beta():
         synth_problem(SynthSpec(n=2, d=2, target_beta=2.0))
 
 
+@pytest.mark.parametrize("setting,message", [
+    ({"s": 0.0}, "^synthetic problems need s > 0$"),
+    ({"s": math.nan}, "^s must be finite, got nan$"),
+    ({"loss": "hinge"}, r"^unknown loss 'hinge' \(known: logistic, squared\)$"),
+])
+def test_synth_refuses_an_objective_it_cannot_build(setting, message):
+    with pytest.raises(ValueError, match=message):
+        synth_problem(SynthSpec(n=50, d=5, **setting))
+
+
 def test_synth_l1_passthrough():
     problem, ref = synth_problem(SynthSpec(n=25, d=3, loss=SQUARED, seed=2,
                                            l1_weight=0.3))
@@ -262,6 +272,11 @@ def test_prox_finito_checkpoint_keeps_one_table(synth_tiny, tmp_path):
         ["vec", "w"], ["vec", "p_sum"], ["table", "p"], ["table", "phi"]]
 
 
+def test_checkpoint_refuses_what_is_not_a_solver_state():
+    with pytest.raises(TypeError, match="^cannot checkpoint object$"):
+        checkpoint_save(object(), io.StringIO())
+
+
 def test_checkpoint_full_gradient_has_no_sampler(synth_tiny, tmp_path):
     problem, ref = synth_tiny
     path, _ = run_and_checkpoint(problem, ref, "full-gradient", tmp_path)
@@ -328,6 +343,8 @@ def test_checkpoint_corruption_detected(synth_tiny, tmp_path):
                  "expected 3 entries, found 4", id="sag-vec grad_sum with 4"),
     pytest.param("finito", "table p ", lambda line: "table p 10",
                  "10 rows, expected n=20", id="finito-table p 10"),
+    pytest.param("finito", "table p ", lambda line: "table p x",
+                 "^line 11: bad table row count 'x'$", id="finito-table p x"),
     # the file's own row count never sizes an array: 10^14 rows x 3 floats
     # would be 2.4e15 bytes, beyond any address space
     pytest.param("finito", "table p ", lambda line: "table p 100000000000000",

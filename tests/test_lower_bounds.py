@@ -85,6 +85,27 @@ def test_simulate_unseen_single_k_and_determinism():
     assert one[0].mc_mean == again[0].mc_mean
 
 
+@pytest.mark.parametrize("k,trials,message", [
+    ([], 10, "^need at least one k$"),
+    ([-1], 10, "^need k >= 0, got -1$"),
+    (3, 1, "^need trials >= 2, got 1$"),
+])
+def test_simulate_unseen_refusals(k, trials, message):
+    with pytest.raises(ValueError, match=message):
+        simulate_unseen(10, k, trials=trials)
+
+
+def test_simulate_unseen_k0_sees_no_index():
+    (point,) = simulate_unseen(7, 0, trials=50)
+    assert point.mc_mean == point.expected == 7
+    assert point.mc_stderr == 0
+
+
+def test_first_pass_floor_trace_refuses_another_solver():
+    with pytest.raises(ValueError, match=r"^unknown solver 'miso' \(use finito or sag\)$"):
+        first_pass_floor_trace(5, "miso")
+
+
 def test_simulate_unseen_refuses_a_draw_batch_beyond_the_limit():
     # one batch of 2 x 10^12 int64 draws would need ~15 TiB; the request is
     # refused before anything is allocated

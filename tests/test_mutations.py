@@ -14,21 +14,31 @@ and from the run driver's exit and resume paths:
 
 - M8: the ratio guard fires at 10 x DIVERGENCE_RATIO;
 - M9: a resumed run has a nan divergence baseline;
-- M10: a loaded sampler restarts at draw 0.
+- M10: a loaded sampler restarts at draw 0;
+
+and from the analysis lab:
+
+- M11: `rate_bound`'s constant is c = 1 - 1/(4 alpha), not 1 - 1/(2 alpha);
+- M12: the unseen-count radius of `suite_lowerbound` is ten times as wide.
 
 Each is applied in-process: a module function or method is patched, or a
-solvers function (`_fold`, `run_with_state`) is rebuilt from its source with
-one replacement that must match exactly once.
+module function (`_fold`, `run_with_state`, `rate_bound`, `suite_lowerbound`)
+is rebuilt from its source with one replacement that must match exactly once.
 """
 
+import dataclasses
 import inspect
 import io
+import math
+import sys
 
 import numpy as np
 import pytest
 
 import finito.cli as cli
+import finito.lower_bounds as lower_bounds
 import finito.solvers as solvers
+import finito.theory as theory
 from finito import (LOGISTIC, PERMUTED, UNIFORM, DivergenceError, FiniteSumProblem,
                     IndexSampler, QuadraticProblem, SamplingScheme, SolverConfig,
                     SynthSpec, checkpoint_load, checkpoint_save, sag_init, sag_step,
@@ -40,15 +50,16 @@ from test_solvers import DIVERGING, RUNAWAY
 
 
 def rebuild(monkeypatch, function, old: str, new: str) -> None:
-    """Patch a solvers function with its source edited once, compiled in the
+    """Patch a module function with its source edited once, compiled in its
     module's globals, so its callers there (the step functions, `run`) call
     the edited one."""
+    module = sys.modules[function.__module__]
     source = inspect.getsource(function)
     assert source.count(old) == 1, old
     namespace = {}
-    exec(compile(source.replace(old, new), solvers.__file__, "exec"),
-         vars(solvers), namespace)
-    monkeypatch.setattr(solvers, function.__name__, namespace[function.__name__])
+    exec(compile(source.replace(old, new), module.__file__, "exec"),
+         vars(module), namespace)
+    monkeypatch.setattr(module, function.__name__, namespace[function.__name__])
 
 
 def lyapunov_passes() -> bool:
@@ -137,6 +148,31 @@ def resume_is_bit_exact() -> bool:
             == [(r.epoch, r.objective) for r in whole])
 
 
+def rate_bound_starts_at_alpha_times_the_potential() -> bool:
+    """At k = 0 the certified bound is alpha times the initial potential,
+    (1 - 1/(2 alpha)) ||f'(w0)||^2 / s, at each alpha."""
+    problem, _ = synth_problem(SynthSpec(n=200, d=10))
+    w0 = np.zeros(problem.d)
+    return all(math.isclose(theory.rate_bound(problem, alpha, w0, 0),
+                            alpha * theory.initial_lyapunov(problem, w0, alpha),
+                            rel_tol=1e-12)
+               for alpha in (2.0, 3.0, 8.0))
+
+
+def unseen_row_refuses_a_law_one_percent_high() -> bool:
+    """With every law value 1% high, the k = 5 unseen-count row is false:
+    at n = 10 the gap reads about 0.06 against a radius of about 0.01."""
+    simulate = lower_bounds.simulate_unseen
+
+    def one_percent_high(*args, **kwargs):
+        return [dataclasses.replace(point, expected=1.01 * point.expected)
+                for point in simulate(*args, **kwargs)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lower_bounds, "simulate_unseen", one_percent_high)
+        rows = {r.name: r.satisfied for r in lower_bounds.suite_lowerbound()}
+    return not rows["unseen-mean-k5"]
+
+
 def m2(monkeypatch):
     monkeypatch.setattr(solvers, "_next_w", lambda state, problem, seen, total:
                         total / -(1.1 * state.alpha * problem.s * seen))
@@ -186,6 +222,17 @@ def m10(monkeypatch):
     monkeypatch.setattr(IndexSampler, "skip_to", lambda self, draws: skip_to(self, 0))
 
 
+def m11(monkeypatch):
+    rebuild(monkeypatch, theory.rate_bound, "c = 1.0 - 0.5 / alpha",
+            "c = 1.0 - 0.25 / alpha")
+
+
+def m12(monkeypatch):
+    rebuild(monkeypatch, lower_bounds.suite_lowerbound,
+            "abs(p.mc_mean - p.expected), radius,",
+            "abs(p.mc_mean - p.expected), 10 * radius,")
+
+
 # mutation -> the check that catches it
 CAUGHT_BY = {
     m2: lyapunov_passes,
@@ -197,6 +244,8 @@ CAUGHT_BY = {
     m8: ratio_guard_fires_at_the_first_record_past_it,
     m9: resumed_runaway_raises,
     m10: resume_is_bit_exact,
+    m11: rate_bound_starts_at_alpha_times_the_potential,
+    m12: unseen_row_refuses_a_law_one_percent_high,
 }
 
 

@@ -230,6 +230,12 @@ def test_big_data_boundary_inclusive():
     assert p.big_data_check(2.0).verdict
 
 
+def test_big_data_refuses_beta_0():
+    p = QuadraticProblem(np.zeros((4, 1)), weights=np.full(4, 2.0), s=1.0)
+    with pytest.raises(ValueError, match="^beta must be > 0, got 0.0$"):
+        p.big_data_check(0.0)
+
+
 def test_big_data_requires_strong_convexity():
     p = FiniteSumProblem([[1.0]], [0.0], SQUARED, s=0.0)
     with pytest.raises(StrongConvexityRequired):
@@ -244,6 +250,13 @@ def test_prox_soft_threshold_values():
     assert prox_operator(0.5, np.array([-0.3]), 1.0)[0] == 0.0
     z = np.array([0.7, -1.4, 0.0])
     assert np.array_equal(prox_operator(0.0, z, 2.0), z)
+
+
+def test_prox_refuses_step_0_and_a_negative_weight():
+    with pytest.raises(ValueError, match="^prox step must be > 0, got 0.0$"):
+        prox_operator(0.5, np.array([2.0]), 0.0)
+    with pytest.raises(ValueError, match="^l1_weight must be >= 0, got -0.5$"):
+        prox_operator(-0.5, np.array([2.0]), 1.0)
 
 
 def test_prox_threshold_scales_with_step():

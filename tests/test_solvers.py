@@ -225,6 +225,23 @@ def test_first_pass_requires_completion(desk):
         sag_step(st2, desk, 0)
 
 
+@pytest.mark.parametrize("solver", ["finito", "sag"])
+def test_first_pass_admits_each_row_once_in_index_order(synth_tiny, solver):
+    problem, _ = synth_tiny
+    w0 = np.zeros(problem.d)
+    if solver == "finito":
+        state, step = finito_init(problem, 2.0, w0=w0, first_pass=True), finito_first_pass_step
+    else:
+        state, step = sag_init(problem, w0=w0, first_pass=True), sag_first_pass_step
+    with pytest.raises(ValueError, match="^first pass visits components in index "
+                                         "order; expected k=0, got 3$"):
+        step(state, problem, 3)
+    for j in range(problem.n):
+        step(state, problem, j)
+    with pytest.raises(ValueError, match=r"^first pass is over \(k >= n = 20\)$"):
+        step(state, problem, 0)
+
+
 def test_prox_step_with_zero_weight_is_plain_finito(synth_tiny, rng):
     problem, _ = synth_tiny
     a = finito_init(problem, alpha=2.0, w0=np.zeros(problem.d), audit=True,

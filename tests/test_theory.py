@@ -810,6 +810,26 @@ def test_rate_curve_rejects_mismatched_grids(synth_small):
                    np.zeros(problem.d))
 
 
+def test_rate_refusals(synth_small):
+    problem, _ = synth_small
+    w0 = np.zeros(problem.d)
+    with pytest.raises(ValueError, match="^k must be >= 0, got -1$"):
+        rate_bound(problem, 2.0, w0, -1)
+    with pytest.raises(ValueError, match="^need at least one trace$"):
+        rate_curve([], problem, 2.0, w0)
+    # without a reference the suboptimality column is nan
+    with pytest.raises(ValueError, match=r"^traces must carry a finite suboptimality "
+                                         r"column \(run against a reference solution\)$"):
+        rate_curve(run_rate_traces(problem, None, seeds=1, epochs=1), problem, 2.0, w0)
+
+
+def test_the_analysis_refuses_an_l1_term():
+    problem, _ = synth_problem(SynthSpec(n=20, d=3, seed=1, l1_weight=0.01))
+    with pytest.raises(ValueError, match=r"^analysis checks cover the smooth objective "
+                                         r"only; drop the l1 term \(l1_weight=0\)$"):
+        Audit(problem, np.zeros((problem.n, problem.d)), None, 2.0)
+
+
 @pytest.mark.parametrize("draws", [0, -5])
 def test_suite_lyapunov_needs_a_state(draws):
     # with no state it printed the initial-potential row alone and passed
