@@ -39,11 +39,25 @@ class _Parser(argparse.ArgumentParser):
         super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def parse_known_args(self, args=None, namespace=None):
-        names = [arg.split("=", 1)[0] for arg in
-                 (sys.argv[1:] if args is None else args)]
-        for flag in self._option_string_actions:
-            if names.count(flag) > 1:
+        args = sys.argv[1:] if args is None else args
+        # the subcommand's own parser counts the tokens after its name
+        commands = [name for action in self._actions
+                    if isinstance(action, argparse._SubParsersAction)
+                    for name in action.choices]
+        given = set()
+        tokens = iter(args)
+        for token in tokens:
+            if token in commands:
+                break
+            flag, eq, _ = token.partition("=")
+            action = self._option_string_actions.get(flag)
+            if action is None:
+                continue
+            if flag in given:
                 self.error(f"{flag} given twice")
+            given.add(flag)
+            if action.nargs is None and not eq:
+                next(tokens, None)  # its value, even one that looks like a flag
         return super().parse_known_args(args, namespace)
 
     def error(self, message):

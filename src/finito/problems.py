@@ -43,9 +43,9 @@ class ReferenceSolution:
     grad_norm_at_solution is the stopping certificate measured at w_star
     itself: for smooth problems the gradient norm ||f'(w_star)||; for
     composite problems the proximal fixed-point residual
-    ||prox(w_star - f'(w_star)/L, 1/L) - w_star||.  method_tag names the
-    algorithm that produced it ("accelerated-proximal-gradient" for
-    reference_solve).
+    ||prox(w_star - f'(w_star)/L, 1/L) - w_star||, L the problem's
+    mean_lipschitz_constant().  method_tag names the algorithm that produced
+    it ("accelerated-proximal-gradient" for reference_solve).
     """
 
     w_star: np.ndarray
@@ -289,8 +289,18 @@ class FiniteSumProblem(_ProblemBase):
                     f"Lipschitz constant overflows: the largest feature "
                     f"magnitude is {np.abs(self.features).max():g} "
                     f"(s = {self.s:g}); rescale the data")
+            # each term is at most max/n, so the sum cannot overflow
+            self._mean_lipschitz = float(c * (row_norms / self.n).sum() + self.s)
             self._lipschitz = L
         return self._lipschitz
+
+    def mean_lipschitz_constant(self) -> float:
+        """mean_i L_i = c mean_i ||x_i||^2 + s.  It bounds the smoothness of
+        the average, c lambda_max(X^T X)/n + s, from above, since the largest
+        eigenvalue is at most the trace.  Raises lipschitz_constant's
+        ValueError when L is not finite; where L is finite, so is this."""
+        self.lipschitz_constant()
+        return self._mean_lipschitz
 
 
 class QuadraticProblem(_ProblemBase):
@@ -364,3 +374,7 @@ class QuadraticProblem(_ProblemBase):
 
     def lipschitz_constant(self) -> float:
         return float(self.weights.max())
+
+    def mean_lipschitz_constant(self) -> float:
+        """mean(a_i), exactly the smoothness of the average."""
+        return float(self.weights.mean())

@@ -122,6 +122,11 @@ def test_miso_without_strong_convexity_exits_one(tmp_path):
         assert "divides by alpha*s*n" in err
 
 
+# the exit-1 table names these files in braces
+DATA_FILES = {"huge-l.svm": "1 1:1e200\n-1 1:-3e199 2:1.0\n",
+              "stall.svm": "1 1:1e8\n-1 1:7e7\n"}
+
+
 # each of these once escaped cli.main as a traceback or exited 2 ("diverged")
 @pytest.mark.parametrize("argv,message", [
     pytest.param(["run", "--synth", "n=10,d=2", "--loss", "hinge"],
@@ -238,6 +243,14 @@ def test_miso_without_strong_convexity_exits_one(tmp_path):
                  id="no-first-pass-twice"),
     pytest.param(["run", "--synth", "n=50,d=5", "--alpha=2", "--alpha", "3"],
                  "finito run: error: --alpha given twice\n", id="alpha-equals-twice"),
+    # the check counted values and the subcommand's tokens as flags: the
+    # first read --out's missing value as a second --synth, the second
+    # named the top-level parser
+    pytest.param(["run", "--synth", "n=50,d=5", "--out", "--synth"],
+                 "finito run: error: argument --out: expected one argument\n",
+                 id="out-without-value"),
+    pytest.param(["run", "-h", "-h"], "finito run: error: -h given twice\n",
+                 id="run-help-twice"),
     # a prefix of a flag once ran as that flag: compare's --seed 3 as --seeds 3,
     # the median over seeds 0, 1 and 2
     pytest.param(["run", "--synth", "n=50,d=5", "--epo", "1", "--sam", "permuted",
@@ -282,8 +295,19 @@ def test_miso_without_strong_convexity_exits_one(tmp_path):
                    id=f"synth-s-{s}")
       for s, message in (("0", "synthetic problems need s > 0"),
                          ("nan", "s must be finite, got nan"))),
+    # the reference solve steps at the mean of the row constants, which is
+    # finite wherever their largest is, and refuses the same data
+    pytest.param(["run", "--data", "{huge-l.svm}", "--solver", "finito"],
+                 "error: Lipschitz constant overflows: the largest feature magnitude "
+                 "is 1e+200 (s = 0.01); rescale the data\n", id="huge-l-reference"),
+    # with s = 0 the gradient floors near 1e-8, where the step rounds away
+    pytest.param(["run", "--data", "{stall.svm}", "--loss", "squared", "--s", "0"],
+                 "the iterate stopped moving in floating point\n", id="reference-stall"),
 ])
-def test_invalid_values_exit_one_without_traceback(argv, message):
+def test_invalid_values_exit_one_without_traceback(tmp_path, argv, message):
+    for name, rows in DATA_FILES.items():
+        (tmp_path / name).write_text(rows)
+    argv = [str(tmp_path / a.strip("{}")) if a.startswith("{") else a for a in argv]
     code, _, err = call(argv)
     assert code == 1
     assert message in err

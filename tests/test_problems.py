@@ -206,6 +206,28 @@ def test_quadratic_lipschitz_is_max_weight():
     assert p.lipschitz_constant() == 3.0
 
 
+def test_mean_lipschitz_closed_forms():
+    # rows of squared norm 1 and 4: c (1 + 4) / 2 + s
+    feats = [[1.0, 0.0], [0.0, 2.0]]
+    assert FiniteSumProblem(feats, [1.0, 0.0], SQUARED, s=0.5).mean_lipschitz_constant() == 3.0
+    assert FiniteSumProblem(feats, [1.0, -1.0], LOGISTIC).mean_lipschitz_constant() == 0.625
+    p = QuadraticProblem([[0.0], [1.0], [2.0], [3.0]], weights=[1.0, 2.0, 3.0, 4.0])
+    assert p.mean_lipschitz_constant() == 2.5
+
+
+def test_mean_lipschitz_is_finite_where_the_largest_is():
+    # each row's squared norm is 1e308, so their sum overflows
+    p = FiniteSumProblem(np.full((4, 1), 1e154), np.zeros(4), SQUARED)
+    assert p.lipschitz_constant() == p.mean_lipschitz_constant() == 1e154 * 1e154
+
+
+def test_an_overflowing_mean_lipschitz_constant_names_the_largest_feature():
+    p = FiniteSumProblem([[1e200], [-3e199]], [1.0, -1.0], LOGISTIC, s=0.5)
+    with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match=r"overflows: the largest feature magnitude is 1e\+200"):
+        p.mean_lipschitz_constant()
+
+
 # -- big data report ----------------------------------------------------------
 
 

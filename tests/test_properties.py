@@ -1,4 +1,5 @@
-"""Property tests for the text formats: trace CSV, LIBSVM and checkpoints."""
+"""Property tests for the text formats (trace CSV, LIBSVM and checkpoints)
+and for the reference solve's step constant."""
 
 import dataclasses
 import io
@@ -12,9 +13,11 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
 from finito import (  # noqa: E402
+    LOSS_KINDS,
     SAMPLING_NAMES,
     SOLVER_TAGS,
     CheckpointFormatError,
+    FiniteSumProblem,
     FinitoState,
     IndexSampler,
     QuadraticProblem,
@@ -33,6 +36,7 @@ from finito import (  # noqa: E402
     sag_step,
     write_trace,
 )
+from finito.problems import _MARGIN_CURVATURE  # noqa: E402
 from finito.solvers import FINITO_TAGS, MONITORS  # noqa: E402
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -273,3 +277,23 @@ def test_checkpoint_with_an_edited_value_fails_or_loads_a_valid_state(case, data
         dataclasses.replace(loaded)  # builds the state anew: its checks pass again
         once = _saved(loaded, loaded_sampler)
         assert _resaved(once, problem) == once
+
+
+# -- the reference solve's step constant -------------------------------------------
+
+
+@SETTINGS
+@given(st.integers(1, 12), st.integers(1, 5), st.integers(0, 2**32 - 1),
+       st.sampled_from(LOSS_KINDS), st.sampled_from([0.0, 0.1, 1.0]),
+       st.sampled_from([0.0, 0.05]), st.integers(-20, 20))
+def test_mean_lipschitz_bounds_the_smoothness_of_the_average(n, d, seed, loss, s,
+                                                             l1, scale):
+    # mean_i L_i is c tr(X^T X)/n + s, at least c lambda_max(X^T X)/n + s,
+    # and equal to it for rank-one data, where the two may round apart
+    rng = np.random.default_rng(seed)
+    features = rng.standard_normal((n, d)) * 2.0**scale
+    targets = np.where(rng.standard_normal(n) >= 0.0, 1.0, -1.0)
+    problem = FiniteSumProblem(features, targets, loss, s=s, l1_weight=l1)
+    c = _MARGIN_CURVATURE[loss]
+    smoothness = c * np.linalg.eigvalsh(features.T @ features / n)[-1] + s
+    assert problem.mean_lipschitz_constant() >= smoothness * (1.0 - 1e-13)

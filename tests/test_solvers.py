@@ -7,7 +7,9 @@ rational that floats represent exactly.
 
 import dataclasses
 import io
+import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -550,7 +552,7 @@ def test_reference_solve_synth_tolerance(synth_small):
 
 def test_reference_solve_l1_certificate_holds_at_w_star():
     problem, ref = synth_problem(SynthSpec(n=40, d=5, seed=0, l1_weight=0.01))
-    step = 1.0 / problem.lipschitz_constant()
+    step = 1.0 / problem.mean_lipschitz_constant()
     w = ref.w_star
     resid = np.linalg.norm(
         prox_operator(problem.l1_weight, w - step * problem.full_gradient(w), step)
@@ -589,6 +591,42 @@ def test_reference_solve_stops_where_the_iterate_stops_moving():
                                SQUARED, s=0.0)
     with pytest.raises(ValueError, match="stopped moving in floating point"):
         reference_solve(problem)
+
+
+def test_reference_solve_stops_where_the_iterate_stops_moving_in_two_dimensions():
+    # least squares at feature scale 1e8: the residual's rounding keeps the
+    # gradient near 1e-8 while the iterate wanders over its last bits
+    features = np.array([[1e8, 3e7], [7e7, -2e7], [5e7, 1e7]])
+    problem = FiniteSumProblem(features, np.array([1.0, -1.0, 1.0]), SQUARED, s=0.0)
+    with pytest.raises(ValueError, match="stopped moving in floating point"):
+        reference_solve(problem)
+
+
+def test_reference_solve_steps_at_the_quadratic_smoothness():
+    # the mean weight is this average's smoothness exactly
+    rng = np.random.default_rng(3)
+    weights = rng.uniform(1.0, 9.0, 30)
+    quad = QuadraticProblem(rng.standard_normal((30, 4)), weights)
+    assert quad.mean_lipschitz_constant() == float(weights.mean())
+    ref = reference_solve(quad)
+    np.testing.assert_allclose(ref.w_star, quad.minimizer(), rtol=0, atol=1e-12)
+
+
+FSTAR = Path(__file__).resolve().parent.parent / "perfbench" / "fstar.json"
+
+
+def test_reference_solve_reproduces_the_recorded_benchmark_references():
+    # seed 0 of every problem the benchmark generates, at the benchmark's own
+    # 1e-12 tolerance, so a drift in f_star fails here first
+    recorded = json.loads(FSTAR.read_text(encoding="ascii"))
+    for signature, values in recorded.items():
+        loss, *fields = signature.split()
+        spec = dict(field.split("=") for field in fields)
+        _, ref = synth_problem(SynthSpec(
+            n=int(spec["n"]), d=int(spec["d"]), loss=loss,
+            target_beta=float(spec["beta"]), seed=0, l1_weight=float(spec["l1"])))
+        want = float.fromhex(values[0])
+        assert abs(ref.f_star - want) <= 1e-12 * abs(want), signature
 
 
 # -- the step kernel's finiteness guard -----------------------------------------
