@@ -25,9 +25,9 @@ from .lower_bounds import suite_lowerbound
 from .problems import (FiniteSumProblem, LOGISTIC, LOSS_KINDS,
                        ReferenceSolution)
 from .samplers import SAMPLING_NAMES, SamplingScheme
-from .solvers import (DivergenceError, MONITORS, SOLVER_TAGS, SolverConfig,
-                      check_config, reference_solve, run, run_with_state,
-                      sag_default_step)
+from .solvers import (ALPHA_TAGS, DivergenceError, MONITORS, SOLVER_TAGS,
+                      SolverConfig, check_config, reference_solve, run,
+                      run_with_state, sag_default_step)
 from .theory import suite_inequalities, suite_lyapunov, suite_rate
 
 
@@ -168,9 +168,9 @@ def _alpha_setting(solver: str, alpha: float | None, where: str) -> dict:
     `where`, by a solver that never reads alpha (miso's is L/s)."""
     if alpha is None:
         return {}
-    if solver not in ("finito", "prox-finito"):
+    if solver not in ALPHA_TAGS:
         raise ValueError(f"{solver} ignores alpha ({where}); "
-                         "only finito and prox-finito take one")
+                         f"only {' and '.join(ALPHA_TAGS)} take one")
     return {"alpha": alpha}
 
 

@@ -29,6 +29,7 @@ from .samplers import IndexSampler, SamplingScheme
 
 SOLVER_TAGS = ("finito", "prox-finito", "sag", "miso", "full-gradient")
 FINITO_TAGS = ("finito", "prox-finito", "miso")  # the FinitoState tags
+ALPHA_TAGS = ("finito", "prox-finito")  # the tags that read config.alpha
 MONITORS = ("iterate", "table-mean")
 
 # run() aborts when suboptimality exceeds this multiple of its start value
@@ -122,13 +123,16 @@ class SagState:
 
 @dataclass
 class FullGradientState:
-    """Deterministic full-gradient baseline; one step costs a whole pass."""
+    """Deterministic full-gradient baseline; one step costs a whole pass.
+    Construction checks step (finite, > 0) and k >= 0."""
 
+    step: float
     w: np.ndarray
     k: int = 0
     solver_tag: ClassVar[str] = "full-gradient"
 
     def __post_init__(self):
+        _require_positive("step", self.step)
         # k counts steps from 0, as in the table states
         if self.k < 0:
             raise ValueError(f"counter k={self.k}: need k >= 0")
@@ -160,11 +164,14 @@ def _refuse_l1(tag: str, problem) -> None:
                          "use prox-finito or full-gradient")
 
 
-def check_config(problem, config: SolverConfig) -> None:
-    """ValueError unless run_with_state would run `config` on `problem` as
-    asked: a known solver and monitor, no l1 term the solver ignores, and no
+def check_config(problem, config: SolverConfig) -> tuple[str, float]:
+    """(name, value) of the constant a fresh start from `config` holds:
+    finito's and prox-finito's alpha, miso's L/s ("alpha"), and sag's and
+    full-gradient's step, by default sag_default_step(problem) and 1/L.
+    ValueError unless run_with_state would run `config` on `problem` as
+    asked: a known solver and monitor, no l1 term the solver ignores, no
     setting it never reads (step for finito, prox-finito and miso, whose
-    step alpha sets)."""
+    step alpha sets), and that constant finite and > 0."""
     solver = config.solver
     if solver not in SOLVER_TAGS:
         raise ValueError(f"unknown solver {solver!r}")
@@ -174,25 +181,35 @@ def check_config(problem, config: SolverConfig) -> None:
     if config.step is not None and solver in FINITO_TAGS:
         raise ValueError(f"{solver} ignores step (step = {config.step:g}); "
                          "only sag and full-gradient take one")
+    if solver in ALPHA_TAGS:
+        name, value = "alpha", config.alpha
+    elif solver == "miso":
+        if problem.s == 0.0:  # the table update's own refusal
+            raise StrongConvexityRequired("the table update divides by alpha*s*n")
+        L = problem.lipschitz_constant()
+        name, value = "alpha", L / problem.s
+        if value == math.inf:
+            raise ValueError(f"miso's alpha = L/s overflows at L = {L:g}, "
+                             f"s = {problem.s:g}; rescale the data")
+    elif config.step is not None:
+        name, value = "step", config.step
+    else:  # sag's analysed default, full-gradient's 1/L
+        name, value = "step", (sag_default_step(problem) if solver == "sag"
+                               else 1.0 / problem.lipschitz_constant())
+    _require_positive(name, value)
+    return name, value
 
 
 def check_resume(problem, config: SolverConfig, scheme: SamplingScheme,
                  state, sampler: IndexSampler | None) -> None:
     """ValueError unless resuming (state, sampler) under `config` and
     `scheme` continues the run they were saved from: the same solver, the
-    constant a fresh start from `config` would hold (finito and prox-finito
-    alpha, miso's L/s, sag's step) and, for a table solver, the same scheme.
-    A full-gradient state holds no step, so its step is read from `config`."""
+    constant check_config resolves and, for a table solver, the same scheme."""
     tag = getattr(state, "solver_tag", None)
     if tag != config.solver:
         raise ValueError(f"resume state is for {tag!r}, config says {config.solver!r}")
-    settings = []  # (name, the state's, a fresh start's)
-    if tag in FINITO_TAGS:
-        fresh = _miso_alpha(problem) if tag == "miso" else config.alpha
-        settings.append(("alpha", state.alpha, fresh))
-    elif tag == "sag":
-        fresh = config.step if config.step is not None else sag_default_step(problem)
-        settings.append(("step", state.step, fresh))
+    name, fresh = check_config(problem, config)
+    settings = [(name, getattr(state, name), fresh)]  # (name, the state's, a fresh start's)
     if sampler is not None:
         settings.append(("sampling", sampler.scheme, scheme))
     for name, held, fresh in settings:
@@ -399,30 +416,17 @@ def _monitor_point(state, config: SolverConfig) -> np.ndarray:
     return state.w
 
 
-def _miso_alpha(problem) -> float:
-    """miso's alpha, L/s; with s = 0, the table update's own refusal."""
-    if problem.s == 0.0:
-        raise StrongConvexityRequired("the table update divides by alpha*s*n")
-    L = problem.lipschitz_constant()
-    alpha = L / problem.s
-    if alpha == math.inf:
-        raise ValueError(f"miso's alpha = L/s overflows at L = {L:g}, "
-                         f"s = {problem.s:g}; rescale the data")
-    return alpha
-
-
-def _build_state(problem, config: SolverConfig):
+def _build_state(problem, config: SolverConfig, value: float):
     w0 = config.w0
     solver = config.solver
     if solver in FINITO_TAGS:
-        alpha = _miso_alpha(problem) if solver == "miso" else config.alpha
-        return finito_init(problem, alpha, w0=w0, audit=config.monitor == "table-mean",
+        return finito_init(problem, value, w0=w0, audit=config.monitor == "table-mean",
                            first_pass=config.first_pass, solver_tag=solver)
     if solver == "sag":
-        return sag_init(problem, w0=w0, step=config.step, first_pass=config.first_pass)
-    # full-gradient, the one tag left once run_with_state has checked it
+        return sag_init(problem, w0=w0, step=value, first_pass=config.first_pass)
+    # full-gradient, the one tag left once check_config has passed it
     w0 = np.zeros(problem.d) if w0 is None else problem._check_point(w0)
-    return FullGradientState(w=w0.copy(), k=0)
+    return FullGradientState(step=value, w=w0.copy())
 
 
 def run_with_state(problem, config: SolverConfig, scheme: SamplingScheme,
@@ -430,7 +434,7 @@ def run_with_state(problem, config: SolverConfig, scheme: SamplingScheme,
                    record_every: float = 1.0, resume: tuple | None = None):
     """Like run(), but returns (records, state, sampler) so the caller can
     checkpoint where the run stopped."""
-    check_config(problem, config)
+    _, value = check_config(problem, config)
     if epochs < 0:
         raise ValueError(f"epochs must be >= 0, got {epochs}")
     _require_positive("record_every", record_every)
@@ -451,7 +455,7 @@ def run_with_state(problem, config: SolverConfig, scheme: SamplingScheme,
         state, sampler = resume
         check_resume(problem, config, scheme, state, sampler)
     else:
-        state, sampler = _build_state(problem, config), None
+        state, sampler = _build_state(problem, config, value), None
     if sampler is None and not full_grad:
         sampler = IndexSampler(scheme, n)
 
@@ -475,11 +479,7 @@ def run_with_state(problem, config: SolverConfig, scheme: SamplingScheme,
         baseline = (problem.full_objective(_monitor_point(state, config)) - f_star
                     if f_star is not None else math.nan)
 
-    if full_grad:
-        L = problem.lipschitz_constant()
-        gd_step = config.step if config.step is not None else 1.0 / L
-        _require_positive("step", gd_step)
-    else:
+    if not full_grad:
         # bound once per run, from the module globals as they are when it starts
         sag = isinstance(state, SagState)
         first = sag_first_pass_step if sag else finito_first_pass_step
@@ -491,7 +491,7 @@ def run_with_state(problem, config: SolverConfig, scheme: SamplingScheme,
             if full_grad:
                 # as in the table kernel, the state changes only once checked
                 g = problem.full_gradient(state.w)
-                w = prox_operator(problem.l1_weight, state.w - gd_step * g, gd_step)
+                w = prox_operator(problem.l1_weight, state.w - state.step * g, state.step)
                 if not np.all(np.isfinite(w)):
                     raise DivergenceError(f"iterate diverged at step {state.k + 1}",
                                           k=state.k + 1)

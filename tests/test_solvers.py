@@ -337,7 +337,7 @@ def test_diverging_full_gradient_step_leaves_its_state(synth_tiny):
     # the step once wrote a non-finite w and counted itself before its check
     problem, _ = synth_tiny
     step, w0 = 1e300, np.zeros(problem.d)
-    state = FullGradientState(w=w0.copy())
+    state = FullGradientState(step=step, w=w0.copy())
     config = SolverConfig("full-gradient", step=step)
     with pytest.raises(DivergenceError) as info, np.errstate(all="ignore"):
         run_with_state(problem, config, SamplingScheme(UNIFORM), 5,
