@@ -74,6 +74,12 @@ def _soft_threshold(z: np.ndarray, t: float) -> np.ndarray:
     return np.sign(z) * np.maximum(np.abs(z) - t, 0.0)
 
 
+def _check_weight(name: str, value: float) -> None:
+    # NaN fails the comparison, so it is refused along with < 0 and inf
+    if not 0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {value}")
+
+
 def _as_index(i, what: str = "component index") -> int:
     # integers only (operator.index): a float, str or bool is a TypeError,
     # never truncated or read as 0/1
@@ -187,10 +193,8 @@ class FiniteSumProblem(_ProblemBase):
             raise ValueError(f"unknown loss {loss!r}")
         if loss == LOGISTIC and not np.all(np.isin(targets, (-1.0, 1.0))):
             raise ValueError("logistic targets must lie in {-1, +1}")
-        if s < 0:
-            raise ValueError(f"s must be >= 0, got {s}")
-        if l1_weight < 0:
-            raise ValueError(f"l1_weight must be >= 0, got {l1_weight}")
+        _check_weight("s", s)
+        _check_weight("l1_weight", l1_weight)
         self.features = features
         self.targets = targets
         self.loss = loss
@@ -328,8 +332,7 @@ class QuadraticProblem(_ProblemBase):
             s = float(weights.min())
         if not 0 <= s <= weights.min():
             raise ValueError(f"s must lie in [0, min weight]; got s={s}")
-        if l1_weight < 0:
-            raise ValueError(f"l1_weight must be >= 0, got {l1_weight}")
+        _check_weight("l1_weight", l1_weight)
         self.centers = centers
         self.weights = weights
         self.s = float(s)

@@ -56,10 +56,11 @@ class IndexSampler:
     """Stateful index stream for one run over a problem with n components."""
 
     def __init__(self, scheme: SamplingScheme, n: int):
+        n = _as_index(n, "n")  # a float is a TypeError, not truncated
         if n < 1:
             raise ValueError(f"sampler needs n >= 1, got {n}")
         self.scheme = scheme
-        self.n = int(n)
+        self.n = n
         self.skip_to(0)
 
     @staticmethod

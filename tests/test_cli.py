@@ -124,7 +124,8 @@ def test_miso_without_strong_convexity_exits_one(tmp_path):
 
 # the exit-1 table names these files in braces
 DATA_FILES = {"huge-l.svm": "1 1:1e200\n-1 1:-3e199 2:1.0\n",
-              "stall.svm": "1 1:1e8\n-1 1:7e7\n"}
+              "stall.svm": "1 1:1e8\n-1 1:7e7\n",
+              "three.svm": "1 1:0.5 2:1\n-1 1:-0.3 2:0.2\n1 1:0.1 2:-0.4\n"}
 
 
 # each of these once escaped cli.main as a traceback or exited 2 ("diverged")
@@ -303,6 +304,14 @@ DATA_FILES = {"huge-l.svm": "1 1:1e200\n-1 1:-3e199 2:1.0\n",
     # with s = 0 the gradient floors near 1e-8, where the step rounds away
     pytest.param(["run", "--data", "{stall.svm}", "--loss", "squared", "--s", "0"],
                  "the iterate stopped moving in floating point\n", id="reference-stall"),
+    # a NaN l1 weight once ran finito and prox-finito without the l1 term
+    # (exit 0); a NaN s once diverged (finito) or blamed the data (sag)
+    *(pytest.param(["run", "--data", "{three.svm}", "--fstar", "none", "--solver", solver,
+                    flag, "nan"], f"error: {name} must be finite and >= 0, got nan\n",
+                   id=f"{solver}-{flag[2:]}-nan")
+      for solver, flag, name in (("finito", "--l1", "l1_weight"),
+                                 ("prox-finito", "--l1", "l1_weight"),
+                                 ("finito", "--s", "s"), ("sag", "--s", "s"))),
 ])
 def test_invalid_values_exit_one_without_traceback(tmp_path, argv, message):
     for name, rows in DATA_FILES.items():
@@ -339,6 +348,35 @@ def test_compare_checks_every_config_before_its_first_run(monkeypatch):
     assert (code, out, runs) == (1, "", [])
     assert err == ("error: finito ignores the l1 term (l1 = 0.01); "
                    "use prox-finito or full-gradient\n")
+
+
+# each once ran every finito seed, and wrote its traces, before the refusal
+@pytest.mark.parametrize("data,configs,message", [
+    pytest.param(["--synth", "n=50,d=5"], "finito,sag::step=-1",
+                 "step must be finite and > 0, got -1.0", id="sag-step-negative"),
+    pytest.param(["--synth", "n=50,d=5"], "finito,full-gradient::step=nan",
+                 "step must be finite and > 0, got nan", id="full-gradient-step-nan"),
+    pytest.param(["--data", "{huge-l.svm}", "--fstar", "none"], "finito,sag",
+                 "Lipschitz constant overflows: the largest feature magnitude is "
+                 "1e+200 (s = 0.01); rescale the data", id="sag-default-step-huge-l"),
+])
+def test_compare_resolves_every_constant_before_its_first_run(
+        tmp_path, monkeypatch, data, configs, message):
+    runs = []
+
+    def counted(*args, **kwargs):
+        runs.append(args[1].solver)
+        return real(*args, **kwargs)
+
+    real = cli.run
+    monkeypatch.setattr(cli, "run", counted)
+    (tmp_path / "huge-l.svm").write_text(DATA_FILES["huge-l.svm"])
+    data = [str(tmp_path / a.strip("{}")) if a.startswith("{") else a for a in data]
+    out_dir = tmp_path / "traces"
+    code, out, err = call(["compare", *data, "--configs", configs, "--seeds", "2",
+                           "--epochs", "1", "--out-dir", str(out_dir)])
+    assert (code, out, err, runs) == (1, "", f"error: {message}\n", [])
+    assert not out_dir.exists()
 
 
 def test_stalled_reference_solve_exits_one(tmp_path, monkeypatch):
@@ -620,6 +658,12 @@ N50 = ["--synth", "n=50,d=5"]
     pytest.param([*N50, "--solver", "miso"],
                  ["--synth", "n=50,d=5,beta=4", "--solver", "miso"],
                  "miso resumes at alpha 24.99", id="miso-alpha"),
+    # full-gradient's default step is 1/L, here beta/(n s) = 4; its state
+    # once held no step, and the resume ran on at 0.5
+    pytest.param([*N50, "--solver", "full-gradient"],
+                 [*N50, "--solver", "full-gradient", "--step", "0.5"],
+                 "full-gradient resumes at step 4.00000000384 from its checkpoint, "
+                 "not 0.5", id="full-gradient-step"),
 ])
 def test_resume_refuses_settings_that_contradict_its_checkpoint(
         tmp_path, start, resume, message):
@@ -820,6 +864,20 @@ def test_resume_full_gradient_checkpoint_with_negative_k_exits_one(tmp_path):
     assert (code, out) == (1, "")
     assert "counter k=-3: need k >= 0" in err
     assert "Traceback" not in err
+
+
+def test_resume_full_gradient_checkpoint_without_a_step_exits_one(tmp_path):
+    # the full-gradient layout before its state held the step: the same
+    # header, no step line
+    ck = tmp_path / "state.ckpt"
+    base = ["--synth", "n=20,d=3", "--solver", "full-gradient", "--seed", "5"]
+    assert call(["run", *base, "--epochs", "2", "--save-state", str(ck)])[0] == 0
+    lines = ck.read_text().splitlines()
+    assert lines[:2] == ["FINITOCKPT 2", "solver full-gradient"]
+    assert lines[2].startswith("step ")
+    ck.write_text("\n".join(lines[:2] + lines[3:]) + "\n")
+    code, out, err = call(["run", *base, "--epochs", "3", "--resume", str(ck)])
+    assert (code, out, err) == (1, "", "error: missing 'step' entry\n")
 
 
 def test_resume_from_checkpoint_with_huge_n_exits_one(tmp_path):

@@ -272,6 +272,29 @@ def test_prox_finito_checkpoint_keeps_one_table(synth_tiny, tmp_path):
         ["vec", "w"], ["vec", "p_sum"], ["table", "p"], ["table", "phi"]]
 
 
+TABLE_SAMPLER = ["sampling", "sampling_seed", "draws"]
+
+
+@pytest.mark.parametrize("solver,heads", [
+    ("finito", ["alpha", "k", "seen", *TABLE_SAMPLER]),
+    ("prox-finito", ["alpha", "k", "seen", *TABLE_SAMPLER]),
+    ("miso", ["alpha", "k", "seen", *TABLE_SAMPLER]),
+    ("sag", ["step", "k", "seen", *TABLE_SAMPLER]),
+    # the step line is the only one the full-gradient layout gained
+    ("full-gradient", ["step", "k", "sampling"]),
+])
+def test_checkpoint_holds_the_constant_each_solver_steps_at(synth_tiny, tmp_path,
+                                                           solver, heads):
+    problem, ref = synth_tiny
+    path, state = run_and_checkpoint(problem, ref, solver, tmp_path)
+    lines = path.read_text().splitlines()
+    first_vec = next(i for i, line in enumerate(lines) if line.startswith("vec "))
+    assert lines[:2] == ["FINITOCKPT 2", f"solver {solver}"]
+    assert [line.split()[0] for line in lines[2:first_vec]] == heads
+    name, value = lines[2].split()
+    assert float(value) == getattr(state, name)
+
+
 def test_checkpoint_refuses_what_is_not_a_solver_state():
     with pytest.raises(TypeError, match="^cannot checkpoint object$"):
         checkpoint_save(object(), io.StringIO())
@@ -419,6 +442,11 @@ def test_checkpoint_corruption_detected(synth_tiny, tmp_path):
                  "alpha must be finite and > 0, got inf", id="finito-alpha inf"),
     pytest.param("sag", "step ", lambda line: "step nan",
                  "step must be finite and > 0, got nan", id="sag-step nan"),
+    pytest.param("full-gradient", "step ", lambda line: "step 0.0",
+                 "step must be finite and > 0, got 0.0", id="full-gradient-step 0"),
+    # the full-gradient layout before its state held the step
+    pytest.param("full-gradient", "step ", None, "^missing 'step' entry$",
+                 id="full-gradient-no step"),
     pytest.param("finito", "sampling_seed ", lambda line: "sampling_seed -1",
                  "seed must be >= 0", id="finito-sampling_seed -1"),
     pytest.param("finito", "draws ", lambda line: "draws -5",

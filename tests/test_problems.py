@@ -1,5 +1,6 @@
 """Problem containers: exact desk values, gradient oracles, validation."""
 
+import math
 import subprocess
 import sys
 import warnings
@@ -315,6 +316,24 @@ def test_rejects_bad_inputs():
         QuadraticProblem([[0.0]], weights=[0.0])
     with pytest.raises(ValueError):
         QuadraticProblem([[0.0], [1.0]], weights=[1.0, 2.0], s=1.5)
+
+
+# NaN once passed both constructors: an l1 weight of NaN dropped the l1
+# term from full_objective, and an s of NaN surfaced later as divergence or
+# as a Lipschitz overflow blamed on the data
+@pytest.mark.parametrize("value", [math.nan, math.inf, -0.5])
+@pytest.mark.parametrize("name,make", [
+    pytest.param("s", lambda v: FiniteSumProblem([[1.0]], [1.0], LOGISTIC, s=v),
+                 id="finite-sum-s"),
+    pytest.param("l1_weight",
+                 lambda v: FiniteSumProblem([[1.0]], [1.0], LOGISTIC, l1_weight=v),
+                 id="finite-sum-l1"),
+    pytest.param("l1_weight", lambda v: QuadraticProblem([[0.0]], l1_weight=v),
+                 id="quadratic-l1"),
+])
+def test_a_problem_refuses_a_weight_that_is_not_finite_and_nonnegative(name, make, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite and >= 0, got {value}$"):
+        make(value)
 
 
 def test_index_and_point_validation(desk):

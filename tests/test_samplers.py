@@ -176,6 +176,15 @@ def test_scheme_seed_is_an_integer():
     assert draw(scheme, 6, 12) == draw(SamplingScheme(UNIFORM, 3), 6, 12)
 
 
+def test_sampler_n_is_an_integer():
+    # n = 2.5 once ran as n = 2; n is read as the scheme's seed is
+    for bad in (2.5, True, np.bool_(True), "3"):
+        with pytest.raises(TypeError):
+            IndexSampler(SamplingScheme(UNIFORM), bad)
+    sampler = IndexSampler(SamplingScheme(UNIFORM, 3), np.int64(6))
+    assert type(sampler.n) is int and sampler.n == 6
+
+
 @pytest.mark.parametrize("name", SAMPLING_NAMES)
 def test_sampler_is_freed_without_the_cycle_collector(name):
     # the stream's blocks come from a static function, so the stream holds

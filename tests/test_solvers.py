@@ -43,7 +43,7 @@ from finito import (
     SynthSpec,
 )
 from finito.samplers import SAMPLING_NAMES
-from finito.solvers import FINITO_TAGS
+from finito.solvers import FINITO_TAGS, check_config
 
 
 # -- exact hand values ---------------------------------------------------------
@@ -346,6 +346,48 @@ def test_diverging_full_gradient_step_leaves_its_state(synth_tiny):
     first = prox_operator(problem.l1_weight, w0 - step * problem.full_gradient(w0), step)
     assert (str(info.value), info.value.k) == ("iterate diverged at step 2", 2)
     assert state.k == 1 and np.array_equal(state.w, first)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+def test_full_gradient_state_refuses_a_step_that_is_not_finite_and_positive(bad):
+    with pytest.raises(ValueError, match=f"^step must be finite and > 0, got {bad}$"):
+        FullGradientState(step=bad, w=np.zeros(2))
+
+
+@pytest.mark.parametrize("config,name,value", [
+    pytest.param(SolverConfig("finito"), "alpha", lambda p: 2.0, id="finito"),
+    pytest.param(SolverConfig("prox-finito", alpha=3.0), "alpha", lambda p: 3.0,
+                 id="prox-finito"),
+    pytest.param(SolverConfig("miso", alpha=5.0), "alpha",
+                 lambda p: p.lipschitz_constant() / p.s, id="miso"),
+    pytest.param(SolverConfig("sag"), "step",
+                 lambda p: 1.0 / (16.0 * p.lipschitz_constant() * p.n), id="sag"),
+    pytest.param(SolverConfig("sag", step=0.25), "step", lambda p: 0.25, id="sag-step"),
+    pytest.param(SolverConfig("full-gradient"), "step",
+                 lambda p: 1.0 / p.lipschitz_constant(), id="full-gradient"),
+    pytest.param(SolverConfig("full-gradient", step=0.25), "step", lambda p: 0.25,
+                 id="full-gradient-step"),
+])
+def test_check_config_resolves_the_constant_each_state_holds(synth_tiny, config, name,
+                                                            value):
+    # L is neither s nor 1 here, so each value is its own formula; the state a
+    # fresh run builds holds the same value under the same name
+    problem, _ = synth_tiny
+    assert problem.lipschitz_constant() not in (1.0, problem.s)
+    assert check_config(problem, config) == (name, value(problem))
+    _, state, _ = run_with_state(problem, config, SamplingScheme(UNIFORM), 0)
+    assert getattr(state, name) == value(problem)
+
+
+@pytest.mark.parametrize("solver,name", [("finito", "alpha"), ("prox-finito", "alpha"),
+                                         ("sag", "step"), ("full-gradient", "step")])
+@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+def test_check_config_refuses_a_constant_that_is_not_finite_and_positive(
+        synth_tiny, solver, name, bad):
+    problem, _ = synth_tiny
+    config = SolverConfig(solver, **{name: bad})
+    with pytest.raises(ValueError, match=f"^{name} must be finite and > 0, got {bad}$"):
+        check_config(problem, config)
 
 
 @pytest.mark.parametrize("f_star", [float("inf"), float("-inf"), float("nan")])
