@@ -74,7 +74,7 @@ def _soft_threshold(z: np.ndarray, t: float) -> np.ndarray:
     return np.sign(z) * np.maximum(np.abs(z) - t, 0.0)
 
 
-def _check_weight(name: str, value: float) -> None:
+def _require_nonnegative(name: str, value: float) -> None:
     # NaN fails the comparison, so it is refused along with < 0 and inf
     if not 0 <= value < math.inf:
         raise ValueError(f"{name} must be finite and >= 0, got {value}")
@@ -193,8 +193,8 @@ class FiniteSumProblem(_ProblemBase):
             raise ValueError(f"unknown loss {loss!r}")
         if loss == LOGISTIC and not np.all(np.isin(targets, (-1.0, 1.0))):
             raise ValueError("logistic targets must lie in {-1, +1}")
-        _check_weight("s", s)
-        _check_weight("l1_weight", l1_weight)
+        _require_nonnegative("s", s)
+        _require_nonnegative("l1_weight", l1_weight)
         self.features = features
         self.targets = targets
         self.loss = loss
@@ -332,7 +332,7 @@ class QuadraticProblem(_ProblemBase):
             s = float(weights.min())
         if not 0 <= s <= weights.min():
             raise ValueError(f"s must lie in [0, min weight]; got s={s}")
-        _check_weight("l1_weight", l1_weight)
+        _require_nonnegative("l1_weight", l1_weight)
         self.centers = centers
         self.weights = weights
         self.s = float(s)
