@@ -19,8 +19,8 @@ from .solvers import (DivergenceError, FinitoState, FullGradientState,
                       sag_first_pass_step, sag_init, sag_step)
 from .data_io import (CheckpointFormatError, LibsvmFormatError, SynthSpec,
                       TRACE_HEADER, TraceFormatError, checkpoint_load,
-                      checkpoint_save, parse_libsvm, read_trace, synth_problem,
-                      write_trace)
+                      checkpoint_save, parse_libsvm, read_trace, synth_data,
+                      synth_problem, write_trace)
 from .theory import (Audit, CheckReport, LyapunovTerms, admissible_parameters,
                      convexity_suite, expected_decrease_check, finito_map,
                      initial_lyapunov, lyapunov_evaluate, pair_checks,
@@ -44,7 +44,7 @@ __all__ = [
     "sag_default_step", "sag_first_pass_step", "sag_init", "sag_step",
     "CheckpointFormatError", "LibsvmFormatError", "SynthSpec", "TRACE_HEADER",
     "TraceFormatError", "checkpoint_load", "checkpoint_save", "parse_libsvm",
-    "read_trace", "synth_problem", "write_trace",
+    "read_trace", "synth_data", "synth_problem", "write_trace",
     "Audit", "CheckReport", "LyapunovTerms", "admissible_parameters",
     "convexity_suite", "expected_decrease_check", "finito_map",
     "initial_lyapunov", "lyapunov_evaluate", "pair_checks", "rate_bound",

@@ -20,14 +20,14 @@ import numpy as np
 
 from .data_io import (SynthSpec, _format_float as _fmt, _open_text,
                       checkpoint_load, checkpoint_save, parse_libsvm,
-                      synth_problem, write_trace)
+                      synth_data, write_trace)
 from .lower_bounds import suite_lowerbound
 from .problems import (FiniteSumProblem, LOGISTIC, LOSS_KINDS,
                        ReferenceSolution)
 from .samplers import SAMPLING_NAMES, SamplingScheme
 from .solvers import (ALPHA_TAGS, DivergenceError, MONITORS, SOLVER_TAGS,
-                      SolverConfig, check_config, reference_solve, run,
-                      run_with_state, sag_default_step)
+                      SolverConfig, check_config, check_resume, reference_solve,
+                      run, run_with_state, sag_default_step)
 from .theory import suite_inequalities, suite_lyapunov, suite_rate
 
 
@@ -112,25 +112,23 @@ def _parse_synth_spec(text: str) -> dict:
 
 
 def _build_problem(args):
-    """(problem, reference-or-None) from the source and objective flags."""
+    """The problem the source and objective flags describe."""
     objective = {"loss": args.loss, "s": args.s, "l1_weight": args.l1}
     if args.data is not None:
-        return FiniteSumProblem(*parse_libsvm(Path(args.data)), **objective), None
-    return synth_problem(SynthSpec(**_parse_synth_spec(args.synth), **objective))
+        return FiniteSumProblem(*parse_libsvm(Path(args.data)), **objective)
+    return synth_data(SynthSpec(**_parse_synth_spec(args.synth), **objective))
 
 
-def _resolve_reference(fstar: str, problem, synth_ref):
-    if fstar == "none":
-        return None
-    if fstar == "auto":
-        return synth_ref if synth_ref is not None else reference_solve(problem)
+def _resolve_reference(fstar: str, problem):
+    """None, an external f_star, or the CLI's one reference_solve (auto)."""
+    if fstar in ("auto", "none"):
+        return reference_solve(problem) if fstar == "auto" else None
     try:
         value = float(fstar)
     except ValueError:
         raise ValueError(f"--fstar {fstar!r}: use auto, none or a number") from None
     return ReferenceSolution(w_star=np.full(problem.d, np.nan), f_star=value,
-                             grad_norm_at_solution=float("nan"),
-                             method_tag="external")
+                             grad_norm_at_solution=np.nan, method_tag="external")
 
 
 def _resolve_step(solver: str, step: str | None, problem) -> float | None:
@@ -179,14 +177,17 @@ def _alpha_setting(solver: str, alpha: float | None, where: str) -> dict:
 
 
 def cmd_run(args) -> int:
-    problem, synth_ref = _build_problem(args)
-    reference = _resolve_reference(args.fstar, problem, synth_ref)
+    problem = _build_problem(args)
     config = SolverConfig(
         solver=args.solver, step=_resolve_step(args.solver, args.step, problem),
         first_pass=not args.no_first_pass, monitor=args.monitor,
         **_alpha_setting(args.solver, args.alpha, "--alpha"))
     scheme = SamplingScheme(args.sampling, args.seed)
     resume = None if args.resume is None else checkpoint_load(args.resume, problem)
+    check_config(problem, config)
+    if resume is not None:
+        check_resume(problem, config, scheme, *resume)
+    reference = _resolve_reference(args.fstar, problem)
     try:
         records, state, sampler = run_with_state(
             problem, config, scheme, args.epochs, reference=reference,
@@ -230,7 +231,7 @@ def _parse_config_token(token: str):
 
 
 def cmd_compare(args) -> int:
-    problem, synth_ref = _build_problem(args)
+    problem = _build_problem(args)
     configs = [_parse_config_token(tok) for tok in args.configs.split(",") if tok]
     if not configs:
         raise ValueError("no configs given")
@@ -239,7 +240,7 @@ def cmd_compare(args) -> int:
     seeds = _parse_seeds(args.seeds)
     if not seeds:
         raise ValueError("no seeds given")
-    reference = _resolve_reference(args.fstar, problem, synth_ref)
+    reference = _resolve_reference(args.fstar, problem)
     grid = list(range(args.epochs + 1))
     columns: dict[str, np.ndarray] = {}
     if args.out_dir is not None:

@@ -174,9 +174,8 @@ class SynthSpec:
     l1_weight: float = 0.0
 
 
-def synth_problem(spec: SynthSpec):
-    """Generate (FiniteSumProblem, ReferenceSolution) from a SynthSpec; the
-    reference is reference_solve's, certified to 1e-12."""
+def synth_data(spec: SynthSpec) -> FiniteSumProblem:
+    """Generate the FiniteSumProblem a SynthSpec describes."""
     if spec.n < 2 or spec.d < 1:
         raise ValueError(f"need n >= 2 and d >= 1, got n={spec.n}, d={spec.d}")
     if spec.loss not in LOSS_KINDS:
@@ -217,6 +216,12 @@ def synth_problem(spec: SynthSpec):
         # a subnormal s leaves L_target too few bits for the shaving to reach
         raise ValueError(f"feature rescaling failed to reach the target "
                          f"beta={spec.target_beta!r} at s={spec.s!r}")
+    return problem
+
+
+def synth_problem(spec: SynthSpec):
+    """(synth_data(spec), its reference_solve, certified to 1e-12)."""
+    problem = synth_data(spec)
     return problem, reference_solve(problem)
 
 

@@ -326,6 +326,9 @@ class QuadraticProblem(_ProblemBase):
         weights = np.ascontiguousarray(weights, dtype=float)
         if weights.shape != (n,):
             raise ValueError(f"weights must have shape ({n},), got {weights.shape}")
+        for name, values in (("centers", centers), ("weights", weights)):
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"{name} contain non-finite entries")
         if np.any(weights <= 0):
             raise ValueError("component weights must be > 0")
         if s is None:

@@ -171,7 +171,7 @@ def check_config(problem, config: SolverConfig) -> tuple[str, float]:
     ValueError unless run_with_state would run `config` on `problem` as
     asked: a known solver and monitor, no l1 term the solver ignores, no
     setting it never reads (step for finito, prox-finito and miso, whose
-    step alpha sets), and that constant finite and > 0."""
+    step alpha sets), s > 0 for those three, and that constant finite and > 0."""
     solver = config.solver
     if solver not in SOLVER_TAGS:
         raise ValueError(f"unknown solver {solver!r}")
@@ -181,11 +181,11 @@ def check_config(problem, config: SolverConfig) -> tuple[str, float]:
     if config.step is not None and solver in FINITO_TAGS:
         raise ValueError(f"{solver} ignores step (step = {config.step:g}); "
                          "only sag and full-gradient take one")
+    if solver in FINITO_TAGS and problem.s == 0.0:  # finito_init's, before any state
+        raise StrongConvexityRequired("the table update divides by alpha*s*n")
     if solver in ALPHA_TAGS:
         name, value = "alpha", config.alpha
     elif solver == "miso":
-        if problem.s == 0.0:  # the table update's own refusal
-            raise StrongConvexityRequired("the table update divides by alpha*s*n")
         L = problem.lipschitz_constant()
         name, value = "alpha", L / problem.s
         if value == math.inf:

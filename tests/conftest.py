@@ -1,5 +1,5 @@
 """Shared fixtures: the two-component desk quadratic and cached synthetic problems,
-plus the platform guard of the golden-digest tests.
+a time limit on every test, plus the platform guard of the golden-digest tests.
 
 The desk problem f_1(w) = (1/2)(w-1)^2, f_2(w) = (1/2)(w+1)^2 has s = L = 1,
 minimizer 0, and f* = 1/2, so every hand-derived value in the tests is an
@@ -8,6 +8,7 @@ exact dyadic rational.
 
 import hashlib
 import os
+import signal
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,36 @@ import pytest
 
 import finito
 from finito import QuadraticProblem, SynthSpec, synth_problem
+
+
+# no test takes more than a few seconds; a solver loop whose counter never
+# reaches its end would otherwise hang the suite
+TEST_SECONDS = 60
+
+
+class TimeLimitExceeded(BaseException):
+    """No Exception, so no handler in the code under test catches it, and
+    not one hypothesis takes for a failing example: it would shrink by
+    running the example again, past the one alarm."""
+
+
+@pytest.fixture(autouse=True)
+def time_limit():
+    """Fail the test once it has run TEST_SECONDS, where SIGALRM exists."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(*_):
+        raise TimeLimitExceeded(f"the test ran longer than {TEST_SECONDS} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(TEST_SECONDS)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture

@@ -128,6 +128,41 @@ DATA_FILES = {"huge-l.svm": "1 1:1e200\n-1 1:-3e199 2:1.0\n",
               "three.svm": "1 1:0.5 2:1\n-1 1:-0.3 2:0.2\n1 1:0.1 2:-0.4\n"}
 
 
+# every module that looks reference_solve up
+SOLVING_MODULES = (finito.solvers, finito.data_io, cli)
+
+
+@pytest.fixture
+def no_reference_solve(monkeypatch):
+    """reference_solve fails the test if called."""
+    def refuse(problem):
+        pytest.fail("reference_solve was called")
+    for module in SOLVING_MODULES:
+        monkeypatch.setattr(module, "reference_solve", refuse)
+
+
+@pytest.fixture
+def reference_solves(monkeypatch):
+    """The problems reference_solve is called on, in call order."""
+    solved = []
+
+    def counted(problem):
+        solved.append(problem)
+        return real(problem)
+
+    real = finito.solvers.reference_solve
+    for module in SOLVING_MODULES:
+        monkeypatch.setattr(module, "reference_solve", counted)
+    return solved
+
+
+# the run and compare refusals of the exit-1 table that come from the
+# reference solve, or from a check run_with_state makes after it; every other
+# one comes before any reference is solved
+AFTER_THE_REFERENCE = {"huge-l-reference", "reference-stall", "record-every-inf",
+                       "epochs-negative", "sag-table-mean"}
+
+
 # each of these once escaped cli.main as a traceback or exited 2 ("diverged")
 @pytest.mark.parametrize("argv,message", [
     pytest.param(["run", "--synth", "n=10,d=2", "--loss", "hinge"],
@@ -301,8 +336,10 @@ DATA_FILES = {"huge-l.svm": "1 1:1e200\n-1 1:-3e199 2:1.0\n",
     pytest.param(["run", "--data", "{huge-l.svm}", "--solver", "finito"],
                  "error: Lipschitz constant overflows: the largest feature magnitude "
                  "is 1e+200 (s = 0.01); rescale the data\n", id="huge-l-reference"),
-    # with s = 0 the gradient floors near 1e-8, where the step rounds away
-    pytest.param(["run", "--data", "{stall.svm}", "--loss", "squared", "--s", "0"],
+    # with s = 0 the gradient floors near 1e-8, where the step rounds away;
+    # sag, since finito refuses s = 0 before any reference is solved
+    pytest.param(["run", "--data", "{stall.svm}", "--loss", "squared", "--s", "0",
+                  "--solver", "sag"],
                  "the iterate stopped moving in floating point\n", id="reference-stall"),
     # a NaN l1 weight once ran finito and prox-finito without the l1 term
     # (exit 0); a NaN s once diverged (finito) or blamed the data (sag)
@@ -312,8 +349,17 @@ DATA_FILES = {"huge-l.svm": "1 1:1e200\n-1 1:-3e199 2:1.0\n",
       for solver, flag, name in (("finito", "--l1", "l1_weight"),
                                  ("prox-finito", "--l1", "l1_weight"),
                                  ("finito", "--s", "s"), ("sag", "--s", "s"))),
+    # finito steps with w = -p_sum/(alpha*s*n); it refused s = 0 only after a
+    # reference solve that stalls on these rows after 500 000 iterations (8 s)
+    pytest.param(["run", "--data", "{three.svm}", "--s", "0", "--solver", "finito",
+                  "--epochs", "1"],
+                 "error: the table update divides by alpha*s*n\n", id="finito-s-0"),
+    pytest.param(["compare", "--data", "{three.svm}", "--s", "0", "--configs", "finito",
+                  "--seeds", "1", "--epochs", "1"],
+                 "error: the table update divides by alpha*s*n\n", id="compare-finito-s-0"),
 ])
-def test_invalid_values_exit_one_without_traceback(tmp_path, argv, message):
+def test_invalid_values_exit_one_without_traceback(tmp_path, reference_solves, request,
+                                                   argv, message):
     for name, rows in DATA_FILES.items():
         (tmp_path / name).write_text(rows)
     argv = [str(tmp_path / a.strip("{}")) if a.startswith("{") else a for a in argv]
@@ -321,6 +367,8 @@ def test_invalid_values_exit_one_without_traceback(tmp_path, argv, message):
     assert code == 1
     assert message in err
     assert "Traceback" not in err
+    if argv[0] != "verify":  # the lab solves its own problems' references
+        assert bool(reference_solves) == (request.node.callspec.id in AFTER_THE_REFERENCE)
 
 
 def test_objective_flags_set_the_synth_problem():
@@ -329,8 +377,52 @@ def test_objective_flags_set_the_synth_problem():
     args = cli.build_parser().parse_args(
         ["run", "--synth", "n=60,d=4,noise=0.1", "--loss", "squared",
          "--s", "0.05", "--l1", "0.01"])
-    problem, _ = cli._build_problem(args)
+    problem = cli._build_problem(args)
     assert (problem.loss, problem.s, problem.l1_weight) == ("squared", 0.05, 0.01)
+
+
+# --synth once solved a reference whatever --fstar said
+@pytest.mark.parametrize("fstar", ["none", "0.25"])
+@pytest.mark.parametrize("source", [["--synth", "n=40,d=4"], ["--data", "{three.svm}"]],
+                         ids=["synth", "data"])
+@pytest.mark.parametrize("command", [
+    ["run", "--solver", "sag", "--epochs", "1"],
+    ["compare", "--configs", "finito,sag", "--seeds", "2", "--epochs", "1"],
+], ids=["run", "compare"])
+def test_fstar_none_or_a_number_solves_no_reference(
+        tmp_path, no_reference_solve, command, source, fstar):
+    (tmp_path / "three.svm").write_text(DATA_FILES["three.svm"])
+    source = [str(tmp_path / a.strip("{}")) if a.startswith("{") else a for a in source]
+    code, out, err = call([*command, *source, "--fstar", fstar])
+    assert (code, err) == (0, "")
+    last = out.strip().splitlines()[-1].split(",")
+    if command[0] == "run":
+        objective, suboptimality = float(last[1]), last[2]
+        assert suboptimality == ("nan" if fstar == "none" else repr(objective - 0.25))
+    else:  # the median suboptimality of each config
+        assert all((cell == "nan") == (fstar == "none") for cell in last[1:])
+
+
+def test_a_large_synth_problem_without_a_reference_solves_none(no_reference_solve):
+    code, out, err = call(["run", "--synth", "n=20000,d=50", "--fstar", "none",
+                           "--epochs", "0"])
+    assert (code, err) == (0, "")
+    assert rows_without_wall(out)[0][2] == "nan"
+
+
+def test_run_solves_the_synth_reference_once_and_writes_the_library_trace(
+        reference_solves):
+    # the CLI solves the reference synth_problem returns, on the same problem
+    code, out, err = call(["run", "--synth", "n=60,d=4,seed=3", "--solver", "sag",
+                           "--sampling", "permuted", "--seed", "2", "--epochs", "3",
+                           "--fstar", "auto"])
+    assert (code, err, len(reference_solves)) == (0, "", 1)
+    problem, reference = finito.synth_problem(finito.SynthSpec(n=60, d=4, seed=3))
+    records = finito.run(problem, finito.SolverConfig("sag"),
+                         finito.SamplingScheme("permuted", 2), 3, reference=reference)
+    expected = io.StringIO()
+    finito.write_trace(records, expected)
+    assert rows_without_wall(out) == rows_without_wall(expected.getvalue())
 
 
 def test_compare_checks_every_config_before_its_first_run(monkeypatch):
@@ -679,6 +771,19 @@ def test_resume_refuses_settings_that_contradict_its_checkpoint(
     # the flags it started with resume it
     code, _, err = call([*base, *start, "--epochs", "3", "--resume", str(ck)])
     assert code == 0, err
+
+
+def test_resume_contradicting_its_checkpoint_exits_before_a_reference(
+        tmp_path, no_reference_solve):
+    # the refusal once came after the reference solve it made pointless
+    ck = tmp_path / "sag.ckpt"
+    assert call(["run", *N50, "--solver", "sag", "--epochs", "2", "--fstar", "none",
+                 "--save-state", str(ck)])[0] == 0
+    code, out, err = call(["run", *N50, "--solver", "sag", "--step", "1e-3", "--epochs", "3",
+                           "--fstar", "auto", "--resume", str(ck)])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: sag resumes at step 0.0050000000048 from its "
+                          "checkpoint, not 0.001")
 
 
 @pytest.mark.parametrize("flags,message", [

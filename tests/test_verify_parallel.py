@@ -1,6 +1,7 @@
 """`finito verify --suite all` runs the suites besides rate in a forked
 worker when the machine has a CPU to spare; what it prints and its exit code
-must not depend on whether it has one."""
+must not depend on whether it has one.  A lost worker would block the
+caller's read of its pipe forever; conftest's time limit fails such a test."""
 
 import contextlib
 import io
@@ -18,18 +19,6 @@ import pytest
 import finito.cli as cli
 import finito.solvers
 from finito import CheckReport, DivergenceError
-
-
-@pytest.fixture(autouse=True)
-def time_limit():
-    # a lost worker would block the caller's read of its pipe forever
-    def expire(*_):
-        raise TimeoutError("verify did not finish within 60 s")
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(60)
-    yield
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, previous)
 
 
 def call(argv):
