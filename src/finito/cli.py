@@ -26,8 +26,8 @@ from .problems import (FiniteSumProblem, LOGISTIC, LOSS_KINDS,
                        ReferenceSolution)
 from .samplers import SAMPLING_NAMES, SamplingScheme
 from .solvers import (ALPHA_TAGS, DivergenceError, MONITORS, SOLVER_TAGS,
-                      SolverConfig, check_config, check_resume, reference_solve,
-                      run, run_with_state, sag_default_step)
+                      SolverConfig, check_run, reference_solve, run,
+                      run_with_state, sag_default_step)
 from .theory import suite_inequalities, suite_lyapunov, suite_rate
 
 
@@ -184,9 +184,7 @@ def cmd_run(args) -> int:
         **_alpha_setting(args.solver, args.alpha, "--alpha"))
     scheme = SamplingScheme(args.sampling, args.seed)
     resume = None if args.resume is None else checkpoint_load(args.resume, problem)
-    check_config(problem, config)
-    if resume is not None:
-        check_resume(problem, config, scheme, *resume)
+    check_run(problem, config, scheme, args.epochs, args.record_every, resume)
     reference = _resolve_reference(args.fstar, problem)
     try:
         records, state, sampler = run_with_state(
@@ -232,14 +230,19 @@ def _parse_config_token(token: str):
 
 def cmd_compare(args) -> int:
     problem = _build_problem(args)
-    configs = [_parse_config_token(tok) for tok in args.configs.split(",") if tok]
+    tokens = [tok for tok in args.configs.split(",") if tok]
+    for i, token in enumerate(tokens):
+        if token in tokens[:i]:
+            raise ValueError(f"config {token!r} given twice in --configs {args.configs!r}")
+    configs = [_parse_config_token(tok) for tok in tokens]
     if not configs:
         raise ValueError("no configs given")
-    for _, _, config in configs:  # every config, before the first run
-        check_config(problem, config)
     seeds = _parse_seeds(args.seeds)
     if not seeds:
         raise ValueError("no seeds given")
+    for _, sampling, config in configs:  # every run, before the reference and the first run
+        for seed in seeds:
+            check_run(problem, config, SamplingScheme(sampling, seed), args.epochs)
     reference = _resolve_reference(args.fstar, problem)
     grid = list(range(args.epochs + 1))
     columns: dict[str, np.ndarray] = {}

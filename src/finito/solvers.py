@@ -164,14 +164,19 @@ def _refuse_l1(tag: str, problem) -> None:
                          "use prox-finito or full-gradient")
 
 
-def check_config(problem, config: SolverConfig) -> tuple[str, float]:
-    """(name, value) of the constant a fresh start from `config` holds:
-    finito's and prox-finito's alpha, miso's L/s ("alpha"), and sag's and
-    full-gradient's step, by default sag_default_step(problem) and 1/L.
-    ValueError unless run_with_state would run `config` on `problem` as
-    asked: a known solver and monitor, no l1 term the solver ignores, no
-    setting it never reads (step for finito, prox-finito and miso, whose
-    step alpha sets), s > 0 for those three, and that constant finite and > 0."""
+def check_run(problem, config: SolverConfig, scheme: SamplingScheme, epochs: int,
+              record_every: float = 1.0, resume: tuple | None = None) -> tuple[str, float]:
+    """(name, value) of the constant the run holds: finito's and
+    prox-finito's alpha, miso's L/s ("alpha"), and sag's and full-gradient's
+    step, by default sag_default_step(problem) and 1/L.  ValueError, in this
+    order, unless run_with_state would start `config` on `problem` as asked:
+    a known solver and monitor, no l1 term the solver ignores, no setting it
+    never reads (step for finito, prox-finito and miso, whose step alpha
+    sets), s > 0 for those three, that constant finite and > 0, epochs >= 0,
+    record_every finite and > 0; a resume (state, sampler) that continues
+    the run it was saved from (the same solver, constant and, for a table
+    solver, scheme) at a step no later than the run's end; and table-mean
+    monitoring only on a finito state in audit storage."""
     solver = config.solver
     if solver not in SOLVER_TAGS:
         raise ValueError(f"unknown solver {solver!r}")
@@ -197,25 +202,30 @@ def check_config(problem, config: SolverConfig) -> tuple[str, float]:
         name, value = "step", (sag_default_step(problem) if solver == "sag"
                                else 1.0 / problem.lipschitz_constant())
     _require_positive(name, value)
+    if epochs < 0:
+        raise ValueError(f"epochs must be >= 0, got {epochs}")
+    _require_positive("record_every", record_every)
+    state = None
+    if resume is not None:
+        state, sampler = resume
+        tag = getattr(state, "solver_tag", None)
+        if tag != solver:
+            raise ValueError(f"resume state is for {tag!r}, config says {solver!r}")
+        settings = [(name, getattr(state, name), value)]  # (name, the state's, the run's)
+        if sampler is not None:
+            settings.append(("sampling", sampler.scheme, scheme))
+        for setting, held, fresh in settings:
+            if held != fresh:
+                raise ValueError(f"{tag} resumes at {setting} {held!r} from its checkpoint, "
+                                 f"not {fresh!r}; resume with the settings it started with")
+        end = epochs * (1 if solver == "full-gradient" else problem.n)
+        if state.k > end:
+            raise ValueError(f"{tag} resumes at step {state.k} from its checkpoint, "
+                             f"past the run's end at step {end} (epochs = {epochs})")
+    if config.monitor == "table-mean" and (
+            solver not in FINITO_TAGS or state is not None and state.phi_table is None):
+        raise ValueError("table-mean monitoring needs finito audit storage")
     return name, value
-
-
-def check_resume(problem, config: SolverConfig, scheme: SamplingScheme,
-                 state, sampler: IndexSampler | None) -> None:
-    """ValueError unless resuming (state, sampler) under `config` and
-    `scheme` continues the run they were saved from: the same solver, the
-    constant check_config resolves and, for a table solver, the same scheme."""
-    tag = getattr(state, "solver_tag", None)
-    if tag != config.solver:
-        raise ValueError(f"resume state is for {tag!r}, config says {config.solver!r}")
-    name, fresh = check_config(problem, config)
-    settings = [(name, getattr(state, name), fresh)]  # (name, the state's, a fresh start's)
-    if sampler is not None:
-        settings.append(("sampling", sampler.scheme, scheme))
-    for name, held, fresh in settings:
-        if held != fresh:
-            raise ValueError(f"{tag} resumes at {name} {held!r} from its checkpoint, "
-                             f"not {fresh!r}; resume with the settings it started with")
 
 
 def _check_table_state(name: str, value: float, k: int, seen: int, table) -> None:
@@ -406,11 +416,7 @@ def sag_first_pass_step(state: SagState, problem, k: int) -> SagState:
 
 
 def _monitor_point(state, config: SolverConfig) -> np.ndarray:
-    if config.monitor == "table-mean":
-        if not isinstance(state, FinitoState) or not state.audit:
-            raise ValueError("table-mean monitoring needs finito audit storage")
-        if state.seen == 0:
-            return state.w
+    if config.monitor == "table-mean" and state.seen:
         # the rows not yet seen are all +0.0, so this is the mean of those seen
         return state.phi_table.sum(axis=0) / state.seen
     return state.w
@@ -424,7 +430,7 @@ def _build_state(problem, config: SolverConfig, value: float):
                            first_pass=config.first_pass, solver_tag=solver)
     if solver == "sag":
         return sag_init(problem, w0=w0, step=value, first_pass=config.first_pass)
-    # full-gradient, the one tag left once check_config has passed it
+    # full-gradient, the one tag left once check_run has passed it
     w0 = np.zeros(problem.d) if w0 is None else problem._check_point(w0)
     return FullGradientState(step=value, w=w0.copy())
 
@@ -434,10 +440,7 @@ def run_with_state(problem, config: SolverConfig, scheme: SamplingScheme,
                    record_every: float = 1.0, resume: tuple | None = None):
     """Like run(), but returns (records, state, sampler) so the caller can
     checkpoint where the run stopped."""
-    _, value = check_config(problem, config)
-    if epochs < 0:
-        raise ValueError(f"epochs must be >= 0, got {epochs}")
-    _require_positive("record_every", record_every)
+    _, value = check_run(problem, config, scheme, epochs, record_every, resume)
     n = problem.n
     f_star = reference.f_star if reference is not None else None
     if f_star is not None and not math.isfinite(f_star):
@@ -451,11 +454,8 @@ def run_with_state(problem, config: SolverConfig, scheme: SamplingScheme,
     # past the run's end an interval records the same rows, and cannot overflow
     interval = max(1, round(min(record_every * steps_per_epoch, total_steps)))
 
-    if resume is not None:
-        state, sampler = resume
-        check_resume(problem, config, scheme, state, sampler)
-    else:
-        state, sampler = _build_state(problem, config, value), None
+    state, sampler = resume if resume is not None else (
+        _build_state(problem, config, value), None)
     if sampler is None and not full_grad:
         sampler = IndexSampler(scheme, n)
 

@@ -157,10 +157,8 @@ def reference_solves(monkeypatch):
 
 
 # the run and compare refusals of the exit-1 table that come from the
-# reference solve, or from a check run_with_state makes after it; every other
-# one comes before any reference is solved
-AFTER_THE_REFERENCE = {"huge-l-reference", "reference-stall", "record-every-inf",
-                       "epochs-negative", "sag-table-mean"}
+# reference solve itself; every other one comes before any reference is solved
+AFTER_THE_REFERENCE = {"huge-l-reference", "reference-stall"}
 
 
 # each of these once escaped cli.main as a traceback or exited 2 ("diverged")
@@ -357,6 +355,29 @@ AFTER_THE_REFERENCE = {"huge-l-reference", "reference-stall", "record-every-inf"
     pytest.param(["compare", "--data", "{three.svm}", "--s", "0", "--configs", "finito",
                   "--seeds", "1", "--epochs", "1"],
                  "error: the table update divides by alpha*s*n\n", id="compare-finito-s-0"),
+    # sag takes s = 0, so these were refused only by run_with_state, after the
+    # same 8 s stall of the reference solve, which named no flag
+    pytest.param(["run", "--data", "{three.svm}", "--s", "0", "--solver", "sag",
+                  "--epochs", "-1"],
+                 "error: epochs must be >= 0, got -1\n", id="sag-s-0-epochs-negative"),
+    pytest.param(["run", "--data", "{three.svm}", "--s", "0", "--solver", "sag",
+                  "--record-every", "0"],
+                 "error: record_every must be finite and > 0, got 0.0\n",
+                 id="sag-s-0-record-every-0"),
+    pytest.param(["compare", "--data", "{three.svm}", "--s", "0", "--configs", "sag",
+                  "--seeds", "1", "--epochs", "-1"],
+                 "error: epochs must be >= 0, got -1\n", id="compare-sag-s-0-epochs-negative"),
+    # every seed is checked before the first run: seed 0's trace was written
+    # before seed -1 was refused
+    pytest.param(["compare", "--synth", "n=50,d=5", "--configs", "finito", "--seeds", "0,-1",
+                  "--epochs", "1", "--out-dir", "{traces}"],
+                 "error: seed must be >= 0, got -1\n", id="compare-seed-negative"),
+    # a config given twice ran twice, and its second run overwrote the first's
+    # --out-dir traces under a repeated column
+    pytest.param(["compare", "--synth", "n=50,d=5", "--configs", "finito,sag,finito",
+                  "--epochs", "1", "--out-dir", "{traces}"],
+                 "error: config 'finito' given twice in --configs 'finito,sag,finito'\n",
+                 id="config-twice"),
 ])
 def test_invalid_values_exit_one_without_traceback(tmp_path, reference_solves, request,
                                                    argv, message):
@@ -367,6 +388,8 @@ def test_invalid_values_exit_one_without_traceback(tmp_path, reference_solves, r
     assert code == 1
     assert message in err
     assert "Traceback" not in err
+    # nothing is left behind: no trace, no --out-dir
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(DATA_FILES)
     if argv[0] != "verify":  # the lab solves its own problems' references
         assert bool(reference_solves) == (request.node.callspec.id in AFTER_THE_REFERENCE)
 
@@ -798,6 +821,23 @@ def test_resume_refuses_what_its_checkpoint_cannot_run(tmp_path, flags, message)
     assert call(["run", *N50, "--epochs", "1", "--save-state", str(ck)])[0] == 0
     code, out, err = call(["run", *N50, *flags, "--epochs", "2", "--resume", str(ck)])
     assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_resume_past_the_run_end_exits_one_before_a_reference(tmp_path, no_reference_solve):
+    # it once exited 0, wrote a header-only trace and saved the checkpoint
+    # unchanged; resuming at the run's end still takes no step
+    ck4, ck2 = tmp_path / "4.ckpt", tmp_path / "2.ckpt"
+    assert call(["run", *N50, "--epochs", "4", "--fstar", "none",
+                 "--save-state", str(ck4)])[0] == 0
+    code, out, err = call(["run", *N50, "--epochs", "2", "--resume", str(ck4),
+                           "--save-state", str(ck2)])
+    assert (code, out, err) == (1, "", "error: finito resumes at step 200 from its "
+                                "checkpoint, past the run's end at step 100 (epochs = 2)\n")
+    assert not ck2.exists()
+    code, out, err = call(["run", *N50, "--epochs", "4", "--fstar", "none",
+                           "--resume", str(ck4), "--save-state", str(ck2)])
+    assert (code, out, err) == (0, TRACE_HEADER + "\n", "")
+    assert ck2.read_text() == ck4.read_text()
 
 
 def test_resume_without_first_pass_from_epoch_zero(tmp_path):

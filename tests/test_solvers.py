@@ -43,7 +43,7 @@ from finito import (
     SynthSpec,
 )
 from finito.samplers import SAMPLING_NAMES
-from finito.solvers import FINITO_TAGS, check_config
+from finito.solvers import FINITO_TAGS, check_run
 
 
 # -- exact hand values ---------------------------------------------------------
@@ -368,13 +368,13 @@ def test_full_gradient_state_refuses_a_step_that_is_not_finite_and_positive(bad)
     pytest.param(SolverConfig("full-gradient", step=0.25), "step", lambda p: 0.25,
                  id="full-gradient-step"),
 ])
-def test_check_config_resolves_the_constant_each_state_holds(synth_tiny, config, name,
-                                                            value):
+def test_check_run_resolves_the_constant_each_state_holds(synth_tiny, config, name,
+                                                         value):
     # L is neither s nor 1 here, so each value is its own formula; the state a
     # fresh run builds holds the same value under the same name
     problem, _ = synth_tiny
     assert problem.lipschitz_constant() not in (1.0, problem.s)
-    assert check_config(problem, config) == (name, value(problem))
+    assert check_run(problem, config, SamplingScheme(UNIFORM), 0) == (name, value(problem))
     _, state, _ = run_with_state(problem, config, SamplingScheme(UNIFORM), 0)
     assert getattr(state, name) == value(problem)
 
@@ -382,12 +382,96 @@ def test_check_config_resolves_the_constant_each_state_holds(synth_tiny, config,
 @pytest.mark.parametrize("solver,name", [("finito", "alpha"), ("prox-finito", "alpha"),
                                          ("sag", "step"), ("full-gradient", "step")])
 @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
-def test_check_config_refuses_a_constant_that_is_not_finite_and_positive(
+def test_check_run_refuses_a_constant_that_is_not_finite_and_positive(
         synth_tiny, solver, name, bad):
     problem, _ = synth_tiny
     config = SolverConfig(solver, **{name: bad})
     with pytest.raises(ValueError, match=f"^{name} must be finite and > 0, got {bad}$"):
-        check_config(problem, config)
+        check_run(problem, config, SamplingScheme(UNIFORM), 1)
+
+
+THREE_ROWS = ([[0.5, 1.0], [-0.3, 0.2], [0.1, -0.4]], [1.0, -1.0, 1.0])
+
+
+def _resume(solver, scheme=SamplingScheme(UNIFORM)):
+    """(state, sampler) of a compact two-epoch `solver` run on the three rows
+    at s = 0.1."""
+    problem = FiniteSumProblem(*THREE_ROWS, loss="logistic", s=0.1)
+    _, state, sampler = run_with_state(problem, SolverConfig(solver), scheme, 2)
+    return state, sampler
+
+
+# (problem keywords, config, run keywords, message): each refusal check_run makes
+START_REFUSALS = [
+    pytest.param({}, SolverConfig("bogus"), {}, "unknown solver 'bogus'", id="solver"),
+    pytest.param({}, SolverConfig(monitor="bogus"), {}, "unknown monitor 'bogus'",
+                 id="monitor"),
+    pytest.param({"l1_weight": 0.1}, SolverConfig("sag"), {},
+                 "sag ignores the l1 term (l1 = 0.1); use prox-finito or full-gradient",
+                 id="l1"),
+    pytest.param({}, SolverConfig("miso", step=0.5), {},
+                 "miso ignores step (step = 0.5); only sag and full-gradient take one",
+                 id="miso-step"),
+    pytest.param({"s": 0.0}, SolverConfig("finito"), {},
+                 "the table update divides by alpha*s*n", id="s-0"),
+    pytest.param({"s": 5e-324}, SolverConfig("miso"), {},
+                 "miso's alpha = L/s overflows at L = 0.3125, s = 4.94066e-324; "
+                 "rescale the data", id="miso-alpha-overflow"),
+    pytest.param({}, SolverConfig("finito", alpha=-1.0), {},
+                 "alpha must be finite and > 0, got -1.0", id="alpha"),
+    pytest.param({}, SolverConfig("sag"), {"epochs": -1}, "epochs must be >= 0, got -1",
+                 id="epochs"),
+    pytest.param({}, SolverConfig("sag"), {"record_every": 0.0},
+                 "record_every must be finite and > 0, got 0.0", id="record-every"),
+    pytest.param({}, SolverConfig("sag"), {"resume": lambda: _resume("finito")},
+                 "resume state is for 'finito', config says 'sag'", id="resume-solver"),
+    pytest.param({}, SolverConfig("finito", alpha=3.0), {"resume": lambda: _resume("finito")},
+                 "finito resumes at alpha 2.0 from its checkpoint, not 3.0; resume with "
+                 "the settings it started with", id="resume-alpha"),
+    pytest.param({}, SolverConfig("sag"),
+                 {"resume": lambda: _resume("sag", scheme=SamplingScheme(UNIFORM, 1))},
+                 "sag resumes at sampling SamplingScheme(kind='uniform', seed=1) from its "
+                 "checkpoint, not SamplingScheme(kind='uniform', seed=0); resume with the "
+                 "settings it started with", id="resume-sampling"),
+    pytest.param({}, SolverConfig("full-gradient"),
+                 {"epochs": 1, "resume": lambda: _resume("full-gradient")},
+                 "full-gradient resumes at step 2 from its checkpoint, past the run's end "
+                 "at step 1 (epochs = 1)", id="resume-past-the-end"),
+    pytest.param({}, SolverConfig("sag", monitor="table-mean"), {},
+                 "table-mean monitoring needs finito audit storage", id="table-mean-sag"),
+    pytest.param({}, SolverConfig("finito", monitor="table-mean"),
+                 {"resume": lambda: _resume("finito")},
+                 "table-mean monitoring needs finito audit storage", id="table-mean-compact"),
+]
+
+
+@pytest.mark.parametrize("problem_keywords,config,keywords,message", START_REFUSALS)
+def test_run_with_state_refuses_what_check_run_refuses_before_it_builds_a_state(
+        monkeypatch, problem_keywords, config, keywords, message):
+    # one start check: the same refusal from either, and no state is built
+    # nor a sampler made, nor a resumed state stepped, before it
+    problem = FiniteSumProblem(*THREE_ROWS, loss="logistic",
+                               **{"s": 0.1, **problem_keywords})
+    keywords = {"epochs": 2, **keywords}
+    if "resume" in keywords:
+        keywords["resume"] = keywords["resume"]()
+        k = keywords["resume"][0].k
+    scheme = SamplingScheme(UNIFORM)
+    with pytest.raises(ValueError) as checked:
+        check_run(problem, config, scheme, **keywords)
+    assert str(checked.value) == message
+
+    def refuse(*args, **kwargs):
+        pytest.fail("run_with_state built a state or a sampler before refusing")
+
+    for name in ("_build_state", "finito_init", "sag_init", "FullGradientState",
+                 "IndexSampler"):
+        monkeypatch.setattr(finito.solvers, name, refuse)
+    with pytest.raises(ValueError) as ran:
+        run_with_state(problem, config, scheme, **keywords)
+    assert (type(ran.value), str(ran.value)) == (type(checked.value), message)
+    if "resume" in keywords:
+        assert keywords["resume"][0].k == k
 
 
 @pytest.mark.parametrize("f_star", [float("inf"), float("-inf"), float("nan")])
