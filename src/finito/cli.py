@@ -13,6 +13,7 @@ import argparse
 import multiprocessing
 import os
 import sys
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from .data_io import (SynthSpec, _format_float as _fmt, _open_text,
 from .lower_bounds import suite_lowerbound
 from .problems import (FiniteSumProblem, LOGISTIC, LOSS_KINDS,
                        ReferenceSolution)
-from .samplers import SAMPLING_NAMES, SamplingScheme
+from .samplers import CYCLIC, SAMPLING_NAMES, SamplingScheme
 from .solvers import (ALPHA_TAGS, DivergenceError, MONITORS, SOLVER_TAGS,
                       SolverConfig, check_run, reference_solve, run,
                       run_with_state, sag_default_step)
@@ -249,15 +250,21 @@ def cmd_compare(args) -> int:
     if args.out_dir is not None:
         Path(args.out_dir).mkdir(parents=True, exist_ok=True)
     for label, sampling, config in configs:
+        # full-gradient draws no index and cyclic sampling no random number,
+        # so the first seed's run stands for every seed, under each seed's tag
+        seed_free = config.solver == "full-gradient" or sampling == CYCLIC
         per_seed = np.full((len(seeds), len(grid)), np.inf)
         for row, seed in enumerate(seeds):
-            scheme = SamplingScheme(sampling, seed)
-            try:
-                records = run(problem, config, scheme, args.epochs,
+            if row == 0 or not seed_free:
+                scheme, failure = SamplingScheme(sampling, seed), None
+                try:
+                    ran = run(problem, config, scheme, args.epochs,
                               reference=reference)
-            except DivergenceError as err:
-                records = err.records or []
-                print(f"{label} seed {seed} diverged: {err}", file=sys.stderr)
+                except DivergenceError as err:
+                    ran, failure = err.records or [], err
+            records = [replace(r, seed=seed) for r in ran]
+            if failure is not None:
+                print(f"{label} seed {seed} diverged: {failure}", file=sys.stderr)
             by_epoch = {r.epoch: r.suboptimality for r in records}
             per_seed[row] = [by_epoch.get(float(e), np.inf) for e in grid]
             if args.out_dir is not None:

@@ -8,7 +8,6 @@ source or sink is a str/Path filesystem path or an open text stream.
 
 from __future__ import annotations
 
-import math
 import os
 import re
 import warnings
@@ -19,10 +18,11 @@ from pathlib import Path
 import numpy as np
 
 from .problems import (FiniteSumProblem, ReferenceSolution, LOGISTIC, LOSS_KINDS,
-                       _MARGIN_CURVATURE)
+                       _MARGIN_CURVATURE, _require_count, _require_nonnegative,
+                       _require_positive)
 from .samplers import IndexSampler, SamplingScheme
 from .solvers import (FINITO_TAGS, FinitoState, FullGradientState, SagState,
-                      TraceRecord, _require_positive, reference_solve)
+                      TraceRecord, reference_solve)
 
 
 def _format_float(x: float) -> str:
@@ -176,29 +176,26 @@ class SynthSpec:
 
 def synth_data(spec: SynthSpec) -> FiniteSumProblem:
     """Generate the FiniteSumProblem a SynthSpec describes."""
-    if spec.n < 2 or spec.d < 1:
-        raise ValueError(f"need n >= 2 and d >= 1, got n={spec.n}, d={spec.d}")
+    n, d = _require_count("n", spec.n, 2), _require_count("d", spec.d, 1)
     if spec.loss not in LOSS_KINDS:
         raise ValueError(f"unknown loss {spec.loss!r} "
                          f"(known: {', '.join(LOSS_KINDS)})")
-    for name in ("s", "target_beta", "noise", "l1_weight"):
-        if not math.isfinite(getattr(spec, name)):
-            raise ValueError(f"{name} must be finite, got {getattr(spec, name)}")
-    if spec.s <= 0:
-        raise ValueError("synthetic problems need s > 0")
-    _require_positive("target_beta", spec.target_beta)
-    if spec.n <= spec.target_beta:
+    for name in ("s", "target_beta"):
+        _require_positive(name, getattr(spec, name))
+    for name in ("noise", "l1_weight"):
+        _require_nonnegative(name, getattr(spec, name))
+    if n <= spec.target_beta:
         raise ValueError(
-            f"n={spec.n} cannot satisfy the big-data condition at "
+            f"n={n} cannot satisfy the big-data condition at "
             f"beta={spec.target_beta} for any feature scale")
-    rng = np.random.default_rng([spec.seed])
-    features = rng.standard_normal((spec.n, spec.d))
-    planted = rng.standard_normal(spec.d)
-    noise = spec.noise * rng.standard_normal(spec.n)
+    rng = np.random.default_rng([_require_count("seed", spec.seed)])
+    features = rng.standard_normal((n, d))
+    planted = rng.standard_normal(d)
+    noise = spec.noise * rng.standard_normal(n)
 
     q = _MARGIN_CURVATURE[spec.loss]
     max_norm2 = float(np.einsum("ij,ij->i", features, features).max())
-    L_target = spec.n * spec.s / spec.target_beta
+    L_target = n * spec.s / spec.target_beta
     scale2 = (L_target - spec.s) * (1.0 - 1e-9) / (q * max_norm2)
     for _ in range(64):
         scaled = features * np.sqrt(scale2)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import FiniteSumProblem, ReferenceSolution, SQUARED
+from .problems import FiniteSumProblem, ReferenceSolution, SQUARED, _require_count
 from .solvers import (finito_first_pass_step, finito_init,
                       sag_first_pass_step, sag_init)
 from .theory import CheckReport, _le_report, _worst_report
@@ -36,8 +36,7 @@ def make_worst_case(n: int):
     f(w) = (1/2)||w - 1||^2 + (1/2)||w||^2: minimized at w = 1/2 with
     f* = n/4; the all-zeros start is n/4 suboptimal, 1/4 per coordinate.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    n = _require_count("n", n, 1)
     root = float(np.sqrt(n))
     features = root * np.eye(n)
     targets = np.full(n, root)
@@ -50,10 +49,7 @@ def make_worst_case(n: int):
 
 def expected_unseen(n: int, k: int) -> float:
     """E[# indices never drawn in k uniform draws] = n (1 - 1/n)^k."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if k < 0:
-        raise ValueError(f"need k >= 0, got {k}")
+    n, k = _require_count("n", n, 1), _require_count("k", k)
     return n * (1.0 - 1.0 / n) ** k
 
 
@@ -94,21 +90,16 @@ def simulate_unseen(n: int, k, trials: int = 100_000,
     `k` may be a single draw count or a list; all requested counts share
     trajectories (one length-max(k) draw sequence per trial).
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    ks = sorted({int(k)} if isinstance(k, (int, np.integer))
-                else {int(x) for x in k})
+    n = _require_count("n", n, 1)
+    ks = sorted({_require_count("k", x) for x in (k if np.iterable(k) else [k])})
     if not ks:
         raise ValueError("need at least one k")
-    if ks[0] < 0:
-        raise ValueError(f"need k >= 0, got {ks[0]}")
-    if trials < 2:
-        raise ValueError(f"need trials >= 2, got {trials}")
+    trials = _require_count("trials", trials, 2)
     k_max = ks[-1]
     if min(_TRIAL_CHUNK, trials) * k_max * 8 > _MAX_DRAW_BYTES:
         raise ValueError(f"k={k_max} needs over {_MAX_DRAW_BYTES >> 30} GiB of "
                          "draws per batch")
-    rng = np.random.default_rng([seed])
+    rng = np.random.default_rng([_require_count("seed", seed)])
     sums = dict.fromkeys(ks, 0.0)
     sq_sums = dict.fromkeys(ks, 0.0)
     done = 0

@@ -60,10 +60,8 @@ def prox_operator(l1_weight: float, z: np.ndarray, step: float) -> np.ndarray:
     The threshold is t = l1_weight * step.  With l1_weight == 0 the map is the
     identity and the input values are returned unchanged (as a fresh array).
     """
-    if l1_weight < 0:
-        raise ValueError(f"l1_weight must be >= 0, got {l1_weight}")
-    if step <= 0:
-        raise ValueError(f"prox step must be > 0, got {step}")
+    _require_nonnegative("l1_weight", l1_weight)
+    _require_positive("step", step)
     z = np.asarray(z, dtype=float)
     if l1_weight == 0.0:
         return z.copy()
@@ -74,6 +72,14 @@ def _soft_threshold(z: np.ndarray, t: float) -> np.ndarray:
     return np.sign(z) * np.maximum(np.abs(z) - t, 0.0)
 
 
+# the scalar input rules, one per kind of value, which every module's
+# refusals of a setting, a count or a seed go through
+def _require_positive(name: str, value: float) -> None:
+    # NaN fails both comparisons, so it is rejected along with 0, < 0 and inf
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
+
+
 def _require_nonnegative(name: str, value: float) -> None:
     # NaN fails the comparison, so it is refused along with < 0 and inf
     if not 0 <= value < math.inf:
@@ -81,11 +87,24 @@ def _require_nonnegative(name: str, value: float) -> None:
 
 
 def _as_index(i, what: str = "component index") -> int:
-    # integers only (operator.index): a float, str or bool is a TypeError,
-    # never truncated or read as 0/1
-    if type(i) is not int and isinstance(i, (bool, np.bool_)):
-        raise TypeError(f"{what} must be an integer, not {type(i).__name__}")
-    return operator.index(i)
+    # integers only (operator.index): a float (NaN and inf too), str or bool
+    # is a TypeError naming `what`, never truncated or read as 0/1
+    if type(i) is int:
+        return i
+    if not isinstance(i, (bool, np.bool_)):
+        try:
+            return operator.index(i)
+        except TypeError:
+            pass
+    raise TypeError(f"{what} must be an integer, not {type(i).__name__}")
+
+
+def _require_count(name: str, value, low: int = 0) -> int:
+    # a count, size or seed as an int: TypeError unless an integer, then >= low
+    value = _as_index(value, name)
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return value
 
 
 class _ProblemBase:
@@ -149,8 +168,7 @@ class _ProblemBase:
 
     def big_data_check(self, beta: float) -> BigDataReport:
         """Report whether n >= beta * L / s holds (boundary inclusive)."""
-        if beta <= 0:
-            raise ValueError(f"beta must be > 0, got {beta}")
+        _require_positive("beta", beta)
         if self.s == 0.0:
             raise StrongConvexityRequired(
                 "big data condition needs s > 0; this problem declares s = 0"

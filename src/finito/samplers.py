@@ -13,7 +13,7 @@ from itertools import chain, count, islice, repeat
 
 import numpy as np
 
-from .problems import _as_index
+from .problems import _require_count
 
 UNIFORM = "uniform"
 PERMUTED = "permuted"
@@ -42,9 +42,7 @@ class SamplingScheme:
     def __post_init__(self):
         if self.kind not in SAMPLING_NAMES:
             raise ValueError(f"unknown sampling kind {self.kind!r}")
-        object.__setattr__(self, "seed", _as_index(self.seed, "seed"))
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        object.__setattr__(self, "seed", _require_count("seed", self.seed))
 
     @staticmethod
     def from_name(name: str, seed: int = 0) -> "SamplingScheme":
@@ -56,11 +54,8 @@ class IndexSampler:
     """Stateful index stream for one run over a problem with n components."""
 
     def __init__(self, scheme: SamplingScheme, n: int):
-        n = _as_index(n, "n")  # a float is a TypeError, not truncated
-        if n < 1:
-            raise ValueError(f"sampler needs n >= 1, got {n}")
         self.scheme = scheme
-        self.n = n
+        self.n = _require_count("n", n, 1)  # a float is a TypeError, not truncated
         self.skip_to(0)
 
     @staticmethod
@@ -83,9 +78,7 @@ class IndexSampler:
 
     def skip_to(self, draws: int) -> "IndexSampler":
         """Jump the stream to an absolute draw count (used on resume)."""
-        if draws < 0:
-            raise ValueError(f"draw count must be >= 0, got {draws}")
-        self.draws = draws
+        self.draws = draws = _require_count("draws", draws)
         blocks = map(self._make_block, repeat(self.scheme), repeat(self.n),
                      count(draws // self.n))
         self._stream = islice(chain.from_iterable(blocks), draws % self.n, None)

@@ -24,7 +24,8 @@ from typing import ClassVar
 import numpy as np
 
 from .problems import (ReferenceSolution, StrongConvexityRequired, _as_index,
-                       _soft_threshold, prox_operator)
+                       _require_count, _require_positive, _soft_threshold,
+                       prox_operator)
 from .samplers import IndexSampler, SamplingScheme
 
 SOLVER_TAGS = ("finito", "prox-finito", "sag", "miso", "full-gradient")
@@ -150,12 +151,6 @@ class SolverConfig:
     w0: np.ndarray | None = None
 
 
-def _require_positive(name: str, value: float) -> None:
-    # NaN fails both comparisons, so it is rejected along with 0, < 0 and inf
-    if not 0 < value < math.inf:
-        raise ValueError(f"{name} must be finite and > 0, got {value}")
-
-
 def _refuse_l1(tag: str, problem) -> None:
     # finito, miso and sag step on the smooth part alone; SAG (arXiv
     # 1309.2388) is analysed for smooth sums only
@@ -172,11 +167,12 @@ def check_run(problem, config: SolverConfig, scheme: SamplingScheme, epochs: int
     order, unless run_with_state would start `config` on `problem` as asked:
     a known solver and monitor, no l1 term the solver ignores, no setting it
     never reads (step for finito, prox-finito and miso, whose step alpha
-    sets), s > 0 for those three, that constant finite and > 0, epochs >= 0,
-    record_every finite and > 0; a resume (state, sampler) that continues
-    the run it was saved from (the same solver, constant and, for a table
-    solver, scheme) at a step no later than the run's end; and table-mean
-    monitoring only on a finito state in audit storage."""
+    sets), s > 0 for those three, that constant finite and > 0, an integer
+    epochs >= 0 (TypeError for another type), record_every finite and > 0;
+    a resume (state, sampler) that continues the run it was saved from (the
+    same solver, constant and, for a table solver, scheme) at a step no
+    later than the run's end; and table-mean monitoring only on a finito
+    state in audit storage."""
     solver = config.solver
     if solver not in SOLVER_TAGS:
         raise ValueError(f"unknown solver {solver!r}")
@@ -202,8 +198,7 @@ def check_run(problem, config: SolverConfig, scheme: SamplingScheme, epochs: int
         name, value = "step", (sag_default_step(problem) if solver == "sag"
                                else 1.0 / problem.lipschitz_constant())
     _require_positive(name, value)
-    if epochs < 0:
-        raise ValueError(f"epochs must be >= 0, got {epochs}")
+    _require_count("epochs", epochs)
     _require_positive("record_every", record_every)
     state = None
     if resume is not None:

@@ -44,10 +44,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data_io import SynthSpec, synth_problem
-from .problems import LOGISTIC, ReferenceSolution, StrongConvexityRequired
+from .problems import (LOGISTIC, ReferenceSolution, StrongConvexityRequired,
+                       _require_count, _require_positive)
 from .samplers import IndexSampler, SamplingScheme, UNIFORM
-from .solvers import (SolverConfig, TraceRecord, _require_positive, finito_init,
-                      finito_step, run)
+from .solvers import SolverConfig, TraceRecord, finito_init, finito_step, run
 
 # random points and table rows are drawn from the ball of this radius
 # around the reference minimizer
@@ -575,10 +575,9 @@ def convexity_suite(problem, reference: ReferenceSolution, draws: int = 100,
     audit_block draws are audited as one stack.
     """
     _require_smooth(problem)
-    if draws < 1:
-        raise ValueError(f"draws must be >= 1, got {draws}")
+    draws = _require_count("draws", draws, 1)
     w_star = reference.w_star
-    rng = np.random.default_rng([seed])
+    rng = np.random.default_rng([_require_count("seed", seed)])
     reports: list[CheckReport] = []
     block = audit_block(problem.n, problem.d)
     for first in range(0, draws, block):
@@ -642,8 +641,7 @@ def rate_bound(problem, alpha: float, phi0: np.ndarray, k: int) -> float:
     At alpha = 2 this is (3/(4s)) (1 - 1/(2n))^k ||f'(phi0)||^2.
     """
     _require_positive("alpha", alpha)
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
+    k = _require_count("k", k)
     _require_smooth(problem)
     _require_strongly_convex(problem)
     phi0 = problem._check_point(phi0)
@@ -740,8 +738,7 @@ def suite_lyapunov(n: int = 40, d: int = 5, beta: float = 2.0, draws: int = 200,
     variance, T3, T4).
     The run is snapshotted audit_block states at a time and each block is
     audited as one stack; `draws` must be >= 1."""
-    if draws < 1:
-        raise ValueError(f"draws must be >= 1, got {draws}")
+    draws = _require_count("draws", draws, 1)
     problem, reference = synth_problem(
         SynthSpec(n=n, d=d, loss=LOGISTIC, target_beta=beta, seed=seed))
     w0 = np.zeros(d)

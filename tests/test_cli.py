@@ -3,6 +3,7 @@
 import contextlib
 import io
 import re
+import statistics
 import subprocess
 import sys
 
@@ -231,7 +232,7 @@ AFTER_THE_REFERENCE = {"huge-l-reference", "reference-stall"}
     pytest.param(["verify", "--suite", "rate", "--alpha", "0.5"],
                  "outside the admissible region", id="rate-alpha-0.5"),
     pytest.param(["verify", "--suite", "lowerbound", "--n", "0"],
-                 "need n >= 1, got 0", id="lowerbound-n-0"),
+                 "n must be >= 1, got 0", id="lowerbound-n-0"),
     # the unseen-count law is a verify suite, not a command of its own
     pytest.param(["lowerbound", "--n", "10"], "invalid choice: 'lowerbound'",
                  id="lowerbound-command"),
@@ -327,8 +328,8 @@ AFTER_THE_REFERENCE = {"huge-l-reference", "reference-stall"}
       for spec, field in (("n=x,d=5", "n=x"), ("n=50,d=5,beta=y", "beta=y"))),
     *(pytest.param(["run", "--synth", "n=50,d=5", "--s", s], f"error: {message}\n",
                    id=f"synth-s-{s}")
-      for s, message in (("0", "synthetic problems need s > 0"),
-                         ("nan", "s must be finite, got nan"))),
+      for s, message in (("0", "s must be finite and > 0, got 0.0"),
+                         ("nan", "s must be finite and > 0, got nan"))),
     # the reference solve steps at the mean of the row constants, which is
     # finite wherever their largest is, and refuses the same data
     pytest.param(["run", "--data", "{huge-l.svm}", "--solver", "finito"],
@@ -723,6 +724,64 @@ def test_compare_out_dir_traces(tmp_path):
     assert files == ["finito-permuted-seed0.csv", "finito-permuted-seed1.csv"]
     for p in out_dir.iterdir():
         assert p.read_text().splitlines()[0] == TRACE_HEADER
+
+
+def _counted_runs(monkeypatch):
+    # the (solver, seed) of every cli.run call
+    runs = []
+
+    def counted(*args, **kwargs):
+        runs.append((args[1].solver, args[2].seed))
+        return real(*args, **kwargs)
+
+    real = cli.run
+    monkeypatch.setattr(cli, "run", counted)
+    return runs
+
+
+def test_compare_runs_a_seed_free_config_once(tmp_path, monkeypatch):
+    # cyclic sampling draws no random number and full-gradient no index, so
+    # compare once ran each of them again for every seed, to the same trace
+    runs = _counted_runs(monkeypatch)
+    out_dir = tmp_path / "traces"
+    code, out, err = call(["compare", "--synth", "n=50,d=5", "--configs",
+                           "finito:cyclic,full-gradient,finito", "--seeds", "3",
+                           "--epochs", "2", "--out-dir", str(out_dir)])
+    assert (code, err) == (0, "")
+    assert runs == [("finito", 0), ("full-gradient", 0),
+                    ("finito", 0), ("finito", 1), ("finito", 2)]
+    # every trace is the library's run at its own seed, wall_ms apart, and
+    # the CSV their median suboptimality per epoch
+    problem, reference = finito.synth_problem(finito.SynthSpec(n=50, d=5))
+    columns = []
+    for label, solver, sampling in (("finito-cyclic", "finito", "cyclic"),
+                                    ("full-gradient", "full-gradient", "uniform"),
+                                    ("finito", "finito", "uniform")):
+        subs = []
+        for seed in range(3):
+            records = finito.run(problem, finito.SolverConfig(solver),
+                                 finito.SamplingScheme(sampling, seed), 2,
+                                 reference=reference)
+            expected = io.StringIO()
+            finito.write_trace(records, expected)
+            written = (out_dir / f"{label}-seed{seed}.csv").read_text()
+            assert rows_without_wall(written) == rows_without_wall(expected.getvalue())
+            subs.append([r.suboptimality for r in records])
+        columns.append([statistics.median(at) for at in zip(*subs)])
+    assert out.splitlines() == ["epoch,finito-cyclic,full-gradient,finito"] + [
+        ",".join(map(repr, [float(e), *cells])) for e, cells in enumerate(zip(*columns))]
+
+
+def test_compare_reports_a_seed_free_divergence_for_every_seed(monkeypatch):
+    runs = _counted_runs(monkeypatch)
+    code, out, err = call(["compare", "--synth", SYNTH, "--epochs", "3", "--seeds", "0,4,7",
+                           "--configs", "full-gradient:uniform:step=1e9"])
+    assert (code, runs) == (0, [("full-gradient", 0)])
+    lines = err.splitlines()
+    assert [line.split(" diverged: ")[0] for line in lines] == [
+        f"full-gradient-uniform-step=1e9 seed {seed}" for seed in (0, 4, 7)]
+    assert len(set(line.split(" diverged: ")[1] for line in lines)) == 1
+    assert out.strip().splitlines()[-1].split(",")[1] == "inf"
 
 
 def test_compare_rejects_bad_config_token():

@@ -130,8 +130,8 @@ def test_synth_requires_room_for_beta():
 
 
 @pytest.mark.parametrize("setting,message", [
-    ({"s": 0.0}, "^synthetic problems need s > 0$"),
-    ({"s": math.nan}, "^s must be finite, got nan$"),
+    ({"s": 0.0}, "^s must be finite and > 0, got 0.0$"),
+    ({"s": math.nan}, "^s must be finite and > 0, got nan$"),
     ({"loss": "hinge"}, r"^unknown loss 'hinge' \(known: logistic, squared\)$"),
 ])
 def test_synth_refuses_an_objective_it_cannot_build(setting, message):
@@ -450,7 +450,7 @@ def test_checkpoint_corruption_detected(synth_tiny, tmp_path):
     pytest.param("finito", "sampling_seed ", lambda line: "sampling_seed -1",
                  "seed must be >= 0", id="finito-sampling_seed -1"),
     pytest.param("finito", "draws ", lambda line: "draws -5",
-                 "draw count must be >= 0", id="finito-draws -5"),
+                 "draws must be >= 0", id="finito-draws -5"),
     pytest.param("finito", "sampling ", lambda line: "sampling bogus",
                  "unknown sampling kind 'bogus'", id="finito-sampling bogus"),
 ])

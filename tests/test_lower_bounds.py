@@ -87,8 +87,8 @@ def test_simulate_unseen_single_k_and_determinism():
 
 @pytest.mark.parametrize("k,trials,message", [
     ([], 10, "^need at least one k$"),
-    ([-1], 10, "^need k >= 0, got -1$"),
-    (3, 1, "^need trials >= 2, got 1$"),
+    ([-1], 10, "^k must be >= 0, got -1$"),
+    (3, 1, "^trials must be >= 2, got 1$"),
 ])
 def test_simulate_unseen_refusals(k, trials, message):
     with pytest.raises(ValueError, match=message):
@@ -181,5 +181,5 @@ def test_lowerbound_suite_rejects_a_law_one_draw_off(monkeypatch):
 
 @pytest.mark.parametrize("n", [0, -3])
 def test_lowerbound_suite_needs_a_component(n):
-    with pytest.raises(ValueError, match="need n >= 1"):
+    with pytest.raises(ValueError, match="n must be >= 1"):
         suite_lowerbound(seed=0, n=n)

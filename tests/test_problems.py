@@ -11,10 +11,23 @@ import pytest
 from finito import (
     LOGISTIC,
     SQUARED,
+    UNIFORM,
     FiniteSumProblem,
+    IndexSampler,
     QuadraticProblem,
+    ReferenceSolution,
+    SamplingScheme,
+    SolverConfig,
     StrongConvexityRequired,
+    SynthSpec,
+    convexity_suite,
+    expected_unseen,
+    make_worst_case,
     prox_operator,
+    rate_bound,
+    run,
+    simulate_unseen,
+    synth_data,
 )
 
 
@@ -255,7 +268,7 @@ def test_big_data_boundary_inclusive():
 
 def test_big_data_refuses_beta_0():
     p = QuadraticProblem(np.zeros((4, 1)), weights=np.full(4, 2.0), s=1.0)
-    with pytest.raises(ValueError, match="^beta must be > 0, got 0.0$"):
+    with pytest.raises(ValueError, match="^beta must be finite and > 0, got 0.0$"):
         p.big_data_check(0.0)
 
 
@@ -276,9 +289,9 @@ def test_prox_soft_threshold_values():
 
 
 def test_prox_refuses_step_0_and_a_negative_weight():
-    with pytest.raises(ValueError, match="^prox step must be > 0, got 0.0$"):
+    with pytest.raises(ValueError, match="^step must be finite and > 0, got 0.0$"):
         prox_operator(0.5, np.array([2.0]), 0.0)
-    with pytest.raises(ValueError, match="^l1_weight must be >= 0, got -0.5$"):
+    with pytest.raises(ValueError, match="^l1_weight must be finite and >= 0, got -0.5$"):
         prox_operator(-0.5, np.array([2.0]), 1.0)
 
 
@@ -415,3 +428,78 @@ def test_component_gradient_overflowing_margin_is_not_a_bad_point():
         warnings.simplefilter("ignore", RuntimeWarning)
         g = p.component_gradient(0, np.array([1e308, 1e308]))
     assert not np.all(np.isfinite(g))
+
+
+# -- scalar input rules ---------------------------------------------------------
+
+_DESK = QuadraticProblem([[1.0], [-1.0]], weights=[2.0, 2.0], s=1.0)
+_DESK_REFERENCE = ReferenceSolution(np.zeros(1), 1.0, 0.0, "closed-form")
+_Z = np.array([2.0, -1.0])
+
+
+def _run(epochs):
+    return run(_DESK, SolverConfig(), SamplingScheme(UNIFORM), epochs)
+
+
+# (call, the parameter its refusal names); NaN, inf, -1, 2.5 and True fed to
+# public entry points, True only where an integer is due.  The rows whose id
+# ends in "-once" were not refused by name before the rules were shared:
+# they returned NaN, zeros or verdict=False, ran a truncated count, or
+# raised islice's or numpy's own message.
+SCALAR_REFUSALS = [
+    pytest.param(lambda: prox_operator(math.nan, _Z, 1.0), "l1_weight", id="prox-l1-nan-once"),
+    pytest.param(lambda: prox_operator(1.0, _Z, math.nan), "step", id="prox-step-nan-once"),
+    pytest.param(lambda: prox_operator(1.0, _Z, math.inf), "step", id="prox-step-inf-once"),
+    pytest.param(lambda: prox_operator(-1.0, _Z, 1.0), "l1_weight", id="prox-l1-negative"),
+    pytest.param(lambda: prox_operator(1.0, _Z, -1.0), "step", id="prox-step-negative"),
+    pytest.param(lambda: _DESK.big_data_check(math.nan), "beta", id="big-data-nan-once"),
+    pytest.param(lambda: _DESK.big_data_check(math.inf), "beta", id="big-data-inf-once"),
+    pytest.param(lambda: _DESK.big_data_check(-1.0), "beta", id="big-data-negative"),
+    pytest.param(lambda: _run(math.nan), "epochs", id="run-epochs-nan-once"),
+    pytest.param(lambda: _run(2.5), "epochs", id="run-epochs-2.5"),
+    pytest.param(lambda: _run(True), "epochs", id="run-epochs-true"),
+    pytest.param(lambda: _run(-1), "epochs", id="run-epochs-negative"),
+    pytest.param(lambda: rate_bound(_DESK, 2.0, np.ones(1), math.nan), "k",
+                 id="rate-bound-k-nan-once"),
+    pytest.param(lambda: rate_bound(_DESK, 2.0, np.ones(1), math.inf), "k",
+                 id="rate-bound-k-inf"),
+    pytest.param(lambda: rate_bound(_DESK, math.nan, np.ones(1), 1), "alpha",
+                 id="rate-bound-alpha-nan"),
+    pytest.param(lambda: expected_unseen(2.5, 1), "n", id="expected-unseen-n-2.5-once"),
+    pytest.param(lambda: expected_unseen(5, -1), "k", id="expected-unseen-k-negative"),
+    pytest.param(lambda: simulate_unseen(2.5, [1]), "n", id="simulate-unseen-n-2.5-once"),
+    pytest.param(lambda: simulate_unseen(5, [1.7]), "k", id="simulate-unseen-k-1.7-once"),
+    pytest.param(lambda: simulate_unseen(5, math.nan), "k", id="simulate-unseen-k-nan"),
+    pytest.param(lambda: simulate_unseen(5, [1], trials=True), "trials",
+                 id="simulate-unseen-trials-true"),
+    pytest.param(lambda: simulate_unseen(5, [1], trials=50, seed=-1), "seed",
+                 id="simulate-unseen-seed-negative-once"),
+    pytest.param(lambda: make_worst_case(True), "n", id="worst-case-n-true"),
+    pytest.param(lambda: IndexSampler(SamplingScheme(UNIFORM), 5).skip_to(1.5), "draws",
+                 id="skip-to-1.5-once"),
+    pytest.param(lambda: IndexSampler(SamplingScheme(UNIFORM), 5).skip_to(-1), "draws",
+                 id="skip-to-negative"),
+    pytest.param(lambda: IndexSampler(SamplingScheme(UNIFORM), math.inf), "n",
+                 id="sampler-n-inf"),
+    pytest.param(lambda: SamplingScheme(UNIFORM, True), "seed", id="scheme-seed-true"),
+    pytest.param(lambda: SamplingScheme(UNIFORM, -1), "seed", id="scheme-seed-negative"),
+    pytest.param(lambda: synth_data(SynthSpec(n=20, d=3, seed=-1)), "seed",
+                 id="synth-seed-negative-once"),
+    pytest.param(lambda: synth_data(SynthSpec(n=2.5, d=3)), "n", id="synth-n-2.5"),
+    pytest.param(lambda: synth_data(SynthSpec(n=20, d=True)), "d", id="synth-d-true"),
+    pytest.param(lambda: synth_data(SynthSpec(n=20, d=3, s=math.inf)), "s", id="synth-s-inf"),
+    pytest.param(lambda: synth_data(SynthSpec(n=20, d=3, noise=math.nan)), "noise",
+                 id="synth-noise-nan"),
+    pytest.param(lambda: synth_data(SynthSpec(n=20, d=3, noise=-1.0)), "noise",
+                 id="synth-noise-negative"),
+    pytest.param(lambda: convexity_suite(_DESK, _DESK_REFERENCE, draws=2.5), "draws",
+                 id="convexity-draws-2.5"),
+    pytest.param(lambda: convexity_suite(_DESK, _DESK_REFERENCE, seed=-1), "seed",
+                 id="convexity-seed-negative"),
+]
+
+
+@pytest.mark.parametrize("call,name", SCALAR_REFUSALS)
+def test_scalar_inputs_are_refused_naming_the_parameter(call, name):
+    with pytest.raises((ValueError, TypeError), match=rf"^{name} must be "):
+        call()
