@@ -10,6 +10,7 @@ given its flags; the wall_ms trace column is the single exception.
 from __future__ import annotations
 
 import argparse
+import inspect
 import multiprocessing
 import os
 import sys
@@ -22,14 +23,14 @@ import numpy as np
 from .data_io import (SynthSpec, _format_float as _fmt, _open_text,
                       checkpoint_load, checkpoint_save, parse_libsvm,
                       synth_data, write_trace)
-from .lower_bounds import suite_lowerbound
+from .lower_bounds import suite_lowerbound  # noqa: F401  (the suites are looked up by name)
 from .problems import (FiniteSumProblem, LOGISTIC, LOSS_KINDS,
                        ReferenceSolution)
 from .samplers import CYCLIC, SAMPLING_NAMES, SamplingScheme
 from .solvers import (ALPHA_TAGS, DivergenceError, MONITORS, SOLVER_TAGS,
                       SolverConfig, check_run, reference_solve, run,
                       run_with_state, sag_default_step)
-from .theory import suite_inequalities, suite_lyapunov, suite_rate
+from .theory import suite_inequalities, suite_lyapunov, suite_rate  # noqa: F401
 
 
 class _Parser(argparse.ArgumentParser):
@@ -229,16 +230,24 @@ def _parse_config_token(token: str):
     return token.replace(":", "-"), sampling, SolverConfig(solver, **settings)
 
 
+def _once_each(what: str, items: list, flag: str, text: str) -> list:
+    """items, unless one is given twice in `flag`'s value `text`."""
+    seen = set()
+    for item in items:
+        if item in seen:
+            raise ValueError(f"{what} {item!r} given twice in {flag} {text!r}")
+        seen.add(item)
+    return items
+
+
 def cmd_compare(args) -> int:
     problem = _build_problem(args)
-    tokens = [tok for tok in args.configs.split(",") if tok]
-    for i, token in enumerate(tokens):
-        if token in tokens[:i]:
-            raise ValueError(f"config {token!r} given twice in --configs {args.configs!r}")
+    tokens = _once_each("config", [tok for tok in args.configs.split(",") if tok],
+                        "--configs", args.configs)
     configs = [_parse_config_token(tok) for tok in tokens]
     if not configs:
         raise ValueError("no configs given")
-    seeds = _parse_seeds(args.seeds)
+    seeds = _once_each("seed", _parse_seeds(args.seeds), "--seeds", args.seeds)
     if not seeds:
         raise ValueError("no seeds given")
     for _, sampling, config in configs:  # every run, before the reference and the first run
@@ -354,25 +363,24 @@ def _run_suites(calls: dict) -> dict:
     return done
 
 
-# each suite in CSV order, with the verify flags it reads; the first two
-# read them all
-_SUITE_FLAGS = {"inequalities": ("n", "d", "beta", "draws", "seed", "alpha"),
-                "lyapunov": ("n", "d", "beta", "draws", "seed", "alpha"),
-                "rate": ("n", "seed", "alpha"), "lowerbound": ("n", "seed")}
+# each suite in CSV order, with the verify flags it reads: its keywords
+_SUITE_FLAGS = {name: inspect.signature(globals()[f"suite_{name}"]).parameters
+                for name in ("inequalities", "lyapunov", "rate", "lowerbound")}
+# every suite's keywords, each a verify flag of its default's type
+_VERIFY_FLAGS = {flag: type(param.default) for params in _SUITE_FLAGS.values()
+                 for flag, param in params.items()}
 
 
 def cmd_verify(args) -> int:
     names = [name for name in _SUITE_FLAGS if args.suite in (name, "all")]
-    given = {flag: getattr(args, flag) for flag in _SUITE_FLAGS["inequalities"]
+    given = {flag: getattr(args, flag) for flag in _VERIFY_FLAGS
              if getattr(args, flag) is not None}
     for flag in given:
         if all(flag not in _SUITE_FLAGS[name] for name in names):
             raise ValueError(f"verify --suite {args.suite} ignores --{flag}")
-    # looked up here, so a suite rebound in this module is the one called
-    suites = {"inequalities": suite_inequalities, "lyapunov": suite_lyapunov,
-              "rate": suite_rate, "lowerbound": suite_lowerbound}
+    # looked up here, so a suite rebound in this module is the one called;
     # a suite's own defaults fill the flags not given
-    calls = {name: partial(_suite_rows, suites[name],
+    calls = {name: partial(_suite_rows, globals()[f"suite_{name}"],
                            **{flag: given[flag] for flag in _SUITE_FLAGS[name]
                               if flag in given})
              for name in names}
@@ -443,12 +451,8 @@ def build_parser() -> argparse.ArgumentParser:
                             help="run analysis check suites, emit CheckReport "
                                  "CSV, exit 3 on any violation")
     p_ver.add_argument("--suite", choices=(*_SUITE_FLAGS, "all"), required=True)
-    p_ver.add_argument("--n", type=int, default=None)
-    p_ver.add_argument("--d", type=int, default=None)
-    p_ver.add_argument("--beta", type=float, default=None)
-    p_ver.add_argument("--draws", type=int, default=None)
-    p_ver.add_argument("--seed", type=int, default=None)
-    p_ver.add_argument("--alpha", type=float, default=None)
+    for flag, kind in _VERIFY_FLAGS.items():
+        p_ver.add_argument(f"--{flag}", type=kind, default=None)
     p_ver.add_argument("--out", default="-")
     p_ver.set_defaults(func=cmd_verify)
 

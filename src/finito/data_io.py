@@ -40,7 +40,8 @@ CHECKPOINT_MAGIC = "FINITOCKPT 2"
 _STATE_CLASSES = {**dict.fromkeys(FINITO_TAGS, FinitoState),
                   **{cls.solver_tag: cls for cls in (SagState, FullGradientState)}}
 
-# dense materialization above this many bytes draws a warning
+# dense materialization above this many bytes draws a warning, a UserWarning
+# so that Python shows it by default
 DENSE_WARN_BYTES = 1 << 30
 
 
@@ -143,7 +144,7 @@ def parse_libsvm(source):
     if need > DENSE_WARN_BYTES:
         warnings.warn(
             f"dense LIBSVM materialization needs {need / 2**20:.0f} MiB "
-            f"({n} rows x {width} columns)", ResourceWarning)
+            f"({n} rows x {width} columns)", UserWarning)
     features = np.zeros((n, width))
     for r, entries in enumerate(rows):
         for idx, val in entries:

@@ -170,8 +170,9 @@ def check_run(problem, config: SolverConfig, scheme: SamplingScheme, epochs: int
     sets), s > 0 for those three, that constant finite and > 0, an integer
     epochs >= 0 (TypeError for another type), record_every finite and > 0;
     a resume (state, sampler) that continues the run it was saved from (the
-    same solver, constant and, for a table solver, scheme) at a step no
-    later than the run's end; and table-mean monitoring only on a finito
+    same solver, constant and, for a table solver, scheme and a sampler
+    unless no index can have been drawn: k == 0 or seen == k < n) at a step
+    no later than the run's end; and table-mean monitoring only on a finito
     state in audit storage."""
     solver = config.solver
     if solver not in SOLVER_TAGS:
@@ -213,6 +214,12 @@ def check_run(problem, config: SolverConfig, scheme: SamplingScheme, epochs: int
             if held != fresh:
                 raise ValueError(f"{tag} resumes at {setting} {held!r} from its checkpoint, "
                                  f"not {fresh!r}; resume with the settings it started with")
+        # without its sampler the index stream would restart at draw 0
+        if sampler is None and solver != "full-gradient" and not (
+                state.k == 0 or state.seen == state.k < problem.n):
+            raise ValueError(f"{tag} resumes at step {state.k} without the index "
+                             "stream it drew from (sampling none); save the "
+                             "checkpoint with its sampler")
         end = epochs * (1 if solver == "full-gradient" else problem.n)
         if state.k > end:
             raise ValueError(f"{tag} resumes at step {state.k} from its checkpoint, "

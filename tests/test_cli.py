@@ -1,6 +1,8 @@
 """Command-line contract: exit codes, CSV schemas, reproducibility."""
 
+import argparse
 import contextlib
+import inspect
 import io
 import re
 import statistics
@@ -11,6 +13,8 @@ import pytest
 
 import finito
 import finito.cli as cli
+import finito.lower_bounds as lower_bounds
+import finito.theory as theory
 from finito import CheckReport, TRACE_HEADER
 
 
@@ -379,6 +383,11 @@ AFTER_THE_REFERENCE = {"huge-l-reference", "reference-stall"}
                   "--epochs", "1", "--out-dir", "{traces}"],
                  "error: config 'finito' given twice in --configs 'finito,sag,finito'\n",
                  id="config-twice"),
+    # a seed given twice ran twice, rewrote its trace and took the median
+    # over copies
+    pytest.param(["compare", "--synth", "n=50,d=5", "--configs", "finito",
+                  "--seeds", "0,0,0", "--epochs", "1", "--out-dir", "{traces}"],
+                 "error: seed 0 given twice in --seeds '0,0,0'\n", id="seed-twice"),
 ])
 def test_invalid_values_exit_one_without_traceback(tmp_path, reference_solves, request,
                                                    argv, message):
@@ -593,6 +602,24 @@ def test_overflow_prints_only_the_diverged_line(tmp_path, subprocess_env):
                            "at step 0\n")
 
 
+def test_a_dense_libsvm_warning_reaches_stderr(tmp_path, subprocess_env):
+    # it was a ResourceWarning, which Python's default filters drop, so a
+    # run that materialized a huge dense matrix printed nothing
+    data = tmp_path / "three.svm"
+    data.write_text(DATA_FILES["three.svm"])
+    script = ("import sys\n"
+              "import finito.cli as cli\n"
+              "import finito.data_io\n"
+              "finito.data_io.DENSE_WARN_BYTES = 8\n"
+              f"sys.exit(cli.main(['run', '--data', {str(data)!r}, "
+              "'--fstar', 'none', '--epochs', '1']))\n")
+    done = subprocess.run([sys.executable, "-c", script], env=subprocess_env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert ("UserWarning: dense LIBSVM materialization needs 0 MiB "
+            "(3 rows x 2 columns)") in done.stderr
+
+
 def test_verification_failure_exits_three(monkeypatch):
     monkeypatch.setattr(
         cli, "suite_lowerbound",
@@ -687,6 +714,22 @@ def test_verify_passes_a_suite_only_the_flags_given(monkeypatch):
     assert call(["verify", "--suite", "rate"])[0] == 0
     assert call(["verify", "--suite", "rate", "--seed", "4", "--alpha", "3"])[0] == 0
     assert settings == [{}, {"seed": 4, "alpha": 3.0}]
+
+
+def test_verify_flags_are_the_suites_keywords():
+    # each flag and its type once had a hand-written copy beside the suites
+    want = {}
+    for suite in (theory.suite_inequalities, theory.suite_lyapunov,
+                  theory.suite_rate, lower_bounds.suite_lowerbound):
+        for name, param in inspect.signature(suite).parameters.items():
+            want[name] = type(param.default)
+    verify = next(action for action in cli.build_parser()._actions
+                  if isinstance(action, argparse._SubParsersAction)).choices["verify"]
+    flags = [action for action in verify._actions
+             if action.dest not in ("help", "suite", "out")]
+    assert {action.dest: action.type for action in flags} == want
+    assert [action.option_strings for action in flags] == [[f"--{name}"] for name in want]
+    assert all(action.default is None for action in flags)
 
 
 # -- compare ---------------------------------------------------------------------
@@ -897,6 +940,25 @@ def test_resume_past_the_run_end_exits_one_before_a_reference(tmp_path, no_refer
                            "--resume", str(ck4), "--save-state", str(ck2)])
     assert (code, out, err) == (0, TRACE_HEADER + "\n", "")
     assert ck2.read_text() == ck4.read_text()
+
+
+def test_resume_without_its_sampler_exits_one_before_a_reference(tmp_path,
+                                                                 no_reference_solve):
+    # a library checkpoint saved with no sampler once resumed with the index
+    # stream restarted at draw 0, exited 0 and ended at another w
+    ck = tmp_path / "finito.ckpt"
+    problem = cli._build_problem(cli.build_parser().parse_args(
+        ["run", "--synth", "n=50,d=5,seed=1"]))
+    _, state, _ = finito.run_with_state(problem, finito.SolverConfig(),
+                                        finito.SamplingScheme("uniform", 3), 2)
+    finito.checkpoint_save(state, ck)
+    assert "sampling none\n" in ck.read_text()
+    code, out, err = call(["run", "--synth", "n=50,d=5,seed=1", "--seed", "3",
+                           "--epochs", "4", "--resume", str(ck)])
+    assert (code, out) == (1, "")
+    assert err == ("error: finito resumes at step 100 without the index stream "
+                   "it drew from (sampling none); save the checkpoint with its "
+                   "sampler\n")
 
 
 def test_resume_without_first_pass_from_epoch_zero(tmp_path):
@@ -1135,7 +1197,10 @@ def test_request_too_big_to_allocate_exits_one(tmp_path, argv):
     data = tmp_path / "huge.libsvm"
     data.write_text("1 100000000000000:1\n-1 1:0.5\n")
     argv = [str(data) if a == "{huge.libsvm}" else a for a in argv]
-    code, out, err = call(argv)
+    # the dense matrix is far past DENSE_WARN_BYTES, and says so first
+    with (pytest.warns(UserWarning, match="dense LIBSVM materialization")
+          if "--data" in argv else contextlib.nullcontext()):
+        code, out, err = call(argv)
     assert (code, out) == (1, "")
     assert err.startswith("error: out of memory")
     assert "Traceback" not in err

@@ -77,7 +77,7 @@ def test_parse_libsvm_error_positions():
 
 def test_parse_libsvm_memory_warning(monkeypatch):
     monkeypatch.setattr(finito.data_io, "DENSE_WARN_BYTES", 8)
-    with pytest.warns(ResourceWarning, match="dense LIBSVM materialization"):
+    with pytest.warns(UserWarning, match="dense LIBSVM materialization"):
         parse_libsvm(io.StringIO(SAMPLE))
 
 

@@ -603,6 +603,54 @@ def test_resume_matches_uninterrupted(synth_tiny):
     assert stitched == want
 
 
+@pytest.mark.parametrize("solver", ["finito", "prox-finito", "miso", "sag"])
+def test_a_table_resume_without_its_sampler_is_refused(synth_tiny, solver):
+    # a state saved with no sampler once resumed with the index stream
+    # restarted at draw 0, so its w was not the uninterrupted run's
+    problem, _ = synth_tiny
+    config = SolverConfig(solver=solver, w0=np.zeros(problem.d))
+    scheme = SamplingScheme(UNIFORM, seed=3)
+    _, state, _ = run_with_state(problem, config, scheme, 2)
+    buf = io.StringIO()
+    checkpoint_save(state, buf)
+    buf.seek(0)
+    resume = checkpoint_load(buf, problem)
+    assert resume[1] is None
+    with pytest.raises(ValueError, match=f"^{solver} resumes at step 40 without "
+                                         "the index stream it drew from"):
+        run(problem, config, scheme, 4, resume=resume)
+    # full-gradient draws no index, so its state alone resumes
+    config = SolverConfig(solver="full-gradient", w0=np.zeros(problem.d))
+    _, state, sampler = run_with_state(problem, config, scheme, 2)
+    assert sampler is None
+    assert len(run(problem, config, scheme, 4, resume=(state, None))) == 2
+
+
+@pytest.mark.parametrize("solver", ["finito", "sag"])
+@pytest.mark.parametrize("first_pass,k", [(False, 0), (True, 0), (True, 7)])
+def test_a_state_that_drew_no_index_resumes_without_a_sampler(
+        synth_tiny, solver, first_pass, k):
+    # at k = 0, or mid first pass (seen == k < n), the stream is still at draw 0
+    problem, _ = synth_tiny
+    w0 = np.zeros(problem.d)
+    config = SolverConfig(solver=solver, w0=w0, first_pass=first_pass)
+    scheme = SamplingScheme(PERMUTED, seed=3)
+    records, whole, _ = run_with_state(problem, config, scheme, 3)
+    state = (sag_init(problem, w0, first_pass=first_pass) if solver == "sag"
+             else finito_init(problem, 2.0, w0, first_pass=first_pass))
+    first = sag_first_pass_step if solver == "sag" else finito_first_pass_step
+    for j in range(k):
+        first(state, problem, j)
+    buf = io.StringIO()
+    checkpoint_save(state, buf)
+    buf.seek(0)
+    tail, resumed, _ = run_with_state(problem, config, scheme, 3,
+                                      resume=checkpoint_load(buf, problem))
+    assert np.array_equal(resumed.w, whole.w)
+    assert ([(r.epoch, r.objective) for r in tail]
+            == [(r.epoch, r.objective) for r in records[1:]])
+
+
 def test_a_fresh_run_evaluates_its_start_point_once(synth_tiny, monkeypatch):
     problem, ref = synth_tiny
     calls = []

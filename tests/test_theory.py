@@ -1,6 +1,7 @@
 """Potential-function machinery: hand values, exact enumeration, inequality suites."""
 
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -55,6 +56,14 @@ def test_package_exports_resolve_once():
     for name in finito.__all__:
         assert hasattr(finito, name), name
     assert "Audit" in finito.__all__ and finito.Audit is theory.Audit
+
+
+def test_package_exports_are_its_imported_names_and_version():
+    # __all__ is derived from the package's imports, not written out beside them
+    assert "__version__" in finito.__all__
+    assert not [name for name in finito.__all__
+                if isinstance(getattr(finito, name), types.ModuleType)]
+    assert "theory" not in finito.__all__ and "types" not in finito.__all__
 
 
 # -- hand values -----------------------------------------------------------------
