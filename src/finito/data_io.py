@@ -286,155 +286,139 @@ def _parse_hex_vector(line: str, line_no: int, d: int) -> np.ndarray:
     return np.array(values, dtype=float)
 
 
-def _scalars(cls) -> dict:
-    # scalar field -> its (format, parse), in field order; the solver line is the tag
-    return {f.name: _CODECS[f.type]
-            for f in fields(cls) if f.type in _CODECS and f.name != "solver_tag"}
-
-
-def _arrays(cls) -> list:
-    # (field, line head) per array field, in field order: field x_table is
-    # `table x`, any other array field `vec <field>`
-    return [(f, f"table {f.name.removesuffix('_table')}" if f.name.endswith("_table")
-             else f"vec {f.name}") for f in fields(cls) if "ndarray" in str(f.type)]
+def _layout(cls) -> list:
+    # (head, field, kind, optional) per line after the solver line, in file
+    # order: the scalar fields, the sampler lines, each `vec <field>`, then each
+    # `table x` of a field x_table; a field that defaults to None may be absent
+    lines = [(f.name, f.name, f.type, False) for f in fields(cls)
+             if f.type in _CODECS and f.name != "solver_tag"]
+    lines += [(key, key, kind, False) for key, kind in
+              (("sampling", "str"), ("sampling_seed", "int"), ("draws", "int"))]
+    for kind in ("vec", "table"):
+        lines += [(f"{kind} {f.name.removesuffix('_table')}", f.name, kind, f.default is None)
+                  for f in fields(cls) if "ndarray" in str(f.type)
+                  and f.name.endswith("_table") == (kind == "table")]
+    return lines
 
 
 def checkpoint_save(state, sink, sampler: IndexSampler | None = None) -> None:
     """Serialize solver state (and optionally the sampler position).
 
-    The layout is the state's fields: the solver tag, one line per scalar
-    field, the sampler lines, then a vec line per vector field and a table
-    per x_table field that is set, vecs first, each in field order.  Floats
-    are hexadecimal literals, so save -> load -> save is byte-identical and
-    resumed runs replay the exact arithmetic of an uninterrupted one.  Lines
-    are written one at a time, never the whole file, and a path is replaced
-    only by a whole checkpoint: saving over the one a run resumed from is
-    safe.
+    The lines are the solver tag, then those of the state's _layout that are
+    set.  Floats are hexadecimal literals, so save -> load -> save is
+    byte-identical and resumed runs replay the exact arithmetic of an
+    uninterrupted one.  Lines are written one at a time, never the whole
+    file, and a path is replaced only by a whole checkpoint: saving over the
+    one a run resumed from is safe.
     """
     cls = type(state)
     if cls not in _STATE_CLASSES.values():
         raise TypeError(f"cannot checkpoint {cls.__name__}")
-    # the vec lines, then the tables, each in field order (sorted is stable)
-    arrays = sorted(((head, getattr(state, f.name)) for f, head in _arrays(cls)
-                     if getattr(state, f.name) is not None),
-                    key=lambda a: a[0].startswith("table "))
-    lines = [CHECKPOINT_MAGIC, f"solver {state.solver_tag}"]
-    for key, (fmt, _) in _scalars(cls).items():
-        lines.append(f"{key} {fmt(getattr(state, key))}")
-    lines += (["sampling none"] if sampler is None else
-              [f"sampling {sampler.scheme.kind}",
-               f"sampling_seed {sampler.scheme.seed}", f"draws {sampler.draws}"])
+    values = vars(state) | ({"sampling": "none"} if sampler is None else {
+        "sampling": sampler.scheme.kind, "sampling_seed": sampler.scheme.seed,
+        "draws": sampler.draws})
     with _open_text(sink, "w") as handle:
-        handle.writelines(line + "\n" for line in lines)
-        for head, a in arrays:
-            if head.startswith("vec "):
-                handle.write(f"{head} {_hex_vector(a)}\n")
+        handle.write(f"{CHECKPOINT_MAGIC}\nsolver {state.solver_tag}\n")
+        for head, name, kind, _ in _layout(cls):
+            value = values.get(name)
+            if value is None:
                 continue
-            handle.write(f"{head} {len(a)}\n")
-            for row in a:
-                handle.write(_hex_vector(row) + "\n")
+            if kind == "table":
+                handle.write(f"{head} {len(value)}\n")
+                handle.writelines(_hex_vector(row) + "\n" for row in value)
+            else:
+                text = _hex_vector(value) if kind == "vec" else _CODECS[kind][0](value)
+                handle.write(f"{head} {text}\n")
         handle.write("END\n")
 
 
 def checkpoint_load(source, problem):
     """Rebuild (state, sampler) from a checkpoint of `problem`.
 
-    The solver tag picks the state class, whose fields (see checkpoint_save)
-    say what to read; the vec and table lines present are the storage, which
-    the state's constructor checks.  These are CheckpointFormatError: another
-    header, missing entries, scalar values that do not parse (naming the key
-    and the line), vectors not of length d and tables not n x d (both sized
-    from the problem, so a file's own sizes never allocate), a line given
-    twice, a line the layout does not read, and any ValueError the state or
-    sampler raises (storage, alpha, step, counters, sampling).
+    The file is read in the order checkpoint_save writes it: the header, the
+    solver line, whose tag picks the state class, that class's _layout, END.
+    These are CheckpointFormatError: another header; a line other than the
+    one expected next (missing, given twice, moved or unknown); scalar values
+    that do not parse (naming the key and the line); vectors not of length d
+    and tables not n x d (sized from the problem, so a file's own sizes
+    never allocate); a file that ends before END; and any ValueError the
+    state or sampler raises (storage, alpha, step, counters, sampling).
     """
     n, d = problem.n, problem.d
-    # line head (a scalar key, `vec name` or `table name`) -> (value, line number)
-    entries: dict[str, tuple] = {}
-    saw_end = False
-
-    def _scalar(key: str, cast=int):
-        # the one parser of scalar entries; a read entry leaves `entries`
-        if key not in entries:
-            raise CheckpointFormatError(f"missing {key!r} entry")
-        text, line_no = entries.pop(key)
-        try:
-            return cast(text)
-        except ValueError:
-            raise CheckpointFormatError(
-                f"line {line_no}: bad {key!r} value {text!r}") from None
-
     with _open_text(source, "r") as handle:
         # read line by line; splitting each read line again gives exactly the
         # lines str.splitlines() gives for the whole text
-        lines = enumerate((part for raw in handle for part in raw.splitlines()),
-                          start=1)
+        lines = enumerate((p for raw in handle for p in raw.splitlines()), start=1)
         _, found = next(lines, (1, ""))
         if found != CHECKPOINT_MAGIC:
             raise CheckpointFormatError(
                 f"unsupported checkpoint header {found!r} (expected {CHECKPOINT_MAGIC!r})")
-        for line_no, line in lines:
-            if not line.strip():
+
+        def entries():
+            # (line number, head, value text) per non-blank line, heads as in _layout
+            for line_no, line in lines:
+                if line.strip():
+                    head, _, text = line.partition(" ")
+                    if head in ("vec", "table"):
+                        name, _, text = text.partition(" ")
+                        head = f"{head} {name}"
+                    yield line_no, head, text
+            raise CheckpointFormatError("truncated checkpoint: missing END marker")
+
+        def expected(key):
+            return CheckpointFormatError(f"line {line_no}: expected {key!r}, found {head!r}")
+
+        entry = entries()
+        line_no, head, text = next(entry)
+        if head != "solver":
+            raise expected("solver")
+        cls = _STATE_CLASSES.get(text)
+        if cls is None:
+            raise CheckpointFormatError(f"unknown solver tag {text!r}")
+        values = {"solver_tag": text}
+        line_no, head, text = next(entry)
+        for key, name, kind, optional in _layout(cls):
+            if name in ("sampling_seed", "draws") and values["sampling"] == "none":
                 continue
-            if line == "END":
-                saw_end = True
-                break
-            key, _, rest = line.partition(" ")
-            kind = key if key in ("vec", "table") else None
-            if kind:
-                name, _, rest = rest.partition(" ")
-                key = f"{kind} {name}"
-            if key in entries:
-                raise CheckpointFormatError(f"line {line_no}: {key!r} given twice "
-                                            f"(first on line {entries[key][1]})")
-            value, head_line = rest, line_no
+            if head != key:
+                if optional:
+                    continue
+                raise expected(key)
             if kind == "vec":
-                value = _parse_hex_vector(rest, line_no, d)
+                values[name] = _parse_hex_vector(text, line_no, d)
             elif kind == "table":
                 try:
-                    count = int(rest)
+                    count = int(text)
                 except ValueError:
                     raise CheckpointFormatError(
-                        f"line {line_no}: bad table row count {rest!r}") from None
+                        f"line {line_no}: bad table row count {text!r}") from None
                 if count != n:
                     raise CheckpointFormatError(
-                        f"line {line_no}: table {name!r} has {count} rows, expected n={n}")
-                value = np.empty((n, d))
+                        f"line {line_no}: table {key[6:]!r} has {count} rows, expected n={n}")
+                values[name] = rows = np.empty((n, d))
                 for r in range(n):
                     line_no, row = next(lines, (line_no + 1, None))
                     if row is None or row == "END":
                         raise CheckpointFormatError(
-                            f"truncated checkpoint: table {name!r} needs {count} rows, "
+                            f"truncated checkpoint: table {key[6:]!r} needs {count} rows, "
                             f"got {r} (line {line_no})")
-                    value[r] = _parse_hex_vector(row, line_no, d)
-            entries[key] = (value, head_line)
-    if not saw_end:
-        raise CheckpointFormatError("truncated checkpoint: missing END marker")
-
-    solver = _scalar("solver", str)
-    cls = _STATE_CLASSES.get(solver)
-    if cls is None:
-        raise CheckpointFormatError(f"unknown solver tag {solver!r}")
-    args = {key: _scalar(key, parse) for key, (_, parse) in _scalars(cls).items()}
-    if cls is FinitoState:
-        args["solver_tag"] = solver
-    for f, head in _arrays(cls):
-        if head in entries:
-            args[f.name] = entries.pop(head)[0]
-        elif f.default is not None:  # a required field; the state checks the rest
-            kind, name = head.split(" ")
-            raise CheckpointFormatError(f"missing {name!r} {kind}")
-    sampler = None
-    sampling = _scalar("sampling", str)
+                    rows[r] = _parse_hex_vector(row, line_no, d)
+            else:
+                try:
+                    values[name] = _CODECS[kind][1](text)
+                except ValueError:
+                    raise CheckpointFormatError(
+                        f"line {line_no}: bad {key!r} value {text!r}") from None
+            line_no, head, text = next(entry)
+        if head != "END":
+            raise expected("END")
+        if text:
+            raise CheckpointFormatError(f"line {line_no}: bad 'END' value {text!r}")
     try:
-        state = cls(**args)
-        if sampling != "none":
-            scheme = SamplingScheme(sampling, _scalar("sampling_seed"))
-            sampler = IndexSampler(scheme, problem.n).skip_to(_scalar("draws"))
+        state = cls(**{f.name: values[f.name] for f in fields(cls) if f.name in values})
+        sampler = None if values["sampling"] == "none" else IndexSampler(
+            SamplingScheme(values["sampling"], values["sampling_seed"]), n
+        ).skip_to(values["draws"])
     except ValueError as exc:
         raise CheckpointFormatError(str(exc)) from None
-    if entries:  # the layout reads none of what is left: the file was edited
-        key, (_, line_no) = next(iter(entries.items()))
-        raise CheckpointFormatError(
-            f"line {line_no}: {key!r} is not in the layout of solver {solver!r}")
     return state, sampler

@@ -987,13 +987,14 @@ def test_resume_from_checkpoint_without_w_exits_one(tmp_path):
     ck.write_text("\n".join(l for l in lines if not l.startswith("vec w ")) + "\n")
     code, _, err = call(["run", *base, "--epochs", "6", "--resume", str(ck)])
     assert code == 1
-    assert "missing 'w'" in err
+    assert "line 9: expected 'vec w', found 'vec p_sum'" in err
 
 
 def test_resume_from_audit_checkpoint_in_the_gradient_table_layout_exits_one(tmp_path):
     # audit checkpoints once held phi and gradient tables, with their sums,
     # in place of the p table, under the same header; such a file lacks the
-    # p table every finito state reads w from
+    # p arrays every finito state reads w from, and is refused where the
+    # layout expects its p_sum
     ck = tmp_path / "state.ckpt"
     base = ["--synth", SYNTH, "--solver", "finito", "--monitor", "table-mean",
             "--seed", "5"]
@@ -1009,7 +1010,7 @@ def test_resume_from_audit_checkpoint_in_the_gradient_table_layout_exits_one(tmp
     ck.write_text(old)
     code, out, err = call(["run", *base, "--epochs", "4", "--resume", str(ck)])
     assert (code, out) == (1, "")
-    assert "missing 'p' table" in err
+    assert "line 10: expected 'vec p_sum', found 'vec phi_sum'" in err
     assert "Traceback" not in err
 
 
@@ -1027,8 +1028,7 @@ def test_resume_from_audit_checkpoint_with_a_phi_sum_line_exits_one(tmp_path):
     ck.write_text(text.replace(p_sum, p_sum + p_sum.replace("vec p_sum", "vec phi_sum")))
     code, out, err = call(["run", *base, "--epochs", "4", "--resume", str(ck)])
     assert (code, out) == (1, "")
-    assert re.fullmatch(r"error: line \d+: 'vec phi_sum' is not in the layout "
-                        r"of solver 'finito'\n", err)
+    assert re.fullmatch(r"error: line \d+: expected 'table p', found 'vec phi_sum'\n", err)
 
 
 @pytest.mark.parametrize("solver", ["finito", "prox-finito", "miso"])
@@ -1057,13 +1057,13 @@ def test_table_mean_checkpoint_resumes_under_either_monitor(tmp_path, solver):
 # has no `line` saying either, and one with an `edited` line added is refused
 @pytest.mark.parametrize("solver,line,edited,message", [
     pytest.param("finito", "proximal 0", "proximal 1",
-                 "line 3: 'proximal' is not in the layout of solver 'finito'",
+                 "line 3: expected 'alpha', found 'proximal'",
                  id="finito-proximal 0-proximal 1"),
     pytest.param("prox-finito", "proximal 1", "proximal 0",
-                 "line 3: 'proximal' is not in the layout of solver 'prox-finito'",
+                 "line 3: expected 'alpha', found 'proximal'",
                  id="prox-finito-proximal 1-proximal 0"),
     pytest.param("prox-finito", "audit 1", "audit 0",
-                 "line 3: 'audit' is not in the layout of solver 'prox-finito'",
+                 "line 3: expected 'alpha', found 'audit'",
                  id="prox-finito-audit 1-audit 0"),
 ])
 def test_resume_from_checkpoint_contradicting_its_tag_exits_one(
@@ -1143,7 +1143,7 @@ def test_resume_full_gradient_checkpoint_without_a_step_exits_one(tmp_path):
     assert lines[2].startswith("step ")
     ck.write_text("\n".join(lines[:2] + lines[3:]) + "\n")
     code, out, err = call(["run", *base, "--epochs", "3", "--resume", str(ck)])
-    assert (code, out, err) == (1, "", "error: missing 'step' entry\n")
+    assert (code, out, err) == (1, "", "error: line 3: expected 'step', found 'k'\n")
 
 
 def test_resume_from_checkpoint_with_huge_n_exits_one(tmp_path):
