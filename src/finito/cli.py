@@ -14,6 +14,7 @@ import inspect
 import multiprocessing
 import os
 import sys
+import warnings
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -459,9 +460,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _format_warning(python_format, message, category, *where):
+    # a library UserWarning is one `warning: <message>` line, as an error is
+    # one `error: <message>` line; any other warning keeps Python's format
+    if issubclass(category, UserWarning):
+        return f"warning: {message}\n"
+    return python_format(message, category, *where)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    python_format = warnings.formatwarning
+    warnings.formatwarning = partial(_format_warning, python_format)
     try:
         # no numpy warning on stderr; errstate changes no value or exit code
         with np.errstate(all="ignore"):
@@ -477,6 +488,8 @@ def main(argv=None) -> int:
         print(f"error: out of memory: {err}" if str(err) else
               "error: out of memory", file=sys.stderr)
         return 1
+    finally:
+        warnings.formatwarning = python_format
 
 
 def console_entry() -> None:

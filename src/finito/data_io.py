@@ -355,7 +355,9 @@ def checkpoint_load(source, problem):
                 f"unsupported checkpoint header {found!r} (expected {CHECKPOINT_MAGIC!r})")
 
         def entries():
-            # (line number, head, value text) per non-blank line, heads as in _layout
+            # (line number, head, value text) per non-blank line, heads as in
+            # _layout; the file may end only after END
+            head = None
             for line_no, line in lines:
                 if line.strip():
                     head, _, text = line.partition(" ")
@@ -363,7 +365,8 @@ def checkpoint_load(source, problem):
                         name, _, text = text.partition(" ")
                         head = f"{head} {name}"
                     yield line_no, head, text
-            raise CheckpointFormatError("truncated checkpoint: missing END marker")
+            if head != "END":
+                raise CheckpointFormatError("truncated checkpoint: missing END marker")
 
         def expected(key):
             return CheckpointFormatError(f"line {line_no}: expected {key!r}, found {head!r}")
@@ -414,11 +417,12 @@ def checkpoint_load(source, problem):
             raise expected("END")
         if text:
             raise CheckpointFormatError(f"line {line_no}: bad 'END' value {text!r}")
+        for line_no, head, _ in entry:  # END is the last line
+            raise CheckpointFormatError(f"line {line_no}: {head!r} after END")
     try:
         state = cls(**{f.name: values[f.name] for f in fields(cls) if f.name in values})
-        sampler = None if values["sampling"] == "none" else IndexSampler(
-            SamplingScheme(values["sampling"], values["sampling_seed"]), n
-        ).skip_to(values["draws"])
+        sampler = None if values["sampling"] == "none" else IndexSampler(SamplingScheme(
+            values["sampling"], values["sampling_seed"]), n).skip_to(values["draws"])
     except ValueError as exc:
         raise CheckpointFormatError(str(exc)) from None
     return state, sampler

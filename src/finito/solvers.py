@@ -456,8 +456,9 @@ def run_with_state(problem, config: SolverConfig, scheme: SamplingScheme,
     # past the run's end an interval records the same rows, and cannot overflow
     interval = max(1, round(min(record_every * steps_per_epoch, total_steps)))
 
-    state, sampler = resume if resume is not None else (
-        _build_state(problem, config, value), None)
+    # the state the run starts from; a resumed run continues another
+    start = _build_state(problem, config, value)
+    state, sampler = resume if resume is not None else (start, None)
     if sampler is None and not full_grad:
         sampler = IndexSampler(scheme, n)
 
@@ -474,11 +475,12 @@ def run_with_state(problem, config: SolverConfig, scheme: SamplingScheme,
         ))
         return sub
 
-    # the divergence baseline is the start row's suboptimality
+    # the divergence baseline is the start row's suboptimality, also when
+    # resumed, so a resumed run stops where the uninterrupted one does
     if resume is None:
         baseline = emit()
     else:  # the start row is in the trace the checkpoint came from
-        baseline = (problem.full_objective(_monitor_point(state, config)) - f_star
+        baseline = (problem.full_objective(_monitor_point(start, config)) - f_star
                     if f_star is not None else math.nan)
 
     if not full_grad:

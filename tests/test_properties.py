@@ -250,6 +250,42 @@ def test_checkpoint_without_a_line_fails_or_loads_the_same_state(case, data):
         _resaved(edited, problem)
 
 
+def _table_rows(lines) -> set:
+    # the indices of table rows: the count lines after each `table <name> <count>`
+    rows = set()
+    for at, line in enumerate(lines):
+        if line.startswith("table "):
+            rows.update(range(at + 1, at + 1 + int(line.split()[2])))
+    return rows
+
+
+@SETTINGS
+@given(run_states(), st.data())
+def test_checkpoint_with_a_line_moved_or_repeated_fails_or_is_unchanged(case, data):
+    # a checkpoint is read in the order it is written, so a line in another
+    # place or a line given twice is refused, never read as another state;
+    # two rows of one table swapped are data, not layout, so one line of
+    # each swapped pair is a line the layout names
+    problem, state, sampler = case
+    text = _saved(state, sampler)
+    lines = text.splitlines(keepends=True)
+    rows = _table_rows(lines)
+    at = data.draw(st.integers(0, len(lines) - 1), label="at")
+    edited = list(lines)
+    if data.draw(st.booleans(), label="repeat"):
+        edited.insert(at, lines[at])
+    else:
+        named = data.draw(st.sampled_from([i for i in range(len(lines)) if i not in rows]),
+                          label="named")
+        edited[at], edited[named] = lines[named], lines[at]
+    edited = "".join(edited)
+    if edited == text:  # a line swapped with itself
+        assert _resaved(edited, problem) == text
+        return
+    with pytest.raises(CheckpointFormatError):
+        checkpoint_load(io.StringIO(edited), problem)
+
+
 # arbitrary text, plus the values most likely to pass a parser and still be
 # wrong: integers (negative seeds and draw counts), floats (NaN, inf, <= 0)
 # and sampling kinds
