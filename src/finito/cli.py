@@ -460,19 +460,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _format_warning(python_format, message, category, *where):
-    # a library UserWarning is one `warning: <message>` line, as an error is
-    # one `error: <message>` line; any other warning keeps Python's format
-    if issubclass(category, UserWarning):
-        return f"warning: {message}\n"
-    return python_format(message, category, *where)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # a library UserWarning is one `warning: <message>` line, as an error is
+    # one `error: <message>` line; any other warning keeps Python's format
     python_format = warnings.formatwarning
-    warnings.formatwarning = partial(_format_warning, python_format)
+    warnings.formatwarning = lambda message, category, *where: (
+        f"warning: {message}\n" if issubclass(category, UserWarning)
+        else python_format(message, category, *where))
     try:
         # no numpy warning on stderr; errstate changes no value or exit code
         with np.errstate(all="ignore"):
