@@ -456,7 +456,7 @@ def run_with_state(problem, config: SolverConfig, scheme: SamplingScheme,
     # past the run's end an interval records the same rows, and cannot overflow
     interval = max(1, round(min(record_every * steps_per_epoch, total_steps)))
 
-    # the state the run starts from; a resumed run continues another
+    # a fresh run steps its start state; a resumed one measures divergence from it
     start = _build_state(problem, config, value)
     state, sampler = resume if resume is not None else (start, None)
     if sampler is None and not full_grad:
@@ -475,8 +475,8 @@ def run_with_state(problem, config: SolverConfig, scheme: SamplingScheme,
         ))
         return sub
 
-    # the divergence baseline is the start row's suboptimality, also when
-    # resumed, so a resumed run stops where the uninterrupted one does
+    # the divergence baseline is the start row's suboptimality, so a resumed
+    # run stops where the uninterrupted one does
     if resume is None:
         baseline = emit()
     else:  # the start row is in the trace the checkpoint came from

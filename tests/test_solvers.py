@@ -691,41 +691,34 @@ def test_runaway_suboptimality_raises_at_the_first_record_past_the_ratio():
     assert max(subs[:-1]) <= limit < subs[-1]
 
 
-def test_resumed_runaway_raises_at_the_same_step():
-    # a resumed run's baseline is the suboptimality of the state the run
-    # started from, rebuilt from its config, not that of its resume point
+# a resumed run's baseline is the suboptimality of the state the run started
+# from, rebuilt from its config, not that of its resume point: sag's resumed
+# run once went on to step 1600, recording rows up to suboptimality 3.2e9 that
+# the uninterrupted run, stopped at step 500, never reaches
+@pytest.mark.parametrize("config,scheme,epochs,k", [
+    pytest.param(SolverConfig(alpha=0.05), SamplingScheme(UNIFORM, seed=0), 3, 100,
+                 id="finito"),
+    pytest.param(SolverConfig(solver="sag", step=4.0), SamplingScheme(PERMUTED, seed=1),
+                 60, 500, id="sag"),
+])
+def test_resumed_runaway_raises_at_the_same_step(config, scheme, epochs, k):
     problem, ref = synth_problem(DIVERGING)
-    config, scheme = SolverConfig(alpha=0.05), SamplingScheme(UNIFORM, seed=0)
+    with pytest.raises(DivergenceError) as whole:
+        run(problem, config, scheme, epochs, reference=ref)
     _, state, sampler = run_with_state(problem, config, scheme, 1, reference=ref)
     buf = io.StringIO()
     checkpoint_save(state, buf, sampler)
     buf.seek(0)
     with pytest.raises(DivergenceError) as info:
-        run(problem, config, scheme, 3, reference=ref,
+        run(problem, config, scheme, epochs, reference=ref,
             resume=checkpoint_load(buf, problem))
-    assert (str(info.value), info.value.k) == (RUNAWAY, 100)
-    assert [r.epoch for r in info.value.records] == [2.0]
-
-
-def test_resumed_sag_runaway_raises_where_the_uninterrupted_run_does():
-    # measured against its resume point, after one epoch, this run once went
-    # on to step 1600 and recorded rows up to suboptimality 3.2e9 that the
-    # uninterrupted run, stopped at step 500, never reaches
-    problem, ref = synth_problem(DIVERGING)
-    config, scheme = SolverConfig(solver="sag", step=4.0), SamplingScheme(PERMUTED, seed=1)
-    with pytest.raises(DivergenceError) as whole:
-        run(problem, config, scheme, 60, reference=ref)
-    _, state, sampler = run_with_state(problem, config, scheme, 1, reference=ref)
-    buf = io.StringIO()
-    checkpoint_save(state, buf, sampler)
-    buf.seek(0)
-    with pytest.raises(DivergenceError) as resumed:
-        run(problem, config, scheme, 60, reference=ref,
-            resume=checkpoint_load(buf, problem))
-    assert whole.value.k == resumed.value.k == 500
-    assert str(resumed.value) == str(whole.value)
+    assert (str(info.value), info.value.k) == (RUNAWAY.replace("100", str(k)), k)
+    assert ([r.epoch for r in info.value.records]
+            == [float(e) for e in range(2, k // problem.n + 1)])
+    # the rows after the resume point are the uninterrupted run's, wall_ms aside
+    assert str(whole.value) == str(info.value)
     rows = [[(r.epoch, r.objective, r.suboptimality, r.grad_norm) for r in err.records]
-            for err in (whole.value, resumed.value)]
+            for err in (whole.value, info.value)]
     assert rows[1] == rows[0][2:]
 
 
