@@ -134,16 +134,17 @@ def _resolve_reference(fstar: str, problem):
                              grad_norm_at_solution=np.nan, method_tag="external")
 
 
-def _resolve_step(solver: str, step: str | None, problem) -> float | None:
-    """run --step: practical (sag's 1/(Ln)) or a number; None without one,
-    which leaves sag at its analysed 1/(16Ln) and full-gradient at 1/L."""
+def _resolve_step(solver: str, step: str | None, problem, where: str) -> float | None:
+    """run --step or a config's step=: practical (sag's 1/(Ln)) or a number;
+    None without one, which leaves sag at its analysed 1/(16Ln) and
+    full-gradient at 1/L.  Other solvers refuse practical, naming `where`."""
     if step != "practical":
         try:
             return None if step is None else float(step)
         except ValueError:
             raise ValueError(f"--step {step!r}: use practical or a number") from None
     if solver != "sag":
-        raise ValueError(f"{solver} ignores --step practical; only sag has one")
+        raise ValueError(f"{solver} ignores {where}; only sag has one")
     return sag_default_step(problem, practical=True)
 
 
@@ -182,7 +183,8 @@ def _alpha_setting(solver: str, alpha: float | None, where: str) -> dict:
 def cmd_run(args) -> int:
     problem = _build_problem(args)
     config = SolverConfig(
-        solver=args.solver, step=_resolve_step(args.solver, args.step, problem),
+        solver=args.solver,
+        step=_resolve_step(args.solver, args.step, problem, "--step practical"),
         first_pass=not args.no_first_pass, monitor=args.monitor,
         **_alpha_setting(args.solver, args.alpha, "--alpha"))
     scheme = SamplingScheme(args.sampling, args.seed)
@@ -206,8 +208,9 @@ def cmd_run(args) -> int:
 # compare
 
 
-def _parse_config_token(token: str):
-    """'solver[:sampling[:key=val]...]' with the keys alpha and step."""
+def _parse_config_token(token: str, problem):
+    """'solver[:sampling[:key=val]...]' with the keys alpha and step; step
+    takes what run --step takes."""
     parts = token.split(":")
     solver = parts[0]
     if solver not in SOLVER_TAGS:
@@ -222,10 +225,14 @@ def _parse_config_token(token: str):
             raise ValueError(f"unknown override key {key!r} in {token!r}")
         if key in settings:
             raise ValueError(f"{key}= given twice in config {token!r}")
-        try:
-            settings[key] = float(val)
-        except ValueError:
-            raise ValueError(f"bad override {extra!r} in config {token!r}") from None
+        if extra == "step=practical":
+            settings[key] = _resolve_step(solver, val, problem,
+                                          f"{extra} in config {token!r}")
+        else:
+            try:
+                settings[key] = float(val)
+            except ValueError:
+                raise ValueError(f"bad override {extra!r} in config {token!r}") from None
     alpha = settings.pop("alpha", None)
     settings.update(_alpha_setting(solver, alpha, f"in config {token!r}"))
     return token.replace(":", "-"), sampling, SolverConfig(solver, **settings)
@@ -245,7 +252,7 @@ def cmd_compare(args) -> int:
     problem = _build_problem(args)
     tokens = _once_each("config", [tok for tok in args.configs.split(",") if tok],
                         "--configs", args.configs)
-    configs = [_parse_config_token(tok) for tok in tokens]
+    configs = [_parse_config_token(tok, problem) for tok in tokens]
     if not configs:
         raise ValueError("no configs given")
     seeds = _once_each("seed", _parse_seeds(args.seeds), "--seeds", args.seeds)
@@ -440,7 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_problem_flags(p_cmp)
     p_cmp.add_argument("--configs", required=True,
                        help="comma list of solver[:sampling[:key=val]...], keys "
-                            "alpha and step, e.g. finito,finito:permuted:alpha=3")
+                            "alpha and step (as run --step), e.g. "
+                            "finito,finito:permuted:alpha=3,sag::step=practical")
     p_cmp.add_argument("--seeds", default="11",
                        help="seed count (0..n-1) or comma list (default 11)")
     p_cmp.add_argument("--epochs", type=int, default=10)

@@ -286,6 +286,16 @@ def _parse_hex_vector(line: str, line_no: int, d: int) -> np.ndarray:
     return np.array(values, dtype=float)
 
 
+def _finite(array: np.ndarray, key: str, line_no: int) -> np.ndarray:
+    # array, refused at the line of its first NaN or infinity, line_no being
+    # a vec's line or a table's first row: no run saves such an entry
+    finite_rows = np.atleast_2d(np.isfinite(array)).all(axis=1)
+    if not finite_rows.all():
+        raise CheckpointFormatError(f"line {line_no + int(np.argmin(finite_rows))}: "
+                                    f"non-finite entry in {key!r}")
+    return array
+
+
 def _layout(cls) -> list:
     # (head, field, kind, optional) per line after the solver line, in file
     # order: the scalar fields, the sampler lines, each `vec <field>`, then each
@@ -341,8 +351,9 @@ def checkpoint_load(source, problem):
     one expected next (missing, given twice, moved or unknown); scalar values
     that do not parse (naming the key and the line); vectors not of length d
     and tables not n x d (sized from the problem, so a file's own sizes
-    never allocate); a file that ends before END; and any ValueError the
-    state or sampler raises (storage, alpha, step, counters, sampling).
+    never allocate); a NaN or infinite array entry (naming its line); a file
+    that ends before END; and any ValueError the state or sampler raises
+    (storage, alpha, step, counters, sampling).
     """
     n, d = problem.n, problem.d
     with _open_text(source, "r") as handle:
@@ -388,7 +399,7 @@ def checkpoint_load(source, problem):
                     continue
                 raise expected(key)
             if kind == "vec":
-                values[name] = _parse_hex_vector(text, line_no, d)
+                values[name] = _finite(_parse_hex_vector(text, line_no, d), key, line_no)
             elif kind == "table":
                 try:
                     count = int(text)
@@ -406,6 +417,7 @@ def checkpoint_load(source, problem):
                             f"truncated checkpoint: table {key[6:]!r} needs {count} rows, "
                             f"got {r} (line {line_no})")
                     rows[r] = _parse_hex_vector(row, line_no, d)
+                _finite(rows, key, line_no - n + 1)  # from its first row's line
             else:
                 try:
                     values[name] = _CODECS[kind][1](text)

@@ -333,36 +333,27 @@ class Audit:
         expected_decrease_check."""
         _require_admissible(self.alpha, beta)
         _require_big_data(self.problem, beta)
-        n = self.problem.n
-        totals = self.base.total
-        lhs = self._branch_means(self.branches.total)
-        rhs = (1.0 - 1.0 / (self.alpha * n)) * totals
-        return self._each([
-            _le_report("expected-decrease", lo, hi, 1e-10,
-                       f"alpha={self.alpha:g} beta={beta:g} n={n} T={total:.6g}",
-                       scale=total)
-            for lo, hi, total in zip(lhs.tolist(), rhs.tolist(),
-                                     totals.tolist())])
+        n, T = self.problem.n, self.base.total
+        return self._each(_le_rows(
+            "expected-decrease", self._branch_means(self.branches.total),
+            (1.0 - 1.0 / (self.alpha * n)) * T, 1e-10, scale=T,
+            ctx=[f"alpha={self.alpha:g} beta={beta:g} n={n} T={t:.6g}" for t in T]))
 
     def map_report(self):
         """||w - map(phi)|| <= 0 up to 1e-9 (1 + ||map(phi)||): w is the
         table map, which bound_report and the closed forms assume."""
         mapped = _map(self.phi, self.grads, self.denom)
-        return self._each([
-            _le_report("map-consistency", gap, 0.0, 1e-9,
-                       f"alpha={self.alpha:g} n={self.problem.n}", scale=norm)
-            for gap, norm in zip(_norms(self.w - mapped).tolist(),
-                                 _norms(mapped).tolist())])
+        return self._each(_le_rows(
+            "map-consistency", _norms(self.w - mapped), 0.0, 1e-9,
+            f"alpha={self.alpha:g} n={self.problem.n}", scale=_norms(mapped)))
 
     def bound_report(self, reference: ReferenceSolution):
         """f(phi_bar) - f* <= alpha * T, which the analysis claims only where
         w is the table map; map_report checks that."""
-        lhs = self.base.t1 - reference.f_star
-        rhs = self.alpha * self.base.total
-        return self._each([
-            _le_report("suboptimality-bound", lo, hi, 1e-9,
-                       f"alpha={self.alpha:g} n={self.problem.n}", scale=0.0)
-            for lo, hi in zip(lhs.tolist(), rhs.tolist())])
+        return self._each(_le_rows(
+            "suboptimality-bound", self.base.t1 - reference.f_star,
+            self.alpha * self.base.total, 1e-9,
+            f"alpha={self.alpha:g} n={self.problem.n}", scale=0.0))
 
     def mean_descent_report(self):
         """E[T1'] - T1 <= (1/n) <f'(phi_bar), w - phi_bar>
@@ -375,9 +366,8 @@ class Audit:
         slopes = np.stack([problem.full_gradient(x) for x in phi_bar])
         rhs = (_dots(slopes, self.w - phi_bar) / n
                + 0.5 * L * self.gap_squares / n**3)
-        return self._each([
-            _le_report("table-mean-descent", lo, hi, 1e-9, f"n={n}", scale=t)
-            for lo, hi, t in zip(lhs.tolist(), rhs.tolist(), t1.tolist())])
+        return self._each(_le_rows("table-mean-descent", lhs, rhs, 1e-9,
+                                   f"n={n}", scale=t1))
 
     def term_shifts(self):
         """E[T_m'] - T_m for each potential term, by exact enumeration."""
@@ -451,11 +441,9 @@ class Audit:
         convexity = -0.5 * problem.s * self.gap_squares / n
         smoothness = (-0.5 * _table_dots(diff, diff)
                       / (problem.lipschitz_constant() * n))
-        return self._each([
-            [_le_report("table-strong-convexity", lo, hi, 1e-9, ""),
-             _le_report("table-smoothness-lower", lo, low, 1e-9, "")]
-            for lo, hi, low in zip(lhs.tolist(), convexity.tolist(),
-                                   smoothness.tolist())])
+        return self._each(list(map(list, zip(
+            _le_rows("table-strong-convexity", lhs, convexity, 1e-9),
+            _le_rows("table-smoothness-lower", lhs, smoothness, 1e-9)))))
 
     def lower_bound_report(self, beta: float):
         """Averaged lower bound on f(w) from the table, with constants
@@ -474,11 +462,9 @@ class Audit:
                + 0.5 * beta * _table_dots(dg, dg) / (s * n**2)
                + 0.5 * beta * L * self.gap_squares / n**2
                - beta * _table_dots(dg, dx) / n**2)
-        return self._each([
-            _le_report("averaged-strong-smooth-lower", lo, hi, 1e-9,
-                       f"beta={beta:g} n={n}")
-            for lo, hi in zip(lhs.tolist(),
-                              _objectives(problem, self.w).tolist())])
+        return self._each(_le_rows("averaged-strong-smooth-lower", lhs,
+                                   _objectives(problem, self.w), 1e-9,
+                                   f"beta={beta:g} n={n}"))
 
 
 def expected_decrease_check(problem, phi_table: np.ndarray, w: np.ndarray,
@@ -525,6 +511,15 @@ def _le_report(name: str, lhs: float, rhs: float, tol: float, ctx: str,
     return CheckReport(name=name, lhs=lhs, rhs=rhs,
                        satisfied=bool(lhs <= rhs + scaled),
                        slack=rhs - lhs, context=ctx)
+
+
+def _le_rows(name: str, lhs, rhs, tol: float, ctx="", scale=None) -> list:
+    """_le_report's row for each entry of the arrays lhs and rhs; a scalar
+    rhs, ctx or scale is broadcast to them, and scale defaults to rhs."""
+    lhs, rhs, ctx, scale = (np.broadcast_to(v, np.shape(lhs)).tolist() for v in
+                            (lhs, rhs, ctx, rhs if scale is None else scale))
+    return [_le_report(name, lo, hi, tol, c, scale=size)
+            for lo, hi, c, size in zip(lhs, rhs, ctx, scale)]
 
 
 def _worst_report(name: str, family: list, ctx: str) -> CheckReport:
@@ -690,9 +685,9 @@ def rate_certificate(traces: list[list[TraceRecord]], problem, alpha: float,
 # verification suites: the report lists `finito verify` prints
 
 
-def _eq_report(name: str, lhs: float, rhs: float, tol: float, scale: float,
+def _eq_report(name: str, lhs: float, rhs: float, scale: float,
                context: str = "") -> CheckReport:
-    bound = tol * (1.0 + abs(scale))
+    bound = 1e-12 * (1.0 + abs(scale))
     return CheckReport(name=name, lhs=lhs, rhs=rhs,
                        satisfied=bool(abs(rhs - lhs) <= bound),
                        slack=rhs - lhs, context=context)
@@ -746,8 +741,8 @@ def suite_lyapunov(n: int = 40, d: int = 5, beta: float = 2.0, draws: int = 200,
     sampler = IndexSampler(SamplingScheme(UNIFORM, seed), problem.n)
     terms0 = lyapunov_evaluate(problem, state.phi_table, state.w)
     closed = initial_lyapunov(problem, w0, alpha)
-    reports = [_eq_report("initial-potential", terms0.total, closed,
-                          1e-12, closed, "all rows at w0")]
+    reports = [_eq_report("initial-potential", terms0.total, closed, closed,
+                          "all rows at w0")]
     block = audit_block(n, d)
     for first in range(0, draws, block):
         size = min(block, draws - first)
@@ -776,7 +771,7 @@ def suite_lyapunov(n: int = 40, d: int = 5, beta: float = 2.0, draws: int = 200,
                 ("t3-shift-closed-form", shifts.t3, t3, total),
                 ("t4-shift-closed-form", shifts.t4, t4, total),
             ):
-                reports.append(_eq_report(name, lhs, rhs, 1e-12, size, ctx))
+                reports.append(_eq_report(name, lhs, rhs, size, ctx))
     return reports
 
 

@@ -196,6 +196,12 @@ AFTER_THE_REFERENCE = {"huge-l-reference", "reference-stall"}
                   "--step", "practical"],
                  "error: prox-finito ignores --step practical; only sag has one\n",
                  id="prox-finito-sag-practical"),
+    # compare's step= takes what run --step takes, practical included
+    pytest.param(["compare", "--synth", "n=50,d=5", "--configs",
+                  "sag::step=practical,full-gradient::step=practical"],
+                 "error: full-gradient ignores step=practical in config "
+                 "'full-gradient::step=practical'; only sag has one\n",
+                 id="compare-full-gradient-practical"),
     pytest.param(["run", "--synth", "n=50,d=5", "--solver", "sag", "--step", "practical",
                   "--step", "1e-3"],
                  "finito run: error: --step given twice\n", id="sag-practical-and-step"),
@@ -826,6 +832,20 @@ def test_compare_reports_a_seed_free_divergence_for_every_seed(monkeypatch):
         f"full-gradient-uniform-step=1e9 seed {seed}" for seed in (0, 4, 7)]
     assert len(set(line.split(" diverged: ")[1] for line in lines)) == 1
     assert out.strip().splitlines()[-1].split(",")[1] == "inf"
+
+
+def test_compare_step_practical_is_run_step_practical(tmp_path):
+    # a config's step= once took a number alone, so sag's practical step was
+    # run --step practical's spelling only
+    code, _, _ = call(["compare", "--synth", SYNTH, "--epochs", "2", "--seeds", "1",
+                       "--configs", "sag::step=practical", "--out-dir", str(tmp_path)])
+    assert code == 0
+    _, out, _ = call(["run", "--synth", SYNTH, "--epochs", "2", "--solver", "sag",
+                      "--step", "practical"])
+    assert (rows_without_wall((tmp_path / "sag--step=practical-seed0.csv").read_text())
+            == rows_without_wall(out))
+    _, default, _ = call(["run", "--synth", SYNTH, "--epochs", "2", "--solver", "sag"])
+    assert rows_without_wall(default) != rows_without_wall(out)
 
 
 def test_compare_rejects_bad_config_token():

@@ -467,6 +467,32 @@ def test_checkpoint_missing_entry_is_format_error(synth_tiny, tmp_path,
     assert caught.type is CheckpointFormatError
 
 
+# (solver, line, token index, value): the line's entry at that token is
+# edited; lines 12-31 are the rows of the first table, 33-52 of the phi table
+@pytest.mark.parametrize("solver,line_no,token,value,key", [
+    ("finito", 9, 2, "nan", "vec w"),
+    ("finito", 10, 4, "-inf", "vec p_sum"),
+    ("finito", 17, 1, "inf", "table p"),
+    ("finito-audit", 40, 0, "nan", "table phi"),
+    ("sag", 31, 2, "-inf", "table grad"),
+    ("full-gradient", 6, 3, "inf", "vec w"),
+])
+def test_checkpoint_refuses_a_non_finite_entry(synth_tiny, tmp_path, solver, line_no,
+                                               token, value, key):
+    # no run saves one: each step is checked before it is written, and the
+    # states refuse a non-finite start, so a resume would diverge at once
+    problem, ref = synth_tiny
+    path, _ = run_and_checkpoint(problem, ref, solver.removesuffix("-audit"),
+                                 tmp_path, audit=solver.endswith("-audit"))
+    lines = path.read_text().splitlines()
+    tokens = lines[line_no - 1].split()
+    tokens[token] = value
+    lines[line_no - 1] = " ".join(tokens)
+    with pytest.raises(CheckpointFormatError,
+                       match=f"^line {line_no}: non-finite entry in '{key}'$"):
+        checkpoint_load(io.StringIO("\n".join(lines) + "\n"), problem)
+
+
 @pytest.mark.parametrize("kind", ["finito", "finito-audit", "prox-finito",
                                   "prox-finito-audit", "sag"])
 def test_checkpoint_mid_first_pass_finishes_bit_exact(kind):

@@ -174,7 +174,9 @@ def test_checkpoint_save_load_save_is_byte_identical(case):
 
 
 def _arrays(n: int, d: int):
-    elements = st.floats(width=64)  # NaN and infinities included
+    # every finite float64, subnormals and signed zeros included; a checkpoint
+    # refuses a non-finite entry
+    elements = st.floats(width=64, allow_nan=False, allow_infinity=False)
     return (hnp.arrays(np.float64, (n, d), elements=elements),
             hnp.arrays(np.float64, (d,), elements=elements))
 
@@ -218,11 +220,7 @@ def test_checkpoint_keeps_every_float_bit(case):
         if want is None:
             assert getattr(loaded, name, None) is None
             continue
-        got = getattr(loaded, name)
-        # hex literals keep every bit except a NaN's sign and payload
-        keep = ~np.isnan(want)
-        assert np.array_equal(np.isnan(got), ~keep)
-        assert got[keep].tobytes() == want[keep].tobytes()
+        assert getattr(loaded, name).tobytes() == want.tobytes()
     assert _resaved(text, problem) == text
 
 
@@ -313,6 +311,17 @@ def test_checkpoint_with_an_edited_value_fails_or_loads_a_valid_state(case, data
         dataclasses.replace(loaded)  # builds the state anew: its checks pass again
         once = _saved(loaded, loaded_sampler)
         assert _resaved(once, problem) == once
+    # an array entry, in a vec line or a table row, edited to any spelling
+    # of NaN or an infinity float.fromhex reads is refused at its line
+    rows = _table_rows(lines)
+    at = data.draw(st.sampled_from([i for i, line in enumerate(lines)
+                                    if line.startswith("vec ") or i in rows]))
+    tokens = lines[at].split()
+    entry = data.draw(st.integers(2 if at not in rows else 0, len(tokens) - 1))
+    tokens[entry] = data.draw(st.sampled_from(["nan", "inf", "-inf", "NaN", "-Infinity"]))
+    edited = lines[:at] + [" ".join(tokens) + "\n"] + lines[at + 1:]
+    with pytest.raises(CheckpointFormatError, match=f"^line {at + 1}: non-finite entry in "):
+        checkpoint_load(io.StringIO("".join(edited)), problem)
 
 
 # -- the reference solve's step constant -------------------------------------------

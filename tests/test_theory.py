@@ -782,6 +782,30 @@ def test_rate_curve_and_certificate(synth_small):
     assert cert.name == "rate-bound" and cert.satisfied
 
 
+@pytest.mark.parametrize("rhs", [[0.3 - 1e-10, 0.0, 1e10 - 5.0, -3.0, 1e-300], 0.25],
+                         ids=["rhs-array", "rhs-scalar"])
+@pytest.mark.parametrize("scale", [None, [1e3, 0.0, 1e12, -1.0, 5e9], 1e9],
+                         ids=["no-scale", "scale-array", "scale-scalar"])
+@pytest.mark.parametrize("ctx", ["n=5", [f"draw={t}" for t in range(5)]],
+                         ids=["one-ctx", "ctx-each"])
+def test_le_rows_are_the_le_report_row_of_each_entry(rhs, scale, ctx):
+    # a scalar rhs, scale or ctx stands for every entry, and scale defaults
+    # to rhs, as in _le_report; entries near the tolerance and a signed zero
+    # make the verdicts depend on the scale
+    def at(value, t):  # entry t of a list, or the scalar itself
+        return value[t] if isinstance(value, list) else value
+
+    lhs = np.array([0.3, -0.0, 1e10, -2.5, 7.0])
+    expected = [theory._le_report("name", lo, at(rhs, t), 1e-9, at(ctx, t),
+                                  **({} if scale is None else {"scale": at(scale, t)}))
+                for t, lo in enumerate(lhs.tolist())]
+    rows = theory._le_rows("name", lhs, np.array(rhs), 1e-9, ctx,
+                           None if scale is None else np.array(scale))
+    assert [report_bits(r) for r in rows] == [report_bits(r) for r in expected]
+    assert all(type(value) is float for r in rows for value in (r.lhs, r.rhs, r.slack))
+    assert all(type(r.context) is str for r in rows)
+
+
 def test_worst_report_holds_only_when_every_member_holds():
     family = [
         (0, theory._le_report("a", 1.0, 2.0, 0.0, "")),
