@@ -467,8 +467,8 @@ def test_checkpoint_missing_entry_is_format_error(synth_tiny, tmp_path,
     assert caught.type is CheckpointFormatError
 
 
-# (solver, line, token index, value): the line's entry at that token is
-# edited; lines 12-31 are the rows of the first table, 33-52 of the phi table
+# token `token` of line `line_no` (counting a vec line's `vec` and name) is
+# replaced by `value`; lines 12-31 hold the first table's rows, 33-52 phi's
 @pytest.mark.parametrize("solver,line_no,token,value,key", [
     ("finito", 9, 2, "nan", "vec w"),
     ("finito", 10, 4, "-inf", "vec p_sum"),

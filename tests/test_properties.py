@@ -183,8 +183,8 @@ def _arrays(n: int, d: int):
 
 @st.composite
 def arbitrary_states(draw):
-    """Table states holding arbitrary float64 values, with valid counters and
-    a finite alpha or step > 0 (the states refuse any other)."""
+    """Table states holding arbitrary finite float64 values, with valid
+    counters and a finite alpha or step > 0 (the states refuse any other)."""
     n, d = draw(st.integers(1, 4)), draw(st.integers(1, 3))
     table, vector = _arrays(n, d)
     positive = st.floats(min_value=1e-300, allow_infinity=False)
@@ -317,7 +317,7 @@ def test_checkpoint_with_an_edited_value_fails_or_loads_a_valid_state(case, data
     at = data.draw(st.sampled_from([i for i, line in enumerate(lines)
                                     if line.startswith("vec ") or i in rows]))
     tokens = lines[at].split()
-    entry = data.draw(st.integers(2 if at not in rows else 0, len(tokens) - 1))
+    entry = data.draw(st.integers(0 if at in rows else 2, len(tokens) - 1))
     tokens[entry] = data.draw(st.sampled_from(["nan", "inf", "-inf", "NaN", "-Infinity"]))
     edited = lines[:at] + [" ".join(tokens) + "\n"] + lines[at + 1:]
     with pytest.raises(CheckpointFormatError, match=f"^line {at + 1}: non-finite entry in "):
