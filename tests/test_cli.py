@@ -196,6 +196,10 @@ AFTER_THE_REFERENCE = {"huge-l-reference", "reference-stall"}
                   "--step", "practical"],
                  "error: prox-finito ignores --step practical; only sag has one\n",
                  id="prox-finito-sag-practical"),
+    pytest.param(["run", "--synth", "n=50,d=5", "--solver", "full-gradient",
+                  "--step", "practical"],
+                 "error: full-gradient ignores --step practical; only sag has one\n",
+                 id="full-gradient-sag-practical"),
     # compare's step= takes what run --step takes, practical included
     pytest.param(["compare", "--synth", "n=50,d=5", "--configs",
                   "sag::step=practical,full-gradient::step=practical"],
@@ -241,8 +245,15 @@ AFTER_THE_REFERENCE = {"huge-l-reference", "reference-stall"}
                  "outside the admissible region", id="rate-alpha-1"),
     pytest.param(["verify", "--suite", "rate", "--alpha", "0.5"],
                  "outside the admissible region", id="rate-alpha-0.5"),
+    pytest.param(["verify", "--suite", "lyapunov", "--alpha", "1"],
+                 "error: (alpha=1.0, beta=2.0) is outside the admissible region\n",
+                 id="lyapunov-alpha-1"),
     pytest.param(["verify", "--suite", "lowerbound", "--n", "0"],
                  "n must be >= 1, got 0", id="lowerbound-n-0"),
+    # every suite refuses n = 1 with this line, so it does not matter which
+    # process, the caller or the forked worker, finishes first
+    pytest.param(["verify", "--suite", "all", "--n", "1"],
+                 "error: n must be >= 2, got 1\n", id="verify-all-n-1"),
     # the unseen-count law is a verify suite, not a command of its own
     pytest.param(["lowerbound", "--n", "10"], "invalid choice: 'lowerbound'",
                  id="lowerbound-command"),
@@ -345,6 +356,11 @@ AFTER_THE_REFERENCE = {"huge-l-reference", "reference-stall"}
     pytest.param(["run", "--data", "{huge-l.svm}", "--solver", "finito"],
                  "error: Lipschitz constant overflows: the largest feature magnitude "
                  "is 1e+200 (s = 0.01); rescale the data\n", id="huge-l-reference"),
+    # sag, full-gradient and miso need L itself (finito runs without it)
+    *(pytest.param(["run", "--data", "{huge-l.svm}", "--fstar", "none", "--solver", solver],
+                   "error: Lipschitz constant overflows: the largest feature magnitude "
+                   "is 1e+200 (s = 0.01); rescale the data\n", id=f"{solver}-huge-l")
+      for solver in ("sag", "full-gradient", "miso")),
     # with s = 0 the gradient floors near 1e-8, where the step rounds away;
     # sag, since finito refuses s = 0 before any reference is solved
     pytest.param(["run", "--data", "{stall.svm}", "--loss", "squared", "--s", "0",
@@ -383,6 +399,11 @@ AFTER_THE_REFERENCE = {"huge-l-reference", "reference-stall"}
     pytest.param(["compare", "--synth", "n=50,d=5", "--configs", "finito", "--seeds", "0,-1",
                   "--epochs", "1", "--out-dir", "{traces}"],
                  "error: seed must be >= 0, got -1\n", id="compare-seed-negative"),
+    # a generator's seed takes the sampler's rule, not numpy's message
+    pytest.param(["run", "--synth", "n=50,d=5,seed=-1"],
+                 "error: seed must be >= 0, got -1\n", id="synth-seed-negative"),
+    pytest.param(["verify", "--suite", "lowerbound", "--seed", "-1"],
+                 "error: seed must be >= 0, got -1\n", id="lowerbound-seed-negative"),
     # a config given twice ran twice, and its second run overwrote the first's
     # --out-dir traces under a repeated column
     pytest.param(["compare", "--synth", "n=50,d=5", "--configs", "finito,sag,finito",
@@ -1253,3 +1274,8 @@ def test_module_execution_runs_the_cli(module, subprocess_env):
     assert done.returncode == 0, done.stderr
     assert done.stdout == call(argv)[1]
     assert python_m("verify").returncode == 1  # --suite is required
+    # Python's crash status is 1 too: main's refusal is its one stderr line
+    done = python_m("run", "--synth", "n=50,d=5", "--l1", "0.01")
+    assert (done.returncode, done.stdout, done.stderr) == (
+        1, "", "error: finito ignores the l1 term (l1 = 0.01); use prox-finito or "
+               "full-gradient\n")

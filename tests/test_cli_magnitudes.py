@@ -1,5 +1,6 @@
 """Data of any magnitude a double can hold, through every solver: `finito
-run` exits 0 or 2, or 1 only with a message that asks to rescale the data.
+run` exits 0 or 2, or 1 only with a message that asks to rescale the data;
+finito and prox-finito, which need no L, never exit 1.
 
 Each example is a small LIBSVM file with features ~10^a and targets ~10^b,
 a and b drawn from 0-307, run with and without the first pass.  Where the
@@ -17,6 +18,7 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 import finito.cli as cli  # noqa: E402
 from finito import SOLVER_TAGS  # noqa: E402
+from finito.solvers import ALPHA_TAGS  # noqa: E402
 
 RANGE_MESSAGE = "; rescale the data\n"
 
@@ -46,6 +48,8 @@ def data_path(tmp_path_factory):
 @given(case=libsvm_texts())
 # L = 1e308 + s is finite, but 16 L n and L/s are not
 @example(case=("squared", "0 1:0e154\n0 1:1e154\n"))
+# L overflows: sag, full-gradient and miso exit 1, finito runs without L
+@example(case=("logistic", "1 1:1e200\n-1 1:-3e199 2:1.0\n"))
 def test_any_magnitude_exits_with_a_contract_code(data_path, case):
     loss, text = case
     data_path.write_text(text, encoding="ascii")
@@ -62,3 +66,5 @@ def test_any_magnitude_exits_with_a_contract_code(data_path, case):
             if code == 1:
                 assert err.getvalue().endswith(RANGE_MESSAGE), (
                     argv, text, err.getvalue())
+                # finito and prox-finito step at alpha, which no data moves
+                assert solver not in ALPHA_TAGS, (argv, text)

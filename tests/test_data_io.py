@@ -352,6 +352,14 @@ def test_checkpoint_corruption_detected(synth_tiny, tmp_path):
                  "^line 10: expected 'vec p_sum', found 'table p'$", id="finito-vec p_sum "),
     pytest.param("finito", "table p ", None,
                  r"^line 11: expected 'table p', found '-?0x[^']*'$", id="finito-table p "),
+    # a checkpoint in an earlier format is refused by its header
+    pytest.param("finito", "FINITOCKPT ", lambda line: "FINITOCKPT 1",
+                 r"^unsupported checkpoint header 'FINITOCKPT 1' \(expected 'FINITOCKPT 2'\)$",
+                 id="finito-FINITOCKPT 1"),
+    # two lines swapped are refused where the first of them should stand
+    pytest.param("finito", ("alpha ", "k "),
+                 {"alpha 2.0": "k 40", "k 40": "alpha 2.0"}.__getitem__,
+                 "^line 3: expected 'alpha', found 'k'$", id="finito-alpha and k swapped"),
     # without its head line the phi table's rows stand where END belongs
     pytest.param("prox-finito-audit", "table phi ", None,
                  r"^line 32: expected 'END', found '-?0x[^']*'$",
