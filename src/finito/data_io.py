@@ -8,6 +8,7 @@ source or sink is a str/Path filesystem path or an open text stream.
 
 from __future__ import annotations
 
+import math
 import os
 import re
 import warnings
@@ -276,14 +277,21 @@ def _parse_hex_vector(line: str, line_no: int, d: int) -> np.ndarray:
     if len(tokens) != d:
         raise CheckpointFormatError(
             f"line {line_no}: expected {d} entries, found {len(tokens)}")
-    values = []
-    for tok in tokens:
-        try:
-            values.append(float.fromhex(tok))
-        except ValueError:
-            raise CheckpointFormatError(
-                f"line {line_no}: bad float literal {tok!r}") from None
-    return np.array(values, dtype=float)
+    try:
+        values = np.array(list(map(float.fromhex, tokens)), dtype=float)
+    except (ValueError, OverflowError):
+        values = None
+    # float.hex writes [-]0x... for every finite float, and float.fromhex reads
+    # a token without 0x too (1e3 as 0x1e3 = 483); nan and inf are _finite's
+    if values is None or line.count("0x") != d:
+        for tok in tokens:
+            try:
+                if not math.isfinite(float.fromhex(tok)) or "0x" in tok:
+                    continue
+            except (ValueError, OverflowError):
+                pass
+            raise CheckpointFormatError(f"line {line_no}: bad float literal {tok!r}")
+    return values
 
 
 def _finite(array: np.ndarray, key: str, line_no: int) -> np.ndarray:

@@ -170,10 +170,10 @@ def check_run(problem, config: SolverConfig, scheme: SamplingScheme, epochs: int
     sets), s > 0 for those three, that constant finite and > 0, an integer
     epochs >= 0 (TypeError for another type), record_every finite and > 0;
     a resume (state, sampler) that continues the run it was saved from (the
-    same solver, constant and, for a table solver, scheme and a sampler
-    unless no index can have been drawn: k == 0 or seen == k < n) at a step
-    no later than the run's end; and table-mean monitoring only on a finito
-    state in audit storage."""
+    same solver, constant and, for a table solver, scheme, and a sampler at
+    the draw its step and first-pass setting imply unless no index can have
+    been drawn: k == 0 or seen == k < n) at a step no later than the run's
+    end; and table-mean monitoring only on a finito state in audit storage."""
     solver = config.solver
     if solver not in SOLVER_TAGS:
         raise ValueError(f"unknown solver {solver!r}")
@@ -208,8 +208,9 @@ def check_run(problem, config: SolverConfig, scheme: SamplingScheme, epochs: int
         if tag != solver:
             raise ValueError(f"resume state is for {tag!r}, config says {solver!r}")
         settings = [(name, getattr(state, name), value)]  # (name, the state's, the run's)
-        if sampler is not None:
-            settings.append(("sampling", sampler.scheme, scheme))
+        if sampler is not None:  # the first pass draws no index
+            drawn = state.k - min(state.k, problem.n) if config.first_pass else state.k
+            settings += [("sampling", sampler.scheme, scheme), ("draw", sampler.draws, drawn)]
         for setting, held, fresh in settings:
             if held != fresh:
                 raise ValueError(f"{tag} resumes at {setting} {held!r} from its checkpoint, "

@@ -923,6 +923,11 @@ N50 = ["--synth", "n=50,d=5"]
                  [*N50, "--solver", "full-gradient", "--step", "0.5"],
                  "full-gradient resumes at step 4.00000000384 from its checkpoint, "
                  "not 0.5", id="full-gradient-step"),
+    # the first pass draws no index: 100 steps in, its stream is at draw 50,
+    # where a run without it would be at draw 100
+    pytest.param(N50, [*N50, "--no-first-pass"],
+                 "finito resumes at draw 50 from its checkpoint, not 100",
+                 id="no-first-pass"),
 ])
 def test_resume_refuses_settings_that_contradict_its_checkpoint(
         tmp_path, start, resume, message):

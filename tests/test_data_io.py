@@ -3,6 +3,7 @@
 import io
 import math
 import os
+import re
 import stat
 
 import numpy as np
@@ -476,7 +477,10 @@ def test_checkpoint_missing_entry_is_format_error(synth_tiny, tmp_path,
 
 
 # token `token` of line `line_no` (counting a vec line's `vec` and name) is
-# replaced by `value`; lines 12-31 hold the first table's rows, 33-52 phi's
+# replaced by `value`; lines 12-31 hold the first table's rows, 33-52 phi's.
+# A NaN or an infinity is a non-finite entry in `key`; a token float.hex never
+# writes for a finite float (key None) is a bad float literal, which
+# float.fromhex would read as another number (1e3 as 483) or overflow on
 @pytest.mark.parametrize("solver,line_no,token,value,key", [
     ("finito", 9, 2, "nan", "vec w"),
     ("finito", 10, 4, "-inf", "vec p_sum"),
@@ -484,6 +488,9 @@ def test_checkpoint_missing_entry_is_format_error(synth_tiny, tmp_path,
     ("finito-audit", 40, 0, "nan", "table phi"),
     ("sag", 31, 2, "-inf", "table grad"),
     ("full-gradient", 6, 3, "inf", "vec w"),
+    *(pytest.param("finito", line_no, token, value, None, id=f"finito-{line_no}-{value}")
+      for line_no, token in ((9, 2), (17, 1))
+      for value in ("0x1p+1024", "1e3", "1.5", "0X1P3")),
 ])
 def test_checkpoint_refuses_a_non_finite_entry(synth_tiny, tmp_path, solver, line_no,
                                                token, value, key):
@@ -496,8 +503,9 @@ def test_checkpoint_refuses_a_non_finite_entry(synth_tiny, tmp_path, solver, lin
     tokens = lines[line_no - 1].split()
     tokens[token] = value
     lines[line_no - 1] = " ".join(tokens)
-    with pytest.raises(CheckpointFormatError,
-                       match=f"^line {line_no}: non-finite entry in '{key}'$"):
+    message = (f"bad float literal {value!r}" if key is None
+               else f"non-finite entry in {key!r}")
+    with pytest.raises(CheckpointFormatError, match=f"^line {line_no}: {re.escape(message)}$"):
         checkpoint_load(io.StringIO("\n".join(lines) + "\n"), problem)
 
 

@@ -287,6 +287,19 @@ def test_checkpoint_with_a_line_moved_or_repeated_fails_or_is_unchanged(case, da
 # arbitrary text, plus the values most likely to pass a parser and still be
 # wrong: integers (negative seeds and draw counts), floats (NaN, inf, <= 0)
 # and sampling kinds
+# array entries float.fromhex reads, each refused at its line: any spelling
+# of NaN or an infinity, and spellings of a finite float that float.hex never
+# writes (decimal, upper case, no 0x prefix), which it would read as another
+# number (1e3 as 0x1e3 = 483), or a hex literal past the largest double
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+edited_entries = st.one_of(
+    st.tuples(st.sampled_from(["nan", "inf", "-inf", "NaN", "-Infinity"]),
+              st.just("non-finite entry in ")),
+    st.tuples(st.one_of(finite_floats.map(repr), st.integers().map(str),
+                        finite_floats.map(lambda x: x.hex().upper()),
+                        finite_floats.map(lambda x: x.hex().replace("0x", "")),
+                        st.integers(1024, 10**6).map(lambda e: f"0x1p+{e}")),
+              st.just("bad float literal ")))
 edited_values = st.one_of(st.text(), st.integers().map(str), st.floats().map(repr),
                           st.sampled_from(SAMPLING_NAMES + ("none",)))
 
@@ -311,16 +324,16 @@ def test_checkpoint_with_an_edited_value_fails_or_loads_a_valid_state(case, data
         dataclasses.replace(loaded)  # builds the state anew: its checks pass again
         once = _saved(loaded, loaded_sampler)
         assert _resaved(once, problem) == once
-    # an array entry, in a vec line or a table row, edited to any spelling
-    # of NaN or an infinity float.fromhex reads is refused at its line
+    # an array entry, in a vec line or a table row, edited to one of
+    # edited_entries is refused at its line, never loaded as another number
     rows = _table_rows(lines)
     at = data.draw(st.sampled_from([i for i, line in enumerate(lines)
                                     if line.startswith("vec ") or i in rows]))
     tokens = lines[at].split()
     entry = data.draw(st.integers(0 if at in rows else 2, len(tokens) - 1))
-    tokens[entry] = data.draw(st.sampled_from(["nan", "inf", "-inf", "NaN", "-Infinity"]))
+    tokens[entry], message = data.draw(edited_entries)
     edited = lines[:at] + [" ".join(tokens) + "\n"] + lines[at + 1:]
-    with pytest.raises(CheckpointFormatError, match=f"^line {at + 1}: non-finite entry in "):
+    with pytest.raises(CheckpointFormatError, match=f"^line {at + 1}: {message}"):
         checkpoint_load(io.StringIO("".join(edited)), problem)
 
 

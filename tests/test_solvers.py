@@ -610,7 +610,7 @@ def test_a_table_resume_without_its_sampler_is_refused(synth_tiny, solver):
     problem, _ = synth_tiny
     config = SolverConfig(solver=solver, w0=np.zeros(problem.d))
     scheme = SamplingScheme(UNIFORM, seed=3)
-    _, state, _ = run_with_state(problem, config, scheme, 2)
+    _, state, sampler = run_with_state(problem, config, scheme, 2)
     buf = io.StringIO()
     checkpoint_save(state, buf)
     buf.seek(0)
@@ -619,6 +619,14 @@ def test_a_table_resume_without_its_sampler_is_refused(synth_tiny, solver):
     with pytest.raises(ValueError, match=f"^{solver} resumes at step 40 without "
                                          "the index stream it drew from"):
         run(problem, config, scheme, 4, resume=resume)
+    # nor with its draws line edited: of its 40 steps, the 20 after the first
+    # pass drew one index each
+    buf = io.StringIO()
+    checkpoint_save(state, buf, sampler)
+    edited = io.StringIO(buf.getvalue().replace("\ndraws 20\n", "\ndraws 7\n"))
+    with pytest.raises(ValueError, match=f"^{solver} resumes at draw 7 from its "
+                                         "checkpoint, not 20; resume with the settings"):
+        run(problem, config, scheme, 4, resume=checkpoint_load(edited, problem))
     # full-gradient draws no index, so its state alone resumes
     config = SolverConfig(solver="full-gradient", w0=np.zeros(problem.d))
     _, state, sampler = run_with_state(problem, config, scheme, 2)
