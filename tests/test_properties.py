@@ -284,9 +284,6 @@ def test_checkpoint_with_a_line_moved_or_repeated_fails_or_is_unchanged(case, da
         checkpoint_load(io.StringIO(edited), problem)
 
 
-# arbitrary text, plus the values most likely to pass a parser and still be
-# wrong: integers (negative seeds and draw counts), floats (NaN, inf, <= 0)
-# and sampling kinds
 # array entries float.fromhex reads, each refused at its line: any spelling
 # of NaN or an infinity, and spellings of a finite float that float.hex never
 # writes (decimal, upper case, no 0x prefix), which it would read as another
@@ -300,6 +297,10 @@ edited_entries = st.one_of(
                         finite_floats.map(lambda x: x.hex().replace("0x", "")),
                         st.integers(1024, 10**6).map(lambda e: f"0x1p+{e}")),
               st.just("bad float literal ")))
+
+# arbitrary text, plus the values most likely to pass a parser and still be
+# wrong: integers (negative seeds and draw counts), floats (NaN, inf, <= 0)
+# and sampling kinds
 edited_values = st.one_of(st.text(), st.integers().map(str), st.floats().map(repr),
                           st.sampled_from(SAMPLING_NAMES + ("none",)))
 
