@@ -8,7 +8,6 @@ source or sink is a str/Path filesystem path or an open text stream.
 
 from __future__ import annotations
 
-import math
 import os
 import re
 import warnings
@@ -281,27 +280,19 @@ def _parse_hex_vector(line: str, line_no: int, d: int) -> np.ndarray:
         values = np.array(list(map(float.fromhex, tokens)), dtype=float)
     except (ValueError, OverflowError):
         values = None
-    # float.hex writes [-]0x... for every finite float, and float.fromhex reads
-    # a token without 0x too (1e3 as 0x1e3 = 483); nan and inf are _finite's
+    # float.hex writes [-]0x... for a finite float and no 0x for nan or inf;
+    # float.fromhex reads a token with one 0x at most, or none (1e3 as 483),
+    # so d tokens it reads with d 0x between them are d finite floats
     if values is None or line.count("0x") != d:
         for tok in tokens:
             try:
-                if not math.isfinite(float.fromhex(tok)) or "0x" in tok:
+                float.fromhex(tok)
+                if "0x" in tok:
                     continue
             except (ValueError, OverflowError):
                 pass
             raise CheckpointFormatError(f"line {line_no}: bad float literal {tok!r}")
     return values
-
-
-def _finite(array: np.ndarray, key: str, line_no: int) -> np.ndarray:
-    # array, refused at the line of its first NaN or infinity, line_no being
-    # a vec's line or a table's first row: no run saves such an entry
-    finite_rows = np.atleast_2d(np.isfinite(array)).all(axis=1)
-    if not finite_rows.all():
-        raise CheckpointFormatError(f"line {line_no + int(np.argmin(finite_rows))}: "
-                                    f"non-finite entry in {key!r}")
-    return array
 
 
 def _layout(cls) -> list:
@@ -359,9 +350,10 @@ def checkpoint_load(source, problem):
     one expected next (missing, given twice, moved or unknown); scalar values
     that do not parse (naming the key and the line); vectors not of length d
     and tables not n x d (sized from the problem, so a file's own sizes
-    never allocate); a NaN or infinite array entry (naming its line); a file
-    that ends before END; and any ValueError the state or sampler raises
-    (storage, alpha, step, counters, sampling).
+    never allocate); an array entry float.hex writes for no finite float
+    (naming its line and token); a file that ends before END; and any
+    ValueError the state or sampler raises (storage, alpha, step, counters,
+    sampling).
     """
     n, d = problem.n, problem.d
     with _open_text(source, "r") as handle:
@@ -407,7 +399,7 @@ def checkpoint_load(source, problem):
                     continue
                 raise expected(key)
             if kind == "vec":
-                values[name] = _finite(_parse_hex_vector(text, line_no, d), key, line_no)
+                values[name] = _parse_hex_vector(text, line_no, d)
             elif kind == "table":
                 try:
                     count = int(text)
@@ -425,7 +417,6 @@ def checkpoint_load(source, problem):
                             f"truncated checkpoint: table {key[6:]!r} needs {count} rows, "
                             f"got {r} (line {line_no})")
                     rows[r] = _parse_hex_vector(row, line_no, d)
-                _finite(rows, key, line_no - n + 1)  # from its first row's line
             else:
                 try:
                     values[name] = _CODECS[kind][1](text)

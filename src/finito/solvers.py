@@ -170,10 +170,10 @@ def check_run(problem, config: SolverConfig, scheme: SamplingScheme, epochs: int
     sets), s > 0 for those three, that constant finite and > 0, an integer
     epochs >= 0 (TypeError for another type), record_every finite and > 0;
     a resume (state, sampler) that continues the run it was saved from (the
-    same solver, constant and, for a table solver, scheme, and a sampler at
-    the draw its step and first-pass setting imply unless no index can have
-    been drawn: k == 0 or seen == k < n) at a step no later than the run's
-    end; and table-mean monitoring only on a finito state in audit storage."""
+    same solver and constant; for a table solver, the seen count and draw
+    its step and first-pass setting imply and the same scheme, the sampler
+    absent only at draw 0) at a step no later than the run's end; and
+    table-mean monitoring only on a finito state in audit storage."""
     solver = config.solver
     if solver not in SOLVER_TAGS:
         raise ValueError(f"unknown solver {solver!r}")
@@ -208,16 +208,20 @@ def check_run(problem, config: SolverConfig, scheme: SamplingScheme, epochs: int
         if tag != solver:
             raise ValueError(f"resume state is for {tag!r}, config says {solver!r}")
         settings = [(name, getattr(state, name), value)]  # (name, the state's, the run's)
-        if sampler is not None:  # the first pass draws no index
-            drawn = state.k - min(state.k, problem.n) if config.first_pass else state.k
+        drawn = 0  # full-gradient draws no index
+        if solver != "full-gradient":  # a step that admits a row draws none
+            start = 0 if config.first_pass else problem.n  # the rows seen at k = 0
+            seen = min(start + state.k, problem.n)
+            drawn = state.k - (seen - start)
+            settings.append(("seen", state.seen, seen))
+        if sampler is not None:
             settings += [("sampling", sampler.scheme, scheme), ("draw", sampler.draws, drawn)]
         for setting, held, fresh in settings:
             if held != fresh:
                 raise ValueError(f"{tag} resumes at {setting} {held!r} from its checkpoint, "
                                  f"not {fresh!r}; resume with the settings it started with")
         # without its sampler the index stream would restart at draw 0
-        if sampler is None and solver != "full-gradient" and not (
-                state.k == 0 or state.seen == state.k < problem.n):
+        if sampler is None and drawn > 0:
             raise ValueError(f"{tag} resumes at step {state.k} without the index "
                              "stream it drew from (sampling none); save the "
                              "checkpoint with its sampler")

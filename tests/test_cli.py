@@ -1008,17 +1008,32 @@ def test_resume_without_its_sampler_exits_one_before_a_reference(tmp_path,
                    "sampler\n")
 
 
-def test_resume_without_first_pass_from_epoch_zero(tmp_path):
+# (flags the epoch-0 checkpoint is saved with, flags it is resumed with, the
+# refusal or None). Both settings stand at draw 0 there, so only the seen
+# count tells them apart: each mixed resume once exited 0 and printed the
+# other setting's trajectory, or one neither run follows
+@pytest.mark.parametrize("saved,resumed,message", [
+    pytest.param(["--no-first-pass"], ["--no-first-pass"], None, id="no-first-pass"),
+    pytest.param([], [], None, id="first-pass"),
+    pytest.param([], ["--no-first-pass"],
+                 "finito resumes at seen 0 from its checkpoint, not 40", id="dropped"),
+    pytest.param(["--no-first-pass"], [],
+                 "finito resumes at seen 40 from its checkpoint, not 0", id="added"),
+])
+def test_resume_without_first_pass_from_epoch_zero(tmp_path, saved, resumed, message):
     # a no-first-pass checkpoint at k = 0 < n already has seen == n
     ck = tmp_path / "state.ckpt"
     part1 = tmp_path / "part1.csv"
-    base = ["--synth", SYNTH, "--solver", "finito", "--no-first-pass",
-            "--sampling", "permuted", "--seed", "5"]
-    _, full, _ = call(["run", *base, "--epochs", "2"])
-    code, _, _ = call(["run", *base, "--epochs", "0",
+    base = ["--synth", SYNTH, "--solver", "finito", "--sampling", "permuted", "--seed", "5"]
+    _, full, _ = call(["run", *base, *resumed, "--epochs", "2"])
+    code, _, _ = call(["run", *base, *saved, "--epochs", "0",
                        "--save-state", str(ck), "--out", str(part1)])
     assert code == 0
-    code, tail, err = call(["run", *base, "--epochs", "2", "--resume", str(ck)])
+    code, tail, err = call(["run", *base, *resumed, "--epochs", "2", "--resume", str(ck)])
+    if message is not None:
+        assert (code, tail, err) == (1, "", f"error: {message}; resume with the "
+                                     "settings it started with\n")
+        return
     assert code == 0, err
     stitched = rows_without_wall(part1.read_text()) + rows_without_wall(tail)
     assert stitched == rows_without_wall(full)

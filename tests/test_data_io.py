@@ -477,35 +477,40 @@ def test_checkpoint_missing_entry_is_format_error(synth_tiny, tmp_path,
 
 
 # token `token` of line `line_no` (counting a vec line's `vec` and name) is
-# replaced by `value`; lines 12-31 hold the first table's rows, 33-52 phi's.
-# A NaN or an infinity is a non-finite entry in `key`; a token float.hex never
-# writes for a finite float (key None) is a bad float literal, which
-# float.fromhex would read as another number (1e3 as 483) or overflow on
-@pytest.mark.parametrize("solver,line_no,token,value,key", [
-    ("finito", 9, 2, "nan", "vec w"),
-    ("finito", 10, 4, "-inf", "vec p_sum"),
-    ("finito", 17, 1, "inf", "table p"),
-    ("finito-audit", 40, 0, "nan", "table phi"),
-    ("sag", 31, 2, "-inf", "table grad"),
-    ("full-gradient", 6, 3, "inf", "vec w"),
-    *(pytest.param("finito", line_no, token, value, None, id=f"finito-{line_no}-{value}")
-      for line_no, token in ((9, 2), (17, 1))
-      for value in ("0x1p+1024", "1e3", "1.5", "0X1P3")),
-])
+# replaced by `value`, and so is each (line, token, value) of `later`; lines
+# 12-31 hold the first table's rows, 33-52 phi's. A NaN, an infinity and a
+# token float.hex never writes for a finite float, which float.fromhex would
+# read as another number (1e3 as 483) or overflow on, are each a bad float
+# literal, refused at the first such line in the file
+@pytest.mark.parametrize("solver,line_no,token,value,later", [
+    pytest.param(solver, line_no, token, value, later, id=f"{solver}-{line_no}-{value}")
+    for solver, line_no, token, value, later in [
+        ("finito", 9, 2, "nan", ()),
+        ("finito", 10, 4, "-inf", ()),
+        ("finito", 17, 1, "inf", ()),
+        ("finito-audit", 40, 0, "nan", ()),
+        ("sag", 31, 2, "-inf", ()),
+        ("full-gradient", 6, 3, "inf", ()),
+        *(("finito", line_no, token, value, ())
+          for line_no, token in ((9, 2), (17, 1))
+          for value in ("0x1p+1024", "1e3", "1.5", "0X1P3")),
+        # a NaN in table p two rows above a decimal: the NaN's row is the one
+        ("finito", 12, 0, "nan", ((14, 2, "1e3"),)),
+    ]])
 def test_checkpoint_refuses_a_non_finite_entry(synth_tiny, tmp_path, solver, line_no,
-                                               token, value, key):
+                                               token, value, later):
     # no run saves one: each step is checked before it is written, and the
     # states refuse a non-finite start, so a resume would diverge at once
     problem, ref = synth_tiny
     path, _ = run_and_checkpoint(problem, ref, solver.removesuffix("-audit"),
                                  tmp_path, audit=solver.endswith("-audit"))
     lines = path.read_text().splitlines()
-    tokens = lines[line_no - 1].split()
-    tokens[token] = value
-    lines[line_no - 1] = " ".join(tokens)
-    message = (f"bad float literal {value!r}" if key is None
-               else f"non-finite entry in {key!r}")
-    with pytest.raises(CheckpointFormatError, match=f"^line {line_no}: {re.escape(message)}$"):
+    for at, entry, text in ((line_no, token, value), *later):
+        tokens = lines[at - 1].split()
+        tokens[entry] = text
+        lines[at - 1] = " ".join(tokens)
+    message = f"line {line_no}: bad float literal {value!r}"
+    with pytest.raises(CheckpointFormatError, match=f"^{re.escape(message)}$"):
         checkpoint_load(io.StringIO("\n".join(lines) + "\n"), problem)
 
 

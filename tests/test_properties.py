@@ -4,6 +4,7 @@ and for the reference solve's step constant."""
 import dataclasses
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -284,19 +285,17 @@ def test_checkpoint_with_a_line_moved_or_repeated_fails_or_is_unchanged(case, da
         checkpoint_load(io.StringIO(edited), problem)
 
 
-# array entries float.fromhex reads, each refused at its line: any spelling
-# of NaN or an infinity, and spellings of a finite float that float.hex never
-# writes (decimal, upper case, no 0x prefix), which it would read as another
-# number (1e3 as 0x1e3 = 483), or a hex literal past the largest double
+# array entries float.fromhex reads, each a bad float literal at its line:
+# any spelling of NaN or an infinity, and spellings of a finite float that
+# float.hex never writes (decimal, upper case, no 0x prefix), which it would
+# read as another number (1e3 as 0x1e3 = 483), or a hex literal past the
+# largest double
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
-edited_entries = st.one_of(
-    st.tuples(st.sampled_from(["nan", "inf", "-inf", "NaN", "-Infinity"]),
-              st.just("non-finite entry in ")),
-    st.tuples(st.one_of(finite_floats.map(repr), st.integers().map(str),
-                        finite_floats.map(lambda x: x.hex().upper()),
-                        finite_floats.map(lambda x: x.hex().replace("0x", "")),
-                        st.integers(1024, 10**6).map(lambda e: f"0x1p+{e}")),
-              st.just("bad float literal ")))
+edited_entries = st.one_of(st.sampled_from(["nan", "inf", "-inf", "NaN", "-Infinity"]),
+                           finite_floats.map(repr), st.integers().map(str),
+                           finite_floats.map(lambda x: x.hex().upper()),
+                           finite_floats.map(lambda x: x.hex().replace("0x", "")),
+                           st.integers(1024, 10**6).map(lambda e: f"0x1p+{e}"))
 
 # arbitrary text, plus the values most likely to pass a parser and still be
 # wrong: integers (negative seeds and draw counts), floats (NaN, inf, <= 0)
@@ -332,9 +331,10 @@ def test_checkpoint_with_an_edited_value_fails_or_loads_a_valid_state(case, data
                                     if line.startswith("vec ") or i in rows]))
     tokens = lines[at].split()
     entry = data.draw(st.integers(0 if at in rows else 2, len(tokens) - 1))
-    tokens[entry], message = data.draw(edited_entries)
+    tokens[entry] = value = data.draw(edited_entries)
     edited = lines[:at] + [" ".join(tokens) + "\n"] + lines[at + 1:]
-    with pytest.raises(CheckpointFormatError, match=f"^line {at + 1}: {message}"):
+    message = f"line {at + 1}: bad float literal {value!r}"
+    with pytest.raises(CheckpointFormatError, match=f"^{re.escape(message)}$"):
         checkpoint_load(io.StringIO("".join(edited)), problem)
 
 

@@ -401,6 +401,14 @@ def _resume(solver, scheme=SamplingScheme(UNIFORM)):
     return state, sampler
 
 
+def _mid_first_pass():
+    """(state, None) of a finito state one first-pass step into the three rows
+    at s = 0.1: it has drawn no index, so it needs no sampler."""
+    problem = FiniteSumProblem(*THREE_ROWS, loss="logistic", s=0.1)
+    state = finito_init(problem, 2.0, first_pass=True)
+    return finito_first_pass_step(state, problem, 0), None
+
+
 # (problem keywords, config, run keywords, message): each refusal check_run makes
 START_REFUSALS = [
     pytest.param({}, SolverConfig("bogus"), {}, "unknown solver 'bogus'", id="solver"),
@@ -433,6 +441,10 @@ START_REFUSALS = [
                  "sag resumes at sampling SamplingScheme(kind='uniform', seed=1) from its "
                  "checkpoint, not SamplingScheme(kind='uniform', seed=0); resume with the "
                  "settings it started with", id="resume-sampling"),
+    # without the first pass every row is seen at k = 0
+    pytest.param({}, SolverConfig("finito", first_pass=False), {"resume": _mid_first_pass},
+                 "finito resumes at seen 1 from its checkpoint, not 3; resume with the "
+                 "settings it started with", id="resume-seen"),
     pytest.param({}, SolverConfig("full-gradient"),
                  {"epochs": 1, "resume": lambda: _resume("full-gradient")},
                  "full-gradient resumes at step 2 from its checkpoint, past the run's end "
@@ -635,10 +647,11 @@ def test_a_table_resume_without_its_sampler_is_refused(synth_tiny, solver):
 
 
 @pytest.mark.parametrize("solver", ["finito", "sag"])
-@pytest.mark.parametrize("first_pass,k", [(False, 0), (True, 0), (True, 7)])
+@pytest.mark.parametrize("first_pass,k", [(False, 0), (True, 0), (True, 7), (True, 20)])
 def test_a_state_that_drew_no_index_resumes_without_a_sampler(
         synth_tiny, solver, first_pass, k):
-    # at k = 0, or mid first pass (seen == k < n), the stream is still at draw 0
+    # at k = 0, or until the first pass is over (seen == k <= n), the stream
+    # is still at draw 0
     problem, _ = synth_tiny
     w0 = np.zeros(problem.d)
     config = SolverConfig(solver=solver, w0=w0, first_pass=first_pass)
@@ -655,8 +668,9 @@ def test_a_state_that_drew_no_index_resumes_without_a_sampler(
     tail, resumed, _ = run_with_state(problem, config, scheme, 3,
                                       resume=checkpoint_load(buf, problem))
     assert np.array_equal(resumed.w, whole.w)
+    # the rows past epoch k // n, the last whole epoch the state holds
     assert ([(r.epoch, r.objective) for r in tail]
-            == [(r.epoch, r.objective) for r in records[1:]])
+            == [(r.epoch, r.objective) for r in records[1 + k // problem.n:]])
 
 
 def test_a_fresh_run_evaluates_its_start_point_once(synth_tiny, monkeypatch):
