@@ -106,7 +106,8 @@ def arithmetic_digest() -> str:
 
 def skip_unless_same_arithmetic(recorded: dict) -> dict:
     """Golden digests are only comparable on a platform whose floating-point
-    primitives round like the recording platform's; skip elsewhere."""
+    primitives round like the recording platform's; skip elsewhere. The CI
+    workflow finds this skip in the -rs summary by its reason's last words."""
     if recorded["arithmetic"] != arithmetic_digest():
         pytest.skip("this platform's numpy/BLAS primitives round differently "
                     "from the ones the digests were recorded with")
