@@ -21,6 +21,7 @@ LOSS_KINDS = (LOGISTIC, SQUARED)
 
 # curvature of the loss in its margin argument, used for per-row L bounds
 _MARGIN_CURVATURE = {SQUARED: 1.0, LOGISTIC: 0.25}
+_EPS = float(np.finfo(float).eps)
 
 
 class StrongConvexityRequired(ValueError):
@@ -44,7 +45,7 @@ class ReferenceSolution:
     itself: for smooth problems the gradient norm ||f'(w_star)||; for
     composite problems the proximal fixed-point residual
     ||prox(w_star - f'(w_star)/L, 1/L) - w_star||, L the problem's
-    mean_lipschitz_constant().  method_tag names the algorithm that produced
+    smoothness_constant().  method_tag names the algorithm that produced
     it ("accelerated-proximal-gradient" for reference_solve).
     """
 
@@ -220,6 +221,7 @@ class FiniteSumProblem(_ProblemBase):
         self.l1_weight = float(l1_weight)
         self.n, self.d = features.shape
         self._lipschitz: float | None = None
+        self._smoothness: float | None = None
 
     def __repr__(self) -> str:
         return (f"FiniteSumProblem(n={self.n}, d={self.d}, loss={self.loss!r}, "
@@ -311,18 +313,48 @@ class FiniteSumProblem(_ProblemBase):
                     f"Lipschitz constant overflows: the largest feature "
                     f"magnitude is {np.abs(self.features).max():g} "
                     f"(s = {self.s:g}); rescale the data")
-            # each term is at most max/n, so the sum cannot overflow
-            self._mean_lipschitz = float(c * (row_norms / self.n).sum() + self.s)
             self._lipschitz = L
         return self._lipschitz
 
-    def mean_lipschitz_constant(self) -> float:
-        """mean_i L_i = c mean_i ||x_i||^2 + s.  It bounds the smoothness of
-        the average, c lambda_max(X^T X)/n + s, from above, since the largest
-        eigenvalue is at most the trace.  Raises lipschitz_constant's
-        ValueError when L is not finite; where L is finite, so is this."""
-        self.lipschitz_constant()
-        return self._mean_lipschitz
+    def smoothness_constant(self) -> float:
+        """c lambda_max(G)/n + s, the smoothness of the average f, with a
+        rounding margin that keeps it from falling below it, and capped by the
+        mean of the component constants, c mean_i ||x_i||^2 + s (the largest
+        eigenvalue is at most the trace).  G is the Gram matrix of the
+        smaller side of X, X^T X when d <= n and X X^T otherwise (the same
+        nonzero eigenvalues), so it is never larger than the data.  It is
+        formed from X scaled by the power of two 2^-e that brings the largest
+        row norm into [1/2, 1), which is exact and leaves every entry of G at
+        most n in magnitude, so G is finite wherever max_i L_i is.
+
+        The margin, with eps = 2^-52 and k the order of G: each computed
+        entry of G is within n eps/2 sum_i |x_ij x_ik| of the exact one (to
+        first order), so the computed G^ is within (n eps/2) tr(G) of G in
+        the 2-norm; eigvalsh returns the eigenvalues of G^ + E with
+        ||E||_2 <= p(k) eps ||G^||_2, LAPACK's backward error, where the
+        Householder tridiagonalisation gives p of order k^2, taken here as
+        8 k^2.  Both are at most their multiple of tr(G^), so
+        lambda_max(G) <= lambda^ + (n + 8 k^2) eps tr(G^), which also
+        covers the second-order terms and the entries that the scaling
+        takes below 2^-1022.  Raises lipschitz_constant's ValueError when
+        max_i L_i is not finite."""
+        if self._smoothness is None:
+            self.lipschitz_constant()
+            c = _MARGIN_CURVATURE[self.loss]
+            row_norms = np.einsum("ij,ij->i", self.features, self.features)
+            # each term is at most max/n, so the sum cannot overflow
+            mean = float((row_norms / self.n).sum())
+            e = math.frexp(math.sqrt(row_norms.max()))[1]
+            x = np.ldexp(self.features, -e)
+            gram = x.T @ x if self.d <= self.n else x @ x.T
+            trace = float(np.trace(gram))
+            bound = (float(np.linalg.eigvalsh(gram)[-1])
+                     + (self.n + 8 * len(gram) ** 2) * _EPS * trace)
+            # capped where the scaled values cannot overflow: 2^(2e) times
+            # the smaller is at most the mean, so scaling back is exact
+            scaled = min(bound / self.n, math.ldexp(mean, -2 * e))
+            self._smoothness = c * math.ldexp(scaled, 2 * e) + self.s
+        return self._smoothness
 
 
 class QuadraticProblem(_ProblemBase):
@@ -399,6 +431,6 @@ class QuadraticProblem(_ProblemBase):
     def lipschitz_constant(self) -> float:
         return float(self.weights.max())
 
-    def mean_lipschitz_constant(self) -> float:
+    def smoothness_constant(self) -> float:
         """mean(a_i), exactly the smoothness of the average."""
         return float(self.weights.mean())

@@ -556,9 +556,10 @@ def run(problem, config: SolverConfig, scheme: SamplingScheme, epochs: int,
 def reference_solve(problem) -> ReferenceSolution:
     """High-accuracy minimizer for the suboptimality reference.
 
-    Accelerated proximal gradient (FISTA) at step 1/L, L the mean of the
-    component constants (problem.mean_lipschitz_constant()), an upper bound
-    on the smoothness of the average f that FISTA needs, with gradient-based
+    Accelerated proximal gradient (FISTA) at step 1/L, L an upper bound on
+    the smoothness of the average f as FISTA needs (problem.
+    smoothness_constant(): the largest eigenvalue of the data's Gram matrix,
+    never above the mean of the component constants), with gradient-based
     adaptive restart: each iteration evaluates g = full_gradient(y) once and
     sets x+ = prox(y - g/L); momentum resets (t = 1, y = x+) whenever
     (y - x+).(x+ - x) > 0.  With l1 = 0 the prox is the identity.  This needs
@@ -572,7 +573,7 @@ def reference_solve(problem) -> ReferenceSolution:
     (|x+ - y| <= 4 spacing(|y|)): the step has rounded away in floating
     point, and later iterations only wander over the last bits.
     """
-    L = problem.mean_lipschitz_constant()
+    L = problem.smoothness_constant()
     smooth = problem.l1_weight == 0.0
     x = y = np.zeros(problem.d)
     t = 1.0

@@ -220,26 +220,51 @@ def test_quadratic_lipschitz_is_max_weight():
     assert p.lipschitz_constant() == 3.0
 
 
-def test_mean_lipschitz_closed_forms():
-    # rows of squared norm 1 and 4: c (1 + 4) / 2 + s
+def _just_above(value, exact):
+    # the smoothness constant's rounding margin keeps it at or just above the
+    # exact smoothness, never below
+    return exact <= value <= exact * (1.0 + 1e-12)
+
+
+def test_smoothness_closed_forms():
+    # orthogonal rows of squared norm 1 and 4: lambda_max(X^T X) = 4, so
+    # c 4 / 2 + s, where the mean bound c (1 + 4) / 2 + s gives 3.0 and 0.625
     feats = [[1.0, 0.0], [0.0, 2.0]]
-    assert FiniteSumProblem(feats, [1.0, 0.0], SQUARED, s=0.5).mean_lipschitz_constant() == 3.0
-    assert FiniteSumProblem(feats, [1.0, -1.0], LOGISTIC).mean_lipschitz_constant() == 0.625
+    assert _just_above(
+        FiniteSumProblem(feats, [1.0, 0.0], SQUARED, s=0.5).smoothness_constant(), 2.5)
+    assert _just_above(
+        FiniteSumProblem(feats, [1.0, -1.0], LOGISTIC).smoothness_constant(), 0.5)
+    # d > n: the Gram matrix X X^T is diag(9, 4), so 9 / 2 where the mean
+    # bound gives 13 / 2
+    wide = FiniteSumProblem([[1.0, 2.0, 2.0, 0.0], [0.0, 0.0, 0.0, 2.0]],
+                            [1.0, 0.0], SQUARED)
+    assert _just_above(wide.smoothness_constant(), 4.5)
+    # rank one: the eigenvalue is the trace, so the margin lifts it above the
+    # mean bound, which caps it
+    ranked = FiniteSumProblem([[1.0, 1.0], [2.0, 2.0]], [1.0, 0.0], SQUARED)
+    assert ranked.smoothness_constant() == 5.0
     p = QuadraticProblem([[0.0], [1.0], [2.0], [3.0]], weights=[1.0, 2.0, 3.0, 4.0])
-    assert p.mean_lipschitz_constant() == 2.5
+    assert p.smoothness_constant() == 2.5
 
 
-def test_mean_lipschitz_is_finite_where_the_largest_is():
+def test_smoothness_is_finite_where_the_largest_component_constant_is():
     # each row's squared norm is 1e308, so their sum overflows
     p = FiniteSumProblem(np.full((4, 1), 1e154), np.zeros(4), SQUARED)
-    assert p.lipschitz_constant() == p.mean_lipschitz_constant() == 1e154 * 1e154
+    assert p.lipschitz_constant() == p.smoothness_constant() == 1e154 * 1e154
+    # X^T X = diag(2e308, 1e308) overflows unless X is scaled first; the
+    # constant, 2e308 / 3, lies below the mean bound 1e308, so it is not a
+    # NaN eigenvalue that the cap replaced
+    p = FiniteSumProblem([[1e154, 0.0], [1e154, 0.0], [0.0, 1e154]],
+                         np.zeros(3), SQUARED)
+    with np.errstate(over="raise", invalid="raise"):
+        assert _just_above(p.smoothness_constant(), 1e154 * 1e154 / 3.0 * 2.0)
 
 
-def test_an_overflowing_mean_lipschitz_constant_names_the_largest_feature():
+def test_an_overflowing_smoothness_constant_names_the_largest_feature():
     p = FiniteSumProblem([[1e200], [-3e199]], [1.0, -1.0], LOGISTIC, s=0.5)
     with np.errstate(over="ignore"), pytest.raises(
             ValueError, match=r"overflows: the largest feature magnitude is 1e\+200"):
-        p.mean_lipschitz_constant()
+        p.smoothness_constant()
 
 
 # -- big data report ----------------------------------------------------------

@@ -345,14 +345,16 @@ def test_checkpoint_with_an_edited_value_fails_or_loads_a_valid_state(case, data
 @given(st.integers(1, 12), st.integers(1, 5), st.integers(0, 2**32 - 1),
        st.sampled_from(LOSS_KINDS), st.sampled_from([0.0, 0.1, 1.0]),
        st.sampled_from([0.0, 0.05]), st.integers(-20, 20))
-def test_mean_lipschitz_bounds_the_smoothness_of_the_average(n, d, seed, loss, s,
-                                                             l1, scale):
-    # mean_i L_i is c tr(X^T X)/n + s, at least c lambda_max(X^T X)/n + s,
-    # and equal to it for rank-one data, where the two may round apart
+def test_smoothness_constant_lies_between_the_smoothness_and_the_mean_bound(
+        n, d, seed, loss, s, l1, scale):
+    # at least c lambda_max(X^T X)/n + s, up to rounding, and at most the
+    # mean bound c tr(X^T X)/n + s, which it equals for rank-one data; d > n
+    # for n < 5 reads the Gram matrix of the rows
     rng = np.random.default_rng(seed)
     features = rng.standard_normal((n, d)) * 2.0**scale
     targets = np.where(rng.standard_normal(n) >= 0.0, 1.0, -1.0)
     problem = FiniteSumProblem(features, targets, loss, s=s, l1_weight=l1)
     c = _MARGIN_CURVATURE[loss]
     smoothness = c * np.linalg.eigvalsh(features.T @ features / n)[-1] + s
-    assert problem.mean_lipschitz_constant() >= smoothness * (1.0 - 1e-13)
+    mean_bound = float(c * (np.einsum("ij,ij->i", features, features) / n).sum() + s)
+    assert smoothness * (1.0 - 1e-13) <= problem.smoothness_constant() <= mean_bound

@@ -39,6 +39,7 @@ from finito import (
     sag_first_pass_step,
     sag_init,
     sag_step,
+    synth_data,
     synth_problem,
     SynthSpec,
 )
@@ -763,7 +764,7 @@ def test_reference_solve_synth_tolerance(synth_small):
 
 def test_reference_solve_l1_certificate_holds_at_w_star():
     problem, ref = synth_problem(SynthSpec(n=40, d=5, seed=0, l1_weight=0.01))
-    step = 1.0 / problem.mean_lipschitz_constant()
+    step = 1.0 / problem.smoothness_constant()
     w = ref.w_star
     resid = np.linalg.norm(
         prox_operator(problem.l1_weight, w - step * problem.full_gradient(w), step)
@@ -818,7 +819,7 @@ def test_reference_solve_steps_at_the_quadratic_smoothness():
     rng = np.random.default_rng(3)
     weights = rng.uniform(1.0, 9.0, 30)
     quad = QuadraticProblem(rng.standard_normal((30, 4)), weights)
-    assert quad.mean_lipschitz_constant() == float(weights.mean())
+    assert quad.smoothness_constant() == float(weights.mean())
     ref = reference_solve(quad)
     np.testing.assert_allclose(ref.w_star, quad.minimizer(), rtol=0, atol=1e-12)
 
@@ -827,17 +828,33 @@ FSTAR = Path(__file__).resolve().parent.parent / "perfbench" / "fstar.json"
 
 
 def test_reference_solve_reproduces_the_recorded_benchmark_references():
-    # seed 0 of every problem the benchmark generates, at the benchmark's own
-    # 1e-12 tolerance, so a drift in f_star fails here first
+    # every problem the benchmark generates, at the benchmark's own 1e-12
+    # tolerance, so a drift in f_star fails here first
     recorded = json.loads(FSTAR.read_text(encoding="ascii"))
     for signature, values in recorded.items():
         loss, *fields = signature.split()
         spec = dict(field.split("=") for field in fields)
-        _, ref = synth_problem(SynthSpec(
-            n=int(spec["n"]), d=int(spec["d"]), loss=loss,
-            target_beta=float(spec["beta"]), seed=0, l1_weight=float(spec["l1"])))
-        want = float.fromhex(values[0])
-        assert abs(ref.f_star - want) <= 1e-12 * abs(want), signature
+        for seed, value in enumerate(values):
+            _, ref = synth_problem(SynthSpec(
+                n=int(spec["n"]), d=int(spec["d"]), loss=loss,
+                target_beta=float(spec["beta"]), seed=seed,
+                l1_weight=float(spec["l1"])))
+            want = float.fromhex(value)
+            assert abs(ref.f_star - want) <= 1e-12 * abs(want), (signature, seed)
+
+
+def test_reference_solve_steps_at_the_gram_smoothness():
+    # at the trace bound mean_i L_i this solve takes 277 full gradients
+    problem = synth_data(SynthSpec(n=2000, d=20, seed=0))
+    full_gradient, calls = problem.full_gradient, []
+
+    def counted(w):
+        calls.append(None)
+        return full_gradient(w)
+
+    problem.full_gradient = counted
+    reference_solve(problem)
+    assert len(calls) <= 100
 
 
 # -- the step kernel's finiteness guard -----------------------------------------
