@@ -317,27 +317,24 @@ class FiniteSumProblem(_ProblemBase):
         return self._lipschitz
 
     def smoothness_constant(self) -> float:
-        """c lambda_max(G)/n + s, the smoothness of the average f, with a
-        rounding margin that keeps it from falling below it, and capped by the
-        mean of the component constants, c mean_i ||x_i||^2 + s (the largest
-        eigenvalue is at most the trace).  G is the Gram matrix of the
-        smaller side of X, X^T X when d <= n and X X^T otherwise (the same
-        nonzero eigenvalues), so it is never larger than the data.  It is
-        formed from X scaled by the power of two 2^-e that brings the largest
-        row norm into [1/2, 1), which is exact and leaves every entry of G at
-        most n in magnitude, so G is finite wherever max_i L_i is.
+        """c lambda_max(G)/n + s, the smoothness of the average f, raised by a
+        rounding margin so that it is never below it, and capped by the mean
+        bound c mean_i ||x_i||^2 + s (lambda_max is at most the trace).  G is
+        the Gram matrix of the smaller side of X: X^T X when d <= n, X X^T
+        otherwise (the same nonzero eigenvalues), never larger than the data.
+        X is first scaled by the power of two that brings its largest row norm
+        into [1/2, 1), exactly, so every entry of G is at most n and G is
+        finite wherever max_i L_i is.
 
-        The margin, with eps = 2^-52 and k the order of G: each computed
-        entry of G is within n eps/2 sum_i |x_ij x_ik| of the exact one (to
-        first order), so the computed G^ is within (n eps/2) tr(G) of G in
-        the 2-norm; eigvalsh returns the eigenvalues of G^ + E with
-        ||E||_2 <= p(k) eps ||G^||_2, LAPACK's backward error, where the
-        Householder tridiagonalisation gives p of order k^2, taken here as
-        8 k^2.  Both are at most their multiple of tr(G^), so
-        lambda_max(G) <= lambda^ + (n + 8 k^2) eps tr(G^), which also
-        covers the second-order terms and the entries that the scaling
-        takes below 2^-1022.  Raises lipschitz_constant's ValueError when
-        max_i L_i is not finite."""
+        Margin (eps = 2^-52, k the order of G): each computed entry of G is
+        within (n eps/2) sum_i |x_ij x_ik| of the exact one, so the computed
+        G^ is within (n eps/2) tr(G) of G in the 2-norm; eigvalsh returns the
+        eigenvalues of G^ + E, ||E||_2 <= p(k) eps ||G^||_2, where LAPACK's
+        Householder tridiagonalisation gives p of order k^2, taken as 8 k^2.
+        So lambda_max(G) <= lambda^ + (n + 8 k^2) eps tr(G^), which also
+        covers the second-order terms and the entries that the scaling takes
+        below 2^-1022.  Raises lipschitz_constant's ValueError when max_i L_i
+        is not finite."""
         if self._smoothness is None:
             self.lipschitz_constant()
             c = _MARGIN_CURVATURE[self.loss]
