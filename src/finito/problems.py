@@ -21,7 +21,6 @@ LOSS_KINDS = (LOGISTIC, SQUARED)
 
 # curvature of the loss in its margin argument, used for per-row L bounds
 _MARGIN_CURVATURE = {SQUARED: 1.0, LOGISTIC: 0.25}
-_EPS = float(np.finfo(float).eps)
 
 
 class StrongConvexityRequired(ValueError):
@@ -344,9 +343,8 @@ class FiniteSumProblem(_ProblemBase):
             e = math.frexp(math.sqrt(row_norms.max()))[1]
             x = np.ldexp(self.features, -e)
             gram = x.T @ x if self.d <= self.n else x @ x.T
-            trace = float(np.trace(gram))
-            bound = (float(np.linalg.eigvalsh(gram)[-1])
-                     + (self.n + 8 * len(gram) ** 2) * _EPS * trace)
+            margin = (self.n + 8 * len(gram) ** 2) * np.finfo(float).eps
+            bound = float(np.linalg.eigvalsh(gram)[-1] + margin * np.trace(gram))
             # capped where the scaled values cannot overflow: 2^(2e) times
             # the smaller is at most the mean, so scaling back is exact
             scaled = min(bound / self.n, math.ldexp(mean, -2 * e))
