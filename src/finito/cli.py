@@ -34,34 +34,27 @@ from .solvers import (ALPHA_TAGS, DivergenceError, MONITORS, SOLVER_TAGS,
 from .theory import suite_inequalities, suite_lyapunov, suite_rate  # noqa: F401
 
 
+class _Once:
+    """A mixin: the action's destination takes one value in each parse; the
+    namespace holds the destinations given."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        given = vars(namespace).setdefault("_given", set())
+        if self.dest in given:
+            parser.error(f"{option_string} given twice")
+        given.add(self.dest)
+        super().__call__(parser, namespace, values, option_string)
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors; the contract here is 1.  A flag is
     its full name, given once, where argparse takes a prefix or the last."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, allow_abbrev=False, **kwargs)
-
-    def parse_known_args(self, args=None, namespace=None):
-        args = sys.argv[1:] if args is None else args
-        # the subcommand's own parser counts the tokens after its name
-        commands = [name for action in self._actions
-                    if isinstance(action, argparse._SubParsersAction)
-                    for name in action.choices]
-        given = set()
-        tokens = iter(args)
-        for token in tokens:
-            if token in commands:
-                break
-            flag, eq, _ = token.partition("=")
-            action = self._option_string_actions.get(flag)
-            if action is None:
-                continue
-            if flag in given:
-                self.error(f"{flag} given twice")
-            given.add(flag)
-            if action.nargs is None and not eq:
-                next(tokens, None)  # its value, even one that looks like a flag
-        return super().parse_known_args(args, namespace)
+        for name in (None, "store", "store_true"):  # None: add_argument's default
+            base = self._registry_get("action", name)
+            self.register("action", name, type("Once", (_Once, base), {}))
 
     def error(self, message):
         self.print_usage(sys.stderr)

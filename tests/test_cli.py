@@ -206,9 +206,6 @@ AFTER_THE_REFERENCE = {"huge-l-reference", "reference-stall"}
                  "error: full-gradient ignores step=practical in config "
                  "'full-gradient::step=practical'; only sag has one\n",
                  id="compare-full-gradient-practical"),
-    pytest.param(["run", "--synth", "n=50,d=5", "--solver", "sag", "--step", "practical",
-                  "--step", "1e-3"],
-                 "finito run: error: --step given twice\n", id="sag-practical-and-step"),
     pytest.param(["run", "--synth", "n=50,d=5", "--solver", "sag", "--step", "fast"],
                  "error: --step 'fast': use practical or a number\n",
                  id="step-not-a-number"),
@@ -276,37 +273,18 @@ AFTER_THE_REFERENCE = {"huge-l-reference", "reference-stall"}
     pytest.param(["run", "--synth", "n=50,d=5", "--fstar", "fstar.txt"],
                  "error: --fstar 'fstar.txt': use auto, none or a number\n",
                  id="fstar-not-a-number"),
-    # a flag or key given twice once kept its last value and exited 0
-    pytest.param(["run", "--synth", "n=50,d=5", "--synth", "n=40,d=2"],
-                 "finito run: error: --synth given twice\n", id="synth-twice"),
-    pytest.param(["run", "--synth", "n=50,n=40,d=2", "--alpha", "2", "--alpha", "3"],
-                 "finito run: error: --alpha given twice\n", id="alpha-twice"),
+    # a key given twice once kept its last value and exited 0
     pytest.param(["run", "--synth", "n=50,n=40,d=2"],
                  "error: n= given twice in synth spec 'n=50,n=40,d=2'\n",
                  id="synth-key-twice"),
-    pytest.param(["verify", "--suite", "rate", "--seed", "0", "--seed", "1"],
-                 "finito verify: error: --seed given twice\n", id="verify-seed-twice"),
-    pytest.param(["compare", "--synth", "n=50,d=5", "--configs", "finito",
-                  "--configs", "sag"],
-                 "finito compare: error: --configs given twice\n", id="configs-twice"),
     pytest.param(["compare", "--synth", "n=50,d=5", "--configs", "finito::alpha=3:alpha=4"],
                  "error: alpha= given twice in config 'finito::alpha=3:alpha=4'\n",
                  id="config-key-twice"),
-    # store_true flags too, and the --flag=value form is the flag itself
-    pytest.param(["run", "--synth", "n=50,d=5", "--epochs", "1", "--no-first-pass",
-                  "--no-first-pass"],
-                 "finito run: error: --no-first-pass given twice\n",
-                 id="no-first-pass-twice"),
-    pytest.param(["run", "--synth", "n=50,d=5", "--alpha=2", "--alpha", "3"],
-                 "finito run: error: --alpha given twice\n", id="alpha-equals-twice"),
-    # the check counted values and the subcommand's tokens as flags: the
-    # first read --out's missing value as a second --synth, the second
-    # named the top-level parser
+    # a check that walked argv itself read --out's missing value as a second
+    # --synth
     pytest.param(["run", "--synth", "n=50,d=5", "--out", "--synth"],
                  "finito run: error: argument --out: expected one argument\n",
                  id="out-without-value"),
-    pytest.param(["run", "-h", "-h"], "finito run: error: -h given twice\n",
-                 id="run-help-twice"),
     # a prefix of a flag once ran as that flag: compare's --seed 3 as --seeds 3,
     # the median over seeds 0, 1 and 2
     pytest.param(["run", "--synth", "n=50,d=5", "--epo", "1", "--sam", "permuted",
@@ -429,6 +407,44 @@ def test_invalid_values_exit_one_without_traceback(tmp_path, reference_solves, r
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(DATA_FILES)
     if argv[0] != "verify":  # the lab solves its own problems' references
         assert bool(reference_solves) == (request.node.callspec.id in AFTER_THE_REFERENCE)
+
+
+def _flag_occurrences():
+    """(command, its flag's occurrences) for every store and store_true flag
+    of every subcommand: each spelling as `--flag v` and `--flag=v`, with a
+    value the flag takes, or alone for store_true."""
+    parser = cli.build_parser()
+    commands = next(action for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction)).choices
+    for command, sub in commands.items():
+        for action in sub._actions:
+            if isinstance(action, argparse._StoreTrueAction):
+                yield command, [[flag] for flag in action.option_strings]
+            elif isinstance(action, argparse._StoreAction):
+                value = action.choices[0] if action.choices else "1"
+                yield command, [occurrence for flag in action.option_strings
+                                for occurrence in ([flag, value], [f"{flag}={value}"])]
+
+
+# a flag given twice once kept its last value and exited 0
+@pytest.mark.parametrize("command,occurrences", [
+    pytest.param(command, occurrences, id=f"{command}{occurrences[0][0]}")
+    for command, occurrences in _flag_occurrences()])
+def test_every_flag_given_twice_exits_one(command, occurrences):
+    for first in occurrences:
+        for second in occurrences:
+            code, out, err = call([command, *first, *second])
+            flag = second[0].partition("=")[0]
+            assert (code, out) == (1, "")
+            assert err.endswith(f"\nfinito {command}: error: {flag} given twice\n")
+            assert "Traceback" not in err
+
+
+def test_help_given_twice_prints_the_help():
+    # help ends the parse at its first occurrence
+    code, out, err = call(["run", "-h", "-h"])
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: finito run ")
 
 
 def test_objective_flags_set_the_synth_problem():
