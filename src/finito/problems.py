@@ -301,8 +301,9 @@ class FiniteSumProblem(_ProblemBase):
 
     def lipschitz_constant(self) -> float:
         """max_i L_i with L_i = c ||x_i||^2 + s, c the loss margin curvature.
-        ValueError when it is not finite: only the steps and the checks that
-        need L refuse such data, so finito runs on it without a reference."""
+        ValueError when it is not finite or is 0: only the steps and the
+        checks that need L refuse such data, so finito runs on it without a
+        reference."""
         if self._lipschitz is None:
             c = _MARGIN_CURVATURE[self.loss]
             row_norms = np.einsum("ij,ij->i", self.features, self.features)
@@ -312,6 +313,9 @@ class FiniteSumProblem(_ProblemBase):
                     f"Lipschitz constant overflows: the largest feature "
                     f"magnitude is {np.abs(self.features).max():g} "
                     f"(s = {self.s:g}); rescale the data")
+            if L == 0.0:
+                raise ValueError("Lipschitz constant is 0: every feature is 0 "
+                                 "and s = 0")
             self._lipschitz = L
         return self._lipschitz
 
@@ -333,7 +337,7 @@ class FiniteSumProblem(_ProblemBase):
         So lambda_max(G) <= lambda^ + (n + 8 k^2) eps tr(G^), which also
         covers the second-order terms and the entries that the scaling takes
         below 2^-1022.  Raises lipschitz_constant's ValueError when max_i L_i
-        is not finite."""
+        is not finite or is 0."""
         if self._smoothness is None:
             self.lipschitz_constant()
             c = _MARGIN_CURVATURE[self.loss]

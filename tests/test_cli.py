@@ -130,7 +130,8 @@ def test_miso_without_strong_convexity_exits_one(tmp_path):
 # the exit-1 table names these files in braces
 DATA_FILES = {"huge-l.svm": "1 1:1e200\n-1 1:-3e199 2:1.0\n",
               "stall.svm": "1 1:1e8\n-1 1:7e7\n",
-              "three.svm": "1 1:0.5 2:1\n-1 1:-0.3 2:0.2\n1 1:0.1 2:-0.4\n"}
+              "three.svm": "1 1:0.5 2:1\n-1 1:-0.3 2:0.2\n1 1:0.1 2:-0.4\n",
+              "zero.svm": "1 1:0\n-1 1:0\n1 1:0\n"}
 
 
 # every module that looks reference_solve up
@@ -163,7 +164,7 @@ def reference_solves(monkeypatch):
 
 # the run and compare refusals of the exit-1 table that come from the
 # reference solve itself; every other one comes before any reference is solved
-AFTER_THE_REFERENCE = {"huge-l-reference", "reference-stall"}
+AFTER_THE_REFERENCE = {"huge-l-reference", "reference-stall", "zero-l-reference"}
 
 
 # each of these once escaped cli.main as a traceback or exited 2 ("diverged")
@@ -339,6 +340,17 @@ AFTER_THE_REFERENCE = {"huge-l-reference", "reference-stall"}
                    "error: Lipschitz constant overflows: the largest feature magnitude "
                    "is 1e+200 (s = 0.01); rescale the data\n", id=f"{solver}-huge-l")
       for solver in ("sag", "full-gradient", "miso")),
+    # all-zero features at s = 0 give L = 0, which each of these divided by in
+    # a ZeroDivisionError traceback: sag's default step, full-gradient's 1/L,
+    # the reference solve's step and compare's check of sag
+    *(pytest.param([command, "--data", "{zero.svm}", "--s", "0", *flags, "--epochs", "1"],
+                   "error: Lipschitz constant is 0: every feature is 0 and s = 0\n",
+                   id=f"zero-l-{name}")
+      for command, flags, name in (
+          ("run", ["--solver", "sag"], "sag"),
+          ("run", ["--solver", "full-gradient"], "full-gradient"),
+          ("run", ["--solver", "sag", "--step", "1"], "reference"),
+          ("compare", ["--configs", "sag", "--seeds", "1"], "compare-sag"))),
     # with s = 0 the gradient floors near 1e-8, where the step rounds away;
     # sag, since finito refuses s = 0 before any reference is solved
     pytest.param(["run", "--data", "{stall.svm}", "--loss", "squared", "--s", "0",
@@ -477,6 +489,17 @@ def test_fstar_none_or_a_number_solves_no_reference(
         assert suboptimality == ("nan" if fstar == "none" else repr(objective - 0.25))
     else:  # the median suboptimality of each config
         assert all((cell == "nan") == (fstar == "none") for cell in last[1:])
+
+
+def test_sag_at_a_given_step_runs_on_zero_data_without_a_reference(
+        tmp_path, no_reference_solve):
+    # it reads no L, so the zero constant is not refused
+    data = tmp_path / "zero.svm"
+    data.write_text(DATA_FILES["zero.svm"])
+    code, out, err = call(["run", "--data", str(data), "--s", "0", "--solver", "sag",
+                           "--step", "1", "--epochs", "1", "--fstar", "none"])
+    assert (code, err) == (0, "")
+    assert [row[0] for row in rows_without_wall(out)] == ["0.0", "1.0"]
 
 
 def test_a_large_synth_problem_without_a_reference_solves_none(no_reference_solve):

@@ -267,6 +267,17 @@ def test_an_overflowing_smoothness_constant_names_the_largest_feature():
         p.smoothness_constant()
 
 
+@pytest.mark.parametrize("loss", [LOGISTIC, SQUARED])
+@pytest.mark.parametrize("constant", ["lipschitz_constant", "smoothness_constant"])
+def test_a_zero_constant_names_its_cause(constant, loss):
+    # the steps and the reference solve divide by it; the problem is built,
+    # since sag runs on it at a given step without a reference
+    p = FiniteSumProblem(np.zeros((3, 1)), [1.0, -1.0, 1.0], loss, s=0.0)
+    with pytest.raises(ValueError, match=r"^Lipschitz constant is 0: every "
+                                         r"feature is 0 and s = 0$"):
+        getattr(p, constant)()
+
+
 # -- big data report ----------------------------------------------------------
 
 
