@@ -105,15 +105,12 @@ def simulate_unseen(n: int, k, trials: int = 100_000,
     done = 0
     while done < trials:
         m = min(_TRIAL_CHUNK, trials - done)
-        draws = rng.integers(0, n, size=(m, k_max)) if k_max else \
-            np.empty((m, 0), dtype=np.int64)
+        draws = rng.integers(0, n, size=(m, k_max))
         for kk in ks:
-            if kk == 0:
-                v = np.full(m, float(n))
-            else:
-                prefix = np.sort(draws[:, :kk], axis=1)
-                distinct = 1 + np.count_nonzero(np.diff(prefix, axis=1), axis=1)
-                v = (n - distinct).astype(float)
+            prefix = np.sort(draws[:, :kk], axis=1)
+            # draws are >= 0, so the prepended -1 counts each prefix's first value
+            distinct = np.count_nonzero(np.diff(prefix, axis=1, prepend=-1), axis=1)
+            v = (n - distinct).astype(float)
             sums[kk] += float(v.sum())
             sq_sums[kk] += float((v * v).sum())
         done += m
