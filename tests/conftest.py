@@ -97,10 +97,12 @@ def arithmetic_digest() -> str:
     x = rng.standard_normal((12, 3))
     w = rng.standard_normal(3)
     grid = np.linspace(-40.0, 40.0, 801)
+    gram = x.T @ x  # f_star rests on the smoothness constant's Gram eigenvalues
     parts = [x @ w, np.array([float(row @ w) for row in x]), x.T @ (x @ w),
              np.tanh(grid), np.array([float(np.tanh(t)) for t in grid]),
              np.logaddexp(0.0, grid), x.sum(axis=0),
-             np.einsum("ij,ij->i", x, x), np.array([np.linalg.norm(w)])]
+             np.einsum("ij,ij->i", x, x), np.array([np.linalg.norm(w)]),
+             gram, np.linalg.eigvalsh(gram)]
     return sha_prefix(*(p.tobytes() for p in parts))
 
 

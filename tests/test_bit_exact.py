@@ -7,8 +7,9 @@ vectors and tables, both checkpoint files, and the sampler's draw count.
 Divergence cases store the DivergenceError message, j and k themselves.
 
 The digests depend on the platform's floating-point kernels (BLAS dot
-products, numpy's tanh), so the file also carries a digest of those
-primitives; on a platform where they differ the comparison is skipped.
+products, numpy's tanh, the Gram product and LAPACK's eigvalsh behind
+f_star), so the file also carries a digest of those primitives; on a
+platform where they differ the comparison is skipped.
 
 Re-record (only at a commit whose numbers are known good):
 
@@ -168,6 +169,17 @@ def test_runs_and_checkpoints_match_golden(golden, current):
 
 def test_divergence_errors_match_golden(golden, current):
     assert current["divergence"] == golden["divergence"]
+
+
+def test_the_platform_guard_covers_the_gram_eigenvalues(monkeypatch):
+    # f_star steps at the largest Gram eigenvalue, so a platform whose
+    # eigvalsh rounds one ulp apart records other digests and must skip
+    recorded = {"arithmetic": arithmetic_digest()}
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a: np.nextafter(eigvalsh(a), np.inf))
+    with pytest.raises(pytest.skip.Exception):
+        skip_unless_same_arithmetic(recorded)
 
 
 if __name__ == "__main__":
