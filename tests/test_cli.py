@@ -286,6 +286,10 @@ AFTER_THE_REFERENCE = {"huge-l-reference", "reference-stall", "zero-l-reference"
     pytest.param(["run", "--synth", "n=50,d=5", "--out", "--synth"],
                  "finito run: error: argument --out: expected one argument\n",
                  id="out-without-value"),
+    # argparse reads the tokens in order, so the first fault is the one named
+    pytest.param(["run", "--synth", "n=50,d=5", "--epochs", "x", "--epochs", "2"],
+                 "finito run: error: argument --epochs: invalid int value: 'x'\n",
+                 id="bad-value-then-twice"),
     # a prefix of a flag once ran as that flag: compare's --seed 3 as --seeds 3,
     # the median over seeds 0, 1 and 2
     pytest.param(["run", "--synth", "n=50,d=5", "--epo", "1", "--sam", "permuted",
