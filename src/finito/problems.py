@@ -313,9 +313,13 @@ class FiniteSumProblem(_ProblemBase):
                     f"Lipschitz constant overflows: the largest feature "
                     f"magnitude is {np.abs(self.features).max():g} "
                     f"(s = {self.s:g}); rescale the data")
-            if L == 0.0:
-                raise ValueError("Lipschitz constant is 0: every feature is 0 "
-                                 "and s = 0")
+            if L == 0.0:  # so s = 0
+                largest = np.abs(self.features).max()
+                raise ValueError(
+                    "Lipschitz constant is 0: every feature is 0 and s = 0"
+                    if largest == 0.0 else
+                    f"Lipschitz constant underflows to 0: the largest feature "
+                    f"magnitude is {largest:g} (s = 0); rescale the data")
             self._lipschitz = L
         return self._lipschitz
 

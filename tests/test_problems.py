@@ -267,14 +267,18 @@ def test_an_overflowing_smoothness_constant_names_the_largest_feature():
         p.smoothness_constant()
 
 
+@pytest.mark.parametrize("feature,message", [
+    (0.0, r"^Lipschitz constant is 0: every feature is 0 and s = 0$"),
+    # its square, 1e-340, rounds to 0
+    (1e-170, r"^Lipschitz constant underflows to 0: the largest feature magnitude "
+             r"is 1e-170 \(s = 0\); rescale the data$")])
 @pytest.mark.parametrize("loss", [LOGISTIC, SQUARED])
 @pytest.mark.parametrize("constant", ["lipschitz_constant", "smoothness_constant"])
-def test_a_zero_constant_names_its_cause(constant, loss):
+def test_a_zero_constant_names_its_cause(constant, loss, feature, message):
     # the steps and the reference solve divide by it; the problem is built,
     # since sag runs on it at a given step without a reference
-    p = FiniteSumProblem(np.zeros((3, 1)), [1.0, -1.0, 1.0], loss, s=0.0)
-    with pytest.raises(ValueError, match=r"^Lipschitz constant is 0: every "
-                                         r"feature is 0 and s = 0$"):
+    p = FiniteSumProblem(np.full((3, 1), feature), [1.0, -1.0, 1.0], loss, s=0.0)
+    with pytest.raises(ValueError, match=message):
         getattr(p, constant)()
 
 
