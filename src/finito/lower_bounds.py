@@ -108,8 +108,8 @@ def simulate_unseen(n: int, k, trials: int = 100_000,
         draws = rng.integers(0, n, size=(m, k_max))
         for kk in ks:
             prefix = np.sort(draws[:, :kk], axis=1)
-            # draws are >= 0, so the prepended -1 counts each prefix's first value
-            distinct = np.count_nonzero(np.diff(prefix, axis=1, prepend=-1), axis=1)
+            # a nonempty prefix's first value, then each change of value
+            distinct = (kk > 0) + np.count_nonzero(np.diff(prefix, axis=1), axis=1)
             v = (n - distinct).astype(float)
             sums[kk] += float(v.sum())
             sq_sums[kk] += float((v * v).sum())
