@@ -11,6 +11,7 @@ from __future__ import annotations
 import os
 import re
 import warnings
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -82,8 +83,19 @@ def _open_text(source, mode: str):
         raise
 
 
+def _lines(handle):
+    # (line number from 1, line) read a piece at a time; splitting each piece
+    # again gives exactly the lines str.splitlines() gives for the whole text
+    return enumerate((part for raw in handle for part in raw.splitlines()), start=1)
+
+
 # ---------------------------------------------------------------------------
 # LIBSVM
+
+
+def _libsvm_error(line_no: int, raw: str, t: int, what: str) -> LibsvmFormatError:
+    column = list(re.finditer(r"\S+", raw))[t].start() + 1  # of token t, 0 the label
+    return LibsvmFormatError(f"line {line_no}, column {column}: {what}")
 
 
 def parse_libsvm(source):
@@ -91,64 +103,51 @@ def parse_libsvm(source):
 
     Indices are 1-based and must be strictly ascending within a line; blank
     lines are skipped, so concatenating valid files yields a valid file.  The
-    width is the largest index seen.
+    width is the largest index seen.  The text is read a line at a time,
+    never whole, and the matrix is filled by one scatter.
     """
-    with _open_text(source, "r") as handle:
-        text = handle.read()
-    labels: list[float] = []
-    rows: list[list[tuple[int, float]]] = []
+    # per line its label and entry count, per entry its index and value
+    labels, counts, indices, values = [], [], [], array("d")
     width = 0
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip():
-            continue
-        tokens = list(re.finditer(r"\S+", raw))
-        head = tokens[0]
-        try:
-            label = float(head.group())
-        except ValueError:
-            raise LibsvmFormatError(
-                f"line {line_no}, column {head.start() + 1}: "
-                f"bad label {head.group()!r}") from None
-        entries: list[tuple[int, float]] = []
-        prev = 0
-        for tok in tokens[1:]:
-            col = tok.start() + 1
-            idx_text, sep, val_text = tok.group().partition(":")
-            if not sep:
-                raise LibsvmFormatError(
-                    f"line {line_no}, column {col}: malformed token "
-                    f"{tok.group()!r} (expected idx:value)")
+    with _open_text(source, "r") as handle:
+        for line_no, raw in _lines(handle):
+            tokens = raw.split()
+            if not tokens:
+                continue
             try:
-                idx = int(idx_text)
-                val = float(val_text)
+                labels.append(float(tokens[0]))
             except ValueError:
-                raise LibsvmFormatError(
-                    f"line {line_no}, column {col}: malformed token "
-                    f"{tok.group()!r}") from None
-            if idx == 0:
-                raise LibsvmFormatError(
-                    f"line {line_no}, column {col}: indices are 1-based, got 0")
-            if idx <= prev:
-                raise LibsvmFormatError(
-                    f"line {line_no}, column {col}: index {idx} not ascending "
-                    f"(previous {prev})")
-            entries.append((idx, val))
-            prev = idx
-        labels.append(label)
-        rows.append(entries)
-        width = max(width, prev)
-    if not rows:
+                raise _libsvm_error(line_no, raw, 0, f"bad label {tokens[0]!r}") from None
+            prev = 0
+            for t, token in enumerate(tokens[1:], start=1):
+                idx_text, sep, val_text = token.partition(":")
+                try:
+                    idx = int(idx_text)
+                    val = float(val_text)
+                except ValueError:  # a token without ":" fails float("")
+                    raise _libsvm_error(
+                        line_no, raw, t, f"malformed token {token!r}"
+                        + ("" if sep else " (expected idx:value)")) from None
+                if idx <= prev:
+                    raise _libsvm_error(
+                        line_no, raw, t, "indices are 1-based, got 0" if idx == 0
+                        else f"index {idx} not ascending (previous {prev})")
+                indices.append(idx)
+                values.append(val)
+                prev = idx
+            counts.append(len(tokens) - 1)
+            width = max(width, prev)
+    if not labels:
         raise LibsvmFormatError("no data lines found")
-    n = len(rows)
+    n = len(labels)
     need = n * width * 8
     if need > DENSE_WARN_BYTES:
         warnings.warn(
             f"dense LIBSVM materialization needs {need / 2**20:.0f} MiB "
             f"({n} rows x {width} columns)", UserWarning)
     features = np.zeros((n, width))
-    for r, entries in enumerate(rows):
-        for idx, val in entries:
-            features[r, idx - 1] = val
+    # an empty index list must still give an integer array
+    features[np.repeat(np.arange(n), counts), np.array(indices, dtype=int) - 1] = values
     return features, np.asarray(labels)
 
 
@@ -238,28 +237,27 @@ def write_trace(records, sink) -> None:
 
 
 def read_trace(source) -> list[TraceRecord]:
-    with _open_text(source, "r") as handle:
-        text = handle.read()
-    lines = text.splitlines()
-    if not lines or lines[0] != TRACE_HEADER:
-        found = lines[0] if lines else ""
-        raise TraceFormatError(
-            f"header mismatch: expected {TRACE_HEADER!r}, found {found!r}")
     records = []
     width = len(_TRACE_COLUMNS)
-    for line_no, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        cells = line.split(",")
-        if len(cells) != width:
+    with _open_text(source, "r") as handle:
+        lines = _lines(handle)
+        _, found = next(lines, (1, ""))
+        if found != TRACE_HEADER:
             raise TraceFormatError(
-                f"line {line_no}: expected {width} fields, found {len(cells)}")
-        try:
-            records.append(TraceRecord(**{
-                name: parse(cell)
-                for (name, _, parse), cell in zip(_TRACE_COLUMNS, cells)}))
-        except ValueError as exc:
-            raise TraceFormatError(f"line {line_no}: non-numeric field ({exc})") from None
+                f"header mismatch: expected {TRACE_HEADER!r}, found {found!r}")
+        for line_no, line in lines:
+            if not line:
+                continue
+            cells = line.split(",")
+            if len(cells) != width:
+                raise TraceFormatError(
+                    f"line {line_no}: expected {width} fields, found {len(cells)}")
+            try:
+                records.append(TraceRecord(**{
+                    name: parse(cell)
+                    for (name, _, parse), cell in zip(_TRACE_COLUMNS, cells)}))
+            except ValueError as exc:
+                raise TraceFormatError(f"line {line_no}: non-numeric field ({exc})") from None
     return records
 
 
@@ -357,9 +355,7 @@ def checkpoint_load(source, problem):
     """
     n, d = problem.n, problem.d
     with _open_text(source, "r") as handle:
-        # read line by line; splitting each read line again gives exactly the
-        # lines str.splitlines() gives for the whole text
-        lines = enumerate((p for raw in handle for p in raw.splitlines()), start=1)
+        lines = _lines(handle)
         _, found = next(lines, (1, ""))
         if found != CHECKPOINT_MAGIC:
             raise CheckpointFormatError(

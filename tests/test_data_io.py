@@ -61,19 +61,52 @@ def test_parse_libsvm_from_path_and_stream(tmp_path):
         parse_libsvm(SAMPLE)
 
 
-def test_parse_libsvm_error_positions():
-    with pytest.raises(LibsvmFormatError, match=r"line 1, column 1: bad label"):
-        parse_libsvm(io.StringIO("abc 1:2\n"))
-    with pytest.raises(LibsvmFormatError, match=r"line 2, column 4: indices are 1-based"):
-        parse_libsvm(io.StringIO("1 1:2\n-1 0:3\n"))
-    with pytest.raises(LibsvmFormatError, match=r"line 1, column 7: index 2 not ascending"):
-        parse_libsvm(io.StringIO("1 3:1 2:5\n"))
-    with pytest.raises(LibsvmFormatError, match=r"malformed token '1::'"):
-        parse_libsvm(io.StringIO("1 1::\n"))
-    with pytest.raises(LibsvmFormatError, match=r"malformed token 'novalue'"):
-        parse_libsvm(io.StringIO("1 novalue\n"))
-    with pytest.raises(LibsvmFormatError, match="no data lines"):
-        parse_libsvm(io.StringIO(""))
+@pytest.mark.parametrize("text,message", [
+    pytest.param("abc 1:2\n", "line 1, column 1: bad label 'abc'", id="bad-label"),
+    pytest.param("1 1:2\n-1 0:3\n", "line 2, column 4: indices are 1-based, got 0",
+                 id="index-0"),
+    pytest.param("1 3:1 2:5\n", "line 1, column 7: index 2 not ascending (previous 3)",
+                 id="descending"),
+    pytest.param("1 1::\n", "line 1, column 3: malformed token '1::'", id="bad-value"),
+    pytest.param("1 novalue\n",
+                 "line 1, column 3: malformed token 'novalue' (expected idx:value)",
+                 id="no-colon"),
+    pytest.param("", "no data lines found", id="empty"),
+    # columns count characters, whatever whitespace str.split() splits at
+    pytest.param("1\t3:1\t2:5\n", "line 1, column 7: index 2 not ascending (previous 3)",
+                 id="tabs"),
+    pytest.param(" \t abc 1:2\n", "line 1, column 4: bad label 'abc'", id="indented-label"),
+    pytest.param("1\xa01:1\u3000x\n",
+                 "line 1, column 7: malformed token 'x' (expected idx:value)",
+                 id="unicode-spaces"),
+    # the repeated token is found by its place, not by its text
+    pytest.param("1 1:1 1:1\n", "line 1, column 7: index 1 not ascending (previous 1)",
+                 id="repeated-token"),
+    pytest.param("1 1\n", "line 1, column 3: malformed token '1' (expected idx:value)",
+                 id="bare-index"),
+    pytest.param("1 -3:1\n", "line 1, column 3: index -3 not ascending (previous 0)",
+                 id="negative-index"),
+])
+def test_parse_libsvm_error_positions(text, message):
+    with pytest.raises(LibsvmFormatError) as caught:
+        parse_libsvm(io.StringIO(text))
+    assert str(caught.value) == message
+
+
+def test_parse_libsvm_numbers_lines_as_splitlines(tmp_path):
+    # read a piece at a time, a file ends its pieces only at \r, \n and
+    # \r\n, and a stream only at \n; the line numbers are still those of
+    # str.splitlines(), which also ends a line at \x0b, \x0c and \x1c
+    text = "".join(f"1 1:{i}{end}" for i, end in
+                   enumerate(["\r", "\r\n", "\x0b", "\x0c", "\x1c"], start=1))
+    text += "1 x\n"
+    assert text.splitlines()[5] == "1 x"
+    path = tmp_path / "boundaries.svm"
+    path.write_bytes(text.encode("ascii"))
+    for source in (path, io.StringIO(text)):
+        with pytest.raises(LibsvmFormatError) as caught:
+            parse_libsvm(source)
+        assert str(caught.value) == "line 6, column 3: malformed token 'x' (expected idx:value)"
 
 
 def test_parse_libsvm_memory_warning(monkeypatch):
