@@ -197,7 +197,8 @@ def synth_data(spec: SynthSpec) -> FiniteSumProblem:
     max_norm2 = float(np.einsum("ij,ij->i", features, features).max())
     L_target = n * spec.s / spec.target_beta
     scale2 = (L_target - spec.s) * (1.0 - 1e-9) / (q * max_norm2)
-    for _ in range(64):
+    # lipschitz_constant() refuses an L whose reciprocal overflows
+    for _ in range(64 if np.isfinite(1.0 / L_target) else 0):
         scaled = features * np.sqrt(scale2)
         margins = scaled @ planted + noise
         if spec.loss == LOGISTIC:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -301,9 +302,9 @@ class FiniteSumProblem(_ProblemBase):
 
     def lipschitz_constant(self) -> float:
         """max_i L_i with L_i = c ||x_i||^2 + s, c the loss margin curvature.
-        ValueError when it is not finite or is 0: only the steps and the
-        checks that need L refuse such data, so finito runs on it without a
-        reference."""
+        ValueError when it or its reciprocal is not finite: only the steps
+        and the checks that need L refuse such data, so finito runs on it
+        without a reference."""
         if self._lipschitz is None:
             c = _MARGIN_CURVATURE[self.loss]
             row_norms = np.einsum("ij,ij->i", self.features, self.features)
@@ -313,15 +314,20 @@ class FiniteSumProblem(_ProblemBase):
                     f"Lipschitz constant overflows: the largest feature "
                     f"magnitude is {np.abs(self.features).max():g} "
                     f"(s = {self.s:g}); rescale the data")
-            if L == 0.0:  # so s = 0
-                largest = np.abs(self.features).max()
-                raise ValueError(
-                    "Lipschitz constant is 0: every feature is 0 and s = 0"
-                    if largest == 0.0 else
-                    f"Lipschitz constant underflows to 0: the largest feature "
-                    f"magnitude is {largest:g} (s = 0); rescale the data")
-            self._lipschitz = L
+            self._lipschitz = self._invertible(L)
         return self._lipschitz
+
+    def _invertible(self, constant: float) -> float:
+        # 1/x overflows for every x <= 2^-1024, the reciprocal of the largest
+        # double, so a constant that small is refused as one that is 0
+        if constant > 1.0 / sys.float_info.max:
+            return constant
+        largest = np.abs(self.features).max()
+        raise ValueError(
+            "Lipschitz constant is 0: every feature is 0 and s = 0"
+            if constant == 0.0 == largest else
+            f"Lipschitz constant underflows to 0: the largest feature "
+            f"magnitude is {largest:g} (s = {self.s:g}); rescale the data")
 
     def smoothness_constant(self) -> float:
         """c lambda_max(G)/n + s, the smoothness of the average f, raised by a
@@ -341,7 +347,8 @@ class FiniteSumProblem(_ProblemBase):
         So lambda_max(G) <= lambda^ + (n + 8 k^2) eps tr(G^), which also
         covers the second-order terms and the entries that the scaling takes
         below 2^-1022.  Raises lipschitz_constant's ValueError when max_i L_i
-        is not finite or is 0."""
+        or its reciprocal is not finite, and its underflow message when the
+        reciprocal of this constant is not."""
         if self._smoothness is None:
             self.lipschitz_constant()
             c = _MARGIN_CURVATURE[self.loss]
@@ -356,7 +363,7 @@ class FiniteSumProblem(_ProblemBase):
             # capped where the scaled values cannot overflow: 2^(2e) times
             # the smaller is at most the mean, so scaling back is exact
             scaled = min(bound / self.n, math.ldexp(mean, -2 * e))
-            self._smoothness = c * math.ldexp(scaled, 2 * e) + self.s
+            self._smoothness = self._invertible(c * math.ldexp(scaled, 2 * e) + self.s)
         return self._smoothness
 
 

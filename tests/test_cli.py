@@ -131,7 +131,9 @@ def test_miso_without_strong_convexity_exits_one(tmp_path):
 DATA_FILES = {"huge-l.svm": "1 1:1e200\n-1 1:-3e199 2:1.0\n",
               "stall.svm": "1 1:1e8\n-1 1:7e7\n",
               "three.svm": "1 1:0.5 2:1\n-1 1:-0.3 2:0.2\n1 1:0.1 2:-0.4\n",
-              "zero.svm": "1 1:0\n-1 1:0\n1 1:0\n"}
+              "zero.svm": "1 1:0\n-1 1:0\n1 1:0\n",
+              # L = 5e-324 at s = 0 (squared), whose reciprocal overflows
+              "tiny.svm": "1 1:2.3e-162\n0 2:2.3e-162\n"}
 
 
 # every module that looks reference_solve up
@@ -164,7 +166,8 @@ def reference_solves(monkeypatch):
 
 # the run and compare refusals of the exit-1 table that come from the
 # reference solve itself; every other one comes before any reference is solved
-AFTER_THE_REFERENCE = {"huge-l-reference", "reference-stall", "zero-l-reference"}
+AFTER_THE_REFERENCE = {"huge-l-reference", "reference-stall", "zero-l-reference",
+                       "tiny-l-reference"}
 
 
 # each of these once escaped cli.main as a traceback or exited 2 ("diverged")
@@ -355,6 +358,15 @@ AFTER_THE_REFERENCE = {"huge-l-reference", "reference-stall", "zero-l-reference"
           ("run", ["--solver", "full-gradient"], "full-gradient"),
           ("run", ["--solver", "sag", "--step", "1"], "reference"),
           ("compare", ["--configs", "sag", "--seeds", "1"], "compare-sag"))),
+    # L = 5e-324 is not 0, but 1/L overflows: the reference solve's 1/L ended
+    # in a ZeroDivisionError traceback (its constant rounded to 0), and sag's
+    # default step and full-gradient's 1/L in "step must be finite and > 0"
+    *(pytest.param(["run", "--data", "{tiny.svm}", "--loss", "squared", "--s", "0",
+                    "--solver", *flags, "--epochs", "1"],
+                   "error: Lipschitz constant underflows to 0: the largest feature "
+                   "magnitude is 2.3e-162 (s = 0); rescale the data\n", id=f"tiny-l-{name}")
+      for flags, name in ((["sag", "--step", "1"], "reference"), (["sag"], "sag"),
+                          (["full-gradient"], "full-gradient"))),
     # with s = 0 the gradient floors near 1e-8, where the step rounds away;
     # sag, since finito refuses s = 0 before any reference is solved
     pytest.param(["run", "--data", "{stall.svm}", "--loss", "squared", "--s", "0",

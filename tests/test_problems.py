@@ -271,7 +271,11 @@ def test_an_overflowing_smoothness_constant_names_the_largest_feature():
     (0.0, r"^Lipschitz constant is 0: every feature is 0 and s = 0$"),
     # its square, 1e-340, rounds to 0
     (1e-170, r"^Lipschitz constant underflows to 0: the largest feature magnitude "
-             r"is 1e-170 \(s = 0\); rescale the data$")])
+             r"is 1e-170 \(s = 0\); rescale the data$"),
+    # its square, 5.29e-324, rounds to 5e-324 or (logistic, times 1/4) to 0;
+    # 1/5e-324 overflows
+    (2.3e-162, r"^Lipschitz constant underflows to 0: the largest feature magnitude "
+               r"is 2.3e-162 \(s = 0\); rescale the data$")])
 @pytest.mark.parametrize("loss", [LOGISTIC, SQUARED])
 @pytest.mark.parametrize("constant", ["lipschitz_constant", "smoothness_constant"])
 def test_a_zero_constant_names_its_cause(constant, loss, feature, message):
@@ -280,6 +284,18 @@ def test_a_zero_constant_names_its_cause(constant, loss, feature, message):
     p = FiniteSumProblem(np.full((3, 1), feature), [1.0, -1.0, 1.0], loss, s=0.0)
     with pytest.raises(ValueError, match=message):
         getattr(p, constant)()
+
+
+def test_a_smoothness_constant_whose_reciprocal_overflows_names_its_cause():
+    # L = 2^-1022 is invertible, but the average's constant is L/8 = 2^-1025,
+    # whose reciprocal the reference solve's step overflowed to inf
+    features = np.zeros((8, 1))
+    features[0, 0] = 2.0**-511
+    p = FiniteSumProblem(features, np.zeros(8), SQUARED, s=0.0)
+    assert p.lipschitz_constant() == 2.0**-1022
+    with pytest.raises(ValueError, match=r"^Lipschitz constant underflows to 0: the largest "
+                       r"feature magnitude is 1.49167e-154 \(s = 0\); rescale the data$"):
+        p.smoothness_constant()
 
 
 # -- big data report ----------------------------------------------------------
