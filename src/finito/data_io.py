@@ -31,9 +31,10 @@ def _format_float(x: float) -> str:
 
 
 # field type -> (format, parse) of a trace cell or a checkpoint scalar line;
-# floats are shortest round-trip decimals
+# floats are shortest round-trip decimals, and text is ASCII (encode raises a
+# ValueError for any other character, a byte read above 0x7f included)
 _CODECS = {"float": (_format_float, float), "int": (lambda v: str(int(v)), int),
-           "str": (str, str)}
+           "str": (str, lambda v: v.encode("ascii").decode())}
 # (name, format, parse) per trace column, in field order
 _TRACE_COLUMNS = [(f.name, *_CODECS[f.type]) for f in fields(TraceRecord)]
 TRACE_HEADER = ",".join(name for name, _, _ in _TRACE_COLUMNS)
@@ -71,7 +72,9 @@ def _open_text(source, mode: str):
         path = path.resolve()  # a symlink keeps pointing at the new file
         temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(temp, mode, encoding="ascii", newline="") as handle:
+        # read, a byte above 0x7f is a lone surrogate each reader refuses by line
+        with open(temp, mode, encoding="ascii", newline="",
+                  errors="surrogateescape" if mode == "r" else None) as handle:
             yield handle
         if temp != path:
             if path.exists():  # the new file keeps the old one's permissions
@@ -258,7 +261,7 @@ def read_trace(source) -> list[TraceRecord]:
                     name: parse(cell)
                     for (name, _, parse), cell in zip(_TRACE_COLUMNS, cells)}))
             except ValueError as exc:
-                raise TraceFormatError(f"line {line_no}: non-numeric field ({exc})") from None
+                raise TraceFormatError(f"line {line_no}: bad field ({exc})") from None
     return records
 
 

@@ -127,13 +127,15 @@ def test_miso_without_strong_convexity_exits_one(tmp_path):
         assert "divides by alpha*s*n" in err
 
 
-# the exit-1 table names these files in braces
+# the exit-1 table names these files in braces; they are written as UTF-8
 DATA_FILES = {"huge-l.svm": "1 1:1e200\n-1 1:-3e199 2:1.0\n",
               "stall.svm": "1 1:1e8\n-1 1:7e7\n",
               "three.svm": "1 1:0.5 2:1\n-1 1:-0.3 2:0.2\n1 1:0.1 2:-0.4\n",
               "zero.svm": "1 1:0\n-1 1:0\n1 1:0\n",
               # L = 5e-324 at s = 0 (squared), whose reciprocal overflows
-              "tiny.svm": "1 1:2.3e-162\n0 2:2.3e-162\n"}
+              "tiny.svm": "1 1:2.3e-162\n0 2:2.3e-162\n",
+              # U+0661, the Arabic-Indic digit one, is the bytes 0xd9 0xa1
+              "non-ascii.svm": "1 1:1\n" * 1000 + "1 1:\u0661\n"}
 
 
 # every module that looks reference_solve up
@@ -367,6 +369,11 @@ AFTER_THE_REFERENCE = {"huge-l-reference", "reference-stall", "zero-l-reference"
                    "magnitude is 2.3e-162 (s = 0); rescale the data\n", id=f"tiny-l-{name}")
       for flags, name in ((["sag", "--step", "1"], "reference"), (["sag"], "sag"),
                           (["full-gradient"], "full-gradient"))),
+    # a byte above 0x7f is refused by the line and column of its token; an
+    # ASCII decode of the whole file named only its offset
+    pytest.param(["run", "--data", "{non-ascii.svm}", "--fstar", "none"],
+                 "error: line 1001, column 3: malformed token '1:\\udcd9\\udca1'\n",
+                 id="non-ascii-libsvm"),
     # with s = 0 the gradient floors near 1e-8, where the step rounds away;
     # sag, since finito refuses s = 0 before any reference is solved
     pytest.param(["run", "--data", "{stall.svm}", "--loss", "squared", "--s", "0",
@@ -425,7 +432,7 @@ AFTER_THE_REFERENCE = {"huge-l-reference", "reference-stall", "zero-l-reference"
 def test_invalid_values_exit_one_without_traceback(tmp_path, reference_solves, request,
                                                    argv, message):
     for name, rows in DATA_FILES.items():
-        (tmp_path / name).write_text(rows)
+        (tmp_path / name).write_text(rows, encoding="utf-8")
     argv = [str(tmp_path / a.strip("{}")) if a.startswith("{") else a for a in argv]
     code, _, err = call(argv)
     assert code == 1

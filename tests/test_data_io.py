@@ -213,8 +213,27 @@ def test_trace_header_and_field_errors():
     with pytest.raises(TraceFormatError, match="line 2: expected 8 fields"):
         read_trace(io.StringIO(good))
     bad_field = TRACE_HEADER + "\n0.0,1.0,x,0.1,0.2,finito,uniform,0\n"
-    with pytest.raises(TraceFormatError, match="line 2: non-numeric"):
+    with pytest.raises(TraceFormatError, match=re.escape(
+            "line 2: bad field (could not convert string to float: 'x')")):
         read_trace(io.StringIO(bad_field))
+
+
+# a file is ASCII: a byte above 0x7f reads as a lone surrogate, which a text
+# cell refuses as it refuses any other character that is not ASCII
+@pytest.mark.parametrize("cells,position", [
+    pytest.param(("fin\xd9\xa1ito", "uniform"), "3-4", id="solver"),
+    pytest.param(("finito", "\xd9\xa1uniform"), "0-1", id="sampling")])
+def test_trace_refuses_a_non_ascii_text_cell(tmp_path, cells, position):
+    line = TRACE_HEADER + "\n0.0,1.0,0.5,0.1,0.2,{},{},0\n".format(*cells)
+    path = tmp_path / "trace.csv"
+    path.write_bytes(line.encode("latin-1"))
+    message = (f"line 2: bad field ('ascii' codec can't encode characters in position "
+               f"{position}: ordinal not in range(128))")
+    with pytest.raises(TraceFormatError) as caught:
+        read_trace(path)
+    assert str(caught.value) == message
+    with pytest.raises(TraceFormatError):  # from a stream, the characters themselves
+        read_trace(io.StringIO(line))
 
 
 # -- checkpoint round-trip -----------------------------------------------------------
@@ -545,6 +564,26 @@ def test_checkpoint_refuses_a_non_finite_entry(synth_tiny, tmp_path, solver, lin
     message = f"line {line_no}: bad float literal {value!r}"
     with pytest.raises(CheckpointFormatError, match=f"^{re.escape(message)}$"):
         checkpoint_load(io.StringIO("\n".join(lines) + "\n"), problem)
+
+
+# the bytes 0xd9 0xa1 (U+0661, the Arabic-Indic digit one, in UTF-8, which
+# float() reads as 1) read as two lone surrogates, refused by the rule of
+# the line they stand on; an ASCII decode once named only a byte offset
+@pytest.mark.parametrize("line_no,edit,message", [
+    pytest.param(12, lambda line: b"\xd9\xa1 " + line.split(b" ", 1)[1],
+                 "line 12: bad float literal '\\udcd9\\udca1'", id="table-row"),
+    pytest.param(6, lambda line: line + b"\xd9\xa1",
+                 "line 6: bad 'sampling' value 'permuted\\udcd9\\udca1'", id="sampling")])
+def test_checkpoint_refuses_a_non_ascii_byte_by_its_line(synth_tiny, tmp_path, line_no,
+                                                        edit, message):
+    problem, ref = synth_tiny
+    path, _ = run_and_checkpoint(problem, ref, "finito", tmp_path)
+    lines = path.read_bytes().splitlines()
+    lines[line_no - 1] = edit(lines[line_no - 1])
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(CheckpointFormatError) as caught:
+        checkpoint_load(path, problem)
+    assert str(caught.value) == message
 
 
 @pytest.mark.parametrize("kind", ["finito", "finito-audit", "prox-finito",
