@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import operator
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -318,9 +317,8 @@ class FiniteSumProblem(_ProblemBase):
         return self._lipschitz
 
     def _invertible(self, constant: float) -> float:
-        # 1/x overflows for every x <= 2^-1024, the reciprocal of the largest
-        # double, so a constant that small is refused as one that is 0
-        if constant > 1.0 / sys.float_info.max:
+        # 1/x overflows for every x <= 2^-1024, so such an x is refused as 0 is
+        if constant > math.ldexp(1.0, -1024):
             return constant
         largest = np.abs(self.features).max()
         raise ValueError(
