@@ -104,10 +104,12 @@ def _libsvm_error(line_no: int, raw: str, t: int, what: str) -> LibsvmFormatErro
 def parse_libsvm(source):
     """Parse `<label> <idx>:<val> ...` lines into dense (features, targets).
 
-    Indices are 1-based and must be strictly ascending within a line; blank
-    lines are skipped, so concatenating valid files yields a valid file.  The
-    width is the largest index seen.  The text is read a line at a time,
-    never whole, and the matrix is filled by one scatter.
+    Indices are 1-based and must be strictly ascending within a line, and
+    every label and value finite; the first token in file order that breaks
+    a rule is refused by its line and column.  Blank lines are skipped, so
+    concatenating valid files yields a valid file.  The width is the largest
+    index seen.  The text is read a line at a time, never whole, and the
+    matrix is filled by one scatter.
     """
     # per line its label and entry count, per entry its index and value
     labels, counts, indices, values = [], [], [], array("d")
@@ -118,9 +120,13 @@ def parse_libsvm(source):
             if not tokens:
                 continue
             try:
-                labels.append(float(tokens[0]))
+                label = float(tokens[0])
             except ValueError:
                 raise _libsvm_error(line_no, raw, 0, f"bad label {tokens[0]!r}") from None
+            # x - x is 0.0 for every finite x and NaN for inf and NaN
+            if label - label:
+                raise _libsvm_error(line_no, raw, 0, f"non-finite label {tokens[0]!r}")
+            labels.append(label)
             prev = 0
             for t, token in enumerate(tokens[1:], start=1):
                 idx_text, sep, val_text = token.partition(":")
@@ -135,6 +141,9 @@ def parse_libsvm(source):
                     raise _libsvm_error(
                         line_no, raw, t, "indices are 1-based, got 0" if idx == 0
                         else f"index {idx} not ascending (previous {prev})")
+                if val - val:
+                    raise _libsvm_error(line_no, raw, t,
+                                        f"non-finite value in token {token!r}")
                 indices.append(idx)
                 values.append(val)
                 prev = idx
@@ -360,10 +369,10 @@ def checkpoint_load(source, problem):
     n, d = problem.n, problem.d
     with _open_text(source, "r") as handle:
         lines = _lines(handle)
-        _, found = next(lines, (1, ""))
+        line_no, found = next(lines, (1, ""))
         if found != CHECKPOINT_MAGIC:
-            raise CheckpointFormatError(
-                f"unsupported checkpoint header {found!r} (expected {CHECKPOINT_MAGIC!r})")
+            raise CheckpointFormatError(f"line {line_no}: unsupported checkpoint header "
+                                        f"{found!r} (expected {CHECKPOINT_MAGIC!r})")
 
         def entries():
             # (line number, head, value text) per non-blank line, heads as in
@@ -388,7 +397,7 @@ def checkpoint_load(source, problem):
             raise expected("solver")
         cls = _STATE_CLASSES.get(text)
         if cls is None:
-            raise CheckpointFormatError(f"unknown solver tag {text!r}")
+            raise CheckpointFormatError(f"line {line_no}: unknown solver tag {text!r}")
         values = {"solver_tag": text}
         line_no, head, text = next(entry)
         for key, name, kind, optional in _layout(cls):

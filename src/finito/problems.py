@@ -136,7 +136,7 @@ class _ProblemBase:
 
     def _check_point(self, w: np.ndarray) -> np.ndarray:
         w = self._as_point(w)
-        if not np.all(np.isfinite(w)):
+        if not np.isfinite(w).all():
             raise ValueError("point contains non-finite entries")
         return w
 

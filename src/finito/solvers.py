@@ -575,26 +575,32 @@ def reference_solve(problem) -> ReferenceSolution:
     """
     L = problem.smoothness_constant()
     smooth = problem.l1_weight == 0.0
+    threshold = problem.l1_weight * (1.0 / L)  # prox_operator's, at step 1/L
     x = y = np.zeros(problem.d)
     t = 1.0
     cert = np.inf
     for _ in range(REFERENCE_MAX_ITER):
         g = problem.full_gradient(y)
-        x_next = prox_operator(problem.l1_weight, y - g / L, 1.0 / L)
-        cert = float(np.linalg.norm(g if smooth else x_next - y))
+        x_next = y - g / L if smooth else _soft_threshold(y - g / L, threshold)
+        # each difference once; y - x+ is -moved exactly, so the restart
+        # test (y - x+).(x+ - x) > 0 reads moved.(x+ - x) < 0
+        moved = x_next - y
+        r = g if smooth else moved
+        cert = math.sqrt(r.dot(r))  # np.linalg.norm's 1-D arithmetic
         if cert <= 1e-12:
             return ReferenceSolution(w_star=y, f_star=problem.full_objective(y),
                                      grad_norm_at_solution=cert,
                                      method_tag="accelerated-proximal-gradient")
-        if np.all(np.abs(x_next - y) <= 4.0 * np.spacing(np.abs(y))):
+        if (np.abs(moved) <= 4.0 * np.spacing(np.abs(y))).all():
             raise ValueError(f"reference solve stalled at certificate "
                              f"{cert:g}: the iterate stopped moving in "
                              f"floating point")
-        if float((y - x_next) @ (x_next - x)) > 0.0:
+        step = x_next - x
+        if moved.dot(step) < 0.0:
             t, y = 1.0, x_next
         else:
-            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-            y = x_next + ((t - 1.0) / t_next) * (x_next - x)
+            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+            y = x_next + ((t - 1.0) / t_next) * step
             t = t_next
         x = x_next
     raise ValueError(f"reference solve stalled at certificate {cert:g} "

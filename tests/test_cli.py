@@ -135,7 +135,11 @@ DATA_FILES = {"huge-l.svm": "1 1:1e200\n-1 1:-3e199 2:1.0\n",
               # L = 5e-324 at s = 0 (squared), whose reciprocal overflows
               "tiny.svm": "1 1:2.3e-162\n0 2:2.3e-162\n",
               # U+0661, the Arabic-Indic digit one, is the bytes 0xd9 0xa1
-              "non-ascii.svm": "1 1:1\n" * 1000 + "1 1:\u0661\n"}
+              "non-ascii.svm": "1 1:1\n" * 1000 + "1 1:\u0661\n",
+              "nan-label.svm": "nan 1:1\n1 1:2\n",
+              "inf-value.svm": "1 1:1e400\n-1 1:2\n",
+              "header-9.ckpt": "FINITOCKPT 9\n",
+              "finxito.ckpt": "FINITOCKPT 2\nsolver finxito\n"}
 
 
 # every module that looks reference_solve up
@@ -374,6 +378,19 @@ AFTER_THE_REFERENCE = {"huge-l-reference", "reference-stall", "zero-l-reference"
     pytest.param(["run", "--data", "{non-ascii.svm}", "--fstar", "none"],
                  "error: line 1001, column 3: malformed token '1:\\udcd9\\udca1'\n",
                  id="non-ascii-libsvm"),
+    # a non-finite label or value reached the problem, whose refusal named
+    # no line
+    pytest.param(["run", "--data", "{nan-label.svm}", "--epochs", "1"],
+                 "error: line 1, column 1: non-finite label 'nan'\n", id="nan-label-libsvm"),
+    pytest.param(["run", "--data", "{inf-value.svm}", "--epochs", "1"],
+                 "error: line 1, column 3: non-finite value in token '1:1e400'\n",
+                 id="inf-value-libsvm"),
+    # a checkpoint's header and solver tag were the refusals without a line
+    pytest.param(["run", "--synth", "n=20,d=3", "--epochs", "2", "--resume", "{header-9.ckpt}"],
+                 "error: line 1: unsupported checkpoint header 'FINITOCKPT 9' "
+                 "(expected 'FINITOCKPT 2')\n", id="checkpoint-header-9"),
+    pytest.param(["run", "--synth", "n=20,d=3", "--epochs", "2", "--resume", "{finxito.ckpt}"],
+                 "error: line 2: unknown solver tag 'finxito'\n", id="checkpoint-solver-finxito"),
     # with s = 0 the gradient floors near 1e-8, where the step rounds away;
     # sag, since finito refuses s = 0 before any reference is solved
     pytest.param(["run", "--data", "{stall.svm}", "--loss", "squared", "--s", "0",

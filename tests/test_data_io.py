@@ -86,6 +86,25 @@ def test_parse_libsvm_from_path_and_stream(tmp_path):
                  id="bare-index"),
     pytest.param("1 -3:1\n", "line 1, column 3: index -3 not ascending (previous 0)",
                  id="negative-index"),
+    # a non-finite label or value was left to the problem, whose refusal
+    # named no line
+    pytest.param("nan 1:1\n1 1:2\n", "line 1, column 1: non-finite label 'nan'",
+                 id="nan-label"),
+    pytest.param("1 1:1\n-inf 1:2\n", "line 2, column 1: non-finite label '-inf'",
+                 id="inf-label"),
+    pytest.param("1 1:1e400\n-1 1:2\n",
+                 "line 1, column 3: non-finite value in token '1:1e400'", id="overflowing-value"),
+    pytest.param("1 1:2 2:NaN\n", "line 1, column 7: non-finite value in token '2:NaN'",
+                 id="nan-value"),
+    # the first refused token in file order wins, whichever rule refuses it
+    pytest.param("1 1:inf 1:2\n", "line 1, column 3: non-finite value in token '1:inf'",
+                 id="non-finite-before-descending"),
+    pytest.param("1 2:1 1:inf\n", "line 1, column 7: index 1 not ascending (previous 2)",
+                 id="descending-before-non-finite"),
+    pytest.param("inf 1:x\n", "line 1, column 1: non-finite label 'inf'",
+                 id="non-finite-label-before-malformed"),
+    pytest.param("1 1:x\nnan 1:1\n", "line 1, column 3: malformed token '1:x'",
+                 id="malformed-before-non-finite-label"),
 ])
 def test_parse_libsvm_error_positions(text, message):
     with pytest.raises(LibsvmFormatError) as caught:
@@ -407,8 +426,11 @@ def test_checkpoint_corruption_detected(synth_tiny, tmp_path):
                  r"^line 11: expected 'table p', found '-?0x[^']*'$", id="finito-table p "),
     # a checkpoint in an earlier format is refused by its header
     pytest.param("finito", "FINITOCKPT ", lambda line: "FINITOCKPT 1",
-                 r"^unsupported checkpoint header 'FINITOCKPT 1' \(expected 'FINITOCKPT 2'\)$",
-                 id="finito-FINITOCKPT 1"),
+                 r"^line 1: unsupported checkpoint header 'FINITOCKPT 1' "
+                 r"\(expected 'FINITOCKPT 2'\)$", id="finito-FINITOCKPT 1"),
+    # the solver line's tag picks the state class
+    pytest.param("finito", "solver ", lambda line: "solver finxito",
+                 "^line 2: unknown solver tag 'finxito'$", id="finito-solver finxito"),
     # two lines swapped are refused where the first of them should stand
     pytest.param("finito", ("alpha ", "k "),
                  {"alpha 2.0": "k 40", "k 40": "alpha 2.0"}.__getitem__,

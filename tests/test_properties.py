@@ -19,6 +19,7 @@ from finito import (  # noqa: E402
     SOLVER_TAGS,
     CheckpointFormatError,
     FiniteSumProblem,
+    LibsvmFormatError,
     FinitoState,
     IndexSampler,
     QuadraticProblem,
@@ -81,7 +82,8 @@ def test_trace_write_read_round_trip(recs):
 
 # -- LIBSVM ----------------------------------------------------------------------
 
-values = st.floats(allow_nan=False)
+# the parser refuses a non-finite label or value, so a valid file holds none
+values = st.floats(allow_nan=False, allow_infinity=False)
 
 
 @st.composite
@@ -119,6 +121,27 @@ def test_parse_libsvm_reads_formatted_rows(head, tail, sep, blank):
         for i, v in entries:
             expected[r, i - 1] = v
     assert features.tobytes() == expected.tobytes()  # signed zeros too
+
+
+@SETTINGS
+@given(libsvm_rows(), st.data(), st.sampled_from(["nan", "-NaN", "inf", "-inf", "1e400"]))
+def test_parse_libsvm_refuses_a_non_finite_number_by_its_place(rows, data, bad):
+    # one label or value of a valid file made non-finite is the refused token
+    r = data.draw(st.integers(0, len(rows) - 1))
+    t = data.draw(st.integers(0, len(rows[r][1])))
+    lines = _format_rows(rows, " ", False).splitlines()
+    tokens = lines[r].split(" ")
+    if t == 0:
+        tokens[0] = bad
+        what = f"non-finite label {bad!r}"
+    else:
+        tokens[t] = f"{rows[r][1][t - 1][0]}:{bad}"
+        what = f"non-finite value in token {tokens[t]!r}"
+    lines[r] = " ".join(tokens)
+    column = 1 if t == 0 else len(" ".join(tokens[:t])) + 2
+    with pytest.raises(LibsvmFormatError) as caught:
+        parse_libsvm(io.StringIO("\n".join(lines) + "\n"))
+    assert str(caught.value) == f"line {r + 1}, column {column}: {what}"
 
 
 # -- checkpoints -----------------------------------------------------------------

@@ -22,6 +22,7 @@ from finito import (
     FiniteSumProblem,
     FullGradientState,
     QuadraticProblem,
+    ReferenceSolution,
     SamplingScheme,
     SolverConfig,
     SQUARED,
@@ -855,6 +856,85 @@ def test_reference_solve_steps_at_the_gram_smoothness():
     problem.full_gradient = counted
     reference_solve(problem)
     assert len(calls) <= 100
+
+
+def _reference_solve_by_prox_operator(problem) -> ReferenceSolution:
+    # the loop as it read before each iteration formed each difference once,
+    # with the prox through prox_operator and the norm through np.linalg.norm;
+    # kept verbatim as the bit-for-bit oracle of finito.solvers' loop
+    L = problem.smoothness_constant()
+    smooth = problem.l1_weight == 0.0
+    x = y = np.zeros(problem.d)
+    t = 1.0
+    cert = np.inf
+    for _ in range(finito.solvers.REFERENCE_MAX_ITER):
+        g = problem.full_gradient(y)
+        x_next = prox_operator(problem.l1_weight, y - g / L, 1.0 / L)
+        cert = float(np.linalg.norm(g if smooth else x_next - y))
+        if cert <= 1e-12:
+            return ReferenceSolution(w_star=y, f_star=problem.full_objective(y),
+                                     grad_norm_at_solution=cert,
+                                     method_tag="accelerated-proximal-gradient")
+        if np.all(np.abs(x_next - y) <= 4.0 * np.spacing(np.abs(y))):
+            raise ValueError(f"reference solve stalled at certificate "
+                             f"{cert:g}: the iterate stopped moving in "
+                             f"floating point")
+        if float((y - x_next) @ (x_next - x)) > 0.0:
+            t, y = 1.0, x_next
+        else:
+            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+            y = x_next + ((t - 1.0) / t_next) * (x_next - x)
+            t = t_next
+        x = x_next
+    raise ValueError(f"reference solve stalled at certificate {cert:g} "
+                     f"after {finito.solvers.REFERENCE_MAX_ITER} iterations")
+
+
+def _solve_outcome(solve, problem):
+    # what a solve returns or raises, in bits, and its full_gradient calls
+    full_gradient, calls = problem.full_gradient, []
+
+    def counted(w):
+        calls.append(None)
+        return full_gradient(w)
+
+    problem.full_gradient = counted
+    try:
+        ref = solve(problem)
+    except ValueError as exc:
+        return (type(exc), str(exc)), len(calls)
+    finally:
+        del problem.full_gradient  # the class's method again
+    return (ref.w_star.tobytes(), ref.f_star.hex(),
+            ref.grad_norm_at_solution.hex(), ref.method_tag), len(calls)
+
+
+def test_reference_solve_matches_the_prox_operator_loop_bit_for_bit(
+        synth_small, monkeypatch):
+    problems = [synth_data(SynthSpec(n=n, d=d, seed=seed, l1_weight=l1, **kind))
+                for kind in ({}, {"loss": SQUARED, "noise": 0.1})
+                for l1 in (0.0, 0.01)
+                for n, d in ((12, 3), (40, 5), (200, 10), (2000, 20))
+                for seed in range(3)]
+    rng = np.random.default_rng(3)
+    centers, weights = rng.standard_normal((30, 4)), rng.uniform(1.0, 9.0, 30)
+    problems += [QuadraticProblem(centers, weights),
+                 QuadraticProblem(centers, weights, s=0.0),
+                 FiniteSumProblem(np.array([[1e8], [7e7]]), np.array([1.0, -1.0]),
+                                  SQUARED, s=0.0),
+                 FiniteSumProblem(np.array([[1e8, 3e7], [7e7, -2e7], [5e7, 1e7]]),
+                                  np.array([1.0, -1.0, 1.0]), SQUARED, s=0.0)]
+    raised = 0
+    for problem in problems:
+        want = _solve_outcome(_reference_solve_by_prox_operator, problem)
+        assert _solve_outcome(reference_solve, problem) == want
+        raised += want[0][0] is ValueError
+    assert raised == 2  # the two stalls
+    monkeypatch.setattr(finito.solvers, "REFERENCE_MAX_ITER", 3)
+    problem, _ = synth_small
+    want = _solve_outcome(_reference_solve_by_prox_operator, problem)
+    assert want[0][1].endswith("after 3 iterations")
+    assert _solve_outcome(reference_solve, problem) == want
 
 
 # -- the step kernel's finiteness guard -----------------------------------------
