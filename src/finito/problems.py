@@ -62,14 +62,14 @@ def prox_operator(l1_weight: float, z: np.ndarray, step: float) -> np.ndarray:
     """
     _require_nonnegative("l1_weight", l1_weight)
     _require_positive("step", step)
-    z = np.asarray(z, dtype=float)
+    return _prox(np.asarray(z, dtype=float).copy(), l1_weight, step)
+
+
+def _prox(z: np.ndarray, l1_weight: float, step: float) -> np.ndarray:
+    # prox_operator unchecked, for the solver loops; l1_weight == 0 returns z
     if l1_weight == 0.0:
-        return z.copy()
-    return _soft_threshold(z, l1_weight * step)
-
-
-def _soft_threshold(z: np.ndarray, t: float) -> np.ndarray:
-    return np.sign(z) * np.maximum(np.abs(z) - t, 0.0)
+        return z
+    return np.sign(z) * np.maximum(np.abs(z) - l1_weight * step, 0.0)
 
 
 # the scalar input rules, one per kind of value, which every module's

@@ -24,8 +24,7 @@ from typing import ClassVar
 import numpy as np
 
 from .problems import (ReferenceSolution, StrongConvexityRequired, _as_index,
-                       _require_count, _require_positive, _soft_threshold,
-                       prox_operator)
+                       _prox, _require_count, _require_positive)
 from .samplers import IndexSampler, SamplingScheme
 
 SOLVER_TAGS = ("finito", "prox-finito", "sag", "miso", "full-gradient")
@@ -246,11 +245,10 @@ def _check_table_state(name: str, value: float, k: int, seen: int, table) -> Non
 
 def _next_w(state: FinitoState, problem, seen: int, total: np.ndarray) -> np.ndarray:
     """A finito state's iterate given p_sum over its `seen` rows."""
-    # negation is exact, so this is -p_sum / (alpha*s*seen)
-    z = total / -(state.alpha * problem.s * seen)
-    if state.proximal and problem.l1_weight > 0.0:
-        # prox_operator without its argument checks; l1 = 0 is the identity
-        z = _soft_threshold(z, problem.l1_weight * (1.0 / (state.alpha * problem.s)))
+    rate = state.alpha * problem.s  # negation is exact: z = -p_sum / (rate*seen)
+    z = total / -(rate * seen)
+    if state.proximal:  # rate may underflow to 0, and then the iterate diverges
+        z = _prox(z, problem.l1_weight, 1.0 / rate if rate else math.inf)
     return z
 
 
@@ -500,7 +498,7 @@ def run_with_state(problem, config: SolverConfig, scheme: SamplingScheme,
             if full_grad:
                 # as in the table kernel, the state changes only once checked
                 g = problem.full_gradient(state.w)
-                w = prox_operator(problem.l1_weight, state.w - state.step * g, state.step)
+                w = _prox(state.w - state.step * g, problem.l1_weight, state.step)
                 if not np.all(np.isfinite(w)):
                     raise DivergenceError(f"iterate diverged at step {state.k + 1}",
                                           k=state.k + 1)
@@ -575,13 +573,12 @@ def reference_solve(problem) -> ReferenceSolution:
     """
     L = problem.smoothness_constant()
     smooth = problem.l1_weight == 0.0
-    threshold = problem.l1_weight * (1.0 / L)  # prox_operator's, at step 1/L
     x = y = np.zeros(problem.d)
     t = 1.0
     cert = np.inf
     for _ in range(REFERENCE_MAX_ITER):
         g = problem.full_gradient(y)
-        x_next = y - g / L if smooth else _soft_threshold(y - g / L, threshold)
+        x_next = y - g / L if smooth else _prox(y - g / L, problem.l1_weight, 1.0 / L)
         # each difference once; y - x+ is -moved exactly, so the restart
         # test (y - x+).(x+ - x) > 0 reads moved.(x+ - x) < 0
         moved = x_next - y

@@ -670,6 +670,17 @@ def test_divergence_exits_two_with_partial_trace():
     assert lines[0] == TRACE_HEADER and len(lines) >= 2
 
 
+@pytest.mark.parametrize("l1", ["0", "0.01"])
+def test_alpha_times_s_underflowing_to_zero_exits_two(l1):
+    # alpha*s = 1e-400 rounds to 0.0; prox-finito's threshold step 1/(alpha*s)
+    # once escaped cli.main as a ZeroDivisionError traceback at l1 > 0
+    code, out, err = call(["run", "--synth", "n=20,d=3", "--solver", "prox-finito",
+                           "--alpha", "1e-200", "--s", "1e-200", "--l1", l1,
+                           "--fstar", "none", "--epochs", "1"])
+    assert code == 2 and out.startswith(TRACE_HEADER + "\n")
+    assert err == "diverged: iterate diverged at step 1\n"
+
+
 # squared losses near 1e400 at w0
 HUGE_ROWS = "1e200 1:1e120 2:-2e120\n-1e200 1:3e120\n1e200 2:1e120\n"
 

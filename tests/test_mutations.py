@@ -19,11 +19,17 @@ and from the run driver's exit and resume paths:
 and from the analysis lab:
 
 - M11: `rate_bound`'s constant is c = 1 - 1/(4 alpha), not 1 - 1/(2 alpha);
-- M12: the unseen-count radius of `suite_lowerbound` is ten times as wide.
+- M12: the unseen-count radius of `suite_lowerbound` is ten times as wide;
+
+and from the one proximal map that prox-finito, the full-gradient step and
+the reference solve share:
+
+- M13: `_prox` thresholds at 2 l1 step, not l1 step.
 
 Each is applied in-process: a module function or method is patched, or a
-module function (`_fold`, `run_with_state`, `rate_bound`, `suite_lowerbound`)
-is rebuilt from its source with one replacement that must match exactly once.
+module function (`_fold`, `run_with_state`, `rate_bound`, `suite_lowerbound`,
+`_prox`) is rebuilt from its source with one replacement that must match
+exactly once.
 """
 
 import dataclasses
@@ -37,6 +43,7 @@ import pytest
 
 import finito.cli as cli
 import finito.lower_bounds as lower_bounds
+import finito.problems as problems
 import finito.solvers as solvers
 import finito.theory as theory
 from finito import (LOGISTIC, PERMUTED, UNIFORM, DivergenceError, FiniteSumProblem,
@@ -46,6 +53,7 @@ from finito import (LOGISTIC, PERMUTED, UNIFORM, DivergenceError, FiniteSumProbl
 # the diverging run of the exit-2 tests: finito at alpha = 0.05 on a
 # beta = 0.01 problem, whose suboptimality stays finite until the ratio
 # guard ends it
+import test_problems
 from test_solvers import DIVERGING, RUNAWAY
 
 
@@ -177,6 +185,15 @@ def unseen_row_refuses_a_law_one_percent_high() -> bool:
     return not rows["unseen-mean-k5"]
 
 
+def prox_values_hold() -> bool:
+    """test_prox_soft_threshold_values: its values are worked out by hand."""
+    try:
+        test_problems.test_prox_soft_threshold_values()
+    except AssertionError:
+        return False
+    return True
+
+
 def m2(monkeypatch):
     monkeypatch.setattr(solvers, "_next_w", lambda state, problem, seen, total:
                         total / -(1.1 * state.alpha * problem.s * seen))
@@ -237,6 +254,12 @@ def m12(monkeypatch):
             "abs(p.mc_mean - p.expected), 10 * radius,")
 
 
+def m13(monkeypatch):
+    rebuild(monkeypatch, problems._prox, "l1_weight * step", "2.0 * l1_weight * step")
+    # solvers binds the map by name at import, so it is patched there too
+    monkeypatch.setattr(solvers, "_prox", problems._prox)
+
+
 # mutation -> the check that catches it
 CAUGHT_BY = {
     m2: lyapunov_passes,
@@ -250,6 +273,7 @@ CAUGHT_BY = {
     m10: resume_is_bit_exact,
     m11: rate_bound_starts_at_alpha_times_the_potential,
     m12: unseen_row_refuses_a_law_one_percent_high,
+    m13: prox_values_hold,
 }
 
 

@@ -69,6 +69,17 @@ def test_finito_step_hand_value_first_component(desk):
     assert st.w[0] == 0.375
 
 
+def test_prox_finito_hand_value():
+    # the desk quadratic at l1 = 0.5: the map's threshold is
+    # l1 / (alpha s) = 0.25, worked out here without prox_operator
+    desk = QuadraticProblem(centers=[[1.0], [-1.0]], l1_weight=0.5)
+    st = finito_init(desk, alpha=2.0, w0=np.ones(1), solver_tag="prox-finito")
+    assert st.w[0] == 0.25  # p_sum = -2, so the map is 0.5 - 0.25
+    finito_step(st, desk, 1)
+    # row 1 at 0.25: p_1 = 1.25 - 2 * 0.25 = 0.75, p_sum = -1.25
+    assert st.w[0] == 0.0625  # 0.3125 - 0.25
+
+
 def test_first_pass_hand_value(desk):
     st = finito_init(desk, alpha=2.0, w0=np.ones(1), first_pass=True)
     assert st.seen == 0 and st.w[0] == 1.0
@@ -348,6 +359,65 @@ def test_diverging_full_gradient_step_leaves_its_state(synth_tiny):
     first = prox_operator(problem.l1_weight, w0 - step * problem.full_gradient(w0), step)
     assert (str(info.value), info.value.k) == ("iterate diverged at step 2", 2)
     assert state.k == 1 and np.array_equal(state.w, first)
+
+
+def _full_gradient_row(problem, state, f_star):
+    # the trace row run_with_state records for a full-gradient state
+    objective = problem.full_objective(state.w)
+    sub = objective - f_star if f_star is not None else float("nan")
+    return (float(state.k).hex(), objective.hex(), sub.hex(),
+            float(np.linalg.norm(problem.full_gradient(state.w))).hex(),
+            "full-gradient", UNIFORM, 0)
+
+
+def _full_gradient_steps_by_prox_operator(problem, state, epochs, f_star=None):
+    # run_with_state's full-gradient step as it read when it called the
+    # checking prox_operator, kept verbatim as the bit-for-bit oracle of the
+    # step through problems._prox: the rows recorded after each step, and
+    # (message, k) of the divergence that ended the run, or None
+    rows = []
+    while state.k < epochs:
+        g = problem.full_gradient(state.w)
+        w = prox_operator(problem.l1_weight, state.w - state.step * g, state.step)
+        if not np.all(np.isfinite(w)):
+            return rows, (f"iterate diverged at step {state.k + 1}", state.k + 1)
+        state.w, state.k = w, state.k + 1
+        rows.append(_full_gradient_row(problem, state, f_star))
+    return rows, None
+
+
+def _trace_hex(records):
+    # every field but wall_ms, each float as float.hex()
+    return [(r.epoch.hex(), r.objective.hex(), r.suboptimality.hex(), r.grad_norm.hex(),
+             r.solver, r.sampling, r.seed) for r in records]
+
+
+@pytest.mark.parametrize("step", [None, 0.25], ids=["default-step", "step-0.25"])
+@pytest.mark.parametrize("l1", [0.0, 0.05])
+def test_full_gradient_run_matches_the_prox_operator_step_bit_for_bit(synth_tiny, l1, step):
+    problem, ref = (synth_problem(SynthSpec(n=20, d=3, target_beta=2.0, seed=1, l1_weight=l1))
+                    if l1 else synth_tiny)
+    records, state, _ = run_with_state(problem, SolverConfig("full-gradient", step=step),
+                                       SamplingScheme(UNIFORM), 5, reference=ref)
+    want = FullGradientState(step=1.0 / problem.lipschitz_constant() if step is None
+                             else step, w=np.zeros(problem.d))
+    start = _full_gradient_row(problem, want, ref.f_star)
+    rows, error = _full_gradient_steps_by_prox_operator(problem, want, 5, ref.f_star)
+    assert error is None and _trace_hex(records) == [start, *rows]
+    assert (state.k, state.w.tobytes()) == (want.k, want.w.tobytes()) and state.k == 5
+
+
+def test_a_diverging_full_gradient_run_matches_the_prox_operator_step(synth_tiny):
+    problem, _ = synth_tiny
+    state, want = (FullGradientState(step=1e300, w=np.zeros(problem.d)) for _ in range(2))
+    with pytest.raises(DivergenceError) as info, np.errstate(all="ignore"):
+        run_with_state(problem, SolverConfig("full-gradient", step=1e300),
+                       SamplingScheme(UNIFORM), 5, resume=(state, None))
+    with np.errstate(all="ignore"):
+        rows, error = _full_gradient_steps_by_prox_operator(problem, want, 5)
+    assert (str(info.value), info.value.k) == error == ("iterate diverged at step 2", 2)
+    assert _trace_hex(info.value.records) == rows
+    assert (state.k, state.w.tobytes()) == (want.k, want.w.tobytes()) and state.k == 1
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
