@@ -50,10 +50,10 @@ from finito import (LOGISTIC, PERMUTED, UNIFORM, DivergenceError, FiniteSumProbl
                     IndexSampler, QuadraticProblem, SamplingScheme, SolverConfig,
                     SynthSpec, checkpoint_load, checkpoint_save, sag_init, sag_step,
                     synth_problem)
+import test_problems
 # the diverging run of the exit-2 tests: finito at alpha = 0.05 on a
 # beta = 0.01 problem, whose suboptimality stays finite until the ratio
 # guard ends it
-import test_problems
 from test_solvers import DIVERGING, RUNAWAY
 
 

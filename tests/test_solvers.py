@@ -69,17 +69,6 @@ def test_finito_step_hand_value_first_component(desk):
     assert st.w[0] == 0.375
 
 
-def test_prox_finito_hand_value():
-    # the desk quadratic at l1 = 0.5: the map's threshold is
-    # l1 / (alpha s) = 0.25, worked out here without prox_operator
-    desk = QuadraticProblem(centers=[[1.0], [-1.0]], l1_weight=0.5)
-    st = finito_init(desk, alpha=2.0, w0=np.ones(1), solver_tag="prox-finito")
-    assert st.w[0] == 0.25  # p_sum = -2, so the map is 0.5 - 0.25
-    finito_step(st, desk, 1)
-    # row 1 at 0.25: p_1 = 1.25 - 2 * 0.25 = 0.75, p_sum = -1.25
-    assert st.w[0] == 0.0625  # 0.3125 - 0.25
-
-
 def test_first_pass_hand_value(desk):
     st = finito_init(desk, alpha=2.0, w0=np.ones(1), first_pass=True)
     assert st.seen == 0 and st.w[0] == 1.0
