@@ -46,15 +46,24 @@ class _Once:
         super().__call__(parser, namespace, values, option_string)
 
 
+class _StoreOnce(_Once, argparse._StoreAction):
+    pass
+
+
+class _StoreTrueOnce(_Once, argparse._StoreTrueAction):
+    pass
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors; the contract here is 1.  A flag is
     its full name, given once, where argparse takes a prefix or the last."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, allow_abbrev=False, **kwargs)
-        for name in (None, "store", "store_true"):  # None: add_argument's default
-            base = self._registry_get("action", name)
-            self.register("action", name, type("Once", (_Once, base), {}))
+        # None: add_argument's default action, which is "store"
+        for name, action in ((None, _StoreOnce), ("store", _StoreOnce),
+                             ("store_true", _StoreTrueOnce)):
+            self.register("action", name, action)
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -294,10 +294,15 @@ class FiniteSumProblem(_ProblemBase):
         return losses.mean(axis=-1) + ridge
 
     def full_gradient(self, w: np.ndarray) -> np.ndarray:
-        w = self._check_point(w)
-        margins = self.features @ w
+        w = self._as_point(w)
+        if not math.isfinite(w.dot(w)):
+            # NaN and inf reach w.w; finite entries whose squares overflow
+            # pass the exact check
+            self._check_point(w)
+        # the BLAS gemv of features @ w, without the matmul dispatch
+        margins = self.features.dot(w)
         dm = self._loss_dmargin(margins, self.targets)
-        return self.features.T @ dm / self.n + self.s * w
+        return self.features.T.dot(dm) / self.n + self.s * w
 
     def lipschitz_constant(self) -> float:
         """max_i L_i with L_i = c ||x_i||^2 + s, c the loss margin curvature.

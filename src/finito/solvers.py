@@ -551,6 +551,24 @@ def run(problem, config: SolverConfig, scheme: SamplingScheme, epochs: int,
 # full-gradient reference solver
 
 
+def _may_stall(moved_sq: float, y: np.ndarray) -> bool:
+    """False only where the stall test |moved| <= 4 spacing(|y|) fails,
+    moved_sq being moved.dot(moved).
+
+    For a >= 0, 4 spacing(a) <= 2^-50 a + 2^-1072 (a normal's spacing is at
+    most 2^-52 a, a subnormal's and zero's 2^-1074).  So a stall has
+    moved_i^2 <= 2 (2^-100 y_i^2 + 2^-2144) and sum moved_i^2 <= 2^-99 y.y +
+    d 2^-2143, a factor 8 inside 2^-96 y.y + 2^-1000.  Each dot product errs
+    by at most d 2^-53 relative, in any summation order, plus d 2^-1074
+    absolute where its products fall below the normal range: the factor 8
+    covers the first and the floor 2^-1000 the second, and with it the
+    subnormal and zero y.  A stall's moved.moved overflows only where y.y
+    does, and inf <= inf keeps the test.  NaN or inf in moved fails this
+    screen and the test alike (y itself is finite: full_gradient checked it).
+    """
+    return moved_sq <= 2**-96 * y.dot(y) + 2**-1000
+
+
 def reference_solve(problem) -> ReferenceSolution:
     """High-accuracy minimizer for the suboptimality reference.
 
@@ -583,12 +601,15 @@ def reference_solve(problem) -> ReferenceSolution:
         # test (y - x+).(x+ - x) > 0 reads moved.(x+ - x) < 0
         moved = x_next - y
         r = g if smooth else moved
-        cert = math.sqrt(r.dot(r))  # np.linalg.norm's 1-D arithmetic
+        rr = r.dot(r)
+        cert = math.sqrt(rr)  # np.linalg.norm's 1-D arithmetic
         if cert <= 1e-12:
             return ReferenceSolution(w_star=y, f_star=problem.full_objective(y),
                                      grad_norm_at_solution=cert,
                                      method_tag="accelerated-proximal-gradient")
-        if (np.abs(moved) <= 4.0 * np.spacing(np.abs(y))).all():
+        # the exact stall test runs only when the screen cannot rule it out
+        if (_may_stall(moved.dot(moved) if smooth else rr, y)
+                and (np.abs(moved) <= 4.0 * np.spacing(np.abs(y))).all()):
             raise ValueError(f"reference solve stalled at certificate "
                              f"{cert:g}: the iterate stopped moving in "
                              f"floating point")

@@ -492,6 +492,22 @@ def test_every_flag_given_twice_exits_one(command, occurrences):
             assert "Traceback" not in err
 
 
+
+def test_the_store_once_actions_are_built_once():
+    # every parser built its three store-once classes with type(), 12 per
+    # build_parser(); each subcommand's parser registers the same ones
+    def registered(parser):
+        subs = next(action for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction)).choices
+        return [(p._registry_get("action", None), p._registry_get("action", "store"),
+                 p._registry_get("action", "store_true"))
+                for p in (parser, *subs.values())]
+    first, second = registered(cli.build_parser()), registered(cli.build_parser())
+    assert first == second and len(set(first)) == 1
+    default, store, store_true = first[0]
+    assert default is store and issubclass(store, argparse._StoreAction)
+    assert issubclass(store_true, argparse._StoreTrueAction)
+
 def test_help_given_twice_prints_the_help():
     # help ends the parse at its first occurrence
     code, out, err = call(["run", "-h", "-h"])

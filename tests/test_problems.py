@@ -486,6 +486,36 @@ def test_component_gradient_overflowing_margin_is_not_a_bad_point():
     assert not np.all(np.isfinite(g))
 
 
+
+def _matmul_full_gradient(p, w):
+    # FiniteSumProblem.full_gradient's products through @, as they read
+    # before ndarray.dot
+    dm = p._loss_dmargin(p.features @ w, p.targets)
+    return p.features.T @ dm / p.n + p.s * w
+
+
+# full_gradient screens its point with one w.w and checks it exactly only
+# where that is not finite
+@pytest.mark.parametrize("loss", [SQUARED, LOGISTIC])
+@pytest.mark.parametrize("row", ["nan", "inf", "minus-inf", "overflowing-square", "strided"])
+def test_full_gradient_point_rows(loss, row):
+    p = synth_data(SynthSpec(n=200, d=10, seed=0, loss=loss, noise=0.1))
+    big = np.random.default_rng(0).standard_normal(2 * p.d)
+    if row in ("nan", "inf", "minus-inf"):
+        w = np.zeros(p.d)
+        w[3] = {"nan": np.nan, "inf": np.inf, "minus-inf": -np.inf}[row]
+        with pytest.raises(ValueError, match="^point contains non-finite entries$"):
+            p.full_gradient(w)
+        return
+    # a finite point whose w.w overflows is not refused (numpy may report
+    # the overflow); a strided one takes the same gemv as @
+    w = np.full(p.d, 1e200) if row == "overflowing-square" else big[::2]
+    with np.errstate(over="ignore"):
+        g = p.full_gradient(w)
+        want = _matmul_full_gradient(p, w)
+    assert g.tobytes() == want.tobytes()
+    assert np.isfinite(g).all()
+
 # -- scalar input rules ---------------------------------------------------------
 
 _DESK = QuadraticProblem([[1.0], [-1.0]], weights=[2.0, 2.0], s=1.0)

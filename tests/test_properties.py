@@ -1,5 +1,5 @@
 """Property tests for the text formats (trace CSV, LIBSVM and checkpoints)
-and for the reference solve's step constant."""
+and for the reference solve's step constant and stall screen."""
 
 import dataclasses
 import io
@@ -39,7 +39,7 @@ from finito import (  # noqa: E402
     write_trace,
 )
 from finito.problems import _MARGIN_CURVATURE  # noqa: E402
-from finito.solvers import FINITO_TAGS, MONITORS  # noqa: E402
+from finito.solvers import FINITO_TAGS, MONITORS, _may_stall  # noqa: E402
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -381,3 +381,46 @@ def test_smoothness_constant_lies_between_the_smoothness_and_the_mean_bound(
     smoothness = c * np.linalg.eigvalsh(features.T @ features / n)[-1] + s
     mean_bound = float(c * (np.einsum("ij,ij->i", features, features) / n).sum() + s)
     assert smoothness * (1.0 - 1e-13) <= problem.smoothness_constant() <= mean_bound
+
+
+# -- the reference solve's stall screen ---------------------------------------------
+
+_TINY = 2.0**-1022  # the smallest normal double
+
+
+def _signed(magnitudes):
+    return st.tuples(magnitudes, st.booleans()).map(lambda m: -m[0] if m[1] else m[0])
+
+
+# one coordinate of y: a zero of either sign, a subnormal, a power of two (where
+# 4 ulps is largest against the value) or any normal up to 1e300
+stall_coordinates = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    _signed(st.integers(1, 2**52 - 1).map(lambda m: m * 2.0**-1074)),
+    _signed(st.integers(-1022, 996).map(lambda e: math.ldexp(1.0, e))),
+    _signed(st.floats(_TINY, 1e300)))
+
+
+@SETTINGS
+@given(st.lists(stall_coordinates, min_size=1, max_size=12), st.data())
+def test_the_stall_screen_never_rules_out_a_stall(y, data):
+    # moved_i anywhere in [-4 spacing(|y_i|), 4 spacing(|y_i|)], the ends
+    # included: the exact stall test holds, so the screen must let it run
+    y = np.array(y)
+    bound = 4.0 * np.spacing(np.abs(y))
+    fraction = st.one_of(st.sampled_from([-1.0, 1.0]), st.floats(-1.0, 1.0))
+    moved = bound * np.array(data.draw(st.lists(fraction, min_size=y.size,
+                                                max_size=y.size)))
+    assert (np.abs(moved) <= bound).all()
+    with np.errstate(over="ignore"):  # y.y overflows beyond about 1e154
+        assert _may_stall(moved.dot(moved), y)
+
+
+def test_the_stall_screen_at_its_ends():
+    # y = 0 leaves the floor 2^-1000; a y.y that overflows lets any
+    # moved.moved through, and a NaN one is ruled out like the exact test
+    zero = np.zeros(3)
+    assert _may_stall(2.0**-1000, zero) and not _may_stall(2.0**-999, zero)
+    with np.errstate(over="ignore"):
+        assert _may_stall(math.inf, np.full(3, 1e300))
+    assert not (_may_stall(math.nan, zero) or _may_stall(math.inf, zero))

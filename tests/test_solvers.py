@@ -8,6 +8,7 @@ rational that floats represent exactly.
 import dataclasses
 import io
 import json
+import math
 import warnings
 from pathlib import Path
 
@@ -44,6 +45,7 @@ from finito import (
     synth_problem,
     SynthSpec,
 )
+from finito.problems import _prox
 from finito.samplers import SAMPLING_NAMES
 from finito.solvers import FINITO_TAGS, check_run
 
@@ -995,6 +997,92 @@ def test_reference_solve_matches_the_prox_operator_loop_bit_for_bit(
     assert want[0][1].endswith("after 3 iterations")
     assert _solve_outcome(reference_solve, problem) == want
 
+
+
+def _matmul_full_gradient(problem):
+    # FiniteSumProblem.full_gradient as it read before its one-dot-product
+    # finiteness screen, both products through @; kept verbatim as the
+    # bit-for-bit oracle of the screened ndarray.dot form
+    def full_gradient(w):
+        w = problem._check_point(w)
+        margins = problem.features @ w
+        dm = problem._loss_dmargin(margins, problem.targets)
+        return problem.features.T @ dm / problem.n + problem.s * w
+    return full_gradient
+
+
+def _reference_solve_unscreened(problem) -> ReferenceSolution:
+    # the loop as it read before the one-dot-product stall screen, kept
+    # verbatim as the bit-for-bit oracle of finito.solvers' loop
+    L = problem.smoothness_constant()
+    smooth = problem.l1_weight == 0.0
+    x = y = np.zeros(problem.d)
+    t = 1.0
+    cert = np.inf
+    for _ in range(finito.solvers.REFERENCE_MAX_ITER):
+        g = problem.full_gradient(y)
+        x_next = y - g / L if smooth else _prox(y - g / L, problem.l1_weight, 1.0 / L)
+        # each difference once; y - x+ is -moved exactly, so the restart
+        # test (y - x+).(x+ - x) > 0 reads moved.(x+ - x) < 0
+        moved = x_next - y
+        r = g if smooth else moved
+        cert = math.sqrt(r.dot(r))  # np.linalg.norm's 1-D arithmetic
+        if cert <= 1e-12:
+            return ReferenceSolution(w_star=y, f_star=problem.full_objective(y),
+                                     grad_norm_at_solution=cert,
+                                     method_tag="accelerated-proximal-gradient")
+        if (np.abs(moved) <= 4.0 * np.spacing(np.abs(y))).all():
+            raise ValueError(f"reference solve stalled at certificate "
+                             f"{cert:g}: the iterate stopped moving in "
+                             f"floating point")
+        step = x_next - x
+        if moved.dot(step) < 0.0:
+            t, y = 1.0, x_next
+        else:
+            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+            y = x_next + ((t - 1.0) / t_next) * step
+            t = t_next
+        x = x_next
+    raise ValueError(f"reference solve stalled at certificate {cert:g} "
+                     f"after {finito.solvers.REFERENCE_MAX_ITER} iterations")
+
+
+def _unscreened_outcome(problem):
+    # the oracle loop over the @-form gradient; _solve_outcome deletes the
+    # instance attribute afterwards, so the class's method is back
+    if isinstance(problem, FiniteSumProblem):
+        problem.full_gradient = _matmul_full_gradient(problem)
+    return _solve_outcome(_reference_solve_unscreened, problem)
+
+
+def test_reference_solve_matches_the_unscreened_loop_bit_for_bit(synth_small, monkeypatch):
+    # the oracle above calls the changed full_gradient on both sides; this
+    # one keeps the loop and the gradient as they read before their screens
+    problems = [synth_data(SynthSpec(n=n, d=d, seed=seed, l1_weight=l1, **kind))
+                for kind in ({}, {"loss": SQUARED, "noise": 0.1})
+                for l1 in (0.0, 0.001)
+                for n, d in ((40, 5), (200, 10), (2000, 20), (5000, 50))
+                for seed in range(3)]
+    rng = np.random.default_rng(3)
+    centers, weights = rng.standard_normal((30, 4)), rng.uniform(1.0, 9.0, 30)
+    problems += [QuadraticProblem(centers, weights),
+                 QuadraticProblem(centers, weights, s=0.0),
+                 FiniteSumProblem(np.array([[1e8], [7e7]]), np.array([1.0, -1.0]),
+                                  SQUARED, s=0.0),
+                 FiniteSumProblem(np.array([[1e8, 3e7], [7e7, -2e7], [5e7, 1e7]]),
+                                  np.array([1.0, -1.0, 1.0]), SQUARED, s=0.0)]
+    stalls = []
+    for problem in problems:
+        want = _unscreened_outcome(problem)
+        assert _solve_outcome(reference_solve, problem) == want
+        if want[0][0] is ValueError:
+            stalls.append(want[0][1])
+    assert len(stalls) == 2 and all(" stopped moving in " in m for m in stalls)
+    monkeypatch.setattr(finito.solvers, "REFERENCE_MAX_ITER", 3)
+    problem, _ = synth_small
+    want = _unscreened_outcome(problem)
+    assert want[0][1].endswith("after 3 iterations")
+    assert _solve_outcome(reference_solve, problem) == want
 
 # -- the step kernel's finiteness guard -----------------------------------------
 
